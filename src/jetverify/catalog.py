@@ -18,25 +18,14 @@ coefficient through (u, s) instead.
 from fractions import Fraction
 
 from .jetalg import (
-    JetExpr,
     RelationSet,
     RingContext,
     SystemDef,
-    parse,
     perturb_term,
     solve_for,
-    to_text,
     total_derivative,
 )
-from .opcalc import (
-    LocalOp,
-    MatrixOp,
-    PseudoOp,
-    parse_matrix,
-    parse_pseudo,
-    serialize_matrix,
-    serialize_pseudo,
-)
+from .opcalc import LocalOp, MatrixOp, PseudoOp
 
 __all__ = [
     "RING_X",
@@ -44,6 +33,8 @@ __all__ = [
     "RING_K",
     "RINGS",
     "KINDS",
+    "KIND_TABLE",
+    "parametrization",
     "Entry",
     "LaxPair",
     "ReciprocalMap",
@@ -55,8 +46,6 @@ __all__ = [
     "citation",
     "idents",
     "index",
-    "manifest",
-    "load_manifest",
     "mutation_count",
     "mutated",
     "part_windows",
@@ -93,10 +82,13 @@ RING_K = RingContext(
 
 RINGS = {"x": RING_X, "y": RING_Y, "k": RING_K}
 
-KINDS = (
-    "expr", "exprs", "op", "matrix", "exprmatrix",
-    "system", "laxpair", "reciprocal", "functional", "relations",
-)
+
+def parametrization(ring):
+    """The cleared parametrization of the momenta, v = u^3/s and
+    w = u*s, over a ring carrying (u, s)."""
+    u = ring.coord("u")
+    s = ring.coord("s")
+    return {"v": u ** 3 / s, "w": u * s}
 
 
 class LaxPair:
@@ -134,6 +126,98 @@ class NamedFunctional:
     def __init__(self, ring, density):
         self.ring = ring
         self.density = density
+
+
+# -- kind table --------------------------------------------------------
+
+def _grid_leaves(grid):
+    return tuple(e for row in grid for e in row)
+
+
+def _regrid(grid, leaves):
+    return tuple(tuple(next(leaves) for _e in row) for row in grid)
+
+
+def _rules_rebuilt(relations, leaves):
+    rules = RelationSet(relations.ring)
+    for dep, rule in relations.rules.items():
+        rules = rules.with_rule(dep, rule.order, next(leaves))
+    return rules
+
+
+def _system_parts(system):
+    parts = [("evolution", tuple(system.evolution.values()))]
+    if system.constraints is not None:
+        parts.append(("constraints", tuple(
+            rule.rhs for rule in system.constraints.rules.values())))
+    return parts
+
+
+def _system_rebuilt(system, leaves):
+    evolution = {dep: next(leaves) for dep in system.evolution}
+    rules = (None if system.constraints is None
+             else _rules_rebuilt(system.constraints, leaves))
+    return SystemDef(system.ring, evolution, rules, system.citation)
+
+
+def _matrix_rebuilt(matrix, leaves):
+    return MatrixOp(tuple(
+        tuple(e.map_coefficients(lambda _c: next(leaves)) for e in row)
+        for row in matrix.grid))
+
+
+class Kind:
+    """How one kind of catalog value splits into expression leaves.
+
+    parts(value) gives the labelled leaf groups in slot order; a kind
+    without named parts has the one group "all".  rebuilt(value, leaves)
+    is the value with its leaves replaced, in that order, by the items
+    of the iterator leaves."""
+
+    __slots__ = ("parts", "rebuilt")
+
+    def __init__(self, parts, rebuilt):
+        self.parts = parts
+        self.rebuilt = rebuilt
+
+
+KIND_TABLE = {
+    "expr": Kind(lambda v: [("all", (v,))],
+                 lambda v, leaves: next(leaves)),
+    "exprs": Kind(lambda v: [(label, (e,)) for label, e in v],
+                  lambda v, leaves: tuple((label, next(leaves))
+                                          for label, _e in v)),
+    "op": Kind(lambda v: [("all", v.coefficients())],
+               lambda v, leaves: v.map_coefficients(
+                   lambda _c: next(leaves))),
+    "matrix": Kind(lambda v: [("all", tuple(c for e in _grid_leaves(v.grid)
+                                            for c in e.coefficients()))],
+                   _matrix_rebuilt),
+    "exprmatrix": Kind(lambda v: [("all", _grid_leaves(v))], _regrid),
+    "system": Kind(_system_parts, _system_rebuilt),
+    "laxpair": Kind(lambda v: [("space", _grid_leaves(v.space)),
+                               ("time", _grid_leaves(v.time))],
+                    lambda v, leaves: LaxPair(v.ring, v.variables,
+                                              _regrid(v.space, leaves),
+                                              _regrid(v.time, leaves))),
+    "reciprocal": Kind(lambda v: [("density", (v.density,)),
+                                  ("flux", (v.flux,)),
+                                  ("substitutions",
+                                   tuple(e for _dep, e
+                                         in v.substitutions))],
+                       lambda v, leaves: ReciprocalMap(
+                           v.ring, next(leaves), next(leaves),
+                           tuple((dep, next(leaves))
+                                 for dep, _e in v.substitutions))),
+    "functional": Kind(lambda v: [("all", (v.density,))],
+                       lambda v, leaves: NamedFunctional(v.ring,
+                                                         next(leaves))),
+    "relations": Kind(lambda v: [(dep, (rule.rhs,))
+                                 for dep, rule in v.rules.items()],
+                      _rules_rebuilt),
+}
+
+KINDS = tuple(KIND_TABLE)
 
 
 class Entry:
@@ -271,7 +355,7 @@ def _x_entries(add):
     w, w1 = co("w"), co("w", 1)
     q, q1, q2, q3 = co("q"), co("q", 1), co("q", 2), co("q", 3)
     r, r1, r2, r3 = co("r"), co("r", 1), co("r", 2), co("r", 3)
-    u, s = co("u"), co("s")
+    u = co("u")
 
     kappa = q * r1 - q1 * r
     cons_main = (RelationSet(X)
@@ -306,7 +390,8 @@ def _x_entries(add):
         LaxPair(X, ("x", "t"), space4, time_main),
         "4x4 spectral pair whose zero curvature reproduces the cubic flow")
 
-    subs = (("v", u ** 3 / s), ("w", u * s))
+    param = parametrization(X)
+    subs = tuple(param.items())
     add("recip.main", "reciprocal", "x",
         ReciprocalMap(X, u, 2 * u * kappa, subs),
         "independent-variable change generated by the conserved "
@@ -345,8 +430,8 @@ def _x_entries(add):
     # v*w appear.  Q2 is stored twice: the overall-power reading that
     # the suite confirms, and the reading with power -5/4 of v*w that
     # it refutes.
-    vv = u ** 3 / s
-    ww = u * s
+    vv = param["v"]
+    ww = param["w"]
     vv1 = total_derivative(vv)
     ww1 = total_derivative(ww)
     vv2 = total_derivative(vv1)
@@ -932,268 +1017,11 @@ def index():
     return tuple((ident, _REGISTRY[ident].citation) for ident in _ORDER)
 
 
-# -- serialization -------------------------------------------------------
-
-def _grid_payload(grid):
-    return [[to_text(e) for e in row] for row in grid]
-
-
-def _payload(ent):
-    kind, value = ent.kind, ent.value
-    if kind == "expr":
-        return {"text": to_text(value)}
-    if kind == "exprs":
-        return {"items": [[label, to_text(e)] for label, e in value]}
-    if kind == "op":
-        return {"text": serialize_pseudo(value)}
-    if kind == "matrix":
-        return {"text": serialize_matrix(value)}
-    if kind == "exprmatrix":
-        return {"rows": _grid_payload(value)}
-    if kind == "system":
-        cons = value.constraints
-        return {
-            "evolution": [[dep, to_text(rhs)]
-                          for dep, rhs in value.evolution.items()],
-            "constraints": None if cons is None else
-            [[rule.dep, rule.order, to_text(rule.rhs)]
-             for rule in (cons.rules[d] for d in cons.rules)],
-        }
-    if kind == "laxpair":
-        return {"variables": list(value.variables),
-                "space": _grid_payload(value.space),
-                "time": _grid_payload(value.time)}
-    if kind == "reciprocal":
-        return {"density": to_text(value.density),
-                "flux": to_text(value.flux),
-                "substitutions": [[dep, to_text(e)]
-                                  for dep, e in value.substitutions]}
-    if kind == "functional":
-        return {"density": to_text(value.density)}
-    if kind == "relations":
-        return {"rules": [[rule.dep, rule.order, to_text(rule.rhs)]
-                          for rule in (value.rules[d] for d in value.rules)]}
-    raise ValueError("unknown catalog kind %r" % (kind,))
-
-
-def manifest():
-    """The whole catalog as JSON-ready records, in registration order."""
-    return [{"ident": ident,
-             "kind": _REGISTRY[ident].kind,
-             "ring": _REGISTRY[ident].ring_key,
-             "citation": _REGISTRY[ident].citation,
-             "payload": _payload(_REGISTRY[ident])}
-            for ident in _ORDER]
-
-
-def _parse_grid(rows, ring):
-    return tuple(tuple(parse(t, ring) for t in row) for row in rows)
-
-
-def _restore(kind, ring, payload, citation_text):
-    if kind == "expr":
-        return parse(payload["text"], ring)
-    if kind == "exprs":
-        return tuple((label, parse(t, ring))
-                     for label, t in payload["items"])
-    if kind == "op":
-        return parse_pseudo(payload["text"], ring)
-    if kind == "matrix":
-        return parse_matrix(payload["text"], ring)
-    if kind == "exprmatrix":
-        return _parse_grid(payload["rows"], ring)
-    if kind == "system":
-        cons = payload["constraints"]
-        rules = None
-        if cons is not None:
-            rules = RelationSet(ring)
-            for dep, order, text in cons:
-                rules = rules.with_rule(dep, order, parse(text, ring))
-        evolution = {dep: parse(t, ring) for dep, t in payload["evolution"]}
-        return SystemDef(ring, evolution, rules, citation_text)
-    if kind == "laxpair":
-        return LaxPair(ring, payload["variables"],
-                       _parse_grid(payload["space"], ring),
-                       _parse_grid(payload["time"], ring))
-    if kind == "reciprocal":
-        return ReciprocalMap(ring, parse(payload["density"], ring),
-                             parse(payload["flux"], ring),
-                             tuple((dep, parse(t, ring))
-                                   for dep, t in payload["substitutions"]))
-    if kind == "functional":
-        return NamedFunctional(ring, parse(payload["density"], ring))
-    if kind == "relations":
-        rules = RelationSet(ring)
-        for dep, order, text in payload["rules"]:
-            rules = rules.with_rule(dep, order, parse(text, ring))
-        return rules
-    raise ValueError("unknown catalog kind %r" % (kind,))
-
-
-def load_manifest(records):
-    """Rebuild Entry objects from manifest records."""
-    out = {}
-    for rec in records:
-        ring = RINGS[rec["ring"]]
-        value = _restore(rec["kind"], ring, rec["payload"], rec["citation"])
-        out[rec["ident"]] = Entry(rec["ident"], rec["kind"], rec["ring"],
-                                  rec["citation"], value)
-    return out
-
-
-def manifest_of(entries, order=None):
-    """Manifest records for an externally supplied entry mapping."""
-    order = tuple(order) if order is not None else tuple(entries)
-    return [{"ident": ident,
-             "kind": entries[ident].kind,
-             "ring": entries[ident].ring_key,
-             "citation": entries[ident].citation,
-             "payload": _payload(entries[ident])}
-            for ident in order]
-
-
 # -- mutation support ----------------------------------------------------
 
-def _pseudo_leaves(op):
-    leaves = []
-    for k in sorted(op.local.coeffs):
-        leaves.append(op.local.coeffs[k])
-    for p, q in op.tail:
-        leaves.append(p)
-        leaves.append(q)
-    for _c, factors in op.words:
-        for tag, payload in factors:
-            if tag == "local":
-                for k in sorted(payload.coeffs):
-                    leaves.append(payload.coeffs[k])
-    return leaves
-
-
-def _pseudo_rebuild(op, leaves, pos):
-    coeffs = {}
-    for k in sorted(op.local.coeffs):
-        coeffs[k] = leaves[pos]
-        pos += 1
-    tails = []
-    for _p, _q in op.tail:
-        tails.append((leaves[pos], leaves[pos + 1]))
-        pos += 2
-    words = []
-    for c, factors in op.words:
-        out = []
-        for tag, payload in factors:
-            if tag == "local":
-                cc = {}
-                for k in sorted(payload.coeffs):
-                    cc[k] = leaves[pos]
-                    pos += 1
-                out.append(("local", LocalOp(op.ring, cc)))
-            else:
-                out.append((tag, payload))
-        words.append((c, tuple(out)))
-    return PseudoOp(op.ring, LocalOp(op.ring, coeffs), tails, words), pos
-
-
 def _leaves(ent):
-    kind, value = ent.kind, ent.value
-    if kind == "expr":
-        return [value]
-    if kind == "exprs":
-        return [e for _label, e in value]
-    if kind == "functional":
-        return [value.density]
-    if kind == "reciprocal":
-        return ([value.density, value.flux]
-                + [e for _dep, e in value.substitutions])
-    if kind == "system":
-        out = [value.evolution[dep] for dep in value.evolution]
-        if value.constraints is not None:
-            out += [value.constraints.rules[dep].rhs
-                    for dep in value.constraints.rules]
-        return out
-    if kind == "relations":
-        return [value.rules[dep].rhs for dep in value.rules]
-    if kind == "laxpair":
-        return ([e for row in value.space for e in row]
-                + [e for row in value.time for e in row])
-    if kind == "exprmatrix":
-        return [e for row in value for e in row]
-    if kind == "op":
-        return _pseudo_leaves(value)
-    if kind == "matrix":
-        return [x for row in value.grid for e in row
-                for x in _pseudo_leaves(e)]
-    raise ValueError("unknown catalog kind %r" % (kind,))
-
-
-def _regrid(rows, leaves, pos):
-    out = []
-    for row in rows:
-        new_row = []
-        for _e in row:
-            new_row.append(leaves[pos])
-            pos += 1
-        out.append(tuple(new_row))
-    return tuple(out), pos
-
-
-def _rebuilt(ent, leaves):
-    kind, value = ent.kind, ent.value
-    if kind == "expr":
-        return leaves[0]
-    if kind == "exprs":
-        return tuple((label, leaves[k])
-                     for k, (label, _e) in enumerate(value))
-    if kind == "functional":
-        return NamedFunctional(value.ring, leaves[0])
-    if kind == "reciprocal":
-        return ReciprocalMap(value.ring, leaves[0], leaves[1],
-                             tuple((dep, leaves[2 + k])
-                                   for k, (dep, _e)
-                                   in enumerate(value.substitutions)))
-    if kind == "system":
-        pos = 0
-        evolution = {}
-        for dep in value.evolution:
-            evolution[dep] = leaves[pos]
-            pos += 1
-        rules = None
-        if value.constraints is not None:
-            rules = RelationSet(value.ring)
-            for dep in value.constraints.rules:
-                rule = value.constraints.rules[dep]
-                rules = rules.with_rule(dep, rule.order, leaves[pos])
-                pos += 1
-        return SystemDef(value.ring, evolution, rules, value.citation)
-    if kind == "relations":
-        rules = RelationSet(value.ring)
-        pos = 0
-        for dep in value.rules:
-            rule = value.rules[dep]
-            rules = rules.with_rule(dep, rule.order, leaves[pos])
-            pos += 1
-        return rules
-    if kind == "laxpair":
-        space, pos = _regrid(value.space, leaves, 0)
-        time, pos = _regrid(value.time, leaves, pos)
-        return LaxPair(value.ring, value.variables, space, time)
-    if kind == "exprmatrix":
-        grid, _pos = _regrid(value, leaves, 0)
-        return grid
-    if kind == "op":
-        op, _pos = _pseudo_rebuild(value, leaves, 0)
-        return op
-    if kind == "matrix":
-        pos = 0
-        rows = []
-        for row in value.grid:
-            new_row = []
-            for e in row:
-                op, pos = _pseudo_rebuild(e, leaves, pos)
-                new_row.append(op)
-            rows.append(tuple(new_row))
-        return MatrixOp(rows)
-    raise ValueError("unknown catalog kind %r" % (kind,))
+    return [e for _label, group in KIND_TABLE[ent.kind].parts(ent.value)
+            for e in group]
 
 
 def mutation_count(ent):
@@ -1207,35 +1035,12 @@ def part_windows(ent):
     Returns a tuple of (label, start, stop) with stop exclusive; the
     slot numbering agrees with mutated().  Kinds without named parts
     report one window labeled "all"."""
-    kind, value = ent.kind, ent.value
-    parts = None
-    if kind == "exprs":
-        parts = [(label, (e,)) for label, e in value]
-    elif kind == "reciprocal":
-        parts = [("density", (value.density,)),
-                 ("flux", (value.flux,)),
-                 ("substitutions",
-                  tuple(e for _dep, e in value.substitutions))]
-    elif kind == "system":
-        parts = [("evolution",
-                  tuple(value.evolution[dep] for dep in value.evolution))]
-        if value.constraints is not None:
-            parts.append(("constraints",
-                          tuple(value.constraints.rules[dep].rhs
-                                for dep in value.constraints.rules)))
-    elif kind == "laxpair":
-        parts = [("space", tuple(e for row in value.space for e in row)),
-                 ("time", tuple(e for row in value.time for e in row))]
-    elif kind == "relations":
-        parts = [(dep, (value.rules[dep].rhs,)) for dep in value.rules]
-    if parts is None:
-        return (("all", 0, mutation_count(ent)),)
     out = []
     pos = 0
-    for label, exprs in parts:
-        w = sum(len(e.terms) for e in exprs)
-        out.append((label, pos, pos + w))
-        pos += w
+    for label, group in KIND_TABLE[ent.kind].parts(ent.value):
+        width = sum(len(e.terms) for e in group)
+        out.append((label, pos, pos + width))
+        pos += width
     return tuple(out)
 
 
@@ -1250,9 +1055,8 @@ def mutated(ent, slot, delta=1):
     for k, leaf in enumerate(leaves):
         width = len(leaf.terms)
         if slot < seen + width:
-            new_leaves = list(leaves)
-            new_leaves[k] = perturb_term(leaf, slot - seen, delta)
-            value = _rebuilt(ent, new_leaves)
+            leaves[k] = perturb_term(leaf, slot - seen, delta)
+            value = KIND_TABLE[ent.kind].rebuilt(ent.value, iter(leaves))
             return Entry(ent.ident, ent.kind, ent.ring_key, ent.citation,
                          value)
         seen += width

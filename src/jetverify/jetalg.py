@@ -41,9 +41,9 @@ __all__ = [
     "RingContext", "JetExpr", "Rule", "RelationSet", "SystemDef", "Assignment",
     "ContextMismatch", "NotIntegrable", "NotReducible", "EvalDivisionByZero",
     "MissingEvolutionRule",
-    "arith", "total_derivative", "partial_derivative", "evolutionary_derivative",
+    "total_derivative", "partial_derivative", "evolutionary_derivative",
     "euler_derivative", "frechet_coeffs", "is_total_derivative", "antiderivative",
-    "reduce_modulo", "substitute", "promote", "solve_for", "split_param",
+    "substitute", "promote", "solve_for", "split_param",
     "coords_of", "params_of", "max_order", "random_eval", "random_assignment",
     "random_expr", "perturb_term", "to_text", "parse",
 ]
@@ -317,17 +317,6 @@ class JetExpr:
 
     def __repr__(self):
         return to_text(self)
-
-
-def arith(a, b, kind):
-    """Dispatch helper covering the three ring operations by name."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise ValueError("unknown arithmetic kind %r" % (kind,))
 
 
 # -- structural queries ------------------------------------------------
@@ -748,10 +737,6 @@ class RelationSet:
         raise NotReducible("reduction did not terminate")
 
 
-def reduce_modulo(e, relations, order_cap=None):
-    return relations.reduce(e, order_cap=order_cap)
-
-
 def solve_for(e, dep, order):
     """Solve e = 0 for the jet (dep, order).
 
@@ -804,12 +789,6 @@ class SystemDef:
         while len(jets) <= k:
             jets.append(total_derivative(jets[-1]))
         return jets[k]
-
-    def with_rules(self, extra):
-        """A copy with additional evolution rules."""
-        evo = dict(self.evolution)
-        evo.update(extra)
-        return SystemDef(self.ring, evo, self.constraints, self.citation)
 
 
 # -- substitution -------------------------------------------------------

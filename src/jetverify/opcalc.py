@@ -472,14 +472,38 @@ class PseudoOp:
             out = out + ring.const(c) * cur
         return out
 
+    def coefficients(self):
+        """Every jet-expression coefficient in walk order: local orders
+        ascending, then the tail pairs p, q, then the local factors of
+        the words, each by ascending order."""
+        out = [self.local.coeffs[k] for k in sorted(self.local.coeffs)]
+        for p, q in self.tail:
+            out += (p, q)
+        for _c, factors in self.words:
+            for kind, payload in factors:
+                if kind == "local":
+                    out += (payload.coeffs[k] for k in sorted(payload.coeffs))
+        return tuple(out)
+
+    def map_coefficients(self, fn, ring=None):
+        """A copy over ring (default: this ring) with every coefficient
+        passed through fn, called in the order of coefficients();
+        inverse atoms are kept."""
+        ring = ring if ring is not None else self.ring
+
+        def mapped(local):
+            return LocalOp(ring, {k: fn(local.coeffs[k])
+                                  for k in sorted(local.coeffs)})
+
+        local = mapped(self.local)
+        tails = [(fn(p), fn(q)) for p, q in self.tail]
+        words = [(c, tuple(("local", mapped(payload)) if kind == "local"
+                           else (kind, payload) for kind, payload in f))
+                 for c, f in self.words]
+        return PseudoOp(ring, local, tails, words)
+
     def promote(self, ring):
-        tails = [(promote(p, ring), promote(q, ring)) for p, q in self.tail]
-        words = []
-        for c, f in self.words:
-            nf = tuple(("local", payload.promote(ring)) if kind == "local"
-                       else (kind, payload) for kind, payload in f)
-            words.append((c, nf))
-        return PseudoOp(ring, self.local.promote(ring), tails, words)
+        return self.map_coefficients(lambda c: promote(c, ring), ring)
 
     def key(self):
         return (self.local.key(),
@@ -648,18 +672,14 @@ class MatrixOp:
 
 
 class OperatorRegistry:
-    """Registered invertible operators and verified conjugations.
+    """Registered invertible operators.
 
-    Invertibility registration records the operator (for word
-    cancellation and auxiliary relations) and its adjoint sign, so that
-    inv[A] transposes consistently.  Conjugation registration stores a
-    verified identity left o A o right = result; the verification gate
-    composes the left side and hands the comparison to a caller-supplied
-    checker, rejecting the registration on any residual."""
+    Registration records the operator (for word cancellation and
+    auxiliary relations) and its adjoint sign, so that inv[A]
+    transposes consistently."""
 
     def __init__(self):
         self._inverses = {}
-        self._conjugations = {}
 
     def register_invertible(self, name, op, adjoint_sign):
         if adjoint_sign not in (1, -1):
@@ -677,32 +697,6 @@ class OperatorRegistry:
 
     def names(self):
         return sorted(self._inverses)
-
-    def register_conjugation(self, name, op_name, left, right, result,
-                             checker):
-        """Verify and store left o op o right = result.
-
-        ``checker(composed, result)`` must return an empty sequence of
-        residuals for the registration to be accepted; it owns any
-        change of variables between the composition ring and the result
-        ring."""
-        op, _sign = self.invertible(op_name)
-        composed = LocalOp.mult(left).compose(op).compose(LocalOp.mult(right))
-        residuals = list(checker(composed, result))
-        if residuals:
-            raise ValueError("conjugation %s failed verification: %s"
-                             % (name, "; ".join(to_text(r)
-                                                for r in residuals)))
-        self._conjugations[name] = (op_name, left, right, result)
-
-    def conjugation(self, name):
-        try:
-            return self._conjugations[name]
-        except KeyError:
-            raise UnknownOperator(name) from None
-
-    def conjugation_names(self):
-        return sorted(self._conjugations)
 
 
 def solve_e_image(arg, dep_order_key=None):

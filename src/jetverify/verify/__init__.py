@@ -1,7 +1,7 @@
 """Verification harness: named checks, result records, erratum ledger."""
 
 from .base import (
-    CheckContext, CheckResult, ERRATUM, FAIL, NORMAL_FORM, NUMERIC,
+    CheckContext, CheckResult, ERRATUM, FAIL, NORMAL_FORM,
     OrderCapExceeded, PASS, TEST_VECTOR, UNDECIDABLE,
 )
 from .errata import (
@@ -14,7 +14,7 @@ from .flows import (
 
 __all__ = [
     "CheckContext", "CheckResult", "ErratumEntry",
-    "ERRATUM", "FAIL", "NORMAL_FORM", "NUMERIC", "PASS", "TEST_VECTOR",
+    "ERRATUM", "FAIL", "NORMAL_FORM", "PASS", "TEST_VECTOR",
     "UNDECIDABLE", "OrderCapExceeded",
     "check_conservation", "check_reciprocal_system_map",
     "check_zero_curvature",

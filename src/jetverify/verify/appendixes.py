@@ -18,7 +18,7 @@ from ..jetalg import (
 )
 from ..opcalc import NonlocalStore, _solve_rational, frechet_row
 from .base import (
-    NORMAL_FORM, TEST_VECTOR, CheckContext, aux_hygiene_notes, conclude,
+    NORMAL_FORM, TEST_VECTOR, aux_hygiene_notes, conclude, mn_rules,
 )
 from .flows import (
     check_conservation, check_reciprocal_system_map, check_zero_curvature,
@@ -351,20 +351,13 @@ def _omega_row(ctx, C):
                     pairs, NORMAL_FORM)
 
 
-def _mn_rules(C):
-    Y = _catalog.RING_Y
-    return (RelationSet(Y)
-            .with_rule("m", 0, C.get("miura.m"))
-            .with_rule("n", 0, C.get("miura.n")))
-
-
 def _link_row(ctx, C):
     """Inverse-free recursion link on a generic vector: with Y solved
     from the triangular first operator against the linearized image,
     the skew rows of the constraint map land on minus the second
     operator's image of Y."""
     Y = _catalog.RING_Y
-    store = NonlocalStore(Y, relations=_mn_rules(C))
+    store = NonlocalStore(Y, relations=mn_rules(C))
     SR = store.ring
     xvec = (promote(Y.coord("phi"), SR), promote(Y.coord("psi"), SR))
     omega = C.get("OmegaPrime").promote(SR)
@@ -405,7 +398,7 @@ def _scan_row(ctx, C):
     Findings are reported as information; absence of a match is not a
     failure of any displayed claim."""
     Y = _catalog.RING_Y
-    mn = _mn_rules(C)
+    mn = mn_rules(C)
     omega = C.get("OmegaPrime")
     p1 = C.get("P1")
     p2 = C.get("P2")
@@ -512,7 +505,7 @@ def appendix_b(ctx):
                            "appendix_b.conservation",
                            C.citation("recip.appb")),
         check_reciprocal_system_map(C.get("sys.appb"), C.get("recip.appb"),
-                                    C.get("sys.appb.trans"), None, ctx,
+                                    C.get("sys.appb.trans"), ctx,
                                     "appendix_b.reciprocal",
                                     C.citation("sys.appb.trans")),
     ]

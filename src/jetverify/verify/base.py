@@ -9,8 +9,8 @@ the suite.
 import random
 
 from ..jetalg import (
-    EvalDivisionByZero, coords_of, max_order, params_of, random_assignment,
-    random_eval, substitute, to_text,
+    EvalDivisionByZero, RelationSet, coords_of, max_order, params_of,
+    random_assignment, random_eval, substitute, to_text,
 )
 from .. import catalog as _catalog
 
@@ -21,7 +21,6 @@ UNDECIDABLE = "undecidable"
 
 NORMAL_FORM = "normal-form"
 TEST_VECTOR = "test-vector"
-NUMERIC = "numeric"
 
 SUMMARY_WIDTH = 320
 
@@ -75,12 +74,10 @@ class CheckResult:
 class CheckContext:
     """Configuration one suite run threads through every check."""
 
-    def __init__(self, catalog=None, seed=0, max_order=12, timings=False,
-                 errata=None):
+    def __init__(self, catalog=None, seed=0, max_order=12, errata=None):
         self.catalog = catalog if catalog is not None else _catalog.CATALOG
         self.seed = seed
         self.max_order = max_order
-        self.timings = timings
         self.errata = dict(errata) if errata else {}
 
     def rng(self, tag):
@@ -185,6 +182,23 @@ def to_y(e):
     derivatives transport through D_x = u * D_y."""
     Y = _catalog.RING_Y
     return substitute(e, {}, target_ring=Y, jacobian=Y.coord("u"))
+
+
+def usdef_rules(C):
+    """The definitions of (i, j) through (u, s), oriented as rewrite
+    rules."""
+    defs = dict(C.get("usdefs"))
+    return (RelationSet(_catalog.RING_Y)
+            .with_rule("i", 0, defs["i"])
+            .with_rule("j", 0, defs["j"]))
+
+
+def mn_rules(C):
+    """The scalar coefficients (m, n) through the quadratic
+    substitution in (i, j), oriented as rewrite rules."""
+    return (RelationSet(_catalog.RING_Y)
+            .with_rule("m", 0, C.get("miura.m"))
+            .with_rule("n", 0, C.get("miura.n")))
 
 
 def aux_hygiene_notes(store, left_exprs, right_exprs):

@@ -12,7 +12,7 @@ from ..jetalg import (
     substitute, total_derivative,
 )
 from .. import catalog as _catalog
-from .base import NORMAL_FORM, conclude, conclude_erratum, to_y
+from .base import NORMAL_FORM, conclude, conclude_erratum, to_y, usdef_rules
 
 
 # -- zero curvature -------------------------------------------------------
@@ -46,10 +46,8 @@ def zero_curvature_pairs(pair, sysdef):
     return pairs, reduced_entries, sorted(powers)
 
 
-def check_zero_curvature(pair, sysdef, ctx=None, rid="zero_curvature",
+def check_zero_curvature(pair, sysdef, ctx, rid="zero_curvature",
                          citation=""):
-    from .base import CheckContext
-    ctx = ctx if ctx is not None else CheckContext()
     pairs, reduced, powers = zero_curvature_pairs(pair, sysdef)
     notes = ["parameter powers entering the comparison: %s"
              % (", ".join(str(p) for p in powers) or "none")]
@@ -98,10 +96,8 @@ def conservation_pairs(map_, sysdef):
             ("quarter-power clearing of the density", clearing)]
 
 
-def check_conservation(map_, sysdef, ctx=None, rid="conservation",
+def check_conservation(map_, sysdef, ctx, rid="conservation",
                        citation=""):
-    from .base import CheckContext
-    ctx = ctx if ctx is not None else CheckContext()
     return conclude(ctx, rid, citation, conservation_pairs(map_, sysdef),
                     NORMAL_FORM)
 
@@ -193,38 +189,22 @@ def transported_tau(sysdef, map_, xdef):
     return to_y(xrules.reduce(_tau_derivative(xdef, usys, ratio)))
 
 
-def _usdef_rules(C):
-    """The coefficient definitions oriented as rewrite rules."""
-    defs = dict(C.get("usdefs"))
-    Y = _catalog.RING_Y
-    return (RelationSet(Y)
-            .with_rule("i", 0, defs["i"])
-            .with_rule("j", 0, defs["j"]))
-
-
-def check_reciprocal_system_map(src, map_, dst, dst_substitutions=None,
-                                ctx=None, rid="reciprocal", citation=""):
+def check_reciprocal_system_map(src, map_, dst, ctx, rid="reciprocal",
+                                citation=""):
     """Compare the transported flow of the coefficient definitions with
     the destination system's right-hand sides.
 
-    dst_substitutions optionally rewrites destination flux symbols in
-    the parametrization variables before the comparison; residuals are
-    reduced modulo the coefficient definitions, since the destination
-    displays keep the transported coefficients symbolic."""
-    from .base import CheckContext
-    ctx = ctx if ctx is not None else CheckContext()
+    Residuals are reduced modulo the coefficient definitions, since the
+    destination displays keep the transported coefficients symbolic."""
     C = ctx.catalog
     named = dict(C.get("ymap"))
     defs = {"i": named["Q1"], "j": named["Q2"]}
-    rules = _usdef_rules(C)
+    rules = usdef_rules(C)
     pairs = []
     for dep in ("i", "j"):
         got = transported_tau(src, map_, defs[dep])
-        want = dst.evolution[dep]
-        if dst_substitutions:
-            want = substitute(want, dict(dst_substitutions))
         pairs.append(("transported time derivative of %s minus the stated "
-                      "flow" % dep, rules.reduce(got - want)))
+                      "flow" % dep, rules.reduce(got - dst.evolution[dep])))
     return conclude(ctx, rid, citation, pairs, NORMAL_FORM)
 
 
@@ -256,7 +236,7 @@ def reciprocal(ctx):
           to_y(named["Q2"]) - usdefs["j"])],
         NORMAL_FORM))
 
-    rules = _usdef_rules(C)
+    rules = usdef_rules(C)
     for dep, xdef, label in (("i", named["Q1"], "itau"),
                              ("j", named["Q2"], "jtau")):
         got = transported_tau(src, map_, xdef)
@@ -292,5 +272,5 @@ def reciprocal(ctx):
 
     rows.append(check_reciprocal_system_map(
         C.get("sys.appb"), C.get("recip.appb"), C.get("sys.appb.trans"),
-        None, ctx, "reciprocal.appb", C.citation("sys.appb.trans")))
+        ctx, "reciprocal.appb", C.citation("sys.appb.trans")))
     return rows

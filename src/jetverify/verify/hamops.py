@@ -2,38 +2,22 @@
 and the bihamiltonian formulation of the cubic flow in the original
 variable."""
 
-from fractions import Fraction as F
-
 from ..jetalg import (
-    NotIntegrable, RelationSet, euler_derivative, promote, substitute,
-    to_text, total_derivative,
+    NotIntegrable, euler_derivative, promote, substitute, to_text,
+    total_derivative,
 )
 from ..opcalc import (
     LocalOp, NonlocalStore, OperatorRegistry, solve_e_image,
     transport_local,
 )
 from .. import catalog as _catalog
-from .base import NORMAL_FORM, aux_hygiene_notes, conclude, to_y
-
-
-def _param_subs():
-    C = _catalog
-    u = C.RING_X.coord("u")
-    s = C.RING_X.coord("s")
-    return {"v": u ** 3 / s, "w": u * s}
+from .base import NORMAL_FORM, conclude, to_y, usdef_rules
 
 
 def carry_coeff(c):
     """Coefficient transport: momenta through the parametrization, then
     the independent-variable change."""
-    return to_y(substitute(c, _param_subs()))
-
-
-def _usdef_rules(ctx):
-    defs = dict(ctx.catalog.get("usdefs"))
-    return (RelationSet(_catalog.RING_Y)
-            .with_rule("i", 0, defs["i"])
-            .with_rule("j", 0, defs["j"]))
+    return to_y(substitute(c, _catalog.parametrization(_catalog.RING_X)))
 
 
 def transported_kernel(ctx):
@@ -53,79 +37,64 @@ def transported_kernel(ctx):
     return registry, ehat
 
 
-def _conjugation_pairs(ctx, label, left_x, right_x, result_local):
-    """Residuals of mult(left) o kernel o mult(right) == result after
-    transport, with the result coefficients reduced through the
-    derivative-ratio definitions."""
+def _conjugation_residual(ctx, left_x, right_x, result_local):
+    """mult(left) o kernel o mult(right) minus result after transport,
+    with the result coefficients reduced through the derivative-ratio
+    definitions; jets of phi tag the orders so one expression carries
+    every coefficient."""
     C = ctx.catalog
     Y = _catalog.RING_Y
-    rules = _usdef_rules(ctx)
-    registry = OperatorRegistry()
-    registry.register_invertible("E", C.get("E").local, -1)
-
-    def checker(composed, result):
-        got = transport_local(composed, carry_coeff, Y.coord("u"))
-        out = []
-        for k in sorted(set(got.coeffs) | set(result.coeffs)):
-            g = got.coeffs.get(k, Y.zero())
-            w = rules.reduce(result.coeffs.get(k, Y.zero()))
-            out.append(g - w)
-        return out
-
-    try:
-        registry.register_conjugation(label, "E", left_x, right_x,
-                                      result_local, checker)
-        residual = Y.zero()
-    except ValueError:
-        composed = (LocalOp.mult(left_x).compose(C.get("E").local)
-                    .compose(LocalOp.mult(right_x)))
-        got = transport_local(composed, carry_coeff, Y.coord("u"))
-        residual = Y.zero()
-        for k in sorted(set(got.coeffs) | set(result_local.coeffs)):
-            g = got.coeffs.get(k, Y.zero())
-            w = rules.reduce(result_local.coeffs.get(k, Y.zero()))
-            residual = residual + (g - w) * Y.coord("phi", k)
-        # phi jets tag the order so one expression carries all slots
-    return [("transported weighted conjugation minus the displayed "
-             "operator, orders tagged by jets of phi", residual)]
+    rules = usdef_rules(C)
+    kernel = C.get("E").local
+    # raises unless the kernel is skew, so a mutant breaking that aborts
+    OperatorRegistry().register_invertible("E", kernel, -1)
+    composed = (LocalOp.mult(left_x).compose(kernel)
+                .compose(LocalOp.mult(right_x)))
+    got = transport_local(composed, carry_coeff, Y.coord("u"))
+    residual = Y.zero()
+    for k in sorted(set(got.coeffs) | set(result_local.coeffs)):
+        g = got.coeffs.get(k, Y.zero())
+        w = rules.reduce(result_local.coeffs.get(k, Y.zero()))
+        residual = residual + (g - w) * Y.coord("phi", k)
+    return residual
 
 
-def prop1(ctx, rid="prop1"):
+def prop1(ctx):
     C = ctx.catalog
     X = _catalog.RING_X
     u = X.coord("u")
     s = X.coord("s")
-    pairs = _conjugation_pairs(ctx, "density-weighted",
-                               s * u ** -3, s ** -1,
-                               C.get("Theta1").local)
     th1 = C.get("Theta1").local
     th1c = C.get("Theta1.conj").local
+    pairs = [("transported weighted conjugation minus the displayed "
+              "operator, orders tagged by jets of phi",
+              _conjugation_residual(ctx, s * u ** -3, s ** -1, th1))]
     diff = th1.adjoint() + th1c
     for k in sorted(diff.coeffs):
         pairs.append(("adjoint display, coefficient of order %d" % k,
                       diff.coeffs[k]))
     # reversed weights give the negative adjoint, i.e. the conjugate
     # display itself
-    rev = _conjugation_pairs(ctx, "reversed-weighted",
-                             u ** -1 * s ** -1, s * u ** -2, th1c)
     pairs.append(("reversed-weight conjugation minus the conjugate "
-                  "display", rev[0][1]))
-    return conclude(ctx, rid, C.citation("Theta1"), pairs, NORMAL_FORM)
+                  "display",
+                  _conjugation_residual(ctx, u ** -1 * s ** -1,
+                                        s * u ** -2, th1c)))
+    return conclude(ctx, "prop1", C.citation("Theta1"), pairs, NORMAL_FORM)
 
 
-def prop2(ctx, rid="prop2"):
+def prop2(ctx):
     C = ctx.catalog
     X = _catalog.RING_X
     u = X.coord("u")
-    pairs = _conjugation_pairs(ctx, "symmetric-weighted",
-                               u ** -2, u ** -1,
-                               C.get("Theta2").local)
     th2 = C.get("Theta2").local
+    pairs = [("transported weighted conjugation minus the displayed "
+              "operator, orders tagged by jets of phi",
+              _conjugation_residual(ctx, u ** -2, u ** -1, th2))]
     skew = th2.adjoint() + th2
     for k in sorted(skew.coeffs):
         pairs.append(("skewness, coefficient of order %d" % k,
                       skew.coeffs[k]))
-    return conclude(ctx, rid, C.citation("Theta2"), pairs, NORMAL_FORM)
+    return conclude(ctx, "prop2", C.citation("Theta2"), pairs, NORMAL_FORM)
 
 
 def bihamiltonian_x(ctx):

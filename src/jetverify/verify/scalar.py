@@ -2,15 +2,19 @@
 spectral problem, the factorization chains, and the recipe identity
 connecting the constraint pair to the negative flow."""
 
-from fractions import Fraction as F
-
 from ..jetalg import (
     NotIntegrable, RelationSet, antiderivative, euler_derivative,
     is_total_derivative, substitute, total_derivative,
 )
 from ..opcalc import NonlocalStore
 from .. import catalog as _catalog
-from .base import NORMAL_FORM, TEST_VECTOR, aux_hygiene_notes, conclude, to_y
+from .base import (
+    NORMAL_FORM, TEST_VECTOR, aux_hygiene_notes, conclude, mn_rules, to_y,
+)
+
+# s through u and the ratio root h
+_HSUB = {"s": _catalog.RING_Y.coord("u")
+              * _catalog.RING_Y.coord("h") ** -2}
 
 
 # -- scalar reduction -----------------------------------------------------
@@ -65,12 +69,13 @@ def scalar_reduction(ctx):
     U = [[carry(e) for e in row] for row in pair.space]
 
     # first-order relations of the spatial problem, rewritten over the
-    # new variable and gauged: components 3, 4 are the derivatives of
-    # components 1, 2, and the lower block closes the system
+    # new variable and gauged: the upper block gives components 3, 4
+    # from the derivatives of components 1, 2, and the lower block
+    # closes the system
     comp1 = alp * phi
     comp2 = (s / u) * alp * psi
-    comp3 = u * D(comp1)
-    comp4 = u * D(comp2)
+    comp3 = u * D(comp1) / U[0][2]
+    comp4 = u * D(comp2) / U[1][3]
     eq_phi = u * D(comp3) - (U[2][0] * comp1 + U[2][1] * comp2
                              + U[2][2] * comp3 + U[2][3] * comp4)
     eq_psi = u * D(comp4) - (U[3][0] * comp1 + U[3][1] * comp2
@@ -101,11 +106,10 @@ def scalar_reduction(ctx):
 
     mn = dict(C.get("scalar.mn"))
     claim4 = substitute(C.get("scalar4"), {"m": mn["m"], "n": mn["n"]})
-    hsub = {"s": Y.coord("u") * Y.coord("h") ** -2}
     rows.append(conclude(
         ctx, "scalar_reduction.fourth", C.citation("scalar4"),
         [("derived fourth-order relation minus the displayed scalar "
-          "problem", substitute(fourth, hsub) - claim4)],
+          "problem", substitute(fourth, _HSUB) - claim4)],
         NORMAL_FORM))
 
     # the two parametrizations of the scalar coefficients agree
@@ -113,7 +117,7 @@ def scalar_reduction(ctx):
     msub = {"i": usrules["i"], "j": usrules["j"]}
     pairs = []
     for name, ident in (("m", "miura.m"), ("n", "miura.n")):
-        through_s = substitute(substitute(C.get(ident), msub), hsub)
+        through_s = substitute(substitute(C.get(ident), msub), _HSUB)
         pairs.append(("coefficient %s through the parametrization pair "
                       "minus its ratio-root form" % name,
                       through_s - mn[name]))
@@ -140,20 +144,18 @@ def factorizations(ctx):
     Y = _catalog.RING_Y
     rows = []
 
-    mn_rules = (RelationSet(Y)
-                .with_rule("m", 0, C.get("miura.m"))
-                .with_rule("n", 0, C.get("miura.n")))
+    mn = mn_rules(C)
     quad = C.get("factor2.left").compose(C.get("factor2.right"))
     rows.append(conclude(
         ctx, "factorizations.quadratic", C.citation("miura.m"),
         _op_coeff_pairs("second-order factor product minus the "
                         "fourth-order operator",
-                        quad - C.get("L4"), mn_rules),
+                        quad - C.get("L4"), mn),
         NORMAL_FORM))
 
     a1 = Y.coord("a1")
     b1 = Y.coord("b1")
-    ij_rules = (mn_rules
+    ij_rules = (mn
                 .with_rule("i", 0, -2 * b1)
                 .with_rule("j", 0, total_derivative(a1) + a1 ** 2
                            - total_derivative(b1) - b1 ** 2))
@@ -168,16 +170,15 @@ def factorizations(ctx):
 
     ab = dict(C.get("ab1"))
     usdefs = dict(C.get("usdefs"))
-    hsub = {"s": Y.coord("u") * Y.coord("h") ** -2}
     i_from_ab = -2 * ab["b1"]
     j_from_ab = (total_derivative(ab["a1"]) + ab["a1"] ** 2
                  - total_derivative(ab["b1"]) - ab["b1"] ** 2)
     rows.append(conclude(
         ctx, "factorizations.firstorder", C.citation("ab1"),
         [("first coefficient from the linear-factor data minus its "
-          "parametrized form", i_from_ab - substitute(usdefs["i"], hsub)),
+          "parametrized form", i_from_ab - substitute(usdefs["i"], _HSUB)),
          ("second coefficient from the linear-factor data minus its "
-          "parametrized form", j_from_ab - substitute(usdefs["j"], hsub))],
+          "parametrized form", j_from_ab - substitute(usdefs["j"], _HSUB))],
         NORMAL_FORM))
     return rows
 

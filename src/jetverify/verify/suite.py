@@ -283,7 +283,7 @@ def run_suite(selection=None, seed=0, max_order=12, timings=False,
     if errata is None:
         errata = load_ledger()
     ctx = CheckContext(catalog=catalog, seed=seed, max_order=max_order,
-                       timings=timings, errata=errata)
+                       errata=errata)
     rows = []
     for name in names:
         spec = _BY_NAME[name]

@@ -4,44 +4,16 @@ identities carrying both Hamiltonian operators to the new variable."""
 
 from fractions import Fraction as F
 
-from ..jetalg import substitute, total_derivative
+from ..jetalg import partial_derivative, substitute, total_derivative
 from ..opcalc import (
     LocalOp, MatrixOp, NonlocalStore, PseudoOp, frechet_row,
     transport_local,
 )
 from .. import catalog as _catalog
 from .base import (
-    NORMAL_FORM, TEST_VECTOR, aux_hygiene_notes, conclude,
-    conclude_erratum,
+    NORMAL_FORM, TEST_VECTOR, conclude, conclude_erratum, usdef_rules,
 )
-from .hamops import _usdef_rules, carry_coeff, transported_kernel
-
-
-def _map_pseudo(op, fn):
-    """A copy of op with every jet-expression coefficient through fn;
-    inverse atoms are left alone."""
-    ring = None
-    local = {}
-    for k, c in op.local.coeffs.items():
-        local[k] = fn(c)
-        ring = local[k].ring
-    tail = [(fn(p), fn(q)) for p, q in op.tail]
-    words = []
-    for scalar, factors in op.words:
-        out = []
-        for kind, payload in factors:
-            if kind == "local":
-                mapped = {k: fn(c) for k, c in payload.coeffs.items()}
-                some = next(iter(mapped.values()), None)
-                out.append((kind, LocalOp(some.ring if some is not None
-                                          else payload.ring, mapped)))
-            else:
-                out.append((kind, payload))
-        words.append((scalar, tuple(out)))
-    if ring is None:
-        probe = fn(op.ring.one())
-        ring = probe.ring
-    return PseudoOp(ring, LocalOp(ring, local), tail, words)
+from .hamops import carry_coeff, transported_kernel
 
 
 def transport_pseudo(op, jac, inverse_map):
@@ -79,7 +51,7 @@ class Transport:
         Y = _catalog.RING_Y
         u = Y.coord("u")
         self.ring = Y
-        self.rules = _usdef_rules(ctx)
+        self.rules = usdef_rules(C)
         self.registry, self.ehat = transported_kernel(ctx)
         inv_map = {"E": ("EHY", u ** -1)}
         self.j1 = MatrixOp(tuple(
@@ -91,7 +63,7 @@ class Transport:
                   for e in row)
             for row in C.get("J2").grid))
 
-        vsub = {"v": u ** 3 / Y.coord("s"), "w": u * Y.coord("s")}
+        vsub = _catalog.parametrization(Y)
 
         def smap(c):
             return self.rules.reduce(substitute(c, vsub))
@@ -113,7 +85,7 @@ class Transport:
         return [F(-1, 16) * e for e in step]
 
     def _mapped(self, matrix):
-        return MatrixOp(tuple(tuple(_map_pseudo(e, self.smap)
+        return MatrixOp(tuple(tuple(e.map_coefficients(self.smap)
                                     for e in row)
                               for row in matrix.grid))
 
@@ -127,14 +99,14 @@ def _derived_jacobians(ctx):
     in the two momentum directions, as operators over the new ring,
     plus the first derivatives of the coefficient functions."""
     C = ctx.catalog
-    X = _catalog.RING_X
     Y = _catalog.RING_Y
-    u = X.coord("u")
-    s = X.coord("s")
     uy = Y.coord("u")
 
     # linearization of the momentum parametrization in (u, s), inverted
-    grid = ((3 * u ** 2 / s, -u ** 3 * s ** -2), (s, u))
+    param = _catalog.parametrization(_catalog.RING_X)
+    grid = tuple(tuple(partial_derivative(param[mom], dep, 0)
+                       for dep in ("u", "s"))
+                 for mom in ("v", "w"))
     det = grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
     ginv = ((grid[1][1] / det, -grid[0][1] / det),
             (-grid[1][0] / det, grid[0][0] / det))

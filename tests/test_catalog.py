@@ -1,13 +1,15 @@
 """Tests for the catalog of verification targets."""
 
-import json
 from fractions import Fraction
 
 import pytest
 
 from jetverify import catalog as C
-from jetverify.jetalg import split_param, to_text, total_derivative
-from jetverify.opcalc import MatrixOp, PseudoOp
+from jetverify.jetalg import parse, split_param, to_text, total_derivative
+from jetverify.opcalc import (
+    MatrixOp, PseudoOp, parse_matrix, parse_pseudo, serialize_matrix,
+    serialize_pseudo,
+)
 
 
 def all_leaves(ident):
@@ -60,25 +62,19 @@ def test_lambda_powers_stay_in_window():
                 assert -2 <= power <= 2, (ident, power)
 
 
-def test_manifest_roundtrip_is_byte_identical():
-    man = C.manifest()
-    text = json.dumps(man, indent=1)
-    loaded = C.load_manifest(json.loads(text))
-    again = json.dumps(C.manifest_of(loaded, order=C.idents()), indent=1)
-    assert again == text
-
-
-def test_manifest_restores_equal_values():
-    loaded = C.load_manifest(C.manifest())
+def test_text_forms_round_trip():
+    # Every leaf parses back from its text form, and every operator
+    # value from its serialized form.
     for ident in C.idents():
-        kind = C.entry(ident).kind
-        a, b = C.get(ident), loaded[ident].value
-        if kind in ("expr", "op", "matrix"):
-            assert a == b, ident
-        elif kind == "exprs":
-            assert tuple(a) == tuple(b), ident
-        elif kind == "exprmatrix":
-            assert a == b, ident
+        ent = C.entry(ident)
+        for leaf in all_leaves(ident):
+            assert parse(to_text(leaf), ent.ring) == leaf, ident
+        if ent.kind == "op":
+            text = serialize_pseudo(ent.value)
+            assert parse_pseudo(text, ent.ring) == ent.value, ident
+        elif ent.kind == "matrix":
+            text = serialize_matrix(ent.value)
+            assert parse_matrix(text, ent.ring) == ent.value, ident
 
 
 def test_signature_matrices_square_to_identity():
@@ -176,17 +172,21 @@ def test_catalog_view_override():
 
 
 def test_mutation_roundtrip_of_structured_kinds():
-    # Rebuilding from unchanged leaves must reproduce the value for
-    # every kind, otherwise mutated() would corrupt its target.
+    # Rebuilding from unchanged leaves must consume them all and give
+    # back the same leaves and parts for every kind, otherwise
+    # mutated() would corrupt its target.
     for ident in C.idents():
         ent = C.entry(ident)
-        rebuilt = C._rebuilt(ent, C._leaves(ent))
+        leaves = C._leaves(ent)
+        feed = iter(leaves)
+        value = C.KIND_TABLE[ent.kind].rebuilt(ent.value, feed)
+        assert next(feed, None) is None, ident
+        rebuilt = C.Entry(ident, ent.kind, ent.ring_key, ent.citation,
+                          value)
+        assert C._leaves(rebuilt) == leaves, ident
+        assert C.part_windows(rebuilt) == C.part_windows(ent), ident
         if ent.kind in ("expr", "op", "matrix", "exprmatrix"):
-            assert rebuilt == ent.value, ident
-        elif ent.kind == "exprs":
-            assert tuple(rebuilt) == tuple(ent.value), ident
-        elif ent.kind == "relations":
-            assert rebuilt.rules.keys() == ent.value.rules.keys(), ident
+            assert value == ent.value, ident
 
 
 def test_systems_carry_constraints():

@@ -1,6 +1,7 @@
 """Tests for the pseudo-differential operator calculus."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -272,21 +273,29 @@ def test_register_invertible_rejects_wrong_sign():
         reg.invertible("E")
 
 
-def test_register_conjugation_gate():
-    reg, e_op = make_registry()
-    u = R.coord("u")
+def test_coefficient_walk_order_and_map():
+    # The walk fixes the catalog's mutation slot numbers: local orders
+    # ascending, then each tail pair p, q, then the words' local
+    # factors; map_coefficients visits the same order.
+    u, s, i = R.coord("u"), R.coord("s"), R.coord("i")
 
-    def checker(composed, claimed):
-        diff = composed - claimed
-        return [c for c in diff.coeffs.values()]
+    def build(k):
+        word = (Fraction(2), (("local", LocalOp(R, {1: k * s, 0: k * i})),
+                              ("inv", "E")))
+        return PseudoOp(R, LocalOp(R, {2: k * u, 0: k * s}),
+                        [(k * u, k * i)], [word])
 
-    claimed = LocalOp.mult(u).compose(e_op).compose(LocalOp.mult(u))
-    reg.register_conjugation("sandwich", "E", u, u, claimed, checker)
-    assert reg.conjugation("sandwich")[3] == claimed
-    bad = claimed + LocalOp.mult(R.one())
-    with pytest.raises(ValueError):
-        reg.register_conjugation("broken", "E", u, u, bad, checker)
-    assert "broken" not in reg.conjugation_names()
+    op = build(1)
+    assert op.coefficients() == (s, u, u, i, i, s)
+    seen = []
+
+    def record(c):
+        seen.append(c)
+        return c
+
+    assert op.map_coefficients(record) == op
+    assert tuple(seen) == op.coefficients()
+    assert op.map_coefficients(lambda c: 2 * c) == build(2)
 
 
 # -- application and the nonlocal store -------------------------------------
