@@ -38,7 +38,7 @@ __all__ = [
     "MatrixOp", "OperatorRegistry", "NonlocalStore", "OpVerdict",
     "frechet_row", "scaled_derivative_power", "transport_local",
     "solve_e_image", "verify_operator_identity", "serialize_pseudo",
-    "parse_pseudo", "serialize_matrix", "parse_matrix",
+    "parse_pseudo", "serialize_matrix", "parse_matrix", "Echelon",
 ]
 
 
@@ -748,8 +748,11 @@ class NonlocalStore:
     Auxiliary dependents come from a fixed pre-extended pool so the
     ring never changes mid-check.  A dinv argument is reduced, then
     integrated exactly when possible, then matched against existing
-    auxiliaries up to an affine combination with an exact remainder;
-    only genuinely new kernels allocate a fresh dependent, with its
+    auxiliaries: as a parameter-monomial multiple of one prior core,
+    else as a rational combination of prior cores with an exact
+    remainder, found by solving its signature in an ``Echelon`` of
+    the prior cores' signatures (each computed once, at allocation).
+    Only genuinely new kernels allocate a fresh dependent, with its
     defining relation appended to the relation set.  Both sides of an
     identity therefore see identical nonlocal symbols."""
 
@@ -769,9 +772,10 @@ class NonlocalStore:
         self._dinv_names = ["rho%d" % i for i in range(1, self.DINV_POOL + 1)]
         self._inv_names = ["chi%d" % i for i in range(1, self.INV_POOL + 1)]
         self.allocated = []
-        self._dinv_cores = []
+        self._dinv_cores = []       # (name, core, leading term)
+        self._dinv_span = Echelon()  # the cores' signatures
         self._inv_seen = {}
-        self._inv_args = {}
+        self._inv_prior = {}         # name -> (Echelon of units, images)
 
     def resolve_dinv(self, arg):
         """A jet expression F with D(F) = arg modulo the relation set,
@@ -784,7 +788,12 @@ class NonlocalStore:
             return antiderivative(core)
         except NotIntegrable:
             pass
-        combo = self._affine_match(core)
+        lead = min(core.terms.items())
+        combo = self._param_shift_match(core, lead)
+        if combo is not None:
+            return combo
+        signature = _signature(core)
+        combo = self._affine_match(core, signature)
         if combo is not None:
             return combo
         if not self._dinv_names:
@@ -792,17 +801,16 @@ class NonlocalStore:
         name = self._dinv_names.pop(0)
         self.relations = self.relations.with_rule(name, 1, core)
         self.allocated.append((name, "dinv", core))
-        self._dinv_cores.append((name, core))
+        self._dinv_cores.append((name, core, lead))
+        self._dinv_span.insert(signature)
         return self.ring.coord(name)
 
-    def _param_shift_match(self, core):
+    def _param_shift_match(self, core, lead):
         """A prior core equal to this one up to a rational times a
         parameter monomial; the antiderivative scales the same way."""
-        items = sorted(core.terms.items())
-        (vk, pk), val = items[0]
+        (vk, pk), val = lead
         pd = dict(pk)
-        for name, cj in self._dinv_cores:
-            (vkj, pkj), valj = sorted(cj.terms.items())[0]
+        for name, cj, ((vkj, pkj), valj) in self._dinv_cores:
             if vkj != vk:
                 continue
             shift = dict(pd)
@@ -815,43 +823,14 @@ class NonlocalStore:
                 return mu * self.ring.coord(name)
         return None
 
-    def _affine_match(self, core):
-        if not self._dinv_cores:
-            return None
-        shifted = self._param_shift_match(core)
-        if shifted is not None:
-            return shifted
-        deps = sorted({d for _name, c in self._dinv_cores
-                       for d, _k in coords_of(c)}
-                      | {d for d, _k in coords_of(core)})
-        rows = {}
-        targets = {}
-        for d in deps:
-            ed = euler_derivative(core, d)
-            for key, val in ed.terms.items():
-                targets[(d, key)] = val
-            for j, (_name, cj) in enumerate(self._dinv_cores):
-                ej = euler_derivative(cj, d)
-                for key, val in ej.terms.items():
-                    rows.setdefault((d, key), {})[j] = val
-        # jet-free components escape the Euler probe yet are invariant
-        # modulo exact derivatives, so they carry matching data too
-        for (vk, pk), val in core.terms.items():
-            if not vk:
-                targets[(None, pk)] = val
-        for j, (_name, cj) in enumerate(self._dinv_cores):
-            for (vk, pk), val in cj.terms.items():
-                if not vk:
-                    rows.setdefault((None, pk), {})[j] = val
-        keys = sorted(set(rows) | set(targets))
-        m = len(self._dinv_cores)
-        matrix = [[rows.get(k, {}).get(j, Fraction(0)) for j in range(m)]
-                  + [targets.get(k, Fraction(0))] for k in keys]
-        sol = _solve_rational(matrix, m)
-        if sol is None:
+    def _affine_match(self, core, signature):
+        """The core as a rational combination of prior cores plus an
+        exact derivative, found by matching signatures."""
+        sol = self._dinv_span.solve(signature)
+        if not sol:     # outside the span (None), or no prior core ([])
             return None
         remainder = core
-        for alpha, (_name, cj) in zip(sol, self._dinv_cores):
+        for alpha, (_name, cj, _lead) in zip(sol, self._dinv_cores):
             if alpha:
                 remainder = remainder - alpha * cj
         try:
@@ -859,7 +838,7 @@ class NonlocalStore:
         except NotIntegrable:
             return None
         out = extra
-        for alpha, (name, _cj) in zip(sol, self._dinv_cores):
+        for alpha, (name, _cj, _lead) in zip(sol, self._dinv_cores):
             if alpha:
                 out = out + alpha * self.ring.coord(name)
         return out
@@ -907,24 +886,19 @@ class NonlocalStore:
 
     def _record_inv(self, name, unit, image):
         self._inv_seen[(name, unit.key())] = image
-        self._inv_args.setdefault(name, []).append((unit, image))
+        span, images = self._inv_prior.setdefault(name, (Echelon(), []))
+        span.insert(unit.terms)
+        images.append(image)
 
     def _inv_affine(self, name, unit):
         """Linearity of a registered inverse: match the argument as an
         exact rational combination of previously resolved ones."""
-        prior = self._inv_args.get(name, [])
-        if not prior:
-            return None
-        keys = sorted({k for a, _s in prior for k in a.terms}
-                      | set(unit.terms))
-        matrix = [[prior[j][0].terms.get(k, Fraction(0))
-                   for j in range(len(prior))]
-                  + [unit.terms.get(k, Fraction(0))] for k in keys]
-        sol = _solve_rational(matrix, len(prior))
+        span, images = self._inv_prior.get(name, (Echelon(), []))
+        sol = span.solve(unit.terms)
         if sol is None:
             return None
         out = self.ring.zero()
-        for alpha, (_a, sym) in zip(sol, prior):
+        for alpha, sym in zip(sol, images):
             if alpha:
                 out = out + alpha * sym
         return out
@@ -941,6 +915,20 @@ class NonlocalStore:
         return [name for name, _kind, _core in self.allocated if name in used]
 
 
+def _signature(core):
+    """What a dinv core keeps modulo exact derivatives: its Euler image
+    for each dependent it contains, keyed (dependent, term), and its
+    jet-free terms, which escape the Euler probe, keyed (None, term)."""
+    out = {}
+    for d in dict.fromkeys(d for d, _k in coords_of(core)):
+        for key, val in euler_derivative(core, d).terms.items():
+            out[(d, key)] = val
+    for (vk, pk), val in core.terms.items():
+        if not vk:
+            out[(None, pk)] = val
+    return out
+
+
 def _promote_relations(relations, ring):
     out = RelationSet(ring)
     for rule in relations:
@@ -948,35 +936,57 @@ def _promote_relations(relations, ring):
     return out
 
 
-def _solve_rational(matrix, n_unknowns):
-    """Gaussian elimination on an augmented rational matrix; returns
-    the solution vector or None when inconsistent (free unknowns are
-    set to zero)."""
-    rows = [list(r) for r in matrix]
-    pivots = []
-    r = 0
-    for c in range(n_unknowns):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][n_unknowns]:
+class Echelon:
+    """Sparse rational vectors (dicts key -> Fraction), inserted one at
+    a time and kept in echelon form; each row remembers its combination
+    of the inserted vectors.  A vector dependent on earlier ones adds no
+    row, so ``solve`` reproduces Gaussian elimination with the inserted
+    vectors as columns: the independent prefix are the pivots and each
+    dependent column gets coefficient zero."""
+
+    __slots__ = ("size", "_rows")
+
+    def __init__(self, vectors=()):
+        self.size = 0
+        self._rows = []     # (pivot key, unit-pivot vector, combination)
+        for vec in vectors:
+            self.insert(vec)
+
+    def _reduce(self, vec):
+        rest = {k: v for k, v in vec.items() if v}
+        combo = {}
+        for pivot, row, rcombo in self._rows:
+            f = rest.get(pivot)
+            if not f:
+                continue
+            for k, v in row.items():
+                x = rest.get(k, 0) - f * v
+                if x:
+                    rest[k] = x
+                else:
+                    del rest[k]
+            for i, v in rcombo.items():
+                combo[i] = combo.get(i, 0) + f * v
+        return rest, combo
+
+    def insert(self, vec):
+        rest, combo = self._reduce(vec)
+        if rest:
+            pivot = next(iter(rest))
+            inv = Fraction(1) / rest[pivot]
+            combo = {i: -v * inv for i, v in combo.items()}
+            combo[self.size] = inv
+            self._rows.append((pivot, {k: v * inv for k, v in rest.items()},
+                               combo))
+        self.size += 1
+
+    def solve(self, vec):
+        """Coefficients of the inserted vectors reproducing vec, or None
+        when vec is outside their span."""
+        rest, combo = self._reduce(vec)
+        if rest:
             return None
-    sol = [Fraction(0)] * n_unknowns
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][n_unknowns]
-    return sol
+        return [combo.get(i, Fraction(0)) for i in range(self.size)]
 
 
 class OpVerdict:

@@ -16,7 +16,7 @@ from ..jetalg import (
     RelationSet, SystemDef, antiderivative, evolutionary_derivative,
     promote, solve_for, substitute, total_derivative,
 )
-from ..opcalc import NonlocalStore, _solve_rational, frechet_row
+from ..opcalc import Echelon, NonlocalStore, frechet_row
 from .base import (
     NORMAL_FORM, TEST_VECTOR, aux_hygiene_notes, conclude, mn_rules,
 )
@@ -30,10 +30,7 @@ F = Fraction
 def _combination(target, basis):
     """Exact rational combination of basis expressions reproducing the
     target; returns (coefficients, remainder) or (None, target)."""
-    keys = sorted(set(target.terms) | {k for b in basis for k in b.terms})
-    matrix = [[b.terms.get(k, F(0)) for b in basis]
-              + [target.terms.get(k, F(0))] for k in keys]
-    sol = _solve_rational(matrix, len(basis))
+    sol = Echelon(b.terms for b in basis).solve(target.terms)
     if sol is None:
         return None, target
     rem = target

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetverify.jetalg import (
     ContextMismatch, NotIntegrable, RingContext, coords_of, frechet_coeffs,
@@ -11,9 +13,9 @@ from jetverify.jetalg import (
     total_derivative,
 )
 from jetverify.opcalc import (
-    LocalOp, MatrixOp, NonClosedComposition, NonlocalStore, OperatorRegistry,
-    PseudoOp, UnknownOperator, frechet_row, parse_matrix, parse_pseudo,
-    scaled_derivative_power, serialize_matrix, serialize_pseudo,
+    Echelon, LocalOp, MatrixOp, NonClosedComposition, NonlocalStore,
+    OperatorRegistry, PseudoOp, UnknownOperator, frechet_row, parse_matrix,
+    parse_pseudo, scaled_derivative_power, serialize_matrix, serialize_pseudo,
     solve_e_image, transport_local, verify_operator_identity,
 )
 
@@ -409,6 +411,33 @@ def test_dinv_parameter_shift_reuses_auxiliary():
     assert scaled == 3 * ring.param("lam", -2) * rho
 
 
+def test_store_keeps_dependent_cores_out_of_matches():
+    store = NonlocalStore(R)
+    ring = store.ring
+    u, u1, s1 = ring.coord("u"), ring.coord("u", 1), ring.coord("s", 1)
+    lam = ring.param("lam")
+    rho = [None] + [ring.coord("rho%d" % i) for i in range(1, 6)]
+    args = (
+        u1 ** 2,
+        # zero signature, yet no antiderivative in the ring: allocated
+        u ** -1 * u1,
+        u1 ** 2 + 2 * u * u1,
+        3 * u ** -1 * u1 + u1 ** 2 + s1 ** 2,
+        # 4 * rho1' + rho3' - 3 * rho2', but the dependent rho2 gets
+        # coefficient zero, the remainder is not exact and rho4 is fresh
+        s1 ** 2 + 5 * u1 ** 2,
+    )
+    got = [store.resolve_dinv(a) for a in args]
+    assert got == [rho[1], rho[2], u ** 2 + rho[1], rho[3], rho[4]]
+    assert [kind for _n, kind, _c in store.allocated] == ["dinv"] * 4
+    # coefficients stay aligned with the cores past the dependent ones
+    assert store.resolve_dinv(2 * args[3] + 2 * u * u1) == u ** 2 + 2 * rho[3]
+    # a jet-free core is matched through its jet-free signature terms
+    assert store.resolve_dinv(lam) == rho[5]
+    assert store.resolve_dinv(2 * lam + 4 * u * u1) == 2 * u ** 2 + 2 * rho[5]
+    assert len(store.allocated) == 5
+
+
 def test_apply_without_store_requires_exact_tails():
     t = PseudoOp.from_tail(R.one(), R.one())
     u = R.coord("u")
@@ -597,6 +626,93 @@ def test_solve_e_image_round_trip():
 def test_solve_e_image_rejects_non_image():
     with pytest.raises(NotIntegrable):
         solve_e_image(R.coord("u"))
+
+
+# -- the incremental echelon basis ---------------------------------------------
+
+
+def dense_solve(matrix, n_unknowns):
+    """Reference: Gaussian elimination on an augmented rational matrix;
+    the solution vector or None when inconsistent (free unknowns are
+    set to zero)."""
+    rows = [list(r) for r in matrix]
+    pivots = []
+    r = 0
+    for c in range(n_unknowns):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    for i in range(r, len(rows)):
+        if rows[i][n_unknowns]:
+            return None
+    sol = [Fraction(0)] * n_unknowns
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][n_unknowns]
+    return sol
+
+
+def combine(coeffs, vectors):
+    out = {}
+    for c, vec in zip(coeffs, vectors):
+        for k, v in vec.items():
+            out[k] = out.get(k, 0) + c * v
+    return out
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+SPARSE = st.dictionaries(st.integers(0, 4), RATIONALS, max_size=4)
+
+
+@st.composite
+def span_problems(draw):
+    """Vectors that include zeros, repeats and dependent combinations,
+    and a target that is either in their span or arbitrary."""
+    vectors = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combo")))
+        if kind == "zero":
+            vectors.append({})
+        elif kind == "fresh" or not vectors:
+            vectors.append(draw(SPARSE))
+        elif kind == "repeat":
+            vectors.append(dict(draw(st.sampled_from(vectors))))
+        else:
+            coeffs = draw(st.lists(RATIONALS, min_size=len(vectors),
+                                   max_size=len(vectors)))
+            vectors.append(combine(coeffs, vectors))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(RATIONALS, min_size=len(vectors),
+                               max_size=len(vectors)))
+        target = combine(coeffs, vectors)
+    else:
+        target = draw(SPARSE)
+    return vectors, target
+
+
+@settings(deadline=None)
+@given(span_problems())
+def test_echelon_solve_matches_dense_elimination(problem):
+    vectors, target = problem
+    keys = sorted(set(target) | {k for vec in vectors for k in vec})
+    matrix = [[vec.get(k, Fraction(0)) for vec in vectors]
+              + [target.get(k, Fraction(0))] for k in keys]
+    want = dense_solve(matrix, len(vectors))
+    got = Echelon(vectors).solve(target)
+    assert got == want
+    if got is not None:
+        rebuilt = combine(got, vectors)
+        assert all(rebuilt.get(k, 0) == target.get(k, 0) for k in keys)
 
 
 # -- serialization -------------------------------------------------------------

@@ -1,13 +1,18 @@
 """The reproduction itself: the verdict table, the exact row records,
-both errata in both directions, determinism, and the mutation surface
-every check declares."""
+both errata in both directions and their ties to the catalog,
+determinism, the mutation surface every check declares, and a sampled
+run of the sensitivity invariant."""
 
 import hashlib
 import json
 
 import pytest
 
+from jetverify import catalog
+from jetverify.jetalg import to_text
+from jetverify.opcalc import serialize_matrix
 from jetverify.verify import ERRATUM, FAIL, PASS, UNDECIDABLE, suite
+from jetverify.verify.errata import load_ledger
 
 ROWS = (
     ("zc_main", PASS, "normal-form"),
@@ -64,6 +69,9 @@ SLOTS = {
     "appendix_a": 362, "appendix_b": 87,
 }
 
+# the checks whose whole mutation surface runs in seconds
+CHEAP = tuple(c for c in SLOTS if c not in ("theorem1", "appendix_a"))
+
 
 def records(rows):
     return [row.to_record() for row in rows]
@@ -114,3 +122,23 @@ def test_scalar_reduction_reads_the_upper_identity_blocks(slot):
     assert got == {"scalar_reduction.pair": FAIL,
                    "scalar_reduction.fourth": FAIL,
                    "scalar_reduction.mn": PASS}
+
+
+def test_errata_ledger_quotes_the_catalog():
+    ledger = load_ledger()
+    ymap = dict(catalog.get("ymap"))
+    assert (ledger["E1"].original, ledger["E1"].corrected) == \
+        (to_text(ymap["Q2.display"]), to_text(ymap["Q2"]))
+    assert (ledger["E2"].original, ledger["E2"].corrected) == \
+        (serialize_matrix(catalog.get("J1")),
+         serialize_matrix(catalog.get("J2")))
+
+
+@pytest.mark.parametrize("check", CHEAP)
+def test_sampled_mutants_turn_the_check_off_green(check):
+    # the sensitivity invariant: corrupting any coefficient a check
+    # reads must leave it not all clear
+    survivors = [(ident, slot)
+                 for ident, slot in suite.sample_mutations(check, 10, seed=0)
+                 if suite.all_clear(suite.run_mutated(check, ident, slot))]
+    assert survivors == []
