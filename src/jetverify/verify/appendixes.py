@@ -477,32 +477,29 @@ def _scan_row(ctx, C):
 def appendix_a(ctx):
     C = ctx.catalog
     fc = _FormalCurvature(C)
-    return [
-        _blocks_row(ctx, fc, C),
-        _relations_row(ctx, fc, C),
-        _flow_row(ctx, fc, C),
-        _subflow_row(ctx, C),
-        _balance_row(ctx, C),
-        _omega_row(ctx, C),
-        _link_row(ctx, C),
-        _scan_row(ctx, C),
-    ]
+    yield _blocks_row(ctx, fc, C)
+    yield _relations_row(ctx, fc, C)
+    yield _flow_row(ctx, fc, C)
+    yield _subflow_row(ctx, C)
+    yield _balance_row(ctx, C)
+    yield _omega_row(ctx, C)
+    yield _link_row(ctx, C)
+    yield _scan_row(ctx, C)
 
 
 def appendix_b(ctx):
     C = ctx.catalog
-    return [
-        check_zero_curvature(C.get("lax.appb"), C.get("sys.appb"), ctx,
-                             "appendix_b.zc", C.citation("lax.appb")),
-        check_zero_curvature(C.get("lax.appb.trans"),
-                             C.get("sys.appb.trans"), ctx,
-                             "appendix_b.zc_trans",
-                             C.citation("lax.appb.trans")),
-        check_conservation(C.get("recip.appb"), C.get("sys.appb"), ctx,
-                           "appendix_b.conservation",
-                           C.citation("recip.appb")),
-        check_reciprocal_system_map(C.get("sys.appb"), C.get("recip.appb"),
-                                    C.get("sys.appb.trans"), ctx,
-                                    "appendix_b.reciprocal",
-                                    C.citation("sys.appb.trans")),
-    ]
+    yield check_zero_curvature(C.get("lax.appb"), C.get("sys.appb"), ctx,
+                               "appendix_b.zc", C.citation("lax.appb"))
+    yield check_zero_curvature(C.get("lax.appb.trans"),
+                               C.get("sys.appb.trans"), ctx,
+                               "appendix_b.zc_trans",
+                               C.citation("lax.appb.trans"))
+    yield check_conservation(C.get("recip.appb"), C.get("sys.appb"), ctx,
+                             "appendix_b.conservation",
+                             C.citation("recip.appb"))
+    yield check_reciprocal_system_map(C.get("sys.appb"),
+                                      C.get("recip.appb"),
+                                      C.get("sys.appb.trans"), ctx,
+                                      "appendix_b.reciprocal",
+                                      C.citation("sys.appb.trans"))

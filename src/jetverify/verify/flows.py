@@ -61,14 +61,14 @@ def check_zero_curvature(pair, sysdef, ctx, rid="zero_curvature",
 
 def zc_main(ctx):
     C = ctx.catalog
-    return [check_zero_curvature(C.get("lax.main"), C.get("sys.main"), ctx,
-                                 "zc_main", C.citation("lax.main"))]
+    yield check_zero_curvature(C.get("lax.main"), C.get("sys.main"), ctx,
+                               "zc_main", C.citation("lax.main"))
 
 
 def zc_trans(ctx):
     C = ctx.catalog
-    return [check_zero_curvature(C.get("lax.trans"), C.get("sys.mdflow"),
-                                 ctx, "zc_trans", C.citation("lax.trans"))]
+    yield check_zero_curvature(C.get("lax.trans"), C.get("sys.mdflow"),
+                               ctx, "zc_trans", C.citation("lax.trans"))
 
 
 # -- conservation ---------------------------------------------------------
@@ -104,12 +104,10 @@ def check_conservation(map_, sysdef, ctx, rid="conservation",
 
 def conservation(ctx):
     C = ctx.catalog
-    return [
-        check_conservation(C.get("recip.main"), C.get("sys.main"), ctx,
-                           "conservation.main", C.citation("recip.main")),
-        check_conservation(C.get("recip.appb"), C.get("sys.appb"), ctx,
-                           "conservation.appb", C.citation("recip.appb")),
-    ]
+    yield check_conservation(C.get("recip.main"), C.get("sys.main"), ctx,
+                             "conservation.main", C.citation("recip.main"))
+    yield check_conservation(C.get("recip.appb"), C.get("sys.appb"), ctx,
+                             "conservation.appb", C.citation("recip.appb"))
 
 
 # -- reciprocal transformation --------------------------------------------
@@ -211,7 +209,6 @@ def check_reciprocal_system_map(src, map_, dst, ctx, rid="reciprocal",
 def reciprocal(ctx):
     C = ctx.catalog
     Y = _catalog.RING_Y
-    rows = []
 
     src = C.get("sys.main")
     map_ = C.get("recip.main")
@@ -220,13 +217,13 @@ def reciprocal(ctx):
     flows = dict(C.get("flow.intermediate"))
     cite = C.citation("flow.intermediate")
 
-    rows.append(conclude(
+    yield conclude(
         ctx, "reciprocal.main.idef", C.citation("usdefs"),
         [("transported first coefficient minus its direct definition",
           to_y(named["Q1"]) - usdefs["i"])],
-        NORMAL_FORM))
+        NORMAL_FORM)
 
-    rows.append(conclude_erratum(
+    yield conclude_erratum(
         ctx, "reciprocal.main.jdef", C.citation("ymap"),
         [("transported second coefficient, displayed overall power, "
           "minus the direct definition",
@@ -234,43 +231,42 @@ def reciprocal(ctx):
         [("transported second coefficient, corrected overall power, "
           "minus the direct definition",
           to_y(named["Q2"]) - usdefs["j"])],
-        NORMAL_FORM))
+        NORMAL_FORM)
 
     rules = usdef_rules(C)
     for dep, xdef, label in (("i", named["Q1"], "itau"),
                              ("j", named["Q2"], "jtau")):
         got = transported_tau(src, map_, xdef)
-        rows.append(conclude(
+        yield conclude(
             ctx, "reciprocal.main." + label, cite,
             [("transported time derivative of %s minus the stated mixed "
               "flow" % dep, rules.reduce(got - flows[dep + "_tau"]))],
-            NORMAL_FORM))
+            NORMAL_FORM)
 
     # forced reading of the constraint notation: the transported
     # momentum constraints factor through the third-order kernel
     # expressions with a single density prefactor
     eq_r, eq_q = _constraint_equations(src, map_)
     u = Y.coord("u")
-    rows.append(conclude(
+    yield conclude(
         ctx, "reciprocal.main.kernels", cite,
         [("first transported constraint minus density times its kernel "
           "reading", to_y(eq_r) - u * flows["kernelr"]),
          ("second transported constraint minus density times its kernel "
           "reading", to_y(eq_q) - u * flows["kernelq"])],
-        NORMAL_FORM))
+        NORMAL_FORM)
 
     fg = dict(C.get("fg"))
     md = C.get("sys.mdflow")
-    rows.append(conclude(
+    yield conclude(
         ctx, "reciprocal.main.flowlink", C.citation("sys.mdflow"),
         [("negative-flow %s component under the flux parametrization "
           "minus the mixed flow" % dep,
           rules.reduce(substitute(md.evolution[dep], fg)
                        - flows[dep + "_tau"]))
          for dep in ("i", "j")],
-        NORMAL_FORM))
+        NORMAL_FORM)
 
-    rows.append(check_reciprocal_system_map(
+    yield check_reciprocal_system_map(
         C.get("sys.appb"), C.get("recip.appb"), C.get("sys.appb.trans"),
-        ctx, "reciprocal.appb", C.citation("sys.appb.trans")))
-    return rows
+        ctx, "reciprocal.appb", C.citation("sys.appb.trans"))

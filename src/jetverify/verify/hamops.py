@@ -79,7 +79,7 @@ def prop1(ctx):
                   "display",
                   _conjugation_residual(ctx, u ** -1 * s ** -1,
                                         s * u ** -2, th1c)))
-    return conclude(ctx, "prop1", C.citation("Theta1"), pairs, NORMAL_FORM)
+    yield conclude(ctx, "prop1", C.citation("Theta1"), pairs, NORMAL_FORM)
 
 
 def prop2(ctx):
@@ -94,7 +94,7 @@ def prop2(ctx):
     for k in sorted(skew.coeffs):
         pairs.append(("skewness, coefficient of order %d" % k,
                       skew.coeffs[k]))
-    return conclude(ctx, "prop2", C.citation("Theta2"), pairs, NORMAL_FORM)
+    yield conclude(ctx, "prop2", C.citation("Theta2"), pairs, NORMAL_FORM)
 
 
 def bihamiltonian_x(ctx):
@@ -116,7 +116,6 @@ def bihamiltonian_x(ctx):
             out.append(direct - through)
         return out
 
-    rows = []
 
     h0 = C.get("H0").density
     # the gradient's inverse-kernel component stays a formal atom here:
@@ -142,8 +141,8 @@ def bihamiltonian_x(ctx):
               % name,
               cons.reduce(flow0[name] - sysdef.evolution[name]))
              for name in ("v", "w")]
-    rows.append(conclude(ctx, "bihamiltonian_x.local",
-                         C.citation("H0"), pairs, NORMAL_FORM, notes0))
+    yield conclude(ctx, "bihamiltonian_x.local",
+                   C.citation("H0"), pairs, NORMAL_FORM, notes0)
 
     h1 = C.get("H1").density
     g1 = gradient(h1)
@@ -181,6 +180,5 @@ def bihamiltonian_x(ctx):
     pairs.append(("constrained quadratic density must have a "
                   "nonvanishing variational derivative",
                   X.one() if witness.is_zero else X.zero()))
-    rows.append(conclude(ctx, "bihamiltonian_x.nonlocal",
-                         C.citation("H1"), pairs, NORMAL_FORM, notes))
-    return rows
+    yield conclude(ctx, "bihamiltonian_x.nonlocal",
+                   C.citation("H1"), pairs, NORMAL_FORM, notes)

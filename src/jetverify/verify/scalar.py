@@ -89,13 +89,13 @@ def scalar_reduction(ctx):
     eq_psi = substitute(eq_psi, back, target_ring=Y)
 
     claims = dict(C.get("reduction2"))
-    rows = [conclude(
+    yield conclude(
         ctx, "scalar_reduction.pair", C.citation("reduction2"),
         [("derived second-order relation for the first component minus "
           "the displayed one", eq_phi - claims["phi.eq"]),
          ("derived second-order relation for the second component minus "
           "the displayed one", eq_psi - claims["psi.eq"])],
-        NORMAL_FORM)]
+        NORMAL_FORM)
 
     # eliminate the second component: the first relation solves for it,
     # the second then closes a fourth-order equation at squared
@@ -106,11 +106,11 @@ def scalar_reduction(ctx):
 
     mn = dict(C.get("scalar.mn"))
     claim4 = substitute(C.get("scalar4"), {"m": mn["m"], "n": mn["n"]})
-    rows.append(conclude(
+    yield conclude(
         ctx, "scalar_reduction.fourth", C.citation("scalar4"),
         [("derived fourth-order relation minus the displayed scalar "
           "problem", substitute(fourth, _HSUB) - claim4)],
-        NORMAL_FORM))
+        NORMAL_FORM)
 
     # the two parametrizations of the scalar coefficients agree
     usrules = dict(C.get("usdefs"))
@@ -121,9 +121,8 @@ def scalar_reduction(ctx):
         pairs.append(("coefficient %s through the parametrization pair "
                       "minus its ratio-root form" % name,
                       through_s - mn[name]))
-    rows.append(conclude(ctx, "scalar_reduction.mn",
-                         C.citation("scalar.mn"), pairs, NORMAL_FORM))
-    return rows
+    yield conclude(ctx, "scalar_reduction.mn",
+                   C.citation("scalar.mn"), pairs, NORMAL_FORM)
 
 
 # -- factorizations -------------------------------------------------------
@@ -142,16 +141,15 @@ def _op_coeff_pairs(label, diff, rules=None):
 def factorizations(ctx):
     C = ctx.catalog
     Y = _catalog.RING_Y
-    rows = []
 
     mn = mn_rules(C)
     quad = C.get("factor2.left").compose(C.get("factor2.right"))
-    rows.append(conclude(
+    yield conclude(
         ctx, "factorizations.quadratic", C.citation("miura.m"),
         _op_coeff_pairs("second-order factor product minus the "
                         "fourth-order operator",
                         quad - C.get("L4"), mn),
-        NORMAL_FORM))
+        NORMAL_FORM)
 
     a1 = Y.coord("a1")
     b1 = Y.coord("b1")
@@ -162,25 +160,24 @@ def factorizations(ctx):
     linear = C.get("factor1.1")
     for k in ("2", "3", "4"):
         linear = linear.compose(C.get("factor1." + k))
-    rows.append(conclude(
+    yield conclude(
         ctx, "factorizations.linear", C.citation("factor1.1"),
         _op_coeff_pairs("linear factor product minus the fourth-order "
                         "operator", linear - C.get("L4"), ij_rules),
-        NORMAL_FORM))
+        NORMAL_FORM)
 
     ab = dict(C.get("ab1"))
     usdefs = dict(C.get("usdefs"))
     i_from_ab = -2 * ab["b1"]
     j_from_ab = (total_derivative(ab["a1"]) + ab["a1"] ** 2
                  - total_derivative(ab["b1"]) - ab["b1"] ** 2)
-    rows.append(conclude(
+    yield conclude(
         ctx, "factorizations.firstorder", C.citation("ab1"),
         [("first coefficient from the linear-factor data minus its "
           "parametrized form", i_from_ab - substitute(usdefs["i"], _HSUB)),
          ("second coefficient from the linear-factor data minus its "
           "parametrized form", j_from_ab - substitute(usdefs["j"], _HSUB))],
-        NORMAL_FORM))
-    return rows
+        NORMAL_FORM)
 
 
 # -- connecting identity --------------------------------------------------
@@ -190,7 +187,6 @@ def connecting_identity(ctx):
     Y = _catalog.RING_Y
     fexp = dict(C.get("F12"))
     f1e, f2e = fexp["F1"], fexp["F2"]
-    rows = []
 
     store = NonlocalStore(Y)
     # seed the store with the difference integral so both displays
@@ -217,16 +213,15 @@ def connecting_identity(ctx):
                                "vanishes" if witness.is_zero
                                else "is nonzero"))
     assert is_total_derivative(f1e - f2e) == (verdict == "exact")
-    rows.append(conclude(ctx, "connecting_identity.expand",
-                         C.citation("Grecipe"), pairs, TEST_VECTOR, notes))
+    yield conclude(ctx, "connecting_identity.expand",
+                   C.citation("Grecipe"), pairs, TEST_VECTOR, notes)
 
     # unit-normalized constraints annihilate the recipe
     cstore = NonlocalStore(Y)
     cvec = [-cstore.ring.one(), -cstore.ring.one()]
     image = C.get("Grecipe").promote(cstore.ring).apply(cvec, cstore)
-    rows.append(conclude(
+    yield conclude(
         ctx, "connecting_identity.constants", C.citation("Grecipe"),
         [("recipe row %d on the unit-normalized pair" % (k + 1),
           cstore.reduce(image[k])) for k in range(2)],
-        TEST_VECTOR))
-    return rows
+        TEST_VECTOR)

@@ -9,6 +9,13 @@ The mutation harness backs the sensitivity invariant: each check
 declares the catalog entries it reads, optionally restricted to named
 structural parts, and corrupting any single coefficient slot inside
 that read surface must flip the check off green.
+
+Each check yields its rows in report order.  run_suite collects every
+row; run_mutated stops a check after its first row that is neither a
+pass nor an erratum, so its rows are a prefix of the run_suite rows
+(see run_mutated for the one exception).  Either way, an exception
+part-way through a check discards the rows before it and reports one
+undecidable row.
 """
 
 import random
@@ -255,19 +262,24 @@ def _aborted_row(spec, exc):
         notes=("%s: %s" % (type(exc).__name__, exc),))
 
 
-def _run_check(ctx, spec):
-    """All rows of one check; abnormal termination becomes a row.
+def _run_check(ctx, spec, stop_off_green):
+    """The rows one check yields; abnormal termination becomes a row.
 
     Reductions over a corrupted catalog may legitimately throw (a
     perturbed relation can stop being solvable), so the harness maps
-    any exception to a single undecidable row instead of propagating."""
+    any exception to a single undecidable row instead of propagating,
+    discarding the rows yielded before it.  With stop_off_green the
+    check stops after the first row that is neither a pass nor an
+    erratum."""
+    rows = []
     try:
-        out = spec.runner(ctx)
+        for row in spec.runner(ctx):
+            rows.append(row)
+            if stop_off_green and not all_clear((row,)):
+                break
     except Exception as exc:
         return [_aborted_row(spec, exc)]
-    if isinstance(out, CheckResult):
-        out = [out]
-    return list(out)
+    return rows
 
 
 def run_suite(selection=None, seed=0, max_order=12, timings=False,
@@ -288,7 +300,7 @@ def run_suite(selection=None, seed=0, max_order=12, timings=False,
     for name in names:
         spec = _BY_NAME[name]
         started = time.perf_counter()
-        out = _run_check(ctx, spec)
+        out = _run_check(ctx, spec, stop_off_green=False)
         elapsed = int(round((time.perf_counter() - started) * 1000))
         if timings:
             out = [row.with_time(elapsed) for row in out]
@@ -344,11 +356,23 @@ def sample_mutations(name, count=10, seed=0, catalog=None):
 
 def run_mutated(name, ident, slot, seed=0, max_order=12, errata=None,
                 catalog=None):
-    """Rows of one check over a catalog with one perturbed coefficient."""
+    """Rows of one check over a catalog with one perturbed coefficient,
+    up to and including the first row that is not green.
+
+    The mutation sweep only asks whether the check goes off green, and
+    a later row cannot turn it green again, so the check stops there.
+    Prefix contract: the rows are the rows run_suite reports for the
+    same catalog, through the first one that is neither a pass nor an
+    erratum; each row seeds its own numeric oracle and builds its own
+    store, so it reads the same whether or not later rows run.  An
+    exception before that row gives the single undecidable row
+    run_suite reports too.  An exception after it is never reached
+    here, while run_suite reports the single undecidable row; all_clear
+    is false either way, so it agrees with run_suite on every mutant."""
     base = catalog if catalog is not None else _catalog.CATALOG
     view = base.with_mutation(ident, slot)
     if errata is None:
         errata = load_ledger()
     ctx = CheckContext(catalog=view, seed=seed, max_order=max_order,
                        errata=errata)
-    return _run_check(ctx, _BY_NAME[name])
+    return _run_check(ctx, _BY_NAME[name], stop_off_green=True)

@@ -137,7 +137,6 @@ def theorem1(ctx):
     uy = Y.coord("u")
     tr = Transport(ctx)
     p_rows, q_rows, weights = _derived_jacobians(ctx)
-    rows = []
 
     # forward block matrix: coefficient-weighted density rows minus the
     # coefficient linearizations
@@ -156,10 +155,10 @@ def theorem1(ctx):
                      "the derived linearization")
     else:
         verdict = Y.one()
-    rows.append(conclude(ctx, "theorem1.t1", C.citation("T1"),
-                         [("derived forward block matrix fails to match "
-                           "the stated one in either orientation",
-                           verdict)], NORMAL_FORM, notes))
+    yield conclude(ctx, "theorem1.t1", C.citation("T1"),
+                   [("derived forward block matrix fails to match "
+                     "the stated one in either orientation",
+                     verdict)], NORMAL_FORM, notes)
 
     # backward block matrix: four candidate readings of the adjoint
     # recipe; exactly one must reproduce the stated matrix
@@ -201,11 +200,11 @@ def theorem1(ctx):
     if len(survivors) == 1:
         t2_notes.append("unique surviving reading: %s, %s"
                         % survivors[0])
-    rows.append(conclude(ctx, "theorem1.t2", C.citation("T2"),
-                         [("exactly one adjoint reading must reproduce "
-                           "the stated backward matrix",
-                           Y.zero() if len(survivors) == 1 else Y.one())],
-                         NORMAL_FORM, t2_notes))
+    yield conclude(ctx, "theorem1.t2", C.citation("T2"),
+                   [("exactly one adjoint reading must reproduce "
+                     "the stated backward matrix",
+                     Y.zero() if len(survivors) == 1 else Y.one())],
+                   NORMAL_FORM, t2_notes)
 
     # factored forms through the common left factor
     vinv = PseudoOp.from_expr(Y.coord("v") ** -1)
@@ -218,17 +217,16 @@ def theorem1(ctx):
     uweq = PseudoOp.from_expr(uy * Y.coord("w") ** -1)
     diag2 = MatrixOp(((uveq, zero), (zero, uweq)))
     right = diag2.compose(lam.adjoint()).scaled(F(-1, 4))
-    rows.append(conclude(
+    yield conclude(
         ctx, "theorem1.factored", C.citation("Lambda"),
         [("common-factor form of the forward matrix",
           Y.zero() if left == C.get("T1") else Y.one()),
          ("common-factor form of the backward matrix",
           Y.zero() if right == C.get("T2") else Y.one())],
-        NORMAL_FORM))
+        NORMAL_FORM)
 
-    rows.append(_jt2_check(ctx, tr))
-    rows.append(_jt1_check(ctx, tr))
-    return rows
+    yield _jt2_check(ctx, tr)
+    yield _jt1_check(ctx, tr)
 
 
 def _basis_vectors(ring):

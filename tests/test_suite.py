@@ -11,7 +11,9 @@ import pytest
 from jetverify import catalog
 from jetverify.jetalg import to_text
 from jetverify.opcalc import serialize_matrix
-from jetverify.verify import ERRATUM, FAIL, PASS, UNDECIDABLE, suite
+from jetverify.verify import (
+    CheckContext, ERRATUM, FAIL, PASS, UNDECIDABLE, suite,
+)
 from jetverify.verify.errata import load_ledger
 
 ROWS = (
@@ -69,9 +71,6 @@ SLOTS = {
     "appendix_a": 362, "appendix_b": 87,
 }
 
-# the checks whose whole mutation surface runs in seconds
-CHEAP = tuple(c for c in SLOTS if c not in ("theorem1", "appendix_a"))
-
 
 def records(rows):
     return [row.to_record() for row in rows]
@@ -117,11 +116,17 @@ def test_mutation_surface_sizes():
 def test_scalar_reduction_reads_the_upper_identity_blocks(slot):
     # slots 0 and 1 of the main spectral pair are its two upper unit
     # entries, which the reduction must take from the catalog
+    view = catalog.CATALOG.with_mutation("lax.main", slot)
     got = {r.id: r.status
-           for r in suite.run_mutated("scalar_reduction", "lax.main", slot)}
+           for r in suite.run_suite(selection=("scalar_reduction",),
+                                    catalog=view)}
     assert got == {"scalar_reduction.pair": FAIL,
                    "scalar_reduction.fourth": FAIL,
                    "scalar_reduction.mn": PASS}
+    # the mutation harness stops the check at its first failing row
+    assert [(r.id, r.status) for r in
+            suite.run_mutated("scalar_reduction", "lax.main", slot)] \
+        == [("scalar_reduction.pair", FAIL)]
 
 
 def test_errata_ledger_quotes_the_catalog():
@@ -134,7 +139,7 @@ def test_errata_ledger_quotes_the_catalog():
          serialize_matrix(catalog.get("J2")))
 
 
-@pytest.mark.parametrize("check", CHEAP)
+@pytest.mark.parametrize("check", tuple(SLOTS))
 def test_sampled_mutants_turn_the_check_off_green(check):
     # the sensitivity invariant: corrupting any coefficient a check
     # reads must leave it not all clear
@@ -142,3 +147,44 @@ def test_sampled_mutants_turn_the_check_off_green(check):
                  for ident, slot in suite.sample_mutations(check, 10, seed=0)
                  if suite.all_clear(suite.run_mutated(check, ident, slot))]
     assert survivors == []
+
+
+def _check_rows(check, rows):
+    return [r for r in rows if r.id == check or r.id.startswith(check + ".")]
+
+
+def _yielded_before_abort(check, view):
+    """The rows a check yields over view before it raises."""
+    spec = next(spec for spec in suite.CHECKS if spec.name == check)
+    rows = []
+    with pytest.raises(Exception):
+        for row in spec.runner(CheckContext(catalog=view,
+                                            errata=load_ledger())):
+            rows.append(row)
+    return rows
+
+
+# one sampled mutant set per check, plus a mutant whose full check
+# raises after its first row has already failed
+PREFIX_MUTANTS = tuple(
+    (check, ident, slot) for check in SLOTS
+    for ident, slot in suite.sample_mutations(check, 3, seed=0)) \
+    + (("bihamiltonian_x", "sys.main", 12),)
+
+
+@pytest.mark.parametrize("check,ident,slot", PREFIX_MUTANTS)
+def test_mutated_rows_are_a_prefix_of_the_suite_rows(check, ident, slot):
+    view = catalog.CATALOG.with_mutation(ident, slot)
+    full = _check_rows(check, suite.run_suite(selection=(check,),
+                                              catalog=view))
+    got = suite.run_mutated(check, ident, slot)
+    off = [k for k, r in enumerate(got) if not suite.all_clear([r])]
+    assert off in ([], [len(got) - 1])
+    assert suite.all_clear(got) == suite.all_clear(full)
+    if ([r.status for r in full] == [UNDECIDABLE]
+            and got[0].status != UNDECIDABLE):
+        # the check raised only after the row that decided the mutant
+        full = _yielded_before_abort(check, view)
+    assert records(got) == records(full[:len(got)])
+    if not off:
+        assert len(got) == len(full)
