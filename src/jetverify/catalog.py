@@ -41,11 +41,6 @@ __all__ = [
     "NamedFunctional",
     "CatalogView",
     "CATALOG",
-    "get",
-    "entry",
-    "citation",
-    "idents",
-    "index",
     "mutation_count",
     "mutated",
     "part_windows",
@@ -451,13 +446,7 @@ def _x_entries(add):
     add("E", "op", "x", _pl(X, {3: one, 1: -one}),
         "third-order kernel operator d^3 - d")
 
-    p1 = _pm(one)
     pz = PseudoOp.zero(X)
-    add("sigma1", "matrix", "x", MatrixOp(((pz, p1), (p1, pz))),
-        "off-diagonal signature matrix")
-    add("sigma3", "matrix", "x", MatrixOp(((p1, pz), (pz, _pm(-one)))),
-        "diagonal signature matrix")
-
     neg_e = _pl(X, {3: -one, 1: one})
     add("J2", "matrix", "x", MatrixOp(((pz, neg_e), (neg_e, pz))),
         "local Hamiltonian operator: minus the kernel operator against "
@@ -779,15 +768,6 @@ def _y_entries(add):
         "transformed local Hamiltonian operator in composed normal "
         "form")
 
-    add("Jt2.colfactor", "matrix", "y",
-        MatrixOp(((_pm(2 * one),), (_pl(Y, {1: one, 0: -i}),))),
-        "column factor of the rank-one part of the transformed local "
-        "operator")
-    add("E22", "matrix", "y",
-        MatrixOp(((PseudoOp.zero(Y), PseudoOp.zero(Y)),
-                  (PseudoOp.zero(Y), _pm(one)))),
-        "lower-right unit block")
-
     add("Jop", "matrix", "y",
         MatrixOp(((_pl(Y, {1: F(1, 2) * one, 0: F(1, 4) * i})
                    + _pt(F(1, 4) * i1, one),
@@ -899,12 +879,6 @@ def _k_entries(add):
         emat_sub(emat_sub(emat_d(ygrid), emat_d(emat_d(xgrid))),
                  emat_d(emat_mul(xgrid, bgrid))),
         emat_mul(xgrid, agrid))
-    add("kzc.k1", "exprmatrix", "k", k1grid,
-        "upper-left time block eliminated through the zero-curvature "
-        "equations")
-    add("kzc.k3", "exprmatrix", "k", k3grid,
-        "lower-left time block eliminated through the zero-curvature "
-        "equations")
 
     atau = ((jt, z), (z, jt - d(it)))
     btau = ((it, z), (z, -it))
@@ -994,29 +968,6 @@ def _build():
 _REGISTRY, _ORDER = _build()
 
 
-def entry(ident):
-    try:
-        return _REGISTRY[ident]
-    except KeyError:
-        raise KeyError("no catalog entry %r" % (ident,)) from None
-
-
-def get(ident):
-    return entry(ident).value
-
-
-def citation(ident):
-    return entry(ident).citation
-
-
-def idents():
-    return _ORDER
-
-
-def index():
-    return tuple((ident, _REGISTRY[ident].citation) for ident in _ORDER)
-
-
 # -- mutation support ----------------------------------------------------
 
 def _leaves(ent):
@@ -1044,18 +995,18 @@ def part_windows(ent):
     return tuple(out)
 
 
-def mutated(ent, slot, delta=1):
+def mutated(ent, slot):
     """A copy of the entry with one coefficient slot perturbed.
 
     Slots enumerate the terms of every expression leaf in a fixed
-    deterministic order.  delta = 1 doubles the targeted coefficient,
-    which can never silently erase a term."""
+    deterministic order.  The targeted coefficient is raised by 1, so a
+    coefficient of -1 becomes 0 and the mutant deletes that term."""
     leaves = _leaves(ent)
     seen = 0
     for k, leaf in enumerate(leaves):
         width = len(leaf.terms)
         if slot < seen + width:
-            leaves[k] = perturb_term(leaf, slot - seen, delta)
+            leaves[k] = perturb_term(leaf, slot - seen)
             value = KIND_TABLE[ent.kind].rebuilt(ent.value, iter(leaves))
             return Entry(ent.ident, ent.kind, ent.ring_key, ent.citation,
                          value)
@@ -1080,7 +1031,10 @@ class CatalogView:
     def entry(self, ident):
         if ident in self._overrides:
             return self._overrides[ident]
-        return entry(ident)
+        try:
+            return _REGISTRY[ident]
+        except KeyError:
+            raise KeyError("no catalog entry %r" % (ident,)) from None
 
     def get(self, ident):
         return self.entry(ident).value
@@ -1091,12 +1045,9 @@ class CatalogView:
     def idents(self):
         return _ORDER
 
-    def overridden(self):
-        return tuple(sorted(self._overrides))
-
-    def with_mutation(self, ident, slot, delta=1):
+    def with_mutation(self, ident, slot):
         merged = dict(self._overrides)
-        merged[ident] = mutated(self.entry(ident), slot, delta)
+        merged[ident] = mutated(self.entry(ident), slot)
         return CatalogView(merged)
 
 

@@ -217,19 +217,8 @@ class JetExpr:
         return not self.terms
 
     @property
-    def is_monomial(self):
-        return len(self.terms) == 1
-
-    @property
     def is_rational(self):
         return not self.terms or (len(self.terms) == 1 and ((), ()) in self.terms)
-
-    def as_fraction(self):
-        if not self.terms:
-            return Fraction(0)
-        if self.is_rational:
-            return self.terms[((), ())]
-        raise ValueError("not a pure rational: %s" % (self,))
 
     def key(self):
         """A hashable canonical form, usable as a dictionary key."""
@@ -937,17 +926,17 @@ def random_expr(rng, ring, deps=None, params=(), max_jet_order=2,
     return out
 
 
-def perturb_term(e, index, delta=1):
-    """e with the coefficient of one canonical-order term shifted.
+def perturb_term(e, index):
+    """e with the coefficient of one canonical-order term raised by 1.
 
     Testing support for mutation sensitivity; index is taken modulo the
-    term count."""
+    term count.  A coefficient of -1 becomes 0, which drops the term."""
     items = sorted(e.terms.items())
     if not items:
         raise ValueError("cannot perturb the zero expression")
     key, c = items[index % len(items)]
     terms = dict(e.terms)
-    terms[key] = c + delta
+    terms[key] = c + 1
     return JetExpr(e.ring, _canon(terms))
 
 

@@ -14,30 +14,24 @@ standard closure rules:
   derivative,
 * inverses never expand; they cancel against their own operator or are
   resolved at application time through auxiliary dependents.
-
-Identity verification runs a three-rung ladder: normal-form equality,
-application to a shared generic test vector with deduplicated
-nonlocal auxiliaries, and an exact-rational numeric confirmation.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import comb
 
 from .jetalg import (
-    Assignment, ContextMismatch, EvalDivisionByZero, JetExpr, NotIntegrable,
-    NotReducible, RelationSet, antiderivative, coords_of, euler_derivative,
-    frechet_coeffs, max_order, params_of, parse, promote, random_assignment,
-    random_eval, to_text, total_derivative,
+    ContextMismatch, JetExpr, NotIntegrable, RelationSet, antiderivative,
+    coords_of, euler_derivative, frechet_coeffs, parse, promote, to_text,
+    total_derivative,
 )
 
 __all__ = [
     "NonClosedComposition", "UnknownOperator", "LocalOp", "PseudoOp",
-    "MatrixOp", "OperatorRegistry", "NonlocalStore", "OpVerdict",
+    "MatrixOp", "OperatorRegistry", "NonlocalStore",
     "frechet_row", "scaled_derivative_power", "transport_local",
-    "solve_e_image", "verify_operator_identity", "serialize_pseudo",
+    "solve_e_image", "serialize_pseudo",
     "parse_pseudo", "serialize_matrix", "parse_matrix", "Echelon",
 ]
 
@@ -577,10 +571,6 @@ class MatrixOp:
         self.grid = rows
 
     @classmethod
-    def from_exprs(cls, grid):
-        return cls([[PseudoOp.from_expr(e) for e in row] for row in grid])
-
-    @classmethod
     def identity(cls, ring, n):
         return cls([[PseudoOp.from_local(LocalOp.identity(ring))
                      if i == j else PseudoOp.zero(ring)
@@ -597,10 +587,6 @@ class MatrixOp:
     @property
     def shape(self):
         return (len(self.grid), len(self.grid[0]))
-
-    @property
-    def is_closed(self):
-        return all(e.is_closed for row in self.grid for e in row)
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -699,7 +685,7 @@ class OperatorRegistry:
         return sorted(self._inverses)
 
 
-def solve_e_image(arg, dep_order_key=None):
+def solve_e_image(arg):
     """Solve (d^3 - d) P = arg exactly, if a jet-polynomial P exists.
 
     First integrates arg once, then peels (d^2 - 1) P = A from the top
@@ -759,11 +745,10 @@ class NonlocalStore:
     DINV_POOL = 16
     INV_POOL = 6
 
-    def __init__(self, base_ring, relations=None, registry=None,
-                 extra_dependents=()):
+    def __init__(self, base_ring, relations=None, registry=None):
         pool = tuple("rho%d" % i for i in range(1, self.DINV_POOL + 1))
         pool += tuple("chi%d" % i for i in range(1, self.INV_POOL + 1))
-        self.ring = base_ring.extend(tuple(extra_dependents) + pool)
+        self.ring = base_ring.extend(pool)
         if relations is None:
             self.relations = RelationSet(self.ring)
         else:
@@ -987,131 +972,6 @@ class Echelon:
         if rest:
             return None
         return [combo.get(i, Fraction(0)) for i in range(self.size)]
-
-
-class OpVerdict:
-    """Outcome of one operator-identity verification."""
-
-    __slots__ = ("equal", "decided_by", "residuals", "numeric_points",
-                 "notes")
-
-    def __init__(self, equal, decided_by, residuals, numeric_points, notes):
-        self.equal = equal
-        self.decided_by = decided_by
-        self.residuals = residuals
-        self.numeric_points = numeric_points
-        self.notes = notes
-
-
-def _as_matrix(op):
-    if isinstance(op, MatrixOp):
-        return op
-    if isinstance(op, PseudoOp):
-        return MatrixOp([[op]])
-    if isinstance(op, LocalOp):
-        return MatrixOp([[PseudoOp.from_local(op)]])
-    raise TypeError("expected an operator")
-
-
-def verify_operator_identity(lhs, rhs, registry=None, relations=None,
-                             rng=None, n_points=5, order_cap=None):
-    """Three-rung equality ladder for (matrix) operators.
-
-    Rung 1 compares weakly nonlocal normal forms when both sides are
-    word-free.  Rung 2 applies both sides to one shared vector of fresh
-    generic dependents, resolving nonlocal pieces through a single
-    store, and compares reductions modulo the accumulated relations.
-    Rung 3 confirms the rung-2 residuals numerically at n_points seeded
-    rational assignments.  The verdict records which rung decided."""
-    lhs = _as_matrix(lhs)
-    rhs = _as_matrix(rhs)
-    if lhs.shape != rhs.shape:
-        raise ValueError("shape mismatch")
-    notes = []
-    if lhs.is_closed and rhs.is_closed:
-        if lhs == rhs:
-            return OpVerdict(True, "normal-form", [], 0, notes)
-        notes.append("normal forms differ; escalated to a test vector")
-    n, m = lhs.shape
-    test_deps = tuple("tv%d" % (k + 1) for k in range(m))
-    store = NonlocalStore(lhs.ring, relations=relations, registry=registry,
-                          extra_dependents=test_deps)
-    vec = [store.ring.coord(d) for d in test_deps]
-    left = _as_matrix(lhs.promote(store.ring)).apply(vec, store)
-    right = _as_matrix(rhs.promote(store.ring)).apply(vec, store)
-    raw = [left[i] - right[i] for i in range(n)]
-    residuals = []
-    for i in range(n):
-        diff = store.reduce(raw[i])
-        if order_cap is not None and max_order(diff) > order_cap:
-            raise NotReducible("residual order exceeds the cap")
-        if not diff.is_zero:
-            if diff.is_rational:
-                notes.append("component %d residual is a bare rational; "
-                             "antiderivative representatives may differ"
-                             % i)
-            residuals.append((i, diff))
-    rng = rng if rng is not None else random.Random(0)
-    points = 0
-    if residuals:
-        # witness that each reduced residual is a nonzero function
-        for _i, diff in residuals:
-            witnessed = False
-            for _ in range(5 * n_points):
-                try:
-                    a = random_assignment(rng, coords_of(diff),
-                                          params_of(diff))
-                    val = random_eval(diff, a)
-                except EvalDivisionByZero:
-                    continue
-                points += 1
-                if val != 0:
-                    witnessed = True
-                    break
-            if not witnessed:
-                notes.append("no numeric witness found for a symbolically "
-                             "nonzero residual")
-    else:
-        # evaluate the unreduced difference at relation-consistent points
-        for _ in range(n_points):
-            try:
-                a = _consistent_assignment(store, raw, rng)
-            except EvalDivisionByZero:
-                continue
-            for e in raw:
-                if random_eval(e, a) != 0:
-                    raise AssertionError("numeric oracle contradicts a "
-                                         "symbolic zero")
-            points += 1
-    return OpVerdict(not residuals, "test-vector",
-                     [(i, to_text(d)) for i, d in residuals], points, notes)
-
-
-def _consistent_assignment(store, exprs, rng):
-    """A random rational point respecting the store's relations: free
-    coordinates are drawn, constrained ones are evaluated from their
-    reduced defining jets."""
-    coords = set()
-    params = set()
-    for e in exprs:
-        coords.update(coords_of(e))
-        params.update(params_of(e))
-    constrained = {}
-    free = set()
-    for d, k in coords:
-        rule = store.relations.rule_for(d)
-        if rule is not None and k >= rule.order:
-            rj = store.relations.reduce(rule.jet(k - rule.order))
-            constrained[(d, k)] = rj
-            free.update(coords_of(rj))
-            params.update(params_of(rj))
-        else:
-            free.add((d, k))
-    base = random_assignment(rng, sorted(free), sorted(params))
-    values = dict(base.values)
-    for (d, k), rj in sorted(constrained.items()):
-        values[(d, k)] = random_eval(rj, base)
-    return Assignment(values, base.params)
 
 
 # -- serialization -------------------------------------------------------

@@ -24,9 +24,12 @@ TEST_VECTOR = "test-vector"
 
 SUMMARY_WIDTH = 320
 
+# derivative-order cap on every compared expression
+MAX_ORDER = 12
+
 
 class OrderCapExceeded(Exception):
-    """A reduction ran past the configured derivative-order cap."""
+    """A compared expression ran past the derivative-order cap MAX_ORDER."""
 
 
 class CheckResult:
@@ -51,11 +54,6 @@ class CheckResult:
         if status == ERRATUM and erratum_id is None:
             raise ValueError("erratum status needs a ledger reference")
 
-    def with_time(self, ms):
-        return CheckResult(self.id, self.status, self.decided_by,
-                           self.residual_summary, ms, self.citation,
-                           self.notes, self.erratum_id)
-
     def to_record(self):
         return {
             "id": self.id,
@@ -74,10 +72,9 @@ class CheckResult:
 class CheckContext:
     """Configuration one suite run threads through every check."""
 
-    def __init__(self, catalog=None, seed=0, max_order=12, errata=None):
+    def __init__(self, catalog=None, seed=0, errata=None):
         self.catalog = catalog if catalog is not None else _catalog.CATALOG
         self.seed = seed
-        self.max_order = max_order
         self.errata = dict(errata) if errata else {}
 
     def rng(self, tag):
@@ -118,17 +115,17 @@ def numeric_confirmation(rng, exprs):
             "only symbolically")
 
 
-def guard_orders(ctx, pairs, where):
+def guard_orders(pairs, where):
     for _label, e in pairs:
-        if max_order(e) > ctx.max_order:
+        if max_order(e) > MAX_ORDER:
             raise OrderCapExceeded(
                 "%s reached derivative order %d beyond the cap %d"
-                % (where, max_order(e), ctx.max_order))
+                % (where, max_order(e), MAX_ORDER))
 
 
 def conclude(ctx, rid, citation, pairs, decided_by, notes=()):
     """Build the result row for a plain pass/fail comparison."""
-    guard_orders(ctx, pairs, rid)
+    guard_orders(pairs, rid)
     nonzero = [(label, e) for label, e in pairs if not e.is_zero]
     notes = list(notes)
     if not nonzero:
@@ -146,8 +143,8 @@ def conclude_erratum(ctx, rid, citation, original_pairs, corrected_pairs,
     Both directions are asserted: the displayed reading must fail and
     the corrected reading must pass, and only a ledger entry for this
     check id upgrades that situation from fail to erratum."""
-    guard_orders(ctx, pairs=original_pairs, where=rid)
-    guard_orders(ctx, pairs=corrected_pairs, where=rid)
+    guard_orders(original_pairs, rid)
+    guard_orders(corrected_pairs, rid)
     orig = [(l, e) for l, e in original_pairs if not e.is_zero]
     corr = [(l, e) for l, e in corrected_pairs if not e.is_zero]
     notes = list(notes)

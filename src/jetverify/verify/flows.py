@@ -8,8 +8,8 @@ claims being compared against.
 from fractions import Fraction as F
 
 from ..jetalg import (
-    RelationSet, SystemDef, evolutionary_derivative, solve_for, split_param,
-    substitute, total_derivative,
+    RelationSet, SystemDef, evolutionary_derivative, max_order, solve_for,
+    split_param, substitute, total_derivative,
 )
 from .. import catalog as _catalog
 from .base import NORMAL_FORM, conclude, conclude_erratum, to_y, usdef_rules
@@ -46,8 +46,7 @@ def zero_curvature_pairs(pair, sysdef):
     return pairs, reduced_entries, sorted(powers)
 
 
-def check_zero_curvature(pair, sysdef, ctx, rid="zero_curvature",
-                         citation=""):
+def check_zero_curvature(pair, sysdef, ctx, rid, citation):
     pairs, reduced, powers = zero_curvature_pairs(pair, sysdef)
     notes = ["parameter powers entering the comparison: %s"
              % (", ".join(str(p) for p in powers) or "none")]
@@ -96,8 +95,7 @@ def conservation_pairs(map_, sysdef):
             ("quarter-power clearing of the density", clearing)]
 
 
-def check_conservation(map_, sysdef, ctx, rid="conservation",
-                       citation=""):
+def check_conservation(map_, sysdef, ctx, rid, citation):
     return conclude(ctx, rid, citation, conservation_pairs(map_, sysdef),
                     NORMAL_FORM)
 
@@ -147,14 +145,13 @@ def _orient_constraints(sysdef, map_):
         candidates.append((eqs[0] + eqs[1]) * F(1, 2))
         candidates.append((eqs[0] - eqs[1]) * F(1, 2))
     rules = RelationSet(ring)
-    from ..jetalg import max_order as _mo
     for cand in candidates:
         cand = rules.reduce(cand)
         if cand.is_zero:
             continue
         best = None
         for dep in ("q", "r"):
-            k = _mo(cand, dep)
+            k = max_order(cand, dep)
             if k >= 0 and (best is None or k > best[1]):
                 best = (dep, k)
         if best is None:
@@ -187,8 +184,7 @@ def transported_tau(sysdef, map_, xdef):
     return to_y(xrules.reduce(_tau_derivative(xdef, usys, ratio)))
 
 
-def check_reciprocal_system_map(src, map_, dst, ctx, rid="reciprocal",
-                                citation=""):
+def check_reciprocal_system_map(src, map_, dst, ctx, rid, citation):
     """Compare the transported flow of the coefficient definitions with
     the destination system's right-hand sides.
 

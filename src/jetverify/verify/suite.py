@@ -19,7 +19,6 @@ undecidable row.
 """
 
 import random
-import time
 
 from .. import catalog as _catalog
 from .base import (
@@ -227,7 +226,7 @@ def describe(name):
     return {
         "id": spec.name,
         "claim": spec.claim,
-        "citation": _catalog.citation(spec.citation_ident),
+        "citation": _catalog.CATALOG.citation(spec.citation_ident),
         "strategy": spec.strategy,
         "depends": list(spec.depends),
         "reads": [ident for ident, _parts in spec.reads],
@@ -258,7 +257,7 @@ def _aborted_row(spec, exc):
     return CheckResult(
         spec.name, UNDECIDABLE, NORMAL_FORM,
         ("aborted before any comparison concluded",), 0,
-        _catalog.citation(spec.citation_ident),
+        _catalog.CATALOG.citation(spec.citation_ident),
         notes=("%s: %s" % (type(exc).__name__, exc),))
 
 
@@ -282,29 +281,19 @@ def _run_check(ctx, spec, stop_off_green):
     return rows
 
 
-def run_suite(selection=None, seed=0, max_order=12, timings=False,
-              errata=None, catalog=None):
+def run_suite(selection=None, seed=0, errata=None, catalog=None):
     """Run the selected checks and return their result rows.
 
-    Deterministic for a fixed seed; when timings is set, every row of a
-    check carries that check's wall-clock milliseconds (timings stay
-    off by default so reports are byte-identical across runs).  errata
-    defaults to the packaged ledger; pass an empty dict to run with no
-    corrections applied."""
+    Deterministic for a fixed seed, so reports are byte-identical
+    across runs.  errata defaults to the packaged ledger; pass an empty
+    dict to run with no corrections applied."""
     names = resolve_selection(selection)
     if errata is None:
         errata = load_ledger()
-    ctx = CheckContext(catalog=catalog, seed=seed, max_order=max_order,
-                       errata=errata)
+    ctx = CheckContext(catalog=catalog, seed=seed, errata=errata)
     rows = []
     for name in names:
-        spec = _BY_NAME[name]
-        started = time.perf_counter()
-        out = _run_check(ctx, spec, stop_off_green=False)
-        elapsed = int(round((time.perf_counter() - started) * 1000))
-        if timings:
-            out = [row.with_time(elapsed) for row in out]
-        rows.extend(out)
+        rows.extend(_run_check(ctx, _BY_NAME[name], stop_off_green=False))
     seen = set()
     for row in rows:
         if row.id in seen:
@@ -320,18 +309,17 @@ def all_clear(rows):
 
 # -- mutation harness ------------------------------------------------------
 
-def mutation_slots(name, catalog=None):
+def mutation_slots(name):
     """Every (ident, slot) coefficient position the check reads.
 
     Part-restricted reads keep the surface honest: slots that only feed
     a recorded-as-information row, or only the displayed half of an
     erratum, are excluded because corrupting them cannot flip a green
     row."""
-    C = catalog if catalog is not None else _catalog.CATALOG
     spec = _BY_NAME[name]
     out = []
     for ident, parts in spec.reads:
-        ent = C.entry(ident)
+        ent = _catalog.CATALOG.entry(ident)
         windows = _catalog.part_windows(ent)
         if parts is not None:
             labels = {label for label, _s, _e in windows}
@@ -345,17 +333,16 @@ def mutation_slots(name, catalog=None):
     return tuple(out)
 
 
-def sample_mutations(name, count=10, seed=0, catalog=None):
+def sample_mutations(name, count=10, seed=0):
     """Deterministic sample of read slots for sensitivity testing."""
-    slots = mutation_slots(name, catalog)
+    slots = mutation_slots(name)
     if len(slots) <= count:
         return slots
     rng = random.Random("%d:%s:mutation" % (seed, name))
     return tuple(rng.sample(slots, count))
 
 
-def run_mutated(name, ident, slot, seed=0, max_order=12, errata=None,
-                catalog=None):
+def run_mutated(name, ident, slot, seed=0):
     """Rows of one check over a catalog with one perturbed coefficient,
     up to and including the first row that is not green.
 
@@ -369,10 +356,6 @@ def run_mutated(name, ident, slot, seed=0, max_order=12, errata=None,
     run_suite reports too.  An exception after it is never reached
     here, while run_suite reports the single undecidable row; all_clear
     is false either way, so it agrees with run_suite on every mutant."""
-    base = catalog if catalog is not None else _catalog.CATALOG
-    view = base.with_mutation(ident, slot)
-    if errata is None:
-        errata = load_ledger()
-    ctx = CheckContext(catalog=view, seed=seed, max_order=max_order,
-                       errata=errata)
+    view = _catalog.CATALOG.with_mutation(ident, slot)
+    ctx = CheckContext(catalog=view, seed=seed, errata=load_ledger())
     return _run_check(ctx, _BY_NAME[name], stop_off_green=True)

@@ -16,7 +16,7 @@ from jetverify.opcalc import (
     Echelon, LocalOp, MatrixOp, NonClosedComposition, NonlocalStore,
     OperatorRegistry, PseudoOp, UnknownOperator, frechet_row, parse_matrix,
     parse_pseudo, scaled_derivative_power, serialize_matrix, serialize_pseudo,
-    solve_e_image, transport_local, verify_operator_identity,
+    solve_e_image, transport_local,
 )
 
 R = RingContext("y", ("u", "s", "i", "j"), ("lam",))
@@ -121,7 +121,7 @@ def test_transport_local_matches_power_expansion():
     src = RingContext("x", ("a",), ())
     op = LocalOp(src, {2: src.one(), 0: src.coord("a")})
     moved = transport_local(op, lambda c: R.coord("s") if not c.is_rational
-                            else R.const(c.as_fraction()), u)
+                            else R.const(c.terms[((), ())]), u)
     want = scaled_derivative_power(u, 2) + LocalOp.mult(R.coord("s"))
     assert moved == want
 
@@ -535,15 +535,17 @@ def test_matrix_identity_acts_trivially():
     assert ident.apply(vec) == vec
 
 
-# -- the verification ladder -------------------------------------------------
+# -- operator identities ------------------------------------------------------
+# Each identity is asserted either as equality of weakly nonlocal normal
+# forms or by applying both sides to one vector through one shared
+# NonlocalStore, the two comparisons the suite's checks make.  The
+# "rung one" tests compare normal forms, the "rung two" tests apply.
 
 
 def test_ladder_rung_one_on_equal_normal_forms():
     d = PseudoOp.from_local(LocalOp.derivative(R))
     t = PseudoOp.from_tail(R.one(), R.one())
-    verdict = verify_operator_identity(
-        d.compose(t), PseudoOp.from_local(LocalOp.identity(R)))
-    assert verdict.equal and verdict.decided_by == "normal-form"
+    assert d.compose(t) == PseudoOp.from_local(LocalOp.identity(R))
 
 
 def test_split_tails_already_merge_at_rung_one():
@@ -552,8 +554,7 @@ def test_split_tails_already_merge_at_rung_one():
     lhs = (PseudoOp.from_tail(R.one(), u1 ** 2)
            + PseudoOp.from_tail(R.one(), s1 ** 2))
     rhs = PseudoOp.from_tail(R.one(), u1 ** 2 + s1 ** 2)
-    verdict = verify_operator_identity(lhs, rhs)
-    assert verdict.equal and verdict.decided_by == "normal-form"
+    assert lhs == rhs
 
 
 def test_ladder_rung_two_uses_inverse_linearity():
@@ -563,9 +564,14 @@ def test_ladder_rung_two_uses_inverse_linearity():
     b = PseudoOp.from_expr(R.coord("u"))
     lhs = inv.compose(a, reg) + inv.compose(b, reg)
     rhs = inv.compose(a + b, reg)
-    verdict = verify_operator_identity(lhs, rhs, registry=reg)
-    assert verdict.equal and verdict.decided_by == "test-vector"
-    assert verdict.numeric_points >= 5
+    store = NonlocalStore(R, registry=reg)
+    f = store.ring.coord("i")
+    left = lhs.apply(f, store)
+    assert len(store.allocated) == 2
+    # the argument of the right side is the sum of the two resolved
+    # units, so the inverse matches it without a fresh auxiliary
+    assert rhs.apply(f, store) == left
+    assert len(store.allocated) == 2
 
 
 def test_ladder_rung_two_decides_words():
@@ -574,8 +580,9 @@ def test_ladder_rung_two_decides_words():
     inv = PseudoOp.inverse_atom(R, "E")
     lhs = (PseudoOp.from_expr(u).compose(inv, reg)
            + PseudoOp.from_expr(R.one() - u).compose(inv, reg))
-    verdict = verify_operator_identity(lhs, inv, registry=reg)
-    assert verdict.equal and verdict.decided_by == "test-vector"
+    store = NonlocalStore(R, registry=reg)
+    f = store.ring.coord("i")
+    assert store.reduce(lhs.apply(f, store) - inv.apply(f, store)).is_zero
 
 
 def test_ladder_reports_nonzero_residual_with_witness():
@@ -584,19 +591,25 @@ def test_ladder_reports_nonzero_residual_with_witness():
     inv = PseudoOp.inverse_atom(R, "E")
     lhs = PseudoOp.from_expr(u).compose(inv, reg)
     rhs = inv.compose(PseudoOp.from_expr(u), reg)
-    verdict = verify_operator_identity(lhs, rhs, registry=reg)
-    assert not verdict.equal
-    assert verdict.residuals
-    assert verdict.numeric_points >= 1
-    assert not verdict.notes
+    store = NonlocalStore(R, registry=reg)
+    f = store.ring.coord("i")
+    diff = store.reduce(lhs.apply(f, store) - rhs.apply(f, store))
+    assert not diff.is_zero
+    rng = random.Random(0)
+    point = random_assignment(rng, coords_of(diff), params_of(diff))
+    assert random_eval(diff, point) != 0
 
 
 def test_ladder_detects_plain_coefficient_corruption():
     u = R.coord("u")
-    lhs = PseudoOp.from_local(LocalOp(R, {1: u}))
-    rhs = PseudoOp.from_local(LocalOp(R, {1: u + R.one()}))
-    verdict = verify_operator_identity(lhs, rhs)
-    assert not verdict.equal and verdict.decided_by == "test-vector"
+    lhs = MatrixOp([[PseudoOp.from_local(LocalOp(R, {1: u}))]])
+    rhs = MatrixOp([[PseudoOp.from_local(LocalOp(R, {1: u + R.one()}))]])
+    assert lhs != rhs
+    store = NonlocalStore(R)
+    f = [store.ring.coord("i")]
+    diff = [store.reduce(x - y)
+            for x, y in zip(lhs.apply(f, store), rhs.apply(f, store))]
+    assert diff == [-store.ring.coord("i", 1)]
 
 
 def test_ladder_respects_caller_relations():
@@ -604,8 +617,11 @@ def test_ladder_respects_caller_relations():
     rel = RelationSet(R).with_rule("s", 0, R.coord("u") ** 2)
     lhs = PseudoOp.from_expr(R.coord("s"))
     rhs = PseudoOp.from_expr(R.coord("u") ** 2)
-    verdict = verify_operator_identity(lhs, rhs, relations=rel)
-    assert verdict.equal and verdict.decided_by == "test-vector"
+    assert lhs != rhs
+    store = NonlocalStore(R, relations=rel)
+    f = store.ring.coord("i")
+    assert store.reduce(lhs.apply(f, store)) == \
+        store.reduce(rhs.apply(f, store))
 
 
 # -- the third-order exact solver ---------------------------------------------

@@ -129,14 +129,32 @@ def test_scalar_reduction_reads_the_upper_identity_blocks(slot):
         == [("scalar_reduction.pair", FAIL)]
 
 
+# catalog entries no check reads yet: Theorem 1's claimed Jacobian rows
+# and the Hamiltonian map, whose checks would change the benchmark's
+# pinned slot counts
+PENDING_READS = frozenset({
+    "frechet.Pv", "frechet.Pv.star", "frechet.Pw", "frechet.Pw.star",
+    "frechet.Q1v", "frechet.Q1v.u", "frechet.Q1w", "frechet.Q1w.u",
+    "frechet.Q2v", "frechet.Q2v.u", "frechet.Q2w", "frechet.Q2w.u",
+    "hmap",
+})
+
+
+def test_every_catalog_entry_is_read_by_a_check():
+    # an entry is a claim some check re-derives; an entry that gains a
+    # reader must also leave the pending set
+    read = {ident for spec in suite.CHECKS for ident, _parts in spec.reads}
+    assert set(catalog.CATALOG.idents()) - read == PENDING_READS
+
+
 def test_errata_ledger_quotes_the_catalog():
     ledger = load_ledger()
-    ymap = dict(catalog.get("ymap"))
+    ymap = dict(catalog.CATALOG.get("ymap"))
     assert (ledger["E1"].original, ledger["E1"].corrected) == \
         (to_text(ymap["Q2.display"]), to_text(ymap["Q2"]))
     assert (ledger["E2"].original, ledger["E2"].corrected) == \
-        (serialize_matrix(catalog.get("J1")),
-         serialize_matrix(catalog.get("J2")))
+        (serialize_matrix(catalog.CATALOG.get("J1")),
+         serialize_matrix(catalog.CATALOG.get("J2")))
 
 
 @pytest.mark.parametrize("check", tuple(SLOTS))
