@@ -47,7 +47,6 @@ __all__ = [
     "emat_add",
     "emat_sub",
     "emat_mul",
-    "emat_scale",
     "emat_d",
 ]
 
@@ -257,10 +256,6 @@ def emat_mul(a, b):
                        for j in range(m)) for i in range(n))
 
 
-def emat_scale(a, c):
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
 def emat_d(a):
     return tuple(tuple(total_derivative(x) for x in row) for row in a)
 
@@ -283,17 +278,21 @@ def _pt(p, q):
     return PseudoOp.from_tail(p, q)
 
 
+def _ij_operators(ring):
+    """d, d^2, d^3, the coordinates i, j and their multiplication
+    operators over ring."""
+    i = ring.coord("i")
+    j = ring.coord("j")
+    return (LocalOp.derivative(ring), LocalOp.derivative(ring, 2),
+            LocalOp.derivative(ring, 3), i, j, LocalOp.mult(i),
+            LocalOp.mult(j))
+
+
 def _s1_local(ring):
     """Third-order operator acting on the upper off-diagonal unknown in
     the balance relations: (1/2)d^3 - i d^2 - j d - d j - (1/2) d i d
     + i^2 d + 2 i j."""
-    i = ring.coord("i")
-    j = ring.coord("j")
-    d1 = LocalOp.derivative(ring)
-    d2 = LocalOp.derivative(ring, 2)
-    d3 = LocalOp.derivative(ring, 3)
-    mi = LocalOp.mult(i)
-    mj = LocalOp.mult(j)
+    d1, d2, d3, i, j, mi, mj = _ij_operators(ring)
     return (d3.scaled(F(1, 2)) - mi.compose(d2) - mj.compose(d1)
             - d1.compose(mj) - d1.compose(mi).compose(d1).scaled(F(1, 2))
             + LocalOp.mult(i * i).compose(d1) + LocalOp.mult(2 * i * j))
@@ -303,13 +302,7 @@ def _s2_local(ring):
     """Companion operator on the lower off-diagonal unknown:
     -[(1/2)d^3 + d^2 i - j d - d j + (1/2) d i d + 2 i d i - i^2 d
     - 2 i j]."""
-    i = ring.coord("i")
-    j = ring.coord("j")
-    d1 = LocalOp.derivative(ring)
-    d2 = LocalOp.derivative(ring, 2)
-    d3 = LocalOp.derivative(ring, 3)
-    mi = LocalOp.mult(i)
-    mj = LocalOp.mult(j)
+    d1, d2, d3, i, j, mi, mj = _ij_operators(ring)
     inner = (d3.scaled(F(1, 2)) + d2.compose(mi) - mj.compose(d1)
              - d1.compose(mj) + d1.compose(mi).compose(d1).scaled(F(1, 2))
              + mi.compose(d1).compose(mi).scaled(2)
@@ -320,13 +313,7 @@ def _s2_local(ring):
 def _rel6_local(ring):
     """Operator on the diagonal difference in the sixth consequence:
     (1/2)(d^3 + d^2 i - i d^2 - i d i) - j d - d j."""
-    i = ring.coord("i")
-    j = ring.coord("j")
-    d1 = LocalOp.derivative(ring)
-    d2 = LocalOp.derivative(ring, 2)
-    d3 = LocalOp.derivative(ring, 3)
-    mi = LocalOp.mult(i)
-    mj = LocalOp.mult(j)
+    d1, d2, d3, _i, _j, mi, mj = _ij_operators(ring)
     return (d3.scaled(F(1, 2)) + d2.compose(mi).scaled(F(1, 2))
             - mi.compose(d2).scaled(F(1, 2))
             - mi.compose(d1).compose(mi).scaled(F(1, 2))

@@ -452,38 +452,12 @@ def _euler_vanishes(e):
     return True
 
 
-def _scaling_invariant_part(e):
-    """The component whose degree vanishes for every dependent.
-
-    Jet-free terms belong here too.  The total derivative preserves
-    each per-dependent degree, so this component of an exact expression
-    is exact on its own; it is also the only place where the vanishing
-    of the variational derivative fails to be sufficient (logarithmic
-    obstructions such as the derivative-over-value quotient)."""
-    ndeps = len(e.ring.dependents)
-    zero = (0,) * ndeps
-    acc = {k: c for k, c in e.terms.items() if _multidegree(k[0], ndeps) == zero}
-    return JetExpr(e.ring, acc)
-
-
 def is_total_derivative(e):
-    """Whether e is an exact total derivative inside the jet algebra.
-
-    Decided constructively: the variational derivative must vanish for
-    every dependent in the support, and the scaling-invariant component
-    must integrate by parts (on the remaining components the homotopy
-    formula succeeds whenever the variational derivative vanishes, so
-    no further work is needed).  A bare constant, even a parameter
-    dependent one, is rejected here."""
-    if e.is_zero:
-        return True
-    if not _euler_vanishes(e):
-        return False
-    inv = _scaling_invariant_part(e)
-    if inv.is_zero:
-        return True
+    """Whether e is an exact total derivative inside the jet algebra,
+    decided constructively: whether antiderivative finds an F.  A bare
+    constant, even a parameter dependent one, is rejected here."""
     try:
-        _integrate_peel(inv)
+        antiderivative(e)
     except NotIntegrable:
         return False
     return True
@@ -634,9 +608,6 @@ class RelationSet:
         self.ring = ring
         self.rules = dict(rules) if rules else {}
 
-    def __len__(self):
-        return len(self.rules)
-
     def __iter__(self):
         return iter(sorted(self.rules.values(),
                            key=lambda r: self.ring.index(r.dep)))
@@ -685,7 +656,7 @@ class RelationSet:
             out = out.with_rule(rule.dep, rule.order, rule.rhs)
         return out
 
-    def reduce(self, e, order_cap=None):
+    def reduce(self, e):
         """The normal form of e: no ruled jet (nor any of its higher
         derivatives) survives.  Substitution of equal values makes the
         result independent of rule application order."""
@@ -720,9 +691,6 @@ class RelationSet:
                 for key, val in piece.terms.items():
                     _acc(acc, key, val)
             e = JetExpr(self.ring, _canon(acc))
-            if order_cap is not None and max_order(e) > order_cap:
-                raise NotReducible("derivative order cap %d exceeded"
-                                   % (order_cap,))
         raise NotReducible("reduction did not terminate")
 
 

@@ -189,40 +189,32 @@ def _normalize_lead(e):
     return lead, e / lead
 
 
-def _canon_tails(ring, pairs):
+def _merge_side(pairs, side):
+    """Merge the pairs whose factor on one side (0 left, 1 right) is
+    proportional, that factor normalized to lead coefficient 1, and
+    drop the pairs whose other factor cancels."""
+    merged = {}
+    for pair in pairs:
+        lead, unit = _normalize_lead(pair[side])
+        other = pair[1 - side] * lead
+        k = unit.key()
+        if k in merged:
+            other = merged[k][1 - side] + other
+        merged[k] = (unit, other) if side == 0 else (other, unit)
+    return [pair for pair in merged.values() if not pair[1 - side].is_zero]
+
+
+def _canon_tails(pairs):
     """ Canonical tail form: drop zero factors, merge proportional
     right factors, then proportional left factors, until stable."""
     pairs = [(p, q) for p, q in pairs if not p.is_zero and not q.is_zero]
     for _ in range(6):
-        merged = {}
-        order = []
-        for p, q in pairs:
-            lead, unit = _normalize_lead(q)
-            k = unit.key()
-            if k in merged:
-                merged[k] = (merged[k][0] + p * lead, unit)
-            else:
-                merged[k] = (p * lead, unit)
-                order.append(k)
-        pairs = [merged[k] for k in order]
-        pairs = [(p, q) for p, q in pairs if not p.is_zero]
-        merged = {}
-        order = []
-        for p, q in pairs:
-            lead, unit = _normalize_lead(p)
-            k = unit.key()
-            if k in merged:
-                merged[k] = (unit, merged[k][1] + q * lead)
-            else:
-                merged[k] = (unit, q * lead)
-                order.append(k)
-        nxt = [merged[k] for k in order]
-        nxt = [(p, q) for p, q in nxt if not q.is_zero]
-        if len(nxt) == len(pairs) and all(
-                a[0] == b[0] and a[1] == b[1] for a, b in zip(nxt, pairs)):
-            pairs = nxt
-            break
+        pairs = _merge_side(pairs, 1)
+        nxt = _merge_side(pairs, 0)
+        stable = nxt == pairs
         pairs = nxt
+        if stable:
+            break
     return tuple(sorted(pairs, key=lambda t: (t[1].key(), t[0].key())))
 
 
@@ -264,7 +256,7 @@ class PseudoOp:
         self.local = local if local is not None else LocalOp(ring, {})
         if self.local.ring != ring:
             raise ContextMismatch("local part off-ring")
-        self.tail = _canon_tails(ring, tail)
+        self.tail = _canon_tails(tail)
         self.words = _canon_words(words)
 
     @classmethod
@@ -298,9 +290,7 @@ class PseudoOp:
     def __add__(self, other):
         if other == 0:
             return self
-        if isinstance(other, (JetExpr, LocalOp)):
-            other = (PseudoOp.from_expr(other) if isinstance(other, JetExpr)
-                     else PseudoOp.from_local(other))
+        other = _as_pseudo(other)
         if other.ring != self.ring:
             raise ContextMismatch("adding operators over different rings")
         return PseudoOp(self.ring, self.local + other.local,
@@ -314,10 +304,7 @@ class PseudoOp:
                         [(-c, f) for c, f in self.words])
 
     def __sub__(self, other):
-        if isinstance(other, (JetExpr, LocalOp)):
-            other = (PseudoOp.from_expr(other) if isinstance(other, JetExpr)
-                     else PseudoOp.from_local(other))
-        return self + (-other)
+        return self + (-_as_pseudo(other))
 
     def scaled(self, factor):
         """Left multiplication by a jet expression or a rational."""
@@ -341,9 +328,7 @@ class PseudoOp:
         return (("local", self.local),) if not self.local.is_zero else ()
 
     def compose(self, other, registry=None):
-        if isinstance(other, (JetExpr, LocalOp)):
-            other = (PseudoOp.from_expr(other) if isinstance(other, JetExpr)
-                     else PseudoOp.from_local(other))
+        other = _as_pseudo(other)
         if other.ring != self.ring:
             raise ContextMismatch("composing operators over different rings")
         ring = self.ring
@@ -402,19 +387,10 @@ class PseudoOp:
             for c1, f1 in self.words:
                 for c2, f2 in other.words:
                     words.append((c1 * c2, f1 + f2))
-        out_local, out_tails, out_words = local, tails, []
-        for c, f in words:
-            c, f = _simplify_word(ring, c, f, registry)
-            if not f:
-                out_local = out_local + LocalOp(ring, {0: ring.const(c)})
-            elif len(f) == 1 and f[0][0] == "local":
-                out_local = out_local + f[0][1].scaled(c)
-            else:
-                out_words.append((c, f))
-        return PseudoOp(ring, out_local, out_tails, out_words)
+        local, words = _fold_words(ring, local, words, registry)
+        return PseudoOp(ring, local, tails, words)
 
     def adjoint(self, registry=None):
-        local = self.local.adjoint()
         tails = [(-q, p) for p, q in self.tail]
         words = []
         for c, f in self.words:
@@ -430,13 +406,9 @@ class PseudoOp:
                     _op, sign = registry.invertible(payload)
                     c = c * sign
                     rev.append(("inv", payload))
-            c2, f2 = _simplify_word(self.ring, c, tuple(rev), registry)
-            if not f2:
-                local = local + LocalOp(self.ring, {0: self.ring.const(c2)})
-            elif len(f2) == 1 and f2[0][0] == "local":
-                local = local + f2[0][1].scaled(c2)
-            else:
-                words.append((c2, f2))
+            words.append((c, tuple(rev)))
+        local, words = _fold_words(self.ring, self.local.adjoint(), words,
+                                   registry)
         return PseudoOp(self.ring, local, tails, words)
 
     # -- application -----------------------------------------------------
@@ -515,6 +487,31 @@ class PseudoOp:
         return serialize_pseudo(self)
 
 
+def _as_pseudo(other):
+    """A jet expression or local operator as a PseudoOp; anything else
+    unchanged."""
+    if isinstance(other, JetExpr):
+        return PseudoOp.from_expr(other)
+    if isinstance(other, LocalOp):
+        return PseudoOp.from_local(other)
+    return other
+
+
+def _fold_words(ring, local, words, registry):
+    """Simplify each word; a word left with no factor, or with one local
+    factor, folds into the local part.  Returns (local, words)."""
+    out = []
+    for c, f in words:
+        c, f = _simplify_word(ring, c, f, registry)
+        if not f:
+            local = local + LocalOp(ring, {0: ring.const(c)})
+        elif len(f) == 1 and f[0][0] == "local":
+            local = local + f[0][1].scaled(c)
+        else:
+            out.append((c, f))
+    return local, out
+
+
 def _simplify_word(ring, coeff, factors, registry):
     """Merge adjacent local factors and cancel inverses against their
     own operator; returns the reduced (coeff, factors)."""
@@ -574,14 +571,6 @@ class MatrixOp:
     def identity(cls, ring, n):
         return cls([[PseudoOp.from_local(LocalOp.identity(ring))
                      if i == j else PseudoOp.zero(ring)
-                     for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, entries):
-        ring = entries[0].ring
-        n = len(entries)
-        return cls([[PseudoOp.from_expr(entries[i]) if i == j
-                     else PseudoOp.zero(ring)
                      for j in range(n)] for i in range(n)])
 
     @property
@@ -740,7 +729,11 @@ class NonlocalStore:
     the prior cores' signatures (each computed once, at allocation).
     Only genuinely new kernels allocate a fresh dependent, with its
     defining relation appended to the relation set.  Both sides of an
-    identity therefore see identical nonlocal symbols."""
+    identity therefore see identical nonlocal symbols.
+
+    A registered inverse is resolved by linearity over its earlier
+    arguments first; any registered operator equal to d^3 - d, whatever
+    its name, is then tried through the exact ``solve_e_image``."""
 
     DINV_POOL = 16
     INV_POOL = 6
@@ -759,7 +752,6 @@ class NonlocalStore:
         self.allocated = []
         self._dinv_cores = []       # (name, core, leading term)
         self._dinv_span = Echelon()  # the cores' signatures
-        self._inv_seen = {}
         self._inv_prior = {}         # name -> (Echelon of units, images)
 
     def resolve_dinv(self, arg):
@@ -814,24 +806,21 @@ class NonlocalStore:
         sol = self._dinv_span.solve(signature)
         if not sol:     # outside the span (None), or no prior core ([])
             return None
-        remainder = core
-        for alpha, (_name, cj, _lead) in zip(sol, self._dinv_cores):
-            if alpha:
-                remainder = remainder - alpha * cj
+        remainder = _combine(core, [-alpha for alpha in sol],
+                             [cj for _name, cj, _lead in self._dinv_cores])
         try:
             extra = antiderivative(remainder)
         except NotIntegrable:
             return None
-        out = extra
-        for alpha, (name, _cj, _lead) in zip(sol, self._dinv_cores):
-            if alpha:
-                out = out + alpha * self.ring.coord(name)
-        return out
+        return _combine(extra, sol, [self.ring.coord(name)
+                                     for name, _cj, _lead in self._dinv_cores])
 
     def resolve_inv(self, name, arg):
-        """The image of a registered inverse on arg: an exact solve when
-        available, otherwise an auxiliary dependent constrained by the
-        forward operator."""
+        """The image of a registered inverse on arg: a rational
+        combination of earlier images when arg lies in the span of
+        their arguments, else the exact solve when the registered
+        operator is d^3 - d and arg lies in its image, otherwise an
+        auxiliary dependent constrained by the forward operator."""
         if self.registry is None:
             raise UnknownOperator("no registry attached to the store")
         op, _sign = self.registry.invertible(name)
@@ -840,13 +829,10 @@ class NonlocalStore:
         if core.is_zero:
             return self.ring.zero()
         lead, unit = _normalize_lead(core)
-        seen = self._inv_seen.get((name, unit.key()))
-        if seen is not None:
-            return lead * seen
         combo = self._inv_affine(name, unit)
         if combo is not None:
             return lead * combo
-        if name == "E":
+        if op == LocalOp(op.ring, {3: 1, 1: -1}):
             try:
                 got = solve_e_image(unit)
                 self._record_inv(name, unit, got)
@@ -870,7 +856,6 @@ class NonlocalStore:
         return lead * got
 
     def _record_inv(self, name, unit, image):
-        self._inv_seen[(name, unit.key())] = image
         span, images = self._inv_prior.setdefault(name, (Echelon(), []))
         span.insert(unit.terms)
         images.append(image)
@@ -882,11 +867,7 @@ class NonlocalStore:
         sol = span.solve(unit.terms)
         if sol is None:
             return None
-        out = self.ring.zero()
-        for alpha, sym in zip(sol, images):
-            if alpha:
-                out = out + alpha * sym
-        return out
+        return _combine(self.ring.zero(), sol, images)
 
     def reduce(self, e):
         return self.relations.reduce(e)
@@ -898,6 +879,14 @@ class NonlocalStore:
             for d, _k in coords_of(e):
                 used.add(d)
         return [name for name, _kind, _core in self.allocated if name in used]
+
+
+def _combine(base, coefficients, symbols):
+    """base plus each symbol times its coefficient, zero ones skipped."""
+    for alpha, sym in zip(coefficients, symbols):
+        if alpha:
+            base = base + alpha * sym
+    return base
 
 
 def _signature(core):

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .. import catalog as _catalog
 from ..jetalg import (
-    RelationSet, SystemDef, antiderivative, evolutionary_derivative,
-    promote, solve_for, substitute, total_derivative,
+    RelationSet, SystemDef, antiderivative, promote, solve_for, substitute,
+    total_derivative,
 )
 from ..opcalc import Echelon, NonlocalStore, frechet_row
 from .base import (
@@ -22,7 +22,9 @@ from .base import (
 )
 from .flows import (
     check_conservation, check_reciprocal_system_map, check_zero_curvature,
+    curvature_entry,
 )
+from .theorem import Transport
 
 F = Fraction
 
@@ -85,8 +87,9 @@ class _FormalCurvature:
         # the formal flow placeholders close the time derivative
         self.system = SystemDef(K, {"i": K.coord("it"),
                                     "j": K.coord("jt")})
-        self.zc = tuple(tuple(self._entry(a, b) for b in range(4))
-                        for a in range(4))
+        self.zc = tuple(tuple(curvature_entry(self.u4, self.v4,
+                                              self.system, a, b)
+                              for b in range(4)) for a in range(4))
         self.eqs = {
             ("a", p, q): -self.zc[2 + p][q]
             for p in range(2) for q in range(2)}
@@ -106,14 +109,6 @@ class _FormalCurvature:
         self.entry_labels = ["%s(%d,%d)" % ("lower-left" if k[0] == "a"
                                             else "lower-right", k[1], k[2])
                              for k in self.entry_keys]
-
-    def _entry(self, a, b):
-        e = (evolutionary_derivative(self.u4[a][b], self.system)
-             - total_derivative(self.v4[a][b]))
-        for c in range(4):
-            e = e + self.u4[a][c] * self.v4[c][b] \
-                - self.v4[a][c] * self.u4[c][b]
-        return e
 
 
 def _blocks_row(ctx, fc, C):
@@ -422,26 +417,21 @@ def _scan_row(ctx, C):
     sandwich2 = omega.compose(C.get("Jt2")).compose(omega.adjoint())
     found2 = local_matches(p2, sandwich2)
 
-    # the nonlocal sandwich is only testable by application
+    # the nonlocal sandwich is only testable by application; its
+    # images do not depend on the target
     store = NonlocalStore(Y, relations=mn)
     SR = store.ring
     omS = omega.promote(SR)
     omA = omega.adjoint().promote(SR)
-    lamS = C.get("Lambda").promote(SR)
-    lamA = C.get("Lambda").adjoint().promote(SR)
-    midS = C.get("Jt1.middle").promote(SR)
     vecs = [(promote(Y.coord("phi"), SR), SR.zero()),
             (SR.zero(), promote(Y.coord("psi"), SR))]
+    lam, middle = C.get("Lambda"), C.get("Jt1.middle")
+    images = [omS.apply(Transport.apply_sandwich(
+                  lam, middle, omA.apply(vec, store), store), store)
+              for vec in vecs]
 
     def applied_matches(target):
-        images = []
-        targets = []
-        for vec in vecs:
-            inner = lamS.apply(midS.apply(lamA.apply(omA.apply(vec, store),
-                                                     store), store), store)
-            images.append([e * F(-1, 16) for e in inner])
-            targets.append(target.promote(SR).apply(vec, store))
-        images = [omS.apply(img, store) for img in images]
+        targets = [target.promote(SR).apply(vec, store) for vec in vecs]
         return [c for c in cands
                 if all(store.reduce(t - c * e).is_zero
                        for img, tgt in zip(images, targets)

@@ -3,8 +3,8 @@
 Each entry records one display-level correction the suite applies: the
 check that needs it, where the displayed term sits, the term as
 displayed, the term the re-derivation produces, and why.  Terms are
-serialized in the same grammar the expression and operator parsers
-accept, so a ledger survives a round trip through text.
+written in the same grammar the expression and operator parsers
+accept.
 """
 
 import os
@@ -28,17 +28,6 @@ class ErratumEntry:
 
     def __repr__(self):
         return "ErratumEntry(%r, check_id=%r)" % (self.ident, self.check_id)
-
-
-def format_ledger(entries):
-    blocks = []
-    for ent in entries:
-        lines = ["[erratum %s]" % ent.ident]
-        for field in FIELDS:
-            lines.append("%s: %s" % (field, getattr(ent, field)))
-        lines.append("[end]")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
 
 
 def parse_ledger(text):
@@ -86,12 +75,9 @@ def parse_ledger(text):
     return entries
 
 
-def default_ledger_path():
+def load_ledger():
+    """The packaged ledger, jetverify/errata.txt, as {ident: ErratumEntry}."""
     here = os.path.dirname(os.path.abspath(__file__))
-    return os.path.join(os.path.dirname(here), "errata.txt")
-
-
-def load_ledger(path=None):
-    path = path if path is not None else default_ledger_path()
+    path = os.path.join(os.path.dirname(here), "errata.txt")
     with open(path, "r", encoding="utf-8") as fh:
         return parse_ledger(fh.read())

@@ -17,6 +17,15 @@ from .base import NORMAL_FORM, conclude, conclude_erratum, to_y, usdef_rules
 
 # -- zero curvature -------------------------------------------------------
 
+def curvature_entry(U, V, sysdef, a, b):
+    """Entry (a, b) of U_t - V_x + [U, V], the time derivative taken
+    through the evolution rules of sysdef."""
+    e = evolutionary_derivative(U[a][b], sysdef) - total_derivative(V[a][b])
+    for k in range(len(U)):
+        e = e + U[a][k] * V[k][b] - V[a][k] * U[k][b]
+    return e
+
+
 def zero_curvature_pairs(pair, sysdef):
     """Labelled residual components of the flatness identity.
 
@@ -32,10 +41,7 @@ def zero_curvature_pairs(pair, sysdef):
     powers = set()
     for a in range(n):
         for b in range(n):
-            e = evolutionary_derivative(U[a][b], sysdef)
-            e = e - total_derivative(V[a][b])
-            for k in range(n):
-                e = e + U[a][k] * V[k][b] - V[a][k] * U[k][b]
+            e = curvature_entry(U, V, sysdef, a, b)
             powers.update(split_param(e, "lam"))
             red = cons.reduce(e) if cons is not None else e
             if red != e:

@@ -72,16 +72,18 @@ class Transport:
         self.t1 = self._mapped(C.get("T1"))
         self.t2 = self._mapped(C.get("T2"))
         self.jt2 = self._mapped(C.get("Jt2"))
-        # the sandwich factors stay separate: composing the integral
-        # tails of the left factor against its adjoint is not closed,
-        # so the identity is only testable by application
         self.lam = self._mapped(C.get("Lambda"))
         self.middle = self._mapped(C.get("Jt1.middle"))
 
-    def apply_sandwich(self, vec, store):
-        step = self.lam.adjoint().promote(store.ring).apply(vec, store)
-        step = self.middle.promote(store.ring).apply(step, store)
-        step = self.lam.promote(store.ring).apply(step, store)
+    @staticmethod
+    def apply_sandwich(lam, middle, vec, store):
+        """-1/16 lam o middle o lam* applied to vec, one factor at a
+        time: composing the integral tails of lam against its adjoint
+        is not closed, so the sandwich is only testable by
+        application."""
+        step = lam.adjoint().promote(store.ring).apply(vec, store)
+        step = middle.promote(store.ring).apply(step, store)
+        step = lam.promote(store.ring).apply(step, store)
         return [F(-1, 16) * e for e in step]
 
     def _mapped(self, matrix):
@@ -273,7 +275,7 @@ def _jt1_check(ctx, tr):
     for tag, vec in zip(("first", "second"),
                         _basis_vectors(_catalog.RING_Y)):
         pvec = [substitute(e, {}, target_ring=store.ring) for e in vec]
-        rhs = tr.apply_sandwich(pvec, store)
+        rhs = tr.apply_sandwich(tr.lam, tr.middle, pvec, store)
         lhs_orig = _sandwich_residuals(tr, tr.j1, pvec, store)
         lhs_corr = _sandwich_residuals(tr, tr.j2, pvec, store)
         for k in range(2):

@@ -10,14 +10,12 @@ from fractions import Fraction
 import pytest
 
 from jetverify.jetalg import (
-    Assignment, ContextMismatch, EvalDivisionByZero, JetExpr,
-    MissingEvolutionRule, NotIntegrable, NotReducible, RelationSet,
-    RingContext, SystemDef, antiderivative, coords_of,
-    euler_derivative, evolutionary_derivative, frechet_coeffs,
-    is_total_derivative, max_order, params_of, parse, partial_derivative,
+    Assignment, ContextMismatch, EvalDivisionByZero, MissingEvolutionRule,
+    NotIntegrable, NotReducible, RelationSet, RingContext, SystemDef,
+    antiderivative, coords_of, euler_derivative, evolutionary_derivative,
+    frechet_coeffs, is_total_derivative, max_order, params_of, parse,
     perturb_term, promote, random_assignment, random_eval, random_expr,
-    solve_for, split_param, substitute, to_text,
-    total_derivative,
+    solve_for, split_param, substitute, to_text, total_derivative,
 )
 
 RX = RingContext("x", ("v", "w", "q", "r", "u", "s"), ("lam",))
@@ -335,15 +333,9 @@ def test_relation_set_merge_detects_conflicts():
     a = constraint_rules()
     b = RelationSet(RX).with_rule("v", 0, RX.coord("r", 3))
     merged = a.merged(constraint_rules())
-    assert len(merged) == 2
+    assert len(merged.rules) == 2
     with pytest.raises(NotReducible):
         a.merged(b)
-
-
-def test_reduce_order_cap_guard():
-    rules = constraint_rules()
-    with pytest.raises(NotReducible):
-        rules.reduce(RX.coord("v", 6), order_cap=4)
 
 
 def test_solve_for_linear_leading_jet():

@@ -360,13 +360,16 @@ def test_store_reduces_argument_before_resolving():
 
 
 def test_resolve_inv_exact_image():
+    # the exact solve goes by the operator, d^3 - d, not by its name
     reg, e_op = make_registry()
-    store = NonlocalStore(R, registry=reg)
-    ring = store.ring
-    p = ring.coord("u") * ring.coord("u", 1)
-    arg = e_op.promote(ring).apply(p)
-    assert store.resolve_inv("E", arg) == p
-    assert store.allocated == []
+    reg.register_invertible("K", e_op, -1)
+    for name in ("E", "K"):
+        store = NonlocalStore(R, registry=reg)
+        ring = store.ring
+        p = ring.coord("u") * ring.coord("u", 1)
+        arg = e_op.promote(ring).apply(p)
+        assert store.resolve_inv(name, arg) == p
+        assert store.allocated == []
 
 
 def test_resolve_inv_falls_back_to_constrained_auxiliary():

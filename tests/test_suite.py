@@ -12,8 +12,10 @@ from jetverify import catalog
 from jetverify.jetalg import to_text
 from jetverify.opcalc import serialize_matrix
 from jetverify.verify import (
-    CheckContext, ERRATUM, FAIL, PASS, UNDECIDABLE, suite,
+    CheckContext, ERRATUM, FAIL, NORMAL_FORM, OrderCapExceeded, PASS,
+    UNDECIDABLE, suite,
 )
+from jetverify.verify.base import MAX_ORDER, conclude
 from jetverify.verify.errata import load_ledger
 
 ROWS = (
@@ -155,6 +157,28 @@ def test_errata_ledger_quotes_the_catalog():
     assert (ledger["E2"].original, ledger["E2"].corrected) == \
         (serialize_matrix(catalog.CATALOG.get("J1")),
          serialize_matrix(catalog.CATALOG.get("J2")))
+
+
+def test_conclude_enforces_the_order_cap():
+    # the one derivative-order cap: a compared expression past
+    # MAX_ORDER aborts the row instead of being decided
+    jet = catalog.RING_Y.coord
+    row = conclude(CheckContext(), "probe", "",
+                   [("at the cap", jet("u", MAX_ORDER))], NORMAL_FORM)
+    assert row.status == FAIL
+    with pytest.raises(OrderCapExceeded):
+        conclude(CheckContext(), "probe", "",
+                 [("past the cap", jet("u", MAX_ORDER + 1))], NORMAL_FORM)
+
+
+@pytest.mark.parametrize("slot", (0, 1))
+def test_mutated_kernel_is_not_inverted_as_the_original(slot):
+    # slots 0 and 1 turn E into d^3 and 2d^3 - d; the store must invert
+    # the mutated operator, so the nonlocal flow stops matching too
+    rows = suite.run_suite(selection=("bihamiltonian_x",),
+                           catalog=catalog.CATALOG.with_mutation("E", slot))
+    assert [(r.id, r.status) for r in rows] == [
+        ("bihamiltonian_x.local", FAIL), ("bihamiltonian_x.nonlocal", FAIL)]
 
 
 @pytest.mark.parametrize("check", tuple(SLOTS))
