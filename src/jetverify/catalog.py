@@ -41,7 +41,6 @@ __all__ = [
     "NamedFunctional",
     "CatalogView",
     "CATALOG",
-    "mutation_count",
     "mutated",
     "part_windows",
     "emat_add",
@@ -960,11 +959,6 @@ _REGISTRY, _ORDER = _build()
 def _leaves(ent):
     return [e for _label, group in KIND_TABLE[ent.kind].parts(ent.value)
             for e in group]
-
-
-def mutation_count(ent):
-    """How many coefficient slots of the entry a mutation can target."""
-    return sum(len(leaf.terms) for leaf in _leaves(ent))
 
 
 def part_windows(ent):

@@ -45,7 +45,7 @@ __all__ = [
     "euler_derivative", "frechet_coeffs", "is_total_derivative", "antiderivative",
     "substitute", "promote", "solve_for", "split_param",
     "coords_of", "params_of", "max_order", "random_eval", "random_assignment",
-    "random_expr", "perturb_term", "to_text", "parse",
+    "random_expr", "perturb_term", "to_text",
 ]
 
 
@@ -910,11 +910,6 @@ def perturb_term(e, index):
 
 # -- text form -----------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
-_COORD_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)_([0-9]+)$")
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
-
-
 def _factor_text(ring, vk, pk):
     out = []
     for (d, k), ex in vk:
@@ -934,7 +929,7 @@ def _fold(op, parts):
 
 def to_text(e):
     """Fully parenthesized prefix form; the canonical term order makes
-    it unique, and parse() inverts it bit-exactly."""
+    it unique."""
     if e.is_zero:
         return "0"
     terms = []
@@ -944,69 +939,3 @@ def to_text(e):
             factors = [str(c)] + factors
         terms.append(_fold("*", factors))
     return _fold("+", terms)
-
-
-def parse(text, ring):
-    """Parse the prefix grammar back into an expression.
-
-    Grammar: expr := rational | coord | (+ expr expr) | (* expr expr)
-    | (^ coord int) | (param name int), with coord spelled name_order."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of input in %r" % (text,))
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expect(tok):
-        got = take()
-        if got != tok:
-            raise ValueError("expected %r, got %r" % (tok, got))
-
-    def coord_token(tok):
-        m = _COORD_RE.match(tok)
-        if not m:
-            raise ValueError("bad coordinate token %r" % (tok,))
-        return ring.coord(m.group(1), int(m.group(2)))
-
-    def expr():
-        tok = take()
-        if tok == "(":
-            op = take()
-            if op == "+":
-                a = expr()
-                b = expr()
-                expect(")")
-                return a + b
-            if op == "*":
-                a = expr()
-                b = expr()
-                expect(")")
-                return a * b
-            if op == "^":
-                base = coord_token(take())
-                ex = take()
-                if not _INT_RE.match(ex):
-                    raise ValueError("bad exponent %r" % (ex,))
-                expect(")")
-                return base ** int(ex)
-            if op == "param":
-                name = take()
-                ex = take()
-                if not _INT_RE.match(ex):
-                    raise ValueError("bad parameter power %r" % (ex,))
-                expect(")")
-                return ring.param(name, int(ex))
-            raise ValueError("unknown operator %r" % (op,))
-        if _RATIONAL_RE.match(tok):
-            return ring.const(Fraction(tok))
-        return coord_token(tok)
-
-    out = expr()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in %r" % (text,))
-    return out

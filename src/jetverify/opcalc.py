@@ -3,17 +3,17 @@
 An operator is kept in weakly nonlocal normal form: a local part (a
 polynomial in the derivation with jet-expression coefficients), a tail
 (a finite sum of rank-one nonlocal pieces p dinv q, where dinv is the
-formal antiderivative), and residual words, products of local factors
-and formal inverses of registered operators that admit no further
-multiplication.  Composition, adjoint and application implement the
-standard closure rules:
+formal antiderivative), and words, products of local factors and
+formal inverses of registered operators.  Words are only applied;
+composing or adjoining one raises NonClosedComposition.  Composition,
+adjoint and application implement the standard closure rules:
 
 * d o c = c d + c', dinv o d = d o dinv = id,
 * dinv o c d^k is integrated by parts down to a pure dinv o c~,
 * a tail-tail product closes exactly when the inner core is a total
   derivative,
-* inverses never expand; they cancel against their own operator or are
-  resolved at application time through auxiliary dependents.
+* inverses never expand; they are resolved at application time
+  through auxiliary dependents.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import comb
 
 from .jetalg import (
     ContextMismatch, JetExpr, NotIntegrable, RelationSet, antiderivative,
-    coords_of, euler_derivative, frechet_coeffs, parse, promote, to_text,
+    coords_of, euler_derivative, frechet_coeffs, promote, to_text,
     total_derivative,
 )
 
@@ -31,8 +31,7 @@ __all__ = [
     "NonClosedComposition", "UnknownOperator", "LocalOp", "PseudoOp",
     "MatrixOp", "OperatorRegistry", "NonlocalStore",
     "frechet_row", "scaled_derivative_power", "transport_local",
-    "solve_e_image", "serialize_pseudo",
-    "parse_pseudo", "serialize_matrix", "parse_matrix", "Echelon",
+    "solve_e_image", "serialize_pseudo", "serialize_matrix", "Echelon",
 ]
 
 
@@ -247,7 +246,7 @@ class PseudoOp:
 
     A word is a coefficient together with a factor sequence; factors
     are local operators or formal inverses of registered operators.
-    Words appear only when a product cannot be multiplied out."""
+    Words are built by the constructor and only ever applied."""
 
     __slots__ = ("ring", "local", "tail", "words")
 
@@ -272,20 +271,12 @@ class PseudoOp:
         return cls(p.ring, None, [(p, q)])
 
     @classmethod
-    def inverse_atom(cls, ring, name):
-        return cls(ring, None, (), [(Fraction(1), (("inv", name),))])
-
-    @classmethod
     def zero(cls, ring):
         return cls(ring)
 
     @property
     def is_zero(self):
         return self.local.is_zero and not self.tail and not self.words
-
-    @property
-    def is_closed(self):
-        return not self.words
 
     def __add__(self, other):
         if other == 0:
@@ -321,16 +312,12 @@ class PseudoOp:
 
     # -- composition -----------------------------------------------------
 
-    def _core_factors(self):
-        if self.tail:
-            raise NonClosedComposition(
-                "tail-bearing operator cannot enter a word")
-        return (("local", self.local),) if not self.local.is_zero else ()
-
-    def compose(self, other, registry=None):
+    def compose(self, other):
         other = _as_pseudo(other)
         if other.ring != self.ring:
             raise ContextMismatch("composing operators over different rings")
+        if self.words or other.words:
+            raise NonClosedComposition("words are applied, never composed")
         ring = self.ring
         local = self.local.compose(other.local)
         tails = []
@@ -374,42 +361,13 @@ class PseudoOp:
                         % to_text(core)) from exc
                 tails.append((p * mid, w))
                 tails.append((-p, mid * w))
-        words = []
-        if self.words or other.words:
-            a_core_zero = self.local.is_zero and not self.tail
-            b_core_zero = other.local.is_zero and not other.tail
-            if not b_core_zero:
-                for c, f in self.words:
-                    words.append((c, f + other._core_factors()))
-            if not a_core_zero:
-                for c, f in other.words:
-                    words.append((c, self._core_factors() + f))
-            for c1, f1 in self.words:
-                for c2, f2 in other.words:
-                    words.append((c1 * c2, f1 + f2))
-        local, words = _fold_words(ring, local, words, registry)
-        return PseudoOp(ring, local, tails, words)
+        return PseudoOp(ring, local, tails)
 
-    def adjoint(self, registry=None):
-        tails = [(-q, p) for p, q in self.tail]
-        words = []
-        for c, f in self.words:
-            rev = []
-            for factor in reversed(f):
-                kind, payload = factor
-                if kind == "local":
-                    rev.append(("local", payload.adjoint()))
-                else:
-                    if registry is None:
-                        raise UnknownOperator(
-                            "adjoint of inv[%s] needs a registry" % payload)
-                    _op, sign = registry.invertible(payload)
-                    c = c * sign
-                    rev.append(("inv", payload))
-            words.append((c, tuple(rev)))
-        local, words = _fold_words(self.ring, self.local.adjoint(), words,
-                                   registry)
-        return PseudoOp(self.ring, local, tails, words)
+    def adjoint(self):
+        if self.words:
+            raise NonClosedComposition("words are applied, never adjoined")
+        return PseudoOp(self.ring, self.local.adjoint(),
+                        [(-q, p) for p, q in self.tail])
 
     # -- application -----------------------------------------------------
 
@@ -497,52 +455,6 @@ def _as_pseudo(other):
     return other
 
 
-def _fold_words(ring, local, words, registry):
-    """Simplify each word; a word left with no factor, or with one local
-    factor, folds into the local part.  Returns (local, words)."""
-    out = []
-    for c, f in words:
-        c, f = _simplify_word(ring, c, f, registry)
-        if not f:
-            local = local + LocalOp(ring, {0: ring.const(c)})
-        elif len(f) == 1 and f[0][0] == "local":
-            local = local + f[0][1].scaled(c)
-        else:
-            out.append((c, f))
-    return local, out
-
-
-def _simplify_word(ring, coeff, factors, registry):
-    """Merge adjacent local factors and cancel inverses against their
-    own operator; returns the reduced (coeff, factors)."""
-    work = list(factors)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(work):
-            a, b = work[i], work[i + 1]
-            if a[0] == "local" and b[0] == "local":
-                work[i:i + 2] = [("local", a[1].compose(b[1]))]
-                changed = True
-                continue
-            if registry is not None and {a[0], b[0]} == {"local", "inv"}:
-                name = a[1] if a[0] == "inv" else b[1]
-                other = b[1] if a[0] == "inv" else a[1]
-                try:
-                    op, _sign = registry.invertible(name)
-                except UnknownOperator:
-                    op = None
-                if op is not None and other == op.promote(ring):
-                    del work[i:i + 2]
-                    changed = True
-                    continue
-            i += 1
-        if any(f[0] == "local" and f[1].is_zero for f in work):
-            return Fraction(0), ()
-    return coeff, tuple(work)
-
-
 class MatrixOp:
     """A rectangular grid of pseudo-differential operators."""
 
@@ -567,12 +479,6 @@ class MatrixOp:
         self.ring = ring
         self.grid = rows
 
-    @classmethod
-    def identity(cls, ring, n):
-        return cls([[PseudoOp.from_local(LocalOp.identity(ring))
-                     if i == j else PseudoOp.zero(ring)
-                     for j in range(n)] for i in range(n)])
-
     @property
     def shape(self):
         return (len(self.grid), len(self.grid[0]))
@@ -593,7 +499,7 @@ class MatrixOp:
         return MatrixOp([[e.scaled(factor) for e in row]
                          for row in self.grid])
 
-    def compose(self, other, registry=None):
+    def compose(self, other):
         n, m = self.shape
         m2, p = other.shape
         if m != m2:
@@ -608,14 +514,14 @@ class MatrixOp:
                     b = other.grid[k][j]
                     if a.is_zero or b.is_zero:
                         continue
-                    acc = acc + a.compose(b, registry)
+                    acc = acc + a.compose(b)
                 row.append(acc)
             out.append(row)
         return MatrixOp(out)
 
-    def adjoint(self, registry=None):
+    def adjoint(self):
         n, m = self.shape
-        return MatrixOp([[self.grid[i][j].adjoint(registry)
+        return MatrixOp([[self.grid[i][j].adjoint()
                           for i in range(n)] for j in range(m)])
 
     def apply(self, vector, store=None):
@@ -647,31 +553,24 @@ class MatrixOp:
 
 
 class OperatorRegistry:
-    """Registered invertible operators.
+    """Registered invertible operators, each skew-adjoint.
 
-    Registration records the operator (for word cancellation and
-    auxiliary relations) and its adjoint sign, so that inv[A]
-    transposes consistently."""
+    Registration records the operator, whose inverse the store resolves
+    through auxiliary relations."""
 
     def __init__(self):
         self._inverses = {}
 
-    def register_invertible(self, name, op, adjoint_sign):
-        if adjoint_sign not in (1, -1):
-            raise ValueError("adjoint sign must be +1 or -1")
-        if op.adjoint() != op.scaled(adjoint_sign):
-            raise ValueError("operator %s does not satisfy the declared "
-                             "adjoint sign" % (name,))
-        self._inverses[name] = (op, adjoint_sign)
+    def register_invertible(self, name, op):
+        if op.adjoint() != op.scaled(-1):
+            raise ValueError("operator %s is not skew-adjoint" % (name,))
+        self._inverses[name] = op
 
     def invertible(self, name):
         try:
             return self._inverses[name]
         except KeyError:
             raise UnknownOperator(name) from None
-
-    def names(self):
-        return sorted(self._inverses)
 
 
 def solve_e_image(arg):
@@ -823,7 +722,7 @@ class NonlocalStore:
         auxiliary dependent constrained by the forward operator."""
         if self.registry is None:
             raise UnknownOperator("no registry attached to the store")
-        op, _sign = self.registry.invertible(name)
+        op = self.registry.invertible(name)
         core = self.relations.reduce(promote(arg, self.ring)
                                      if arg.ring != self.ring else arg)
         if core.is_zero:
@@ -987,95 +886,3 @@ def serialize_matrix(mat):
     return "[%s]" % ", ".join(
         "[%s]" % "; ".join(serialize_pseudo(e) for e in row)
         for row in mat.grid)
-
-
-def _split_top(text, sep):
-    out = []
-    depth = 0
-    cur = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if depth == 0 and text.startswith(sep, i):
-            out.append("".join(cur))
-            cur = []
-            i += len(sep)
-            continue
-        cur.append(ch)
-        i += 1
-    out.append("".join(cur))
-    return out
-
-
-def _take_group(text, open_ch, close_ch):
-    if not text.startswith(open_ch):
-        raise ValueError("expected %r in %r" % (open_ch, text))
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == open_ch:
-            depth += 1
-        elif ch == close_ch:
-            depth -= 1
-            if depth == 0:
-                return text[1:i], text[i + 1:]
-    raise ValueError("unbalanced %r in %r" % (open_ch, text))
-
-
-def parse_pseudo(text, ring):
-    text = text.strip()
-    if text == "0":
-        return PseudoOp.zero(ring)
-    local = LocalOp(ring, {})
-    tails = []
-    words = []
-    for term in _split_top(text, " + "):
-        term = term.strip()
-        toks = _split_top(term, "*")
-        head, rest = _take_group(toks[0], "(", ")")
-        if rest:
-            raise ValueError("bad factor %r" % (toks[0],))
-        if len(toks) == 2 and toks[1].startswith("d^"):
-            k = int(toks[1][2:])
-            local = local + LocalOp(ring, {k: parse(head, ring)})
-        elif len(toks) == 3 and toks[1] == "dinv":
-            q_txt, rest = _take_group(toks[2], "(", ")")
-            if rest:
-                raise ValueError("bad tail factor %r" % (toks[2],))
-            tails.append((parse(head, ring), parse(q_txt, ring)))
-        else:
-            coeff = Fraction(head)
-            factors = []
-            for tok in toks[1:]:
-                if tok.startswith("{"):
-                    inner, rest = _take_group(tok, "{", "}")
-                    if rest:
-                        raise ValueError("bad word factor %r" % (tok,))
-                    sub = parse_pseudo(inner, ring)
-                    if sub.tail or sub.words:
-                        raise ValueError("word factors must be local")
-                    factors.append(("local", sub.local))
-                elif tok.startswith("inv[") and tok.endswith("]"):
-                    factors.append(("inv", tok[4:-1]))
-                else:
-                    raise ValueError("bad word factor %r" % (tok,))
-            words.append((coeff, tuple(factors)))
-    return PseudoOp(ring, local, tails, words)
-
-
-def parse_matrix(text, ring):
-    text = text.strip()
-    body, rest = _take_group(text, "[", "]")
-    if rest:
-        raise ValueError("trailing text after matrix")
-    rows = []
-    for row_txt in _split_top(body, ", "):
-        row_body, rest = _take_group(row_txt.strip(), "[", "]")
-        if rest:
-            raise ValueError("trailing text after row")
-        rows.append([parse_pseudo(e, ring)
-                     for e in _split_top(row_body, "; ")])
-    return MatrixOp(rows)

@@ -403,7 +403,7 @@ def _scan_row(ctx, C):
             for a in range(2):
                 for b in range(2):
                     diff = target.grid[a][b] - sandwich.grid[a][b].scaled(c)
-                    if (not diff.is_closed or diff.tail or diff.words
+                    if (diff.tail or diff.words
                             or any(not mn.reduce(co).is_zero
                                    for co in diff.local.coeffs.values())):
                         ok = False

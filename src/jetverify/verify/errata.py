@@ -2,9 +2,7 @@
 
 Each entry records one display-level correction the suite applies: the
 check that needs it, where the displayed term sits, the term as
-displayed, the term the re-derivation produces, and why.  Terms are
-written in the same grammar the expression and operator parsers
-accept.
+displayed, the term the re-derivation produces, and why.
 """
 
 import os

@@ -33,7 +33,7 @@ def transported_kernel(ctx):
     ehat = LocalOp.mult(u ** -1).compose(full)
     registry = OperatorRegistry()
     # raises unless ehat is exactly skew, which pins the density split
-    registry.register_invertible("EHY", ehat, -1)
+    registry.register_invertible("EHY", ehat)
     return registry, ehat
 
 
@@ -47,7 +47,7 @@ def _conjugation_residual(ctx, left_x, right_x, result_local):
     rules = usdef_rules(C)
     kernel = C.get("E").local
     # raises unless the kernel is skew, so a mutant breaking that aborts
-    OperatorRegistry().register_invertible("E", kernel, -1)
+    OperatorRegistry().register_invertible("E", kernel)
     composed = (LocalOp.mult(left_x).compose(kernel)
                 .compose(LocalOp.mult(right_x)))
     got = transport_local(composed, carry_coeff, Y.coord("u"))
@@ -147,7 +147,7 @@ def bihamiltonian_x(ctx):
     h1 = C.get("H1").density
     g1 = gradient(h1)
     registry = OperatorRegistry()
-    registry.register_invertible("E", kernel, -1)
+    registry.register_invertible("E", kernel)
     store = NonlocalStore(X, relations=cons, registry=registry)
     vec = [promote(e, store.ring) for e in g1]
     # each row combines two inverse-kernel words whose arguments are

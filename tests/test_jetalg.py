@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 from jetverify.jetalg import (
-    Assignment, ContextMismatch, EvalDivisionByZero, MissingEvolutionRule,
-    NotIntegrable, NotReducible, RelationSet, RingContext, SystemDef,
+    Assignment, ContextMismatch, EvalDivisionByZero, JetExpr,
+    MissingEvolutionRule, NotIntegrable, NotReducible, RelationSet,
+    RingContext, SystemDef,
     antiderivative, coords_of, euler_derivative, evolutionary_derivative,
-    frechet_coeffs, is_total_derivative, max_order, params_of, parse,
+    frechet_coeffs, is_total_derivative, max_order, params_of,
     perturb_term, promote, random_assignment, random_eval, random_expr,
     solve_for, split_param, substitute, to_text, total_derivative,
 )
@@ -473,35 +474,30 @@ def test_perturb_term_shifts_one_coefficient():
 
 # -- serialization --------------------------------------------------------------
 
-def test_text_round_trip_fixed_cases():
+def test_text_form_fixed_cases():
     cases = [
-        RX.zero(),
-        RX.one(),
-        -RX.coord("u"),
-        RX.coord("u", 2) * RX.coord("s") ** -3,
-        Fraction(-5, 7) * RX.param("lam", -2) + RX.coord("q", 1) ** 2,
+        (RX.zero(), "0"),
+        (RX.one(), "1"),
+        (-RX.coord("u"), "(* -1 u_0)"),
+        (RX.coord("u", 2) * RX.coord("s") ** -3, "(* u_2 (^ s_0 -3))"),
+        (Fraction(-5, 7) * RX.param("lam", -2) + RX.coord("q", 1) ** 2,
+         "(+ (* -5/7 (param lam -2)) (^ q_1 2))"),
     ]
-    for e in cases:
-        txt = to_text(e)
-        assert parse(txt, RX) == e
-        assert to_text(parse(txt, RX)) == txt
+    for e, txt in cases:
+        assert to_text(e) == txt
 
 
-def test_text_round_trip_property():
+def test_text_form_is_canonical_property():
+    # one text per expression: the same sum built in any term order
+    # reads the same, and a one-coefficient change reads differently
     rng = random.Random(121)
     for _ in range(N_CASES):
         e = random_expr(rng, RX, params=("lam",), allow_negative=True)
-        txt = to_text(e)
-        assert parse(txt, RX) == e
-        assert to_text(parse(txt, RX)) == txt
-
-
-def test_parse_accepts_hand_written_forms():
-    got = parse("(+ (* 3 (^ u_0 -2)) (param lam 1))", RX)
-    assert got == 3 * RX.coord("u") ** -2 + RX.param("lam")
-
-
-def test_parse_rejects_malformed_input():
-    for bad in ["(", "(+ 1)", "(? 1 2)", "u_", "(^ (+ 1 2) 2)", "1 2"]:
-        with pytest.raises(ValueError):
-            parse(bad, RX)
+        terms = list(e.terms.items())
+        rng.shuffle(terms)
+        rebuilt = RX.zero()
+        for key, c in terms:
+            rebuilt = rebuilt + JetExpr(RX, {key: c})
+        assert to_text(rebuilt) == to_text(e)
+        if not e.is_zero:
+            assert to_text(perturb_term(e, rng.randrange(8))) != to_text(e)

@@ -14,9 +14,9 @@ from jetverify.jetalg import (
 )
 from jetverify.opcalc import (
     Echelon, LocalOp, MatrixOp, NonClosedComposition, NonlocalStore,
-    OperatorRegistry, PseudoOp, UnknownOperator, frechet_row, parse_matrix,
-    parse_pseudo, scaled_derivative_power, serialize_matrix, serialize_pseudo,
-    solve_e_image, transport_local,
+    OperatorRegistry, PseudoOp, UnknownOperator, frechet_row,
+    scaled_derivative_power, serialize_pseudo, solve_e_image,
+    transport_local,
 )
 
 R = RingContext("y", ("u", "s", "i", "j"), ("lam",))
@@ -27,11 +27,21 @@ def D(e):
     return total_derivative(e)
 
 
+INV = ("inv", "E")
+
+
 def make_registry():
     reg = OperatorRegistry()
     e_op = LocalOp(R, {3: R.one(), 1: -R.one()})
-    reg.register_invertible("E", e_op, -1)
+    reg.register_invertible("E", e_op)
     return reg, e_op
+
+
+def word(*factors, coeff=1):
+    """A one-word operator built by the constructor, as catalog J1
+    builds its words: local operators in order, INV for inv[E]."""
+    return PseudoOp(R, None, (), [(Fraction(coeff), tuple(
+        ("local", f) if isinstance(f, LocalOp) else f for f in factors))])
 
 
 def rand_local(rng, deps=("u", "s"), top=2):
@@ -181,9 +191,8 @@ def test_tail_tail_rejects_nonexact_core():
 
 def test_tail_cannot_enter_a_word():
     t = PseudoOp.from_tail(R.one(), R.coord("u", 1))
-    inv = PseudoOp.inverse_atom(R, "E")
     with pytest.raises(NonClosedComposition):
-        t.compose(inv)
+        t.compose(word(INV))
 
 
 def test_tail_canonicalization_merges_proportional_factors():
@@ -232,47 +241,49 @@ def test_pseudo_adjoint_involution_and_contravariance():
 # -- words and the registry ------------------------------------------------
 
 
-def test_inverse_cancels_against_own_operator():
-    reg, e_op = make_registry()
-    inv = PseudoOp.inverse_atom(R, "E")
-    pe = PseudoOp.from_local(e_op)
-    ident = PseudoOp.from_local(LocalOp.identity(R))
-    assert pe.compose(inv, reg) == ident
-    assert inv.compose(pe, reg) == ident
+def test_compose_and_adjoint_of_a_word_raise():
+    # words are only applied; no product or adjoint multiplies one out
+    d = PseudoOp.from_local(LocalOp.derivative(R))
+    ops = (word(INV), word(LocalOp.mult(R.coord("u")), INV) + d)
+    for op in ops:
+        for product in (lambda: op.compose(d), lambda: d.compose(op),
+                        lambda: op.compose(op)):
+            with pytest.raises(NonClosedComposition):
+                product()
+        with pytest.raises(NonClosedComposition):
+            op.adjoint()
+        mat = MatrixOp([[op, d]])
+        with pytest.raises(NonClosedComposition):
+            mat.adjoint()
+        with pytest.raises(NonClosedComposition):
+            MatrixOp([[d], [d]]).compose(mat)
 
 
 def test_word_survives_when_no_cancellation_applies():
-    reg, e_op = make_registry()
-    inv = PseudoOp.inverse_atom(R, "E")
-    u_mult = PseudoOp.from_expr(R.coord("u"))
-    got = u_mult.compose(inv, reg)
-    assert not got.is_closed
-    assert len(got.words) == 1
+    u = R.coord("u")
+    got = word(INV).scaled(u)
+    assert got.words == ((Fraction(1), (("local", LocalOp.mult(u)), INV)),)
+    assert got == word(LocalOp.mult(u), INV)
 
 
-def test_zero_local_factor_annihilates_word():
-    reg, _ = make_registry()
-    inv = PseudoOp.inverse_atom(R, "E")
-    zero = PseudoOp.from_local(LocalOp(R, {}))
-    assert zero.compose(inv, reg).is_zero
-
-
-def test_adjoint_of_inverse_uses_registered_sign():
-    reg, e_op = make_registry()
-    inv = PseudoOp.inverse_atom(R, "E")
-    # the base operator is skew, so its inverse is too
-    assert inv.adjoint(reg) == -inv
-    with pytest.raises(UnknownOperator):
-        inv.adjoint()
+def test_cancelled_word_vanishes():
+    u = LocalOp.mult(R.coord("u"))
+    assert word(INV).scaled(0).is_zero
+    assert (word(u, INV) - word(u, INV)).is_zero
+    assert (word(u, INV, coeff=2) - word(u, INV)) == word(u, INV)
 
 
 def test_register_invertible_rejects_wrong_sign():
     reg = OperatorRegistry()
-    e_op = LocalOp(R, {3: R.one(), 1: -R.one()})
+    # d^3 + d^2 - d is not skew: its adjoint is -d^3 + d^2 + d
+    e_op = LocalOp(R, {3: R.one(), 2: R.one(), 1: -R.one()})
     with pytest.raises(ValueError):
-        reg.register_invertible("E", e_op, 1)
+        reg.register_invertible("E", e_op)
     with pytest.raises(UnknownOperator):
         reg.invertible("E")
+    skew = LocalOp(R, {3: R.one(), 1: -R.one()})
+    reg.register_invertible("E", skew)
+    assert reg.invertible("E") == skew
 
 
 def test_coefficient_walk_order_and_map():
@@ -362,7 +373,7 @@ def test_store_reduces_argument_before_resolving():
 def test_resolve_inv_exact_image():
     # the exact solve goes by the operator, d^3 - d, not by its name
     reg, e_op = make_registry()
-    reg.register_invertible("K", e_op, -1)
+    reg.register_invertible("K", e_op)
     for name in ("E", "K"):
         store = NonlocalStore(R, registry=reg)
         ring = store.ring
@@ -447,9 +458,8 @@ def test_apply_without_store_requires_exact_tails():
     assert t.apply(u * D(u)) == u * u / 2
     with pytest.raises(NotIntegrable):
         t.apply(D(u) ** 2)
-    inv = PseudoOp.inverse_atom(R, "E")
     with pytest.raises(UnknownOperator):
-        inv.apply(u)
+        word(INV).apply(u)
 
 
 def test_apply_compose_coherence():
@@ -478,10 +488,9 @@ def test_word_apply_coherence_with_inverse():
     store = NonlocalStore(R, registry=reg)
     ring = store.ring
     u = ring.coord("u")
-    word = PseudoOp.from_expr(R.coord("u")).compose(
-        PseudoOp.inverse_atom(R, "E"), reg)
+    op = word(LocalOp.mult(R.coord("u")), INV)
     f = ring.coord("s") ** 2
-    assert word.apply(f, store) == u * store.resolve_inv("E", f)
+    assert op.apply(f, store) == u * store.resolve_inv("E", f)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -533,7 +542,9 @@ def test_matrix_adjoint_contravariance():
 
 def test_matrix_identity_acts_trivially():
     rng = random.Random(12)
-    ident = MatrixOp.identity(R, 2)
+    one = PseudoOp.from_local(LocalOp.identity(R))
+    zero = PseudoOp.zero(R)
+    ident = MatrixOp([[one, zero], [zero, one]])
     vec = [random_expr(rng, R, n_terms=2) for _ in range(2)]
     assert ident.apply(vec) == vec
 
@@ -562,11 +573,10 @@ def test_split_tails_already_merge_at_rung_one():
 
 def test_ladder_rung_two_uses_inverse_linearity():
     reg, _ = make_registry()
-    inv = PseudoOp.inverse_atom(R, "E")
-    a = PseudoOp.from_expr(R.coord("s"))
-    b = PseudoOp.from_expr(R.coord("u"))
-    lhs = inv.compose(a, reg) + inv.compose(b, reg)
-    rhs = inv.compose(a + b, reg)
+    a = LocalOp.mult(R.coord("s"))
+    b = LocalOp.mult(R.coord("u"))
+    lhs = word(INV, a) + word(INV, b)
+    rhs = word(INV, a + b)
     store = NonlocalStore(R, registry=reg)
     f = store.ring.coord("i")
     left = lhs.apply(f, store)
@@ -580,20 +590,19 @@ def test_ladder_rung_two_uses_inverse_linearity():
 def test_ladder_rung_two_decides_words():
     reg, _ = make_registry()
     u = R.coord("u")
-    inv = PseudoOp.inverse_atom(R, "E")
-    lhs = (PseudoOp.from_expr(u).compose(inv, reg)
-           + PseudoOp.from_expr(R.one() - u).compose(inv, reg))
+    lhs = (word(LocalOp.mult(u), INV)
+           + word(LocalOp.mult(R.one() - u), INV))
     store = NonlocalStore(R, registry=reg)
     f = store.ring.coord("i")
-    assert store.reduce(lhs.apply(f, store) - inv.apply(f, store)).is_zero
+    assert store.reduce(lhs.apply(f, store)
+                        - word(INV).apply(f, store)).is_zero
 
 
 def test_ladder_reports_nonzero_residual_with_witness():
     reg, _ = make_registry()
-    u = R.coord("u")
-    inv = PseudoOp.inverse_atom(R, "E")
-    lhs = PseudoOp.from_expr(u).compose(inv, reg)
-    rhs = inv.compose(PseudoOp.from_expr(u), reg)
+    u = LocalOp.mult(R.coord("u"))
+    lhs = word(u, INV)
+    rhs = word(INV, u)
     store = NonlocalStore(R, registry=reg)
     f = store.ring.coord("i")
     diff = store.reduce(lhs.apply(f, store) - rhs.apply(f, store))
@@ -744,41 +753,6 @@ def test_serialize_fixed_forms():
     t = PseudoOp.from_tail(u, R.coord("s"))
     assert serialize_pseudo(t) == "(u_0)*dinv*(s_0)"
     assert serialize_pseudo(PseudoOp.zero(R)) == "0"
-    inv = PseudoOp.inverse_atom(R, "E")
-    assert serialize_pseudo(inv) == "(1)*inv[E]"
-
-
-def test_serialize_round_trip_property():
-    rng = random.Random(14)
-    reg, e_op = make_registry()
-    for _ in range(N_CASES):
-        op = PseudoOp.from_local(rand_local(rng, top=2))
-        if rng.random() < 0.5:
-            op = op + rand_tail(rng)
-        if rng.random() < 0.3:
-            op = op + PseudoOp.from_expr(
-                R.coord("u")).compose(PseudoOp.inverse_atom(R, "E"), reg)
-        text = serialize_pseudo(op)
-        back = parse_pseudo(text, R)
-        assert back == op
-        assert serialize_pseudo(back) == text
-
-
-def test_serialize_matrix_round_trip():
-    rng = random.Random(15)
-    for _ in range(40):
-        m = MatrixOp([[PseudoOp.from_local(rand_local(rng, top=1)),
-                       rand_tail(rng)],
-                      [PseudoOp.zero(R),
-                       PseudoOp.inverse_atom(R, "E")]])
-        text = serialize_matrix(m)
-        back = parse_matrix(text, R)
-        assert back == m
-        assert serialize_matrix(back) == text
-
-
-def test_parse_rejects_malformed_operators():
-    for bad in ("(u_0*d^1", "(u_0)*d^", "(1)*dinv*(u_0", "(1)*inv[E",
-                "[(1)*d^0]", "junk"):
-        with pytest.raises((ValueError, KeyError)):
-            parse_pseudo(bad, R)
+    assert serialize_pseudo(word(INV)) == "(1)*inv[E]"
+    assert serialize_pseudo(word(LocalOp.mult(u), INV, coeff=-2)) == \
+        "(-2)*{(u_0)*d^0}*inv[E]"
