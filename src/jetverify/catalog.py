@@ -445,8 +445,7 @@ def _x_entries(add):
         a = co(a_name)
         b = co(b_name)
         ops = {"v": x_v, "w": x_w}
-        word = (F(-2), (("local", ops[a_name]), ("inv", "E"),
-                        ("local", ops[b_name])))
+        word = (F(-2), ops[a_name], "E", ops[b_name])
         return PseudoOp(X, None, ((tail_sign * 2 * a, b),), (word,))
 
     add("J1", "matrix", "x",

@@ -806,7 +806,10 @@ def substitute(e, rules, target_ring=None, jacobian=None):
 
 
 def promote(e, ring):
-    """Re-tag e into a wider ring over the same independent variable."""
+    """Re-tag e into a ring over the same independent variable that
+    carries its dependents and parameters; e itself when already there."""
+    if e.ring == ring:
+        return e
     if ring.independent != e.ring.independent:
         raise ContextMismatch("promotion cannot change the independent "
                               "variable; use substitute with a jacobian")

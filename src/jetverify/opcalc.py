@@ -3,9 +3,11 @@
 An operator is kept in weakly nonlocal normal form: a local part (a
 polynomial in the derivation with jet-expression coefficients), a tail
 (a finite sum of rank-one nonlocal pieces p dinv q, where dinv is the
-formal antiderivative), and words, products of local factors and
-formal inverses of registered operators.  Words are only applied;
-composing or adjoining one raises NonClosedComposition.  Composition,
+formal antiderivative), and words c * L o inv[name] o R, with L and R
+local and inv[name] the formal inverse of a registered operator.  Words
+are only applied; composing or adjoining one raises
+NonClosedComposition.  Applying with a nonlocal store works over the
+store's ring: operator and argument are promoted to it.  Composition,
 adjoint and application implement the standard closure rules:
 
 * d o c = c d + c', dinv o d = d o dinv = id,
@@ -218,35 +220,26 @@ def _canon_tails(pairs):
 
 
 def _canon_words(words):
+    """Canonical word form: words with a zero coefficient or a zero
+    side dropped, words equal up to their coefficient merged."""
     acc = {}
-    order = []
-    for coeff, factors in words:
-        if not coeff or not factors:
+    for c, left, name, right in words:
+        if not c or left.is_zero or right.is_zero:
             continue
-        k = tuple(_factor_key(f) for f in factors)
+        k = (left.key(), name, right.key())
         if k in acc:
-            c, _ = acc[k]
-            acc[k] = (c + coeff, factors)
-        else:
-            acc[k] = (coeff, factors)
-            order.append(k)
-    out = [acc[k] for k in sorted(order)]
-    return tuple((c, f) for c, f in out if c)
-
-
-def _factor_key(factor):
-    kind, payload = factor
-    if kind == "local":
-        return (kind, payload.key())
-    return (kind, payload)
+            c += acc[k][0]
+        acc[k] = (c, left, name, right)
+    return tuple(acc[k] for k in sorted(acc) if acc[k][0])
 
 
 class PseudoOp:
     """local part + nonlocal tail + irreducible inverse-bearing words.
 
-    A word is a coefficient together with a factor sequence; factors
-    are local operators or formal inverses of registered operators.
-    Words are built by the constructor and only ever applied."""
+    A word is a tuple (c, left, name, right): the rational c times
+    left o inv[name] o right, with left and right local operators and
+    inv[name] the formal inverse of a registered operator.  Words are
+    built by the constructor and only ever applied."""
 
     __slots__ = ("ring", "local", "tail", "words")
 
@@ -292,21 +285,21 @@ class PseudoOp:
     def __neg__(self):
         return PseudoOp(self.ring, -self.local,
                         [(-p, q) for p, q in self.tail],
-                        [(-c, f) for c, f in self.words])
+                        [(-c, left, name, right)
+                         for c, left, name, right in self.words])
 
     def __sub__(self, other):
         return self + (-_as_pseudo(other))
 
     def scaled(self, factor):
-        """Left multiplication by a jet expression or a rational."""
+        """Left multiplication by a jet expression or a rational: a
+        rational scales each word's coefficient, an expression its left
+        side."""
         rational = not isinstance(factor, JetExpr)
         expr = self.ring.const(factor) if rational else factor
-        words = []
-        for c, f in self.words:
-            if rational:
-                words.append((c * factor, f))
-            else:
-                words.append((c, (("local", LocalOp.mult(expr)),) + f))
+        words = [(c * factor, left, name, right) if rational
+                 else (c, left.scaled(expr), name, right)
+                 for c, left, name, right in self.words]
         return PseudoOp(self.ring, self.local.scaled(expr),
                         [(expr * p, q) for p, q in self.tail], words)
 
@@ -372,10 +365,14 @@ class PseudoOp:
     # -- application -----------------------------------------------------
 
     def apply(self, e, store=None):
+        """The image of e.  With a store, this operator and e are first
+        promoted to the store's ring, and tails and words resolve
+        through it; without one, the operator is promoted to e's ring,
+        tails must be exact and words raise UnknownOperator."""
+        if store is not None:
+            e = promote(e, store.ring)
         ring = e.ring
-        if store is not None and store.ring != ring:
-            raise ContextMismatch("store ring and argument ring differ")
-        me = self if self.ring == ring else self.promote(ring)
+        me = self.promote(ring)
         out = me.local.apply(e)
         for p, q in me.tail:
             arg = q * e
@@ -383,36 +380,29 @@ class PseudoOp:
                 out = out + p * antiderivative(arg)
             else:
                 out = out + p * store.resolve_dinv(arg)
-        for c, f in me.words:
-            cur = e
-            for kind, payload in reversed(f):
-                if kind == "local":
-                    cur = payload.apply(cur)
-                else:
-                    if store is None:
-                        raise UnknownOperator(
-                            "inv[%s] needs a nonlocal store" % payload)
-                    cur = store.resolve_inv(payload, cur)
-            out = out + ring.const(c) * cur
+        for c, left, name, right in me.words:
+            if store is None:
+                raise UnknownOperator("inv[%s] needs a nonlocal store" % name)
+            cur = store.resolve_inv(name, right.apply(e))
+            out = out + ring.const(c) * left.apply(cur)
         return out
 
     def coefficients(self):
         """Every jet-expression coefficient in walk order: local orders
-        ascending, then the tail pairs p, q, then the local factors of
-        the words, each by ascending order."""
+        ascending, then the tail pairs p, q, then each word's left and
+        right side, each by ascending order."""
         out = [self.local.coeffs[k] for k in sorted(self.local.coeffs)]
         for p, q in self.tail:
             out += (p, q)
-        for _c, factors in self.words:
-            for kind, payload in factors:
-                if kind == "local":
-                    out += (payload.coeffs[k] for k in sorted(payload.coeffs))
+        for _c, left, _name, right in self.words:
+            for side in (left, right):
+                out += (side.coeffs[k] for k in sorted(side.coeffs))
         return tuple(out)
 
     def map_coefficients(self, fn, ring=None):
         """A copy over ring (default: this ring) with every coefficient
         passed through fn, called in the order of coefficients();
-        inverse atoms are kept."""
+        inverse names are kept."""
         ring = ring if ring is not None else self.ring
 
         def mapped(local):
@@ -421,19 +411,20 @@ class PseudoOp:
 
         local = mapped(self.local)
         tails = [(fn(p), fn(q)) for p, q in self.tail]
-        words = [(c, tuple(("local", mapped(payload)) if kind == "local"
-                           else (kind, payload) for kind, payload in f))
-                 for c, f in self.words]
+        words = [(c, mapped(left), name, mapped(right))
+                 for c, left, name, right in self.words]
         return PseudoOp(ring, local, tails, words)
 
     def promote(self, ring):
+        if ring == self.ring:
+            return self
         return self.map_coefficients(lambda c: promote(c, ring), ring)
 
     def key(self):
         return (self.local.key(),
                 tuple((p.key(), q.key()) for p, q in self.tail),
-                tuple((c, tuple(_factor_key(x) for x in f))
-                      for c, f in self.words))
+                tuple((c, left.key(), name, right.key())
+                      for c, left, name, right in self.words))
 
     def __eq__(self, other):
         return (isinstance(other, PseudoOp) and self.ring == other.ring
@@ -525,16 +516,18 @@ class MatrixOp:
                           for i in range(n)] for j in range(m)])
 
     def apply(self, vector, store=None):
-        n, m = self.shape
-        if len(vector) != m:
+        """The image of vector, entry by entry as PseudoOp.apply; with
+        a store, the vector is promoted to the store's ring once."""
+        if len(vector) != self.shape[1]:
             raise ValueError("vector length mismatch")
+        if store is not None:
+            vector = [promote(x, store.ring) for x in vector]
         out = []
-        for i in range(n):
+        for row in self.grid:
             acc = vector[0].ring.zero()
-            for k in range(m):
-                if self.grid[i][k].is_zero:
-                    continue
-                acc = acc + self.grid[i][k].apply(vector[k], store)
+            for op, x in zip(row, vector):
+                if not op.is_zero:
+                    acc = acc + op.apply(x, store)
             out.append(acc)
         return out
 
@@ -656,8 +649,7 @@ class NonlocalStore:
     def resolve_dinv(self, arg):
         """A jet expression F with D(F) = arg modulo the relation set,
         possibly through auxiliary dependents."""
-        core = self.relations.reduce(promote(arg, self.ring)
-                                     if arg.ring != self.ring else arg)
+        core = self.relations.reduce(promote(arg, self.ring))
         if core.is_zero:
             return self.ring.zero()
         try:
@@ -723,8 +715,7 @@ class NonlocalStore:
         if self.registry is None:
             raise UnknownOperator("no registry attached to the store")
         op = self.registry.invertible(name)
-        core = self.relations.reduce(promote(arg, self.ring)
-                                     if arg.ring != self.ring else arg)
+        core = self.relations.reduce(promote(arg, self.ring))
         if core.is_zero:
             return self.ring.zero()
         lead, unit = _normalize_lead(core)
@@ -870,15 +861,10 @@ def serialize_pseudo(op):
         parts.append("(%s)*d^%d" % (to_text(op.local.coeffs[k]), k))
     for p, q in op.tail:
         parts.append("(%s)*dinv*(%s)" % (to_text(p), to_text(q)))
-    for c, f in op.words:
-        toks = ["(%s)" % c]
-        for kind, payload in f:
-            if kind == "local":
-                toks.append("{%s}" % serialize_pseudo(
-                    PseudoOp.from_local(payload)))
-            else:
-                toks.append("inv[%s]" % payload)
-        parts.append("*".join(toks))
+    for c, left, name, right in op.words:
+        parts.append("(%s)*{%s}*inv[%s]*{%s}" % (
+            c, serialize_pseudo(PseudoOp.from_local(left)), name,
+            serialize_pseudo(PseudoOp.from_local(right))))
     return " + ".join(parts) if parts else "0"
 
 

@@ -193,9 +193,9 @@ def _flow_row(ctx, fc, C):
     merged = fc.flow_rules.merged(C.get("krel.rules"))
     store = NonlocalStore(K, relations=merged)
     SR = store.ring
-    s1e = C.get("S1op").promote(SR).apply(promote(K.coord("X12"), SR), store)
-    s2e = C.get("S2op").promote(SR).apply(promote(K.coord("X21"), SR), store)
-    gimg = C.get("Grecipe").promote(SR).apply((s1e, s2e), store)
+    s1e = C.get("S1op").apply(K.coord("X12"), store)
+    s2e = C.get("S2op").apply(K.coord("X21"), store)
+    gimg = C.get("Grecipe").apply((s1e, s2e), store)
     ilam = SR.param("lam", -1)
     firs = dict(C.get("fir.local"))
     resid = [store.reduce(promote(firs[name], SR) - ilam * gimg[idx])
@@ -228,7 +228,7 @@ def _pseudo_pairs(label, op):
              for k, c in sorted(op.local.coeffs.items())]
     pairs.extend(("%s integral tail" % label, p * q) for p, q in op.tail)
     pairs.extend(("%s nonlocal word" % label, op.ring.const(c))
-                 for c, _factors in op.words)
+                 for c, _left, _name, _right in op.words)
     return pairs
 
 
@@ -238,11 +238,10 @@ def _substituted_display(C, store):
     the recipe rows applied to the substituted balance expressions."""
     K = _catalog.RING_K
     subk = dict(C.get("subk"))
-    s1sub = substitute(C.get("S1op").promote(K).apply(K.coord("X12")), subk)
-    s2sub = substitute(C.get("S2op").promote(K).apply(K.coord("X21")), subk)
+    s1sub = substitute(C.get("S1op").apply(K.coord("X12")), subk)
+    s2sub = substitute(C.get("S2op").apply(K.coord("X21")), subk)
     SR = store.ring
-    gsub = C.get("Grecipe").promote(SR).apply(
-        (promote(s1sub, SR), promote(s2sub, SR)), store)
+    gsub = C.get("Grecipe").apply((s1sub, s2sub), store)
     firs = dict(C.get("fir.local"))
     ilam = SR.param("lam", -1)
     display = []
@@ -261,10 +260,8 @@ def _subflow_row(ctx, C):
     SR = store.ring
     display, _gsub, _bal = _substituted_display(C, store)
     f12 = dict(C.get("F12"))
-    jimg = C.get("Jop").promote(SR).apply(
-        (promote(f12["F1"], SR), promote(f12["F2"], SR)), store)
-    kimg = C.get("Kmat").promote(SR).apply(
-        (promote(K.coord("f"), SR), promote(K.coord("g"), SR)), store)
+    jimg = C.get("Jop").apply((f12["F1"], f12["F2"]), store)
+    kimg = C.get("Kmat").apply((K.coord("f"), K.coord("g")), store)
     ilam = SR.param("lam", -1)
     pairs = []
     for idx, dep in ((0, "i"), (1, "j")):
@@ -311,8 +308,7 @@ def _balance_row(ctx, C):
         ("parameter-scaled second balance expression minus the second "
          "flux expression", lam * s2sub - promote(f12["F2"], K)),
     ]
-    gF = C.get("Grecipe").promote(SR).apply(
-        (promote(f12["F1"], SR), promote(f12["F2"], SR)), store)
+    gF = C.get("Grecipe").apply((f12["F1"], f12["F2"]), store)
     lamS = SR.param("lam")
     for idx in (0, 1):
         pairs.append(("parameter-scaled recipe row %d on the balance "
@@ -350,13 +346,12 @@ def _link_row(ctx, C):
     operator's image of Y."""
     Y = _catalog.RING_Y
     store = NonlocalStore(Y, relations=mn_rules(C))
-    SR = store.ring
-    xvec = (promote(Y.coord("phi"), SR), promote(Y.coord("psi"), SR))
-    omega = C.get("OmegaPrime").promote(SR)
-    w = omega.apply(C.get("Kmat").promote(SR).apply(xvec, store), store)
+    xvec = (Y.coord("phi"), Y.coord("psi"))
+    omega = C.get("OmegaPrime")
+    w = omega.apply(C.get("Kmat").apply(xvec, store), store)
     # triangular solve: the first row only involves the second
     # component's derivative, the second row then gives the first
-    p1 = C.get("P1").promote(SR)
+    p1 = C.get("P1")
     y2 = store.resolve_dinv(w[0] * F(1, 4))
     y1 = store.resolve_dinv((w[1] - p1.grid[1][1].apply(y2, store))
                             * F(1, 4))
@@ -364,10 +359,9 @@ def _link_row(ctx, C):
     p1img = p1.apply(yvec, store)
     pairs = [("triangular-solve certificate, row %d" % (idx + 1),
               store.reduce(p1img[idx] - w[idx])) for idx in (0, 1)]
-    jtx = C.get("Jop").promote(SR).apply(
-        C.get("Thetamat").promote(SR).apply(xvec, store), store)
+    jtx = C.get("Jop").apply(C.get("Thetamat").apply(xvec, store), store)
     lhs = omega.apply(jtx, store)
-    p2img = C.get("P2").promote(SR).apply(yvec, store)
+    p2img = C.get("P2").apply(yvec, store)
     left = []
     right = []
     for idx in (0, 1):
@@ -420,18 +414,15 @@ def _scan_row(ctx, C):
     # the nonlocal sandwich is only testable by application; its
     # images do not depend on the target
     store = NonlocalStore(Y, relations=mn)
-    SR = store.ring
-    omS = omega.promote(SR)
-    omA = omega.adjoint().promote(SR)
-    vecs = [(promote(Y.coord("phi"), SR), SR.zero()),
-            (SR.zero(), promote(Y.coord("psi"), SR))]
+    omA = omega.adjoint()
+    vecs = [(Y.coord("phi"), Y.zero()), (Y.zero(), Y.coord("psi"))]
     lam, middle = C.get("Lambda"), C.get("Jt1.middle")
-    images = [omS.apply(Transport.apply_sandwich(
+    images = [omega.apply(Transport.apply_sandwich(
                   lam, middle, omA.apply(vec, store), store), store)
               for vec in vecs]
 
     def applied_matches(target):
-        targets = [target.promote(SR).apply(vec, store) for vec in vecs]
+        targets = [target.apply(vec, store) for vec in vecs]
         return [c for c in cands
                 if all(store.reduce(t - c * e).is_zero
                        for img, tgt in zip(images, targets)

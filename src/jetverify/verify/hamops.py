@@ -46,8 +46,6 @@ def _conjugation_residual(ctx, left_x, right_x, result_local):
     Y = _catalog.RING_Y
     rules = usdef_rules(C)
     kernel = C.get("E").local
-    # raises unless the kernel is skew, so a mutant breaking that aborts
-    OperatorRegistry().register_invertible("E", kernel)
     composed = (LocalOp.mult(left_x).compose(kernel)
                 .compose(LocalOp.mult(right_x)))
     got = transport_local(composed, carry_coeff, Y.coord("u"))
@@ -149,7 +147,6 @@ def bihamiltonian_x(ctx):
     registry = OperatorRegistry()
     registry.register_invertible("E", kernel)
     store = NonlocalStore(X, relations=cons, registry=registry)
-    vec = [promote(e, store.ring) for e in g1]
     # each row combines two inverse-kernel words whose arguments are
     # only jointly in the image; seeding the combined argument lets the
     # store distribute the inverse linearly
@@ -157,9 +154,8 @@ def bihamiltonian_x(ctx):
     w = X.coord("w")
     weigh = {"v": LocalOp(X, {1: 2 * v, 0: total_derivative(v)}),
              "w": LocalOp(X, {1: 2 * w, 0: total_derivative(w)})}
-    store.resolve_inv("E", promote(weigh["v"].apply(g1[0])
-                                   + weigh["w"].apply(g1[1]), store.ring))
-    image = C.get("J1").promote(store.ring).apply(vec, store)
+    store.resolve_inv("E", weigh["v"].apply(g1[0]) + weigh["w"].apply(g1[1]))
+    image = C.get("J1").apply(g1, store)
     pairs = [("nonlocal-operator flow minus the stated evolution, %s row"
               % name,
               store.reduce(image[k] - promote(sysdef.evolution[name],

@@ -3,7 +3,7 @@ spectral problem, the factorization chains, and the recipe identity
 connecting the constraint pair to the negative flow."""
 
 from ..jetalg import (
-    NotIntegrable, RelationSet, antiderivative, euler_derivative,
+    NotIntegrable, RelationSet, antiderivative, euler_derivative, promote,
     substitute, total_derivative,
 )
 from ..opcalc import NonlocalStore
@@ -63,8 +63,7 @@ def scalar_reduction(ctx):
     subs = dict(C.get("recip.main").substitutions)
 
     def carry(e):
-        return substitute(to_y(substitute(e, subs)), {},
-                          target_ring=ring)
+        return promote(to_y(substitute(e, subs)), ring)
 
     U = [[carry(e) for e in row] for row in pair.space]
 
@@ -84,9 +83,8 @@ def scalar_reduction(ctx):
     eq_phi = _strip_unit(gauge.reduce(eq_phi), "alp") * u ** -2
     eq_psi = _strip_unit(gauge.reduce(eq_psi), "alp") * (u * s) ** -1
 
-    back = {name: Y.coord(name) for name in ("u", "s", "phi", "psi")}
-    eq_phi = substitute(eq_phi, back, target_ring=Y)
-    eq_psi = substitute(eq_psi, back, target_ring=Y)
+    eq_phi = promote(eq_phi, Y)
+    eq_psi = promote(eq_psi, Y)
 
     claims = dict(C.get("reduction2"))
     yield conclude(
@@ -192,12 +190,8 @@ def connecting_identity(ctx):
     # seed the store with the difference integral so both displays
     # resolve their antiderivatives through one shared kernel
     store.resolve_dinv(f1e - f2e)
-    recipe = C.get("Grecipe").promote(store.ring)
-    matrix = C.get("Jop").promote(store.ring)
-    vec = [substitute(f1e, {}, target_ring=store.ring),
-           substitute(f2e, {}, target_ring=store.ring)]
-    left = recipe.apply(vec, store)
-    right = matrix.apply(vec, store)
+    left = C.get("Grecipe").apply((f1e, f2e), store)
+    right = C.get("Jop").apply((f1e, f2e), store)
     pairs = [("recipe row %d minus matrix row %d" % (k + 1, k + 1),
               store.reduce(left[k] - right[k])) for k in range(2)]
     notes = aux_hygiene_notes(store, left, right)
@@ -217,8 +211,7 @@ def connecting_identity(ctx):
 
     # unit-normalized constraints annihilate the recipe
     cstore = NonlocalStore(Y)
-    cvec = [-cstore.ring.one(), -cstore.ring.one()]
-    image = C.get("Grecipe").promote(cstore.ring).apply(cvec, cstore)
+    image = C.get("Grecipe").apply((-Y.one(), -Y.one()), cstore)
     yield conclude(
         ctx, "connecting_identity.constants", C.citation("Grecipe"),
         [("recipe row %d on the unit-normalized pair" % (k + 1),

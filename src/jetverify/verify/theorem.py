@@ -20,23 +20,17 @@ def transport_pseudo(op, jac, inverse_map):
     """A pseudo-differential operator carried through the variable
     change: coefficients through the momentum parametrization, the
     derivation rescaled by the density, integral tails reweighted, and
-    each named inverse replaced per inverse_map with its compensating
-    local factor."""
+    each named inverse replaced per inverse_map, its compensating
+    factor folded into the word's right side."""
     ring = jac.ring
     local = transport_local(op.local, carry_coeff, jac)
     tail = [(carry_coeff(p), carry_coeff(q) / jac) for p, q in op.tail]
     words = []
-    for scalar, factors in op.words:
-        out = []
-        for kind, payload in factors:
-            if kind == "local":
-                out.append((kind, transport_local(payload, carry_coeff,
-                                                  jac)))
-            else:
-                new_name, compensator = inverse_map[payload]
-                out.append(("inv", new_name))
-                out.append(("local", LocalOp.mult(compensator)))
-        words.append((scalar, tuple(out)))
+    for scalar, left, name, right in op.words:
+        new_name, compensator = inverse_map[name]
+        right = transport_local(right, carry_coeff, jac).scaled(compensator)
+        words.append((scalar, transport_local(left, carry_coeff, jac),
+                      new_name, right))
     return PseudoOp(ring, local, tail, words)
 
 
@@ -81,9 +75,9 @@ class Transport:
         time: composing the integral tails of lam against its adjoint
         is not closed, so the sandwich is only testable by
         application."""
-        step = lam.adjoint().promote(store.ring).apply(vec, store)
-        step = middle.promote(store.ring).apply(step, store)
-        step = lam.promote(store.ring).apply(step, store)
+        step = lam.adjoint().apply(vec, store)
+        step = middle.apply(step, store)
+        step = lam.apply(step, store)
         return [F(-1, 16) * e for e in step]
 
     def _mapped(self, matrix):
@@ -237,9 +231,7 @@ def _basis_vectors(ring):
 
 
 def _sandwich_residuals(tr, middle, vec, store):
-    lhs = tr.t1.promote(store.ring).apply(
-        middle.promote(store.ring).apply(
-            tr.t2.promote(store.ring).apply(vec, store), store), store)
+    lhs = tr.t1.apply(middle.apply(tr.t2.apply(vec, store), store), store)
     return [-e for e in lhs]
 
 
@@ -252,9 +244,8 @@ def _jt2_check(ctx, tr):
     store = NonlocalStore(_catalog.RING_Y, registry=tr.registry)
     for tag, vec in zip(("first", "second"),
                         _basis_vectors(_catalog.RING_Y)):
-        pvec = [substitute(e, {}, target_ring=store.ring) for e in vec]
-        lhs = _sandwich_residuals(tr, tr.j1, pvec, store)
-        rhs = tr.jt2.promote(store.ring).apply(pvec, store)
+        lhs = _sandwich_residuals(tr, tr.j1, vec, store)
+        rhs = tr.jt2.apply(vec, store)
         for k in range(2):
             pairs.append(("%s basis vector, row %d" % (tag, k + 1),
                           store.reduce(lhs[k] - rhs[k])))
@@ -274,10 +265,9 @@ def _jt1_check(ctx, tr):
     store = NonlocalStore(_catalog.RING_Y, registry=tr.registry)
     for tag, vec in zip(("first", "second"),
                         _basis_vectors(_catalog.RING_Y)):
-        pvec = [substitute(e, {}, target_ring=store.ring) for e in vec]
-        rhs = tr.apply_sandwich(tr.lam, tr.middle, pvec, store)
-        lhs_orig = _sandwich_residuals(tr, tr.j1, pvec, store)
-        lhs_corr = _sandwich_residuals(tr, tr.j2, pvec, store)
+        rhs = tr.apply_sandwich(tr.lam, tr.middle, vec, store)
+        lhs_orig = _sandwich_residuals(tr, tr.j1, vec, store)
+        lhs_corr = _sandwich_residuals(tr, tr.j2, vec, store)
         for k in range(2):
             original.append(("%s basis vector, row %d" % (tag, k + 1),
                              store.reduce(lhs_orig[k] - rhs[k])))

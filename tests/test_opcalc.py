@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from jetverify.jetalg import (
     ContextMismatch, NotIntegrable, RingContext, coords_of, frechet_coeffs,
-    random_assignment, random_eval, random_expr, params_of, to_text,
-    total_derivative,
+    random_assignment, random_eval, random_expr, params_of, promote,
+    to_text, total_derivative,
 )
 from jetverify.opcalc import (
     Echelon, LocalOp, MatrixOp, NonClosedComposition, NonlocalStore,
@@ -27,9 +27,6 @@ def D(e):
     return total_derivative(e)
 
 
-INV = ("inv", "E")
-
-
 def make_registry():
     reg = OperatorRegistry()
     e_op = LocalOp(R, {3: R.one(), 1: -R.one()})
@@ -37,11 +34,14 @@ def make_registry():
     return reg, e_op
 
 
-def word(*factors, coeff=1):
-    """A one-word operator built by the constructor, as catalog J1
-    builds its words: local operators in order, INV for inv[E]."""
-    return PseudoOp(R, None, (), [(Fraction(coeff), tuple(
-        ("local", f) if isinstance(f, LocalOp) else f for f in factors))])
+def word(left=None, right=None, coeff=1):
+    """The one-word operator coeff * left o inv[E] o right, built by the
+    constructor as catalog J1 builds its words; a side left out is the
+    identity."""
+    one = LocalOp.identity(R)
+    return PseudoOp(R, None, (), [(
+        Fraction(coeff), one if left is None else left, "E",
+        one if right is None else right)])
 
 
 def rand_local(rng, deps=("u", "s"), top=2):
@@ -192,7 +192,7 @@ def test_tail_tail_rejects_nonexact_core():
 def test_tail_cannot_enter_a_word():
     t = PseudoOp.from_tail(R.one(), R.coord("u", 1))
     with pytest.raises(NonClosedComposition):
-        t.compose(word(INV))
+        t.compose(word())
 
 
 def test_tail_canonicalization_merges_proportional_factors():
@@ -244,7 +244,7 @@ def test_pseudo_adjoint_involution_and_contravariance():
 def test_compose_and_adjoint_of_a_word_raise():
     # words are only applied; no product or adjoint multiplies one out
     d = PseudoOp.from_local(LocalOp.derivative(R))
-    ops = (word(INV), word(LocalOp.mult(R.coord("u")), INV) + d)
+    ops = (word(), word(LocalOp.mult(R.coord("u"))) + d)
     for op in ops:
         for product in (lambda: op.compose(d), lambda: d.compose(op),
                         lambda: op.compose(op)):
@@ -261,16 +261,24 @@ def test_compose_and_adjoint_of_a_word_raise():
 
 def test_word_survives_when_no_cancellation_applies():
     u = R.coord("u")
-    got = word(INV).scaled(u)
-    assert got.words == ((Fraction(1), (("local", LocalOp.mult(u)), INV)),)
-    assert got == word(LocalOp.mult(u), INV)
+    got = word().scaled(u)
+    assert got.words == ((Fraction(1), LocalOp.mult(u), "E",
+                          LocalOp.identity(R)),)
+    assert got == word(LocalOp.mult(u))
 
 
 def test_cancelled_word_vanishes():
     u = LocalOp.mult(R.coord("u"))
-    assert word(INV).scaled(0).is_zero
-    assert (word(u, INV) - word(u, INV)).is_zero
-    assert (word(u, INV, coeff=2) - word(u, INV)) == word(u, INV)
+    assert word().scaled(0).is_zero
+    assert (word(u) - word(u)).is_zero
+    assert (word(u, coeff=2) - word(u)) == word(u)
+
+
+def test_word_scaled_by_zero_expression_is_zero():
+    w = word(LocalOp.mult(R.coord("u")), LocalOp.derivative(R))
+    got = w.scaled(R.zero())
+    assert got.is_zero
+    assert got == PseudoOp.zero(R)
 
 
 def test_register_invertible_rejects_wrong_sign():
@@ -288,18 +296,18 @@ def test_register_invertible_rejects_wrong_sign():
 
 def test_coefficient_walk_order_and_map():
     # The walk fixes the catalog's mutation slot numbers: local orders
-    # ascending, then each tail pair p, q, then the words' local
-    # factors; map_coefficients visits the same order.
+    # ascending, then each tail pair p, q, then each word's left side
+    # and right side; map_coefficients visits the same order.
     u, s, i = R.coord("u"), R.coord("s"), R.coord("i")
 
     def build(k):
-        word = (Fraction(2), (("local", LocalOp(R, {1: k * s, 0: k * i})),
-                              ("inv", "E")))
+        word = (Fraction(2), LocalOp(R, {1: k * s, 0: k * i}), "E",
+                LocalOp(R, {2: k * u}))
         return PseudoOp(R, LocalOp(R, {2: k * u, 0: k * s}),
                         [(k * u, k * i)], [word])
 
     op = build(1)
-    assert op.coefficients() == (s, u, u, i, i, s)
+    assert op.coefficients() == (s, u, u, i, i, s, u)
     seen = []
 
     def record(c):
@@ -459,7 +467,7 @@ def test_apply_without_store_requires_exact_tails():
     with pytest.raises(NotIntegrable):
         t.apply(D(u) ** 2)
     with pytest.raises(UnknownOperator):
-        word(INV).apply(u)
+        word().apply(u)
 
 
 def test_apply_compose_coherence():
@@ -472,9 +480,7 @@ def test_apply_compose_coherence():
             a, b = b, a
         store = NonlocalStore(R)
         f = random_expr(rng, R, max_jet_order=1, n_terms=2)
-        f = store.relations.reduce(f) if f.ring == store.ring else \
-            __import__("jetverify.jetalg", fromlist=["promote"]).promote(
-                f, store.ring)
+        f = promote(f, store.ring)
         lhs = a.compose(b).apply(f, store)
         rhs = a.apply(b.apply(f, store), store)
         diff = store.reduce(lhs - rhs)
@@ -488,9 +494,40 @@ def test_word_apply_coherence_with_inverse():
     store = NonlocalStore(R, registry=reg)
     ring = store.ring
     u = ring.coord("u")
-    op = word(LocalOp.mult(R.coord("u")), INV)
+    op = word(LocalOp.mult(R.coord("u")))
     f = ring.coord("s") ** 2
     assert op.apply(f, store) == u * store.resolve_inv("E", f)
+
+
+def test_store_apply_promotes_operator_and_argument():
+    # applied with a store, base-ring operators and vectors give the
+    # image of the explicitly promoted call, on the store's ring
+    reg, _ = make_registry()
+    u, s, i = R.coord("u"), R.coord("s"), R.coord("i")
+    op = (PseudoOp.from_local(LocalOp(R, {1: u, 0: s}))
+          + PseudoOp.from_tail(u, D(s) * i)
+          + word(LocalOp.mult(s), LocalOp.mult(i), coeff=3))
+    mat = MatrixOp([[op, PseudoOp.from_expr(i)],
+                    [PseudoOp.zero(R), op.scaled(u)]])
+    vec = [s * D(i), u]
+    implicit = NonlocalStore(R, registry=reg)
+    explicit = NonlocalStore(R, registry=reg)
+    ring = explicit.ring
+    assert promote(vec[0], vec[0].ring) is vec[0]
+    assert op.promote(R) is op
+    got = op.apply(vec[0], implicit)
+    want = op.promote(ring).apply(promote(vec[0], ring), explicit)
+    assert got.ring == ring
+    assert got == want
+    got = mat.apply(vec, implicit)
+    want = mat.promote(ring).apply([promote(e, ring) for e in vec], explicit)
+    assert [e.ring for e in got] == [ring, ring]
+    assert got == want
+    assert implicit.allocated == explicit.allocated
+    # an argument the store's ring cannot carry is still refused
+    other = RingContext("y", ("b",), ())
+    with pytest.raises(ContextMismatch):
+        op.apply(other.coord("b"), implicit)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -575,8 +612,8 @@ def test_ladder_rung_two_uses_inverse_linearity():
     reg, _ = make_registry()
     a = LocalOp.mult(R.coord("s"))
     b = LocalOp.mult(R.coord("u"))
-    lhs = word(INV, a) + word(INV, b)
-    rhs = word(INV, a + b)
+    lhs = word(right=a) + word(right=b)
+    rhs = word(right=a + b)
     store = NonlocalStore(R, registry=reg)
     f = store.ring.coord("i")
     left = lhs.apply(f, store)
@@ -590,19 +627,18 @@ def test_ladder_rung_two_uses_inverse_linearity():
 def test_ladder_rung_two_decides_words():
     reg, _ = make_registry()
     u = R.coord("u")
-    lhs = (word(LocalOp.mult(u), INV)
-           + word(LocalOp.mult(R.one() - u), INV))
+    lhs = word(LocalOp.mult(u)) + word(LocalOp.mult(R.one() - u))
     store = NonlocalStore(R, registry=reg)
     f = store.ring.coord("i")
     assert store.reduce(lhs.apply(f, store)
-                        - word(INV).apply(f, store)).is_zero
+                        - word().apply(f, store)).is_zero
 
 
 def test_ladder_reports_nonzero_residual_with_witness():
     reg, _ = make_registry()
     u = LocalOp.mult(R.coord("u"))
-    lhs = word(u, INV)
-    rhs = word(INV, u)
+    lhs = word(left=u)
+    rhs = word(right=u)
     store = NonlocalStore(R, registry=reg)
     f = store.ring.coord("i")
     diff = store.reduce(lhs.apply(f, store) - rhs.apply(f, store))
@@ -753,6 +789,8 @@ def test_serialize_fixed_forms():
     t = PseudoOp.from_tail(u, R.coord("s"))
     assert serialize_pseudo(t) == "(u_0)*dinv*(s_0)"
     assert serialize_pseudo(PseudoOp.zero(R)) == "0"
-    assert serialize_pseudo(word(INV)) == "(1)*inv[E]"
-    assert serialize_pseudo(word(LocalOp.mult(u), INV, coeff=-2)) == \
-        "(-2)*{(u_0)*d^0}*inv[E]"
+    assert serialize_pseudo(word()) == "(1)*{(1)*d^0}*inv[E]*{(1)*d^0}"
+    assert serialize_pseudo(word(LocalOp.mult(u), coeff=-2)) == \
+        "(-2)*{(u_0)*d^0}*inv[E]*{(1)*d^0}"
+    assert serialize_pseudo(word(right=LocalOp.derivative(R))) == \
+        "(1)*{(1)*d^0}*inv[E]*{(1)*d^1}"
