@@ -30,6 +30,15 @@ and integrals of the variational calculus:
 All values are immutable after construction.  Equality of expressions
 is structural equality of canonical normal forms; ``random_eval`` is a
 secondary confirmation oracle, never the decision procedure.
+
+Coefficients are exact rationals held in one canonical representation,
+produced by ``rational``: a plain ``int`` whenever the value is
+integral, a ``Fraction`` only when its denominator exceeds 1.  Most
+coefficients the calculus meets are integers, and integer arithmetic
+is several times cheaper than ``Fraction`` arithmetic.  Mixing the two
+changes no observable form: ``1 == Fraction(1)``, their hashes agree
+and ``str`` prints both as ``1``.  Every division of coefficients goes
+through ``Fraction``, never ``int / int``, which would give a float.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ __all__ = [
     "euler_derivative", "frechet_coeffs", "is_total_derivative", "antiderivative",
     "substitute", "promote", "solve_for", "split_param",
     "coords_of", "params_of", "max_order", "random_eval", "random_assignment",
-    "random_expr", "perturb_term", "to_text",
+    "random_expr", "perturb_term", "to_text", "rational",
 ]
 
 
@@ -123,7 +132,7 @@ class RingContext:
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
         key = ((((self.index(name), order), 1),), ())
-        return JetExpr(self, {key: Fraction(1)})
+        return JetExpr(self, {key: 1})
 
     def param(self, name, power=1):
         if name not in self._param_index:
@@ -131,11 +140,11 @@ class RingContext:
         if power == 0:
             return self.one()
         key = ((), ((self._param_index[name], power),))
-        return JetExpr(self, {key: Fraction(1)})
+        return JetExpr(self, {key: 1})
 
     def const(self, value):
-        value = _as_fraction(value)
-        if value == 0:
+        value = rational(value)
+        if not value:
             return JetExpr(self, {})
         return JetExpr(self, {((), ()): value})
 
@@ -155,11 +164,16 @@ class RingContext:
                            self.parameters + tuple(parameters))
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
+def rational(value):
+    """The canonical coefficient for an exact rational value: an int
+    when the value is integral, else a Fraction with denominator > 1.
+    Floats and other inexact values are rejected."""
+    if value.__class__ is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
@@ -172,7 +186,8 @@ def _acc(acc, key, val):
 
 
 def _canon(acc):
-    return {k: v for k, v in acc.items() if v != 0}
+    return {k: v if v.__class__ is int else rational(v)
+            for k, v in acc.items() if v}
 
 
 def _merge_powers(a, b):
@@ -197,7 +212,9 @@ def _key_mul(k1, k2):
 class JetExpr:
     """A canonical Laurent polynomial in jet coordinates and parameters.
 
-    ``terms`` maps a monomial key to a nonzero rational coefficient.  A
+    ``terms`` maps a monomial key to a nonzero rational coefficient in
+    canonical form: an int when integral, else a Fraction with
+    denominator > 1 (see ``rational``).  A
     key is a pair (variable part, parameter part); the variable part is
     a sorted tuple of ((dependent index, order), exponent) with nonzero
     integer exponents, the parameter part a sorted tuple of
@@ -276,7 +293,7 @@ class JetExpr:
             ((vk, pk), c), = self.terms.items()
             inv_key = (tuple((g, -e) for g, e in vk),
                        tuple((g, -e) for g, e in pk))
-            inv = JetExpr(self.ring, {inv_key: Fraction(1) / c})
+            inv = JetExpr(self.ring, {inv_key: rational(Fraction(1, c))})
             return inv if n == -1 else inv ** (-n)
         result = self.ring.one()
         base = self
@@ -290,7 +307,7 @@ class JetExpr:
     def __truediv__(self, other):
         if isinstance(other, JetExpr):
             return self * other ** -1
-        return self * (Fraction(1) / _as_fraction(other))
+        return self * Fraction(1, rational(other))
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self ** -1
@@ -520,7 +537,7 @@ def _integrate_peel(e):
                 raise NotIntegrable("logarithmic obstruction at %s_%d"
                                     % (name, k - 1))
             m[below] = p
-            _acc(acc, (tuple(sorted(m.items())), pk), c / p)
+            _acc(acc, (tuple(sorted(m.items())), pk), Fraction(c, p))
         piece = JetExpr(ring, _canon(acc))
         out = out + piece
         e = e - total_derivative(piece)
@@ -819,13 +836,18 @@ def promote(e, ring):
 # -- numeric oracle ------------------------------------------------------
 
 class Assignment:
-    """Exact rational values for jet coordinates and parameters."""
+    """Exact rational values for jet coordinates and parameters.
+
+    Values are held as Fractions even when integral, unlike expression
+    coefficients: ``random_eval`` raises them to negative powers, and
+    an int base would give a float."""
 
     __slots__ = ("values", "params")
 
     def __init__(self, values, params=None):
-        self.values = {k: _as_fraction(v) for k, v in values.items()}
-        self.params = {k: _as_fraction(v) for k, v in (params or {}).items()}
+        self.values = {k: Fraction(rational(v)) for k, v in values.items()}
+        self.params = {k: Fraction(rational(v))
+                       for k, v in (params or {}).items()}
 
     def value(self, dep, order):
         try:

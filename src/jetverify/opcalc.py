@@ -25,7 +25,7 @@ from math import comb
 
 from .jetalg import (
     ContextMismatch, JetExpr, NotIntegrable, RelationSet, antiderivative,
-    coords_of, euler_derivative, frechet_coeffs, promote, to_text,
+    coords_of, euler_derivative, frechet_coeffs, promote, rational, to_text,
     total_derivative,
 )
 
@@ -602,7 +602,7 @@ def solve_e_image(arg):
         # both derivations must hit the lowered factor, so its final
         # exponent divides the recovered coefficient
         piece = JetExpr(ring, {(tuple(sorted(m.items())), pk):
-                               coeff / m[down]})
+                               rational(Fraction(coeff, m[down]))})
         p = p + piece
         residual = residual - (total_derivative(total_derivative(piece))
                                - piece)
@@ -686,7 +686,7 @@ class NonlocalStore:
                 shift[idx] = shift.get(idx, 0) - exp
             key = ((), tuple(sorted((i, e) for i, e in shift.items()
                                     if e)))
-            mu = JetExpr(self.ring, {key: val / valj})
+            mu = JetExpr(self.ring, {key: rational(Fraction(val, valj))})
             if core == mu * cj:
                 return mu * self.ring.coord(name)
         return None

@@ -100,7 +100,29 @@ def summarize(pairs):
 
 def numeric_confirmation(rng, exprs):
     """A note recording whether some nonzero residual also evaluates
-    nonzero at a random rational point."""
+    nonzero at a random rational point.
+
+    The note never decides the row, whose residual is already nonzero
+    as a normal form.  Jet coordinates and parameters are evaluated as
+    independent variables, and the two notes say different things:
+
+    * "confirms": an exact nonzero value at an exact point proves the
+      residual nonzero as a function, not only as a normal form.
+    * "found no witness": every draw for every residual evaluated to
+      zero.  This proves nothing about the residual.  The draws are
+      nonzero, so clearing negative exponents turns a residual into a
+      polynomial of some total degree d with the same zeros.  By the
+      Schwartz-Zippel lemma (Schwartz 1980; Zippel 1979), a nonzero
+      polynomial of total degree d vanishes at a point of independent
+      draws with probability at most d times the largest probability
+      of any one drawn value.  ``random_assignment`` draws from a
+      finite set: 126 equally likely pairs (numerator, denominator)
+      give 88 rationals, and the most likely values, 1 and -1, each
+      come up with probability 1/18.  So 30 draws all miss with
+      probability at most (d/18)**30 when d < 18, which makes the note
+      unlikely at low degree; for d >= 18 the bound is empty, and no
+      witness is unsurprising.
+    """
     for e in exprs:
         for _ in range(30):
             try:

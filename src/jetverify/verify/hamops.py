@@ -4,7 +4,6 @@ variable."""
 
 from ..jetalg import (
     NotIntegrable, euler_derivative, promote, substitute, to_text,
-    total_derivative,
 )
 from ..opcalc import (
     LocalOp, NonlocalStore, OperatorRegistry, solve_e_image,
@@ -148,14 +147,16 @@ def bihamiltonian_x(ctx):
     registry.register_invertible("E", kernel)
     store = NonlocalStore(X, relations=cons, registry=registry)
     # each row combines two inverse-kernel words whose arguments are
-    # only jointly in the image; seeding the combined argument lets the
-    # store distribute the inverse linearly
-    v = X.coord("v")
-    w = X.coord("w")
-    weigh = {"v": LocalOp(X, {1: 2 * v, 0: total_derivative(v)}),
-             "w": LocalOp(X, {1: 2 * w, 0: total_derivative(w)})}
-    store.resolve_inv("E", weigh["v"].apply(g1[0]) + weigh["w"].apply(g1[1]))
-    image = C.get("J1").apply(g1, store)
+    # only jointly in the image; seeding the first row's combined
+    # argument, built from the catalog's word sides, lets the store
+    # distribute the inverse linearly
+    j1 = C.get("J1")
+    seed = X.zero()
+    for op, grad in zip(j1.grid[0], g1):
+        for _c, _left, _name, right in op.words:
+            seed = seed + right.apply(grad)
+    store.resolve_inv("E", seed)
+    image = j1.apply(g1, store)
     pairs = [("nonlocal-operator flow minus the stated evolution, %s row"
               % name,
               store.reduce(image[k] - promote(sysdef.evolution[name],

@@ -8,15 +8,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jet_strategies import COEFFS, exprs, monomials
 from jetverify.jetalg import (
     Assignment, ContextMismatch, EvalDivisionByZero, JetExpr,
     MissingEvolutionRule, NotIntegrable, NotReducible, RelationSet,
     RingContext, SystemDef,
     antiderivative, coords_of, euler_derivative, evolutionary_derivative,
     frechet_coeffs, is_total_derivative, max_order, params_of,
-    perturb_term, promote, random_assignment, random_eval, random_expr,
-    solve_for, split_param, substitute, to_text, total_derivative,
+    partial_derivative, perturb_term, promote, random_assignment,
+    random_eval, random_expr, solve_for, split_param, substitute, to_text,
+    total_derivative,
 )
 
 RX = RingContext("x", ("v", "w", "q", "r", "u", "s"), ("lam",))
@@ -62,6 +66,39 @@ def test_rational_coefficients_stay_exact():
     e = u / 3 + u / 6
     assert e == u / 2
     assert (e - u / 2).is_zero
+
+
+def canonical(e):
+    """Every coefficient an int, or a Fraction with denominator > 1."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in e.terms.values())
+
+
+def test_integral_coefficients_are_ints():
+    u = RX.coord("u")
+    for e in (u, RX.one(), RX.param("lam"), u / 2 + u / 2,
+              Fraction(4, 2) * u, u ** -1 / 3 * 6, (2 * u) ** -1 * 2):
+        assert [type(c) for c in e.terms.values()] == [int]
+
+
+@settings(deadline=None)
+@given(exprs(), exprs(), monomials(), st.integers(-3, 3), COEFFS)
+def test_arithmetic_keeps_coefficients_canonical(a, b, m, n, r):
+    for e in (a + b, a - b, -a, a * b, a * r, r - a, m ** n, a / m, a / r,
+              r / m):
+        assert canonical(e)
+
+
+@settings(deadline=None)
+@given(exprs(), exprs(negative=False, max_order=2, max_terms=3),
+       exprs(max_order=1, max_terms=2), monomials())
+def test_calculus_keeps_coefficients_canonical(a, poly, b, m):
+    exact = total_derivative(a)
+    for e in (exact, partial_derivative(a, "u", 1), euler_derivative(a, "v"),
+              substitute(poly, {"u": b, "v": m}),
+              substitute(poly, {"v": b}, jacobian=m),
+              antiderivative(exact)):
+        assert canonical(e)
 
 
 def test_cross_ring_operations_rejected():
@@ -408,6 +445,18 @@ def test_random_eval_fixed_cases():
     assert random_eval(u ** 2, a) == Fraction(9, 4)
     b = Assignment({("u", 0): 2, ("u", 1): 6})
     assert random_eval(u ** -1 * RX.coord("u", 1), b) == 3
+
+
+def test_random_eval_stays_exact_at_integral_points():
+    # integer coefficients meet negative exponents here; an int base
+    # would make base ** ex a float
+    u, s = RX.coord("u"), RX.coord("s")
+    e = 3 * u ** -2 * s - 2 * s ** -1 + 5
+    assert [type(c) for c in e.terms.values()] == [int] * 3
+    pt = Assignment({("u", 0): 2, ("s", 0): 1})
+    assert [type(v) for v in pt.values.values()] == [Fraction] * 2
+    got = random_eval(e, pt)
+    assert type(got) is Fraction and got == Fraction(15, 4)
 
 
 def test_random_eval_zero_base_sentinel():

@@ -354,6 +354,23 @@ def test_store_dedups_repeated_and_proportional_cores():
     assert len(store.allocated) == 1
 
 
+def test_coefficient_quotients_stay_exact_ints():
+    # the parameter-shift match and the d^3 - d peel each divide one
+    # coefficient by another; int / int would give a float
+    store = NonlocalStore(R)
+    ring = store.ring
+    u = ring.coord("u")
+    u1 = ring.coord("u", 1)
+    store.resolve_dinv(2 * u1 ** 2)
+    got = store.resolve_dinv(6 * ring.param("lam") * u1 ** 2)
+    assert got == 3 * ring.param("lam") * ring.coord("rho1")
+    assert [type(c) for c in got.terms.values()] == [int]
+    for p, kinds in ((u ** 2, [int]), (u ** 3 / 2, [Fraction])):
+        got = solve_e_image(D(D(D(p))) - D(p))
+        assert got == p
+        assert [type(c) for c in got.terms.values()] == kinds
+
+
 def test_store_affine_match_avoids_fresh_auxiliary():
     store = NonlocalStore(R)
     ring = store.ring

@@ -10,7 +10,7 @@ import pytest
 
 from jetverify import catalog
 from jetverify.jetalg import to_text
-from jetverify.opcalc import serialize_matrix
+from jetverify.opcalc import MatrixOp, PseudoOp, serialize_matrix
 from jetverify.verify import (
     CheckContext, ERRATUM, FAIL, NORMAL_FORM, OrderCapExceeded, PASS,
     UNDECIDABLE, suite,
@@ -179,6 +179,33 @@ def test_mutated_kernel_is_not_inverted_as_the_original(slot):
                            catalog=catalog.CATALOG.with_mutation("E", slot))
     assert [(r.id, r.status) for r in rows] == [
         ("bihamiltonian_x.local", FAIL), ("bihamiltonian_x.nonlocal", FAIL)]
+
+
+def _with_shifted_word_sides(op, kernel):
+    """op with each word c L inv[E] R rewritten as c L inv[E] (R + E)
+    and c L added back to the local part: the same operator, whose
+    words carry different right sides."""
+    local = op.local
+    words = []
+    for c, left, name, right in op.words:
+        local = local - left.scaled(op.ring.const(c))
+        words.append((c, left, name, right + kernel))
+    return PseudoOp(op.ring, local, op.tail, words)
+
+
+def test_bihamiltonian_x_seeds_the_store_from_the_catalog_words():
+    # the nonlocal row closes only if the store is seeded with the
+    # combined argument of J1's own words; a seed built from any other
+    # sides leaves auxiliaries in the flow
+    ent = catalog.CATALOG.entry("J1")
+    kernel = catalog.CATALOG.get("E").local
+    j1 = MatrixOp([[_with_shifted_word_sides(op, kernel) for op in row]
+                   for row in ent.value.grid])
+    view = catalog.CatalogView({"J1": catalog.Entry(
+        "J1", ent.kind, ent.ring_key, ent.citation, j1)})
+    rows = suite.run_suite(selection=("bihamiltonian_x",), catalog=view)
+    assert [(r.id, r.status) for r in rows] == [
+        ("bihamiltonian_x.local", PASS), ("bihamiltonian_x.nonlocal", PASS)]
 
 
 @pytest.mark.parametrize("check", tuple(SLOTS))
