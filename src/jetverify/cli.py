@@ -1,19 +1,25 @@
-"""Command-line entry point: run the suite, or sweep its mutants.
+"""Command-line entry point: run the suite, describe a check, or sweep
+its mutants.
 
     jetverify run [--checks ID ...] [--json]
+    jetverify describe ID
     jetverify sweep [--check ID] [--sample N]
 
 ``run`` prints one line per result row (status, id, how it was
 decided) followed by the row's residual lines, or with ``--json`` the
 rows' records; it exits 1 unless every row is a pass or a ledgered
-erratum.  ``sweep`` corrupts, one at a time, every coefficient slot a
-check reads (or a seeded sample of N of them) and prints, per check,
-the number of mutants, how many turned the check off green and the
-seconds taken, then names every survivor; it exits 1 when a mutant
-survives.
+erratum.  ``describe`` prints one check's claim, citation, strategy,
+dependencies and catalog reads as JSON.  ``sweep`` corrupts, one at a
+time, every coefficient slot a check reads (or a seeded sample of N of
+them) and prints, per check, the number of mutants, how many turned the
+check off green and the seconds taken, then names every survivor; its
+last line is the sha256 of every mutant's row records, in sweep order,
+so two versions of the code can be shown to decide every mutant
+identically.  It exits 1 when a mutant survives.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -39,6 +45,8 @@ def _parser():
                           "(default: all)")
     run.add_argument("--json", action="store_true",
                      help="print the rows' records as JSON")
+    describe = commands.add_parser("describe", help="describe one check")
+    describe.add_argument("id", metavar="ID", help="the check to describe")
     sweep = commands.add_parser("sweep", help="run the mutation sweep")
     sweep.add_argument("--check", choices=suite.check_ids(), metavar="ID",
                        help="sweep one check (default: all)")
@@ -48,11 +56,15 @@ def _parser():
     return parser
 
 
-def _run(parser, args):
+def _selection(parser, ids):
     try:
-        names = suite.resolve_selection(args.checks)
+        return suite.resolve_selection(ids)
     except KeyError as exc:
         parser.error(exc.args[0])
+
+
+def _run(parser, args):
+    names = _selection(parser, args.checks)
     rows = suite.run_suite(selection=names)
     if args.json:
         print(json.dumps([row.to_record() for row in rows], indent=2))
@@ -64,10 +76,23 @@ def _run(parser, args):
     return 0 if suite.all_clear(rows) else 1
 
 
+def _describe(parser, args):
+    _selection(parser, [args.id])
+    print(json.dumps(suite.describe(args.id), indent=2))
+    return 0
+
+
+def _records_line(rows):
+    """One mutant's row records as canonical JSON, one line."""
+    return json.dumps([row.to_record() for row in rows], sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
 def _sweep(args):
     checks = (args.check,) if args.check else suite.check_ids()
     mutants = off_green = 0
     survivors = []
+    records = hashlib.sha256()
     for check in checks:
         if args.sample is None:
             slots = suite.mutation_slots(check)
@@ -76,7 +101,9 @@ def _sweep(args):
         started = time.perf_counter()
         flipped = 0
         for ident, slot in slots:
-            if suite.all_clear(suite.run_mutated(check, ident, slot)):
+            rows = suite.run_mutated(check, ident, slot)
+            records.update(_records_line(rows).encode("utf-8"))
+            if suite.all_clear(rows):
                 survivors.append((check, ident, slot))
             else:
                 flipped += 1
@@ -89,6 +116,7 @@ def _sweep(args):
           % ("total", mutants, off_green, len(survivors)))
     for survivor in survivors:
         print("survivor %s %s[%d]" % survivor)
+    print("records sha256 %s" % records.hexdigest())
     return 1 if survivors else 0
 
 
@@ -97,6 +125,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "run":
         return _run(parser, args)
+    if args.command == "describe":
+        return _describe(parser, args)
     return _sweep(args)
 
 

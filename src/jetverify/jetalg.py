@@ -25,6 +25,9 @@ and integrals of the variational calculus:
 * ``substitute``: ring homomorphisms on dependents, with an optional
   jacobian factor rescaling the derivative chain (change of independent
   variable through a conservation law).
+* ``promote``: the identity substitution into a wider ring, done as a
+  re-tag of indices that never multiplies; a ring extended by
+  appending keeps every index, so the promoted value shares its terms.
 * ``random_eval``: an exact rational point-evaluation oracle.
 
 All values are immutable after construction.  Equality of expressions
@@ -109,6 +112,8 @@ class RingContext:
         self._param_index = {p: i for i, p in enumerate(parameters)}
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, RingContext)
                 and self.independent == other.independent
                 and self.dependents == other.dependents
@@ -205,10 +210,6 @@ def _merge_powers(a, b):
     return tuple(sorted(d.items()))
 
 
-def _key_mul(k1, k2):
-    return (_merge_powers(k1[0], k2[0]), _merge_powers(k1[1], k2[1]))
-
-
 class JetExpr:
     """A canonical Laurent polynomial in jet coordinates and parameters.
 
@@ -274,10 +275,23 @@ class JetExpr:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a Laurent monomial times anything: multiplying by it is
+            # injective on keys and two nonzero rationals have a nonzero
+            # product, so no key collides and no coefficient cancels
+            ((v1, p1), c1), = a.items()
+            return JetExpr(self.ring, {
+                (_merge_powers(v1, v2), _merge_powers(p1, p2)):
+                    rational(c1 * c2)
+                for (v2, p2), c2 in b.items()})
         acc = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                _acc(acc, _key_mul(k1, k2), c1 * c2)
+        for (v1, p1), c1 in a.items():
+            for (v2, p2), c2 in b.items():
+                _acc(acc, (_merge_powers(v1, v2), _merge_powers(p1, p2)),
+                     c1 * c2)
         return JetExpr(self.ring, _canon(acc))
 
     __rmul__ = __mul__
@@ -295,11 +309,11 @@ class JetExpr:
                        tuple((g, -e) for g, e in pk))
             inv = JetExpr(self.ring, {inv_key: rational(Fraction(1, c))})
             return inv if n == -1 else inv ** (-n)
-        result = self.ring.one()
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
         return result
@@ -824,13 +838,35 @@ def substitute(e, rules, target_ring=None, jacobian=None):
 
 def promote(e, ring):
     """Re-tag e into a ring over the same independent variable that
-    carries its dependents and parameters; e itself when already there."""
-    if e.ring == ring:
+    carries its dependents and parameters; e itself when already there.
+
+    Promotion only renames indices and never multiplies: the value is
+    the one ``substitute(e, {}, target_ring=ring)`` gives.  A ring that
+    extends e's by appending, as ``RingContext.extend`` does, keeps
+    every index, so the result shares e's ``terms``, which no
+    operation mutates.  Otherwise each occurring dependent and
+    parameter index is mapped by name and each key re-sorted."""
+    src = e.ring
+    if src == ring:
         return e
-    if ring.independent != e.ring.independent:
+    if ring.independent != src.independent:
         raise ContextMismatch("promotion cannot change the independent "
                               "variable; use substitute with a jacobian")
-    return substitute(e, {}, target_ring=ring)
+    ndeps, nparams = len(src.dependents), len(src.parameters)
+    if (ring.dependents[:ndeps] == src.dependents
+            and ring.parameters[:nparams] == src.parameters):
+        return JetExpr(ring, e.terms)
+    terms = {}
+    for (vk, pk), c in e.terms.items():
+        npk = []
+        for pidx, ex in pk:
+            pname = src.parameters[pidx]
+            if pname not in ring._param_index:
+                raise ContextMismatch("no parameter %r in target" % (pname,))
+            npk.append((ring._param_index[pname], ex))
+        nvk = [((ring.index(src.dependents[d]), k), ex) for (d, k), ex in vk]
+        terms[(tuple(sorted(nvk)), tuple(sorted(npk)))] = c
+    return JetExpr(ring, terms)
 
 
 # -- numeric oracle ------------------------------------------------------

@@ -15,9 +15,9 @@ MODULES = ("jetverify.jetalg", "jetverify.opcalc", "jetverify.catalog",
            "jetverify.verify", "jetverify.verify.suite")
 
 # exports with no reader in the package yet: the exactness test a
-# Hamiltonian-property check will need, the tests' expression generator,
-# and the per-check description a report will print
-UNREAD_EXPORTS = {"is_total_derivative", "random_expr", "describe"}
+# Hamiltonian-property check will need and the tests' expression
+# generator
+UNREAD_EXPORTS = {"is_total_derivative", "random_expr"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jet_strategies import COEFFS, exprs, monomials
+from jet_strategies import COEFFS, RING, exprs, monomials
 from jetverify.jetalg import (
     Assignment, ContextMismatch, EvalDivisionByZero, JetExpr,
     MissingEvolutionRule, NotIntegrable, NotReducible, RelationSet,
@@ -437,6 +437,38 @@ def test_promote_keeps_values_and_checks_independent():
         promote(e, RY)
 
 
+# promotion targets for the generated expressions, which live on
+# (u, v, phi; lam) and use only u and v: an appended extension, a
+# reordered roster that drops the unused phi, and one without v or lam
+APPENDED = RING.extend(dependents=("rho",), parameters=("mu",))
+REINDEXED = RingContext("x", ("w", "v", "u"), ("mu", "lam"))
+NARROW = RingContext("x", ("u", "phi"))
+
+
+def substitute_or_error(e, ring):
+    try:
+        return substitute(e, {}, target_ring=ring)
+    except ContextMismatch as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(exprs())
+def test_promote_is_the_identity_substitution(e):
+    # same ring, same terms in the same order, or the same error
+    for ring in (APPENDED, REINDEXED, NARROW):
+        want = substitute_or_error(e, ring)
+        try:
+            got = promote(e, ring)
+        except ContextMismatch as exc:
+            assert str(exc) == want
+            continue
+        assert got.ring is ring
+        assert list(got.terms.items()) == list(want.terms.items())
+    assert promote(e, APPENDED).terms is e.terms
+    assert promote(e, RING) is e
+
+
 # -- numeric oracle --------------------------------------------------------------
 
 def test_random_eval_fixed_cases():
@@ -457,6 +489,16 @@ def test_random_eval_stays_exact_at_integral_points():
     assert [type(v) for v in pt.values.values()] == [Fraction] * 2
     got = random_eval(e, pt)
     assert type(got) is Fraction and got == Fraction(15, 4)
+
+
+@settings(deadline=None)
+@given(exprs(), st.integers(0, 2 ** 32))
+def test_random_assignment_draws_no_zero(e, seed):
+    # so random_eval at its points never meets a zero base
+    point = random_assignment(random.Random(seed), coords_of(e),
+                              params_of(e))
+    assert all(point.values.values()) and all(point.params.values())
+    random_eval(e, point)
 
 
 def test_random_eval_zero_base_sentinel():

@@ -50,6 +50,17 @@ def agree(ours, theirs):
     return sympy.expand(to_sympy(ours) - theirs) == 0
 
 
+@settings(deadline=None, max_examples=40)
+@given(monomials(), exprs(max_terms=3), exprs(max_terms=3))
+def test_product_and_power_match_sympy(m, p, q):
+    assert agree(m * p, to_sympy(m) * to_sympy(p))
+    assert agree(p * m, to_sympy(p) * to_sympy(m))
+    assert agree(p * q, to_sympy(p) * to_sympy(q))
+    for n in (1, 2, 3):
+        assert agree(p ** n, to_sympy(p) ** n)
+    assert agree(m ** -2, to_sympy(m) ** -2)
+
+
 @settings(deadline=None, max_examples=60)
 @given(exprs())
 def test_total_derivative_matches_sympy(e):
