@@ -88,11 +88,10 @@ class LaxPair:
     """A matrix spectral pair: two grids of jet expressions whose
     compatibility (zero curvature) the suite checks."""
 
-    __slots__ = ("ring", "variables", "space", "time")
+    __slots__ = ("ring", "space", "time")
 
-    def __init__(self, ring, variables, space, time):
+    def __init__(self, ring, space, time):
         self.ring = ring
-        self.variables = tuple(variables)
         self.space = tuple(tuple(row) for row in space)
         self.time = tuple(tuple(row) for row in time)
 
@@ -122,92 +121,46 @@ class NamedFunctional:
 
 
 # -- kind table --------------------------------------------------------
+#
+# One walk per kind defines the mutation surface.  KIND_TABLE[kind](value,
+# fn) returns value rebuilt with every expression leaf e replaced by
+# fn(label, e), calling fn in slot order; label names the structural part
+# holding the leaf, "all" for kinds without named parts.  part_windows
+# records this walk and mutated perturbs one leaf of it, so the slot
+# order is written here and nowhere else.
 
-def _grid_leaves(grid):
-    return tuple(e for row in grid for e in row)
+def _walk_grid(grid, fn, label):
+    return tuple(tuple(fn(label, e) for e in row) for row in grid)
 
 
-def _regrid(grid, leaves):
-    return tuple(tuple(next(leaves) for _e in row) for row in grid)
-
-
-def _rules_rebuilt(relations, leaves):
+def _walk_rules(relations, fn, label=None):
     rules = RelationSet(relations.ring)
     for dep, rule in relations.rules.items():
-        rules = rules.with_rule(dep, rule.order, next(leaves))
+        rules = rules.with_rule(dep, rule.order, fn(label or dep, rule.rhs))
     return rules
 
 
-def _system_parts(system):
-    parts = [("evolution", tuple(system.evolution.values()))]
-    if system.constraints is not None:
-        parts.append(("constraints", tuple(
-            rule.rhs for rule in system.constraints.rules.values())))
-    return parts
-
-
-def _system_rebuilt(system, leaves):
-    evolution = {dep: next(leaves) for dep in system.evolution}
-    rules = (None if system.constraints is None
-             else _rules_rebuilt(system.constraints, leaves))
-    return SystemDef(system.ring, evolution, rules, system.citation)
-
-
-def _matrix_rebuilt(matrix, leaves):
-    return MatrixOp(tuple(
-        tuple(e.map_coefficients(lambda _c: next(leaves)) for e in row)
-        for row in matrix.grid))
-
-
-class Kind:
-    """How one kind of catalog value splits into expression leaves.
-
-    parts(value) gives the labelled leaf groups in slot order; a kind
-    without named parts has the one group "all".  rebuilt(value, leaves)
-    is the value with its leaves replaced, in that order, by the items
-    of the iterator leaves."""
-
-    __slots__ = ("parts", "rebuilt")
-
-    def __init__(self, parts, rebuilt):
-        self.parts = parts
-        self.rebuilt = rebuilt
+def _walk_op(op, fn):
+    return op.map_coefficients(lambda e: fn("all", e))
 
 
 KIND_TABLE = {
-    "expr": Kind(lambda v: [("all", (v,))],
-                 lambda v, leaves: next(leaves)),
-    "exprs": Kind(lambda v: [(label, (e,)) for label, e in v],
-                  lambda v, leaves: tuple((label, next(leaves))
-                                          for label, _e in v)),
-    "op": Kind(lambda v: [("all", v.coefficients())],
-               lambda v, leaves: v.map_coefficients(
-                   lambda _c: next(leaves))),
-    "matrix": Kind(lambda v: [("all", tuple(c for e in _grid_leaves(v.grid)
-                                            for c in e.coefficients()))],
-                   _matrix_rebuilt),
-    "exprmatrix": Kind(lambda v: [("all", _grid_leaves(v))], _regrid),
-    "system": Kind(_system_parts, _system_rebuilt),
-    "laxpair": Kind(lambda v: [("space", _grid_leaves(v.space)),
-                               ("time", _grid_leaves(v.time))],
-                    lambda v, leaves: LaxPair(v.ring, v.variables,
-                                              _regrid(v.space, leaves),
-                                              _regrid(v.time, leaves))),
-    "reciprocal": Kind(lambda v: [("density", (v.density,)),
-                                  ("flux", (v.flux,)),
-                                  ("substitutions",
-                                   tuple(e for _dep, e
-                                         in v.substitutions))],
-                       lambda v, leaves: ReciprocalMap(
-                           v.ring, next(leaves), next(leaves),
-                           tuple((dep, next(leaves))
-                                 for dep, _e in v.substitutions))),
-    "functional": Kind(lambda v: [("all", (v.density,))],
-                       lambda v, leaves: NamedFunctional(v.ring,
-                                                         next(leaves))),
-    "relations": Kind(lambda v: [(dep, (rule.rhs,))
-                                 for dep, rule in v.rules.items()],
-                      _rules_rebuilt),
+    "expr": lambda v, fn: fn("all", v),
+    "exprs": lambda v, fn: tuple((label, fn(label, e)) for label, e in v),
+    "op": _walk_op,
+    "matrix": lambda v, fn: MatrixOp(tuple(tuple(_walk_op(e, fn) for e in row)
+                                           for row in v.grid)),
+    "exprmatrix": lambda v, fn: _walk_grid(v, fn, "all"),
+    "system": lambda v, fn: SystemDef(
+        v.ring, {dep: fn("evolution", e) for dep, e in v.evolution.items()},
+        _walk_rules(v.constraints, fn, "constraints")),
+    "laxpair": lambda v, fn: LaxPair(v.ring, _walk_grid(v.space, fn, "space"),
+                                     _walk_grid(v.time, fn, "time")),
+    "reciprocal": lambda v, fn: ReciprocalMap(
+        v.ring, fn("density", v.density), fn("flux", v.flux),
+        tuple((dep, fn("substitutions", e)) for dep, e in v.substitutions)),
+    "functional": lambda v, fn: NamedFunctional(v.ring, fn("all", v.density)),
+    "relations": _walk_rules,
 }
 
 KINDS = tuple(KIND_TABLE)
@@ -342,16 +295,15 @@ def _x_entries(add):
     cons_main = (RelationSet(X)
                  .with_rule("v", 0, r3 - r1)
                  .with_rule("w", 0, q3 - q1))
-    cit = ("two-component flow with cubic nonlinearity in the potentials "
-           "(q, r), momenta (v, w) tied by third-order constraints")
     add("sys.main", "system", "x",
         SystemDef(X,
                   {"v": 2 * v1 * kappa
                         + 2 * v * (3 * q * r2 - q2 * r - q1 * r1 - q * r),
                    "w": 2 * w1 * kappa
                         - 2 * w * (3 * q2 * r - q * r2 - q1 * r1 - q * r)},
-                  cons_main, cit),
-        cit)
+                  cons_main),
+        "two-component flow with cubic nonlinearity in the potentials "
+        "(q, r), momenta (v, w) tied by third-order constraints")
 
     space4 = ((z, z, one, z),
               (z, z, z, one),
@@ -368,7 +320,7 @@ def _x_entries(add):
          q2 * r1 - q1 * r2 - k2, q1 * ilam, k1 - 2 * q2 * r),
     )
     add("lax.main", "laxpair", "x",
-        LaxPair(X, ("x", "t"), space4, time_main),
+        LaxPair(X, space4, time_main),
         "4x4 spectral pair whose zero curvature reproduces the cubic flow")
 
     param = parametrization(X)
@@ -381,14 +333,13 @@ def _x_entries(add):
     cons_b = (RelationSet(X)
               .with_rule("v", 0, q2 - q + r1)
               .with_rule("w", 0, q2 - q - r1))
-    cit = ("companion two-component flow with quadratic nonlinearity "
-           "sharing the same spatial problem")
     add("sys.appb", "system", "x",
         SystemDef(X,
                   {"v": 4 * v * q1 + 2 * v1 * q + 2 * v * r,
                    "w": 4 * w * q1 + 2 * w1 * q - 2 * w * r},
-                  cons_b, cit),
-        cit)
+                  cons_b),
+        "companion two-component flow with quadratic nonlinearity "
+        "sharing the same spatial problem")
 
     time_b = (
         (r - q1, z, 2 * q, ilam),
@@ -399,7 +350,7 @@ def _x_entries(add):
          z, q1 - r),
     )
     add("lax.appb", "laxpair", "x",
-        LaxPair(X, ("x", "t"), space4, time_b),
+        LaxPair(X, space4, time_b),
         "4x4 spectral pair for the companion quadratic flow")
 
     add("recip.appb", "reciprocal", "x",
@@ -541,14 +492,13 @@ def _y_entries(add):
                           (4 * i * j + 2 * j1 - 2 * i2 - 4 * i * i1) * f
                           + (4 * j - 5 * i1 - 2 * i ** 2) * f1
                           - 3 * i * f2 + one))
-    cit = ("negative flow of the modified hierarchy with both flux "
-           "constraints normalized to -1")
     add("sys.mdflow", "system", "y",
         SystemDef(Y,
                   {"i": -2 * (f + g),
                    "j": f1 - 3 * g1 + 2 * i * (f + g)},
-                  cons_md, cit),
-        cit)
+                  cons_md),
+        "negative flow of the modified hierarchy with both flux "
+        "constraints normalized to -1")
 
     add("flow.intermediate", "exprs", "y",
         (("i_tau", -2 * (r * s + q * u ** 2 / s)),
@@ -565,15 +515,14 @@ def _y_entries(add):
     cons_bt = (RelationSet(Y)
                .with_rule("i", 0, idef)
                .with_rule("j", 0, jdef))
-    cit = ("transported companion flow in (i, j) with their (u, s) "
-           "definitions as constraints")
     add("sys.appb.trans", "system", "y",
         SystemDef(Y,
                   {"i": s - u ** 2 / s,
                    "j": F(1, 2) * s1 + u1 * s / u
                         + F(1, 2) * u ** 2 * s1 * s ** -2},
-                  cons_bt, cit),
-        cit)
+                  cons_bt),
+        "transported companion flow in (i, j) with their (u, s) "
+        "definitions as constraints")
 
     add("usdefs", "exprs", "y", (("i", idef), ("j", jdef)),
         "definitions of (i, j) through the parametrization pair (u, s)")
@@ -591,7 +540,7 @@ def _y_entries(add):
         (a3 * ilam, 2 * f, f1 * ilam, F(1, 2) * ilam2),
     )
     add("lax.trans", "laxpair", "y",
-        LaxPair(Y, ("y", "tau"), space_t, time_t),
+        LaxPair(Y, space_t, time_t),
         "transported 4x4 spectral pair in (i, j) with fluxes (f, g)")
 
     a1_coef = (F(1, 4) * s * u ** -2 + F(1, 4) * s1 ** 2 / s
@@ -604,7 +553,7 @@ def _y_entries(add):
          d(F(1, 2) * u ** 2 / s) * ilam, z),
     )
     add("lax.appb.trans", "laxpair", "y",
-        LaxPair(Y, ("y", "tau"), space_t, time_bt),
+        LaxPair(Y, space_t, time_bt),
         "transported companion spectral pair written through (u, s)")
 
     add("reduction2", "exprs", "y",
@@ -955,44 +904,47 @@ _REGISTRY, _ORDER = _build()
 
 # -- mutation support ----------------------------------------------------
 
-def _leaves(ent):
-    return [e for _label, group in KIND_TABLE[ent.kind].parts(ent.value)
-            for e in group]
-
-
 def part_windows(ent):
     """Slot ranges of the entry grouped by structural part.
 
-    Returns a tuple of (label, start, stop) with stop exclusive; the
-    slot numbering agrees with mutated().  Kinds without named parts
-    report one window labeled "all"."""
-    out = []
-    pos = 0
-    for label, group in KIND_TABLE[ent.kind].parts(ent.value):
-        width = sum(len(e.terms) for e in group)
-        out.append((label, pos, pos + width))
-        pos += width
-    return tuple(out)
+    Returns a tuple of (label, start, stop) with stop exclusive.  The
+    walk of the entry's kind numbers the terms of its leaves in visiting
+    order, the numbering mutated() perturbs, and consecutive leaves with
+    one label form one window."""
+    windows = []
+
+    def record(label, e):
+        if not windows or windows[-1][0] != label:
+            start = windows[-1][2] if windows else 0
+            windows.append([label, start, start])
+        windows[-1][2] += len(e.terms)
+        return e
+
+    KIND_TABLE[ent.kind](ent.value, record)
+    return tuple(tuple(w) for w in windows)
 
 
 def mutated(ent, slot):
     """A copy of the entry with one coefficient slot perturbed.
 
-    Slots enumerate the terms of every expression leaf in a fixed
-    deterministic order.  The targeted coefficient is raised by 1, so a
-    coefficient of -1 becomes 0 and the mutant deletes that term."""
-    leaves = _leaves(ent)
+    One walk of the entry's kind numbers the terms of its leaves in
+    visiting order and raises the coefficient at slot by 1, so a
+    coefficient of -1 becomes 0 and the mutant deletes that term.  A
+    slot outside that numbering, negative ones included, raises
+    IndexError."""
     seen = 0
-    for k, leaf in enumerate(leaves):
-        width = len(leaf.terms)
-        if slot < seen + width:
-            leaves[k] = perturb_term(leaf, slot - seen)
-            value = KIND_TABLE[ent.kind].rebuilt(ent.value, iter(leaves))
-            return Entry(ent.ident, ent.kind, ent.ring_key, ent.citation,
-                         value)
-        seen += width
-    raise IndexError("mutation slot %d out of range for %s"
-                     % (slot, ent.ident))
+
+    def perturb(_label, e):
+        nonlocal seen
+        index = slot - seen
+        seen += len(e.terms)
+        return perturb_term(e, index) if 0 <= index < len(e.terms) else e
+
+    value = KIND_TABLE[ent.kind](ent.value, perturb)
+    if not 0 <= slot < seen:
+        raise IndexError("mutation slot %d out of range for %s"
+                         % (slot, ent.ident))
+    return Entry(ent.ident, ent.kind, ent.ring_key, ent.citation, value)
 
 
 class CatalogView:

@@ -748,12 +748,11 @@ class SystemDef:
 
     ``evolution`` maps dependent names to right-hand sides written in
     space jets; ``constraints`` is a RelationSet tying the remaining
-    dependents together; ``citation`` documents where the data comes
-    from."""
+    dependents together."""
 
-    __slots__ = ("ring", "evolution", "constraints", "citation", "_rhs_jets")
+    __slots__ = ("ring", "evolution", "constraints", "_rhs_jets")
 
-    def __init__(self, ring, evolution, constraints=None, citation=""):
+    def __init__(self, ring, evolution, constraints=None):
         self.ring = ring
         evo = {}
         for dep, rhs in evolution.items():
@@ -767,7 +766,6 @@ class SystemDef:
         if constraints.ring != ring:
             raise ContextMismatch("constraints over a different ring")
         self.constraints = constraints
-        self.citation = citation
         self._rhs_jets = {}
 
     def rhs_jet(self, dep, k):

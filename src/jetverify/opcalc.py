@@ -387,22 +387,14 @@ class PseudoOp:
             out = out + ring.const(c) * left.apply(cur)
         return out
 
-    def coefficients(self):
-        """Every jet-expression coefficient in walk order: local orders
-        ascending, then the tail pairs p, q, then each word's left and
-        right side, each by ascending order."""
-        out = [self.local.coeffs[k] for k in sorted(self.local.coeffs)]
-        for p, q in self.tail:
-            out += (p, q)
-        for _c, left, _name, right in self.words:
-            for side in (left, right):
-                out += (side.coeffs[k] for k in sorted(side.coeffs))
-        return tuple(out)
-
     def map_coefficients(self, fn, ring=None):
         """A copy over ring (default: this ring) with every coefficient
-        passed through fn, called in the order of coefficients();
-        inverse names are kept."""
+        passed through fn; inverse names are kept.
+
+        This is the one walk of an operator's coefficients, and its order
+        numbers the catalog's mutation slots: local orders ascending, then
+        the tail pairs p, q, then each word's left and right side, each by
+        ascending order."""
         ring = ring if ring is not None else self.ring
 
         def mapped(local):
@@ -473,18 +465,6 @@ class MatrixOp:
     @property
     def shape(self):
         return (len(self.grid), len(self.grid[0]))
-
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return MatrixOp([[a + b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(self.grid, other.grid)])
-
-    def __neg__(self):
-        return MatrixOp([[-e for e in row] for row in self.grid])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scaled(self, factor):
         return MatrixOp([[e.scaled(factor) for e in row]

@@ -140,36 +140,16 @@ def _constraint_equations(sysdef, map_):
 def _orient_constraints(sysdef, map_):
     """A solved orientation of the constraint/parametrization system.
 
-    Greedy: consider the equations and their half-sums and
-    half-differences, solve each candidate for its top potential jet
-    when that jet is linear with a monomial coefficient, and stop once
-    the original equations reduce to zero."""
-    ring = sysdef.ring
+    Each equation in turn, reduced by the rules so far, is solved for
+    its top potential jet (q on a tie); the original equations must then
+    reduce to zero."""
     eqs = _constraint_equations(sysdef, map_)
-    candidates = list(eqs)
-    if len(eqs) == 2:
-        candidates.append((eqs[0] + eqs[1]) * F(1, 2))
-        candidates.append((eqs[0] - eqs[1]) * F(1, 2))
-    rules = RelationSet(ring)
-    for cand in candidates:
-        cand = rules.reduce(cand)
-        if cand.is_zero:
-            continue
-        best = None
-        for dep in ("q", "r"):
-            k = max_order(cand, dep)
-            if k >= 0 and (best is None or k > best[1]):
-                best = (dep, k)
-        if best is None:
-            continue
-        dep, k = best
-        if rules.rule_for(dep) is not None:
-            continue
-        try:
-            rhs = solve_for(cand, dep, k)
-        except Exception:
-            continue
-        rules = rules.with_rule(dep, k, rhs)
+    rules = RelationSet(sysdef.ring)
+    for eq in eqs:
+        eq = rules.reduce(eq)
+        dep = max(("q", "r"), key=lambda name: max_order(eq, name))
+        k = max_order(eq, dep)
+        rules = rules.with_rule(dep, k, solve_for(eq, dep, k))
     for eq in eqs:
         if not rules.reduce(eq).is_zero:
             raise ValueError("constraint orientation failed to close")

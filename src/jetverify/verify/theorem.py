@@ -145,10 +145,6 @@ def theorem1(ctx):
         verdict = Y.zero()
         notes.append("orientation: coefficient-weight times the density "
                      "row, minus the coefficient row")
-    elif derived_t1.scaled(-1) == tr.t1:
-        verdict = Y.zero()
-        notes.append("orientation: the stated matrix is the negative of "
-                     "the derived linearization")
     else:
         verdict = Y.one()
     yield conclude(ctx, "theorem1.t1", C.citation("T1"),

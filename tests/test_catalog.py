@@ -11,8 +11,20 @@ from jetverify.opcalc import MatrixOp, PseudoOp
 CAT = C.CATALOG
 
 
+def walk_leaves(ent):
+    """The entry's value rebuilt by an identity walk, and the leaves the
+    walk visited in slot order."""
+    leaves = []
+
+    def record(_label, e):
+        leaves.append(e)
+        return e
+
+    return C.KIND_TABLE[ent.kind](ent.value, record), leaves
+
+
 def all_leaves(ident):
-    return C._leaves(CAT.entry(ident))
+    return walk_leaves(CAT.entry(ident))[1]
 
 
 def test_entry_count_and_index():
@@ -134,8 +146,11 @@ def test_mutated_entry_differs_and_original_survives():
 
 def test_mutation_slot_out_of_range():
     ent = CAT.entry("miura.m")
-    with pytest.raises(IndexError):
-        C.mutated(ent, C.part_windows(ent)[-1][2])
+    for slot in (C.part_windows(ent)[-1][2], -1):
+        with pytest.raises(IndexError):
+            C.mutated(ent, slot)
+        with pytest.raises(IndexError):
+            CAT.with_mutation("miura.m", slot)
 
 
 def test_catalog_view_override():
@@ -146,18 +161,19 @@ def test_catalog_view_override():
 
 
 def test_mutation_roundtrip_of_structured_kinds():
-    # Rebuilding from unchanged leaves must consume them all and give
-    # back the same leaves and parts for every kind, otherwise
-    # mutated() would corrupt its target.
+    # An identity walk must give back a value whose walk visits the same
+    # leaves and parts for every kind, and rebuilding from those leaves
+    # must consume them all, otherwise mutated() would corrupt its
+    # target.
     for ident in CAT.idents():
         ent = CAT.entry(ident)
-        leaves = C._leaves(ent)
+        value, leaves = walk_leaves(ent)
         feed = iter(leaves)
-        value = C.KIND_TABLE[ent.kind].rebuilt(ent.value, feed)
+        C.KIND_TABLE[ent.kind](ent.value, lambda _label, _e: next(feed))
         assert next(feed, None) is None, ident
         rebuilt = C.Entry(ident, ent.kind, ent.ring_key, ent.citation,
                           value)
-        assert C._leaves(rebuilt) == leaves, ident
+        assert walk_leaves(rebuilt)[1] == leaves, ident
         assert C.part_windows(rebuilt) == C.part_windows(ent), ident
         if ent.kind in ("expr", "op", "matrix", "exprmatrix"):
             assert value == ent.value, ident
@@ -177,7 +193,7 @@ def test_lax_pairs_are_square_grids():
         assert all(len(row) == 4 for row in pair.space)
         assert len(pair.time) == 4
         assert all(len(row) == 4 for row in pair.time)
-        assert pair.variables[0] in ("x", "y")
+        assert pair.ring.independent in ("x", "y")
 
 
 def test_reciprocal_maps_share_cleared_substitutions():

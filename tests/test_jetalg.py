@@ -41,7 +41,7 @@ def cubic_flow_system():
     return SystemDef(RX, {
         "v": 2 * RX.coord("v", 1) * kap + 2 * v * a,
         "w": 2 * RX.coord("w", 1) * kap - 2 * w * b,
-    }, citation="coupled cubic flow on the constrained pair (v, w)")
+    })
 
 
 def constraint_rules():
