@@ -917,7 +917,7 @@ def part_windows(ent):
         if not windows or windows[-1][0] != label:
             start = windows[-1][2] if windows else 0
             windows.append([label, start, start])
-        windows[-1][2] += len(e.terms)
+        windows[-1][2] += len(e.nums)
         return e
 
     KIND_TABLE[ent.kind](ent.value, record)
@@ -937,8 +937,8 @@ def mutated(ent, slot):
     def perturb(_label, e):
         nonlocal seen
         index = slot - seen
-        seen += len(e.terms)
-        return perturb_term(e, index) if 0 <= index < len(e.terms) else e
+        seen += len(e.nums)
+        return perturb_term(e, index) if 0 <= index < len(e.nums) else e
 
     value = KIND_TABLE[ent.kind](ent.value, perturb)
     if not 0 <= slot < seen:

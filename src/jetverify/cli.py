@@ -1,21 +1,23 @@
 """Command-line entry point: run the suite, describe a check, or sweep
 its mutants.
 
-    jetverify run [--checks ID ...] [--json]
+    jetverify run [--checks ID ...] [--json] [--timings]
     jetverify describe ID
     jetverify sweep [--check ID] [--sample N]
 
 ``run`` prints one line per result row (status, id, how it was
-decided) followed by the row's residual lines, or with ``--json`` the
-rows' records; it exits 1 unless every row is a pass or a ledgered
-erratum.  ``describe`` prints one check's claim, citation, strategy,
-dependencies and catalog reads as JSON.  ``sweep`` corrupts, one at a
-time, every coefficient slot a check reads (or a seeded sample of N of
-them) and prints, per check, the number of mutants, how many turned the
-check off green and the seconds taken, then names every survivor; its
-last line is the sha256 of every mutant's row records, in sweep order,
-so two versions of the code can be shown to decide every mutant
-identically.  It exits 1 when a mutant survives.
+decided, and with ``--timings`` the milliseconds the row took, measured
+between the check's yields) followed by the row's residual lines, or
+with ``--json`` the rows' records, which hold no timing, so the flag
+leaves them as they are; it exits 1 unless every row is a pass or a
+ledgered erratum.  ``describe`` prints one check's claim, citation,
+strategy, dependencies and catalog reads as JSON.  ``sweep`` corrupts,
+one at a time, every coefficient slot a check reads (or a seeded
+sample of N of them) and prints, per check, the number of mutants, how
+many turned the check off green and the seconds taken, then names every
+survivor; its last line is the sha256 of every mutant's row records, in
+sweep order, so two versions of the code can be shown to decide every
+mutant identically.  It exits 1 when a mutant survives.
 """
 
 import argparse
@@ -45,6 +47,9 @@ def _parser():
                           "(default: all)")
     run.add_argument("--json", action="store_true",
                      help="print the rows' records as JSON")
+    run.add_argument("--timings", action="store_true",
+                     help="print each row's wall time in ms (not with "
+                          "--json, whose records hold no timing)")
     describe = commands.add_parser("describe", help="describe one check")
     describe.add_argument("id", metavar="ID", help="the check to describe")
     sweep = commands.add_parser("sweep", help="run the mutation sweep")
@@ -70,7 +75,10 @@ def _run(parser, args):
         print(json.dumps([row.to_record() for row in rows], indent=2))
     else:
         for row in rows:
-            print("%-11s %s (%s)" % (row.status, row.id, row.decided_by))
+            line = "%-11s %s (%s)" % (row.status, row.id, row.decided_by)
+            if args.timings:
+                line += " %.1f ms" % row.elapsed_ms
+            print(line)
             for line in row.residual_summary:
                 print("    " + line)
     return 0 if suite.all_clear(rows) else 1

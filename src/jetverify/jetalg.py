@@ -27,27 +27,33 @@ and integrals of the variational calculus:
   variable through a conservation law).
 * ``promote``: the identity substitution into a wider ring, done as a
   re-tag of indices that never multiplies; a ring extended by
-  appending keeps every index, so the promoted value shares its terms.
+  appending keeps every index, so the promoted value shares its
+  numerators.
 * ``random_eval``: an exact rational point-evaluation oracle.
 
 All values are immutable after construction.  Equality of expressions
 is structural equality of canonical normal forms; ``random_eval`` is a
 secondary confirmation oracle, never the decision procedure.
 
-Coefficients are exact rationals held in one canonical representation,
-produced by ``rational``: a plain ``int`` whenever the value is
-integral, a ``Fraction`` only when its denominator exceeds 1.  Most
-coefficients the calculus meets are integers, and integer arithmetic
-is several times cheaper than ``Fraction`` arithmetic.  Mixing the two
-changes no observable form: ``1 == Fraction(1)``, their hashes agree
-and ``str`` prints both as ``1``.  Every division of coefficients goes
-through ``Fraction``, never ``int / int``, which would give a float.
+Coefficients are exact rationals held as integer numerators over one
+common denominator per expression, the rational content, as sympy's
+``PolyElement`` does: ``nums`` maps each monomial key to a nonzero
+``int`` and ``den`` is a positive ``int`` sharing no factor with all of
+them.  The quarter-power coefficients of the calculus (1/64, 5/16)
+then cost integer arithmetic plus one multi-argument ``math.gcd`` per
+result, and an integral expression has ``den == 1`` and pays nothing
+extra.  A numerator is not a coefficient: readers that need values go
+through ``JetExpr.coeff_items``, which yields each coefficient in the
+canonical form ``rational`` gives, an ``int`` when integral and a
+``Fraction`` otherwise.  Every division of values goes through
+``Fraction``, never ``int / int``, which would give a float.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "RingContext", "JetExpr", "Rule", "RelationSet", "SystemDef", "Assignment",
@@ -148,10 +154,7 @@ class RingContext:
         return JetExpr(self, {key: 1})
 
     def const(self, value):
-        value = rational(value)
-        if not value:
-            return JetExpr(self, {})
-        return JetExpr(self, {((), ()): value})
+        return JetExpr.monomial(self, ((), ()), value)
 
     def zero(self):
         return JetExpr(self, {})
@@ -170,9 +173,10 @@ class RingContext:
 
 
 def rational(value):
-    """The canonical coefficient for an exact rational value: an int
-    when the value is integral, else a Fraction with denominator > 1.
-    Floats and other inexact values are rejected."""
+    """The canonical form of an exact rational value, the form
+    ``JetExpr.coeff_items`` yields: an int when the value is integral,
+    else a Fraction with denominator > 1.  Floats and other inexact
+    values are rejected."""
     if value.__class__ is int:
         return value
     if isinstance(value, Fraction):
@@ -182,17 +186,33 @@ def rational(value):
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
-def _acc(acc, key, val):
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = val
-    else:
-        acc[key] = cur + val
+def _reduced(ring, nums, den):
+    """The expression nums / den with their common factor cancelled;
+    nums holds no zero."""
+    if den > 1:
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    return JetExpr(ring, nums, den)
 
 
-def _canon(acc):
-    return {k: v if v.__class__ is int else rational(v)
-            for k, v in acc.items() if v}
+def _nonzero(acc):
+    return {k: v for k, v in acc.items() if v}
+
+
+def _sum_over(ring, acc, pieces, den):
+    """(acc + the sum of pieces) / den, where acc maps keys to integer
+    numerators; keys keep their order of first appearance."""
+    scale = lcm(*(piece.den for piece in pieces))
+    if scale > 1:
+        acc = {k: v * scale for k, v in acc.items()}
+    get = acc.get
+    for piece in pieces:
+        f = scale // piece.den
+        for key, val in piece.nums.items():
+            acc[key] = get(key, 0) + val * f
+    return _reduced(ring, _nonzero(acc), den * scale)
 
 
 def _merge_powers(a, b):
@@ -213,37 +233,61 @@ def _merge_powers(a, b):
 class JetExpr:
     """A canonical Laurent polynomial in jet coordinates and parameters.
 
-    ``terms`` maps a monomial key to a nonzero rational coefficient in
-    canonical form: an int when integral, else a Fraction with
-    denominator > 1 (see ``rational``).  A
-    key is a pair (variable part, parameter part); the variable part is
-    a sorted tuple of ((dependent index, order), exponent) with nonzero
-    integer exponents, the parameter part a sorted tuple of
-    (parameter index, exponent).  Instances are never mutated.
+    The value is the sum of ``nums[key] / den`` times the monomial of
+    each key.  ``nums`` maps a monomial key to a nonzero int numerator
+    and ``den`` is a positive int with ``gcd(den, *nums.values()) ==
+    1``, so each value has exactly one representation and the zero
+    expression is ``{}`` over 1.  ``coeff_items`` gives the coefficients
+    themselves.  A key is a pair (variable part, parameter part); the
+    variable part is a sorted tuple of ((dependent index, order),
+    exponent) with nonzero integer exponents, the parameter part a
+    sorted tuple of (parameter index, exponent).  Instances are never
+    mutated.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "nums", "den")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, nums, den=1):
         self.ring = ring
-        self.terms = terms
+        self.nums = nums
+        self.den = den
+
+    @classmethod
+    def monomial(cls, ring, key, value):
+        """value times the monomial of key, for an exact rational value."""
+        value = rational(value)
+        if not value:
+            return cls(ring, {})
+        if value.__class__ is int:
+            return cls(ring, {key: value})
+        return cls(ring, {key: value.numerator}, value.denominator)
+
+    def coeff_items(self):
+        """(key, coefficient) pairs in term order, each coefficient in
+        the canonical form ``rational`` gives."""
+        den = self.den
+        if den == 1:
+            return self.nums.items()
+        return [(k, rational(Fraction(n, den))) for k, n in self.nums.items()]
 
     # -- predicates ----------------------------------------------------
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     @property
     def is_rational(self):
-        return not self.terms or (len(self.terms) == 1 and ((), ()) in self.terms)
+        return not self.nums or (len(self.nums) == 1 and ((), ()) in self.nums)
 
     def key(self):
-        """A hashable canonical form, usable as a dictionary key."""
-        return (self.ring.independent, tuple(sorted(self.terms.items())))
+        """A hashable canonical form, usable as a dictionary key; it
+        carries coefficient values, so keys of two expressions compare
+        by value."""
+        return (self.ring.independent, tuple(sorted(self.coeff_items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -257,15 +301,41 @@ class JetExpr:
 
     def __add__(self, other):
         other = self._coerce(other)
-        acc = dict(self.terms)
-        for key, val in other.terms.items():
-            _acc(acc, key, val)
-        return JetExpr(self.ring, _canon(acc))
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        den, dother = self.den, other.den
+        if den == dother:
+            acc = dict(self.nums)
+            items = other.nums.items()
+        else:
+            g = gcd(den, dother)
+            scale, oscale = dother // g, den // g
+            den *= scale
+            acc = {k: v * scale for k, v in self.nums.items()}
+            items = [(k, v * oscale) for k, v in other.nums.items()]
+        # other's keys are distinct, so a cancelled key never returns:
+        # deleting it at once leaves the survivors in the order that
+        # accumulating first and dropping zeros afterwards would give
+        get = acc.get
+        for key, val in items:
+            cur = get(key)
+            if cur is None:
+                acc[key] = val
+            else:
+                cur += val
+                if cur:
+                    acc[key] = cur
+                else:
+                    del acc[key]
+        return _reduced(self.ring, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JetExpr(self.ring, {k: -v for k, v in self.terms.items()})
+        return JetExpr(self.ring, {k: -v for k, v in self.nums.items()},
+                       self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -275,24 +345,25 @@ class JetExpr:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        a, b = self.terms, other.terms
+        a, b = self.nums, other.nums
+        den = self.den * other.den
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
             # a Laurent monomial times anything: multiplying by it is
-            # injective on keys and two nonzero rationals have a nonzero
-            # product, so no key collides and no coefficient cancels
+            # injective on keys and two nonzero numerators have a
+            # nonzero product, so no key collides and none cancels
             ((v1, p1), c1), = a.items()
-            return JetExpr(self.ring, {
-                (_merge_powers(v1, v2), _merge_powers(p1, p2)):
-                    rational(c1 * c2)
-                for (v2, p2), c2 in b.items()})
+            return _reduced(self.ring, {
+                (_merge_powers(v1, v2), _merge_powers(p1, p2)): c1 * c2
+                for (v2, p2), c2 in b.items()}, den)
         acc = {}
+        get = acc.get
         for (v1, p1), c1 in a.items():
             for (v2, p2), c2 in b.items():
-                _acc(acc, (_merge_powers(v1, v2), _merge_powers(p1, p2)),
-                     c1 * c2)
-        return JetExpr(self.ring, _canon(acc))
+                key = (_merge_powers(v1, v2), _merge_powers(p1, p2))
+                acc[key] = get(key, 0) + c1 * c2
+        return _reduced(self.ring, _nonzero(acc), den)
 
     __rmul__ = __mul__
 
@@ -302,12 +373,14 @@ class JetExpr:
         if n == 0:
             return self.ring.one()
         if n < 0:
-            if len(self.terms) != 1:
+            if len(self.nums) != 1:
                 raise NotReducible("only monomials can be inverted: %s" % (self,))
-            ((vk, pk), c), = self.terms.items()
+            ((vk, pk), c), = self.nums.items()
             inv_key = (tuple((g, -e) for g, e in vk),
                        tuple((g, -e) for g, e in pk))
-            inv = JetExpr(self.ring, {inv_key: rational(Fraction(1, c))})
+            # c / den is in lowest terms, so den / c is as well
+            den = self.den if c > 0 else -self.den
+            inv = JetExpr(self.ring, {inv_key: den}, abs(c))
             return inv if n == -1 else inv ** (-n)
         result = None
         base = self
@@ -327,11 +400,12 @@ class JetExpr:
         return self._coerce(other) * self ** -1
 
     def __eq__(self, other):
-        if isinstance(other, JetExpr):
-            return self.ring == other.ring and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == self.ring.const(other).terms
-        return NotImplemented
+            other = self.ring.const(other)
+        elif not isinstance(other, JetExpr):
+            return NotImplemented
+        return (self.ring == other.ring and self.den == other.den
+                and self.nums == other.nums)
 
     __hash__ = None
 
@@ -344,7 +418,7 @@ class JetExpr:
 def coords_of(e):
     """Sorted list of (dependent name, order) occurring in e."""
     seen = set()
-    for (vk, _pk) in e.terms:
+    for (vk, _pk) in e.nums:
         for (didx, order), _ex in vk:
             seen.add((didx, order))
     return [(e.ring.dependents[d], k) for d, k in sorted(seen)]
@@ -352,7 +426,7 @@ def coords_of(e):
 
 def params_of(e):
     seen = set()
-    for (_vk, pk) in e.terms:
+    for (_vk, pk) in e.nums:
         for pidx, _ex in pk:
             seen.add(pidx)
     return [e.ring.parameters[p] for p in sorted(seen)]
@@ -364,7 +438,7 @@ def max_order(e, dep=None):
     With ``dep`` the search is restricted to that dependent."""
     didx = e.ring.index(dep) if dep is not None else None
     best = -1
-    for (vk, _pk) in e.terms:
+    for (vk, _pk) in e.nums:
         for (d, k), _ex in vk:
             if didx is None or d == didx:
                 if k > best:
@@ -380,7 +454,7 @@ def split_param(e, name):
     if pidx is None:
         raise ContextMismatch("no parameter %r" % (name,))
     parts = {}
-    for (vk, pk), c in e.terms.items():
+    for (vk, pk), c in e.nums.items():
         ex = 0
         rest = []
         for g, p in pk:
@@ -388,8 +462,9 @@ def split_param(e, name):
                 ex = p
             else:
                 rest.append((g, p))
-        _acc(parts.setdefault(ex, {}), (vk, tuple(rest)), c)
-    return {ex: JetExpr(e.ring, _canon(t)) for ex, t in sorted(parts.items())}
+        # the power and the rest determine the key, so none collide
+        parts.setdefault(ex, {})[(vk, tuple(rest))] = c
+    return {ex: _reduced(e.ring, t, e.den) for ex, t in sorted(parts.items())}
 
 
 # -- derivations -------------------------------------------------------
@@ -397,7 +472,8 @@ def split_param(e, name):
 def total_derivative(e):
     """The formal derivative along the ring's independent variable."""
     acc = {}
-    for (vk, pk), c in e.terms.items():
+    get = acc.get
+    for (vk, pk), c in e.nums.items():
         for (d, k), ex in vk:
             rest = dict(vk)
             if ex == 1:
@@ -409,15 +485,16 @@ def total_derivative(e):
                 rest[(d, k + 1)] = up
             else:
                 del rest[(d, k + 1)]
-            _acc(acc, (tuple(sorted(rest.items())), pk), c * ex)
-    return JetExpr(e.ring, _canon(acc))
+            key = (tuple(sorted(rest.items())), pk)
+            acc[key] = get(key, 0) + c * ex
+    return _reduced(e.ring, _nonzero(acc), e.den)
 
 
 def partial_derivative(e, dep, order):
     """Partial derivative with respect to one jet coordinate."""
     coord = (e.ring.index(dep), order)
     acc = {}
-    for (vk, pk), c in e.terms.items():
+    for (vk, pk), c in e.nums.items():
         m = dict(vk)
         ex = m.get(coord)
         if not ex:
@@ -426,8 +503,9 @@ def partial_derivative(e, dep, order):
             del m[coord]
         else:
             m[coord] = ex - 1
-        _acc(acc, (tuple(sorted(m.items())), pk), c * ex)
-    return JetExpr(e.ring, _canon(acc))
+        # lowering one exponent is injective on keys: nothing collides
+        acc[(tuple(sorted(m.items())), pk)] = c * ex
+    return _reduced(e.ring, acc, e.den)
 
 
 def evolutionary_derivative(e, sys):
@@ -474,7 +552,7 @@ def frechet_coeffs(e, dep):
 
 def _euler_vanishes(e):
     seen = set()
-    for (vk, _pk) in e.terms:
+    for (vk, _pk) in e.nums:
         for (d, _k), _ex in vk:
             seen.add(d)
     for d in sorted(seen):
@@ -535,7 +613,7 @@ def _integrate_peel(e):
         top = max_order(e)
         if top <= 0:
             raise NotIntegrable("no derivative left to peel in %s" % (e,))
-        cands = sorted({(d, k) for (vk, _pk) in e.terms
+        cands = sorted({(d, k) for (vk, _pk) in e.nums
                         for (d, k), _ex in vk if k == top})
         d, k = cands[-1]
         name = ring.dependents[d]
@@ -543,16 +621,21 @@ def _integrate_peel(e):
         if max_order(lin) == top:
             raise NotIntegrable("top-order coordinates enter nonlinearly")
         below = (d, k - 1)
-        acc = {}
-        for (vk, pk), c in lin.terms.items():
+        raised = {}
+        for (vk, pk), c in lin.nums.items():
             m = dict(vk)
             p = m.get(below, 0) + 1
             if p == 0:
                 raise NotIntegrable("logarithmic obstruction at %s_%d"
                                     % (name, k - 1))
             m[below] = p
-            _acc(acc, (tuple(sorted(m.items())), pk), Fraction(c, p))
-        piece = JetExpr(ring, _canon(acc))
+            # raising one exponent is injective on keys
+            raised[(tuple(sorted(m.items())), pk)] = (c, p)
+        # each numerator c / p goes over the common multiple of the p
+        scale = lcm(*(p for _c, p in raised.values()))
+        piece = _reduced(ring, {key: c * (scale // p)
+                                for key, (c, p) in raised.items()},
+                         lin.den * scale)
         out = out + piece
         e = e - total_derivative(piece)
     raise NotIntegrable("integration by parts failed to settle")
@@ -574,14 +657,11 @@ def antiderivative(e):
         raise NotIntegrable("variational derivative does not vanish")
     ndeps = len(ring.dependents)
     components = {}
-    for key, c in e.terms.items():
-        deg = _multidegree(key[0], ndeps)
-        _acc(components.setdefault(deg, {}), key, c)
+    for key, c in e.nums.items():
+        components.setdefault(_multidegree(key[0], ndeps), {})[key] = c
     out = ring.zero()
     for deg in sorted(components):
-        comp = JetExpr(ring, _canon(components[deg]))
-        if comp.is_zero:
-            continue
+        comp = _reduced(ring, components[deg], e.den)
         pick = next((i for i, m in enumerate(deg) if m), None)
         if pick is None:
             out = out + _integrate_peel(comp)
@@ -698,8 +778,10 @@ class RelationSet:
         for _round in range(10000):
             acc = {}
             extra = []
-            changed = False
-            for (vk, pk), c in e.terms.items():
+            # the round works on numerators: each rewritten term is its
+            # numerator times its replacements, and the sum goes over
+            # e.den times the common denominator of the pieces
+            for (vk, pk), c in e.nums.items():
                 clean = []
                 repl = []
                 for (d, k), ex in vk:
@@ -709,19 +791,15 @@ class RelationSet:
                     else:
                         clean.append(((d, k), ex))
                 if not repl:
-                    _acc(acc, (vk, pk), c)
+                    acc[(vk, pk)] = c
                     continue
-                changed = True
                 prod = JetExpr(self.ring, {(tuple(clean), pk): c})
                 for rep, ex in repl:
                     prod = prod * rep ** ex
                 extra.append(prod)
-            if not changed:
+            if not extra:
                 return e
-            for piece in extra:
-                for key, val in piece.terms.items():
-                    _acc(acc, key, val)
-            e = JetExpr(self.ring, _canon(acc))
+            e = _sum_over(self.ring, acc, extra, e.den)
         raise NotReducible("reduction did not terminate")
 
 
@@ -818,8 +896,9 @@ def substitute(e, rules, target_ring=None, jacobian=None):
         images[(didx, k)] = img
         return img
 
-    acc = {}
-    for (vk, pk), c in e.terms.items():
+    # each term's image is computed from its numerator alone
+    pieces = []
+    for (vk, pk), c in e.nums.items():
         npk = []
         for pidx, ex in pk:
             pname = src.parameters[pidx]
@@ -829,9 +908,8 @@ def substitute(e, rules, target_ring=None, jacobian=None):
         term = JetExpr(tgt, {((), tuple(sorted(npk))): c})
         for (didx, k), ex in vk:
             term = term * image(didx, k) ** ex
-        for key, val in term.terms.items():
-            _acc(acc, key, val)
-    return JetExpr(tgt, _canon(acc))
+        pieces.append(term)
+    return _sum_over(tgt, {}, pieces, e.den)
 
 
 def promote(e, ring):
@@ -841,7 +919,7 @@ def promote(e, ring):
     Promotion only renames indices and never multiplies: the value is
     the one ``substitute(e, {}, target_ring=ring)`` gives.  A ring that
     extends e's by appending, as ``RingContext.extend`` does, keeps
-    every index, so the result shares e's ``terms``, which no
+    every index, so the result shares e's ``nums``, which no
     operation mutates.  Otherwise each occurring dependent and
     parameter index is mapped by name and each key re-sorted."""
     src = e.ring
@@ -853,9 +931,9 @@ def promote(e, ring):
     ndeps, nparams = len(src.dependents), len(src.parameters)
     if (ring.dependents[:ndeps] == src.dependents
             and ring.parameters[:nparams] == src.parameters):
-        return JetExpr(ring, e.terms)
-    terms = {}
-    for (vk, pk), c in e.terms.items():
+        return JetExpr(ring, e.nums, e.den)
+    nums = {}
+    for (vk, pk), c in e.nums.items():
         npk = []
         for pidx, ex in pk:
             pname = src.parameters[pidx]
@@ -863,8 +941,8 @@ def promote(e, ring):
                 raise ContextMismatch("no parameter %r in target" % (pname,))
             npk.append((ring._param_index[pname], ex))
         nvk = [((ring.index(src.dependents[d]), k), ex) for (d, k), ex in vk]
-        terms[(tuple(sorted(nvk)), tuple(sorted(npk)))] = c
-    return JetExpr(ring, terms)
+        nums[(tuple(sorted(nvk)), tuple(sorted(npk)))] = c
+    return JetExpr(ring, nums, e.den)
 
 
 # -- numeric oracle ------------------------------------------------------
@@ -900,7 +978,7 @@ def random_eval(e, assignment):
     """Exact rational value of e at the assignment."""
     ring = e.ring
     total = Fraction(0)
-    for (vk, pk), c in e.terms.items():
+    for (vk, pk), c in e.coeff_items():
         val = c
         for (d, k), ex in vk:
             base = assignment.value(ring.dependents[d], k)
@@ -958,13 +1036,18 @@ def perturb_term(e, index):
 
     Testing support for mutation sensitivity; index is taken modulo the
     term count.  A coefficient of -1 becomes 0, which drops the term."""
-    items = sorted(e.terms.items())
-    if not items:
+    keys = sorted(e.nums)
+    if not keys:
         raise ValueError("cannot perturb the zero expression")
-    key, c = items[index % len(items)]
-    terms = dict(e.terms)
-    terms[key] = c + 1
-    return JetExpr(e.ring, _canon(terms))
+    key = keys[index % len(keys)]
+    nums = dict(e.nums)
+    # raising the coefficient by 1 raises its numerator by den
+    raised = nums[key] + e.den
+    if raised:
+        nums[key] = raised
+    else:
+        del nums[key]
+    return _reduced(e.ring, nums, e.den)
 
 
 # -- text form -----------------------------------------------------------
@@ -992,7 +1075,7 @@ def to_text(e):
     if e.is_zero:
         return "0"
     terms = []
-    for (vk, pk), c in sorted(e.terms.items()):
+    for (vk, pk), c in sorted(e.coeff_items()):
         factors = _factor_text(e.ring, vk, pk)
         if c != 1 or not factors:
             factors = [str(c)] + factors

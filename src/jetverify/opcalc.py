@@ -25,7 +25,7 @@ from math import comb
 
 from .jetalg import (
     ContextMismatch, JetExpr, NotIntegrable, RelationSet, antiderivative,
-    coords_of, euler_derivative, frechet_coeffs, promote, rational, to_text,
+    coords_of, euler_derivative, frechet_coeffs, promote, to_text,
     total_derivative,
 )
 
@@ -185,8 +185,7 @@ def transport_local(op, coeff_map, jac):
 
 def _normalize_lead(e):
     """Split e = lead * unit with the canonical first coefficient 1."""
-    items = sorted(e.terms.items())
-    lead = items[0][1]
+    lead = min(e.coeff_items())[1]
     return lead, e / lead
 
 
@@ -563,7 +562,7 @@ def solve_e_image(arg):
             if check != arg:
                 raise NotIntegrable("third-order solve failed verification")
             return p
-        items = sorted(residual.terms.items(),
+        items = sorted(residual.coeff_items(),
                        key=lambda kv: (max((k for (_d, k), _e in kv[0][0]),
                                            default=-1), kv[0]))
         (vk, pk), coeff = items[-1]
@@ -581,8 +580,8 @@ def solve_e_image(arg):
             raise NotIntegrable("peel candidate cancels the lowered factor")
         # both derivations must hit the lowered factor, so its final
         # exponent divides the recovered coefficient
-        piece = JetExpr(ring, {(tuple(sorted(m.items())), pk):
-                               rational(Fraction(coeff, m[down]))})
+        piece = JetExpr.monomial(ring, (tuple(sorted(m.items())), pk),
+                                 Fraction(coeff, m[down]))
         p = p + piece
         residual = residual - (total_derivative(total_derivative(piece))
                                - piece)
@@ -636,7 +635,7 @@ class NonlocalStore:
             return antiderivative(core)
         except NotIntegrable:
             pass
-        lead = min(core.terms.items())
+        lead = min(core.coeff_items())
         combo = self._param_shift_match(core, lead)
         if combo is not None:
             return combo
@@ -666,7 +665,7 @@ class NonlocalStore:
                 shift[idx] = shift.get(idx, 0) - exp
             key = ((), tuple(sorted((i, e) for i, e in shift.items()
                                     if e)))
-            mu = JetExpr(self.ring, {key: rational(Fraction(val, valj))})
+            mu = JetExpr.monomial(self.ring, key, Fraction(val, valj))
             if core == mu * cj:
                 return mu * self.ring.coord(name)
         return None
@@ -727,14 +726,14 @@ class NonlocalStore:
 
     def _record_inv(self, name, unit, image):
         span, images = self._inv_prior.setdefault(name, (Echelon(), []))
-        span.insert(unit.terms)
+        span.insert(dict(unit.coeff_items()))
         images.append(image)
 
     def _inv_affine(self, name, unit):
         """Linearity of a registered inverse: match the argument as an
         exact rational combination of previously resolved ones."""
         span, images = self._inv_prior.get(name, (Echelon(), []))
-        sol = span.solve(unit.terms)
+        sol = span.solve(dict(unit.coeff_items()))
         if sol is None:
             return None
         return _combine(self.ring.zero(), sol, images)
@@ -765,9 +764,9 @@ def _signature(core):
     jet-free terms, which escape the Euler probe, keyed (None, term)."""
     out = {}
     for d in dict.fromkeys(d for d, _k in coords_of(core)):
-        for key, val in euler_derivative(core, d).terms.items():
+        for key, val in euler_derivative(core, d).coeff_items():
             out[(d, key)] = val
-    for (vk, pk), val in core.terms.items():
+    for (vk, pk), val in core.coeff_items():
         if not vk:
             out[(None, pk)] = val
     return out
@@ -781,11 +780,12 @@ def _promote_relations(relations, ring):
 
 
 class Echelon:
-    """Sparse rational vectors (dicts key -> Fraction), inserted one at
-    a time and kept in echelon form; each row remembers its combination
-    of the inserted vectors.  A vector dependent on earlier ones adds no
-    row, so ``solve`` reproduces Gaussian elimination with the inserted
-    vectors as columns: the independent prefix are the pivots and each
+    """Sparse rational vectors (dicts key -> exact rational, such as
+    ``dict(e.coeff_items())``), inserted one at a time and kept in
+    echelon form; each row remembers its combination of the inserted
+    vectors.  A vector dependent on earlier ones adds no row, so
+    ``solve`` reproduces Gaussian elimination with the inserted vectors
+    as columns: the independent prefix are the pivots and each
     dependent column gets coefficient zero."""
 
     __slots__ = ("size", "_rows")

@@ -32,7 +32,8 @@ F = Fraction
 def _combination(target, basis):
     """Exact rational combination of basis expressions reproducing the
     target; returns (coefficients, remainder) or (None, target)."""
-    sol = Echelon(b.terms for b in basis).solve(target.terms)
+    sol = Echelon(dict(b.coeff_items()) for b in basis).solve(
+        dict(target.coeff_items()))
     if sol is None:
         return None, target
     rem = target

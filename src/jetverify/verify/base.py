@@ -33,10 +33,15 @@ class OrderCapExceeded(Exception):
 
 
 class CheckResult:
-    """One verification outcome; a plain value object."""
+    """One verification outcome; a plain value object.
+
+    ``elapsed_ms`` is the wall time the harness measured for the row,
+    from the previous row of its check (or the check's start) to this
+    one; it is not part of ``to_record()``, so records stay
+    deterministic and ``time_ms`` keeps reading 0."""
 
     __slots__ = ("id", "status", "decided_by", "residual_summary",
-                 "time_ms", "citation", "notes", "erratum_id")
+                 "time_ms", "citation", "notes", "erratum_id", "elapsed_ms")
 
     def __init__(self, id, status, decided_by, residual_summary, time_ms,
                  citation, notes=(), erratum_id=None):
@@ -48,6 +53,7 @@ class CheckResult:
         self.citation = citation
         self.notes = tuple(notes)
         self.erratum_id = erratum_id
+        self.elapsed_ms = None
         if (status == PASS) != (not self.residual_summary):
             raise ValueError("pass status must coincide with an empty "
                              "residual summary")
@@ -93,7 +99,7 @@ def summarize(pairs):
     for label, e in pairs:
         text = to_text(e)
         if len(text) > SUMMARY_WIDTH:
-            text = "%s... <%d terms>" % (text[:SUMMARY_WIDTH], len(e.terms))
+            text = "%s... <%d terms>" % (text[:SUMMARY_WIDTH], len(e.nums))
         lines.append("%s: %s" % (label, text))
     return tuple(lines)
 

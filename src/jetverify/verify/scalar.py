@@ -34,7 +34,7 @@ def _strip_unit(e, name):
     unit = ring.coord(name)
     out = e / unit
     didx = out.ring.index(name)
-    for (vk, _pk) in out.terms:
+    for (vk, _pk) in out.nums:
         for (d, _k), _ex in vk:
             if d == didx:
                 raise ValueError("expression is not homogeneous of degree "

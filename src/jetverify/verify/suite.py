@@ -19,6 +19,7 @@ undecidable row.
 """
 
 import random
+import time
 
 from .. import catalog as _catalog
 from .base import (
@@ -269,15 +270,21 @@ def _run_check(ctx, spec, stop_off_green):
     any exception to a single undecidable row instead of propagating,
     discarding the rows yielded before it.  With stop_off_green the
     check stops after the first row that is neither a pass nor an
-    erratum."""
+    erratum.  Each row's elapsed_ms is the time from the check's start
+    or its previous row to that row."""
     rows = []
+    started = time.perf_counter()
     try:
         for row in spec.runner(ctx):
+            row.elapsed_ms = (time.perf_counter() - started) * 1000
             rows.append(row)
             if stop_off_green and not all_clear((row,)):
                 break
+            started = time.perf_counter()
     except Exception as exc:
-        return [_aborted_row(spec, exc)]
+        row = _aborted_row(spec, exc)
+        row.elapsed_ms = (time.perf_counter() - started) * 1000
+        return [row]
     return rows
 
 

@@ -1,5 +1,9 @@
-"""Hypothesis strategies for small jet expressions, shared by the kernel
-tests and the sympy oracle."""
+"""Hypothesis strategies for small jet expressions, and the check of
+their canonical representation, shared by the kernel tests, the
+operator tests and the sympy oracle."""
+
+from fractions import Fraction
+from math import gcd
 
 from hypothesis import strategies as st
 
@@ -38,3 +42,16 @@ def exprs(draw, ring=RING, deps=("u", "v"), max_order=3, negative=True,
 def monomials(ring=RING, deps=("u", "v")):
     """A nonzero single-term expression, which can be inverted."""
     return exprs(ring, deps, max_terms=1).filter(bool)
+
+
+def canonical(e):
+    """Nonzero int numerators over a positive int denominator sharing
+    no factor with all of them, and every coefficient the accessor
+    yields an int when integral, else a Fraction with denominator > 1."""
+    nums = list(e.nums.values())
+    return (type(e.den) is int and e.den >= 1
+            and all(type(n) is int and n for n in nums)
+            and gcd(e.den, *nums) == 1
+            and all(type(c) is int
+                    or (type(c) is Fraction and c.denominator > 1)
+                    for _key, c in e.coeff_items()))

@@ -21,6 +21,24 @@ def test_run_json_prints_the_records(capsys):
                        for row in suite.run_suite(selection=("prop2",))]
 
 
+def test_run_timings_time_every_row(capsys):
+    assert main(["run", "--checks", "prop1", "prop2", "--timings"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = suite.run_suite(selection=("prop1", "prop2"))
+    assert [line.rsplit(" ", 2)[0] for line in lines] == [
+        "%-11s %s (%s)" % (r.status, r.id, r.decided_by) for r in rows]
+    assert all(line.endswith(" ms") and float(line.split()[-2]) >= 0
+               for line in lines)
+    assert all(r.elapsed_ms is not None and r.elapsed_ms >= 0 for r in rows)
+
+
+def test_run_json_is_the_same_with_timings(capsys):
+    main(["run", "--checks", "prop1", "prop2", "--json"])
+    plain = capsys.readouterr().out
+    main(["run", "--checks", "prop1", "prop2", "--json", "--timings"])
+    assert capsys.readouterr().out == plain
+
+
 def test_run_rejects_an_unknown_check(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--checks", "prop3"])

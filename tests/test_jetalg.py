@@ -6,12 +6,13 @@ each derivation law on at least 200 random cases.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jet_strategies import COEFFS, RING, exprs, monomials
+from jet_strategies import COEFFS, RING, canonical, exprs, monomials
 from jetverify.jetalg import (
     Assignment, ContextMismatch, EvalDivisionByZero, JetExpr,
     MissingEvolutionRule, NotIntegrable, NotReducible, RelationSet,
@@ -68,17 +69,21 @@ def test_rational_coefficients_stay_exact():
     assert (e - u / 2).is_zero
 
 
-def canonical(e):
-    """Every coefficient an int, or a Fraction with denominator > 1."""
-    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
-               for c in e.terms.values())
-
-
 def test_integral_coefficients_are_ints():
     u = RX.coord("u")
     for e in (u, RX.one(), RX.param("lam"), u / 2 + u / 2,
               Fraction(4, 2) * u, u ** -1 / 3 * 6, (2 * u) ** -1 * 2):
-        assert [type(c) for c in e.terms.values()] == [int]
+        assert e.den == 1 and canonical(e)
+        assert [type(c) for _key, c in e.coeff_items()] == [int]
+
+
+def test_coefficients_share_one_denominator():
+    u, s = RX.coord("u"), RX.coord("s")
+    e = u / 64 + 5 * s / 16 + 3
+    assert e.den == 64 and canonical(e)
+    assert sorted(e.nums.values()) == [1, 20, 192]
+    # the content cancels as soon as the numerators allow it
+    assert (64 * e).den == 1 and (e - u / 64).den == 16
 
 
 @settings(deadline=None)
@@ -99,6 +104,146 @@ def test_calculus_keeps_coefficients_canonical(a, poly, b, m):
               substitute(poly, {"v": b}, jacobian=m),
               antiderivative(exact)):
         assert canonical(e)
+
+
+# -- the kernel against a plain-Fraction reference ------------------------
+#
+# A reference expression is a dict from monomial key to a nonzero
+# Fraction, built and transformed here term by term with no kernel code;
+# the kernel's results are compared with it through coeff_items.
+
+# denominators up to 64 cover the catalog's quarter-power coefficients
+FINE_COEFFS = st.fractions(min_value=-4, max_value=4,
+                           max_denominator=64).filter(bool)
+REF_PARAMS = ((), ((0, -1),), ((0, 1),), ((0, 2),))
+
+
+def nonzero(ref):
+    return {k: c for k, c in ref.items() if c}
+
+
+def merge(a, b):
+    powers = dict(a)
+    for gen, ex in b:
+        powers[gen] = powers.get(gen, 0) + ex
+    return tuple(sorted((g, x) for g, x in powers.items() if x))
+
+
+@st.composite
+def references(draw, negative=True, max_terms=4):
+    """A reference expression in u and v over jet_strategies.RING."""
+    exponents = (1, 2, -1, -2) if negative else (1, 2)
+    out = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        vk = ()
+        for _ in range(draw(st.integers(0, 3))):
+            jet = (draw(st.integers(0, 1)), draw(st.integers(0, 3)))
+            vk = merge(vk, ((jet, draw(st.sampled_from(exponents))),))
+        key = (vk, draw(st.sampled_from(REF_PARAMS)))
+        out[key] = out.get(key, 0) + draw(FINE_COEFFS)
+    return nonzero(out)
+
+
+def kernel(ref):
+    """The reference as a JetExpr, its numerators over the least common
+    denominator, which then shares no factor with all of them."""
+    den = lcm(*(c.denominator for c in ref.values()))
+    return JetExpr(RING, {k: int(c * den) for k, c in ref.items()}, den)
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + sign * c
+    return nonzero(out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for (v1, p1), c1 in p.items():
+        for (v2, p2), c2 in q.items():
+            key = (merge(v1, v2), merge(p1, p2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return nonzero(out)
+
+
+def ref_pow(p, n):
+    if n < 0:
+        ((vk, pk), c), = p.items()
+        p = {(tuple((g, -x) for g, x in vk), tuple((g, -x) for g, x in pk)):
+             1 / Fraction(c)}
+        n = -n
+    out = {((), ()): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_total_derivative(p):
+    out = {}
+    for (vk, pk), c in p.items():
+        for (d, k), ex in vk:
+            key = (merge(vk, (((d, k), -1), ((d, k + 1), 1))), pk)
+            out[key] = out.get(key, 0) + c * ex
+    return nonzero(out)
+
+
+def ref_partial(p, jet):
+    out = {}
+    for (vk, pk), c in p.items():
+        ex = dict(vk).get(jet)
+        if ex:
+            key = (merge(vk, ((jet, -1),)), pk)
+            out[key] = out.get(key, 0) + c * ex
+    return nonzero(out)
+
+
+def ref_substitute(p, images, jacobian):
+    """p with each dependent index d at order 0 replaced by images[d]
+    (itself when absent), one derivative step being jacobian * D."""
+    def image(d, k):
+        if k == 0:
+            return images.get(d, {((((d, 0), 1),), ()): Fraction(1)})
+        return ref_mul(jacobian, ref_total_derivative(image(d, k - 1)))
+
+    out = {}
+    for (vk, pk), c in p.items():
+        term = {((), pk): c}
+        for (d, k), ex in vk:
+            term = ref_mul(term, ref_pow(image(d, k), ex))
+        out = ref_add(out, term)
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(references(), references(), references(max_terms=1).filter(bool),
+       st.integers(0, 3), FINE_COEFFS,
+       references(negative=False, max_terms=3),
+       references(negative=False, max_terms=2))
+def test_kernel_matches_fraction_reference(p, q, m, n, r, poly, b):
+    P, Q, M, POLY, B = (kernel(x) for x in (p, q, m, poly, b))
+    jet = (0, 1)
+    cases = [
+        (P + Q, ref_add(p, q)),
+        (P - Q, ref_add(p, q, -1)),
+        (P * Q, ref_mul(p, q)),
+        (M * P, ref_mul(m, p)),
+        (P * r, ref_mul(p, {((), ()): r})),
+        (P ** n, ref_pow(p, n)),
+        (M ** -n, ref_pow(m, -n)),
+        (P / M, ref_mul(p, ref_pow(m, -1))),
+        (P / r, ref_mul(p, {((), ()): 1 / r})),
+        (total_derivative(P), ref_total_derivative(p)),
+        (partial_derivative(P, "u", 1), ref_partial(p, jet)),
+        (substitute(POLY, {"u": B}, jacobian=M),
+         ref_substitute(poly, {0: b}, m)),
+    ]
+    for got, want in cases:
+        assert canonical(got)
+        assert dict(got.coeff_items()) == want
+    # adding and taking away q restores p's representation exactly
+    back = (P + Q) - Q
+    assert back.nums == P.nums and back.den == P.den
 
 
 def test_cross_ring_operations_rejected():
@@ -464,8 +609,9 @@ def test_promote_is_the_identity_substitution(e):
             assert str(exc) == want
             continue
         assert got.ring is ring
-        assert list(got.terms.items()) == list(want.terms.items())
-    assert promote(e, APPENDED).terms is e.terms
+        assert list(got.nums.items()) == list(want.nums.items())
+        assert got.den == want.den
+    assert promote(e, APPENDED).nums is e.nums
     assert promote(e, RING) is e
 
 
@@ -484,7 +630,7 @@ def test_random_eval_stays_exact_at_integral_points():
     # would make base ** ex a float
     u, s = RX.coord("u"), RX.coord("s")
     e = 3 * u ** -2 * s - 2 * s ** -1 + 5
-    assert [type(c) for c in e.terms.values()] == [int] * 3
+    assert [type(c) for _key, c in e.coeff_items()] == [int] * 3
     pt = Assignment({("u", 0): 2, ("s", 0): 1})
     assert [type(v) for v in pt.values.values()] == [Fraction] * 2
     got = random_eval(e, pt)
@@ -558,9 +704,15 @@ def test_perturb_term_shifts_one_coefficient():
     e = RX.coord("u") + 2 * RX.coord("s")
     bumped = perturb_term(e, 1)
     assert bumped != e
-    assert len((bumped - e).terms) == 1
+    assert len((bumped - e).nums) == 1
     # a coefficient of -1 is raised to 0, which deletes its term
     assert perturb_term(e - RX.coord("q"), 0) == e
+    # the raise is 1 in value, whatever the common denominator
+    f = RX.coord("u") / 4 - 5 * RX.coord("s") / 6
+    for index in range(2):
+        step = perturb_term(f, index) - f
+        assert [c for _key, c in step.coeff_items()] == [1]
+        assert canonical(perturb_term(f, index))
 
 
 # -- serialization --------------------------------------------------------------
@@ -584,11 +736,11 @@ def test_text_form_is_canonical_property():
     rng = random.Random(121)
     for _ in range(N_CASES):
         e = random_expr(rng, RX, params=("lam",), allow_negative=True)
-        terms = list(e.terms.items())
+        terms = list(e.coeff_items())
         rng.shuffle(terms)
         rebuilt = RX.zero()
         for key, c in terms:
-            rebuilt = rebuilt + JetExpr(RX, {key: c})
+            rebuilt = rebuilt + JetExpr.monomial(RX, key, c)
         assert to_text(rebuilt) == to_text(e)
         if not e.is_zero:
             assert to_text(perturb_term(e, rng.randrange(8))) != to_text(e)

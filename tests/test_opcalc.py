@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jet_strategies import canonical
 from jetverify.jetalg import (
     ContextMismatch, NotIntegrable, RingContext, coords_of, frechet_coeffs,
     random_assignment, random_eval, random_expr, params_of, promote,
@@ -131,7 +132,7 @@ def test_transport_local_matches_power_expansion():
     src = RingContext("x", ("a",), ())
     op = LocalOp(src, {2: src.one(), 0: src.coord("a")})
     moved = transport_local(op, lambda c: R.coord("s") if not c.is_rational
-                            else R.const(c.terms[((), ())]), u)
+                            else R.const(dict(c.coeff_items())[((), ())]), u)
     want = scaled_derivative_power(u, 2) + LocalOp.mult(R.coord("s"))
     assert moved == want
 
@@ -363,11 +364,12 @@ def test_coefficient_quotients_stay_exact_ints():
     store.resolve_dinv(2 * u1 ** 2)
     got = store.resolve_dinv(6 * ring.param("lam") * u1 ** 2)
     assert got == 3 * ring.param("lam") * ring.coord("rho1")
-    assert [type(c) for c in got.terms.values()] == [int]
+    assert canonical(got)
+    assert [type(c) for _key, c in got.coeff_items()] == [int]
     for p, kinds in ((u ** 2, [int]), (u ** 3 / 2, [Fraction])):
         got = solve_e_image(D(D(D(p))) - D(p))
-        assert got == p
-        assert [type(c) for c in got.terms.values()] == kinds
+        assert got == p and canonical(got)
+        assert [type(c) for _key, c in got.coeff_items()] == kinds
 
 
 def test_store_affine_match_avoids_fresh_auxiliary():
@@ -696,7 +698,7 @@ def test_solve_e_image_round_trip():
     e_op = LocalOp(R, {3: R.one(), 1: -R.one()})
     for _ in range(50):
         p = random_expr(rng, R, deps=("u", "s"), max_jet_order=2, n_terms=2)
-        p = p - R.const(p.terms.get(((), ()), 0))
+        p = p - R.const(dict(p.coeff_items()).get(((), ()), 0))
         if p.is_zero:
             continue
         arg = e_op.apply(p)

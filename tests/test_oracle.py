@@ -35,7 +35,7 @@ def to_sympy(e, jets=None):
     value of that jet; by default it is the derivative of an undefined
     function of the independent variable."""
     out = sympy.Integer(0)
-    for (vk, pk), c in e.terms.items():
+    for (vk, pk), c in e.coeff_items():
         term = sympy.Rational(c.numerator, c.denominator)
         for (d, k), ex in vk:
             name = e.ring.dependents[d]
