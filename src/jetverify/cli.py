@@ -5,19 +5,20 @@ its mutants.
     jetverify describe ID
     jetverify sweep [--check ID] [--sample N]
 
-``run`` prints one line per result row (status, id, how it was
-decided, and with ``--timings`` the milliseconds the row took, measured
-between the check's yields) followed by the row's residual lines, or
-with ``--json`` the rows' records, which hold no timing, so the flag
-leaves them as they are; it exits 1 unless every row is a pass or a
-ledgered erratum.  ``describe`` prints one check's claim, citation,
-strategy, dependencies and catalog reads as JSON.  ``sweep`` corrupts,
-one at a time, every coefficient slot a check reads (or a seeded
-sample of N of them) and prints, per check, the number of mutants, how
-many turned the check off green and the seconds taken, then names every
-survivor; its last line is the sha256 of every mutant's row records, in
-sweep order, so two versions of the code can be shown to decide every
-mutant identically.  It exits 1 when a mutant survives.
+``run`` runs the checks named by ``--checks`` (all by default) and
+prints one line per result row (status, id, how it was decided, and
+with ``--timings`` the milliseconds the row took, measured between the
+check's yields) followed by the row's residual lines, or with
+``--json`` the rows' records, which hold no timing, so the flag leaves
+them as they are; it exits 1 unless every row is a pass or a ledgered
+erratum.  ``describe`` prints one check's claim, citation, strategy and
+catalog reads as JSON.  ``sweep`` corrupts, one at a time, every
+coefficient slot a check reads (or a seeded sample of N of them) and
+prints, per check, the number of mutants, how many turned the check off
+green and the seconds taken, then names every survivor; its last line
+is the sha256 of every mutant's row records, in sweep order, so two
+versions of the code can be shown to decide every mutant identically.
+It exits 1 when a mutant survives.
 """
 
 import argparse
@@ -43,8 +44,7 @@ def _parser():
     commands = parser.add_subparsers(dest="command", required=True)
     run = commands.add_parser("run", help="run the verification suite")
     run.add_argument("--checks", nargs="+", metavar="ID",
-                     help="checks to run, with the checks they depend on "
-                          "(default: all)")
+                     help="checks to run, in report order (default: all)")
     run.add_argument("--json", action="store_true",
                      help="print the rows' records as JSON")
     run.add_argument("--timings", action="store_true",

@@ -25,8 +25,8 @@ from math import comb
 
 from .jetalg import (
     ContextMismatch, JetExpr, NotIntegrable, RelationSet, antiderivative,
-    coords_of, euler_derivative, frechet_coeffs, promote, to_text,
-    total_derivative,
+    coords_of, euler_derivative, frechet_coeffs, promote, rational,
+    to_text, total_derivative,
 )
 
 __all__ = [
@@ -183,9 +183,17 @@ def transport_local(op, coeff_map, jac):
     return out
 
 
+def _lead_term(e):
+    """The (key, coefficient) pair of e's least key, converting only
+    that numerator."""
+    k = min(e.nums)
+    n = e.nums[k]
+    return k, (rational(Fraction(n, e.den)) if e.den > 1 else n)
+
+
 def _normalize_lead(e):
     """Split e = lead * unit with the canonical first coefficient 1."""
-    lead = min(e.coeff_items())[1]
+    lead = _lead_term(e)[1]
     return lead, e / lead
 
 
@@ -635,7 +643,7 @@ class NonlocalStore:
             return antiderivative(core)
         except NotIntegrable:
             pass
-        lead = min(core.coeff_items())
+        lead = _lead_term(core)
         combo = self._param_shift_match(core, lead)
         if combo is not None:
             return combo

@@ -4,7 +4,7 @@ from .base import (
     CheckContext, CheckResult, ERRATUM, FAIL, NORMAL_FORM,
     OrderCapExceeded, PASS, TEST_VECTOR, UNDECIDABLE,
 )
-from .errata import ErratumEntry, load_ledger, parse_ledger
+from .errata import ErratumEntry, load_ledger
 from .flows import (
     check_conservation, check_reciprocal_system_map, check_zero_curvature,
 )
@@ -15,5 +15,5 @@ __all__ = [
     "UNDECIDABLE", "OrderCapExceeded",
     "check_conservation", "check_reciprocal_system_map",
     "check_zero_curvature",
-    "load_ledger", "parse_ledger",
+    "load_ledger",
 ]

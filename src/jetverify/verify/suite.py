@@ -1,9 +1,9 @@
 """Check registry, suite runner, and mutation harness.
 
 Every published check is a pure function of the catalog and the run
-configuration, so execution order never changes a row; the registry
-order below is topological (conjugation checks precede the transformed
-Hamiltonian pair that builds on them) and doubles as the report order.
+configuration, so execution order never changes a row and any selection
+of checks runs on its own; the registry order below is the report
+order.
 
 The mutation harness backs the sensitivity invariant: each check
 declares the catalog entries it reads, optionally restricted to named
@@ -55,10 +55,10 @@ class CheckSpec:
     """Registry record for one published check."""
 
     __slots__ = ("name", "runner", "citation_ident", "claim", "strategy",
-                 "reads", "depends")
+                 "reads")
 
     def __init__(self, name, runner, citation_ident, claim, strategy,
-                 reads, depends=()):
+                 reads):
         self.name = name
         self.runner = runner
         self.citation_ident = citation_ident
@@ -67,7 +67,6 @@ class CheckSpec:
         # reads: tuple of (catalog ident, part labels or None for all);
         # this is the surface the mutation harness samples from
         self.reads = tuple(reads)
-        self.depends = tuple(depends)
 
 
 CHECKS = (
@@ -179,8 +178,7 @@ CHECKS = (
         "the second transformed operator must match exactly.",
         (("J1", None), ("J2", None), ("T1", None), ("T2", None),
          ("Jt2", None), ("Lambda", None), ("Jt1.middle", None),
-         ("ymap", ("Q1", "Q2"))),
-        depends=("prop1", "prop2")),
+         ("ymap", ("Q1", "Q2")))),
     CheckSpec(
         "appendix_a", _appendixes.appendix_a, "krel.display",
         "The formal time-block ansatz reproduces the displayed "
@@ -229,29 +227,20 @@ def describe(name):
         "claim": spec.claim,
         "citation": _catalog.CATALOG.citation(spec.citation_ident),
         "strategy": spec.strategy,
-        "depends": list(spec.depends),
         "reads": [ident for ident, _parts in spec.reads],
     }
 
 
 def resolve_selection(selection=None):
-    """Selection expanded by dependencies, in registry order.
+    """The selected checks in registry order.
 
     Unknown identifiers raise KeyError before any check runs."""
     if selection is None or selection == "all":
         return check_ids()
-    wanted = set()
-    queue = list(selection)
-    for name in queue:
+    for name in selection:
         if name not in _BY_NAME:
             raise KeyError("unknown check id %r" % (name,))
-    while queue:
-        name = queue.pop()
-        if name in wanted:
-            continue
-        wanted.add(name)
-        queue.extend(_BY_NAME[name].depends)
-    return tuple(name for name in check_ids() if name in wanted)
+    return tuple(name for name in check_ids() if name in selection)
 
 
 def _aborted_row(spec, exc):

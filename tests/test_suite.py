@@ -1,10 +1,14 @@
 """The reproduction itself: the verdict table, the exact row records,
 both errata in both directions and their ties to the catalog,
 determinism, the mutation surface every check declares, and a sampled
-run of the sensitivity invariant."""
+run of the sensitivity invariant.  The table, the record digest and the
+light checks' slot counts are the benchmark's pins in
+perfbench/expected.py."""
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,60 +22,24 @@ from jetverify.verify import (
 from jetverify.verify.base import MAX_ORDER, conclude
 from jetverify.verify.errata import load_ledger
 
-ROWS = (
-    ("zc_main", PASS, "normal-form"),
-    ("zc_trans", PASS, "normal-form"),
-    ("conservation.main", PASS, "normal-form"),
-    ("conservation.appb", PASS, "normal-form"),
-    ("reciprocal.main.idef", PASS, "normal-form"),
-    ("reciprocal.main.jdef", ERRATUM, "normal-form"),
-    ("reciprocal.main.itau", PASS, "normal-form"),
-    ("reciprocal.main.jtau", PASS, "normal-form"),
-    ("reciprocal.main.kernels", PASS, "normal-form"),
-    ("reciprocal.main.flowlink", PASS, "normal-form"),
-    ("reciprocal.appb", PASS, "normal-form"),
-    ("scalar_reduction.pair", PASS, "normal-form"),
-    ("scalar_reduction.fourth", PASS, "normal-form"),
-    ("scalar_reduction.mn", PASS, "normal-form"),
-    ("factorizations.quadratic", PASS, "normal-form"),
-    ("factorizations.linear", PASS, "normal-form"),
-    ("factorizations.firstorder", PASS, "normal-form"),
-    ("connecting_identity.expand", PASS, "test-vector"),
-    ("connecting_identity.constants", PASS, "test-vector"),
-    ("prop1", PASS, "normal-form"),
-    ("prop2", PASS, "normal-form"),
-    ("bihamiltonian_x.local", PASS, "normal-form"),
-    ("bihamiltonian_x.nonlocal", PASS, "normal-form"),
-    ("theorem1.t1", PASS, "normal-form"),
-    ("theorem1.t2", PASS, "normal-form"),
-    ("theorem1.factored", PASS, "normal-form"),
-    ("theorem1.jt2", PASS, "test-vector"),
-    ("theorem1.jt1", ERRATUM, "test-vector"),
-    ("appendix_a.blocks", PASS, "normal-form"),
-    ("appendix_a.relations", PASS, "normal-form"),
-    ("appendix_a.flow", PASS, "normal-form"),
-    ("appendix_a.subflow", PASS, "normal-form"),
-    ("appendix_a.balance", PASS, "normal-form"),
-    ("appendix_a.omega", PASS, "normal-form"),
-    ("appendix_a.link", PASS, "test-vector"),
-    ("appendix_a.scan", PASS, "test-vector"),
-    ("appendix_b.zc", PASS, "normal-form"),
-    ("appendix_b.zc_trans", PASS, "normal-form"),
-    ("appendix_b.conservation", PASS, "normal-form"),
-    ("appendix_b.reciprocal", PASS, "normal-form"),
-)
+ROOT = Path(__file__).resolve().parent.parent
 
-# sha256 of the canonical JSON of every row's to_record(): residual
-# texts, notes and citations included
-DIGEST = "101425e3654346ba500b66a55f2daac792378b49f8fdce0a7687c40d0a9565ef"
 
-# mutation slots each check reads, in registry order
-SLOTS = {
-    "zc_main": 64, "zc_trans": 52, "conservation": 27, "reciprocal": 80,
-    "scalar_reduction": 61, "factorizations": 39, "connecting_identity": 36,
-    "prop1": 18, "prop2": 9, "bihamiltonian_x": 52, "theorem1": 128,
-    "appendix_a": 362, "appendix_b": 87,
-}
+def _load_pins():
+    """The benchmark's hand-written answers, perfbench/expected.py, read
+    as a file so the pins have one copy."""
+    spec = importlib.util.spec_from_file_location(
+        "expected", ROOT / "perfbench" / "expected.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PINS = _load_pins()
+
+# mutation slots each check reads: the light checks' counts are pinned
+# with the benchmark, the two heavy ones here
+SLOTS = {**PINS.LIGHT_SLOTS, "theorem1": 128, "appendix_a": 362}
 
 
 def records(rows):
@@ -84,12 +52,14 @@ def rows():
 
 
 def test_verdict_table(rows):
-    assert tuple((r.id, r.status, r.decided_by) for r in rows) == ROWS
+    assert tuple((r.id, r.status, r.decided_by) for r in rows) \
+        == PINS.SUITE_ROWS
 
 
 def test_record_digest(rows):
     text = json.dumps(records(rows), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGEST
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
+        == PINS.SUITE_DIGEST
 
 
 def test_all_clear_without_undecidable_rows(rows):
@@ -107,6 +77,31 @@ def test_without_the_ledger_exactly_the_errata_fail(rows):
     changed = {r.id for r in rows if r.to_record() != bare[r.id].to_record()}
     assert changed == {"reciprocal.main.jdef", "theorem1.jt1"}
     assert all(bare[rid].status == FAIL for rid in changed)
+
+
+def test_each_ledger_entry_names_the_row_it_corrects(rows):
+    ledger = load_ledger()
+    by_id = {r.id: r for r in rows}
+    for ident, ent in ledger.items():
+        assert (by_id[ent.check_id].status,
+                by_id[ent.check_id].erratum_id) == (ERRATUM, ident)
+    assert {r.id for r in rows if r.status == ERRATUM} \
+        == {ent.check_id for ent in ledger.values()}
+
+
+def test_load_ledger_returns_a_new_dict(rows):
+    load_ledger().clear()
+    assert sorted(load_ledger()) == ["E1", "E2"]
+    assert records(suite.run_suite()) == records(rows)
+
+
+def test_a_selection_runs_only_the_named_checks():
+    # checks are pure functions of the catalog: none runs another first
+    assert suite.resolve_selection(("theorem1",)) == ("theorem1",)
+    assert suite.resolve_selection(("prop2", "zc_main")) \
+        == ("zc_main", "prop2")
+    with pytest.raises(KeyError):
+        suite.resolve_selection(("theorem1", "prop3"))
 
 
 def test_mutation_surface_sizes():
@@ -202,7 +197,7 @@ def test_bihamiltonian_x_seeds_the_store_from_the_catalog_words():
     j1 = MatrixOp([[_with_shifted_word_sides(op, kernel) for op in row]
                    for row in ent.value.grid])
     view = catalog.CatalogView({"J1": catalog.Entry(
-        "J1", ent.kind, ent.ring_key, ent.citation, j1)})
+        "J1", ent.kind, ent.citation, j1)})
     rows = suite.run_suite(selection=("bihamiltonian_x",), catalog=view)
     assert [(r.id, r.status) for r in rows] == [
         ("bihamiltonian_x.local", PASS), ("bihamiltonian_x.nonlocal", PASS)]
