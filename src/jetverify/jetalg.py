@@ -47,11 +47,27 @@ through ``JetExpr.coeff_items``, which yields each coefficient in the
 canonical form ``rational`` gives, an ``int`` when integral and a
 ``Fraction`` otherwise.  Every division of values goes through
 ``Fraction``, never ``int / int``, which would give a float.
+
+Term order is part of the contract.  Each result keeps its keys in the
+order of their first appearance: a sum walks its left operand's terms,
+then the right one's; a product walks its left operand's terms
+outermost, or the other operand's when one of them is a single term; a
+derivation walks the terms and, within a term, its jets in key order.
+Keys whose numerators cancel drop out.  Equality, ``JetExpr.key``,
+``to_text`` and ``perturb_term`` sort, so they ignore the order, but
+``opcalc.Echelon`` pivots each row on the first key of its reduced
+vector, which is built from ``coeff_items`` in term order.  A shortcut
+must therefore reproduce the order as well as the values, and the hot
+paths do so by leaving alone what an operation preserves: a rational
+constant factor keeps every key, a derivative splices its new key from
+slices of the sorted old one, and power tuples over disjoint generator
+ranges concatenate.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -171,6 +187,16 @@ class RingContext:
                            self.dependents + tuple(dependents),
                            self.parameters + tuple(parameters))
 
+    def appends_to(self, other):
+        """Whether this ring is other's with dependents or parameters
+        appended, as ``extend`` builds it: every dependent and parameter
+        index of other then names the same generator here, so every
+        monomial key of other's ring means the same monomial here."""
+        deps, params = other.dependents, other.parameters
+        return (self.independent == other.independent
+                and self.dependents[:len(deps)] == deps
+                and self.parameters[:len(params)] == params)
+
 
 def rational(value):
     """The canonical form of an exact rational value, the form
@@ -216,10 +242,16 @@ def _sum_over(ring, acc, pieces, den):
 
 
 def _merge_powers(a, b):
+    """The product of two sorted power tuples, itself sorted."""
     if not a:
         return b
     if not b:
         return a
+    # generator ranges that do not overlap concatenate in order
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     d = dict(a)
     for gen, ex in b:
         n = d.get(gen, 0) + ex
@@ -354,6 +386,10 @@ class JetExpr:
             # injective on keys and two nonzero numerators have a
             # nonzero product, so no key collides and none cancels
             ((v1, p1), c1), = a.items()
+            if not v1 and not p1:
+                # a rational constant keeps every key as it is
+                return _reduced(self.ring, {k: c1 * c2 for k, c2 in b.items()},
+                                den)
             return _reduced(self.ring, {
                 (_merge_powers(v1, v2), _merge_powers(p1, p2)): c1 * c2
                 for (v2, p2), c2 in b.items()}, den)
@@ -470,22 +506,26 @@ def split_param(e, name):
 # -- derivations -------------------------------------------------------
 
 def total_derivative(e):
-    """The formal derivative along the ring's independent variable."""
+    """The formal derivative along the ring's independent variable.
+
+    Each new variable key is spliced from slices of the sorted old one:
+    the jet (d, k + 1) sorts right after (d, k), so the raised jet is
+    either the next entry, whose exponent goes up by one (and which
+    drops out at zero), or a new entry at that position."""
     acc = {}
     get = acc.get
     for (vk, pk), c in e.nums.items():
-        for (d, k), ex in vk:
-            rest = dict(vk)
-            if ex == 1:
-                del rest[(d, k)]
+        n = len(vk)
+        for i, ((d, k), ex) in enumerate(vk):
+            head = vk[:i] if ex == 1 else vk[:i] + (((d, k), ex - 1),)
+            up = (d, k + 1)
+            j = i + 1
+            if j < n and vk[j][0] == up:
+                ex_up = vk[j][1] + 1
+                tail = (((up, ex_up),) + vk[j + 1:]) if ex_up else vk[j + 1:]
             else:
-                rest[(d, k)] = ex - 1
-            up = rest.get((d, k + 1), 0) + 1
-            if up:
-                rest[(d, k + 1)] = up
-            else:
-                del rest[(d, k + 1)]
-            key = (tuple(sorted(rest.items())), pk)
+                tail = ((up, 1),) + vk[j:]
+            key = (head + tail, pk)
             acc[key] = get(key, 0) + c * ex
     return _reduced(e.ring, _nonzero(acc), e.den)
 
@@ -493,18 +533,19 @@ def total_derivative(e):
 def partial_derivative(e, dep, order):
     """Partial derivative with respect to one jet coordinate."""
     coord = (e.ring.index(dep), order)
+    probe = (coord,)    # sorts just before any entry (coord, exponent)
     acc = {}
     for (vk, pk), c in e.nums.items():
-        m = dict(vk)
-        ex = m.get(coord)
-        if not ex:
+        i = bisect_left(vk, probe)
+        if i == len(vk) or vk[i][0] != coord:
             continue
+        ex = vk[i][1]
         if ex == 1:
-            del m[coord]
+            rest = vk[:i] + vk[i + 1:]
         else:
-            m[coord] = ex - 1
+            rest = vk[:i] + ((coord, ex - 1),) + vk[i + 1:]
         # lowering one exponent is injective on keys: nothing collides
-        acc[(tuple(sorted(m.items())), pk)] = c * ex
+        acc[(rest, pk)] = c * ex
     return _reduced(e.ring, acc, e.den)
 
 
@@ -928,9 +969,7 @@ def promote(e, ring):
     if ring.independent != src.independent:
         raise ContextMismatch("promotion cannot change the independent "
                               "variable; use substitute with a jacobian")
-    ndeps, nparams = len(src.dependents), len(src.parameters)
-    if (ring.dependents[:ndeps] == src.dependents
-            and ring.parameters[:nparams] == src.parameters):
+    if ring.appends_to(src):
         return JetExpr(ring, e.nums, e.den)
     nums = {}
     for (vk, pk), c in e.nums.items():

@@ -403,21 +403,33 @@ class PseudoOp:
         the tail pairs p, q, then each word's left and right side, each by
         ascending order."""
         ring = ring if ring is not None else self.ring
+        return PseudoOp(ring, *self._mapped_parts(fn, ring))
 
+    def _mapped_parts(self, fn, ring):
+        """The local part, tails and words of map_coefficients, before
+        canonicalization."""
         def mapped(local):
             return LocalOp(ring, {k: fn(local.coeffs[k])
                                   for k in sorted(local.coeffs)})
 
         local = mapped(self.local)
-        tails = [(fn(p), fn(q)) for p, q in self.tail]
-        words = [(c, mapped(left), name, mapped(right))
-                 for c, left, name, right in self.words]
-        return PseudoOp(ring, local, tails, words)
+        tails = tuple((fn(p), fn(q)) for p, q in self.tail)
+        words = tuple((c, mapped(left), name, mapped(right))
+                      for c, left, name, right in self.words)
+        return local, tails, words
 
     def promote(self, ring):
         if ring == self.ring:
             return self
-        return self.map_coefficients(lambda c: promote(c, ring), ring)
+        parts = self._mapped_parts(lambda c: promote(c, ring), ring)
+        if not ring.appends_to(self.ring):
+            return PseudoOp(ring, *parts)
+        # appending keeps every monomial key, so every key() and with
+        # them the canonical tails and words: re-tag, do not re-merge
+        out = PseudoOp.__new__(PseudoOp)
+        out.ring = ring
+        out.local, out.tail, out.words = parts
+        return out
 
     def key(self):
         return (self.local.key(),

@@ -234,9 +234,13 @@ def describe(name):
 def resolve_selection(selection=None):
     """The selected checks in registry order.
 
-    Unknown identifiers raise KeyError before any check runs."""
+    A selection is None or "all" for every check, one check id, or an
+    iterable of ids.  Unknown identifiers raise KeyError before any
+    check runs."""
     if selection is None or selection == "all":
         return check_ids()
+    if isinstance(selection, str):
+        selection = (selection,)
     for name in selection:
         if name not in _BY_NAME:
             raise KeyError("unknown check id %r" % (name,))

@@ -130,14 +130,15 @@ def merge(a, b):
 
 
 @st.composite
-def references(draw, negative=True, max_terms=4):
-    """A reference expression in u and v over jet_strategies.RING."""
+def references(draw, negative=True, max_terms=4, deps=(0, 1)):
+    """A reference expression over jet_strategies.RING in the dependents
+    of the given indices, u and v by default."""
     exponents = (1, 2, -1, -2) if negative else (1, 2)
     out = {}
     for _ in range(draw(st.integers(0, max_terms))):
         vk = ()
         for _ in range(draw(st.integers(0, 3))):
-            jet = (draw(st.integers(0, 1)), draw(st.integers(0, 3)))
+            jet = (draw(st.sampled_from(deps)), draw(st.integers(0, 3)))
             vk = merge(vk, ((jet, draw(st.sampled_from(exponents))),))
         key = (vk, draw(st.sampled_from(REF_PARAMS)))
         out[key] = out.get(key, 0) + draw(FINE_COEFFS)
@@ -168,14 +169,22 @@ def ref_mul(p, q):
 
 
 def ref_pow(p, n):
+    """p ** n by squaring, each product taken in the order the kernel
+    takes it, so that the key order matches as well as the values."""
     if n < 0:
         ((vk, pk), c), = p.items()
         p = {(tuple((g, -x) for g, x in vk), tuple((g, -x) for g, x in pk)):
              1 / Fraction(c)}
         n = -n
-    out = {((), ()): Fraction(1)}
-    for _ in range(n):
-        out = ref_mul(out, p)
+    if n == 0:
+        return {((), ()): Fraction(1)}
+    out = None
+    while n:
+        if n & 1:
+            out = p if out is None else ref_mul(out, p)
+        if n > 1:
+            p = ref_mul(p, p)
+        n >>= 1
     return out
 
 
@@ -206,22 +215,40 @@ def ref_substitute(p, images, jacobian):
             return images.get(d, {((((d, 0), 1),), ()): Fraction(1)})
         return ref_mul(jacobian, ref_total_derivative(image(d, k - 1)))
 
+    # the terms' images are summed at once: a key keeps the place of
+    # its first appearance even when a partial sum cancels it
     out = {}
     for (vk, pk), c in p.items():
         term = {((), pk): c}
         for (d, k), ex in vk:
             term = ref_mul(term, ref_pow(image(d, k), ex))
-        out = ref_add(out, term)
-    return out
+        for key, val in term.items():
+            out[key] = out.get(key, 0) + val
+    return nonzero(out)
+
+
+@st.composite
+def quotient_chains(draw):
+    """One term u_k^e / u_{k+1} (e = 1, 2 or -2): differentiating its
+    u_k factor raises u_{k+1} to the power 0, which drops out."""
+    k = draw(st.integers(0, 2))
+    ex = draw(st.sampled_from((1, 2, -2)))
+    return {((((0, k), ex), ((0, k + 1), -1)), draw(st.sampled_from(
+        REF_PARAMS))): draw(FINE_COEFFS)}
 
 
 @settings(deadline=None, max_examples=60)
 @given(references(), references(), references(max_terms=1).filter(bool),
        st.integers(0, 3), FINE_COEFFS,
        references(negative=False, max_terms=3),
-       references(negative=False, max_terms=2))
-def test_kernel_matches_fraction_reference(p, q, m, n, r, poly, b):
-    P, Q, M, POLY, B = (kernel(x) for x in (p, q, m, poly, b))
+       references(negative=False, max_terms=2),
+       references(deps=(0,)), references(deps=(1,)), quotient_chains())
+def test_kernel_matches_fraction_reference(p, q, m, n, r, poly, b, pu, pv,
+                                           chain):
+    P, Q, M, POLY, B, PU, PV = (kernel(x)
+                                for x in (p, q, m, poly, b, pu, pv))
+    pc = ref_add(p, chain)
+    PC = kernel(pc)
     jet = (0, 1)
     cases = [
         (P + Q, ref_add(p, q)),
@@ -229,18 +256,27 @@ def test_kernel_matches_fraction_reference(p, q, m, n, r, poly, b):
         (P * Q, ref_mul(p, q)),
         (M * P, ref_mul(m, p)),
         (P * r, ref_mul(p, {((), ()): r})),
+        (RING.const(r) * Q, ref_mul({((), ()): r}, q)),
         (P ** n, ref_pow(p, n)),
         (M ** -n, ref_pow(m, -n)),
         (P / M, ref_mul(p, ref_pow(m, -1))),
         (P / r, ref_mul(p, {((), ()): 1 / r})),
+        # u-only and v-only keys cover disjoint generator ranges
+        (PU * PV, ref_mul(pu, pv)),
+        (PV * PU, ref_mul(pv, pu)),
         (total_derivative(P), ref_total_derivative(p)),
+        (total_derivative(PC), ref_total_derivative(pc)),
         (partial_derivative(P, "u", 1), ref_partial(p, jet)),
+        (partial_derivative(PC, "u", 1), ref_partial(pc, jet)),
         (substitute(POLY, {"u": B}, jacobian=M),
          ref_substitute(poly, {0: b}, m)),
     ]
     for got, want in cases:
         assert canonical(got)
         assert dict(got.coeff_items()) == want
+        # the term order is part of the contract: opcalc.Echelon
+        # pivots each row on the first key of its vector
+        assert list(got.nums) == list(want)
     # adding and taking away q restores p's representation exactly
     back = (P + Q) - Q
     assert back.nums == P.nums and back.den == P.den

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jet_strategies import canonical
+from jetverify.catalog import CATALOG
 from jetverify.jetalg import (
     ContextMismatch, NotIntegrable, RingContext, coords_of, frechet_coeffs,
     random_assignment, random_eval, random_expr, params_of, promote,
@@ -546,6 +547,41 @@ def test_store_apply_promotes_operator_and_argument():
     other = RingContext("y", ("b",), ())
     with pytest.raises(ContextMismatch):
         op.apply(other.coord("b"), implicit)
+
+
+def _walked(op, ring):
+    """op promoted through the coefficient walk, which canonicalizes
+    its tails and words again."""
+    return op.map_coefficients(lambda c: promote(c, ring), ring)
+
+
+@pytest.mark.parametrize("ident", ("J1", "T1", "Lambda"))
+def test_promote_onto_a_store_ring_keeps_the_canonical_form(ident):
+    # a store's ring appends to the operator's, which keeps every
+    # monomial key: re-tagging must give what canonicalizing again gives
+    ops = [op for row in CATALOG.get(ident).grid for op in row]
+    assert any(op.tail for op in ops)
+    assert any(op.words for op in ops) == (ident == "J1")
+    for op in ops:
+        ring = NonlocalStore(op.ring).ring
+        got, want = op.promote(ring), _walked(op, ring)
+        assert got.ring == ring
+        assert serialize_pseudo(got) == serialize_pseudo(want)
+        assert got.key() == want.key()
+
+
+def test_promote_onto_a_reordered_roster_canonicalizes_again():
+    # reversing the roster reverses the indices and with them the
+    # canonical order of the two tails
+    u, s = R.coord("u"), R.coord("s")
+    op = (PseudoOp.from_tail(u, u) + PseudoOp.from_tail(s, s)
+          + word(LocalOp.mult(u), LocalOp.mult(s)))
+    ring = RingContext("y", tuple(reversed(R.dependents)), R.parameters)
+    got = op.promote(ring)
+    assert [to_text(q) for _p, q in op.tail] == ["u_0", "s_0"]
+    assert [to_text(q) for _p, q in got.tail] == ["s_0", "u_0"]
+    assert serialize_pseudo(got) == serialize_pseudo(_walked(op, ring))
+    assert got.key() == _walked(op, ring).key()
 
 
 # -- matrices ---------------------------------------------------------------

@@ -104,6 +104,15 @@ def test_a_selection_runs_only_the_named_checks():
         suite.resolve_selection(("theorem1", "prop3"))
 
 
+def test_a_bare_check_id_selects_that_check():
+    # a string is one id, not an iterable of one-letter ids
+    assert suite.resolve_selection("prop2") == ("prop2",)
+    assert records(suite.run_suite(selection="prop2")) \
+        == records(suite.run_suite(selection=("prop2",)))
+    with pytest.raises(KeyError):
+        suite.resolve_selection("prop3")
+
+
 def test_mutation_surface_sizes():
     assert {c: len(suite.mutation_slots(c)) for c in suite.check_ids()} \
         == SLOTS
