@@ -60,8 +60,19 @@ vector, which is built from ``coeff_items`` in term order.  A shortcut
 must therefore reproduce the order as well as the values, and the hot
 paths do so by leaving alone what an operation preserves: a rational
 constant factor keeps every key, a derivative splices its new key from
-slices of the sorted old one, and power tuples over disjoint generator
-ranges concatenate.
+slices of the sorted old one, and power tuples merge linearly.
+
+A monomial key is a pair (variable part, parameter part) of sorted
+power tuples.  The variable part holds (g, exponent) pairs, where the
+generator g = d * STRIDE + k is one int for the jet of dependent index
+d at order k; the parameter part holds (parameter index, exponent)
+pairs.  Orders are bounded by ``0 <= k < STRIDE``: ``RingContext.coord``
+and ``partial_derivative`` reject a larger order and
+``total_derivative`` raises rather than carry into the next dependent.
+The map (d, k) -> g preserves order, so every sort of keys sees the
+order that sorting the pairs would give, while the total derivative
+raises a jet by adding one and a key compares and hashes one level
+shallower.
 """
 
 from __future__ import annotations
@@ -79,8 +90,11 @@ __all__ = [
     "euler_derivative", "frechet_coeffs", "is_total_derivative", "antiderivative",
     "substitute", "promote", "solve_for", "split_param",
     "coords_of", "params_of", "max_order", "random_eval", "random_assignment",
-    "random_expr", "perturb_term", "to_text", "rational",
+    "random_expr", "perturb_term", "to_text", "rational", "STRIDE",
 ]
+
+# the generator of the jet (d, k) is d * STRIDE + k
+STRIDE = 1 << 16
 
 
 class ContextMismatch(ValueError):
@@ -155,10 +169,16 @@ class RingContext:
             raise ContextMismatch("no dependent %r in ring over %s"
                                   % (dep, self.independent)) from None
 
+    def generator(self, name, order):
+        """The int d * STRIDE + order naming the jet (name, order) in
+        monomial keys."""
+        if not 0 <= order < STRIDE:
+            raise ValueError("derivative order %d outside 0..%d"
+                             % (order, STRIDE - 1))
+        return self.index(name) * STRIDE + order
+
     def coord(self, name, order=0):
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        key = ((((self.index(name), order), 1),), ())
+        key = (((self.generator(name, order), 1),), ())
         return JetExpr(self, {key: 1})
 
     def param(self, name, power=1):
@@ -242,7 +262,9 @@ def _sum_over(ring, acc, pieces, den):
 
 
 def _merge_powers(a, b):
-    """The product of two sorted power tuples, itself sorted."""
+    """The product of two sorted power tuples, itself sorted: a single
+    power is placed by bisection, longer tuples are walked side by
+    side."""
     if not a:
         return b
     if not b:
@@ -252,14 +274,33 @@ def _merge_powers(a, b):
         return a + b
     if b[-1][0] < a[0][0]:
         return b + a
-    d = dict(a)
-    for gen, ex in b:
-        n = d.get(gen, 0) + ex
-        if n:
-            d[gen] = n
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        gen, ex = b[0]
+        i = bisect_left(a, (gen,))  # sorts just before (gen, exponent)
+        if a[i][0] != gen:
+            return a[:i] + b + a[i:]
+        n = a[i][1] + ex
+        return a[:i] + ((gen, n),) + a[i + 1:] if n else a[:i] + a[i + 1:]
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ga, ea = a[i]
+        gb, eb = b[j]
+        if ga < gb:
+            out.append(a[i])
+            i += 1
+        elif gb < ga:
+            out.append(b[j])
+            j += 1
         else:
-            del d[gen]
-    return tuple(sorted(d.items()))
+            if ea + eb:
+                out.append((ga, ea + eb))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 class JetExpr:
@@ -270,11 +311,12 @@ class JetExpr:
     and ``den`` is a positive int with ``gcd(den, *nums.values()) ==
     1``, so each value has exactly one representation and the zero
     expression is ``{}`` over 1.  ``coeff_items`` gives the coefficients
-    themselves.  A key is a pair (variable part, parameter part); the
-    variable part is a sorted tuple of ((dependent index, order),
-    exponent) with nonzero integer exponents, the parameter part a
-    sorted tuple of (parameter index, exponent).  Instances are never
-    mutated.
+    themselves.  A key is a pair (variable part, parameter part) of
+    sorted tuples of (generator, exponent) with nonzero integer
+    exponents: in the variable part the generator is the int
+    d * STRIDE + k of the jet of dependent index d at order
+    k < STRIDE, in the parameter part it is the parameter index.
+    Instances are never mutated.
     """
 
     __slots__ = ("ring", "nums", "den")
@@ -391,13 +433,15 @@ class JetExpr:
                 return _reduced(self.ring, {k: c1 * c2 for k, c2 in b.items()},
                                 den)
             return _reduced(self.ring, {
-                (_merge_powers(v1, v2), _merge_powers(p1, p2)): c1 * c2
+                (_merge_powers(v1, v2),
+                 _merge_powers(p1, p2) if p1 and p2 else p1 or p2): c1 * c2
                 for (v2, p2), c2 in b.items()}, den)
         acc = {}
         get = acc.get
         for (v1, p1), c1 in a.items():
             for (v2, p2), c2 in b.items():
-                key = (_merge_powers(v1, v2), _merge_powers(p1, p2))
+                key = (_merge_powers(v1, v2),
+                       _merge_powers(p1, p2) if p1 and p2 else p1 or p2)
                 acc[key] = get(key, 0) + c1 * c2
         return _reduced(self.ring, _nonzero(acc), den)
 
@@ -455,9 +499,10 @@ def coords_of(e):
     """Sorted list of (dependent name, order) occurring in e."""
     seen = set()
     for (vk, _pk) in e.nums:
-        for (didx, order), _ex in vk:
-            seen.add((didx, order))
-    return [(e.ring.dependents[d], k) for d, k in sorted(seen)]
+        for g, _ex in vk:
+            seen.add(g)
+    deps = e.ring.dependents
+    return [(deps[g // STRIDE], g % STRIDE) for g in sorted(seen)]
 
 
 def params_of(e):
@@ -472,14 +517,12 @@ def max_order(e, dep=None):
     """Highest derivative order present, or -1 when absent.
 
     With ``dep`` the search is restricted to that dependent."""
-    didx = e.ring.index(dep) if dep is not None else None
-    best = -1
-    for (vk, _pk) in e.nums:
-        for (d, k), _ex in vk:
-            if didx is None or d == didx:
-                if k > best:
-                    best = k
-    return best
+    if dep is None:
+        return max((g % STRIDE for (vk, _pk) in e.nums for g, _ex in vk),
+                   default=-1)
+    lo = e.ring.index(dep) * STRIDE
+    return max((g - lo for (vk, _pk) in e.nums for g, _ex in vk
+                if lo <= g < lo + STRIDE), default=-1)
 
 
 def split_param(e, name):
@@ -509,16 +552,20 @@ def total_derivative(e):
     """The formal derivative along the ring's independent variable.
 
     Each new variable key is spliced from slices of the sorted old one:
-    the jet (d, k + 1) sorts right after (d, k), so the raised jet is
-    either the next entry, whose exponent goes up by one (and which
-    drops out at zero), or a new entry at that position."""
+    the jet (d, k + 1), generator g + 1, sorts right after (d, k), so
+    the raised jet is either the next entry, whose exponent goes up by
+    one (and which drops out at zero), or a new entry at that
+    position."""
     acc = {}
     get = acc.get
     for (vk, pk), c in e.nums.items():
         n = len(vk)
-        for i, ((d, k), ex) in enumerate(vk):
-            head = vk[:i] if ex == 1 else vk[:i] + (((d, k), ex - 1),)
-            up = (d, k + 1)
+        for i, (g, ex) in enumerate(vk):
+            head = vk[:i] if ex == 1 else vk[:i] + ((g, ex - 1),)
+            up = g + 1
+            if not up % STRIDE:
+                raise ValueError("derivative order %d reaches the stride"
+                                 % STRIDE)
             j = i + 1
             if j < n and vk[j][0] == up:
                 ex_up = vk[j][1] + 1
@@ -532,18 +579,18 @@ def total_derivative(e):
 
 def partial_derivative(e, dep, order):
     """Partial derivative with respect to one jet coordinate."""
-    coord = (e.ring.index(dep), order)
-    probe = (coord,)    # sorts just before any entry (coord, exponent)
+    g = e.ring.generator(dep, order)
+    probe = (g,)    # sorts just before any entry (g, exponent)
     acc = {}
     for (vk, pk), c in e.nums.items():
         i = bisect_left(vk, probe)
-        if i == len(vk) or vk[i][0] != coord:
+        if i == len(vk) or vk[i][0] != g:
             continue
         ex = vk[i][1]
         if ex == 1:
             rest = vk[:i] + vk[i + 1:]
         else:
-            rest = vk[:i] + ((coord, ex - 1),) + vk[i + 1:]
+            rest = vk[:i] + ((g, ex - 1),) + vk[i + 1:]
         # lowering one exponent is injective on keys: nothing collides
         acc[(rest, pk)] = c * ex
     return _reduced(e.ring, acc, e.den)
@@ -594,8 +641,8 @@ def frechet_coeffs(e, dep):
 def _euler_vanishes(e):
     seen = set()
     for (vk, _pk) in e.nums:
-        for (d, _k), _ex in vk:
-            seen.add(d)
+        for g, _ex in vk:
+            seen.add(g // STRIDE)
     for d in sorted(seen):
         if not euler_derivative(e, e.ring.dependents[d]).is_zero:
             return False
@@ -634,8 +681,8 @@ def _interior_product(e, dep):
 
 def _multidegree(vk, ndeps):
     deg = [0] * ndeps
-    for (d, _k), ex in vk:
-        deg[d] += ex
+    for g, ex in vk:
+        deg[g // STRIDE] += ex
     return tuple(deg)
 
 
@@ -654,21 +701,20 @@ def _integrate_peel(e):
         top = max_order(e)
         if top <= 0:
             raise NotIntegrable("no derivative left to peel in %s" % (e,))
-        cands = sorted({(d, k) for (vk, _pk) in e.nums
-                        for (d, k), _ex in vk if k == top})
-        d, k = cands[-1]
-        name = ring.dependents[d]
-        lin = partial_derivative(e, name, k)
+        # the top jet of the last dependent that reaches the top order
+        below = max(g for (vk, _pk) in e.nums for g, _ex in vk
+                    if g % STRIDE == top) - 1
+        name = ring.dependents[below // STRIDE]
+        lin = partial_derivative(e, name, top)
         if max_order(lin) == top:
             raise NotIntegrable("top-order coordinates enter nonlinearly")
-        below = (d, k - 1)
         raised = {}
         for (vk, pk), c in lin.nums.items():
             m = dict(vk)
             p = m.get(below, 0) + 1
             if p == 0:
                 raise NotIntegrable("logarithmic obstruction at %s_%d"
-                                    % (name, k - 1))
+                                    % (name, top - 1))
             m[below] = p
             # raising one exponent is injective on keys
             raised[(tuple(sorted(m.items())), pk)] = (c, p)
@@ -816,6 +862,8 @@ class RelationSet:
             raise ContextMismatch("expression from a different ring")
         if not self.rules:
             return e
+        ring = self.ring
+        by_index = {ring.index(dep): rule for dep, rule in self.rules.items()}
         for _round in range(10000):
             acc = {}
             extra = []
@@ -825,22 +873,22 @@ class RelationSet:
             for (vk, pk), c in e.nums.items():
                 clean = []
                 repl = []
-                for (d, k), ex in vk:
-                    rule = self.rules.get(self.ring.dependents[d])
-                    if rule is not None and k >= rule.order:
-                        repl.append((rule.jet(k - rule.order), ex))
+                for g, ex in vk:
+                    rule = by_index.get(g // STRIDE)
+                    if rule is not None and g % STRIDE >= rule.order:
+                        repl.append((rule.jet(g % STRIDE - rule.order), ex))
                     else:
-                        clean.append(((d, k), ex))
+                        clean.append((g, ex))
                 if not repl:
                     acc[(vk, pk)] = c
                     continue
-                prod = JetExpr(self.ring, {(tuple(clean), pk): c})
+                prod = JetExpr(ring, {(tuple(clean), pk): c})
                 for rep, ex in repl:
                     prod = prod * rep ** ex
                 extra.append(prod)
             if not extra:
                 return e
-            e = _sum_over(self.ring, acc, extra, e.den)
+            e = _sum_over(ring, acc, extra, e.den)
         raise NotReducible("reduction did not terminate")
 
 
@@ -921,20 +969,20 @@ def substitute(e, rules, target_ring=None, jacobian=None):
 
     images = {}
 
-    def image(didx, k):
-        got = images.get((didx, k))
+    def image(g):
+        got = images.get(g)
         if got is not None:
             return got
-        if k == 0:
-            name = src.dependents[didx]
+        if g % STRIDE == 0:
+            name = src.dependents[g // STRIDE]
             img = rules.get(name)
             if img is None:
                 img = tgt.coord(name, 0)
         else:
-            img = total_derivative(image(didx, k - 1))
+            img = total_derivative(image(g - 1))
             if jacobian is not None:
                 img = jacobian * img
-        images[(didx, k)] = img
+        images[g] = img
         return img
 
     # each term's image is computed from its numerator alone
@@ -947,8 +995,8 @@ def substitute(e, rules, target_ring=None, jacobian=None):
                 raise ContextMismatch("no parameter %r in target" % (pname,))
             npk.append((tgt._param_index[pname], ex))
         term = JetExpr(tgt, {((), tuple(sorted(npk))): c})
-        for (didx, k), ex in vk:
-            term = term * image(didx, k) ** ex
+        for g, ex in vk:
+            term = term * image(g) ** ex
         pieces.append(term)
     return _sum_over(tgt, {}, pieces, e.den)
 
@@ -979,7 +1027,8 @@ def promote(e, ring):
             if pname not in ring._param_index:
                 raise ContextMismatch("no parameter %r in target" % (pname,))
             npk.append((ring._param_index[pname], ex))
-        nvk = [((ring.index(src.dependents[d]), k), ex) for (d, k), ex in vk]
+        nvk = [(ring.generator(src.dependents[g // STRIDE], g % STRIDE), ex)
+               for g, ex in vk]
         nums[(tuple(sorted(nvk)), tuple(sorted(npk)))] = c
     return JetExpr(ring, nums, e.den)
 
@@ -1019,11 +1068,12 @@ def random_eval(e, assignment):
     total = Fraction(0)
     for (vk, pk), c in e.coeff_items():
         val = c
-        for (d, k), ex in vk:
-            base = assignment.value(ring.dependents[d], k)
+        for g, ex in vk:
+            name, k = ring.dependents[g // STRIDE], g % STRIDE
+            base = assignment.value(name, k)
             if base == 0 and ex < 0:
                 raise EvalDivisionByZero("%s_%d = 0 raised to %d"
-                                         % (ring.dependents[d], k, ex))
+                                         % (name, k, ex))
             val *= base ** ex
         for pidx, ex in pk:
             base = assignment.param(ring.parameters[pidx])
@@ -1093,8 +1143,8 @@ def perturb_term(e, index):
 
 def _factor_text(ring, vk, pk):
     out = []
-    for (d, k), ex in vk:
-        coord = "%s_%d" % (ring.dependents[d], k)
+    for g, ex in vk:
+        coord = "%s_%d" % (ring.dependents[g // STRIDE], g % STRIDE)
         out.append(coord if ex == 1 else "(^ %s %d)" % (coord, ex))
     for pidx, ex in pk:
         out.append("(param %s %d)" % (ring.parameters[pidx], ex))

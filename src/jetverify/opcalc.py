@@ -24,9 +24,9 @@ from fractions import Fraction
 from math import comb
 
 from .jetalg import (
-    ContextMismatch, JetExpr, NotIntegrable, RelationSet, antiderivative,
-    coords_of, euler_derivative, frechet_coeffs, promote, rational,
-    to_text, total_derivative,
+    STRIDE, ContextMismatch, JetExpr, NotIntegrable, RelationSet,
+    antiderivative, coords_of, euler_derivative, frechet_coeffs, promote,
+    rational, to_text, total_derivative,
 )
 
 __all__ = [
@@ -214,15 +214,14 @@ def _merge_side(pairs, side):
 
 def _canon_tails(pairs):
     """ Canonical tail form: drop zero factors, merge proportional
-    right factors, then proportional left factors, until stable."""
+    right factors, then proportional left factors, until a round gives
+    back its input."""
     pairs = [(p, q) for p, q in pairs if not p.is_zero and not q.is_zero]
     for _ in range(6):
-        pairs = _merge_side(pairs, 1)
-        nxt = _merge_side(pairs, 0)
-        stable = nxt == pairs
-        pairs = nxt
-        if stable:
+        nxt = _merge_side(_merge_side(pairs, 1), 0)
+        if nxt == pairs:
             break
+        pairs = nxt
     return tuple(sorted(pairs, key=lambda t: (t[1].key(), t[0].key())))
 
 
@@ -583,18 +582,18 @@ def solve_e_image(arg):
                 raise NotIntegrable("third-order solve failed verification")
             return p
         items = sorted(residual.coeff_items(),
-                       key=lambda kv: (max((k for (_d, k), _e in kv[0][0]),
+                       key=lambda kv: (max((g % STRIDE for g, _e in kv[0][0]),
                                            default=-1), kv[0]))
         (vk, pk), coeff = items[-1]
-        order = max((k for (_d, k), _e in vk), default=-1)
+        order = max((g % STRIDE for g, _e in vk), default=-1)
         if order < 2:
             raise NotIntegrable("no second-order jet left to peel")
-        target = max(((d, k) for (d, k), _e in vk if k == order))
+        target = max(g for g, _e in vk if g % STRIDE == order)
         m = dict(vk)
         if m[target] != 1:
             raise NotIntegrable("top coordinate enters nonlinearly")
         del m[target]
-        down = (target[0], target[1] - 2)
+        down = target - 2
         m[down] = m.get(down, 0) + 1
         if m[down] == 0:
             raise NotIntegrable("peel candidate cancels the lowered factor")
@@ -613,11 +612,11 @@ class NonlocalStore:
 
     Auxiliary dependents come from a fixed pre-extended pool so the
     ring never changes mid-check.  A dinv argument is reduced, then
-    integrated exactly when possible, then matched against existing
-    auxiliaries: as a parameter-monomial multiple of one prior core,
-    else as a rational combination of prior cores with an exact
+    matched as a parameter-monomial multiple of one prior core, then
+    integrated exactly when its signature has no Euler part, then
+    matched as a rational combination of prior cores with an exact
     remainder, found by solving its signature in an ``Echelon`` of
-    the prior cores' signatures (each computed once, at allocation).
+    the prior cores' signatures (each kept from its allocation).
     Only genuinely new kernels allocate a fresh dependent, with its
     defining relation appended to the relation set.  Both sides of an
     identity therefore see identical nonlocal symbols.
@@ -651,15 +650,18 @@ class NonlocalStore:
         core = self.relations.reduce(promote(arg, self.ring))
         if core.is_zero:
             return self.ring.zero()
-        try:
-            return antiderivative(core)
-        except NotIntegrable:
-            pass
+        # a multiple of an allocated core is as inexact as that core
         lead = _lead_term(core)
         combo = self._param_shift_match(core, lead)
         if combo is not None:
             return combo
         signature = _signature(core)
+        # a core with a nonzero Euler image is no exact derivative
+        if all(d is None for d, _key in signature):
+            try:
+                return antiderivative(core)
+            except NotIntegrable:
+                pass
         combo = self._affine_match(core, signature)
         if combo is not None:
             return combo

@@ -3,8 +3,8 @@ spectral problem, the factorization chains, and the recipe identity
 connecting the constraint pair to the negative flow."""
 
 from ..jetalg import (
-    NotIntegrable, RelationSet, antiderivative, euler_derivative, promote,
-    substitute, total_derivative,
+    NotIntegrable, RelationSet, antiderivative, euler_derivative, max_order,
+    promote, substitute, total_derivative,
 )
 from ..opcalc import NonlocalStore
 from .. import catalog as _catalog
@@ -33,12 +33,9 @@ def _strip_unit(e, name):
     ring = e.ring
     unit = ring.coord(name)
     out = e / unit
-    didx = out.ring.index(name)
-    for (vk, _pk) in out.nums:
-        for (d, _k), _ex in vk:
-            if d == didx:
-                raise ValueError("expression is not homogeneous of degree "
-                                 "one in the gauge unit")
+    if max_order(out, name) >= 0:
+        raise ValueError("expression is not homogeneous of degree "
+                         "one in the gauge unit")
     return out
 
 

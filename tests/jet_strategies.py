@@ -7,7 +7,7 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from jetverify.jetalg import RingContext
+from jetverify.jetalg import STRIDE, RingContext
 
 # u and v carry the generated expressions; phi is left free for test
 # functions such as the argument an operator adjoint is applied to
@@ -44,14 +44,30 @@ def monomials(ring=RING, deps=("u", "v")):
     return exprs(ring, deps, max_terms=1).filter(bool)
 
 
+def powers_sorted(powers, bound):
+    """A power tuple of int generators in 0..bound - 1, strictly
+    increasing, with nonzero int exponents."""
+    gens = [g for g, _ex in powers]
+    return (all(type(g) is int and 0 <= g < bound
+                and type(ex) is int and ex for g, ex in powers)
+            and all(a < b for a, b in zip(gens, gens[1:])))
+
+
 def canonical(e):
     """Nonzero int numerators over a positive int denominator sharing
-    no factor with all of them, and every coefficient the accessor
-    yields an int when integral, else a Fraction with denominator > 1."""
+    no factor with all of them, every coefficient the accessor yields
+    an int when integral, else a Fraction with denominator > 1, and
+    every key made of strictly increasing int generators: a jet's
+    generator d * STRIDE + k names a dependent of the ring, so its
+    order k stays below STRIDE."""
     nums = list(e.nums.values())
+    jets = len(e.ring.dependents) * STRIDE
     return (type(e.den) is int and e.den >= 1
             and all(type(n) is int and n for n in nums)
             and gcd(e.den, *nums) == 1
             and all(type(c) is int
                     or (type(c) is Fraction and c.denominator > 1)
-                    for _key, c in e.coeff_items()))
+                    for _key, c in e.coeff_items())
+            and all(powers_sorted(vk, jets)
+                    and powers_sorted(pk, len(e.ring.parameters))
+                    for vk, pk in e.nums))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from jet_strategies import COEFFS, RING, canonical, exprs, monomials
 from jetverify.jetalg import (
-    Assignment, ContextMismatch, EvalDivisionByZero, JetExpr,
+    STRIDE, Assignment, ContextMismatch, EvalDivisionByZero, JetExpr,
     MissingEvolutionRule, NotIntegrable, NotReducible, RelationSet,
     RingContext, SystemDef,
     antiderivative, coords_of, euler_derivative, evolutionary_derivative,
@@ -110,7 +110,9 @@ def test_calculus_keeps_coefficients_canonical(a, poly, b, m):
 #
 # A reference expression is a dict from monomial key to a nonzero
 # Fraction, built and transformed here term by term with no kernel code;
-# the kernel's results are compared with it through coeff_items.
+# its keys write each jet as the readable pair (d, k), and the kernel's
+# results are compared with it, through coeff_items, once ``encoded``
+# has written each jet as the kernel's generator.
 
 # denominators up to 64 cover the catalog's quarter-power coefficients
 FINE_COEFFS = st.fractions(min_value=-4, max_value=4,
@@ -145,11 +147,19 @@ def references(draw, negative=True, max_terms=4, deps=(0, 1)):
     return nonzero(out)
 
 
+def encoded(ref):
+    """The reference with each jet (d, k) written as the generator
+    d * STRIDE + k, its keys kept in order."""
+    return {(tuple((d * STRIDE + k, ex) for (d, k), ex in vk), pk): c
+            for (vk, pk), c in ref.items()}
+
+
 def kernel(ref):
     """The reference as a JetExpr, its numerators over the least common
     denominator, which then shares no factor with all of them."""
     den = lcm(*(c.denominator for c in ref.values()))
-    return JetExpr(RING, {k: int(c * den) for k, c in ref.items()}, den)
+    return JetExpr(RING, {k: int(c * den) for k, c in encoded(ref).items()},
+                   den)
 
 
 def ref_add(p, q, sign=1):
@@ -272,6 +282,7 @@ def test_kernel_matches_fraction_reference(p, q, m, n, r, poly, b, pu, pv,
          ref_substitute(poly, {0: b}, m)),
     ]
     for got, want in cases:
+        want = encoded(want)
         assert canonical(got)
         assert dict(got.coeff_items()) == want
         # the term order is part of the contract: opcalc.Echelon
@@ -280,6 +291,41 @@ def test_kernel_matches_fraction_reference(p, q, m, n, r, poly, b, pu, pv,
     # adding and taking away q restores p's representation exactly
     back = (P + Q) - Q
     assert back.nums == P.nums and back.den == P.den
+
+
+@st.composite
+def readable_keys(draw):
+    """A reference key whose orders sit at both ends of the stride."""
+    orders = st.one_of(st.integers(0, 3), st.integers(STRIDE - 3, STRIDE - 1))
+    jets = draw(st.lists(st.tuples(st.integers(0, 2), orders), unique=True,
+                         max_size=4))
+    vk = tuple((jet, draw(st.sampled_from((1, 2, -1, -2))))
+               for jet in sorted(jets))
+    return (vk, draw(st.sampled_from(REF_PARAMS)))
+
+
+@settings(deadline=None)
+@given(st.lists(readable_keys(), max_size=12))
+def test_generators_sort_as_their_jets(keys):
+    keys = list(dict.fromkeys(keys))
+    flat = list(encoded(dict.fromkeys(keys)))
+    positions = range(len(keys))
+    assert (sorted(positions, key=flat.__getitem__)
+            == sorted(positions, key=keys.__getitem__))
+
+
+def test_orders_stay_below_the_stride():
+    top = RING.coord("u", STRIDE - 1)
+    assert coords_of(top) == [("u", STRIDE - 1)]
+    assert max_order(top, "u") == STRIDE - 1 and max_order(top, "v") == -1
+    with pytest.raises(ValueError):
+        RING.coord("u", STRIDE)
+    for dep, order in (("u", STRIDE), ("v", -1)):
+        with pytest.raises(ValueError):
+            partial_derivative(top, dep, order)
+    # u_{STRIDE - 1} raised by one would read as v_0
+    with pytest.raises(ValueError):
+        total_derivative(top)
 
 
 def test_cross_ring_operations_rejected():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jet_strategies import canonical
+from jetverify import opcalc
 from jetverify.catalog import CATALOG
 from jetverify.jetalg import (
     ContextMismatch, NotIntegrable, RingContext, coords_of, frechet_coeffs,
@@ -207,6 +208,22 @@ def test_tail_canonicalization_merges_proportional_factors():
     c = PseudoOp.from_tail(u, s) + PseudoOp.from_tail(u * 2, u * 2)
     d = PseudoOp.from_tail(u, s + 4 * u)
     assert c == d
+
+
+def test_tail_canonicalization_stops_at_a_fixed_round(monkeypatch):
+    # normalizing 2u o dinv o 3s moves the scale 6 from one side to the
+    # other on every pass; the second round reproduces the first
+    passes = []
+    merge_side = opcalc._merge_side
+
+    def counted(pairs, side):
+        passes.append(side)
+        return merge_side(pairs, side)
+
+    monkeypatch.setattr(opcalc, "_merge_side", counted)
+    t = PseudoOp.from_tail(2 * R.coord("u"), 3 * R.coord("s"))
+    assert passes == [1, 0, 1, 0]
+    assert t.tail == ((R.coord("u"), 6 * R.coord("s")),)
 
 
 def test_mixed_associativity_with_single_tail():

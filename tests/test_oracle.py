@@ -12,7 +12,7 @@ from sympy.calculus.euler import euler_equations
 
 from jet_strategies import RING, exprs, monomials
 from jetverify.jetalg import (
-    RingContext, euler_derivative, substitute, total_derivative,
+    STRIDE, RingContext, euler_derivative, substitute, total_derivative,
 )
 from jetverify.opcalc import LocalOp
 
@@ -37,7 +37,8 @@ def to_sympy(e, jets=None):
     out = sympy.Integer(0)
     for (vk, pk), c in e.coeff_items():
         term = sympy.Rational(c.numerator, c.denominator)
-        for (d, k), ex in vk:
+        for g, ex in vk:
+            d, k = divmod(g, STRIDE)
             name = e.ring.dependents[d]
             term *= (jets[(name, k)] if jets else jet(e.ring, name, k)) ** ex
         for p, ex in pk:
