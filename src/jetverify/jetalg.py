@@ -18,8 +18,8 @@ and integrals of the variational calculus:
 * ``euler_derivative``: the variational derivative; it annihilates
   total derivatives.
 * ``frechet_coeffs``: coefficients of the linearization operator.
-* ``antiderivative``: exact integration by parts through scaling
-  homotopies, with a verified round trip.
+* ``antiderivative``: exact integration by parts, peeling the top jet
+  one round at a time, with a verified round trip.
 * ``RelationSet``: terminating rewriting by solved differential
   relations.
 * ``substitute``: ring homomorphisms on dependents, with an optional
@@ -660,52 +660,36 @@ def is_total_derivative(e):
     return True
 
 
-def _interior_product(e, dep):
-    """Homotopy interior product along one dependent.
+def antiderivative(e):
+    """An exact F with total_derivative(F) = e and no constant term.
 
-    For e homogeneous of degree m in ``dep`` with vanishing variational
-    derivative for ``dep``, the total derivative of the result equals
-    m*e."""
+    Integration by parts, one round per top jet: if F exists, the
+    part of e linear in the top jet z_top of the last dependent that
+    reaches the top order is dF/dz_(top-1), which never carries a
+    z_(top-1)^-1, so raising the exponent of z_(top-1) integrates it
+    and removes z_top from the remainder.  Any exact expression is
+    linear in its top-order coordinates, which keeps each round well
+    defined; a bounded round count guards against drift on malformed
+    input.  The round trip is verified before returning; failures
+    raise NotIntegrable."""
     ring = e.ring
+    if e.is_zero:
+        return ring.zero()
+    if not _euler_vanishes(e):
+        raise NotIntegrable("variational derivative does not vanish")
     out = ring.zero()
-    for k in range(1, max_order(e, dep) + 1):
-        pd = partial_derivative(e, dep, k)
-        if pd.is_zero:
-            continue
-        cur = pd
-        for j in range(k):
-            out = out + ring.coord(dep, k - 1 - j) * cur
-            cur = -total_derivative(cur)
-    return out
-
-
-def _multidegree(vk, ndeps):
-    deg = [0] * ndeps
-    for g, ex in vk:
-        deg[g // STRIDE] += ex
-    return tuple(deg)
-
-
-def _integrate_peel(e):
-    """Fallback integration for components of vanishing multidegree.
-
-    Peels the single highest jet coordinate by one integration by parts
-    per round.  Any exact expression is linear in its top-order
-    coordinates, which keeps each round well defined; a bounded round
-    count guards against drift on malformed input."""
-    ring = e.ring
-    out = ring.zero()
+    rest = e
     for _round in range(200):
-        if e.is_zero:
-            return out
-        top = max_order(e)
+        if rest.is_zero:
+            break
+        top = max_order(rest)
         if top <= 0:
-            raise NotIntegrable("no derivative left to peel in %s" % (e,))
+            raise NotIntegrable("no derivative left to peel in %s" % (rest,))
         # the top jet of the last dependent that reaches the top order
-        below = max(g for (vk, _pk) in e.nums for g, _ex in vk
+        below = max(g for (vk, _pk) in rest.nums for g, _ex in vk
                     if g % STRIDE == top) - 1
         name = ring.dependents[below // STRIDE]
-        lin = partial_derivative(e, name, top)
+        lin = partial_derivative(rest, name, top)
         if max_order(lin) == top:
             raise NotIntegrable("top-order coordinates enter nonlinearly")
         raised = {}
@@ -724,39 +708,11 @@ def _integrate_peel(e):
                                 for key, (c, p) in raised.items()},
                          lin.den * scale)
         out = out + piece
-        e = e - total_derivative(piece)
-    raise NotIntegrable("integration by parts failed to settle")
-
-
-def antiderivative(e):
-    """An exact F with total_derivative(F) = e and no constant term.
-
-    Splits e by its per-dependent multidegree vector (the total
-    derivative preserves each of these degrees), integrates each
-    component by a single-dependent scaling homotopy, and falls back to
-    direct integration by parts on scaling-invariant components.  The
-    round trip is verified before returning; failures raise
-    NotIntegrable."""
-    ring = e.ring
-    if e.is_zero:
-        return ring.zero()
-    if not _euler_vanishes(e):
-        raise NotIntegrable("variational derivative does not vanish")
-    ndeps = len(ring.dependents)
-    components = {}
-    for key, c in e.nums.items():
-        components.setdefault(_multidegree(key[0], ndeps), {})[key] = c
-    out = ring.zero()
-    for deg in sorted(components):
-        comp = _reduced(ring, components[deg], e.den)
-        pick = next((i for i, m in enumerate(deg) if m), None)
-        if pick is None:
-            out = out + _integrate_peel(comp)
-        else:
-            name = ring.dependents[pick]
-            out = out + _interior_product(comp, name) / deg[pick]
+        rest = rest - total_derivative(piece)
+    else:
+        raise NotIntegrable("integration by parts failed to settle")
     if total_derivative(out) != e:
-        raise NotIntegrable("homotopy round trip failed")
+        raise NotIntegrable("integration by parts round trip failed")
     return out
 
 
@@ -1005,12 +961,11 @@ def promote(e, ring):
     """Re-tag e into a ring over the same independent variable that
     carries its dependents and parameters; e itself when already there.
 
-    Promotion only renames indices and never multiplies: the value is
-    the one ``substitute(e, {}, target_ring=ring)`` gives.  A ring that
-    extends e's by appending, as ``RingContext.extend`` does, keeps
-    every index, so the result shares e's ``nums``, which no
-    operation mutates.  Otherwise each occurring dependent and
-    parameter index is mapped by name and each key re-sorted."""
+    The value is the one ``substitute(e, {}, target_ring=ring)`` gives,
+    and any ring but these two goes through it.  A ring that extends
+    e's by appending, as ``RingContext.extend`` does, keeps every
+    index, so the result shares e's ``nums``, which no operation
+    mutates, and promotion never multiplies."""
     src = e.ring
     if src == ring:
         return e
@@ -1019,18 +974,7 @@ def promote(e, ring):
                               "variable; use substitute with a jacobian")
     if ring.appends_to(src):
         return JetExpr(ring, e.nums, e.den)
-    nums = {}
-    for (vk, pk), c in e.nums.items():
-        npk = []
-        for pidx, ex in pk:
-            pname = src.parameters[pidx]
-            if pname not in ring._param_index:
-                raise ContextMismatch("no parameter %r in target" % (pname,))
-            npk.append((ring._param_index[pname], ex))
-        nvk = [(ring.generator(src.dependents[g // STRIDE], g % STRIDE), ex)
-               for g, ex in vk]
-        nums[(tuple(sorted(nvk)), tuple(sorted(npk)))] = c
-    return JetExpr(ring, nums, e.den)
+    return substitute(e, {}, target_ring=ring)
 
 
 # -- numeric oracle ------------------------------------------------------

@@ -613,10 +613,10 @@ class NonlocalStore:
     Auxiliary dependents come from a fixed pre-extended pool so the
     ring never changes mid-check.  A dinv argument is reduced, then
     matched as a parameter-monomial multiple of one prior core, then
-    integrated exactly when its signature has no Euler part, then
-    matched as a rational combination of prior cores with an exact
-    remainder, found by solving its signature in an ``Echelon`` of
-    the prior cores' signatures (each kept from its allocation).
+    as a rational combination of prior cores with an exact remainder,
+    found by solving its signature in an ``Echelon`` of the prior
+    cores' signatures (each kept from its allocation).  An exact
+    argument is the zero combination: it is integrated outright.
     Only genuinely new kernels allocate a fresh dependent, with its
     defining relation appended to the relation set.  Both sides of an
     identity therefore see identical nonlocal symbols.
@@ -656,12 +656,6 @@ class NonlocalStore:
         if combo is not None:
             return combo
         signature = _signature(core)
-        # a core with a nonzero Euler image is no exact derivative
-        if all(d is None for d, _key in signature):
-            try:
-                return antiderivative(core)
-            except NotIntegrable:
-                pass
         combo = self._affine_match(core, signature)
         if combo is not None:
             return combo
@@ -694,9 +688,12 @@ class NonlocalStore:
 
     def _affine_match(self, core, signature):
         """The core as a rational combination of prior cores plus an
-        exact derivative, found by matching signatures."""
+        exact derivative, found by matching signatures.  An exact core
+        has an empty signature, which solves to all zeros (or to no
+        coefficient at all before the first allocation), so the core
+        itself is integrated."""
         sol = self._dinv_span.solve(signature)
-        if not sol:     # outside the span (None), or no prior core ([])
+        if sol is None:
             return None
         remainder = _combine(core, [-alpha for alpha in sol],
                              [cj for _name, cj, _lead in self._dinv_cores])

@@ -196,6 +196,17 @@ def conclude_erratum(ctx, rid, citation, original_pairs, corrected_pairs,
                        citation, notes, erratum_id=entry.ident)
 
 
+def op_coeff_pairs(label, op, rules=None):
+    """One residual pair per coefficient of a local operator, in order,
+    each reduced by the rules when given."""
+    pairs = []
+    for k in sorted(op.coeffs):
+        c = op.coeffs[k]
+        red = rules.reduce(c) if rules is not None else c
+        pairs.append(("%s, coefficient of order %d" % (label, k), red))
+    return pairs
+
+
 def to_y(e):
     """An x-ring expression rewritten over the transported ring.
 

@@ -10,7 +10,9 @@ from ..opcalc import (
     transport_local,
 )
 from .. import catalog as _catalog
-from .base import NORMAL_FORM, conclude, to_y, usdef_rules
+from .base import (
+    NORMAL_FORM, conclude, op_coeff_pairs, to_y, usdef_rules,
+)
 
 
 def carry_coeff(c):
@@ -23,8 +25,8 @@ def transported_kernel(ctx):
     """The kernel operator in the new variable, split as the density
     times a skew remainder.
 
-    Returns (registry, ehat) with ehat registered under "EHY"; the full
-    transported kernel is mult(u) o ehat."""
+    Returns a registry holding the skew remainder ehat under "EHY"; the
+    full transported kernel is mult(u) o ehat."""
     C = ctx.catalog
     Y = _catalog.RING_Y
     u = Y.coord("u")
@@ -33,7 +35,7 @@ def transported_kernel(ctx):
     registry = OperatorRegistry()
     # raises unless ehat is exactly skew, which pins the density split
     registry.register_invertible("EHY", ehat)
-    return registry, ehat
+    return registry
 
 
 def _conjugation_residual(ctx, left_x, right_x, result_local):
@@ -66,10 +68,7 @@ def prop1(ctx):
     pairs = [("transported weighted conjugation minus the displayed "
               "operator, orders tagged by jets of phi",
               _conjugation_residual(ctx, s * u ** -3, s ** -1, th1))]
-    diff = th1.adjoint() + th1c
-    for k in sorted(diff.coeffs):
-        pairs.append(("adjoint display, coefficient of order %d" % k,
-                      diff.coeffs[k]))
+    pairs += op_coeff_pairs("adjoint display", th1.adjoint() + th1c)
     # reversed weights give the negative adjoint, i.e. the conjugate
     # display itself
     pairs.append(("reversed-weight conjugation minus the conjugate "
@@ -87,10 +86,7 @@ def prop2(ctx):
     pairs = [("transported weighted conjugation minus the displayed "
               "operator, orders tagged by jets of phi",
               _conjugation_residual(ctx, u ** -2, u ** -1, th2))]
-    skew = th2.adjoint() + th2
-    for k in sorted(skew.coeffs):
-        pairs.append(("skewness, coefficient of order %d" % k,
-                      skew.coeffs[k]))
+    pairs += op_coeff_pairs("skewness", th2.adjoint() + th2)
     yield conclude(ctx, "prop2", C.citation("Theta2"), pairs, NORMAL_FORM)
 
 

@@ -9,7 +9,8 @@ from ..jetalg import (
 from ..opcalc import NonlocalStore
 from .. import catalog as _catalog
 from .base import (
-    NORMAL_FORM, TEST_VECTOR, aux_hygiene_notes, conclude, mn_rules, to_y,
+    NORMAL_FORM, TEST_VECTOR, aux_hygiene_notes, conclude, mn_rules,
+    op_coeff_pairs, to_y,
 )
 
 # s through u and the ratio root h
@@ -122,15 +123,10 @@ def scalar_reduction(ctx):
 
 # -- factorizations -------------------------------------------------------
 
-def _op_coeff_pairs(label, diff, rules=None):
-    pairs = []
-    for k in sorted(diff.local.coeffs):
-        c = diff.local.coeffs[k]
-        red = rules.reduce(c) if rules is not None else c
-        pairs.append(("%s, coefficient of order %d" % (label, k), red))
-    if diff.tail or diff.words:
+def _local_part(op):
+    if op.tail or op.words:
         raise ValueError("local factorization produced nonlocal parts")
-    return pairs
+    return op.local
 
 
 def factorizations(ctx):
@@ -141,9 +137,9 @@ def factorizations(ctx):
     quad = C.get("factor2.left").compose(C.get("factor2.right"))
     yield conclude(
         ctx, "factorizations.quadratic", C.citation("miura.m"),
-        _op_coeff_pairs("second-order factor product minus the "
-                        "fourth-order operator",
-                        quad - C.get("L4"), mn),
+        op_coeff_pairs("second-order factor product minus the "
+                       "fourth-order operator",
+                       _local_part(quad - C.get("L4")), mn),
         NORMAL_FORM)
 
     a1 = Y.coord("a1")
@@ -157,8 +153,9 @@ def factorizations(ctx):
         linear = linear.compose(C.get("factor1." + k))
     yield conclude(
         ctx, "factorizations.linear", C.citation("factor1.1"),
-        _op_coeff_pairs("linear factor product minus the fourth-order "
-                        "operator", linear - C.get("L4"), ij_rules),
+        op_coeff_pairs("linear factor product minus the fourth-order "
+                       "operator", _local_part(linear - C.get("L4")),
+                       ij_rules),
         NORMAL_FORM)
 
     ab = dict(C.get("ab1"))

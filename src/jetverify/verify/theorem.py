@@ -46,7 +46,7 @@ class Transport:
         u = Y.coord("u")
         self.ring = Y
         self.rules = usdef_rules(C)
-        self.registry, self.ehat = transported_kernel(ctx)
+        self.registry = transported_kernel(ctx)
         inv_map = {"E": ("EHY", u ** -1)}
         self.j1 = MatrixOp(tuple(
             tuple(transport_pseudo(e, u, inv_map) for e in row)

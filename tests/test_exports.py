@@ -1,6 +1,6 @@
 """Every name a module lists in __all__ resolves on that module and is
-read somewhere in the package, and no module imports a name it never
-reads."""
+read somewhere in the package, every top-level function and class is
+read or exported, and no module imports a name it never reads."""
 
 import ast
 import importlib
@@ -60,6 +60,20 @@ def test_every_export_has_a_reader():
     assert unread == []
     # an allowlisted name that gains a reader leaves the list
     assert sorted(UNREAD_EXPORTS & read) == []
+
+
+def test_every_top_level_definition_has_a_reader():
+    # a helper left behind by a deleted code path shows up here
+    read = package_reads()
+    exported = {n for name in MODULES
+                for n in importlib.import_module(name).__all__}
+    unread = sorted(
+        "%s:%s" % (path.relative_to(ROOT).as_posix(), top.name)
+        for path in (ROOT / "src").rglob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and top.name not in read and top.name not in exported)
+    assert unread == []
 
 
 def unread_imports(tree):

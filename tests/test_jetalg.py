@@ -99,11 +99,13 @@ def test_arithmetic_keeps_coefficients_canonical(a, b, m, n, r):
        exprs(max_order=1, max_terms=2), monomials())
 def test_calculus_keeps_coefficients_canonical(a, poly, b, m):
     exact = total_derivative(a)
+    back = antiderivative(exact)
     for e in (exact, partial_derivative(a, "u", 1), euler_derivative(a, "v"),
               substitute(poly, {"u": b, "v": m}),
-              substitute(poly, {"v": b}, jacobian=m),
-              antiderivative(exact)):
+              substitute(poly, {"v": b}, jacobian=m), back):
         assert canonical(e)
+    # integration by parts gives a back, less the terms without a jet
+    assert back == a - jet_free(a)
 
 
 # -- the kernel against a plain-Fraction reference ------------------------
@@ -488,6 +490,15 @@ def test_frechet_linearization_property():
 
 # -- exactness and integration ---------------------------------------------
 
+def jet_free(e):
+    """The terms of e that carry no jet coordinate."""
+    out = e.ring.zero()
+    for key, c in e.coeff_items():
+        if not key[0]:
+            out = out + JetExpr.monomial(e.ring, key, c)
+    return out
+
+
 def test_is_total_derivative_fixed_cases():
     u, uy = RX.coord("u"), RX.coord("u", 1)
     assert is_total_derivative(u * uy)
@@ -509,6 +520,14 @@ def test_antiderivative_handles_scaling_invariant_terms():
     u, s = RX.coord("u"), RX.coord("s")
     f = RX.coord("u", 1) / u - 2 * RX.coord("s", 1) / s
     assert antiderivative(total_derivative(f)) == f
+    # mixed multidegrees, negative exponents and parameters in one sum
+    v, lam = RX.coord("v"), RX.param("lam")
+    for f in (u ** 2 * v ** -1 * s,
+              u ** 2 * v ** -1 * s + f
+              + lam * RX.coord("q", 1) * RX.coord("r") ** 2,
+              RX.coord("u", 1) ** 2 * v ** -3 - lam ** -1 * u * s ** -2
+              + RX.coord("w", 2) / RX.coord("w", 1)):
+        assert antiderivative(total_derivative(f)) == f
     with pytest.raises(NotIntegrable):
         antiderivative(RX.coord("u", 1) / u)
 
@@ -523,6 +542,7 @@ def test_antiderivative_round_trip_property():
         assert is_total_derivative(exact)
         back = antiderivative(exact)
         assert total_derivative(back) == exact
+        assert back == e - jet_free(e)
 
 
 # -- relation sets -----------------------------------------------------------

@@ -403,6 +403,9 @@ def test_store_affine_match_avoids_fresh_auxiliary():
     assert len(store.allocated) == 2
     assert store.reduce(D(got) - combo).is_zero
     assert got == rho_a + 2 * rho_b + u ** 3
+    # an exact argument is the zero combination: integrated outright
+    assert store.resolve_dinv(D(u ** 3 * s1)) == u ** 3 * s1
+    assert len(store.allocated) == 2
 
 
 def test_store_reduces_argument_before_resolving():
