@@ -12,7 +12,9 @@ check's yields) followed by the row's residual lines, or with
 ``--json`` the rows' records, which hold no timing, so the flag leaves
 them as they are; it exits 1 unless every row is a pass or a ledgered
 erratum.  ``describe`` prints one check's claim, citation, strategy and
-catalog reads as JSON.  ``sweep`` corrupts, one at a time, every
+catalog reads as JSON, with each row's id and the entries that row
+reads, the declarations the sweep uses to decide which rows a mutant
+rebuilds.  ``sweep`` corrupts, one at a time, every
 coefficient slot a check reads (or a seeded sample of N of them) and
 prints, per check, the number of mutants, how many turned the check off
 green and the seconds taken, then names every survivor; its last line

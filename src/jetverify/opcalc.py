@@ -25,8 +25,8 @@ from math import comb
 
 from .jetalg import (
     STRIDE, ContextMismatch, JetExpr, NotIntegrable, RelationSet,
-    antiderivative, coords_of, euler_derivative, frechet_coeffs, promote,
-    rational, to_text, total_derivative,
+    antiderivative, coords_of, euler_derivative, frechet_coeffs,
+    integrate_by_parts, promote, rational, to_text, total_derivative,
 )
 
 __all__ = [
@@ -129,12 +129,15 @@ class LocalOp:
                 LocalOp.mult(c))
         return acc
 
-    def apply(self, e):
+    def apply(self, e, jets=None):
+        """The image of e.  jets, when given, is e's derivative ladder
+        [e, D e, D^2 e, ...], extended here as far as this operator's
+        order, so callers applying several operators to e share it."""
+        if jets is None:
+            jets = [e]
+        while len(jets) <= self.order:
+            jets.append(total_derivative(jets[-1]))
         out = self.ring.zero()
-        jets = {0: e}
-        top = self.order
-        for k in range(1, top + 1):
-            jets[k] = total_derivative(jets[k - 1])
         for k, c in self.coeffs.items():
             out = out + c * jets[k]
         return out
@@ -370,16 +373,20 @@ class PseudoOp:
 
     # -- application -----------------------------------------------------
 
-    def apply(self, e, store=None):
+    def apply(self, e, store=None, jets=None):
         """The image of e.  With a store, this operator and e are first
         promoted to the store's ring, and tails and words resolve
         through it; without one, the operator is promoted to e's ring,
-        tails must be exact and words raise UnknownOperator."""
+        tails must be exact and words raise UnknownOperator.  jets is
+        the derivative ladder of e over that ring, as in LocalOp.apply;
+        the local part and the words' right sides share it."""
         if store is not None:
             e = promote(e, store.ring)
         ring = e.ring
         me = self.promote(ring)
-        out = me.local.apply(e)
+        if jets is None:
+            jets = [e]
+        out = me.local.apply(e, jets)
         for p, q in me.tail:
             arg = q * e
             if store is None:
@@ -389,7 +396,7 @@ class PseudoOp:
         for c, left, name, right in me.words:
             if store is None:
                 raise UnknownOperator("inv[%s] needs a nonlocal store" % name)
-            cur = store.resolve_inv(name, right.apply(e))
+            cur = store.resolve_inv(name, right.apply(e, jets))
             out = out + ring.const(c) * left.apply(cur)
         return out
 
@@ -515,17 +522,21 @@ class MatrixOp:
 
     def apply(self, vector, store=None):
         """The image of vector, entry by entry as PseudoOp.apply; with
-        a store, the vector is promoted to the store's ring once."""
+        a store, the vector is promoted to the store's ring once.  Each
+        component's derivative ladder is built once, as far as the
+        highest order any entry of its column needs, and shared by
+        every row."""
         if len(vector) != self.shape[1]:
             raise ValueError("vector length mismatch")
         if store is not None:
             vector = [promote(x, store.ring) for x in vector]
+        ladders = [[x] for x in vector]
         out = []
         for row in self.grid:
             acc = vector[0].ring.zero()
-            for op, x in zip(row, vector):
+            for op, x, jets in zip(row, vector, ladders):
                 if not op.is_zero:
-                    acc = acc + op.apply(x, store)
+                    acc = acc + op.apply(x, store, jets)
             out.append(acc)
         return out
 
@@ -697,8 +708,10 @@ class NonlocalStore:
             return None
         remainder = _combine(core, [-alpha for alpha in sol],
                              [cj for _name, cj, _lead in self._dinv_cores])
+        # the solve matched every Euler image, so the remainder's
+        # vanish and need no second check
         try:
-            extra = antiderivative(remainder)
+            extra = integrate_by_parts(remainder)
         except NotIntegrable:
             return None
         return _combine(extra, sol, [self.ring.coord(name)

@@ -10,6 +10,7 @@ its own catalog entries.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .. import catalog as _catalog
 from ..jetalg import (
@@ -418,8 +419,10 @@ def _scan_row(ctx, C):
     omA = omega.adjoint()
     vecs = [(Y.coord("phi"), Y.zero()), (Y.zero(), Y.coord("psi"))]
     lam, middle = C.get("Lambda"), C.get("Jt1.middle")
+    lam_adjoint = lam.adjoint()
     images = [omega.apply(Transport.apply_sandwich(
-                  lam, middle, omA.apply(vec, store), store), store)
+                  lam, lam_adjoint, middle, omA.apply(vec, store), store),
+                  store)
               for vec in vecs]
 
     def applied_matches(target):
@@ -458,30 +461,28 @@ def _scan_row(ctx, C):
 
 def appendix_a(ctx):
     C = ctx.catalog
-    fc = _FormalCurvature(C)
-    yield _blocks_row(ctx, fc, C)
-    yield _relations_row(ctx, fc, C)
-    yield _flow_row(ctx, fc, C)
-    yield _subflow_row(ctx, C)
-    yield _balance_row(ctx, C)
-    yield _omega_row(ctx, C)
-    yield _link_row(ctx, C)
-    yield _scan_row(ctx, C)
+    formal = cache(lambda: _FormalCurvature(C))
+    yield "appendix_a.blocks", lambda: _blocks_row(ctx, formal(), C)
+    yield "appendix_a.relations", lambda: _relations_row(ctx, formal(), C)
+    yield "appendix_a.flow", lambda: _flow_row(ctx, formal(), C)
+    yield "appendix_a.subflow", lambda: _subflow_row(ctx, C)
+    yield "appendix_a.balance", lambda: _balance_row(ctx, C)
+    yield "appendix_a.omega", lambda: _omega_row(ctx, C)
+    yield "appendix_a.link", lambda: _link_row(ctx, C)
+    yield "appendix_a.scan", lambda: _scan_row(ctx, C)
 
 
 def appendix_b(ctx):
     C = ctx.catalog
-    yield check_zero_curvature(C.get("lax.appb"), C.get("sys.appb"), ctx,
-                               "appendix_b.zc", C.citation("lax.appb"))
-    yield check_zero_curvature(C.get("lax.appb.trans"),
-                               C.get("sys.appb.trans"), ctx,
-                               "appendix_b.zc_trans",
-                               C.citation("lax.appb.trans"))
-    yield check_conservation(C.get("recip.appb"), C.get("sys.appb"), ctx,
-                             "appendix_b.conservation",
-                             C.citation("recip.appb"))
-    yield check_reciprocal_system_map(C.get("sys.appb"),
-                                      C.get("recip.appb"),
-                                      C.get("sys.appb.trans"), ctx,
-                                      "appendix_b.reciprocal",
-                                      C.citation("sys.appb.trans"))
+    yield "appendix_b.zc", lambda: check_zero_curvature(
+        C.get("lax.appb"), C.get("sys.appb"), ctx, "appendix_b.zc",
+        C.citation("lax.appb"))
+    yield "appendix_b.zc_trans", lambda: check_zero_curvature(
+        C.get("lax.appb.trans"), C.get("sys.appb.trans"), ctx,
+        "appendix_b.zc_trans", C.citation("lax.appb.trans"))
+    yield "appendix_b.conservation", lambda: check_conservation(
+        C.get("recip.appb"), C.get("sys.appb"), ctx,
+        "appendix_b.conservation", C.citation("recip.appb"))
+    yield "appendix_b.reciprocal", lambda: check_reciprocal_system_map(
+        C.get("sys.appb"), C.get("recip.appb"), C.get("sys.appb.trans"),
+        ctx, "appendix_b.reciprocal", C.citation("sys.appb.trans"))

@@ -66,14 +66,16 @@ def check_zero_curvature(pair, sysdef, ctx, rid, citation):
 
 def zc_main(ctx):
     C = ctx.catalog
-    yield check_zero_curvature(C.get("lax.main"), C.get("sys.main"), ctx,
-                               "zc_main", C.citation("lax.main"))
+    yield "zc_main", lambda: check_zero_curvature(
+        C.get("lax.main"), C.get("sys.main"), ctx, "zc_main",
+        C.citation("lax.main"))
 
 
 def zc_trans(ctx):
     C = ctx.catalog
-    yield check_zero_curvature(C.get("lax.trans"), C.get("sys.mdflow"),
-                               ctx, "zc_trans", C.citation("lax.trans"))
+    yield "zc_trans", lambda: check_zero_curvature(
+        C.get("lax.trans"), C.get("sys.mdflow"), ctx, "zc_trans",
+        C.citation("lax.trans"))
 
 
 # -- conservation ---------------------------------------------------------
@@ -108,10 +110,12 @@ def check_conservation(map_, sysdef, ctx, rid, citation):
 
 def conservation(ctx):
     C = ctx.catalog
-    yield check_conservation(C.get("recip.main"), C.get("sys.main"), ctx,
-                             "conservation.main", C.citation("recip.main"))
-    yield check_conservation(C.get("recip.appb"), C.get("sys.appb"), ctx,
-                             "conservation.appb", C.citation("recip.appb"))
+    yield "conservation.main", lambda: check_conservation(
+        C.get("recip.main"), C.get("sys.main"), ctx, "conservation.main",
+        C.citation("recip.main"))
+    yield "conservation.appb", lambda: check_conservation(
+        C.get("recip.appb"), C.get("sys.appb"), ctx, "conservation.appb",
+        C.citation("recip.appb"))
 
 
 # -- reciprocal transformation --------------------------------------------
@@ -192,63 +196,76 @@ def reciprocal(ctx):
     C = ctx.catalog
     Y = _catalog.RING_Y
 
-    src = C.get("sys.main")
-    map_ = C.get("recip.main")
-    named = dict(C.get("ymap"))
-    usdefs = dict(C.get("usdefs"))
-    flows = dict(C.get("flow.intermediate"))
-    cite = C.citation("flow.intermediate")
-
-    yield conclude(
-        ctx, "reciprocal.main.idef", C.citation("usdefs"),
-        [("transported first coefficient minus its direct definition",
-          to_y(named["Q1"]) - usdefs["i"])],
-        NORMAL_FORM)
-
-    yield conclude_erratum(
-        ctx, "reciprocal.main.jdef", C.citation("ymap"),
-        [("transported second coefficient, displayed overall power, "
-          "minus the direct definition",
-          to_y(named["Q2.display"]) - usdefs["j"])],
-        [("transported second coefficient, corrected overall power, "
-          "minus the direct definition",
-          to_y(named["Q2"]) - usdefs["j"])],
-        NORMAL_FORM)
-
-    rules = usdef_rules(C)
-    for dep, xdef, label in (("i", named["Q1"], "itau"),
-                             ("j", named["Q2"], "jtau")):
-        got = transported_tau(src, map_, xdef)
-        yield conclude(
-            ctx, "reciprocal.main." + label, cite,
-            [("transported time derivative of %s minus the stated mixed "
-              "flow" % dep, rules.reduce(got - flows[dep + "_tau"]))],
+    def idef():
+        named = dict(C.get("ymap"))
+        usdefs = dict(C.get("usdefs"))
+        return conclude(
+            ctx, "reciprocal.main.idef", C.citation("usdefs"),
+            [("transported first coefficient minus its direct definition",
+              to_y(named["Q1"]) - usdefs["i"])],
             NORMAL_FORM)
 
-    # forced reading of the constraint notation: the transported
-    # momentum constraints factor through the third-order kernel
-    # expressions with a single density prefactor
-    eq_r, eq_q = _constraint_equations(src, map_)
-    u = Y.coord("u")
-    yield conclude(
-        ctx, "reciprocal.main.kernels", cite,
-        [("first transported constraint minus density times its kernel "
-          "reading", to_y(eq_r) - u * flows["kernelr"]),
-         ("second transported constraint minus density times its kernel "
-          "reading", to_y(eq_q) - u * flows["kernelq"])],
-        NORMAL_FORM)
+    def jdef():
+        named = dict(C.get("ymap"))
+        usdefs = dict(C.get("usdefs"))
+        return conclude_erratum(
+            ctx, "reciprocal.main.jdef", C.citation("ymap"),
+            [("transported second coefficient, displayed overall power, "
+              "minus the direct definition",
+              to_y(named["Q2.display"]) - usdefs["j"])],
+            [("transported second coefficient, corrected overall power, "
+              "minus the direct definition",
+              to_y(named["Q2"]) - usdefs["j"])],
+            NORMAL_FORM)
 
-    fg = dict(C.get("fg"))
-    md = C.get("sys.mdflow")
-    yield conclude(
-        ctx, "reciprocal.main.flowlink", C.citation("sys.mdflow"),
-        [("negative-flow %s component under the flux parametrization "
-          "minus the mixed flow" % dep,
-          rules.reduce(substitute(md.evolution[dep], fg)
-                       - flows[dep + "_tau"]))
-         for dep in ("i", "j")],
-        NORMAL_FORM)
+    def tau(dep, coefficient):
+        xdef = dict(C.get("ymap"))[coefficient]
+        flows = dict(C.get("flow.intermediate"))
+        got = transported_tau(C.get("sys.main"), C.get("recip.main"), xdef)
+        return conclude(
+            ctx, "reciprocal.main.%stau" % dep,
+            C.citation("flow.intermediate"),
+            [("transported time derivative of %s minus the stated mixed "
+              "flow" % dep,
+              usdef_rules(C).reduce(got - flows[dep + "_tau"]))],
+            NORMAL_FORM)
 
-    yield check_reciprocal_system_map(
+    def kernels():
+        # forced reading of the constraint notation: the transported
+        # momentum constraints factor through the third-order kernel
+        # expressions with a single density prefactor
+        flows = dict(C.get("flow.intermediate"))
+        eq_r, eq_q = _constraint_equations(C.get("sys.main"),
+                                           C.get("recip.main"))
+        u = Y.coord("u")
+        return conclude(
+            ctx, "reciprocal.main.kernels", C.citation("flow.intermediate"),
+            [("first transported constraint minus density times its "
+              "kernel reading", to_y(eq_r) - u * flows["kernelr"]),
+             ("second transported constraint minus density times its "
+              "kernel reading", to_y(eq_q) - u * flows["kernelq"])],
+            NORMAL_FORM)
+
+    def flowlink():
+        flows = dict(C.get("flow.intermediate"))
+        fg = dict(C.get("fg"))
+        md = C.get("sys.mdflow")
+        rules = usdef_rules(C)
+        return conclude(
+            ctx, "reciprocal.main.flowlink", C.citation("sys.mdflow"),
+            [("negative-flow %s component under the flux parametrization "
+              "minus the mixed flow" % dep,
+              rules.reduce(substitute(md.evolution[dep], fg)
+                           - flows[dep + "_tau"]))
+             for dep in ("i", "j")],
+            NORMAL_FORM)
+
+    yield "reciprocal.main.idef", idef
+    yield "reciprocal.main.jdef", jdef
+    yield "reciprocal.main.itau", lambda: tau("i", "Q1")
+    yield "reciprocal.main.jtau", lambda: tau("j", "Q2")
+    yield "reciprocal.main.kernels", kernels
+    yield "reciprocal.main.flowlink", flowlink
+    yield "reciprocal.appb", lambda: check_reciprocal_system_map(
         C.get("sys.appb"), C.get("recip.appb"), C.get("sys.appb.trans"),
         ctx, "reciprocal.appb", C.citation("sys.appb.trans"))

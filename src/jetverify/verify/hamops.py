@@ -59,6 +59,10 @@ def _conjugation_residual(ctx, left_x, right_x, result_local):
 
 
 def prop1(ctx):
+    yield "prop1", lambda: _prop1_row(ctx)
+
+
+def _prop1_row(ctx):
     C = ctx.catalog
     X = _catalog.RING_X
     u = X.coord("u")
@@ -75,10 +79,14 @@ def prop1(ctx):
                   "display",
                   _conjugation_residual(ctx, u ** -1 * s ** -1,
                                         s * u ** -2, th1c)))
-    yield conclude(ctx, "prop1", C.citation("Theta1"), pairs, NORMAL_FORM)
+    return conclude(ctx, "prop1", C.citation("Theta1"), pairs, NORMAL_FORM)
 
 
 def prop2(ctx):
+    yield "prop2", lambda: _prop2_row(ctx)
+
+
+def _prop2_row(ctx):
     C = ctx.catalog
     X = _catalog.RING_X
     u = X.coord("u")
@@ -87,29 +95,19 @@ def prop2(ctx):
               "operator, orders tagged by jets of phi",
               _conjugation_residual(ctx, u ** -2, u ** -1, th2))]
     pairs += op_coeff_pairs("skewness", th2.adjoint() + th2)
-    yield conclude(ctx, "prop2", C.citation("Theta2"), pairs, NORMAL_FORM)
+    return conclude(ctx, "prop2", C.citation("Theta2"), pairs, NORMAL_FORM)
 
 
 def bihamiltonian_x(ctx):
+    yield "bihamiltonian_x.local", lambda: _bihamiltonian_local(ctx)
+    yield "bihamiltonian_x.nonlocal", lambda: _bihamiltonian_nonlocal(ctx)
+
+
+def _bihamiltonian_local(ctx):
     C = ctx.catalog
-    X = _catalog.RING_X
     sysdef = C.get("sys.main")
     cons = sysdef.constraints
     kernel = C.get("E").local
-
-    def gradient(density):
-        """Constrained functional gradient in the momenta: the
-        potentials vary through the inverse kernel, whose adjoint is
-        its negative."""
-        out = []
-        for mom, pot in (("v", "r"), ("w", "q")):
-            direct = euler_derivative(density, mom)
-            through = solve_e_image(cons.reduce(
-                euler_derivative(density, pot)))
-            out.append(direct - through)
-        return out
-
-
     h0 = C.get("H0").density
     # the gradient's inverse-kernel component stays a formal atom here:
     # composing with the local operator cancels it exactly, leaving the
@@ -134,8 +132,28 @@ def bihamiltonian_x(ctx):
               % name,
               cons.reduce(flow0[name] - sysdef.evolution[name]))
              for name in ("v", "w")]
-    yield conclude(ctx, "bihamiltonian_x.local",
-                   C.citation("H0"), pairs, NORMAL_FORM, notes0)
+    return conclude(ctx, "bihamiltonian_x.local",
+                    C.citation("H0"), pairs, NORMAL_FORM, notes0)
+
+
+def _bihamiltonian_nonlocal(ctx):
+    C = ctx.catalog
+    X = _catalog.RING_X
+    sysdef = C.get("sys.main")
+    cons = sysdef.constraints
+    kernel = C.get("E").local
+
+    def gradient(density):
+        """Constrained functional gradient in the momenta: the
+        potentials vary through the inverse kernel, whose adjoint is
+        its negative."""
+        out = []
+        for mom, pot in (("v", "r"), ("w", "q")):
+            direct = euler_derivative(density, mom)
+            through = solve_e_image(cons.reduce(
+                euler_derivative(density, pot)))
+            out.append(direct - through)
+        return out
 
     h1 = C.get("H1").density
     g1 = gradient(h1)
@@ -173,5 +191,5 @@ def bihamiltonian_x(ctx):
     pairs.append(("constrained quadratic density must have a "
                   "nonvanishing variational derivative",
                   X.one() if witness.is_zero else X.zero()))
-    yield conclude(ctx, "bihamiltonian_x.nonlocal",
-                   C.citation("H1"), pairs, NORMAL_FORM, notes)
+    return conclude(ctx, "bihamiltonian_x.nonlocal",
+                    C.citation("H1"), pairs, NORMAL_FORM, notes)

@@ -2,6 +2,8 @@
 spectral problem, the factorization chains, and the recipe identity
 connecting the constraint pair to the negative flow."""
 
+from functools import cache
+
 from ..jetalg import (
     NotIntegrable, RelationSet, antiderivative, euler_derivative, max_order,
     promote, substitute, total_derivative,
@@ -40,14 +42,14 @@ def _strip_unit(e, name):
     return out
 
 
-def scalar_reduction(ctx):
-    C = ctx.catalog
+def _gauged_relations(C):
+    """The two second-order relations of the spatial problem, derived
+    over the new variable and gauged by the square-rooted density."""
     Y = _catalog.RING_Y
     ring = _gauge_ring()
     u = ring.coord("u")
     s = ring.coord("s")
     alp = ring.coord("alp")
-    lam = ring.param("lam")
     phi = ring.coord("phi")
     psi = ring.coord("psi")
     D = total_derivative
@@ -81,44 +83,58 @@ def scalar_reduction(ctx):
     eq_phi = _strip_unit(gauge.reduce(eq_phi), "alp") * u ** -2
     eq_psi = _strip_unit(gauge.reduce(eq_psi), "alp") * (u * s) ** -1
 
-    eq_phi = promote(eq_phi, Y)
-    eq_psi = promote(eq_psi, Y)
+    return promote(eq_phi, Y), promote(eq_psi, Y)
 
-    claims = dict(C.get("reduction2"))
-    yield conclude(
-        ctx, "scalar_reduction.pair", C.citation("reduction2"),
-        [("derived second-order relation for the first component minus "
-          "the displayed one", eq_phi - claims["phi.eq"]),
-         ("derived second-order relation for the second component minus "
-          "the displayed one", eq_psi - claims["psi.eq"])],
-        NORMAL_FORM)
 
-    # eliminate the second component: the first relation solves for it,
-    # the second then closes a fourth-order equation at squared
-    # spectral parameter
-    lam = Y.param("lam")
-    psi_expr = (eq_phi + lam * Y.coord("psi")) / lam
-    fourth = lam * substitute(eq_psi, {"psi": psi_expr})
+def scalar_reduction(ctx):
+    C = ctx.catalog
+    Y = _catalog.RING_Y
+    relations = cache(lambda: _gauged_relations(C))
 
-    mn = dict(C.get("scalar.mn"))
-    claim4 = substitute(C.get("scalar4"), {"m": mn["m"], "n": mn["n"]})
-    yield conclude(
-        ctx, "scalar_reduction.fourth", C.citation("scalar4"),
-        [("derived fourth-order relation minus the displayed scalar "
-          "problem", substitute(fourth, _HSUB) - claim4)],
-        NORMAL_FORM)
+    def pair():
+        eq_phi, eq_psi = relations()
+        claims = dict(C.get("reduction2"))
+        return conclude(
+            ctx, "scalar_reduction.pair", C.citation("reduction2"),
+            [("derived second-order relation for the first component "
+              "minus the displayed one", eq_phi - claims["phi.eq"]),
+             ("derived second-order relation for the second component "
+              "minus the displayed one", eq_psi - claims["psi.eq"])],
+            NORMAL_FORM)
 
-    # the two parametrizations of the scalar coefficients agree
-    usrules = dict(C.get("usdefs"))
-    msub = {"i": usrules["i"], "j": usrules["j"]}
-    pairs = []
-    for name, ident in (("m", "miura.m"), ("n", "miura.n")):
-        through_s = substitute(substitute(C.get(ident), msub), _HSUB)
-        pairs.append(("coefficient %s through the parametrization pair "
-                      "minus its ratio-root form" % name,
-                      through_s - mn[name]))
-    yield conclude(ctx, "scalar_reduction.mn",
-                   C.citation("scalar.mn"), pairs, NORMAL_FORM)
+    def fourth():
+        # eliminate the second component: the first relation solves for
+        # it, the second then closes a fourth-order equation at squared
+        # spectral parameter
+        eq_phi, eq_psi = relations()
+        lam = Y.param("lam")
+        psi_expr = (eq_phi + lam * Y.coord("psi")) / lam
+        derived = lam * substitute(eq_psi, {"psi": psi_expr})
+        mn = dict(C.get("scalar.mn"))
+        claim4 = substitute(C.get("scalar4"), {"m": mn["m"], "n": mn["n"]})
+        return conclude(
+            ctx, "scalar_reduction.fourth", C.citation("scalar4"),
+            [("derived fourth-order relation minus the displayed scalar "
+              "problem", substitute(derived, _HSUB) - claim4)],
+            NORMAL_FORM)
+
+    def mn_pair():
+        # the two parametrizations of the scalar coefficients agree
+        mn = dict(C.get("scalar.mn"))
+        usrules = dict(C.get("usdefs"))
+        msub = {"i": usrules["i"], "j": usrules["j"]}
+        pairs = []
+        for name, ident in (("m", "miura.m"), ("n", "miura.n")):
+            through_s = substitute(substitute(C.get(ident), msub), _HSUB)
+            pairs.append(("coefficient %s through the parametrization "
+                          "pair minus its ratio-root form" % name,
+                          through_s - mn[name]))
+        return conclude(ctx, "scalar_reduction.mn",
+                        C.citation("scalar.mn"), pairs, NORMAL_FORM)
+
+    yield "scalar_reduction.pair", pair
+    yield "scalar_reduction.fourth", fourth
+    yield "scalar_reduction.mn", mn_pair
 
 
 # -- factorizations -------------------------------------------------------
@@ -133,43 +149,51 @@ def factorizations(ctx):
     C = ctx.catalog
     Y = _catalog.RING_Y
 
-    mn = mn_rules(C)
-    quad = C.get("factor2.left").compose(C.get("factor2.right"))
-    yield conclude(
-        ctx, "factorizations.quadratic", C.citation("miura.m"),
-        op_coeff_pairs("second-order factor product minus the "
-                       "fourth-order operator",
-                       _local_part(quad - C.get("L4")), mn),
-        NORMAL_FORM)
+    def quadratic():
+        quad = C.get("factor2.left").compose(C.get("factor2.right"))
+        return conclude(
+            ctx, "factorizations.quadratic", C.citation("miura.m"),
+            op_coeff_pairs("second-order factor product minus the "
+                           "fourth-order operator",
+                           _local_part(quad - C.get("L4")), mn_rules(C)),
+            NORMAL_FORM)
 
-    a1 = Y.coord("a1")
-    b1 = Y.coord("b1")
-    ij_rules = (mn
-                .with_rule("i", 0, -2 * b1)
-                .with_rule("j", 0, total_derivative(a1) + a1 ** 2
-                           - total_derivative(b1) - b1 ** 2))
-    linear = C.get("factor1.1")
-    for k in ("2", "3", "4"):
-        linear = linear.compose(C.get("factor1." + k))
-    yield conclude(
-        ctx, "factorizations.linear", C.citation("factor1.1"),
-        op_coeff_pairs("linear factor product minus the fourth-order "
-                       "operator", _local_part(linear - C.get("L4")),
-                       ij_rules),
-        NORMAL_FORM)
+    def linear():
+        a1 = Y.coord("a1")
+        b1 = Y.coord("b1")
+        ij_rules = (mn_rules(C)
+                    .with_rule("i", 0, -2 * b1)
+                    .with_rule("j", 0, total_derivative(a1) + a1 ** 2
+                               - total_derivative(b1) - b1 ** 2))
+        product = C.get("factor1.1")
+        for k in ("2", "3", "4"):
+            product = product.compose(C.get("factor1." + k))
+        return conclude(
+            ctx, "factorizations.linear", C.citation("factor1.1"),
+            op_coeff_pairs("linear factor product minus the fourth-order "
+                           "operator", _local_part(product - C.get("L4")),
+                           ij_rules),
+            NORMAL_FORM)
 
-    ab = dict(C.get("ab1"))
-    usdefs = dict(C.get("usdefs"))
-    i_from_ab = -2 * ab["b1"]
-    j_from_ab = (total_derivative(ab["a1"]) + ab["a1"] ** 2
-                 - total_derivative(ab["b1"]) - ab["b1"] ** 2)
-    yield conclude(
-        ctx, "factorizations.firstorder", C.citation("ab1"),
-        [("first coefficient from the linear-factor data minus its "
-          "parametrized form", i_from_ab - substitute(usdefs["i"], _HSUB)),
-         ("second coefficient from the linear-factor data minus its "
-          "parametrized form", j_from_ab - substitute(usdefs["j"], _HSUB))],
-        NORMAL_FORM)
+    def firstorder():
+        ab = dict(C.get("ab1"))
+        usdefs = dict(C.get("usdefs"))
+        i_from_ab = -2 * ab["b1"]
+        j_from_ab = (total_derivative(ab["a1"]) + ab["a1"] ** 2
+                     - total_derivative(ab["b1"]) - ab["b1"] ** 2)
+        return conclude(
+            ctx, "factorizations.firstorder", C.citation("ab1"),
+            [("first coefficient from the linear-factor data minus its "
+              "parametrized form",
+              i_from_ab - substitute(usdefs["i"], _HSUB)),
+             ("second coefficient from the linear-factor data minus its "
+              "parametrized form",
+              j_from_ab - substitute(usdefs["j"], _HSUB))],
+            NORMAL_FORM)
+
+    yield "factorizations.quadratic", quadratic
+    yield "factorizations.linear", linear
+    yield "factorizations.firstorder", firstorder
 
 
 # -- connecting identity --------------------------------------------------
@@ -177,37 +201,42 @@ def factorizations(ctx):
 def connecting_identity(ctx):
     C = ctx.catalog
     Y = _catalog.RING_Y
-    fexp = dict(C.get("F12"))
-    f1e, f2e = fexp["F1"], fexp["F2"]
 
-    store = NonlocalStore(Y)
-    # seed the store with the difference integral so both displays
-    # resolve their antiderivatives through one shared kernel
-    store.resolve_dinv(f1e - f2e)
-    left = C.get("Grecipe").apply((f1e, f2e), store)
-    right = C.get("Jop").apply((f1e, f2e), store)
-    pairs = [("recipe row %d minus matrix row %d" % (k + 1, k + 1),
-              store.reduce(left[k] - right[k])) for k in range(2)]
-    notes = aux_hygiene_notes(store, left, right)
-    try:
-        antiderivative(f1e - f2e)
-        verdict = "exact"
-    except NotIntegrable:
-        verdict = "not exact"
-    witness = euler_derivative(f1e - f2e, "f")
-    notes.append("difference of the constraint expressions is %s as a "
-                 "total derivative (variational derivative in the first "
-                 "flux %s)" % (verdict,
-                               "vanishes" if witness.is_zero
-                               else "is nonzero"))
-    yield conclude(ctx, "connecting_identity.expand",
-                   C.citation("Grecipe"), pairs, TEST_VECTOR, notes)
+    def expand():
+        fexp = dict(C.get("F12"))
+        f1e, f2e = fexp["F1"], fexp["F2"]
+        store = NonlocalStore(Y)
+        # seed the store with the difference integral so both displays
+        # resolve their antiderivatives through one shared kernel
+        store.resolve_dinv(f1e - f2e)
+        left = C.get("Grecipe").apply((f1e, f2e), store)
+        right = C.get("Jop").apply((f1e, f2e), store)
+        pairs = [("recipe row %d minus matrix row %d" % (k + 1, k + 1),
+                  store.reduce(left[k] - right[k])) for k in range(2)]
+        notes = aux_hygiene_notes(store, left, right)
+        try:
+            antiderivative(f1e - f2e)
+            verdict = "exact"
+        except NotIntegrable:
+            verdict = "not exact"
+        witness = euler_derivative(f1e - f2e, "f")
+        notes.append("difference of the constraint expressions is %s as a "
+                     "total derivative (variational derivative in the "
+                     "first flux %s)" % (verdict,
+                                         "vanishes" if witness.is_zero
+                                         else "is nonzero"))
+        return conclude(ctx, "connecting_identity.expand",
+                        C.citation("Grecipe"), pairs, TEST_VECTOR, notes)
 
-    # unit-normalized constraints annihilate the recipe
-    cstore = NonlocalStore(Y)
-    image = C.get("Grecipe").apply((-Y.one(), -Y.one()), cstore)
-    yield conclude(
-        ctx, "connecting_identity.constants", C.citation("Grecipe"),
-        [("recipe row %d on the unit-normalized pair" % (k + 1),
-          cstore.reduce(image[k])) for k in range(2)],
-        TEST_VECTOR)
+    def constants():
+        # unit-normalized constraints annihilate the recipe
+        store = NonlocalStore(Y)
+        image = C.get("Grecipe").apply((-Y.one(), -Y.one()), store)
+        return conclude(
+            ctx, "connecting_identity.constants", C.citation("Grecipe"),
+            [("recipe row %d on the unit-normalized pair" % (k + 1),
+              store.reduce(image[k])) for k in range(2)],
+            TEST_VECTOR)
+
+    yield "connecting_identity.expand", expand
+    yield "connecting_identity.constants", constants

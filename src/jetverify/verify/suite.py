@@ -10,14 +10,20 @@ declares the catalog entries it reads, optionally restricted to named
 structural parts, and corrupting any single coefficient slot inside
 that read surface must flip the check off green.
 
-Each check yields its rows in report order.  run_suite collects every
-row; run_mutated stops a check after its first row that is neither a
-pass nor an erratum, so its rows are a prefix of the run_suite rows
-(see run_mutated for the one exception).  Either way, an exception
-part-way through a check discards the rows before it and reports one
-undecidable row.
+Each check yields its rows in report order, each as a row id and a
+build, and each row declares the catalog entries its build reads.
+run_suite builds every row; run_mutated stops a check after its first
+row that is neither a pass nor an erratum, so its rows are a prefix of
+the run_suite rows (see run_mutated for the one exception).  It builds
+only the rows whose reads contain the mutated entry and reuses every
+other row from the check's unmutated run, which is sound by the
+converse invariant: a row that reads nothing a mutant touches keeps a
+byte-identical record.  Either way, an exception part-way through a
+check discards the rows before it and reports one undecidable row.
 """
 
+import copy
+import functools
 import random
 import time
 
@@ -52,13 +58,19 @@ __all__ = [
 
 
 class CheckSpec:
-    """Registry record for one published check."""
+    """Registry record for one published check.
+
+    The runner takes a CheckContext and yields (row id, build) in report
+    order, where build() derives that row's CheckResult; it fetches no
+    catalog entry outside a build, and shared setup is built the first
+    time a build needs it, so the harness can decide which rows to
+    build."""
 
     __slots__ = ("name", "runner", "citation_ident", "claim", "strategy",
-                 "reads")
+                 "reads", "rows")
 
     def __init__(self, name, runner, citation_ident, claim, strategy,
-                 reads):
+                 reads, rows):
         self.name = name
         self.runner = runner
         self.citation_ident = citation_ident
@@ -67,6 +79,10 @@ class CheckSpec:
         # reads: tuple of (catalog ident, part labels or None for all);
         # this is the surface the mutation harness samples from
         self.reads = tuple(reads)
+        # rows: tuple of (row id, catalog idents), in report order; the
+        # idents are every surface entry the row's build fetches,
+        # including through the setup it triggers
+        self.rows = tuple(rows)
 
 
 CHECKS = (
@@ -78,14 +94,16 @@ CHECKS = (
         "evolution rules, split every entry by spectral-parameter "
         "power, and reduce each coefficient to normal form modulo the "
         "momentum constraints.",
-        (("lax.main", None), ("sys.main", None))),
+        (("lax.main", None), ("sys.main", None)),
+        (("zc_main", ("lax.main", "sys.main")),)),
     CheckSpec(
         "zc_trans", _flows.zc_trans, "lax.trans",
         "The transformed matrix pair satisfies zero curvature on the "
         "transformed negative flow.",
         "Same curvature expansion as the untransformed pair, over the "
         "transformed ring and flow rules.",
-        (("lax.trans", None), ("sys.mdflow", None))),
+        (("lax.trans", None), ("sys.mdflow", None)),
+        (("zc_trans", ("lax.trans", "sys.mdflow")),)),
     CheckSpec(
         "conservation", _flows.conservation, "recip.main",
         "The quarter-power momentum density obeys a local conservation "
@@ -94,7 +112,9 @@ CHECKS = (
         "power of the density evolves as required by the stated flux, "
         "which keeps all arithmetic Laurent-polynomial.",
         (("recip.main", None), ("sys.main", ("evolution",)),
-         ("recip.appb", None), ("sys.appb", ("evolution",)))),
+         ("recip.appb", None), ("sys.appb", ("evolution",))),
+        (("conservation.main", ("recip.main", "sys.main")),
+         ("conservation.appb", ("recip.appb", "sys.appb")))),
     CheckSpec(
         "reciprocal", _flows.reciprocal, "ymap",
         "The change of independent variable built from the conserved "
@@ -109,7 +129,19 @@ CHECKS = (
          ("ymap", ("Q1", "Q2")), ("usdefs", None),
          ("flow.intermediate", None), ("fg", None),
          ("sys.mdflow", ("evolution",)), ("sys.appb", None),
-         ("recip.appb", None), ("sys.appb.trans", ("evolution",)))),
+         ("recip.appb", None), ("sys.appb.trans", ("evolution",))),
+        (("reciprocal.main.idef", ("ymap", "usdefs")),
+         ("reciprocal.main.jdef", ("ymap", "usdefs")),
+         ("reciprocal.main.itau",
+          ("sys.main", "recip.main", "ymap", "usdefs", "flow.intermediate")),
+         ("reciprocal.main.jtau",
+          ("sys.main", "recip.main", "ymap", "usdefs", "flow.intermediate")),
+         ("reciprocal.main.kernels",
+          ("sys.main", "recip.main", "flow.intermediate")),
+         ("reciprocal.main.flowlink",
+          ("usdefs", "flow.intermediate", "fg", "sys.mdflow")),
+         ("reciprocal.appb",
+          ("ymap", "usdefs", "sys.appb", "recip.appb", "sys.appb.trans")))),
     CheckSpec(
         "scalar_reduction", _scalar.scalar_reduction, "reduction2",
         "The four-component spatial problem collapses to two "
@@ -121,7 +153,11 @@ CHECKS = (
         "equations against the catalogued forms.",
         (("lax.main", ("space",)), ("recip.main", ("substitutions",)),
          ("reduction2", None), ("scalar4", None), ("scalar.mn", None),
-         ("usdefs", None))),
+         ("usdefs", None)),
+        (("scalar_reduction.pair", ("lax.main", "recip.main", "reduction2")),
+         ("scalar_reduction.fourth",
+          ("lax.main", "recip.main", "scalar4", "scalar.mn")),
+         ("scalar_reduction.mn", ("scalar.mn", "usdefs")))),
     CheckSpec(
         "factorizations", _scalar.factorizations, "L4",
         "The fourth-order scalar operator factors through the "
@@ -133,7 +169,13 @@ CHECKS = (
         (("miura.m", None), ("miura.n", None), ("factor2.left", None),
          ("factor2.right", None), ("L4", None), ("factor1.1", None),
          ("factor1.2", None), ("factor1.3", None), ("factor1.4", None),
-         ("ab1", None), ("usdefs", None))),
+         ("ab1", None), ("usdefs", None)),
+        (("factorizations.quadratic",
+          ("miura.m", "miura.n", "factor2.left", "factor2.right", "L4")),
+         ("factorizations.linear",
+          ("miura.m", "miura.n", "L4", "factor1.1", "factor1.2",
+           "factor1.3", "factor1.4")),
+         ("factorizations.firstorder", ("ab1", "usdefs")))),
     CheckSpec(
         "connecting_identity", _scalar.connecting_identity, "Grecipe",
         "The two-component recipe assembled from the first-order "
@@ -141,7 +183,9 @@ CHECKS = (
         "Apply both operators to a generic vector with a shared "
         "integral store and compare images; repeat on constants to pin "
         "the integration-constant convention.",
-        (("Grecipe", None), ("Jop", None))),
+        (("Grecipe", None), ("Jop", None)),
+        (("connecting_identity.expand", ("Grecipe", "Jop")),
+         ("connecting_identity.constants", ("Grecipe",)))),
     CheckSpec(
         "prop1", _hamops.prop1, "Theta1",
         "Weighted conjugation of the third-order kernel operator by "
@@ -150,13 +194,15 @@ CHECKS = (
         "Transport the kernel operator through the density change of "
         "variable, conjugate by the unit and its reciprocal, and "
         "compare coefficients in normal form.",
-        (("E", None), ("Theta1", None), ("Theta1.conj", None))),
+        (("E", None), ("Theta1", None), ("Theta1.conj", None)),
+        (("prop1", ("E", "Theta1", "Theta1.conj")),)),
     CheckSpec(
         "prop2", _hamops.prop2, "Theta2",
         "Weighted conjugation by the second displayed unit reproduces "
         "the second catalogued operator.",
         "Same transported conjugation route as the first pair.",
-        (("E", None), ("Theta2", None))),
+        (("E", None), ("Theta2", None)),
+        (("prop2", ("E", "Theta2")),)),
     CheckSpec(
         "bihamiltonian_x", _hamops.bihamiltonian_x, "J1",
         "Both catalogued functionals generate the momentum flow "
@@ -166,7 +212,9 @@ CHECKS = (
         "against the stated evolution; nonvacuity of the second "
         "density is confirmed by its nonzero variational derivative.",
         (("sys.main", None), ("E", None), ("H0", None), ("H1", None),
-         ("J1", None))),
+         ("J1", None)),
+        (("bihamiltonian_x.local", ("sys.main", "E", "H0")),
+         ("bihamiltonian_x.nonlocal", ("sys.main", "E", "H1", "J1")))),
     CheckSpec(
         "theorem1", _theorem.theorem1, "Jt2",
         "The transformed Hamiltonian pair factors through the displayed "
@@ -178,7 +226,12 @@ CHECKS = (
         "the second transformed operator must match exactly.",
         (("J1", None), ("J2", None), ("T1", None), ("T2", None),
          ("Jt2", None), ("Lambda", None), ("Jt1.middle", None),
-         ("ymap", ("Q1", "Q2")))),
+         ("ymap", ("Q1", "Q2"))),
+        (("theorem1.t1", ("T1", "ymap")),
+         ("theorem1.t2", ("T2", "ymap")),
+         ("theorem1.factored", ("T1", "T2", "Lambda")),
+         ("theorem1.jt2", ("J1", "T1", "T2", "Jt2")),
+         ("theorem1.jt1", ("J1", "J2", "T1", "T2", "Lambda", "Jt1.middle")))),
     CheckSpec(
         "appendix_a", _appendixes.appendix_a, "krel.display",
         "The formal time-block ansatz reproduces the displayed "
@@ -198,7 +251,24 @@ CHECKS = (
          ("Grecipe", None), ("Jop", None), ("Kmat", None), ("F12", None),
          ("sys.mdflow", ("evolution",)), ("OmegaPrime", None),
          ("miura.m", None), ("miura.n", None), ("Thetamat", None),
-         ("P1", None), ("P2", None))),
+         ("P1", None), ("P2", None)),
+        (("appendix_a.blocks", ("lax.formal.space", "kzc.atau", "kzc.btau")),
+         ("appendix_a.relations",
+          ("lax.formal.space", "krel.display", "krel.rules")),
+         ("appendix_a.flow",
+          ("lax.formal.space", "krel.rules", "fir.local", "S1op", "S2op",
+           "Grecipe")),
+         ("appendix_a.subflow",
+          ("fir.local", "subk", "S1op", "S2op", "Grecipe", "Jop", "Kmat",
+           "F12", "sys.mdflow")),
+         ("appendix_a.balance",
+          ("fir.local", "subk", "S1op", "S2op", "Grecipe", "F12")),
+         ("appendix_a.omega", ("OmegaPrime", "miura.m", "miura.n")),
+         ("appendix_a.link",
+          ("Kmat", "Jop", "OmegaPrime", "miura.m", "miura.n", "Thetamat",
+           "P1", "P2")),
+         ("appendix_a.scan",
+          ("OmegaPrime", "miura.m", "miura.n", "P1", "P2")))),
     CheckSpec(
         "appendix_b", _appendixes.appendix_b, "sys.appb",
         "The auxiliary one-component system passes curvature, "
@@ -208,7 +278,12 @@ CHECKS = (
         "the auxiliary catalog entries.",
         (("lax.appb", None), ("sys.appb", None), ("lax.appb.trans", None),
          ("sys.appb.trans", None), ("recip.appb", None),
-         ("ymap", ("Q1", "Q2")))),
+         ("ymap", ("Q1", "Q2"))),
+        (("appendix_b.zc", ("lax.appb", "sys.appb")),
+         ("appendix_b.zc_trans", ("lax.appb.trans", "sys.appb.trans")),
+         ("appendix_b.conservation", ("sys.appb", "recip.appb")),
+         ("appendix_b.reciprocal",
+          ("sys.appb", "recip.appb", "sys.appb.trans", "ymap")))),
 )
 
 _BY_NAME = {spec.name: spec for spec in CHECKS}
@@ -220,7 +295,8 @@ def check_ids():
 
 
 def describe(name):
-    """Claim, citation, and strategy of one published check."""
+    """Claim, citation, strategy and catalog reads of one published
+    check, with each row's id and the entries that row reads."""
     spec = _BY_NAME[name]
     return {
         "id": spec.name,
@@ -228,6 +304,8 @@ def describe(name):
         "citation": _catalog.CATALOG.citation(spec.citation_ident),
         "strategy": spec.strategy,
         "reads": [ident for ident, _parts in spec.reads],
+        "rows": [{"id": rid, "reads": list(reads)}
+                 for rid, reads in spec.rows],
     }
 
 
@@ -255,7 +333,7 @@ def _aborted_row(spec, exc):
         notes=("%s: %s" % (type(exc).__name__, exc),))
 
 
-def _run_check(ctx, spec, stop_off_green):
+def _run_check(ctx, spec, stop_off_green, reused=None):
     """The rows one check yields; abnormal termination becomes a row.
 
     Reductions over a corrupted catalog may legitimately throw (a
@@ -263,12 +341,17 @@ def _run_check(ctx, spec, stop_off_green):
     any exception to a single undecidable row instead of propagating,
     discarding the rows yielded before it.  With stop_off_green the
     check stops after the first row that is neither a pass nor an
-    erratum.  Each row's elapsed_ms is the time from the check's start
-    or its previous row to that row."""
+    erratum.  A row id found in reused takes a copy of that row in
+    place of building it.  Each row's elapsed_ms is the time from the
+    check's start or its previous row to that row."""
     rows = []
     started = time.perf_counter()
     try:
-        for row in spec.runner(ctx):
+        for rid, build in spec.runner(ctx):
+            if reused and rid in reused:
+                row = copy.copy(reused[rid])
+            else:
+                row = build()
             row.elapsed_ms = (time.perf_counter() - started) * 1000
             rows.append(row)
             if stop_off_green and not all_clear((row,)):
@@ -342,20 +425,41 @@ def sample_mutations(name, count=10, seed=0):
     return tuple(rng.sample(slots, count))
 
 
+@functools.lru_cache(maxsize=None)
+def _unmutated_rows(name, seed):
+    """{row id: row} of one check over the packaged catalog and ledger,
+    built once per check and seed, the first time a mutant needs it."""
+    ctx = CheckContext(seed=seed, errata=load_ledger())
+    return {row.id: row
+            for row in _run_check(ctx, _BY_NAME[name], stop_off_green=False)}
+
+
 def run_mutated(name, ident, slot, seed=0):
     """Rows of one check over a catalog with one perturbed coefficient,
     up to and including the first row that is not green.
 
     The mutation sweep only asks whether the check goes off green, and
     a later row cannot turn it green again, so the check stops there.
+    Only the rows whose declared reads contain the mutated entry are
+    built over the mutated catalog; every other row is a copy of the
+    same row from the unmutated run of the check at the same seed.
+    That reuse rests on the converse of the sensitivity invariant: a
+    row that reads nothing the mutant touches keeps a byte-identical
+    record, since its build, and the setup it triggers, fetch only
+    entries its reads declare.
+
     Prefix contract: the rows are the rows run_suite reports for the
     same catalog, through the first one that is neither a pass nor an
     erratum; each row seeds its own numeric oracle and builds its own
-    store, so it reads the same whether or not later rows run.  An
+    store, so it reads the same whether or not other rows run.  An
     exception before that row gives the single undecidable row
     run_suite reports too.  An exception after it is never reached
     here, while run_suite reports the single undecidable row; all_clear
     is false either way, so it agrees with run_suite on every mutant."""
+    spec = _BY_NAME[name]
     view = _catalog.CATALOG.with_mutation(ident, slot)
     ctx = CheckContext(catalog=view, seed=seed, errata=load_ledger())
-    return _run_check(ctx, _BY_NAME[name], stop_off_green=True)
+    built = {rid for rid, reads in spec.rows if ident in reads}
+    reused = {rid: row for rid, row in _unmutated_rows(name, seed).items()
+              if rid not in built}
+    return _run_check(ctx, spec, stop_off_green=True, reused=reused)

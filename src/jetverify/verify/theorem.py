@@ -3,6 +3,7 @@ Jacobian block matrices, their factored forms, and the sandwich
 identities carrying both Hamiltonian operators to the new variable."""
 
 from fractions import Fraction as F
+from functools import cached_property
 
 from ..jetalg import partial_derivative, substitute, total_derivative
 from ..opcalc import (
@@ -35,55 +36,89 @@ def transport_pseudo(op, jac, inverse_map):
 
 
 class Transport:
-    """Shared scaffolding for the theorem checks: the registered
-    transported kernel, both Hamiltonian operators in the new variable,
-    and the stated matrices with coefficients reduced to the density
-    pair."""
+    """Shared scaffolding for the theorem checks, each part built the
+    first time a row asks for it, so a row builds only what it reads:
+    the derived Jacobian data, the registered transported kernel, both
+    Hamiltonian operators in the new variable, and the stated matrices
+    with coefficients reduced to the density pair."""
 
     def __init__(self, ctx):
-        C = ctx.catalog
-        Y = _catalog.RING_Y
-        u = Y.coord("u")
-        self.ring = Y
-        self.rules = usdef_rules(C)
-        self.registry = transported_kernel(ctx)
+        self.ctx = ctx
+
+    @cached_property
+    def jacobians(self):
+        return _derived_jacobians(self.ctx)
+
+    @cached_property
+    def registry(self):
+        return transported_kernel(self.ctx)
+
+    @cached_property
+    def j1(self):
+        u = _catalog.RING_Y.coord("u")
         inv_map = {"E": ("EHY", u ** -1)}
-        self.j1 = MatrixOp(tuple(
+        return MatrixOp(tuple(
             tuple(transport_pseudo(e, u, inv_map) for e in row)
-            for row in C.get("J1").grid))
-        self.j2 = MatrixOp(tuple(
+            for row in self.ctx.catalog.get("J1").grid))
+
+    @cached_property
+    def j2(self):
+        u = _catalog.RING_Y.coord("u")
+        return MatrixOp(tuple(
             tuple(PseudoOp.from_local(transport_local(e.local,
                                                       carry_coeff, u))
                   for e in row)
-            for row in C.get("J2").grid))
+            for row in self.ctx.catalog.get("J2").grid))
 
-        vsub = _catalog.parametrization(Y)
+    @cached_property
+    def smap(self):
+        rules = usdef_rules(self.ctx.catalog)
+        vsub = _catalog.parametrization(_catalog.RING_Y)
 
         def smap(c):
-            return self.rules.reduce(substitute(c, vsub))
+            return rules.reduce(substitute(c, vsub))
 
-        self.smap = smap
-        self.t1 = self._mapped(C.get("T1"))
-        self.t2 = self._mapped(C.get("T2"))
-        self.jt2 = self._mapped(C.get("Jt2"))
-        self.lam = self._mapped(C.get("Lambda"))
-        self.middle = self._mapped(C.get("Jt1.middle"))
+        return smap
+
+    @cached_property
+    def t1(self):
+        return self._mapped("T1")
+
+    @cached_property
+    def t2(self):
+        return self._mapped("T2")
+
+    @cached_property
+    def jt2(self):
+        return self._mapped("Jt2")
+
+    @cached_property
+    def lam(self):
+        return self._mapped("Lambda")
+
+    @cached_property
+    def lam_adjoint(self):
+        return self.lam.adjoint()
+
+    @cached_property
+    def middle(self):
+        return self._mapped("Jt1.middle")
 
     @staticmethod
-    def apply_sandwich(lam, middle, vec, store):
+    def apply_sandwich(lam, lam_adjoint, middle, vec, store):
         """-1/16 lam o middle o lam* applied to vec, one factor at a
         time: composing the integral tails of lam against its adjoint
         is not closed, so the sandwich is only testable by
         application."""
-        step = lam.adjoint().apply(vec, store)
+        step = lam_adjoint.apply(vec, store)
         step = middle.apply(step, store)
         step = lam.apply(step, store)
         return [F(-1, 16) * e for e in step]
 
-    def _mapped(self, matrix):
+    def _mapped(self, ident):
         return MatrixOp(tuple(tuple(e.map_coefficients(self.smap)
                                     for e in row)
-                              for row in matrix.grid))
+                              for row in self.ctx.catalog.get(ident).grid))
 
 
 def _derived_jacobians(ctx):
@@ -128,14 +163,20 @@ def _derived_jacobians(ctx):
 
 
 def theorem1(ctx):
+    tr = Transport(ctx)
+    yield "theorem1.t1", lambda: _t1_row(ctx, tr)
+    yield "theorem1.t2", lambda: _t2_row(ctx, tr)
+    yield "theorem1.factored", lambda: _factored_row(ctx)
+    yield "theorem1.jt2", lambda: _jt2_check(ctx, tr)
+    yield "theorem1.jt1", lambda: _jt1_check(ctx, tr)
+
+
+def _t1_row(ctx, tr):
+    """The forward block matrix: coefficient-weighted density rows
+    minus the coefficient linearizations."""
     C = ctx.catalog
     Y = _catalog.RING_Y
-    uy = Y.coord("u")
-    tr = Transport(ctx)
-    p_rows, q_rows, weights = _derived_jacobians(ctx)
-
-    # forward block matrix: coefficient-weighted density rows minus the
-    # coefficient linearizations
+    p_rows, q_rows, weights = tr.jacobians
     derived_t1 = MatrixOp(tuple(
         tuple(p_rows[col].scaled(weights[k]) - q_rows[k][col]
               for col in range(2))
@@ -147,13 +188,19 @@ def theorem1(ctx):
                      "row, minus the coefficient row")
     else:
         verdict = Y.one()
-    yield conclude(ctx, "theorem1.t1", C.citation("T1"),
-                   [("derived forward block matrix fails to match "
-                     "the stated one in either orientation",
-                     verdict)], NORMAL_FORM, notes)
+    return conclude(ctx, "theorem1.t1", C.citation("T1"),
+                    [("derived forward block matrix fails to match "
+                      "the stated one in either orientation",
+                      verdict)], NORMAL_FORM, notes)
 
-    # backward block matrix: four candidate readings of the adjoint
-    # recipe; exactly one must reproduce the stated matrix
+
+def _t2_row(ctx, tr):
+    """The backward block matrix: four candidate readings of the
+    adjoint recipe; exactly one must reproduce the stated matrix."""
+    C = ctx.catalog
+    Y = _catalog.RING_Y
+    uy = Y.coord("u")
+    p_rows, q_rows, weights = tr.jacobians
     dxq = [uy * w for w in weights]
 
     def xstar(op):
@@ -192,13 +239,18 @@ def theorem1(ctx):
     if len(survivors) == 1:
         t2_notes.append("unique surviving reading: %s, %s"
                         % survivors[0])
-    yield conclude(ctx, "theorem1.t2", C.citation("T2"),
-                   [("exactly one adjoint reading must reproduce "
-                     "the stated backward matrix",
-                     Y.zero() if len(survivors) == 1 else Y.one())],
-                   NORMAL_FORM, t2_notes)
+    return conclude(ctx, "theorem1.t2", C.citation("T2"),
+                    [("exactly one adjoint reading must reproduce "
+                      "the stated backward matrix",
+                      Y.zero() if len(survivors) == 1 else Y.one())],
+                    NORMAL_FORM, t2_notes)
 
-    # factored forms through the common left factor
+
+def _factored_row(ctx):
+    """The factored forms through the common left factor."""
+    C = ctx.catalog
+    Y = _catalog.RING_Y
+    uy = Y.coord("u")
     vinv = PseudoOp.from_expr(Y.coord("v") ** -1)
     winv = PseudoOp.from_expr(Y.coord("w") ** -1)
     zero = PseudoOp.zero(Y)
@@ -209,16 +261,13 @@ def theorem1(ctx):
     uweq = PseudoOp.from_expr(uy * Y.coord("w") ** -1)
     diag2 = MatrixOp(((uveq, zero), (zero, uweq)))
     right = diag2.compose(lam.adjoint()).scaled(F(-1, 4))
-    yield conclude(
+    return conclude(
         ctx, "theorem1.factored", C.citation("Lambda"),
         [("common-factor form of the forward matrix",
           Y.zero() if left == C.get("T1") else Y.one()),
          ("common-factor form of the backward matrix",
           Y.zero() if right == C.get("T2") else Y.one())],
         NORMAL_FORM)
-
-    yield _jt2_check(ctx, tr)
-    yield _jt1_check(ctx, tr)
 
 
 def _basis_vectors(ring):
@@ -261,7 +310,8 @@ def _jt1_check(ctx, tr):
     store = NonlocalStore(_catalog.RING_Y, registry=tr.registry)
     for tag, vec in zip(("first", "second"),
                         _basis_vectors(_catalog.RING_Y)):
-        rhs = tr.apply_sandwich(tr.lam, tr.middle, vec, store)
+        rhs = tr.apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle,
+                                vec, store)
         lhs_orig = _sandwich_residuals(tr, tr.j1, vec, store)
         lhs_corr = _sandwich_residuals(tr, tr.j2, vec, store)
         for k in range(2):

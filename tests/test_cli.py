@@ -51,6 +51,18 @@ def test_describe_prints_the_check(capsys):
     assert json.loads(capsys.readouterr().out) == suite.describe("prop2")
 
 
+def test_describe_lists_each_row_and_its_reads(capsys):
+    # the declarations run_mutated decides which rows to build from
+    assert main(["describe", "theorem1"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    spec = next(spec for spec in suite.CHECKS if spec.name == "theorem1")
+    assert rows == [{"id": rid, "reads": list(reads)}
+                    for rid, reads in spec.rows]
+    assert rows[0] == {"id": "theorem1.t1", "reads": ["T1", "ymap"]}
+    assert [row["id"] for row in rows] \
+        == [r.id for r in suite.run_suite(selection="theorem1")]
+
+
 def test_describe_rejects_an_unknown_check(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["describe", "prop3"])

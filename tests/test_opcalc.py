@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jet_strategies import canonical
-from jetverify import opcalc
+from jetverify import jetalg, opcalc
 from jetverify.catalog import CATALOG
 from jetverify.jetalg import (
     ContextMismatch, NotIntegrable, RingContext, coords_of, frechet_coeffs,
@@ -408,6 +408,30 @@ def test_store_affine_match_avoids_fresh_auxiliary():
     assert len(store.allocated) == 2
 
 
+def test_store_match_derives_each_euler_image_once(monkeypatch):
+    # the signature solve already matched every Euler image of the
+    # argument, so the matched remainder is integrated without
+    # recomputing the remainder's images
+    store = NonlocalStore(R)
+    ring = store.ring
+    u, u1, s1 = ring.coord("u"), ring.coord("u", 1), ring.coord("s", 1)
+    rho_a = store.resolve_dinv(u1 ** 2)
+    rho_b = store.resolve_dinv(s1 ** 2)
+    calls = []
+    original = jetalg.euler_derivative
+
+    def counted(e, dep):
+        calls.append(dep)
+        return original(e, dep)
+
+    monkeypatch.setattr(jetalg, "euler_derivative", counted)
+    monkeypatch.setattr(opcalc, "euler_derivative", counted)
+    got = store.resolve_dinv(u1 ** 2 + 2 * s1 ** 2 + D(u ** 3))
+    assert got == rho_a + 2 * rho_b + u ** 3
+    # one image per dependent of the argument, for its signature
+    assert sorted(calls) == ["s", "u"]
+
+
 def test_store_reduces_argument_before_resolving():
     store = NonlocalStore(R)
     u1 = store.ring.coord("u", 1)
@@ -628,6 +652,36 @@ def test_matrix_compose_against_entrywise_application():
         via_compose = m1.compose(m2).apply(vec)
         via_apply = m1.apply(m2.apply(vec))
         assert all((x - y).is_zero for x, y in zip(via_compose, via_apply))
+
+
+def test_matrix_apply_builds_each_derivative_ladder_once(monkeypatch):
+    # every row shares each component's ladder, through local parts and
+    # word right sides alike, and the image is the entrywise one
+    reg = OperatorRegistry()
+    reg.register_invertible("K", LocalOp.derivative(R))
+    one = LocalOp.identity(R)
+    d = LocalOp.derivative
+    m = MatrixOp([
+        [PseudoOp.from_local(d(R, 3)),
+         PseudoOp.from_local(LocalOp.mult(R.coord("u")).compose(d(R, 1)))],
+        [PseudoOp(R, None, (), [(Fraction(1), one, "K", d(R, 2))]),
+         PseudoOp.from_local(d(R, 2))]])
+    vec = [R.coord("i"), R.coord("j")]
+    plain = NonlocalStore(R, registry=reg)
+    want = [sum((op.apply(x, plain) for op, x in zip(row, vec)),
+                plain.ring.zero()) for row in m.grid]
+    calls = []
+    original = opcalc.total_derivative
+
+    def counted(e):
+        calls.append(e)
+        return original(e)
+
+    monkeypatch.setattr(opcalc, "total_derivative", counted)
+    got = m.apply(vec, NonlocalStore(R, registry=reg))
+    assert got == want
+    # orders 3 and 2 in the first column, 1 and 2 in the second
+    assert len(calls) == 3 + 2
 
 
 def test_matrix_adjoint_transposes():

@@ -231,9 +231,9 @@ def _yielded_before_abort(check, view):
     spec = next(spec for spec in suite.CHECKS if spec.name == check)
     rows = []
     with pytest.raises(Exception):
-        for row in spec.runner(CheckContext(catalog=view,
-                                            errata=load_ledger())):
-            rows.append(row)
+        for _rid, build in spec.runner(CheckContext(catalog=view,
+                                                    errata=load_ledger())):
+            rows.append(build())
     return rows
 
 
@@ -261,3 +261,73 @@ def test_mutated_rows_are_a_prefix_of_the_suite_rows(check, ident, slot):
     assert records(got) == records(full[:len(got)])
     if not off:
         assert len(got) == len(full)
+
+
+class RecordingView(catalog.CatalogView):
+    """The packaged catalog, or a mutant of it, recording each entry of
+    one check's read surface that is fetched."""
+
+    def __init__(self, surface, overrides=None):
+        super().__init__(overrides)
+        self.surface = surface
+        self.fetched = set()
+
+    def entry(self, ident):
+        if ident in self.surface:
+            self.fetched.add(ident)
+        return super().entry(ident)
+
+
+def _spec(check):
+    return next(spec for spec in suite.CHECKS if spec.name == check)
+
+
+@pytest.mark.parametrize("check", tuple(SLOTS))
+def test_each_row_fetches_only_its_declared_reads(check):
+    # every row built alone, with only the setup it triggers, as
+    # run_mutated builds it: each surface entry fetched is declared
+    spec = _spec(check)
+    surface = {ident for ident, _parts in spec.reads}
+    for rid, reads in spec.rows:
+        view = RecordingView(surface)
+        ctx = CheckContext(catalog=view, errata=load_ledger())
+        fetched = None
+        for yielded, build in spec.runner(ctx):
+            assert view.fetched == set(), "fetched outside a build"
+            if yielded == rid:
+                assert build().id == rid
+                fetched = set(view.fetched)
+                view.fetched.clear()
+        assert fetched is not None and fetched <= set(reads), rid
+
+
+def test_declared_rows_are_the_suite_rows(rows):
+    assert [rid for spec in suite.CHECKS for rid, _reads in spec.rows] \
+        == [r.id for r in rows]
+
+
+@pytest.mark.parametrize("check", tuple(SLOTS))
+def test_row_reads_cover_the_read_surface(check):
+    spec = _spec(check)
+    assert {ident for _rid, reads in spec.rows for ident in reads} \
+        == {ident for ident, _parts in spec.reads}
+
+
+@pytest.mark.parametrize("check", tuple(SLOTS))
+def test_rows_outside_a_mutant_keep_their_records(check, rows):
+    # the converse of the sensitivity invariant, which lets run_mutated
+    # reuse the unmutated run's row for every row that does not read
+    # the mutated entry
+    spec = _spec(check)
+    plain = {r.id: r.to_record() for r in rows}
+    compared = 0
+    for ident, slot in suite.sample_mutations(check, 3, seed=0):
+        view = catalog.CATALOG.with_mutation(ident, slot)
+        full = {r.id: r.to_record()
+                for r in suite.run_suite(selection=check, catalog=view)}
+        for rid, reads in spec.rows:
+            if ident not in reads and rid in full:
+                assert full[rid] == plain[rid], (ident, slot, rid)
+                compared += 1
+    if len(spec.rows) > 1:
+        assert compared
