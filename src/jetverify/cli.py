@@ -1,26 +1,31 @@
 """Command-line entry point: run the suite, describe a check, or sweep
 its mutants.
 
-    jetverify run [--checks ID ...] [--json] [--timings]
+    jetverify run [--checks ID ...] [--json | --timings]
     jetverify describe ID
     jetverify sweep [--check ID] [--sample N]
 
 ``run`` runs the checks named by ``--checks`` (all by default) and
-prints one line per result row (status, id, how it was decided, and
-with ``--timings`` the milliseconds the row took, measured between the
-check's yields) followed by the row's residual lines, or with
-``--json`` the rows' records, which hold no timing, so the flag leaves
-them as they are; it exits 1 unless every row is a pass or a ledgered
-erratum.  ``describe`` prints one check's claim, citation, strategy and
-catalog reads as JSON, with each row's id and the entries that row
-reads, the declarations the sweep uses to decide which rows a mutant
-rebuilds.  ``sweep`` corrupts, one at a time, every
-coefficient slot a check reads (or a seeded sample of N of them) and
-prints, per check, the number of mutants, how many turned the check off
-green and the seconds taken, then names every survivor; its last line
-is the sha256 of every mutant's row records, in sweep order, so two
-versions of the code can be shown to decide every mutant identically.
-It exits 1 when a mutant survives.
+prints one line per result row (status, id, how it was decided, and with
+``--timings`` the milliseconds the row took, measured between the
+check's yields) followed by the row's residual lines, or with ``--json``
+the rows' records, which hold no timing, so the two flags exclude each
+other; it exits 1 unless every row is a pass or a ledgered erratum.
+``describe`` prints one check's claim, citation, strategy and catalog
+reads as JSON, with each row's id and every entry that row's build
+fetched when built alone, including through the setup it triggered.
+These reads are recorded, not declared.  The sweep rebuilds a row for a
+mutant exactly when the mutated entry is among them; every other row
+keeps its unmutated record by construction, since a build runs as over
+the packaged catalog until it first fetches the mutated entry, provided
+rows share no state that can change a record (see ``verify.suite``).
+``sweep`` corrupts, one at a time, every coefficient slot a check
+reads (or a seeded sample of N of them) and prints, per check, the
+number of mutants, how many turned the check off green and the seconds
+taken, then names every survivor; its last line is the sha256 of every
+mutant's row records, in sweep order, so two versions of the code can be
+shown to decide every mutant identically.  It exits 1 when a mutant
+survives.
 """
 
 import argparse
@@ -47,11 +52,12 @@ def _parser():
     run = commands.add_parser("run", help="run the verification suite")
     run.add_argument("--checks", nargs="+", metavar="ID",
                      help="checks to run, in report order (default: all)")
-    run.add_argument("--json", action="store_true",
-                     help="print the rows' records as JSON")
-    run.add_argument("--timings", action="store_true",
-                     help="print each row's wall time in ms (not with "
-                          "--json, whose records hold no timing)")
+    output = run.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true",
+                        help="print the rows' records as JSON")
+    output.add_argument("--timings", action="store_true",
+                        help="print each row's wall time in ms (records "
+                             "hold no timing)")
     describe = commands.add_parser("describe", help="describe one check")
     describe.add_argument("id", metavar="ID", help="the check to describe")
     sweep = commands.add_parser("sweep", help="run the mutation sweep")

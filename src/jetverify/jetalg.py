@@ -90,7 +90,7 @@ __all__ = [
     "euler_derivative", "frechet_coeffs", "is_total_derivative", "antiderivative",
     "integrate_by_parts", "substitute", "promote", "solve_for", "split_param",
     "coords_of", "params_of", "max_order", "random_eval", "random_assignment",
-    "random_expr", "perturb_term", "to_text", "rational", "STRIDE",
+    "perturb_term", "to_text", "rational", "STRIDE",
 ]
 
 # the generator of the jet (d, k) is d * STRIDE + k
@@ -1049,29 +1049,6 @@ def random_assignment(rng, coords, params=()):
 
     return Assignment({c: draw() for c in coords},
                       {p: draw() for p in params})
-
-
-def random_expr(rng, ring, deps=None, params=(), max_jet_order=2,
-                n_terms=3, max_factors=2, allow_negative=False):
-    """A small random expression, deterministic given the generator."""
-    deps = tuple(deps) if deps is not None else ring.dependents
-    out = ring.zero()
-    for _ in range(n_terms):
-        coeff = Fraction(rng.choice([n for n in range(-5, 6) if n]),
-                         rng.randint(1, 3))
-        term = ring.const(coeff)
-        for _ in range(rng.randint(1, max_factors)):
-            name = rng.choice(deps)
-            order = rng.randint(0, max_jet_order)
-            ex = rng.choice([1, 1, 2])
-            if allow_negative and rng.random() < 0.25:
-                ex = -ex
-            term = term * ring.coord(name, order) ** ex
-        for p in params:
-            if rng.random() < 0.5:
-                term = term * ring.param(p, rng.choice([-1, 1]))
-        out = out + term
-    return out
 
 
 def perturb_term(e, index):

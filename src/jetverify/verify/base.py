@@ -38,18 +38,17 @@ class CheckResult:
     ``elapsed_ms`` is the wall time the harness measured for the row,
     from the previous row of its check (or the check's start) to this
     one; it is not part of ``to_record()``, so records stay
-    deterministic and ``time_ms`` keeps reading 0."""
+    deterministic and their ``time_ms`` field keeps reading 0."""
 
     __slots__ = ("id", "status", "decided_by", "residual_summary",
-                 "time_ms", "citation", "notes", "erratum_id", "elapsed_ms")
+                 "citation", "notes", "erratum_id", "elapsed_ms")
 
-    def __init__(self, id, status, decided_by, residual_summary, time_ms,
-                 citation, notes=(), erratum_id=None):
+    def __init__(self, id, status, decided_by, residual_summary, citation,
+                 notes=(), erratum_id=None):
         self.id = id
         self.status = status
         self.decided_by = decided_by
         self.residual_summary = tuple(residual_summary)
-        self.time_ms = time_ms
         self.citation = citation
         self.notes = tuple(notes)
         self.erratum_id = erratum_id
@@ -66,7 +65,7 @@ class CheckResult:
             "status": self.status,
             "decided_by": self.decided_by,
             "residual_summary": list(self.residual_summary),
-            "time_ms": self.time_ms,
+            "time_ms": 0,
             "citation": self.citation,
             "notes": list(self.notes),
         }
@@ -153,10 +152,10 @@ def conclude(ctx, rid, citation, pairs, decided_by, notes=()):
     nonzero = [(label, e) for label, e in pairs if not e.is_zero]
     notes = list(notes)
     if not nonzero:
-        return CheckResult(rid, PASS, decided_by, (), 0, citation, notes)
+        return CheckResult(rid, PASS, decided_by, (), citation, notes)
     notes.append(numeric_confirmation(ctx.rng(rid + ":numeric"),
                                       [e for _l, e in nonzero]))
-    return CheckResult(rid, FAIL, decided_by, summarize(nonzero), 0,
+    return CheckResult(rid, FAIL, decided_by, summarize(nonzero),
                        citation, notes)
 
 
@@ -176,23 +175,23 @@ def conclude_erratum(ctx, rid, citation, original_pairs, corrected_pairs,
         notes.append("the corrected reading fails as well")
         notes.append(numeric_confirmation(ctx.rng(rid + ":numeric"),
                                           [e for _l, e in corr]))
-        return CheckResult(rid, FAIL, decided_by, summarize(corr), 0,
+        return CheckResult(rid, FAIL, decided_by, summarize(corr),
                            citation, notes)
     if not orig:
         notes.append("the reading as displayed already passes; no ledger "
                      "entry is needed")
-        return CheckResult(rid, PASS, decided_by, (), 0, citation, notes)
+        return CheckResult(rid, PASS, decided_by, (), citation, notes)
     notes.append(numeric_confirmation(ctx.rng(rid + ":numeric"),
                                       [e for _l, e in orig]))
     entry = ctx.erratum_for(rid)
     if entry is None:
         notes.append("a corrected reading passes, but no erratum entry "
                      "for this check was applied")
-        return CheckResult(rid, FAIL, decided_by, summarize(orig), 0,
+        return CheckResult(rid, FAIL, decided_by, summarize(orig),
                            citation, notes)
     notes.append("as displayed the claim fails; corrected per erratum %s "
                  "it passes exactly" % entry.ident)
-    return CheckResult(rid, ERRATUM, decided_by, summarize(orig), 0,
+    return CheckResult(rid, ERRATUM, decided_by, summarize(orig),
                        citation, notes, erratum_id=entry.ident)
 
 

@@ -11,15 +11,24 @@ structural parts, and corrupting any single coefficient slot inside
 that read surface must flip the check off green.
 
 Each check yields its rows in report order, each as a row id and a
-build, and each row declares the catalog entries its build reads.
-run_suite builds every row; run_mutated stops a check after its first
-row that is neither a pass nor an erratum, so its rows are a prefix of
-the run_suite rows (see run_mutated for the one exception).  It builds
-only the rows whose reads contain the mutated entry and reuses every
-other row from the check's unmutated run, which is sound by the
-converse invariant: a row that reads nothing a mutant touches keeps a
-byte-identical record.  Either way, an exception part-way through a
-check discards the rows before it and reports one undecidable row.
+build, and fetches no catalog entry outside a build.  run_suite builds
+every row; run_mutated stops a check after its first row that is
+neither a pass nor an erratum, so its rows are a prefix of the
+run_suite rows (see run_mutated for the one exception).  It builds only
+the rows whose reads contain the mutated entry and reuses every other
+row from the check's unmutated run.  The reads are recorded, not
+declared: the unmutated run builds each row alone over a recording
+catalog view, so a row's reads are every entry its build fetched,
+including through the setup it triggered.  The converse invariant, that
+a row reading nothing a mutant touches keeps a byte-identical record,
+then holds by construction: over the mutated catalog a row's build runs
+exactly as over the packaged one until it first fetches the mutated
+entry, so a row whose recording never fetched it keeps its record.  The
+premise is that rows share no state that can change a record; the only
+shared setup is built from the catalog on first use and kept per call
+of a runner (closures in the runner, the theorem checks' per-context
+parts).  Either way, an exception part-way through a check discards the
+rows before it and reports one undecidable row.
 """
 
 import copy
@@ -62,15 +71,15 @@ class CheckSpec:
 
     The runner takes a CheckContext and yields (row id, build) in report
     order, where build() derives that row's CheckResult; it fetches no
-    catalog entry outside a build, and shared setup is built the first
-    time a build needs it, so the harness can decide which rows to
-    build."""
+    catalog entry outside a build (the harness raises if it does), and
+    shared setup is built the first time a build needs it, so each row
+    can be built alone and the entries it reads recorded."""
 
     __slots__ = ("name", "runner", "citation_ident", "claim", "strategy",
-                 "reads", "rows")
+                 "reads")
 
     def __init__(self, name, runner, citation_ident, claim, strategy,
-                 reads, rows):
+                 reads):
         self.name = name
         self.runner = runner
         self.citation_ident = citation_ident
@@ -79,10 +88,6 @@ class CheckSpec:
         # reads: tuple of (catalog ident, part labels or None for all);
         # this is the surface the mutation harness samples from
         self.reads = tuple(reads)
-        # rows: tuple of (row id, catalog idents), in report order; the
-        # idents are every surface entry the row's build fetches,
-        # including through the setup it triggers
-        self.rows = tuple(rows)
 
 
 CHECKS = (
@@ -94,16 +99,14 @@ CHECKS = (
         "evolution rules, split every entry by spectral-parameter "
         "power, and reduce each coefficient to normal form modulo the "
         "momentum constraints.",
-        (("lax.main", None), ("sys.main", None)),
-        (("zc_main", ("lax.main", "sys.main")),)),
+        (("lax.main", None), ("sys.main", None))),
     CheckSpec(
         "zc_trans", _flows.zc_trans, "lax.trans",
         "The transformed matrix pair satisfies zero curvature on the "
         "transformed negative flow.",
         "Same curvature expansion as the untransformed pair, over the "
         "transformed ring and flow rules.",
-        (("lax.trans", None), ("sys.mdflow", None)),
-        (("zc_trans", ("lax.trans", "sys.mdflow")),)),
+        (("lax.trans", None), ("sys.mdflow", None))),
     CheckSpec(
         "conservation", _flows.conservation, "recip.main",
         "The quarter-power momentum density obeys a local conservation "
@@ -112,9 +115,7 @@ CHECKS = (
         "power of the density evolves as required by the stated flux, "
         "which keeps all arithmetic Laurent-polynomial.",
         (("recip.main", None), ("sys.main", ("evolution",)),
-         ("recip.appb", None), ("sys.appb", ("evolution",))),
-        (("conservation.main", ("recip.main", "sys.main")),
-         ("conservation.appb", ("recip.appb", "sys.appb")))),
+         ("recip.appb", None), ("sys.appb", ("evolution",)))),
     CheckSpec(
         "reciprocal", _flows.reciprocal, "ymap",
         "The change of independent variable built from the conserved "
@@ -129,19 +130,7 @@ CHECKS = (
          ("ymap", ("Q1", "Q2")), ("usdefs", None),
          ("flow.intermediate", None), ("fg", None),
          ("sys.mdflow", ("evolution",)), ("sys.appb", None),
-         ("recip.appb", None), ("sys.appb.trans", ("evolution",))),
-        (("reciprocal.main.idef", ("ymap", "usdefs")),
-         ("reciprocal.main.jdef", ("ymap", "usdefs")),
-         ("reciprocal.main.itau",
-          ("sys.main", "recip.main", "ymap", "usdefs", "flow.intermediate")),
-         ("reciprocal.main.jtau",
-          ("sys.main", "recip.main", "ymap", "usdefs", "flow.intermediate")),
-         ("reciprocal.main.kernels",
-          ("sys.main", "recip.main", "flow.intermediate")),
-         ("reciprocal.main.flowlink",
-          ("usdefs", "flow.intermediate", "fg", "sys.mdflow")),
-         ("reciprocal.appb",
-          ("ymap", "usdefs", "sys.appb", "recip.appb", "sys.appb.trans")))),
+         ("recip.appb", None), ("sys.appb.trans", ("evolution",)))),
     CheckSpec(
         "scalar_reduction", _scalar.scalar_reduction, "reduction2",
         "The four-component spatial problem collapses to two "
@@ -153,11 +142,7 @@ CHECKS = (
         "equations against the catalogued forms.",
         (("lax.main", ("space",)), ("recip.main", ("substitutions",)),
          ("reduction2", None), ("scalar4", None), ("scalar.mn", None),
-         ("usdefs", None)),
-        (("scalar_reduction.pair", ("lax.main", "recip.main", "reduction2")),
-         ("scalar_reduction.fourth",
-          ("lax.main", "recip.main", "scalar4", "scalar.mn")),
-         ("scalar_reduction.mn", ("scalar.mn", "usdefs")))),
+         ("usdefs", None))),
     CheckSpec(
         "factorizations", _scalar.factorizations, "L4",
         "The fourth-order scalar operator factors through the "
@@ -169,13 +154,7 @@ CHECKS = (
         (("miura.m", None), ("miura.n", None), ("factor2.left", None),
          ("factor2.right", None), ("L4", None), ("factor1.1", None),
          ("factor1.2", None), ("factor1.3", None), ("factor1.4", None),
-         ("ab1", None), ("usdefs", None)),
-        (("factorizations.quadratic",
-          ("miura.m", "miura.n", "factor2.left", "factor2.right", "L4")),
-         ("factorizations.linear",
-          ("miura.m", "miura.n", "L4", "factor1.1", "factor1.2",
-           "factor1.3", "factor1.4")),
-         ("factorizations.firstorder", ("ab1", "usdefs")))),
+         ("ab1", None), ("usdefs", None))),
     CheckSpec(
         "connecting_identity", _scalar.connecting_identity, "Grecipe",
         "The two-component recipe assembled from the first-order "
@@ -183,9 +162,7 @@ CHECKS = (
         "Apply both operators to a generic vector with a shared "
         "integral store and compare images; repeat on constants to pin "
         "the integration-constant convention.",
-        (("Grecipe", None), ("Jop", None)),
-        (("connecting_identity.expand", ("Grecipe", "Jop")),
-         ("connecting_identity.constants", ("Grecipe",)))),
+        (("Grecipe", None), ("Jop", None))),
     CheckSpec(
         "prop1", _hamops.prop1, "Theta1",
         "Weighted conjugation of the third-order kernel operator by "
@@ -194,15 +171,13 @@ CHECKS = (
         "Transport the kernel operator through the density change of "
         "variable, conjugate by the unit and its reciprocal, and "
         "compare coefficients in normal form.",
-        (("E", None), ("Theta1", None), ("Theta1.conj", None)),
-        (("prop1", ("E", "Theta1", "Theta1.conj")),)),
+        (("E", None), ("Theta1", None), ("Theta1.conj", None))),
     CheckSpec(
         "prop2", _hamops.prop2, "Theta2",
         "Weighted conjugation by the second displayed unit reproduces "
         "the second catalogued operator.",
         "Same transported conjugation route as the first pair.",
-        (("E", None), ("Theta2", None)),
-        (("prop2", ("E", "Theta2")),)),
+        (("E", None), ("Theta2", None))),
     CheckSpec(
         "bihamiltonian_x", _hamops.bihamiltonian_x, "J1",
         "Both catalogued functionals generate the momentum flow "
@@ -212,9 +187,7 @@ CHECKS = (
         "against the stated evolution; nonvacuity of the second "
         "density is confirmed by its nonzero variational derivative.",
         (("sys.main", None), ("E", None), ("H0", None), ("H1", None),
-         ("J1", None)),
-        (("bihamiltonian_x.local", ("sys.main", "E", "H0")),
-         ("bihamiltonian_x.nonlocal", ("sys.main", "E", "H1", "J1")))),
+         ("J1", None))),
     CheckSpec(
         "theorem1", _theorem.theorem1, "Jt2",
         "The transformed Hamiltonian pair factors through the displayed "
@@ -226,12 +199,7 @@ CHECKS = (
         "the second transformed operator must match exactly.",
         (("J1", None), ("J2", None), ("T1", None), ("T2", None),
          ("Jt2", None), ("Lambda", None), ("Jt1.middle", None),
-         ("ymap", ("Q1", "Q2"))),
-        (("theorem1.t1", ("T1", "ymap")),
-         ("theorem1.t2", ("T2", "ymap")),
-         ("theorem1.factored", ("T1", "T2", "Lambda")),
-         ("theorem1.jt2", ("J1", "T1", "T2", "Jt2")),
-         ("theorem1.jt1", ("J1", "J2", "T1", "T2", "Lambda", "Jt1.middle")))),
+         ("ymap", ("Q1", "Q2")))),
     CheckSpec(
         "appendix_a", _appendixes.appendix_a, "krel.display",
         "The formal time-block ansatz reproduces the displayed "
@@ -251,24 +219,7 @@ CHECKS = (
          ("Grecipe", None), ("Jop", None), ("Kmat", None), ("F12", None),
          ("sys.mdflow", ("evolution",)), ("OmegaPrime", None),
          ("miura.m", None), ("miura.n", None), ("Thetamat", None),
-         ("P1", None), ("P2", None)),
-        (("appendix_a.blocks", ("lax.formal.space", "kzc.atau", "kzc.btau")),
-         ("appendix_a.relations",
-          ("lax.formal.space", "krel.display", "krel.rules")),
-         ("appendix_a.flow",
-          ("lax.formal.space", "krel.rules", "fir.local", "S1op", "S2op",
-           "Grecipe")),
-         ("appendix_a.subflow",
-          ("fir.local", "subk", "S1op", "S2op", "Grecipe", "Jop", "Kmat",
-           "F12", "sys.mdflow")),
-         ("appendix_a.balance",
-          ("fir.local", "subk", "S1op", "S2op", "Grecipe", "F12")),
-         ("appendix_a.omega", ("OmegaPrime", "miura.m", "miura.n")),
-         ("appendix_a.link",
-          ("Kmat", "Jop", "OmegaPrime", "miura.m", "miura.n", "Thetamat",
-           "P1", "P2")),
-         ("appendix_a.scan",
-          ("OmegaPrime", "miura.m", "miura.n", "P1", "P2")))),
+         ("P1", None), ("P2", None))),
     CheckSpec(
         "appendix_b", _appendixes.appendix_b, "sys.appb",
         "The auxiliary one-component system passes curvature, "
@@ -278,12 +229,7 @@ CHECKS = (
         "the auxiliary catalog entries.",
         (("lax.appb", None), ("sys.appb", None), ("lax.appb.trans", None),
          ("sys.appb.trans", None), ("recip.appb", None),
-         ("ymap", ("Q1", "Q2"))),
-        (("appendix_b.zc", ("lax.appb", "sys.appb")),
-         ("appendix_b.zc_trans", ("lax.appb.trans", "sys.appb.trans")),
-         ("appendix_b.conservation", ("sys.appb", "recip.appb")),
-         ("appendix_b.reciprocal",
-          ("sys.appb", "recip.appb", "sys.appb.trans", "ymap")))),
+         ("ymap", ("Q1", "Q2")))),
 )
 
 _BY_NAME = {spec.name: spec for spec in CHECKS}
@@ -296,7 +242,8 @@ def check_ids():
 
 def describe(name):
     """Claim, citation, strategy and catalog reads of one published
-    check, with each row's id and the entries that row reads."""
+    check, with each row's id and every entry its build fetched when
+    built alone, the reads run_mutated decides reuse by."""
     spec = _BY_NAME[name]
     return {
         "id": spec.name,
@@ -305,7 +252,7 @@ def describe(name):
         "strategy": spec.strategy,
         "reads": [ident for ident, _parts in spec.reads],
         "rows": [{"id": rid, "reads": list(reads)}
-                 for rid, reads in spec.rows],
+                 for rid, (_row, reads) in _unmutated_rows(name, 0).items()],
     }
 
 
@@ -328,7 +275,7 @@ def resolve_selection(selection=None):
 def _aborted_row(spec, exc):
     return CheckResult(
         spec.name, UNDECIDABLE, NORMAL_FORM,
-        ("aborted before any comparison concluded",), 0,
+        ("aborted before any comparison concluded",),
         _catalog.CATALOG.citation(spec.citation_ident),
         notes=("%s: %s" % (type(exc).__name__, exc),))
 
@@ -425,13 +372,47 @@ def sample_mutations(name, count=10, seed=0):
     return tuple(rng.sample(slots, count))
 
 
+class _RecordingView(_catalog.CatalogView):
+    """The packaged catalog, recording in first-fetch order every entry
+    fetched while reads is a dict; a fetch while it is None raises."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = None
+
+    def entry(self, ident):
+        if self.reads is None:
+            raise RuntimeError("catalog entry %r fetched outside a row build"
+                               % (ident,))
+        self.reads[ident] = None
+        return super().entry(ident)
+
+
 @functools.lru_cache(maxsize=None)
 def _unmutated_rows(name, seed):
-    """{row id: row} of one check over the packaged catalog and ledger,
-    built once per check and seed, the first time a mutant needs it."""
-    ctx = CheckContext(seed=seed, errata=load_ledger())
-    return {row.id: row
-            for row in _run_check(ctx, _BY_NAME[name], stop_off_green=False)}
+    """{row id: (row, reads)} of one check over the packaged catalog and
+    ledger, in report order, built once per check and seed, the first
+    time a mutant or describe needs it.
+
+    Each row is built alone, the way run_mutated builds it: a fresh
+    context over a recording view, the runner iterated to its end and
+    only that row's build called.  So reads is every entry that build
+    fetched, including through the setup it triggered, in first-fetch
+    order, and a fetch outside a build raises RuntimeError."""
+    spec = _BY_NAME[name]
+    errata = load_ledger()
+    rows = {}
+    while True:
+        view = _RecordingView()
+        ctx = CheckContext(catalog=view, seed=seed, errata=errata)
+        target = len(rows)
+        for k, (rid, build) in enumerate(spec.runner(ctx)):
+            if k == target:
+                view.reads = {}
+                rows[rid] = (build(), tuple(view.reads))
+                view.reads = None
+        if len(rows) == target:
+            return rows
 
 
 def run_mutated(name, ident, slot, seed=0):
@@ -440,13 +421,15 @@ def run_mutated(name, ident, slot, seed=0):
 
     The mutation sweep only asks whether the check goes off green, and
     a later row cannot turn it green again, so the check stops there.
-    Only the rows whose declared reads contain the mutated entry are
+    Only the rows whose recorded reads contain the mutated entry are
     built over the mutated catalog; every other row is a copy of the
     same row from the unmutated run of the check at the same seed.
-    That reuse rests on the converse of the sensitivity invariant: a
-    row that reads nothing the mutant touches keeps a byte-identical
-    record, since its build, and the setup it triggers, fetch only
-    entries its reads declare.
+    That reuse is the converse of the sensitivity invariant, and it
+    holds by construction: a row's recorded reads are every entry its
+    build fetched when built alone, and until that build first fetches
+    the mutated entry it runs exactly as over the packaged catalog, so
+    a row that never fetched it keeps a byte-identical record.  The
+    premise is that rows share no state that can change a record.
 
     Prefix contract: the rows are the rows run_suite reports for the
     same catalog, through the first one that is neither a pass nor an
@@ -459,7 +442,7 @@ def run_mutated(name, ident, slot, seed=0):
     spec = _BY_NAME[name]
     view = _catalog.CATALOG.with_mutation(ident, slot)
     ctx = CheckContext(catalog=view, seed=seed, errata=load_ledger())
-    built = {rid for rid, reads in spec.rows if ident in reads}
-    reused = {rid: row for rid, row in _unmutated_rows(name, seed).items()
-              if rid not in built}
+    reused = {rid: row
+              for rid, (row, reads) in _unmutated_rows(name, seed).items()
+              if ident not in reads}
     return _run_check(ctx, spec, stop_off_green=True, reused=reused)

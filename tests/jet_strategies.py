@@ -1,6 +1,7 @@
-"""Hypothesis strategies for small jet expressions, and the check of
-their canonical representation, shared by the kernel tests, the
-operator tests and the sympy oracle."""
+"""Hypothesis strategies for small jet expressions, a seeded generator
+of them for the property loops, and the check of their canonical
+representation, shared by the kernel tests, the operator tests and the
+sympy oracle."""
 
 from fractions import Fraction
 from math import gcd
@@ -42,6 +43,29 @@ def exprs(draw, ring=RING, deps=("u", "v"), max_order=3, negative=True,
 def monomials(ring=RING, deps=("u", "v")):
     """A nonzero single-term expression, which can be inverted."""
     return exprs(ring, deps, max_terms=1).filter(bool)
+
+
+def random_expr(rng, ring, deps=None, params=(), max_jet_order=2,
+                n_terms=3, max_factors=2, allow_negative=False):
+    """A small random expression, deterministic given the generator."""
+    deps = tuple(deps) if deps is not None else ring.dependents
+    out = ring.zero()
+    for _ in range(n_terms):
+        coeff = Fraction(rng.choice([n for n in range(-5, 6) if n]),
+                         rng.randint(1, 3))
+        term = ring.const(coeff)
+        for _ in range(rng.randint(1, max_factors)):
+            name = rng.choice(deps)
+            order = rng.randint(0, max_jet_order)
+            ex = rng.choice([1, 1, 2])
+            if allow_negative and rng.random() < 0.25:
+                ex = -ex
+            term = term * ring.coord(name, order) ** ex
+        for p in params:
+            if rng.random() < 0.5:
+                term = term * ring.param(p, rng.choice([-1, 1]))
+        out = out + term
+    return out
 
 
 def powers_sorted(powers, bound):

@@ -32,11 +32,12 @@ def test_run_timings_time_every_row(capsys):
     assert all(r.elapsed_ms is not None and r.elapsed_ms >= 0 for r in rows)
 
 
-def test_run_json_is_the_same_with_timings(capsys):
-    main(["run", "--checks", "prop1", "prop2", "--json"])
-    plain = capsys.readouterr().out
-    main(["run", "--checks", "prop1", "prop2", "--json", "--timings"])
-    assert capsys.readouterr().out == plain
+def test_run_rejects_json_with_timings(capsys):
+    # records hold no timing, so the combination is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--checks", "prop2", "--json", "--timings"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --json" in capsys.readouterr().err
 
 
 def test_run_rejects_an_unknown_check(capsys):
@@ -52,15 +53,20 @@ def test_describe_prints_the_check(capsys):
 
 
 def test_describe_lists_each_row_and_its_reads(capsys):
-    # the declarations run_mutated decides which rows to build from
-    assert main(["describe", "theorem1"]) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
-    spec = next(spec for spec in suite.CHECKS if spec.name == "theorem1")
-    assert rows == [{"id": rid, "reads": list(reads)}
-                    for rid, reads in spec.rows]
-    assert rows[0] == {"id": "theorem1.t1", "reads": ["T1", "ymap"]}
-    assert [row["id"] for row in rows] \
-        == [r.id for r in suite.run_suite(selection="theorem1")]
+    # the recorded reads run_mutated decides which rows to build from,
+    # for every check, each row in report order
+    for check in suite.check_ids():
+        assert main(["describe", check]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows == [
+            {"id": rid, "reads": list(reads)}
+            for rid, (_row, reads) in suite._unmutated_rows(check, 0).items()]
+        assert [row["id"] for row in rows] \
+            == [r.id for r in suite.run_suite(selection=check)]
+    # every entry the build fetches, in first-fetch order, including
+    # usdefs, which the check's mutation surface leaves out
+    assert suite.describe("theorem1")["rows"][0] \
+        == {"id": "theorem1.t1", "reads": ["ymap", "T1", "usdefs"]}
 
 
 def test_describe_rejects_an_unknown_check(capsys):

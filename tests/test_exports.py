@@ -15,9 +15,8 @@ MODULES = ("jetverify.jetalg", "jetverify.opcalc", "jetverify.catalog",
            "jetverify.verify", "jetverify.verify.suite")
 
 # exports with no reader in the package yet: the exactness test a
-# Hamiltonian-property check will need and the tests' expression
-# generator
-UNREAD_EXPORTS = {"is_total_derivative", "random_expr"}
+# Hamiltonian-property check will need
+UNREAD_EXPORTS = {"is_total_derivative"}
 
 
 @pytest.mark.parametrize("name", MODULES)

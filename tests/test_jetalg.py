@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jet_strategies import COEFFS, RING, canonical, exprs, monomials
+from jet_strategies import (
+    COEFFS, RING, canonical, exprs, monomials, random_expr,
+)
 from jetverify.jetalg import (
     STRIDE, Assignment, ContextMismatch, EvalDivisionByZero, JetExpr,
     MissingEvolutionRule, NotIntegrable, NotReducible, RelationSet,
@@ -20,7 +22,7 @@ from jetverify.jetalg import (
     antiderivative, coords_of, euler_derivative, evolutionary_derivative,
     frechet_coeffs, is_total_derivative, max_order, params_of,
     partial_derivative, perturb_term, promote, random_assignment,
-    random_eval, random_expr, solve_for, split_param, substitute, to_text,
+    random_eval, solve_for, split_param, substitute, to_text,
     total_derivative,
 )
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jet_strategies import canonical
+from jet_strategies import canonical, random_expr
 from jetverify import jetalg, opcalc
 from jetverify.catalog import CATALOG
 from jetverify.jetalg import (
     ContextMismatch, NotIntegrable, RingContext, coords_of, frechet_coeffs,
-    random_assignment, random_eval, random_expr, params_of, promote,
+    random_assignment, random_eval, params_of, promote,
     to_text, total_derivative,
 )
 from jetverify.opcalc import (

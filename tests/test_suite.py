@@ -1,9 +1,9 @@
 """The reproduction itself: the verdict table, the exact row records,
 both errata in both directions and their ties to the catalog,
-determinism, the mutation surface every check declares, and a sampled
-run of the sensitivity invariant.  The table, the record digest and the
-light checks' slot counts are the benchmark's pins in
-perfbench/expected.py."""
+determinism, the mutation surface every check declares, the reads each
+row records, and a sampled run of the sensitivity invariant.  The
+table, the record digest and the light checks' slot counts are the
+benchmark's pins in perfbench/expected.py."""
 
 import hashlib
 import importlib.util
@@ -16,8 +16,8 @@ from jetverify import catalog
 from jetverify.jetalg import to_text
 from jetverify.opcalc import MatrixOp, PseudoOp, serialize_matrix
 from jetverify.verify import (
-    CheckContext, ERRATUM, FAIL, NORMAL_FORM, OrderCapExceeded, PASS,
-    UNDECIDABLE, suite,
+    CheckContext, CheckResult, ERRATUM, FAIL, NORMAL_FORM, OrderCapExceeded,
+    PASS, UNDECIDABLE, suite,
 )
 from jetverify.verify.base import MAX_ORDER, conclude
 from jetverify.verify.errata import load_ledger
@@ -263,71 +263,83 @@ def test_mutated_rows_are_a_prefix_of_the_suite_rows(check, ident, slot):
         assert len(got) == len(full)
 
 
-class RecordingView(catalog.CatalogView):
-    """The packaged catalog, or a mutant of it, recording each entry of
-    one check's read surface that is fetched."""
-
-    def __init__(self, surface, overrides=None):
-        super().__init__(overrides)
-        self.surface = surface
-        self.fetched = set()
-
-    def entry(self, ident):
-        if ident in self.surface:
-            self.fetched.add(ident)
-        return super().entry(ident)
-
-
 def _spec(check):
     return next(spec for spec in suite.CHECKS if spec.name == check)
 
 
-@pytest.mark.parametrize("check", tuple(SLOTS))
-def test_each_row_fetches_only_its_declared_reads(check):
-    # every row built alone, with only the setup it triggers, as
-    # run_mutated builds it: each surface entry fetched is declared
-    spec = _spec(check)
-    surface = {ident for ident, _parts in spec.reads}
-    for rid, reads in spec.rows:
-        view = RecordingView(surface)
-        ctx = CheckContext(catalog=view, errata=load_ledger())
-        fetched = None
-        for yielded, build in spec.runner(ctx):
-            assert view.fetched == set(), "fetched outside a build"
-            if yielded == rid:
-                assert build().id == rid
-                fetched = set(view.fetched)
-                view.fetched.clear()
-        assert fetched is not None and fetched <= set(reads), rid
+def _recorded_reads(check):
+    """{row id: the entries that row's build fetched}, in report order."""
+    return {rid: reads
+            for rid, (_row, reads) in suite._unmutated_rows(check, 0).items()}
 
 
-def test_declared_rows_are_the_suite_rows(rows):
-    assert [rid for spec in suite.CHECKS for rid, _reads in spec.rows] \
-        == [r.id for r in rows]
+def test_rows_built_alone_have_the_suite_digest():
+    # each row built alone, as run_mutated builds it, keeps its record
+    alone = [row for spec in suite.CHECKS
+             for row, _reads in suite._unmutated_rows(spec.name, 0).values()]
+    text = json.dumps(records(alone), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
+        == PINS.SUITE_DIGEST
+
+
+def test_a_row_records_the_setup_it_triggers():
+    # in a sequential run theorem1.t1 builds the Jacobian data that
+    # theorem1.t2 then reuses, so only t2 built alone fetches ymap
+    assert "ymap" in _recorded_reads("theorem1")["theorem1.t2"]
+
+
+def _toy_runner(ctx, fetch_between=False):
+    C = ctx.catalog
+
+    def build(rid, *idents):
+        for ident in idents:
+            C.get(ident)
+        return CheckResult(rid, PASS, NORMAL_FORM, (), C.citation("E"))
+
+    yield "toy.a", lambda: build("toy.a", "J1", "E")
+    if fetch_between:
+        C.get("J2")
+    yield "toy.b", lambda: build("toy.b", "J2")
+
+
+def test_rows_record_their_reads_in_first_fetch_order(monkeypatch):
+    monkeypatch.setitem(suite._BY_NAME, "toy", suite.CheckSpec(
+        "toy", _toy_runner, "E", "", "", ()))
+    assert _recorded_reads("toy") \
+        == {"toy.a": ("J1", "E"), "toy.b": ("J2", "E")}
+
+
+def test_a_fetch_outside_a_build_raises(monkeypatch):
+    monkeypatch.setitem(suite._BY_NAME, "toy_between", suite.CheckSpec(
+        "toy_between", lambda ctx: _toy_runner(ctx, fetch_between=True),
+        "E", "", "", ()))
+    with pytest.raises(RuntimeError, match="'J2' fetched outside a row"):
+        suite._unmutated_rows("toy_between", 0)
 
 
 @pytest.mark.parametrize("check", tuple(SLOTS))
 def test_row_reads_cover_the_read_surface(check):
-    spec = _spec(check)
-    assert {ident for _rid, reads in spec.rows for ident in reads} \
-        == {ident for ident, _parts in spec.reads}
+    surface = {ident for ident, _parts in _spec(check).reads}
+    read = {ident for reads in _recorded_reads(check).values()
+            for ident in reads}
+    assert surface - read == set()
 
 
 @pytest.mark.parametrize("check", tuple(SLOTS))
 def test_rows_outside_a_mutant_keep_their_records(check, rows):
     # the converse of the sensitivity invariant, which lets run_mutated
-    # reuse the unmutated run's row for every row that does not read
-    # the mutated entry
-    spec = _spec(check)
+    # reuse the unmutated run's row for every row whose recorded reads
+    # lack the mutated entry
     plain = {r.id: r.to_record() for r in rows}
+    row_reads = _recorded_reads(check)
     compared = 0
     for ident, slot in suite.sample_mutations(check, 3, seed=0):
         view = catalog.CATALOG.with_mutation(ident, slot)
         full = {r.id: r.to_record()
                 for r in suite.run_suite(selection=check, catalog=view)}
-        for rid, reads in spec.rows:
+        for rid, reads in row_reads.items():
             if ident not in reads and rid in full:
                 assert full[rid] == plain[rid], (ident, slot, rid)
                 compared += 1
-    if len(spec.rows) > 1:
+    if len(row_reads) > 1:
         assert compared
