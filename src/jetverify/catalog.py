@@ -37,7 +37,6 @@ __all__ = [
     "Entry",
     "LaxPair",
     "ReciprocalMap",
-    "NamedFunctional",
     "CatalogView",
     "CATALOG",
     "mutated",
@@ -107,16 +106,6 @@ class ReciprocalMap:
         self.substitutions = tuple(substitutions)
 
 
-class NamedFunctional:
-    """A conserved functional stored through its density."""
-
-    __slots__ = ("ring", "density")
-
-    def __init__(self, ring, density):
-        self.ring = ring
-        self.density = density
-
-
 # -- kind table --------------------------------------------------------
 #
 # One walk per kind defines the mutation surface.  KIND_TABLE[kind](value,
@@ -156,7 +145,6 @@ KIND_TABLE = {
     "reciprocal": lambda v, fn: ReciprocalMap(
         v.ring, fn("density", v.density), fn("flux", v.flux),
         tuple((dep, fn("substitutions", e)) for dep, e in v.substitutions)),
-    "functional": lambda v, fn: NamedFunctional(v.ring, fn("all", v.density)),
     "relations": _walk_rules,
 }
 
@@ -395,16 +383,16 @@ def _x_entries(add):
         "nonlocal Hamiltonian operator with momentum-weighted integral "
         "tails and kernel-inverse words")
 
-    add("H0", "functional",
-        NamedFunctional(X, F(1, 2) * (
+    # the conserved functionals, each stored as its density
+    add("H0", "expr",
+        F(1, 2) * (
             v * (2 * q ** 2 * r2 - 2 * q * q1 * r1 + q1 ** 2 * r
                  - q ** 2 * r)
             + w * (2 * r * q1 * r1 - 2 * q2 * r ** 2 - r1 ** 2 * q
-                   + r ** 2 * q))),
+                   + r ** 2 * q)),
         "quartic conserved functional driving the flow through the "
         "local operator")
-    add("H1", "functional",
-        NamedFunctional(X, F(1, 2) * (w * r - q * v)),
+    add("H1", "expr", F(1, 2) * (w * r - q * v),
         "quadratic conserved functional driving the flow through the "
         "nonlocal operator")
 

@@ -350,10 +350,6 @@ class JetExpr:
     def is_zero(self):
         return not self.nums
 
-    @property
-    def is_rational(self):
-        return not self.nums or (len(self.nums) == 1 and ((), ()) in self.nums)
-
     def key(self):
         """A hashable canonical form, usable as a dictionary key; it
         carries coefficient values, so keys of two expressions compare

@@ -6,14 +6,17 @@ polynomial in the derivation with jet-expression coefficients), a tail
 formal antiderivative), and words c * L o inv[name] o R, with L and R
 local and inv[name] the formal inverse of a registered operator.  Words
 are only applied; composing or adjoining one raises
-NonClosedComposition.  Applying with a nonlocal store works over the
-store's ring: operator and argument are promoted to it.  Composition,
-adjoint and application implement the standard closure rules:
+NonClosedComposition, and so does composing two operators that both
+carry tails, so whether a product closes depends on the operands'
+shape, not on their coefficients.  Applying with a nonlocal store works
+over the store's ring: operator and argument are promoted to it.
+Composition, adjoint and application implement the standard closure
+rules:
 
 * d o c = c d + c', dinv o d = d o dinv = id,
 * dinv o c d^k is integrated by parts down to a pure dinv o c~,
-* a tail-tail product closes exactly when the inner core is a total
-  derivative,
+* c d^k o dinv passes the derivation through the tail, releasing its
+  cores into the local part,
 * inverses never expand; they are resolved at application time
   through auxiliary dependents.
 """
@@ -85,14 +88,10 @@ class LocalOp:
         return max(self.coeffs) if self.coeffs else -1
 
     def __add__(self, other):
-        if other == 0:
-            return self
         acc = dict(self.coeffs)
         for k, c in other.coeffs.items():
             acc[k] = acc.get(k, self.ring.zero()) + c
         return LocalOp(self.ring, acc)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return LocalOp(self.ring, {k: -c for k, c in self.coeffs.items()})
@@ -281,15 +280,10 @@ class PseudoOp:
         return self.local.is_zero and not self.tail and not self.words
 
     def __add__(self, other):
-        if other == 0:
-            return self
-        other = _as_pseudo(other)
         if other.ring != self.ring:
             raise ContextMismatch("adding operators over different rings")
         return PseudoOp(self.ring, self.local + other.local,
                         self.tail + other.tail, self.words + other.words)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return PseudoOp(self.ring, -self.local,
@@ -298,7 +292,7 @@ class PseudoOp:
                          for c, left, name, right in self.words])
 
     def __sub__(self, other):
-        return self + (-_as_pseudo(other))
+        return self + (-other)
 
     def scaled(self, factor):
         """Left multiplication by a jet expression or a rational: a
@@ -315,11 +309,12 @@ class PseudoOp:
     # -- composition -----------------------------------------------------
 
     def compose(self, other):
-        other = _as_pseudo(other)
         if other.ring != self.ring:
             raise ContextMismatch("composing operators over different rings")
         if self.words or other.words:
             raise NonClosedComposition("words are applied, never composed")
+        if self.tail and other.tail:
+            raise NonClosedComposition("tails are applied, never composed")
         ring = self.ring
         local = self.local.compose(other.local)
         tails = []
@@ -349,20 +344,6 @@ class PseudoOp:
                     g = total_derivative(g)
                     sign = -sign
                 tails.append((p, sign * g))
-        # tail o tail: closes when the core is exact
-        for p, q in self.tail:
-            for h, w in other.tail:
-                core = q * h
-                if core.is_zero:
-                    continue
-                try:
-                    mid = antiderivative(core)
-                except NotIntegrable as exc:
-                    raise NonClosedComposition(
-                        "tail core is not a total derivative: %s"
-                        % to_text(core)) from exc
-                tails.append((p * mid, w))
-                tails.append((-p, mid * w))
         return PseudoOp(ring, local, tails)
 
     def adjoint(self):
@@ -451,16 +432,6 @@ class PseudoOp:
 
     def __repr__(self):
         return serialize_pseudo(self)
-
-
-def _as_pseudo(other):
-    """A jet expression or local operator as a PseudoOp; anything else
-    unchanged."""
-    if isinstance(other, JetExpr):
-        return PseudoOp.from_expr(other)
-    if isinstance(other, LocalOp):
-        return PseudoOp.from_local(other)
-    return other
 
 
 class MatrixOp:

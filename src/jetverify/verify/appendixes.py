@@ -25,7 +25,7 @@ from .flows import (
     check_conservation, check_reciprocal_system_map, check_zero_curvature,
     curvature_entry,
 )
-from .theorem import Transport
+from .theorem import apply_sandwich
 
 F = Fraction
 
@@ -420,7 +420,7 @@ def _scan_row(ctx, C):
     vecs = [(Y.coord("phi"), Y.zero()), (Y.zero(), Y.coord("psi"))]
     lam, middle = C.get("Lambda"), C.get("Jt1.middle")
     lam_adjoint = lam.adjoint()
-    images = [omega.apply(Transport.apply_sandwich(
+    images = [omega.apply(apply_sandwich(
                   lam, lam_adjoint, middle, omA.apply(vec, store), store),
                   store)
               for vec in vecs]

@@ -108,7 +108,7 @@ def _bihamiltonian_local(ctx):
     sysdef = C.get("sys.main")
     cons = sysdef.constraints
     kernel = C.get("E").local
-    h0 = C.get("H0").density
+    h0 = C.get("H0")
     # the gradient's inverse-kernel component stays a formal atom here:
     # composing with the local operator cancels it exactly, leaving the
     # potential-direction derivative
@@ -155,7 +155,7 @@ def _bihamiltonian_nonlocal(ctx):
             out.append(direct - through)
         return out
 
-    h1 = C.get("H1").density
+    h1 = C.get("H1")
     g1 = gradient(h1)
     registry = OperatorRegistry()
     registry.register_invertible("E", kernel)

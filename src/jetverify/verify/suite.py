@@ -260,12 +260,12 @@ def resolve_selection(selection=None):
     """The selected checks in registry order.
 
     A selection is None or "all" for every check, one check id, or an
-    iterable of ids.  Unknown identifiers raise KeyError before any
-    check runs."""
+    iterable of ids, read once.  Unknown identifiers raise KeyError
+    before any check runs."""
     if selection is None or selection == "all":
         return check_ids()
-    if isinstance(selection, str):
-        selection = (selection,)
+    selection = ((selection,) if isinstance(selection, str)
+                 else tuple(selection))
     for name in selection:
         if name not in _BY_NAME:
             raise KeyError("unknown check id %r" % (name,))

@@ -56,19 +56,11 @@ class Transport:
     @cached_property
     def j1(self):
         u = _catalog.RING_Y.coord("u")
-        inv_map = {"E": ("EHY", u ** -1)}
-        return MatrixOp(tuple(
-            tuple(transport_pseudo(e, u, inv_map) for e in row)
-            for row in self.ctx.catalog.get("J1").grid))
+        return self._transported("J1", {"E": ("EHY", u ** -1)})
 
     @cached_property
     def j2(self):
-        u = _catalog.RING_Y.coord("u")
-        return MatrixOp(tuple(
-            tuple(PseudoOp.from_local(transport_local(e.local,
-                                                      carry_coeff, u))
-                  for e in row)
-            for row in self.ctx.catalog.get("J2").grid))
+        return self._transported("J2", {})
 
     @cached_property
     def smap(self):
@@ -104,21 +96,26 @@ class Transport:
     def middle(self):
         return self._mapped("Jt1.middle")
 
-    @staticmethod
-    def apply_sandwich(lam, lam_adjoint, middle, vec, store):
-        """-1/16 lam o middle o lam* applied to vec, one factor at a
-        time: composing the integral tails of lam against its adjoint
-        is not closed, so the sandwich is only testable by
-        application."""
-        step = lam_adjoint.apply(vec, store)
-        step = middle.apply(step, store)
-        step = lam.apply(step, store)
-        return [F(-1, 16) * e for e in step]
+    def _transported(self, ident, inverse_map):
+        u = _catalog.RING_Y.coord("u")
+        return MatrixOp(tuple(
+            tuple(transport_pseudo(e, u, inverse_map) for e in row)
+            for row in self.ctx.catalog.get(ident).grid))
 
     def _mapped(self, ident):
         return MatrixOp(tuple(tuple(e.map_coefficients(self.smap)
                                     for e in row)
                               for row in self.ctx.catalog.get(ident).grid))
+
+
+def apply_sandwich(lam, lam_adjoint, middle, vec, store):
+    """-1/16 lam o middle o lam* applied to vec, one factor at a time:
+    lam and its adjoint both carry integral tails, which are applied,
+    never composed, so the sandwich is only testable by application."""
+    step = lam_adjoint.apply(vec, store)
+    step = middle.apply(step, store)
+    step = lam.apply(step, store)
+    return [F(-1, 16) * e for e in step]
 
 
 def _derived_jacobians(ctx):
@@ -310,8 +307,8 @@ def _jt1_check(ctx, tr):
     store = NonlocalStore(_catalog.RING_Y, registry=tr.registry)
     for tag, vec in zip(("first", "second"),
                         _basis_vectors(_catalog.RING_Y)):
-        rhs = tr.apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle,
-                                vec, store)
+        rhs = apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle, vec,
+                             store)
         lhs_orig = _sandwich_residuals(tr, tr.j1, vec, store)
         lhs_corr = _sandwich_residuals(tr, tr.j2, vec, store)
         for k in range(2):

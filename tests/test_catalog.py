@@ -56,6 +56,13 @@ def test_kind_tags_are_known():
         assert CAT.entry(ident).kind in C.KINDS
 
 
+def test_functionals_are_stored_as_their_densities():
+    # a functional has no structure beyond its density, so it is an
+    # expression entry and needs no kind of its own
+    assert "functional" not in C.KINDS
+    assert [CAT.entry(h).kind for h in ("H0", "H1")] == ["expr", "expr"]
+
+
 def test_leaves_of_an_entry_share_one_ring():
     for ident in CAT.idents():
         leaves = all_leaves(ident)

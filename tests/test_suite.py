@@ -13,8 +13,7 @@ from pathlib import Path
 import pytest
 
 from jetverify import catalog
-from jetverify.jetalg import to_text
-from jetverify.opcalc import MatrixOp, PseudoOp, serialize_matrix
+from jetverify.opcalc import MatrixOp, PseudoOp
 from jetverify.verify import (
     CheckContext, CheckResult, ERRATUM, FAIL, NORMAL_FORM, OrderCapExceeded,
     PASS, UNDECIDABLE, suite,
@@ -104,6 +103,15 @@ def test_a_selection_runs_only_the_named_checks():
         suite.resolve_selection(("theorem1", "prop3"))
 
 
+def test_a_one_shot_selection_is_read_once():
+    # a generator is consumed by the first pass over it
+    assert suite.resolve_selection(n for n in ["prop1"]) == ("prop1",)
+    rows = suite.run_suite(selection=(n for n in ["prop1"]))
+    assert [r.id for r in rows] \
+        == [r.id for r in suite.run_suite(selection="prop1")]
+    assert rows
+
+
 def test_a_bare_check_id_selects_that_check():
     # a string is one id, not an iterable of one-letter ids
     assert suite.resolve_selection("prop2") == ("prop2",)
@@ -153,14 +161,17 @@ def test_every_catalog_entry_is_read_by_a_check():
     assert set(catalog.CATALOG.idents()) - read == PENDING_READS
 
 
-def test_errata_ledger_quotes_the_catalog():
-    ledger = load_ledger()
-    ymap = dict(catalog.CATALOG.get("ymap"))
-    assert (ledger["E1"].original, ledger["E1"].corrected) == \
-        (to_text(ymap["Q2.display"]), to_text(ymap["Q2"]))
-    assert (ledger["E2"].original, ledger["E2"].corrected) == \
-        (serialize_matrix(catalog.CATALOG.get("J1")),
-         serialize_matrix(catalog.CATALOG.get("J2")))
+def test_errata_ledger_references_what_its_row_reads():
+    # each term of a correction is a catalog reference, in the shape of
+    # CheckSpec.reads, that the erratum row fetches when built alone
+    for ent in load_ledger().values():
+        check = ent.check_id.partition(".")[0]
+        _row, reads = suite._unmutated_rows(check, 0)[ent.check_id]
+        for ident, part in (ent.original, ent.corrected):
+            assert ident in reads, (ent.ident, ident)
+            labels = {label for label, _s, _e in
+                      catalog.part_windows(catalog.CATALOG.entry(ident))}
+            assert part is None or part in labels, (ent.ident, part)
 
 
 def test_conclude_enforces_the_order_cap():
