@@ -4,10 +4,12 @@ Every concrete object the checking suite works against lives here as
 immutable data: evolution systems, matrix spectral pairs, reciprocal
 changes of the independent variable, conserved functionals, Hamiltonian
 and recursion operators, substitution chains, and zero-curvature
-relation sets.  Each entry carries a stable short identifier, a kind
-tag, and a one-line citation describing the object in words; its value
-carries the ring it lives over.  The suite re-derives its own versions of these
-objects and compares against the stored forms, so nothing here is
+relation sets.  Each entry carries a stable short identifier, a
+one-line citation describing the object in words, and its value, whose
+type is its kind and which carries the ring it lives over.  Named
+expressions and substitutions are read-only mappings, so no reader can
+change what another reads.  The suite re-derives its own versions of
+these objects and compares against the stored forms, so nothing here is
 computed from anything the checks produce.
 
 Quarter powers of the product v*w never appear: the catalog stores the
@@ -15,9 +17,12 @@ cleared parametrization v = u^3/s, w = u*s and phrases every density or
 coefficient through (u, s) instead.
 """
 
+from collections import namedtuple
 from fractions import Fraction
+from types import MappingProxyType
 
 from .jetalg import (
+    JetExpr,
     RelationSet,
     RingContext,
     SystemDef,
@@ -31,7 +36,6 @@ __all__ = [
     "RING_X",
     "RING_Y",
     "RING_K",
-    "KINDS",
     "KIND_TABLE",
     "parametrization",
     "Entry",
@@ -80,40 +84,30 @@ def parametrization(ring):
     return {"v": u ** 3 / s, "w": u * s}
 
 
-class LaxPair:
-    """A matrix spectral pair: two grids of jet expressions whose
-    compatibility (zero curvature) the suite checks."""
+# A matrix spectral pair: two grids of jet expressions whose
+# compatibility (zero curvature) the suite checks.
+LaxPair = namedtuple("LaxPair", ("ring", "space", "time"))
 
-    __slots__ = ("ring", "space", "time")
+# An exact one-form (density dx + flux dt) introducing a new independent
+# variable, with the dependent-variable substitutions that clear
+# fractional powers.
+ReciprocalMap = namedtuple("ReciprocalMap",
+                           ("ring", "density", "flux", "substitutions"))
 
-    def __init__(self, ring, space, time):
-        self.ring = ring
-        self.space = tuple(tuple(row) for row in space)
-        self.time = tuple(tuple(row) for row in time)
-
-
-class ReciprocalMap:
-    """An exact one-form (density dx + flux dt) introducing a new
-    independent variable, with the dependent-variable substitutions
-    that clear fractional powers."""
-
-    __slots__ = ("ring", "density", "flux", "substitutions")
-
-    def __init__(self, ring, density, flux, substitutions):
-        self.ring = ring
-        self.density = density
-        self.flux = flux
-        self.substitutions = tuple(substitutions)
+# One catalog record: identifier, citation text, and the stored value.
+Entry = namedtuple("Entry", ("ident", "citation", "value"))
 
 
 # -- kind table --------------------------------------------------------
 #
-# One walk per kind defines the mutation surface.  KIND_TABLE[kind](value,
-# fn) returns value rebuilt with every expression leaf e replaced by
-# fn(label, e), calling fn in slot order; label names the structural part
-# holding the leaf, "all" for kinds without named parts.  part_windows
-# records this walk and mutated perturbs one leaf of it, so the slot
-# order is written here and nowhere else.
+# One walk per kind defines the mutation surface, and a value's kind is
+# its type: KIND_TABLE[type(value)](value, fn) returns value rebuilt with
+# every expression leaf e replaced by fn(label, e), calling fn in slot
+# order; label names the structural part holding the leaf, "all" for
+# kinds without named parts.  Named expressions are a MappingProxyType
+# and expression grids a plain tuple of rows.  part_windows records this
+# walk and mutated perturbs one leaf of it, so the slot order is written
+# here and nowhere else.
 
 def _walk_grid(grid, fn, label):
     return tuple(tuple(fn(label, e) for e in row) for row in grid)
@@ -130,43 +124,28 @@ def _walk_op(op, fn):
     return op.map_coefficients(lambda e: fn("all", e))
 
 
+def _walk_named(named, fn, label=None):
+    return MappingProxyType({name: fn(label or name, e)
+                             for name, e in named.items()})
+
+
 KIND_TABLE = {
-    "expr": lambda v, fn: fn("all", v),
-    "exprs": lambda v, fn: tuple((label, fn(label, e)) for label, e in v),
-    "op": _walk_op,
-    "matrix": lambda v, fn: MatrixOp(tuple(tuple(_walk_op(e, fn) for e in row)
+    JetExpr: lambda v, fn: fn("all", v),
+    MappingProxyType: _walk_named,
+    PseudoOp: _walk_op,
+    MatrixOp: lambda v, fn: MatrixOp(tuple(tuple(_walk_op(e, fn) for e in row)
                                            for row in v.grid)),
-    "exprmatrix": lambda v, fn: _walk_grid(v, fn, "all"),
-    "system": lambda v, fn: SystemDef(
+    tuple: lambda v, fn: _walk_grid(v, fn, "all"),
+    SystemDef: lambda v, fn: SystemDef(
         v.ring, {dep: fn("evolution", e) for dep, e in v.evolution.items()},
         _walk_rules(v.constraints, fn, "constraints")),
-    "laxpair": lambda v, fn: LaxPair(v.ring, _walk_grid(v.space, fn, "space"),
-                                     _walk_grid(v.time, fn, "time")),
-    "reciprocal": lambda v, fn: ReciprocalMap(
+    LaxPair: lambda v, fn: LaxPair(v.ring, _walk_grid(v.space, fn, "space"),
+                                   _walk_grid(v.time, fn, "time")),
+    ReciprocalMap: lambda v, fn: ReciprocalMap(
         v.ring, fn("density", v.density), fn("flux", v.flux),
-        tuple((dep, fn("substitutions", e)) for dep, e in v.substitutions)),
-    "relations": _walk_rules,
+        _walk_named(v.substitutions, fn, "substitutions")),
+    RelationSet: _walk_rules,
 }
-
-KINDS = tuple(KIND_TABLE)
-
-
-class Entry:
-    """One catalog record: identifier, kind tag, citation text, and the
-    stored value.  Records are write-once."""
-
-    __slots__ = ("ident", "kind", "citation", "value")
-
-    def __init__(self, ident, kind, citation, value):
-        if kind not in KINDS:
-            raise ValueError("unknown catalog kind %r" % (kind,))
-        object.__setattr__(self, "ident", ident)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "citation", citation)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("catalog entries are read-only")
 
 
 # -- expression-grid helpers --------------------------------------------
@@ -273,7 +252,7 @@ def _x_entries(add):
     cons_main = (RelationSet(X)
                  .with_rule("v", 0, r3 - r1)
                  .with_rule("w", 0, q3 - q1))
-    add("sys.main", "system",
+    add("sys.main",
         SystemDef(X,
                   {"v": 2 * v1 * kappa
                         + 2 * v * (3 * q * r2 - q2 * r - q1 * r1 - q * r),
@@ -297,13 +276,13 @@ def _x_entries(add):
         (4 * lam * w * k2 + (F(1, 2) * q - q2) * ilam,
          q2 * r1 - q1 * r2 - k2, q1 * ilam, k1 - 2 * q2 * r),
     )
-    add("lax.main", "laxpair",
+    add("lax.main",
         LaxPair(X, space4, time_main),
         "4x4 spectral pair whose zero curvature reproduces the cubic flow")
 
     param = parametrization(X)
-    subs = tuple(param.items())
-    add("recip.main", "reciprocal",
+    subs = MappingProxyType(param)
+    add("recip.main",
         ReciprocalMap(X, u, 2 * u * kappa, subs),
         "independent-variable change generated by the conserved "
         "quarter-power density, in cleared (u, s) form")
@@ -311,7 +290,7 @@ def _x_entries(add):
     cons_b = (RelationSet(X)
               .with_rule("v", 0, q2 - q + r1)
               .with_rule("w", 0, q2 - q - r1))
-    add("sys.appb", "system",
+    add("sys.appb",
         SystemDef(X,
                   {"v": 4 * v * q1 + 2 * v1 * q + 2 * v * r,
                    "w": 4 * w * q1 + 2 * w1 * q - 2 * w * r},
@@ -327,11 +306,11 @@ def _x_entries(add):
         (2 * lam * w * q + F(1, 4) * ilam, F(1, 2) * (v + w + q) - q2,
          z, q1 - r),
     )
-    add("lax.appb", "laxpair",
+    add("lax.appb",
         LaxPair(X, space4, time_b),
         "4x4 spectral pair for the companion quadratic flow")
 
-    add("recip.appb", "reciprocal",
+    add("recip.appb",
         ReciprocalMap(X, u, 2 * q * u, subs),
         "independent-variable change for the companion flow")
 
@@ -350,20 +329,20 @@ def _x_entries(add):
     poly = (16 * ww ** 2 * vv ** 2 - 33 * vv ** 2 * ww1 ** 2
             + 6 * ww * ww1 * vv * vv1 + 7 * ww ** 2 * vv1 ** 2
             + 24 * vv ** 2 * ww * ww2 - 8 * ww ** 2 * vv * vv2)
-    add("ymap", "exprs",
-        (("density", u),
-         ("Q1", q1x),
-         ("Q2", F(1, 64) * u ** -10 * poly),
-         ("Q2.display", F(1, 64) * u ** -5 * poly)),
+    add("ymap",
+        {"density": u,
+         "Q1": q1x,
+         "Q2": F(1, 64) * u ** -10 * poly,
+         "Q2.display": F(1, 64) * u ** -5 * poly},
         "new independent variable and the two transported coefficient "
         "functions, cleared of quarter powers")
 
-    add("E", "op", _pl(X, {3: one, 1: -one}),
+    add("E", _pl(X, {3: one, 1: -one}),
         "third-order kernel operator d^3 - d")
 
     pz = PseudoOp.zero(X)
     neg_e = _pl(X, {3: -one, 1: one})
-    add("J2", "matrix", MatrixOp(((pz, neg_e), (neg_e, pz))),
+    add("J2", MatrixOp(((pz, neg_e), (neg_e, pz))),
         "local Hamiltonian operator: minus the kernel operator against "
         "the swapped pair")
 
@@ -377,14 +356,14 @@ def _x_entries(add):
         word = (F(-2), ops[a_name], "E", ops[b_name])
         return PseudoOp(X, None, ((tail_sign * 2 * a, b),), (word,))
 
-    add("J1", "matrix",
+    add("J1",
         MatrixOp(((j1_entry("v", "v", -1), j1_entry("v", "w", 1)),
                   (j1_entry("w", "v", 1), j1_entry("w", "w", -1)))),
         "nonlocal Hamiltonian operator with momentum-weighted integral "
         "tails and kernel-inverse words")
 
     # the conserved functionals, each stored as its density
-    add("H0", "expr",
+    add("H0",
         F(1, 2) * (
             v * (2 * q ** 2 * r2 - 2 * q * q1 * r1 + q1 ** 2 * r
                  - q ** 2 * r)
@@ -392,7 +371,7 @@ def _x_entries(add):
                    + r ** 2 * q)),
         "quartic conserved functional driving the flow through the "
         "local operator")
-    add("H1", "expr", F(1, 2) * (w * r - q * v),
+    add("H1", F(1, 2) * (w * r - q * v),
         "quadratic conserved functional driving the flow through the "
         "nonlocal operator")
 
@@ -427,14 +406,14 @@ def _y_entries(add):
                              co("phi", 4))
     psi, psi1, psi2 = co("psi"), co("psi", 1), co("psi", 2)
 
-    add("hmap", "relations",
+    add("hmap",
         RelationSet(Y).with_rule("s", 0, u * h ** -2),
         "bridge relation expressing s through u and the ratio root h")
 
-    add("miura.m", "expr", -i1 - i ** 2 - 2 * j,
+    add("miura.m", -i1 - i ** 2 - 2 * j,
         "second-order scalar coefficient from the quadratic "
         "substitution in (i, j)")
-    add("miura.n", "expr", j ** 2 - j2 - d(i * j),
+    add("miura.n", j ** 2 - j2 - d(i * j),
         "zeroth-order scalar coefficient from the quadratic "
         "substitution in (i, j)")
 
@@ -447,18 +426,18 @@ def _y_entries(add):
           + F(1, 4) * u2 * u ** -3 + F(1, 4) * u2 ** 2 * u ** -2
           + F(1, 16) * u ** -4 - F(1, 4) * u1 ** 2 * u2 * u ** -3
           + F(1, 16) * u1 ** 4 * u ** -4 - F(1, 8) * u1 ** 2 * u ** -4)
-    add("scalar.mn", "exprs", (("m", mh), ("n", nh)),
+    add("scalar.mn", {"m": mh, "n": nh},
         "fourth-order scalar problem coefficients written through "
         "(u, h)")
 
-    add("fg", "exprs", (("f", q * u ** 2 / s), ("g", r * s)),
+    add("fg", {"f": q * u ** 2 / s, "g": r * s},
         "flux pair (f, g) parametrized by (q, r, u, s)")
 
-    add("F12", "exprs",
-        (("F1", 3 * i * g2 - g3 + (i1 - 2 * i ** 2 + 4 * j) * g1
-                + (2 * j1 - 4 * i * j) * g),
-         ("F2", (4 * i * j + 2 * j1 - 2 * i2 - 4 * i * i1) * f
-                + (4 * j - 5 * i1 - 2 * i ** 2) * f1 - 3 * i * f2 - f3)),
+    add("F12",
+        {"F1": 3 * i * g2 - g3 + (i1 - 2 * i ** 2 + 4 * j) * g1
+               + (2 * j1 - 4 * i * j) * g,
+         "F2": (4 * i * j + 2 * j1 - 2 * i2 - 4 * i * i1) * f
+               + (4 * j - 5 * i1 - 2 * i ** 2) * f1 - 3 * i * f2 - f3},
         "third-order expressions in the fluxes entering the "
         "unit-normalized constraints")
 
@@ -470,7 +449,7 @@ def _y_entries(add):
                           (4 * i * j + 2 * j1 - 2 * i2 - 4 * i * i1) * f
                           + (4 * j - 5 * i1 - 2 * i ** 2) * f1
                           - 3 * i * f2 + one))
-    add("sys.mdflow", "system",
+    add("sys.mdflow",
         SystemDef(Y,
                   {"i": -2 * (f + g),
                    "j": f1 - 3 * g1 + 2 * i * (f + g)},
@@ -478,12 +457,12 @@ def _y_entries(add):
         "negative flow of the modified hierarchy with both flux "
         "constraints normalized to -1")
 
-    add("flow.intermediate", "exprs",
-        (("i_tau", -2 * (r * s + q * u ** 2 / s)),
-         ("j_tau", -3 * d(r * s) + 2 * r * s * i
-                   + (u ** 2 / s) * (q1 + q * s1 / s)),
-         ("kernelr", d(u * d(u * d(r))) - d(r) - u ** 2 / s),
-         ("kernelq", d(u * d(u * d(q))) - d(q) - s)),
+    add("flow.intermediate",
+        {"i_tau": -2 * (r * s + q * u ** 2 / s),
+         "j_tau": -3 * d(r * s) + 2 * r * s * i
+                  + (u ** 2 / s) * (q1 + q * s1 / s),
+         "kernelr": d(u * d(u * d(r))) - d(r) - u ** 2 / s,
+         "kernelq": d(u * d(u * d(q))) - d(q) - s},
         "transported flow in mixed variables with the third-order "
         "kernel identities for the flux combinations")
 
@@ -493,7 +472,7 @@ def _y_entries(add):
     cons_bt = (RelationSet(Y)
                .with_rule("i", 0, idef)
                .with_rule("j", 0, jdef))
-    add("sys.appb.trans", "system",
+    add("sys.appb.trans",
         SystemDef(Y,
                   {"i": s - u ** 2 / s,
                    "j": F(1, 2) * s1 + u1 * s / u
@@ -502,7 +481,7 @@ def _y_entries(add):
         "transported companion flow in (i, j) with their (u, s) "
         "definitions as constraints")
 
-    add("usdefs", "exprs", (("i", idef), ("j", jdef)),
+    add("usdefs", {"i": idef, "j": jdef},
         "definitions of (i, j) through the parametrization pair (u, s)")
 
     space_t = ((z, z, one, z),
@@ -517,7 +496,7 @@ def _y_entries(add):
         (-2 * g, a2 * ilam, F(-1, 2) * ilam2, -g1 * ilam),
         (a3 * ilam, 2 * f, f1 * ilam, F(1, 2) * ilam2),
     )
-    add("lax.trans", "laxpair",
+    add("lax.trans",
         LaxPair(Y, space_t, time_t),
         "transported 4x4 spectral pair in (i, j) with fluxes (f, g)")
 
@@ -530,92 +509,92 @@ def _y_entries(add):
         (u ** 2 * a1_coef * s ** -2 * ilam, u ** 2 / s,
          d(F(1, 2) * u ** 2 / s) * ilam, z),
     )
-    add("lax.appb.trans", "laxpair",
+    add("lax.appb.trans",
         LaxPair(Y, space_t, time_bt),
         "transported companion spectral pair written through (u, s)")
 
-    add("reduction2", "exprs",
-        (("phi.eq", phi2 + (u1 / u - s1 / s) * phi1
-                    + (F(3, 4) * s1 ** 2 * s ** -2 - F(1, 2) * s2 / s
-                       - F(1, 2) * u1 * s1 / (u * s)
-                       - F(1, 4) * u ** -2) * phi - lam * psi),
-         ("psi.eq", psi2 + (s1 / s - u1 / u) * psi1
-                    + (F(1, 2) * s2 / s - F(1, 4) * s1 ** 2 * s ** -2
-                       - F(1, 2) * u1 * s1 / (u * s) - u2 / u
-                       + u1 ** 2 * u ** -2 - F(1, 4) * u ** -2) * psi
-                    - lam * phi)),
+    add("reduction2",
+        {"phi.eq": phi2 + (u1 / u - s1 / s) * phi1
+                   + (F(3, 4) * s1 ** 2 * s ** -2 - F(1, 2) * s2 / s
+                      - F(1, 2) * u1 * s1 / (u * s)
+                      - F(1, 4) * u ** -2) * phi - lam * psi,
+         "psi.eq": psi2 + (s1 / s - u1 / u) * psi1
+                   + (F(1, 2) * s2 / s - F(1, 4) * s1 ** 2 * s ** -2
+                      - F(1, 2) * u1 * s1 / (u * s) - u2 / u
+                      + u1 ** 2 * u ** -2 - F(1, 4) * u ** -2) * psi
+                   - lam * phi},
         "coupled second-order reduction of the transported spectral "
         "problem, as zero claims")
 
-    add("scalar4", "expr",
+    add("scalar4",
         phi4 + m * phi2 + m1 * phi1 + n * phi - lam2 * phi,
         "fourth-order scalar spectral problem with squared eigenvalue, "
         "as a zero claim")
 
-    add("ab1", "exprs",
-        (("a1", F(1, 2) * u1 / u + F(1, 2) / u), ("b1", h1 / h)),
+    add("ab1",
+        {"a1": F(1, 2) * u1 / u + F(1, 2) / u, "b1": h1 / h},
         "first-order factorization coefficients through (u, h)")
 
-    add("factor2.left", "op", _pl(Y, {2: one, 1: i, 0: i1 - j}),
+    add("factor2.left", _pl(Y, {2: one, 1: i, 0: i1 - j}),
         "left second-order factor of the fourth-order operator")
-    add("factor2.right", "op", _pl(Y, {2: one, 1: -i, 0: -j}),
+    add("factor2.right", _pl(Y, {2: one, 1: -i, 0: -j}),
         "right second-order factor of the fourth-order operator")
 
     a1c, b1c = co("a1"), co("b1")
     for k, coeff0 in (("1", a1c - b1c), ("2", -a1c - b1c),
                       ("3", a1c + b1c), ("4", b1c - a1c)):
-        add("factor1." + k, "op", _pl(Y, {1: one, 0: coeff0}),
+        add("factor1." + k, _pl(Y, {1: one, 0: coeff0}),
             "linear factor %s of 4 of the fourth-order operator" % k)
 
-    add("L4", "op", _pl(Y, {4: one, 2: m, 1: m1, 0: n}),
+    add("L4", _pl(Y, {4: one, 2: m, 1: m1, 0: n}),
         "fourth-order scalar operator in coefficient form")
 
     # Claimed linearization rows of the variable change and their
     # adjoints.
-    add("frechet.Pv", "op", _pt(F(1, 4) * one, one / v),
+    add("frechet.Pv", _pt(F(1, 4) * one, one / v),
         "claimed linearization of the variable map in the v direction")
-    add("frechet.Pw", "op", _pt(F(1, 4) * one, one / w),
+    add("frechet.Pw", _pt(F(1, 4) * one, one / w),
         "claimed linearization of the variable map in the w direction")
 
-    add("frechet.Q1v", "op",
+    add("frechet.Q1v",
         _pd(Y, 1).compose(_pm(F(1, 2) / v)).scaled(-1)
         + _pm(F(-1, 4) * i / v),
         "claimed linearization of the first coefficient in the v "
         "direction")
-    add("frechet.Q1w", "op",
+    add("frechet.Q1w",
         _pd(Y, 1).compose(_pm(F(1, 2) / w)) + _pm(F(-1, 4) * i / w),
         "claimed linearization of the first coefficient in the w "
         "direction")
-    add("frechet.Q2v", "op",
+    add("frechet.Q2v",
         (_pm(F(-1, 2) * j) + _pd(Y, 2, F(-1, 8))
          + _pd(Y, 1).scaled(F(1, 8) * i)).compose(_pm(one / v)),
         "claimed linearization of the second coefficient in the v "
         "direction")
-    add("frechet.Q2w", "op",
+    add("frechet.Q2w",
         (_pm(F(-1, 2) * j) + _pd(Y, 2, F(3, 8))
          + _pd(Y, 1).scaled(F(-3, 8) * i)).compose(_pm(one / w)),
         "claimed linearization of the second coefficient in the w "
         "direction")
-    add("frechet.Pv.star", "op", _pt(F(-1, 4) * u / v, one / u),
+    add("frechet.Pv.star", _pt(F(-1, 4) * u / v, one / u),
         "claimed adjoint of the variable-map linearization, v "
         "direction")
-    add("frechet.Pw.star", "op", _pt(F(-1, 4) * u / w, one / u),
+    add("frechet.Pw.star", _pt(F(-1, 4) * u / w, one / u),
         "claimed adjoint of the variable-map linearization, w "
         "direction")
-    add("frechet.Q1v.u", "op",
+    add("frechet.Q1v.u",
         _pl(Y, {1: F(1, 2) * u / v, 0: F(-1, 4) * i * u / v}),
         "claimed weighted adjoint of the first-coefficient "
         "linearization, v direction")
-    add("frechet.Q1w.u", "op",
+    add("frechet.Q1w.u",
         _pl(Y, {1: F(-1, 2) * u / w, 0: F(-1, 4) * i * u / w}),
         "claimed weighted adjoint of the first-coefficient "
         "linearization, w direction")
-    add("frechet.Q2v.u", "op",
+    add("frechet.Q2v.u",
         _pl(Y, {2: F(-1, 8) * u / v, 1: F(-1, 8) * i * u / v,
                 0: F(-1, 2) * j * u / v - F(1, 8) * i1 * u / v}),
         "claimed weighted adjoint of the second-coefficient "
         "linearization, v direction")
-    add("frechet.Q2w.u", "op",
+    add("frechet.Q2w.u",
         _pl(Y, {2: F(3, 8) * u / w, 1: F(3, 8) * i * u / w,
                 0: F(-1, 2) * j * u / w + F(3, 8) * i1 * u / w}),
         "claimed weighted adjoint of the second-coefficient "
@@ -628,11 +607,11 @@ def _y_entries(add):
               + _pl(Y, {2: F(1, 2) * one, 1: F(-1, 2) * i, 0: 2 * j}))
     lam_22 = (_pt(j1, one)
               + _pl(Y, {2: F(-3, 2) * one, 1: F(3, 2) * i, 0: 2 * j}))
-    add("Lambda", "matrix",
+    add("Lambda",
         MatrixOp(((lam_11, lam_12), (lam_21, lam_22))),
         "common left factor of the forward Jacobian block matrix")
 
-    add("T1", "matrix",
+    add("T1",
         MatrixOp(((lam_11.compose(_pm(one / v)),
                    lam_12.compose(_pm(one / w))),
                   (lam_21.compose(_pm(one / v)),
@@ -647,24 +626,24 @@ def _y_entries(add):
     t2_22 = _pm(u / w).compose(
         _pl(Y, {2: F(3, 2) * one, 1: F(3, 2) * i,
                 0: F(3, 2) * i1 - 2 * j}) + _pt(one, j1))
-    add("T2", "matrix",
+    add("T2",
         MatrixOp(((t2_11, t2_12), (t2_21, t2_22))).scaled(F(1, 4)),
         "claimed backward Jacobian block matrix of the variable change")
 
     th1 = {3: one, 2: -3 * i, 1: 2 * i ** 2 - i1 - 4 * j,
            0: 4 * i * j - 2 * j1}
-    add("Theta1", "op", _pl(Y, th1),
+    add("Theta1", _pl(Y, th1),
         "third-order operator from the weighted kernel conjugation")
     th1c = {3: one, 2: 3 * i, 1: 2 * i ** 2 + 5 * i1 - 4 * j,
             0: 2 * i2 - 2 * j1 + 4 * i * i1 - 4 * i * j}
-    add("Theta1.conj", "op", _pl(Y, th1c),
+    add("Theta1.conj", _pl(Y, th1c),
         "claimed negative adjoint of the conjugation operator")
     ce = i1 - F(1, 2) * i ** 2 - 2 * j
-    add("Theta2", "op", _pl(Y, {3: one, 1: 2 * ce, 0: d(ce)}),
+    add("Theta2", _pl(Y, {3: one, 1: 2 * ce, 0: d(ce)}),
         "skew third-order operator from the symmetric kernel "
         "conjugation")
 
-    add("Jt1.middle", "matrix",
+    add("Jt1.middle",
         MatrixOp(((PseudoOp.zero(Y), _pl(Y, th1)),
                   (_pl(Y, th1c), PseudoOp.zero(Y)))),
         "middle block matrix of the transformed nonlocal Hamiltonian "
@@ -673,14 +652,14 @@ def _y_entries(add):
     jt2_22 = (_pm(j).compose(_pd(Y, 1)) + _pd(Y, 1).compose(_pm(j))
               - (_pd(Y, 1) - _pm(i)).compose(_pd(Y, 1))
                 .compose(_pd(Y, 1) + _pm(i)))
-    add("Jt2", "matrix",
+    add("Jt2",
         MatrixOp(((_pd(Y, 1, 2),
                    _pl(Y, {2: -one, 1: -i, 0: -i1})),
                   (_pl(Y, {2: one, 1: -i}), jt2_22))),
         "transformed local Hamiltonian operator in composed normal "
         "form")
 
-    add("Jop", "matrix",
+    add("Jop",
         MatrixOp(((_pl(Y, {1: F(1, 2) * one, 0: F(1, 4) * i})
                    + _pt(F(1, 4) * i1, one),
                    _pl(Y, {1: F(1, 2) * one, 0: F(-1, 4) * i})
@@ -694,7 +673,7 @@ def _y_entries(add):
     wop = (_pd(Y, 3, F(-1, 2)) + _pd(Y, 2).scaled(F(1, 2) * i)
            + _pm(j).compose(_pd(Y, 1)) + _pd(Y, 1).compose(_pm(j)))
     winv = wop.compose(_pt(one, one))
-    add("Grecipe", "matrix",
+    add("Grecipe",
         MatrixOp((((_pd(Y, 1, 2) + didinv).scaled(F(1, 4)),
                    (_pd(Y, 1, 2) - didinv).scaled(F(1, 4))),
                   ((_pd(Y, 2) - _pm(i).compose(_pd(Y, 1))
@@ -704,27 +683,27 @@ def _y_entries(add):
         "quarter-weighted recipe matrix producing the negative-flow "
         "right-hand sides from the constraint pair")
 
-    add("S1op", "op", PseudoOp.from_local(_s1_local(Y)),
+    add("S1op", PseudoOp.from_local(_s1_local(Y)),
         "third-order operator on the upper off-diagonal unknown in the "
         "balance relations")
-    add("S2op", "op", PseudoOp.from_local(_s2_local(Y)),
+    add("S2op", PseudoOp.from_local(_s2_local(Y)),
         "third-order operator on the lower off-diagonal unknown in the "
         "balance relations")
 
-    add("Kmat", "matrix",
+    add("Kmat",
         MatrixOp(((_pm(-2 * one), _pm(-2 * one)),
                   (_pl(Y, {1: one, 0: 2 * i}),
                    _pl(Y, {1: -3 * one, 0: 2 * i})))),
         "first-order matrix giving the transported flow from the flux "
         "pair")
 
-    add("Thetamat", "matrix",
+    add("Thetamat",
         MatrixOp(((PseudoOp.zero(Y), _pl(Y, th1).scaled(-1)),
                   (_pl(Y, th1c).scaled(-1), PseudoOp.zero(Y)))),
         "off-diagonal block matrix mapping the flux pair to the "
         "constraint right-hand sides")
 
-    add("P1", "matrix",
+    add("P1",
         MatrixOp(((PseudoOp.zero(Y), _pd(Y, 1, 4)),
                   (_pd(Y, 1, 4), _pl(Y, {3: 3 * one, 1: 2 * m, 0: m1})))),
         "first local Hamiltonian operator of the fourth-order "
@@ -743,13 +722,13 @@ def _y_entries(add):
              .scaled(F(1, 2))
              + _pd(Y, 3).compose(_pm(n)) + _pm(n).compose(_pd(Y, 3))
              + _pd(Y, 1).compose(_pm(m * n)) + _pm(m * n).compose(_pd(Y, 1)))
-    add("P2", "matrix",
+    add("P2",
         MatrixOp(((_pl(Y, {3: 5 * one, 1: 2 * m, 0: m1}), p2_12),
                   (p2_21, p2_22))),
         "second local Hamiltonian operator of the fourth-order "
         "hierarchy")
 
-    add("OmegaPrime", "matrix",
+    add("OmegaPrime",
         MatrixOp(((_pl(Y, {1: -one, 0: -2 * i}), _pm(-2 * one)),
                   (_pl(Y, {1: -j, 0: -j1}),
                    _pl(Y, {2: -one, 1: -i, 0: 2 * j - i1})))),
@@ -774,7 +753,7 @@ def _k_entries(add):
     x11, x12, x21, x22 = co("X11"), co("X12"), co("X21"), co("X22")
     y11, y12, y21, y22 = co("Y11"), co("Y12"), co("Y21"), co("Y22")
 
-    add("lax.formal.space", "exprmatrix",
+    add("lax.formal.space",
         ((z, z, one, z),
          (z, z, z, one),
          (j, lam, i, z),
@@ -806,9 +785,9 @@ def _k_entries(add):
                           k3grid),
                  emat_mul(ygrid, bgrid)),
         btau)
-    add("kzc.atau", "exprmatrix", atau_res,
+    add("kzc.atau", atau_res,
         "zero-curvature residual grid for the coefficient block")
-    add("kzc.btau", "exprmatrix", btau_res,
+    add("kzc.btau", btau_res,
         "zero-curvature residual grid for the diagonal block")
 
     e1 = 2 * y12 - d(x12)
@@ -823,9 +802,9 @@ def _k_entries(add):
                               + 2 * i * (x11 + x22))
     rel6 = (_rel6_local(K).apply(x11 - x22)
             + lam * (d(x12) - d(x21) + 2 * y21 - 2 * y12))
-    add("krel.display", "exprs",
-        (("rel1", rel1), ("rel2", rel2), ("rel3", rel3),
-         ("rel4", rel4), ("rel5", rel5), ("rel6", rel6)),
+    add("krel.display",
+        {"rel1": rel1, "rel2": rel2, "rel3": rel3,
+         "rel4": rel4, "rel5": rel5, "rel6": rel6},
         "six scalar consequences of the zero-curvature elimination, as "
         "zero claims")
 
@@ -842,19 +821,19 @@ def _k_entries(add):
                                                 "Y12", 1))
     rules = rules.with_rule("Y21", 1, solve_for(rules.reduce(rel2),
                                                 "Y21", 1))
-    add("krel.rules", "relations", rules,
+    add("krel.rules", rules,
         "partial solved orientation of the zero-curvature consequences")
 
-    add("fir.local", "exprs",
-        (("fir1.local", it - lam * (x12 - x21)),
-         ("fir2.local", jt - lam * (F(1, 2) * (3 * d(x12) + d(x21))
-                                    + i * (x21 - x12)))),
+    add("fir.local",
+        {"fir1.local": it - lam * (x12 - x21),
+         "fir2.local": jt - lam * (F(1, 2) * (3 * d(x12) + d(x21))
+                                   + i * (x21 - x12))},
         "leading parts of the transported flow; the remaining pieces "
         "are the recipe rows applied to the balance expressions at "
         "inverse lambda")
 
-    add("subk", "exprs",
-        (("X12", -2 * g * ilam), ("X21", 2 * f * ilam)),
+    add("subk",
+        {"X12": -2 * g * ilam, "X21": 2 * f * ilam},
         "inverse-lambda substitution closing the off-diagonal unknowns "
         "through the flux pair")
 
@@ -863,21 +842,25 @@ def _k_entries(add):
 
 def _build():
     registry = {}
-    order = []
 
-    def add(ident, kind, value, citation):
+    def add(ident, value, citation):
+        # named expressions are given as a dict and stored read-only
+        if type(value) is dict:
+            value = MappingProxyType(value)
+        if type(value) not in KIND_TABLE:
+            raise TypeError("catalog entry %r holds a %s, which is no "
+                            "catalog kind" % (ident, type(value).__name__))
         if ident in registry:
             raise ValueError("duplicate catalog identifier %r" % (ident,))
-        registry[ident] = Entry(ident, kind, citation, value)
-        order.append(ident)
+        registry[ident] = Entry(ident, citation, value)
 
     _x_entries(add)
     _y_entries(add)
     _k_entries(add)
-    return registry, tuple(order)
+    return registry
 
 
-_REGISTRY, _ORDER = _build()
+_REGISTRY = _build()
 
 
 # -- mutation support ----------------------------------------------------
@@ -898,7 +881,7 @@ def part_windows(ent):
         windows[-1][2] += len(e.nums)
         return e
 
-    KIND_TABLE[ent.kind](ent.value, record)
+    KIND_TABLE[type(ent.value)](ent.value, record)
     return tuple(tuple(w) for w in windows)
 
 
@@ -918,11 +901,11 @@ def mutated(ent, slot):
         seen += len(e.nums)
         return perturb_term(e, index) if 0 <= index < len(e.nums) else e
 
-    value = KIND_TABLE[ent.kind](ent.value, perturb)
+    value = KIND_TABLE[type(ent.value)](ent.value, perturb)
     if not 0 <= slot < seen:
         raise IndexError("mutation slot %d out of range for %s"
                          % (slot, ent.ident))
-    return Entry(ent.ident, ent.kind, ent.citation, value)
+    return ent._replace(value=value)
 
 
 class CatalogView:
@@ -953,12 +936,11 @@ class CatalogView:
         return self.entry(ident).citation
 
     def idents(self):
-        return _ORDER
+        return tuple(_REGISTRY)
 
     def with_mutation(self, ident, slot):
-        merged = dict(self._overrides)
-        merged[ident] = mutated(self.entry(ident), slot)
-        return CatalogView(merged)
+        return CatalogView({**self._overrides,
+                            ident: mutated(self.entry(ident), slot)})
 
 
 CATALOG = CatalogView()

@@ -149,7 +149,7 @@ def _relations_row(ctx, fc, C):
     combination of the surviving curvature entries and their total
     derivatives; one consequence needs an integration (constant zero)
     and the unorientable one a shared normal form instead."""
-    disp = dict(C.get("krel.display"))
+    disp = C.get("krel.display")
     basis = fc.entries + [total_derivative(e) for e in fc.entries]
     labels = fc.entry_labels + ["D %s" % l for l in fc.entry_labels]
     merged = fc.flow_rules.merged(C.get("krel.rules"))
@@ -199,7 +199,7 @@ def _flow_row(ctx, fc, C):
     s2e = C.get("S2op").apply(K.coord("X21"), store)
     gimg = C.get("Grecipe").apply((s1e, s2e), store)
     ilam = SR.param("lam", -1)
-    firs = dict(C.get("fir.local"))
+    firs = C.get("fir.local")
     resid = [store.reduce(promote(firs[name], SR) - ilam * gimg[idx])
              for idx, name in ((0, "fir1.local"), (1, "fir2.local"))]
     pairs = [("first flow component minus its display", resid[0])]
@@ -239,12 +239,12 @@ def _substituted_display(C, store):
     the flux pair at inverse parameter: leading parts substituted and
     the recipe rows applied to the substituted balance expressions."""
     K = _catalog.RING_K
-    subk = dict(C.get("subk"))
+    subk = C.get("subk")
     s1sub = substitute(C.get("S1op").apply(K.coord("X12")), subk)
     s2sub = substitute(C.get("S2op").apply(K.coord("X21")), subk)
     SR = store.ring
     gsub = C.get("Grecipe").apply((s1sub, s2sub), store)
-    firs = dict(C.get("fir.local"))
+    firs = C.get("fir.local")
     ilam = SR.param("lam", -1)
     display = []
     for idx, name, dep in ((0, "fir1.local", "it"), (1, "fir2.local", "jt")):
@@ -261,7 +261,7 @@ def _subflow_row(ctx, C):
     store = NonlocalStore(K)
     SR = store.ring
     display, _gsub, _bal = _substituted_display(C, store)
-    f12 = dict(C.get("F12"))
+    f12 = C.get("F12")
     jimg = C.get("Jop").apply((f12["F1"], f12["F2"]), store)
     kimg = C.get("Kmat").apply((K.coord("f"), K.coord("g")), store)
     ilam = SR.param("lam", -1)
@@ -302,7 +302,7 @@ def _balance_row(ctx, C):
     store = NonlocalStore(K)
     SR = store.ring
     _display, gsub, (s1sub, s2sub) = _substituted_display(C, store)
-    f12 = dict(C.get("F12"))
+    f12 = C.get("F12")
     lam = K.param("lam")
     pairs = [
         ("parameter-scaled first balance expression minus the first "

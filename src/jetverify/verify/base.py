@@ -218,7 +218,7 @@ def to_y(e):
 def usdef_rules(C):
     """The definitions of (i, j) through (u, s), oriented as rewrite
     rules."""
-    defs = dict(C.get("usdefs"))
+    defs = C.get("usdefs")
     return (RelationSet(_catalog.RING_Y)
             .with_rule("i", 0, defs["i"])
             .with_rule("j", 0, defs["j"]))

@@ -97,7 +97,7 @@ def conservation_pairs(map_, sysdef):
          - 4 * total_derivative(ratio) * momentum)
     cons = sysdef.constraints
     red = cons.reduce(e) if cons is not None else e
-    subs = dict(map_.substitutions)
+    subs = map_.substitutions
     clearing = map_.density ** 4 - substitute(momentum, subs)
     return [("cleared conservation identity", red),
             ("quarter-power clearing of the density", clearing)]
@@ -124,7 +124,7 @@ def _parametrized_time_rules(sysdef, map_):
     """Evolution of the parametrization pair (u, s) induced by the flow
     on the momenta through the cleared substitutions."""
     ring = sysdef.ring
-    subs = dict(map_.substitutions)
+    subs = map_.substitutions
     vt = substitute(sysdef.evolution["v"], subs)
     wt = substitute(sysdef.evolution["w"], subs)
     u = ring.coord("u")
@@ -136,7 +136,7 @@ def _parametrized_time_rules(sysdef, map_):
 
 def _constraint_equations(sysdef, map_):
     """The momentum constraints confronted with the parametrization."""
-    subs = dict(map_.substitutions)
+    subs = map_.substitutions
     cons = sysdef.constraints
     return [cons.rules[dep].rhs - subs[dep] for dep in cons.rules]
 
@@ -181,7 +181,7 @@ def check_reciprocal_system_map(src, map_, dst, ctx, rid, citation):
     Residuals are reduced modulo the coefficient definitions, since the
     destination displays keep the transported coefficients symbolic."""
     C = ctx.catalog
-    named = dict(C.get("ymap"))
+    named = C.get("ymap")
     defs = {"i": named["Q1"], "j": named["Q2"]}
     rules = usdef_rules(C)
     pairs = []
@@ -197,8 +197,8 @@ def reciprocal(ctx):
     Y = _catalog.RING_Y
 
     def idef():
-        named = dict(C.get("ymap"))
-        usdefs = dict(C.get("usdefs"))
+        named = C.get("ymap")
+        usdefs = C.get("usdefs")
         return conclude(
             ctx, "reciprocal.main.idef", C.citation("usdefs"),
             [("transported first coefficient minus its direct definition",
@@ -206,8 +206,8 @@ def reciprocal(ctx):
             NORMAL_FORM)
 
     def jdef():
-        named = dict(C.get("ymap"))
-        usdefs = dict(C.get("usdefs"))
+        named = C.get("ymap")
+        usdefs = C.get("usdefs")
         return conclude_erratum(
             ctx, "reciprocal.main.jdef", C.citation("ymap"),
             [("transported second coefficient, displayed overall power, "
@@ -219,8 +219,8 @@ def reciprocal(ctx):
             NORMAL_FORM)
 
     def tau(dep, coefficient):
-        xdef = dict(C.get("ymap"))[coefficient]
-        flows = dict(C.get("flow.intermediate"))
+        xdef = C.get("ymap")[coefficient]
+        flows = C.get("flow.intermediate")
         got = transported_tau(C.get("sys.main"), C.get("recip.main"), xdef)
         return conclude(
             ctx, "reciprocal.main.%stau" % dep,
@@ -234,7 +234,7 @@ def reciprocal(ctx):
         # forced reading of the constraint notation: the transported
         # momentum constraints factor through the third-order kernel
         # expressions with a single density prefactor
-        flows = dict(C.get("flow.intermediate"))
+        flows = C.get("flow.intermediate")
         eq_r, eq_q = _constraint_equations(C.get("sys.main"),
                                            C.get("recip.main"))
         u = Y.coord("u")
@@ -247,8 +247,8 @@ def reciprocal(ctx):
             NORMAL_FORM)
 
     def flowlink():
-        flows = dict(C.get("flow.intermediate"))
-        fg = dict(C.get("fg"))
+        flows = C.get("flow.intermediate")
+        fg = C.get("fg")
         md = C.get("sys.mdflow")
         rules = usdef_rules(C)
         return conclude(

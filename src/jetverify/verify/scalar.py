@@ -15,10 +15,6 @@ from .base import (
     op_coeff_pairs, to_y,
 )
 
-# s through u and the ratio root h
-_HSUB = {"s": _catalog.RING_Y.coord("u")
-              * _catalog.RING_Y.coord("h") ** -2}
-
 
 # -- scalar reduction -----------------------------------------------------
 
@@ -60,7 +56,7 @@ def _gauged_relations(C):
         "alp", 1, -(ring.coord("s", 1) / (2 * s)) * alp)
 
     pair = C.get("lax.main")
-    subs = dict(C.get("recip.main").substitutions)
+    subs = C.get("recip.main").substitutions
 
     def carry(e):
         return promote(to_y(substitute(e, subs)), ring)
@@ -93,7 +89,7 @@ def scalar_reduction(ctx):
 
     def pair():
         eq_phi, eq_psi = relations()
-        claims = dict(C.get("reduction2"))
+        claims = C.get("reduction2")
         return conclude(
             ctx, "scalar_reduction.pair", C.citation("reduction2"),
             [("derived second-order relation for the first component "
@@ -110,22 +106,22 @@ def scalar_reduction(ctx):
         lam = Y.param("lam")
         psi_expr = (eq_phi + lam * Y.coord("psi")) / lam
         derived = lam * substitute(eq_psi, {"psi": psi_expr})
-        mn = dict(C.get("scalar.mn"))
-        claim4 = substitute(C.get("scalar4"), {"m": mn["m"], "n": mn["n"]})
+        mn = C.get("scalar.mn")
+        claim4 = substitute(C.get("scalar4"), mn)
         return conclude(
             ctx, "scalar_reduction.fourth", C.citation("scalar4"),
             [("derived fourth-order relation minus the displayed scalar "
-              "problem", substitute(derived, _HSUB) - claim4)],
+              "problem", C.get("hmap").reduce(derived) - claim4)],
             NORMAL_FORM)
 
     def mn_pair():
         # the two parametrizations of the scalar coefficients agree
-        mn = dict(C.get("scalar.mn"))
-        usrules = dict(C.get("usdefs"))
-        msub = {"i": usrules["i"], "j": usrules["j"]}
+        mn = C.get("scalar.mn")
+        usdefs = C.get("usdefs")
+        hmap = C.get("hmap")
         pairs = []
         for name, ident in (("m", "miura.m"), ("n", "miura.n")):
-            through_s = substitute(substitute(C.get(ident), msub), _HSUB)
+            through_s = hmap.reduce(substitute(C.get(ident), usdefs))
             pairs.append(("coefficient %s through the parametrization "
                           "pair minus its ratio-root form" % name,
                           through_s - mn[name]))
@@ -176,8 +172,9 @@ def factorizations(ctx):
             NORMAL_FORM)
 
     def firstorder():
-        ab = dict(C.get("ab1"))
-        usdefs = dict(C.get("usdefs"))
+        ab = C.get("ab1")
+        usdefs = C.get("usdefs")
+        hmap = C.get("hmap")
         i_from_ab = -2 * ab["b1"]
         j_from_ab = (total_derivative(ab["a1"]) + ab["a1"] ** 2
                      - total_derivative(ab["b1"]) - ab["b1"] ** 2)
@@ -185,10 +182,10 @@ def factorizations(ctx):
             ctx, "factorizations.firstorder", C.citation("ab1"),
             [("first coefficient from the linear-factor data minus its "
               "parametrized form",
-              i_from_ab - substitute(usdefs["i"], _HSUB)),
+              i_from_ab - hmap.reduce(usdefs["i"])),
              ("second coefficient from the linear-factor data minus its "
               "parametrized form",
-              j_from_ab - substitute(usdefs["j"], _HSUB))],
+              j_from_ab - hmap.reduce(usdefs["j"]))],
             NORMAL_FORM)
 
     yield "factorizations.quadratic", quadratic
@@ -203,7 +200,7 @@ def connecting_identity(ctx):
     Y = _catalog.RING_Y
 
     def expand():
-        fexp = dict(C.get("F12"))
+        fexp = C.get("F12")
         f1e, f2e = fexp["F1"], fexp["F2"]
         store = NonlocalStore(Y)
         # seed the store with the difference integral so both displays

@@ -280,17 +280,30 @@ def _aborted_row(spec, exc):
         notes=("%s: %s" % (type(exc).__name__, exc),))
 
 
+class RowIdMismatch(Exception):
+    """A build returned a row under another id than its runner yielded,
+    on which reuse and read recording key: a fault of the check."""
+
+
+def _build_row(rid, build):
+    row = build()
+    if row.id != rid:
+        raise RowIdMismatch("row yielded as %r was built as %r"
+                            % (rid, row.id))
+    return row
+
+
 def _run_check(ctx, spec, stop_off_green, reused=None):
     """The rows one check yields; abnormal termination becomes a row.
 
     Reductions over a corrupted catalog may legitimately throw (a
     perturbed relation can stop being solvable), so the harness maps
-    any exception to a single undecidable row instead of propagating,
-    discarding the rows yielded before it.  With stop_off_green the
-    check stops after the first row that is neither a pass nor an
-    erratum.  A row id found in reused takes a copy of that row in
-    place of building it.  Each row's elapsed_ms is the time from the
-    check's start or its previous row to that row."""
+    any exception but RowIdMismatch to a single undecidable row instead
+    of propagating, discarding the rows yielded before it.  With
+    stop_off_green the check stops after the first row that is neither a
+    pass nor an erratum.  A row id found in reused takes a copy of that
+    row in place of building it.  Each row's elapsed_ms is the time from
+    the check's start or its previous row to that row."""
     rows = []
     started = time.perf_counter()
     try:
@@ -298,12 +311,14 @@ def _run_check(ctx, spec, stop_off_green, reused=None):
             if reused and rid in reused:
                 row = copy.copy(reused[rid])
             else:
-                row = build()
+                row = _build_row(rid, build)
             row.elapsed_ms = (time.perf_counter() - started) * 1000
             rows.append(row)
             if stop_off_green and not all_clear((row,)):
                 break
             started = time.perf_counter()
+    except RowIdMismatch:
+        raise
     except Exception as exc:
         row = _aborted_row(spec, exc)
         row.elapsed_ms = (time.perf_counter() - started) * 1000
@@ -409,7 +424,7 @@ def _unmutated_rows(name, seed):
         for k, (rid, build) in enumerate(spec.runner(ctx)):
             if k == target:
                 view.reads = {}
-                rows[rid] = (build(), tuple(view.reads))
+                rows[rid] = (_build_row(rid, build), tuple(view.reads))
                 view.reads = None
         if len(rows) == target:
             return rows

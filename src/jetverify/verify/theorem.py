@@ -5,7 +5,9 @@ identities carrying both Hamiltonian operators to the new variable."""
 from fractions import Fraction as F
 from functools import cached_property
 
-from ..jetalg import partial_derivative, substitute, total_derivative
+from ..jetalg import (
+    NotIntegrable, partial_derivative, substitute, total_derivative,
+)
 from ..opcalc import (
     LocalOp, MatrixOp, NonlocalStore, PseudoOp, frechet_row,
     transport_local,
@@ -139,7 +141,7 @@ def _derived_jacobians(ctx):
     ginv = ((grid[1][1] / det, -grid[0][1] / det),
             (-grid[1][0] / det, grid[0][0] / det))
 
-    ymap = dict(C.get("ymap"))
+    ymap = C.get("ymap")
     p_rows = []
     q_rows = [[], []]
     weights = []
@@ -223,7 +225,7 @@ def _t2_row(ctx, tr):
                                    uy, dxq[k])
                           for k in range(2))
                     for col in range(2)))
-            except Exception as ex:
+            except NotIntegrable as ex:
                 t2_notes.append("reading (%s, %s) is ill-formed: %s"
                                 % (adj_label, arg_label, ex))
                 continue

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from jetverify import catalog as C
-from jetverify.jetalg import split_param, total_derivative
+from jetverify.jetalg import (
+    JetExpr, RelationSet, SystemDef, split_param, total_derivative,
+)
 from jetverify.opcalc import MatrixOp, PseudoOp
 
 CAT = C.CATALOG
@@ -20,7 +22,7 @@ def walk_leaves(ent):
         leaves.append(e)
         return e
 
-    return C.KIND_TABLE[ent.kind](ent.value, record), leaves
+    return C.KIND_TABLE[type(ent.value)](ent.value, record), leaves
 
 
 def all_leaves(ident):
@@ -51,16 +53,31 @@ def test_entries_are_slot_frozen():
         ent.value = None
 
 
-def test_kind_tags_are_known():
+def test_every_value_type_is_a_kind():
+    # a value's type is its kind: the type keys the walk of its slots
     for ident in CAT.idents():
-        assert CAT.entry(ident).kind in C.KINDS
+        assert type(CAT.get(ident)) in C.KIND_TABLE, ident
+
+
+def test_a_value_of_no_known_kind_is_refused(monkeypatch):
+    monkeypatch.setattr(C, "_k_entries",
+                        lambda add: add("listed", [C.RING_K.one()], "x"))
+    with pytest.raises(TypeError, match="'listed' holds a list"):
+        C._build()
 
 
 def test_functionals_are_stored_as_their_densities():
     # a functional has no structure beyond its density, so it is an
     # expression entry and needs no kind of its own
-    assert "functional" not in C.KINDS
-    assert [CAT.entry(h).kind for h in ("H0", "H1")] == ["expr", "expr"]
+    assert all(isinstance(CAT.get(h), JetExpr) for h in ("H0", "H1"))
+
+
+def test_named_values_reject_assignment():
+    u = C.RING_X.coord("u")
+    with pytest.raises(TypeError):
+        CAT.get("ymap")["Q1"] = u
+    with pytest.raises(TypeError):
+        CAT.get("recip.main").substitutions["v"] = u
 
 
 def test_leaves_of_an_entry_share_one_ring():
@@ -95,7 +112,7 @@ def test_second_order_factors_multiply_to_l4():
 def test_theta_matrix_reproduces_constraint_pair():
     Y = C.RING_Y
     vec = CAT.get("Thetamat").apply((Y.coord("f"), Y.coord("g")))
-    items = dict(CAT.get("F12"))
+    items = CAT.get("F12")
     assert (vec[0] - items["F1"]).is_zero
     assert (vec[1] - items["F2"]).is_zero
 
@@ -110,14 +127,14 @@ def test_recipe_matrix_equals_flux_annihilator():
 
 
 def test_q2_display_differs_by_fifth_power_of_density():
-    items = dict(CAT.get("ymap"))
+    items = CAT.get("ymap")
     u = C.RING_X.coord("u")
     assert (items["Q2.display"] - u ** 5 * items["Q2"]).is_zero
 
 
 def test_rule_orientation_annihilates_its_sources():
     rules = CAT.get("krel.rules")
-    disp = dict(CAT.get("krel.display"))
+    disp = CAT.get("krel.display")
     for name in ("rel1", "rel2", "rel3", "rel4", "rel5"):
         assert rules.reduce(disp[name]).is_zero, name
     # the sixth consequence is independent of the oriented five
@@ -176,12 +193,15 @@ def test_mutation_roundtrip_of_structured_kinds():
         ent = CAT.entry(ident)
         value, leaves = walk_leaves(ent)
         feed = iter(leaves)
-        C.KIND_TABLE[ent.kind](ent.value, lambda _label, _e: next(feed))
+        C.KIND_TABLE[type(ent.value)](ent.value,
+                                      lambda _label, _e: next(feed))
         assert next(feed, None) is None, ident
-        rebuilt = C.Entry(ident, ent.kind, ent.citation, value)
+        rebuilt = ent._replace(value=value)
         assert walk_leaves(rebuilt)[1] == leaves, ident
         assert C.part_windows(rebuilt) == C.part_windows(ent), ident
-        if ent.kind in ("expr", "op", "matrix", "exprmatrix"):
+        assert type(value) is type(ent.value), ident
+        # systems and relation sets define no equality of their own
+        if not isinstance(value, (SystemDef, RelationSet)):
             assert value == ent.value, ident
 
 
@@ -207,7 +227,7 @@ def test_reciprocal_maps_share_cleared_substitutions():
     u, s = X.coord("u"), X.coord("s")
     for ident in ("recip.main", "recip.appb"):
         rec = CAT.get(ident)
-        subs = dict(rec.substitutions)
+        subs = rec.substitutions
         assert (subs["v"] - u ** 3 / s).is_zero
         assert (subs["w"] - u * s).is_zero
         assert (rec.density - u).is_zero

@@ -1,6 +1,7 @@
 """Every name a module lists in __all__ resolves on that module and is
 read somewhere in the package, every top-level function and class is
-read or exported, and no module imports a name it never reads."""
+read or exported, no module imports a name it never reads, and only
+the suite harness catches every exception."""
 
 import ast
 import importlib
@@ -101,3 +102,31 @@ def unread_imports(tree):
 def test_no_unread_imports(path):
     tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
     assert unread_imports(tree) == []
+
+
+def broad_handlers():
+    """(path, innermost enclosing function) of every ``except
+    Exception`` under src/."""
+    found = []
+
+    def visit(node, where, owner):
+        if (isinstance(node, ast.ExceptHandler)
+                and isinstance(node.type, ast.Name)
+                and node.type.id == "Exception"):
+            found.append((where, owner))
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, owner)
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")),
+              path.relative_to(ROOT).as_posix(), None)
+    return found
+
+
+def test_only_the_harness_catches_every_exception():
+    # a check that swallows an unforeseen error turns a fault into a
+    # verdict; only the harness maps it to an undecidable row
+    assert broad_handlers() \
+        == [("src/jetverify/verify/suite.py", "_run_check")]

@@ -16,7 +16,7 @@ from jetverify import catalog
 from jetverify.opcalc import MatrixOp, PseudoOp
 from jetverify.verify import (
     CheckContext, CheckResult, ERRATUM, FAIL, NORMAL_FORM, OrderCapExceeded,
-    PASS, UNDECIDABLE, suite,
+    PASS, UNDECIDABLE, suite, theorem,
 )
 from jetverify.verify.base import MAX_ORDER, conclude
 from jetverify.verify.errata import load_ledger
@@ -143,9 +143,11 @@ def test_scalar_reduction_reads_the_upper_identity_blocks(slot):
         == [("scalar_reduction.pair", FAIL)]
 
 
-# catalog entries no check reads yet: Theorem 1's claimed Jacobian rows
-# and the Hamiltonian map, whose checks would change the benchmark's
-# pinned slot counts
+# catalog entries on no check's read surface: Theorem 1's claimed
+# Jacobian rows, which no row fetches, and the bridge relation hmap,
+# which scalar_reduction and factorizations fetch but no surface holds;
+# putting either on a surface would change the benchmark's pinned slot
+# counts
 PENDING_READS = frozenset({
     "frechet.Pv", "frechet.Pv.star", "frechet.Pw", "frechet.Pw.star",
     "frechet.Q1v", "frechet.Q1v.u", "frechet.Q1w", "frechet.Q1w.u",
@@ -216,8 +218,7 @@ def test_bihamiltonian_x_seeds_the_store_from_the_catalog_words():
     kernel = catalog.CATALOG.get("E").local
     j1 = MatrixOp([[_with_shifted_word_sides(op, kernel) for op in row]
                    for row in ent.value.grid])
-    view = catalog.CatalogView({"J1": catalog.Entry(
-        "J1", ent.kind, ent.citation, j1)})
+    view = catalog.CatalogView({"J1": ent._replace(value=j1)})
     rows = suite.run_suite(selection=("bihamiltonian_x",), catalog=view)
     assert [(r.id, r.status) for r in rows] == [
         ("bihamiltonian_x.local", PASS), ("bihamiltonian_x.nonlocal", PASS)]
@@ -318,6 +319,40 @@ def test_rows_record_their_reads_in_first_fetch_order(monkeypatch):
         "toy", _toy_runner, "E", "", "", ()))
     assert _recorded_reads("toy") \
         == {"toy.a": ("J1", "E"), "toy.b": ("J2", "E")}
+
+
+def test_a_row_built_under_another_id_raises(monkeypatch):
+    # reuse and read recording key on the yielded id, the records on the
+    # row's own, so the two must agree
+    def runner(ctx):
+        yield "toy.a", lambda: CheckResult("toy.b", PASS, NORMAL_FORM, (),
+                                           ctx.catalog.citation("E"))
+
+    spec = suite.CheckSpec("toy_misnamed", runner, "E", "", "", ())
+    monkeypatch.setitem(suite._BY_NAME, "toy_misnamed", spec)
+    with pytest.raises(suite.RowIdMismatch, match="'toy.a' was built as"):
+        suite._unmutated_rows("toy_misnamed", 0)
+    with pytest.raises(suite.RowIdMismatch):
+        suite._run_check(CheckContext(), spec, stop_off_green=False)
+
+
+def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
+    # only a reading whose variational derivative does not vanish is
+    # ill-formed; any other error leaves the row undecided
+    def t2_only(ctx):
+        for rid, build in theorem.theorem1(ctx):
+            if rid == "theorem1.t2":
+                yield rid, build
+
+    def broken(_op):
+        raise ZeroDivisionError("probe")
+
+    monkeypatch.setattr(PseudoOp, "adjoint", broken)
+    spec = suite.CheckSpec("theorem1", t2_only, "Jt2", "", "", ())
+    rows = suite._run_check(CheckContext(errata=load_ledger()), spec,
+                            stop_off_green=False)
+    assert [(r.id, r.status) for r in rows] == [("theorem1", UNDECIDABLE)]
+    assert rows[0].notes == ("ZeroDivisionError: probe",)
 
 
 def test_a_fetch_outside_a_build_raises(monkeypatch):
