@@ -81,6 +81,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 __all__ = [
     "RingContext", "JetExpr", "Rule", "RelationSet", "SystemDef", "Assignment",
@@ -760,13 +761,14 @@ class RelationSet:
 
     Termination is enforced structurally: each rule's rhs mentions the
     ruled dependent only below the rule order, and the cross-dependent
-    mention graph stays acyclic."""
+    mention graph stays acyclic.  ``rules`` is read-only; with_rule and
+    merged return new sets."""
 
     __slots__ = ("ring", "rules")
 
     def __init__(self, ring, rules=None):
         self.ring = ring
-        self.rules = dict(rules) if rules else {}
+        self.rules = MappingProxyType(dict(rules) if rules else {})
 
     def __iter__(self):
         return iter(sorted(self.rules.values(),
@@ -875,9 +877,9 @@ def solve_for(e, dep, order):
 class SystemDef:
     """An evolution system over one ring.
 
-    ``evolution`` maps dependent names to right-hand sides written in
-    space jets; ``constraints`` is a RelationSet tying the remaining
-    dependents together."""
+    ``evolution`` is a read-only map from dependent names to right-hand
+    sides written in space jets; ``constraints`` is a RelationSet tying
+    the remaining dependents together."""
 
     __slots__ = ("ring", "evolution", "constraints", "_rhs_jets")
 
@@ -889,7 +891,7 @@ class SystemDef:
             if not isinstance(rhs, JetExpr) or rhs.ring != ring:
                 raise ContextMismatch("evolution rhs for %s off-ring" % (dep,))
             evo[dep] = rhs
-        self.evolution = evo
+        self.evolution = MappingProxyType(evo)
         if constraints is None:
             constraints = RelationSet(ring)
         if constraints.ring != ring:

@@ -19,7 +19,7 @@ from ..jetalg import (
 )
 from ..opcalc import Echelon, NonlocalStore, frechet_row
 from .base import (
-    NORMAL_FORM, TEST_VECTOR, aux_hygiene_notes, conclude, mn_rules,
+    NORMAL_FORM, TEST_VECTOR, Claim, aux_hygiene_notes, mn_rules,
 )
 from .flows import (
     check_conservation, check_reciprocal_system_map, check_zero_curvature,
@@ -113,7 +113,7 @@ class _FormalCurvature:
                              for k in self.entry_keys]
 
 
-def _blocks_row(ctx, fc, C):
+def _blocks_row(fc, C):
     pairs = []
     for p in range(2):
         for q in range(2):
@@ -140,11 +140,10 @@ def _blocks_row(ctx, fc, C):
     notes = ["the two unknown left time blocks are eliminated from the "
              "vanishing upper curvature blocks, so the lower entries "
              "carry all the content"]
-    return conclude(ctx, "appendix_a.blocks", C.citation("lax.formal.space"),
-                    pairs, NORMAL_FORM, notes)
+    return Claim(C.citation("lax.formal.space"), pairs, NORMAL_FORM, notes)
 
 
-def _relations_row(ctx, fc, C):
+def _relations_row(fc, C):
     """Each displayed scalar consequence must be an exact rational
     combination of the surviving curvature entries and their total
     derivatives; one consequence needs an integration (constant zero)
@@ -183,11 +182,10 @@ def _relations_row(ctx, fc, C):
         notes.append("%s shares the normal form of %s modulo the five "
                      "oriented consequences"
                      % (name, fc.entry_labels[2]))
-    return conclude(ctx, "appendix_a.relations", C.citation("krel.display"),
-                    pairs, NORMAL_FORM, notes)
+    return Claim(C.citation("krel.display"), pairs, NORMAL_FORM, notes)
 
 
-def _flow_row(ctx, fc, C):
+def _flow_row(fc, C):
     """The stated flow pair: leading parts at the spectral parameter
     plus the recipe rows on the balance expressions at its inverse,
     reduced modulo the derived relations."""
@@ -220,8 +218,7 @@ def _flow_row(ctx, fc, C):
     if aux:
         notes.append("recipe tails resolved through auxiliaries: %s"
                      % ", ".join(aux))
-    return conclude(ctx, "appendix_a.flow", C.citation("fir.local"),
-                    pairs, NORMAL_FORM, notes)
+    return Claim(C.citation("fir.local"), pairs, NORMAL_FORM, notes)
 
 
 def _pseudo_pairs(label, op):
@@ -253,7 +250,7 @@ def _substituted_display(C, store):
     return display, gsub, (s1sub, s2sub)
 
 
-def _subflow_row(ctx, C):
+def _subflow_row(C):
     """Substituting the flux closure must turn the flow display into
     the stated first-order part plus the skew rows at the squared
     inverse parameter."""
@@ -290,11 +287,10 @@ def _subflow_row(ctx, C):
              "unsubstituted auxiliaries through parameter-shift "
              "matching: %s"
              % ", ".join(name for name, _k, _c in store.allocated)]
-    return conclude(ctx, "appendix_a.subflow", C.citation("subk"),
-                    pairs, NORMAL_FORM, notes)
+    return Claim(C.citation("subk"), pairs, NORMAL_FORM, notes)
 
 
-def _balance_row(ctx, C):
+def _balance_row(C):
     """Under the flux closure the balance expressions are the stated
     third-order flux expressions at inverse parameter, and the recipe
     rows on them scale to the recipe rows on those expressions."""
@@ -317,11 +313,10 @@ def _balance_row(ctx, C):
                       "pair minus the recipe row on the flux "
                       "expressions" % (idx + 1),
                       store.reduce(lamS * gsub[idx] - gF[idx])))
-    return conclude(ctx, "appendix_a.balance", C.citation("F12"),
-                    pairs, NORMAL_FORM)
+    return Claim(C.citation("F12"), pairs, NORMAL_FORM)
 
 
-def _omega_row(ctx, C):
+def _omega_row(C):
     """The stated linearization matrix is the Frechet derivative of
     the quadratic substitution pair."""
     omega = C.get("OmegaPrime")
@@ -337,11 +332,10 @@ def _omega_row(ctx, C):
             if omega.grid[a][b].tail or omega.grid[a][b].words:
                 pairs.append(("linearization entry (%d,%d) nonlocal part"
                               % (a, b), omega.ring.one()))
-    return conclude(ctx, "appendix_a.omega", C.citation("OmegaPrime"),
-                    pairs, NORMAL_FORM)
+    return Claim(C.citation("OmegaPrime"), pairs, NORMAL_FORM)
 
 
-def _link_row(ctx, C):
+def _link_row(C):
     """Inverse-free recursion link on a generic vector: with Y solved
     from the triangular first operator against the linearized image,
     the skew rows of the constraint map land on minus the second
@@ -376,11 +370,10 @@ def _link_row(ctx, C):
     notes = ["second solved component is exact; the first needs one "
              "auxiliary antiderivative"]
     notes.extend(aux_hygiene_notes(store, left, right))
-    return conclude(ctx, "appendix_a.link", C.citation("P2"),
-                    pairs, TEST_VECTOR, notes)
+    return Claim(C.citation("P2"), pairs, TEST_VECTOR, notes)
 
 
-def _scan_row(ctx, C):
+def _scan_row(C):
     """Exploratory: conjugating the transformed operators by the
     linearization, scan rational constants against the stated pair.
     Findings are reported as information; absence of a match is not a
@@ -455,34 +448,29 @@ def _scan_row(ctx, C):
         "reported as information; no displayed identity depends on a "
         "match",
     ]
-    return conclude(ctx, "appendix_a.scan", C.citation("P1"), [],
-                    TEST_VECTOR, notes)
+    return Claim(C.citation("P1"), [], TEST_VECTOR, notes)
 
 
-def appendix_a(ctx):
-    C = ctx.catalog
+def appendix_a(C):
     formal = cache(lambda: _FormalCurvature(C))
-    yield "appendix_a.blocks", lambda: _blocks_row(ctx, formal(), C)
-    yield "appendix_a.relations", lambda: _relations_row(ctx, formal(), C)
-    yield "appendix_a.flow", lambda: _flow_row(ctx, formal(), C)
-    yield "appendix_a.subflow", lambda: _subflow_row(ctx, C)
-    yield "appendix_a.balance", lambda: _balance_row(ctx, C)
-    yield "appendix_a.omega", lambda: _omega_row(ctx, C)
-    yield "appendix_a.link", lambda: _link_row(ctx, C)
-    yield "appendix_a.scan", lambda: _scan_row(ctx, C)
+    yield "appendix_a.blocks", lambda: _blocks_row(formal(), C)
+    yield "appendix_a.relations", lambda: _relations_row(formal(), C)
+    yield "appendix_a.flow", lambda: _flow_row(formal(), C)
+    yield "appendix_a.subflow", lambda: _subflow_row(C)
+    yield "appendix_a.balance", lambda: _balance_row(C)
+    yield "appendix_a.omega", lambda: _omega_row(C)
+    yield "appendix_a.link", lambda: _link_row(C)
+    yield "appendix_a.scan", lambda: _scan_row(C)
 
 
-def appendix_b(ctx):
-    C = ctx.catalog
+def appendix_b(C):
     yield "appendix_b.zc", lambda: check_zero_curvature(
-        C.get("lax.appb"), C.get("sys.appb"), ctx, "appendix_b.zc",
-        C.citation("lax.appb"))
+        C.get("lax.appb"), C.get("sys.appb"), C.citation("lax.appb"))
     yield "appendix_b.zc_trans", lambda: check_zero_curvature(
-        C.get("lax.appb.trans"), C.get("sys.appb.trans"), ctx,
-        "appendix_b.zc_trans", C.citation("lax.appb.trans"))
+        C.get("lax.appb.trans"), C.get("sys.appb.trans"),
+        C.citation("lax.appb.trans"))
     yield "appendix_b.conservation", lambda: check_conservation(
-        C.get("recip.appb"), C.get("sys.appb"), ctx,
-        "appendix_b.conservation", C.citation("recip.appb"))
+        C.get("recip.appb"), C.get("sys.appb"), C.citation("recip.appb"))
     yield "appendix_b.reciprocal", lambda: check_reciprocal_system_map(
-        C.get("sys.appb"), C.get("recip.appb"), C.get("sys.appb.trans"),
-        ctx, "appendix_b.reciprocal", C.citation("sys.appb.trans"))
+        C, C.get("sys.appb"), C.get("recip.appb"), C.get("sys.appb.trans"),
+        C.citation("sys.appb.trans"))

@@ -1,12 +1,16 @@
 """Plumbing shared by the verification checks.
 
-Each check re-derives one catalogued claim and reports a CheckResult.
-The helpers here keep residual bookkeeping, numeric confirmation,
+Each row's build re-derives one catalogued claim and returns it as a
+Claim: residual pairs that must vanish, with no verdict.  conclude,
+which only the suite harness calls, turns a claim into the row's
+CheckResult, so every verdict, erratum and numeric note is made in one
+place.  The other helpers keep residual bookkeeping,
 independent-variable transport, and auxiliary hygiene uniform across
-the suite.
+the checks.
 """
 
 import random
+from collections import namedtuple
 
 from ..jetalg import (
     RelationSet, coords_of, max_order, params_of, random_assignment,
@@ -26,6 +30,13 @@ SUMMARY_WIDTH = 320
 
 # derivative-order cap on every compared expression
 MAX_ORDER = 12
+
+
+# what a row's build derives: residual pairs (label, expression) that
+# must all vanish, and for a claim that carries a correction the pairs
+# of the corrected reading, which conclude turns into the row
+Claim = namedtuple("Claim", ("citation", "pairs", "decided_by", "notes",
+                             "corrected"), defaults=((), None))
 
 
 class OrderCapExceeded(Exception):
@@ -72,25 +83,6 @@ class CheckResult:
 
     def __repr__(self):
         return "CheckResult(%r, %r)" % (self.id, self.status)
-
-
-class CheckContext:
-    """Configuration one suite run threads through every check."""
-
-    def __init__(self, catalog=None, seed=0, errata=None):
-        self.catalog = catalog if catalog is not None else _catalog.CATALOG
-        self.seed = seed
-        self.errata = dict(errata) if errata else {}
-
-    def rng(self, tag):
-        # string seeding hashes through sha512, stable across runs
-        return random.Random("%d:%s" % (self.seed, tag))
-
-    def erratum_for(self, check_id):
-        for ent in self.errata.values():
-            if ent.check_id == check_id:
-                return ent
-        return None
 
 
 def summarize(pairs):
@@ -146,53 +138,48 @@ def guard_orders(pairs, where):
                 % (where, max_order(e), MAX_ORDER))
 
 
-def conclude(ctx, rid, citation, pairs, decided_by, notes=()):
-    """Build the result row for a plain pass/fail comparison."""
+def conclude(rid, claim, seed, errata):
+    """The result row for one claim, the only place a verdict is made.
+
+    A plain claim passes when every residual is zero.  A claim that
+    carries a correction asserts both directions: the displayed reading
+    must fail and the corrected reading must pass, and only an entry of
+    errata for this row id upgrades that situation from fail to
+    erratum.  A failing row notes its numeric confirmation, seeded from
+    the run seed and the row id."""
+    citation, pairs, decided_by, notes, corrected = claim
     guard_orders(pairs, rid)
-    nonzero = [(label, e) for label, e in pairs if not e.is_zero]
+    guard_orders(corrected or (), rid)
     notes = list(notes)
-    if not nonzero:
+    shown = [(label, e) for label, e in pairs if not e.is_zero]
+    corrected_fails = False
+    if corrected is not None:
+        corr = [(label, e) for label, e in corrected if not e.is_zero]
+        corrected_fails = bool(corr)
+        if corrected_fails:
+            notes.append("the corrected reading fails as well")
+            shown = corr
+        elif not shown:
+            notes.append("the reading as displayed already passes; no "
+                         "ledger entry is needed")
+    if not shown:
         return CheckResult(rid, PASS, decided_by, (), citation, notes)
-    notes.append(numeric_confirmation(ctx.rng(rid + ":numeric"),
-                                      [e for _l, e in nonzero]))
-    return CheckResult(rid, FAIL, decided_by, summarize(nonzero),
-                       citation, notes)
-
-
-def conclude_erratum(ctx, rid, citation, original_pairs, corrected_pairs,
-                     decided_by, notes=()):
-    """Build the result row for a claim that carries a correction.
-
-    Both directions are asserted: the displayed reading must fail and
-    the corrected reading must pass, and only a ledger entry for this
-    check id upgrades that situation from fail to erratum."""
-    guard_orders(original_pairs, rid)
-    guard_orders(corrected_pairs, rid)
-    orig = [(l, e) for l, e in original_pairs if not e.is_zero]
-    corr = [(l, e) for l, e in corrected_pairs if not e.is_zero]
-    notes = list(notes)
-    if corr:
-        notes.append("the corrected reading fails as well")
-        notes.append(numeric_confirmation(ctx.rng(rid + ":numeric"),
-                                          [e for _l, e in corr]))
-        return CheckResult(rid, FAIL, decided_by, summarize(corr),
-                           citation, notes)
-    if not orig:
-        notes.append("the reading as displayed already passes; no ledger "
-                     "entry is needed")
-        return CheckResult(rid, PASS, decided_by, (), citation, notes)
-    notes.append(numeric_confirmation(ctx.rng(rid + ":numeric"),
-                                      [e for _l, e in orig]))
-    entry = ctx.erratum_for(rid)
-    if entry is None:
-        notes.append("a corrected reading passes, but no erratum entry "
-                     "for this check was applied")
-        return CheckResult(rid, FAIL, decided_by, summarize(orig),
-                           citation, notes)
-    notes.append("as displayed the claim fails; corrected per erratum %s "
-                 "it passes exactly" % entry.ident)
-    return CheckResult(rid, ERRATUM, decided_by, summarize(orig),
-                       citation, notes, erratum_id=entry.ident)
+    notes.append(numeric_confirmation(
+        random.Random("%d:%s:numeric" % (seed, rid)),
+        [e for _label, e in shown]))
+    status, erratum_id = FAIL, None
+    if corrected is not None and not corrected_fails:
+        entry = next((ent for ent in errata.values() if ent.check_id == rid),
+                     None)
+        if entry is None:
+            notes.append("a corrected reading passes, but no erratum entry "
+                         "for this check was applied")
+        else:
+            status, erratum_id = ERRATUM, entry.ident
+            notes.append("as displayed the claim fails; corrected per "
+                         "erratum %s it passes exactly" % entry.ident)
+    return CheckResult(rid, status, decided_by, summarize(shown), citation,
+                       notes, erratum_id)
 
 
 def op_coeff_pairs(label, op, rules=None):

@@ -12,7 +12,7 @@ from ..jetalg import (
     split_param, substitute, total_derivative,
 )
 from .. import catalog as _catalog
-from .base import NORMAL_FORM, conclude, conclude_erratum, to_y, usdef_rules
+from .base import NORMAL_FORM, Claim, to_y, usdef_rules
 
 
 # -- zero curvature -------------------------------------------------------
@@ -52,7 +52,7 @@ def zero_curvature_pairs(pair, sysdef):
     return pairs, reduced_entries, sorted(powers)
 
 
-def check_zero_curvature(pair, sysdef, ctx, rid, citation):
+def check_zero_curvature(pair, sysdef, citation):
     pairs, reduced, powers = zero_curvature_pairs(pair, sysdef)
     notes = ["parameter powers entering the comparison: %s"
              % (", ".join(str(p) for p in powers) or "none")]
@@ -61,21 +61,17 @@ def check_zero_curvature(pair, sysdef, ctx, rid, citation):
                      % ", ".join(reduced))
     else:
         notes.append("no entry needed the constraints")
-    return conclude(ctx, rid, citation, pairs, NORMAL_FORM, notes)
+    return Claim(citation, pairs, NORMAL_FORM, notes)
 
 
-def zc_main(ctx):
-    C = ctx.catalog
+def zc_main(C):
     yield "zc_main", lambda: check_zero_curvature(
-        C.get("lax.main"), C.get("sys.main"), ctx, "zc_main",
-        C.citation("lax.main"))
+        C.get("lax.main"), C.get("sys.main"), C.citation("lax.main"))
 
 
-def zc_trans(ctx):
-    C = ctx.catalog
+def zc_trans(C):
     yield "zc_trans", lambda: check_zero_curvature(
-        C.get("lax.trans"), C.get("sys.mdflow"), ctx, "zc_trans",
-        C.citation("lax.trans"))
+        C.get("lax.trans"), C.get("sys.mdflow"), C.citation("lax.trans"))
 
 
 # -- conservation ---------------------------------------------------------
@@ -103,19 +99,15 @@ def conservation_pairs(map_, sysdef):
             ("quarter-power clearing of the density", clearing)]
 
 
-def check_conservation(map_, sysdef, ctx, rid, citation):
-    return conclude(ctx, rid, citation, conservation_pairs(map_, sysdef),
-                    NORMAL_FORM)
+def check_conservation(map_, sysdef, citation):
+    return Claim(citation, conservation_pairs(map_, sysdef), NORMAL_FORM)
 
 
-def conservation(ctx):
-    C = ctx.catalog
+def conservation(C):
     yield "conservation.main", lambda: check_conservation(
-        C.get("recip.main"), C.get("sys.main"), ctx, "conservation.main",
-        C.citation("recip.main"))
+        C.get("recip.main"), C.get("sys.main"), C.citation("recip.main"))
     yield "conservation.appb", lambda: check_conservation(
-        C.get("recip.appb"), C.get("sys.appb"), ctx, "conservation.appb",
-        C.citation("recip.appb"))
+        C.get("recip.appb"), C.get("sys.appb"), C.citation("recip.appb"))
 
 
 # -- reciprocal transformation --------------------------------------------
@@ -174,13 +166,12 @@ def transported_tau(sysdef, map_, xdef):
     return to_y(xrules.reduce(_tau_derivative(xdef, usys, ratio)))
 
 
-def check_reciprocal_system_map(src, map_, dst, ctx, rid, citation):
+def check_reciprocal_system_map(C, src, map_, dst, citation):
     """Compare the transported flow of the coefficient definitions with
     the destination system's right-hand sides.
 
     Residuals are reduced modulo the coefficient definitions, since the
     destination displays keep the transported coefficients symbolic."""
-    C = ctx.catalog
     named = C.get("ymap")
     defs = {"i": named["Q1"], "j": named["Q2"]}
     rules = usdef_rules(C)
@@ -189,18 +180,17 @@ def check_reciprocal_system_map(src, map_, dst, ctx, rid, citation):
         got = transported_tau(src, map_, defs[dep])
         pairs.append(("transported time derivative of %s minus the stated "
                       "flow" % dep, rules.reduce(got - dst.evolution[dep])))
-    return conclude(ctx, rid, citation, pairs, NORMAL_FORM)
+    return Claim(citation, pairs, NORMAL_FORM)
 
 
-def reciprocal(ctx):
-    C = ctx.catalog
+def reciprocal(C):
     Y = _catalog.RING_Y
 
     def idef():
         named = C.get("ymap")
         usdefs = C.get("usdefs")
-        return conclude(
-            ctx, "reciprocal.main.idef", C.citation("usdefs"),
+        return Claim(
+            C.citation("usdefs"),
             [("transported first coefficient minus its direct definition",
               to_y(named["Q1"]) - usdefs["i"])],
             NORMAL_FORM)
@@ -208,22 +198,21 @@ def reciprocal(ctx):
     def jdef():
         named = C.get("ymap")
         usdefs = C.get("usdefs")
-        return conclude_erratum(
-            ctx, "reciprocal.main.jdef", C.citation("ymap"),
+        return Claim(
+            C.citation("ymap"),
             [("transported second coefficient, displayed overall power, "
               "minus the direct definition",
               to_y(named["Q2.display"]) - usdefs["j"])],
-            [("transported second coefficient, corrected overall power, "
-              "minus the direct definition",
-              to_y(named["Q2"]) - usdefs["j"])],
-            NORMAL_FORM)
+            NORMAL_FORM,
+            corrected=[("transported second coefficient, corrected "
+                        "overall power, minus the direct definition",
+                        to_y(named["Q2"]) - usdefs["j"])])
 
     def tau(dep, coefficient):
         xdef = C.get("ymap")[coefficient]
         flows = C.get("flow.intermediate")
         got = transported_tau(C.get("sys.main"), C.get("recip.main"), xdef)
-        return conclude(
-            ctx, "reciprocal.main.%stau" % dep,
+        return Claim(
             C.citation("flow.intermediate"),
             [("transported time derivative of %s minus the stated mixed "
               "flow" % dep,
@@ -238,8 +227,8 @@ def reciprocal(ctx):
         eq_r, eq_q = _constraint_equations(C.get("sys.main"),
                                            C.get("recip.main"))
         u = Y.coord("u")
-        return conclude(
-            ctx, "reciprocal.main.kernels", C.citation("flow.intermediate"),
+        return Claim(
+            C.citation("flow.intermediate"),
             [("first transported constraint minus density times its "
               "kernel reading", to_y(eq_r) - u * flows["kernelr"]),
              ("second transported constraint minus density times its "
@@ -251,8 +240,8 @@ def reciprocal(ctx):
         fg = C.get("fg")
         md = C.get("sys.mdflow")
         rules = usdef_rules(C)
-        return conclude(
-            ctx, "reciprocal.main.flowlink", C.citation("sys.mdflow"),
+        return Claim(
+            C.citation("sys.mdflow"),
             [("negative-flow %s component under the flux parametrization "
               "minus the mixed flow" % dep,
               rules.reduce(substitute(md.evolution[dep], fg)
@@ -267,5 +256,5 @@ def reciprocal(ctx):
     yield "reciprocal.main.kernels", kernels
     yield "reciprocal.main.flowlink", flowlink
     yield "reciprocal.appb", lambda: check_reciprocal_system_map(
-        C.get("sys.appb"), C.get("recip.appb"), C.get("sys.appb.trans"),
-        ctx, "reciprocal.appb", C.citation("sys.appb.trans"))
+        C, C.get("sys.appb"), C.get("recip.appb"), C.get("sys.appb.trans"),
+        C.citation("sys.appb.trans"))

@@ -11,7 +11,7 @@ from ..opcalc import (
 )
 from .. import catalog as _catalog
 from .base import (
-    NORMAL_FORM, conclude, op_coeff_pairs, to_y, usdef_rules,
+    NORMAL_FORM, Claim, op_coeff_pairs, to_y, usdef_rules,
 )
 
 
@@ -21,13 +21,12 @@ def carry_coeff(c):
     return to_y(substitute(c, _catalog.parametrization(_catalog.RING_X)))
 
 
-def transported_kernel(ctx):
+def transported_kernel(C):
     """The kernel operator in the new variable, split as the density
     times a skew remainder.
 
     Returns a registry holding the skew remainder ehat under "EHY"; the
     full transported kernel is mult(u) o ehat."""
-    C = ctx.catalog
     Y = _catalog.RING_Y
     u = Y.coord("u")
     full = transport_local(C.get("E").local, carry_coeff, u)
@@ -38,12 +37,11 @@ def transported_kernel(ctx):
     return registry
 
 
-def _conjugation_residual(ctx, left_x, right_x, result_local):
+def _conjugation_residual(C, left_x, right_x, result_local):
     """mult(left) o kernel o mult(right) minus result after transport,
     with the result coefficients reduced through the derivative-ratio
     definitions; jets of phi tag the orders so one expression carries
     every coefficient."""
-    C = ctx.catalog
     Y = _catalog.RING_Y
     rules = usdef_rules(C)
     kernel = C.get("E").local
@@ -58,12 +56,11 @@ def _conjugation_residual(ctx, left_x, right_x, result_local):
     return residual
 
 
-def prop1(ctx):
-    yield "prop1", lambda: _prop1_row(ctx)
+def prop1(C):
+    yield "prop1", lambda: _prop1_row(C)
 
 
-def _prop1_row(ctx):
-    C = ctx.catalog
+def _prop1_row(C):
     X = _catalog.RING_X
     u = X.coord("u")
     s = X.coord("s")
@@ -71,40 +68,38 @@ def _prop1_row(ctx):
     th1c = C.get("Theta1.conj").local
     pairs = [("transported weighted conjugation minus the displayed "
               "operator, orders tagged by jets of phi",
-              _conjugation_residual(ctx, s * u ** -3, s ** -1, th1))]
+              _conjugation_residual(C, s * u ** -3, s ** -1, th1))]
     pairs += op_coeff_pairs("adjoint display", th1.adjoint() + th1c)
     # reversed weights give the negative adjoint, i.e. the conjugate
     # display itself
     pairs.append(("reversed-weight conjugation minus the conjugate "
                   "display",
-                  _conjugation_residual(ctx, u ** -1 * s ** -1,
+                  _conjugation_residual(C, u ** -1 * s ** -1,
                                         s * u ** -2, th1c)))
-    return conclude(ctx, "prop1", C.citation("Theta1"), pairs, NORMAL_FORM)
+    return Claim(C.citation("Theta1"), pairs, NORMAL_FORM)
 
 
-def prop2(ctx):
-    yield "prop2", lambda: _prop2_row(ctx)
+def prop2(C):
+    yield "prop2", lambda: _prop2_row(C)
 
 
-def _prop2_row(ctx):
-    C = ctx.catalog
+def _prop2_row(C):
     X = _catalog.RING_X
     u = X.coord("u")
     th2 = C.get("Theta2").local
     pairs = [("transported weighted conjugation minus the displayed "
               "operator, orders tagged by jets of phi",
-              _conjugation_residual(ctx, u ** -2, u ** -1, th2))]
+              _conjugation_residual(C, u ** -2, u ** -1, th2))]
     pairs += op_coeff_pairs("skewness", th2.adjoint() + th2)
-    return conclude(ctx, "prop2", C.citation("Theta2"), pairs, NORMAL_FORM)
+    return Claim(C.citation("Theta2"), pairs, NORMAL_FORM)
 
 
-def bihamiltonian_x(ctx):
-    yield "bihamiltonian_x.local", lambda: _bihamiltonian_local(ctx)
-    yield "bihamiltonian_x.nonlocal", lambda: _bihamiltonian_nonlocal(ctx)
+def bihamiltonian_x(C):
+    yield "bihamiltonian_x.local", lambda: _bihamiltonian_local(C)
+    yield "bihamiltonian_x.nonlocal", lambda: _bihamiltonian_nonlocal(C)
 
 
-def _bihamiltonian_local(ctx):
-    C = ctx.catalog
+def _bihamiltonian_local(C):
     sysdef = C.get("sys.main")
     cons = sysdef.constraints
     kernel = C.get("E").local
@@ -132,12 +127,10 @@ def _bihamiltonian_local(ctx):
               % name,
               cons.reduce(flow0[name] - sysdef.evolution[name]))
              for name in ("v", "w")]
-    return conclude(ctx, "bihamiltonian_x.local",
-                    C.citation("H0"), pairs, NORMAL_FORM, notes0)
+    return Claim(C.citation("H0"), pairs, NORMAL_FORM, notes0)
 
 
-def _bihamiltonian_nonlocal(ctx):
-    C = ctx.catalog
+def _bihamiltonian_nonlocal(C):
     X = _catalog.RING_X
     sysdef = C.get("sys.main")
     cons = sysdef.constraints
@@ -191,5 +184,4 @@ def _bihamiltonian_nonlocal(ctx):
     pairs.append(("constrained quadratic density must have a "
                   "nonvanishing variational derivative",
                   X.one() if witness.is_zero else X.zero()))
-    return conclude(ctx, "bihamiltonian_x.nonlocal",
-                    C.citation("H1"), pairs, NORMAL_FORM, notes)
+    return Claim(C.citation("H1"), pairs, NORMAL_FORM, notes)

@@ -11,7 +11,7 @@ from ..jetalg import (
 from ..opcalc import NonlocalStore
 from .. import catalog as _catalog
 from .base import (
-    NORMAL_FORM, TEST_VECTOR, aux_hygiene_notes, conclude, mn_rules,
+    NORMAL_FORM, TEST_VECTOR, Claim, aux_hygiene_notes, mn_rules,
     op_coeff_pairs, to_y,
 )
 
@@ -82,16 +82,15 @@ def _gauged_relations(C):
     return promote(eq_phi, Y), promote(eq_psi, Y)
 
 
-def scalar_reduction(ctx):
-    C = ctx.catalog
+def scalar_reduction(C):
     Y = _catalog.RING_Y
     relations = cache(lambda: _gauged_relations(C))
 
     def pair():
         eq_phi, eq_psi = relations()
         claims = C.get("reduction2")
-        return conclude(
-            ctx, "scalar_reduction.pair", C.citation("reduction2"),
+        return Claim(
+            C.citation("reduction2"),
             [("derived second-order relation for the first component "
               "minus the displayed one", eq_phi - claims["phi.eq"]),
              ("derived second-order relation for the second component "
@@ -108,8 +107,8 @@ def scalar_reduction(ctx):
         derived = lam * substitute(eq_psi, {"psi": psi_expr})
         mn = C.get("scalar.mn")
         claim4 = substitute(C.get("scalar4"), mn)
-        return conclude(
-            ctx, "scalar_reduction.fourth", C.citation("scalar4"),
+        return Claim(
+            C.citation("scalar4"),
             [("derived fourth-order relation minus the displayed scalar "
               "problem", C.get("hmap").reduce(derived) - claim4)],
             NORMAL_FORM)
@@ -125,8 +124,7 @@ def scalar_reduction(ctx):
             pairs.append(("coefficient %s through the parametrization "
                           "pair minus its ratio-root form" % name,
                           through_s - mn[name]))
-        return conclude(ctx, "scalar_reduction.mn",
-                        C.citation("scalar.mn"), pairs, NORMAL_FORM)
+        return Claim(C.citation("scalar.mn"), pairs, NORMAL_FORM)
 
     yield "scalar_reduction.pair", pair
     yield "scalar_reduction.fourth", fourth
@@ -141,14 +139,13 @@ def _local_part(op):
     return op.local
 
 
-def factorizations(ctx):
-    C = ctx.catalog
+def factorizations(C):
     Y = _catalog.RING_Y
 
     def quadratic():
         quad = C.get("factor2.left").compose(C.get("factor2.right"))
-        return conclude(
-            ctx, "factorizations.quadratic", C.citation("miura.m"),
+        return Claim(
+            C.citation("miura.m"),
             op_coeff_pairs("second-order factor product minus the "
                            "fourth-order operator",
                            _local_part(quad - C.get("L4")), mn_rules(C)),
@@ -164,8 +161,8 @@ def factorizations(ctx):
         product = C.get("factor1.1")
         for k in ("2", "3", "4"):
             product = product.compose(C.get("factor1." + k))
-        return conclude(
-            ctx, "factorizations.linear", C.citation("factor1.1"),
+        return Claim(
+            C.citation("factor1.1"),
             op_coeff_pairs("linear factor product minus the fourth-order "
                            "operator", _local_part(product - C.get("L4")),
                            ij_rules),
@@ -178,8 +175,8 @@ def factorizations(ctx):
         i_from_ab = -2 * ab["b1"]
         j_from_ab = (total_derivative(ab["a1"]) + ab["a1"] ** 2
                      - total_derivative(ab["b1"]) - ab["b1"] ** 2)
-        return conclude(
-            ctx, "factorizations.firstorder", C.citation("ab1"),
+        return Claim(
+            C.citation("ab1"),
             [("first coefficient from the linear-factor data minus its "
               "parametrized form",
               i_from_ab - hmap.reduce(usdefs["i"])),
@@ -195,8 +192,7 @@ def factorizations(ctx):
 
 # -- connecting identity --------------------------------------------------
 
-def connecting_identity(ctx):
-    C = ctx.catalog
+def connecting_identity(C):
     Y = _catalog.RING_Y
 
     def expand():
@@ -222,15 +218,14 @@ def connecting_identity(ctx):
                      "first flux %s)" % (verdict,
                                          "vanishes" if witness.is_zero
                                          else "is nonzero"))
-        return conclude(ctx, "connecting_identity.expand",
-                        C.citation("Grecipe"), pairs, TEST_VECTOR, notes)
+        return Claim(C.citation("Grecipe"), pairs, TEST_VECTOR, notes)
 
     def constants():
         # unit-normalized constraints annihilate the recipe
         store = NonlocalStore(Y)
         image = C.get("Grecipe").apply((-Y.one(), -Y.one()), store)
-        return conclude(
-            ctx, "connecting_identity.constants", C.citation("Grecipe"),
+        return Claim(
+            C.citation("Grecipe"),
             [("recipe row %d on the unit-normalized pair" % (k + 1),
               store.reduce(image[k])) for k in range(2)],
             TEST_VECTOR)

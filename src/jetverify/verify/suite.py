@@ -1,9 +1,8 @@
 """Check registry, suite runner, and mutation harness.
 
-Every published check is a pure function of the catalog and the run
-configuration, so execution order never changes a row and any selection
-of checks runs on its own; the registry order below is the report
-order.
+Every published check is a pure function of the catalog, so execution
+order never changes a row and any selection of checks runs on its own;
+the registry order below is the report order.
 
 The mutation harness backs the sensitivity invariant: each check
 declares the catalog entries it reads, optionally restricted to named
@@ -11,8 +10,11 @@ structural parts, and corrupting any single coefficient slot inside
 that read surface must flip the check off green.
 
 Each check yields its rows in report order, each as a row id and a
-build, and fetches no catalog entry outside a build.  run_suite builds
-every row; run_mutated stops a check after its first row that is
+build, and fetches no catalog entry outside a build.  A build returns a
+Claim, never a verdict: the harness concludes it into the row under the
+id the runner yielded, with the run's seed and errata, so a row id is
+written once and every verdict is made by base.conclude.  run_suite
+builds every row; run_mutated stops a check after its first row that is
 neither a pass nor an erratum, so its rows are a prefix of the
 run_suite rows (see run_mutated for the one exception).  It builds only
 the rows whose reads contain the mutated entry and reuses every other
@@ -26,7 +28,7 @@ exactly as over the packaged one until it first fetches the mutated
 entry, so a row whose recording never fetched it keeps its record.  The
 premise is that rows share no state that can change a record; the only
 shared setup is built from the catalog on first use and kept per call
-of a runner (closures in the runner, the theorem checks' per-context
+of a runner (closures in the runner, the theorem checks' Transport
 parts).  Either way, an exception part-way through a check discards the
 rows before it and reports one undecidable row.
 """
@@ -38,12 +40,12 @@ import time
 
 from .. import catalog as _catalog
 from .base import (
-    CheckContext,
     CheckResult,
     ERRATUM,
     NORMAL_FORM,
     PASS,
     UNDECIDABLE,
+    conclude,
 )
 from .errata import load_ledger
 from . import appendixes as _appendixes
@@ -69,11 +71,12 @@ __all__ = [
 class CheckSpec:
     """Registry record for one published check.
 
-    The runner takes a CheckContext and yields (row id, build) in report
-    order, where build() derives that row's CheckResult; it fetches no
-    catalog entry outside a build (the harness raises if it does), and
-    shared setup is built the first time a build needs it, so each row
-    can be built alone and the entries it reads recorded."""
+    The runner takes a catalog view and yields (row id, build) in
+    report order, where build() derives that row's Claim, which the
+    harness concludes into the row; it fetches no catalog entry outside
+    a build (the harness raises if it does), and shared setup is built
+    the first time a build needs it, so each row can be built alone and
+    the entries it reads recorded."""
 
     __slots__ = ("name", "runner", "citation_ident", "claim", "strategy",
                  "reads")
@@ -280,45 +283,32 @@ def _aborted_row(spec, exc):
         notes=("%s: %s" % (type(exc).__name__, exc),))
 
 
-class RowIdMismatch(Exception):
-    """A build returned a row under another id than its runner yielded,
-    on which reuse and read recording key: a fault of the check."""
-
-
-def _build_row(rid, build):
-    row = build()
-    if row.id != rid:
-        raise RowIdMismatch("row yielded as %r was built as %r"
-                            % (rid, row.id))
-    return row
-
-
-def _run_check(ctx, spec, stop_off_green, reused=None):
-    """The rows one check yields; abnormal termination becomes a row.
+def _run_check(C, spec, seed, errata, stop_off_green, reused=None):
+    """The rows one check yields over the catalog view C, each build's
+    claim concluded with seed and errata; abnormal termination becomes
+    a row.
 
     Reductions over a corrupted catalog may legitimately throw (a
     perturbed relation can stop being solvable), so the harness maps
-    any exception but RowIdMismatch to a single undecidable row instead
-    of propagating, discarding the rows yielded before it.  With
-    stop_off_green the check stops after the first row that is neither a
-    pass nor an erratum.  A row id found in reused takes a copy of that
-    row in place of building it.  Each row's elapsed_ms is the time from
-    the check's start or its previous row to that row."""
+    any exception to a single undecidable row instead of propagating,
+    discarding the rows yielded before it.  With stop_off_green the
+    check stops after the first row that is neither a pass nor an
+    erratum.  A row id found in reused takes a copy of that row in place
+    of building it.  Each row's elapsed_ms is the time from the check's
+    start or its previous row to that row."""
     rows = []
     started = time.perf_counter()
     try:
-        for rid, build in spec.runner(ctx):
+        for rid, build in spec.runner(C):
             if reused and rid in reused:
                 row = copy.copy(reused[rid])
             else:
-                row = _build_row(rid, build)
+                row = conclude(rid, build(), seed, errata)
             row.elapsed_ms = (time.perf_counter() - started) * 1000
             rows.append(row)
             if stop_off_green and not all_clear((row,)):
                 break
             started = time.perf_counter()
-    except RowIdMismatch:
-        raise
     except Exception as exc:
         row = _aborted_row(spec, exc)
         row.elapsed_ms = (time.perf_counter() - started) * 1000
@@ -330,15 +320,18 @@ def run_suite(selection=None, seed=0, errata=None, catalog=None):
     """Run the selected checks and return their result rows.
 
     Deterministic for a fixed seed, so reports are byte-identical
-    across runs.  errata defaults to the packaged ledger; pass an empty
-    dict to run with no corrections applied."""
+    across runs.  catalog defaults to the packaged catalog and errata to
+    the packaged ledger; pass an empty dict to run with no corrections
+    applied."""
     names = resolve_selection(selection)
     if errata is None:
         errata = load_ledger()
-    ctx = CheckContext(catalog=catalog, seed=seed, errata=errata)
+    if catalog is None:
+        catalog = _catalog.CATALOG
     rows = []
     for name in names:
-        rows.extend(_run_check(ctx, _BY_NAME[name], stop_off_green=False))
+        rows.extend(_run_check(catalog, _BY_NAME[name], seed, errata,
+                               stop_off_green=False))
     seen = set()
     for row in rows:
         if row.id in seen:
@@ -409,22 +402,23 @@ def _unmutated_rows(name, seed):
     ledger, in report order, built once per check and seed, the first
     time a mutant or describe needs it.
 
-    Each row is built alone, the way run_mutated builds it: a fresh
-    context over a recording view, the runner iterated to its end and
-    only that row's build called.  So reads is every entry that build
-    fetched, including through the setup it triggered, in first-fetch
-    order, and a fetch outside a build raises RuntimeError."""
+    Each row is built alone, the way run_mutated builds it: the runner
+    called afresh over a recording view, iterated to its end and only
+    that row's build called and concluded.  So reads is every entry
+    that build fetched, including through the setup it triggered, in
+    first-fetch order, and a fetch outside a build raises
+    RuntimeError."""
     spec = _BY_NAME[name]
     errata = load_ledger()
     rows = {}
     while True:
         view = _RecordingView()
-        ctx = CheckContext(catalog=view, seed=seed, errata=errata)
         target = len(rows)
-        for k, (rid, build) in enumerate(spec.runner(ctx)):
+        for k, (rid, build) in enumerate(spec.runner(view)):
             if k == target:
                 view.reads = {}
-                rows[rid] = (_build_row(rid, build), tuple(view.reads))
+                row = conclude(rid, build(), seed, errata)
+                rows[rid] = (row, tuple(view.reads))
                 view.reads = None
         if len(rows) == target:
             return rows
@@ -448,16 +442,16 @@ def run_mutated(name, ident, slot, seed=0):
 
     Prefix contract: the rows are the rows run_suite reports for the
     same catalog, through the first one that is neither a pass nor an
-    erratum; each row seeds its own numeric oracle and builds its own
-    store, so it reads the same whether or not other rows run.  An
-    exception before that row gives the single undecidable row
-    run_suite reports too.  An exception after it is never reached
+    erratum; the harness seeds each row's numeric oracle from the row
+    id, and each build makes its own store, so a row reads the same
+    whether or not other rows run.  An exception before that row gives
+    the single undecidable row run_suite reports too.  An exception after it is never reached
     here, while run_suite reports the single undecidable row; all_clear
     is false either way, so it agrees with run_suite on every mutant."""
     spec = _BY_NAME[name]
     view = _catalog.CATALOG.with_mutation(ident, slot)
-    ctx = CheckContext(catalog=view, seed=seed, errata=load_ledger())
     reused = {rid: row
               for rid, (row, reads) in _unmutated_rows(name, seed).items()
               if ident not in reads}
-    return _run_check(ctx, spec, stop_off_green=True, reused=reused)
+    return _run_check(view, spec, seed, load_ledger(), stop_off_green=True,
+                      reused=reused)

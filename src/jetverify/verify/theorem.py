@@ -13,9 +13,7 @@ from ..opcalc import (
     transport_local,
 )
 from .. import catalog as _catalog
-from .base import (
-    NORMAL_FORM, TEST_VECTOR, conclude, conclude_erratum, usdef_rules,
-)
+from .base import NORMAL_FORM, TEST_VECTOR, Claim, usdef_rules
 from .hamops import carry_coeff, transported_kernel
 
 
@@ -44,16 +42,16 @@ class Transport:
     Hamiltonian operators in the new variable, and the stated matrices
     with coefficients reduced to the density pair."""
 
-    def __init__(self, ctx):
-        self.ctx = ctx
+    def __init__(self, C):
+        self.C = C
 
     @cached_property
     def jacobians(self):
-        return _derived_jacobians(self.ctx)
+        return _derived_jacobians(self.C)
 
     @cached_property
     def registry(self):
-        return transported_kernel(self.ctx)
+        return transported_kernel(self.C)
 
     @cached_property
     def j1(self):
@@ -66,7 +64,7 @@ class Transport:
 
     @cached_property
     def smap(self):
-        rules = usdef_rules(self.ctx.catalog)
+        rules = usdef_rules(self.C)
         vsub = _catalog.parametrization(_catalog.RING_Y)
 
         def smap(c):
@@ -102,12 +100,12 @@ class Transport:
         u = _catalog.RING_Y.coord("u")
         return MatrixOp(tuple(
             tuple(transport_pseudo(e, u, inverse_map) for e in row)
-            for row in self.ctx.catalog.get(ident).grid))
+            for row in self.C.get(ident).grid))
 
     def _mapped(self, ident):
         return MatrixOp(tuple(tuple(e.map_coefficients(self.smap)
                                     for e in row)
-                              for row in self.ctx.catalog.get(ident).grid))
+                              for row in self.C.get(ident).grid))
 
 
 def apply_sandwich(lam, lam_adjoint, middle, vec, store):
@@ -120,7 +118,7 @@ def apply_sandwich(lam, lam_adjoint, middle, vec, store):
     return [F(-1, 16) * e for e in step]
 
 
-def _derived_jacobians(ctx):
+def _derived_jacobians(C):
     """Re-derivation of the forward Jacobian data from the variable
     change itself.
 
@@ -128,7 +126,6 @@ def _derived_jacobians(ctx):
     independent variable and of each transported coefficient function
     in the two momentum directions, as operators over the new ring,
     plus the first derivatives of the coefficient functions."""
-    C = ctx.catalog
     Y = _catalog.RING_Y
     uy = Y.coord("u")
 
@@ -161,19 +158,18 @@ def _derived_jacobians(ctx):
     return p_rows, q_rows, weights
 
 
-def theorem1(ctx):
-    tr = Transport(ctx)
-    yield "theorem1.t1", lambda: _t1_row(ctx, tr)
-    yield "theorem1.t2", lambda: _t2_row(ctx, tr)
-    yield "theorem1.factored", lambda: _factored_row(ctx)
-    yield "theorem1.jt2", lambda: _jt2_check(ctx, tr)
-    yield "theorem1.jt1", lambda: _jt1_check(ctx, tr)
+def theorem1(C):
+    tr = Transport(C)
+    yield "theorem1.t1", lambda: _t1_row(C, tr)
+    yield "theorem1.t2", lambda: _t2_row(C, tr)
+    yield "theorem1.factored", lambda: _factored_row(C)
+    yield "theorem1.jt2", lambda: _jt2_check(C, tr)
+    yield "theorem1.jt1", lambda: _jt1_check(C, tr)
 
 
-def _t1_row(ctx, tr):
+def _t1_row(C, tr):
     """The forward block matrix: coefficient-weighted density rows
     minus the coefficient linearizations."""
-    C = ctx.catalog
     Y = _catalog.RING_Y
     p_rows, q_rows, weights = tr.jacobians
     derived_t1 = MatrixOp(tuple(
@@ -187,16 +183,15 @@ def _t1_row(ctx, tr):
                      "row, minus the coefficient row")
     else:
         verdict = Y.one()
-    return conclude(ctx, "theorem1.t1", C.citation("T1"),
-                    [("derived forward block matrix fails to match "
-                      "the stated one in either orientation",
-                      verdict)], NORMAL_FORM, notes)
+    return Claim(C.citation("T1"),
+                 [("derived forward block matrix fails to match the "
+                   "stated one in either orientation", verdict)],
+                 NORMAL_FORM, notes)
 
 
-def _t2_row(ctx, tr):
+def _t2_row(C, tr):
     """The backward block matrix: four candidate readings of the
     adjoint recipe; exactly one must reproduce the stated matrix."""
-    C = ctx.catalog
     Y = _catalog.RING_Y
     uy = Y.coord("u")
     p_rows, q_rows, weights = tr.jacobians
@@ -238,16 +233,15 @@ def _t2_row(ctx, tr):
     if len(survivors) == 1:
         t2_notes.append("unique surviving reading: %s, %s"
                         % survivors[0])
-    return conclude(ctx, "theorem1.t2", C.citation("T2"),
-                    [("exactly one adjoint reading must reproduce "
-                      "the stated backward matrix",
-                      Y.zero() if len(survivors) == 1 else Y.one())],
-                    NORMAL_FORM, t2_notes)
+    return Claim(C.citation("T2"),
+                 [("exactly one adjoint reading must reproduce the "
+                   "stated backward matrix",
+                   Y.zero() if len(survivors) == 1 else Y.one())],
+                 NORMAL_FORM, t2_notes)
 
 
-def _factored_row(ctx):
+def _factored_row(C):
     """The factored forms through the common left factor."""
-    C = ctx.catalog
     Y = _catalog.RING_Y
     uy = Y.coord("u")
     vinv = PseudoOp.from_expr(Y.coord("v") ** -1)
@@ -260,8 +254,8 @@ def _factored_row(ctx):
     uweq = PseudoOp.from_expr(uy * Y.coord("w") ** -1)
     diag2 = MatrixOp(((uveq, zero), (zero, uweq)))
     right = diag2.compose(lam.adjoint()).scaled(F(-1, 4))
-    return conclude(
-        ctx, "theorem1.factored", C.citation("Lambda"),
+    return Claim(
+        C.citation("Lambda"),
         [("common-factor form of the forward matrix",
           Y.zero() if left == C.get("T1") else Y.one()),
          ("common-factor form of the backward matrix",
@@ -279,11 +273,10 @@ def _sandwich_residuals(tr, middle, vec, store):
     return [-e for e in lhs]
 
 
-def _jt2_check(ctx, tr):
+def _jt2_check(C, tr):
     """The local Hamiltonian operator transported: matching it against
     the stated composed normal form identifies which momentum-side
     operator produces it."""
-    C = ctx.catalog
     pairs = []
     store = NonlocalStore(_catalog.RING_Y, registry=tr.registry)
     for tag, vec in zip(("first", "second"),
@@ -296,14 +289,12 @@ def _jt2_check(ctx, tr):
     notes = ["the stated composed normal form is reproduced by the "
              "nonlocal momentum-side operator; the sandwich row "
              "carries the display's crossed pairing"]
-    return conclude(ctx, "theorem1.jt2", C.citation("Jt2"), pairs,
-                    TEST_VECTOR, notes)
+    return Claim(C.citation("Jt2"), pairs, TEST_VECTOR, notes)
 
 
-def _jt1_check(ctx, tr):
+def _jt1_check(C, tr):
     """The sandwich form of the transformed operator: displayed with
     the nonlocal momentum-side operator, reproduced by the local one."""
-    C = ctx.catalog
     original = []
     corrected = []
     store = NonlocalStore(_catalog.RING_Y, registry=tr.registry)
@@ -318,5 +309,5 @@ def _jt1_check(ctx, tr):
                              store.reduce(lhs_orig[k] - rhs[k])))
             corrected.append(("%s basis vector, row %d" % (tag, k + 1),
                               store.reduce(lhs_corr[k] - rhs[k])))
-    return conclude_erratum(ctx, "theorem1.jt1", C.citation("Jt1.middle"),
-                            original, corrected, TEST_VECTOR)
+    return Claim(C.citation("Jt1.middle"), original, TEST_VECTOR,
+                 corrected=corrected)

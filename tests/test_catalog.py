@@ -80,6 +80,18 @@ def test_named_values_reject_assignment():
         CAT.get("recip.main").substitutions["v"] = u
 
 
+def test_systems_and_relation_sets_reject_assignment():
+    # one process shares the catalog values across every row and mutant
+    sysd = CAT.get("sys.main")
+    rule = sysd.constraints.rules["v"]
+    with pytest.raises(TypeError):
+        sysd.evolution["v"] = C.RING_X.coord("u")
+    with pytest.raises(TypeError):
+        sysd.constraints.rules["v"] = rule
+    with pytest.raises(TypeError):
+        del CAT.get("krel.rules").rules["Y11"]
+
+
 def test_leaves_of_an_entry_share_one_ring():
     for ident in CAT.idents():
         leaves = all_leaves(ident)

@@ -1,7 +1,7 @@
 """Every name a module lists in __all__ resolves on that module and is
 read somewhere in the package, every top-level function and class is
 read or exported, no module imports a name it never reads, and only
-the suite harness catches every exception."""
+the suite harness catches every exception or makes a result row."""
 
 import ast
 import importlib
@@ -104,15 +104,13 @@ def test_no_unread_imports(path):
     assert unread_imports(tree) == []
 
 
-def broad_handlers():
-    """(path, innermost enclosing function) of every ``except
-    Exception`` under src/."""
+def located(predicate):
+    """(path, innermost enclosing function) of every node under src/
+    that satisfies predicate."""
     found = []
 
     def visit(node, where, owner):
-        if (isinstance(node, ast.ExceptHandler)
-                and isinstance(node.type, ast.Name)
-                and node.type.id == "Exception"):
+        if predicate(node):
             found.append((where, owner))
         if isinstance(node, ast.FunctionDef):
             owner = node.name
@@ -128,5 +126,25 @@ def broad_handlers():
 def test_only_the_harness_catches_every_exception():
     # a check that swallows an unforeseen error turns a fault into a
     # verdict; only the harness maps it to an undecidable row
-    assert broad_handlers() \
+    assert located(lambda node: isinstance(node, ast.ExceptHandler)
+                   and isinstance(node.type, ast.Name)
+                   and node.type.id == "Exception") \
         == [("src/jetverify/verify/suite.py", "_run_check")]
+
+
+def calls_to(name):
+    return sorted(set(located(
+        lambda node: isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None),
+                     getattr(node.func, "attr", None)))))
+
+
+def test_only_the_harness_makes_rows():
+    # a check returns a claim and the harness concludes it under the
+    # yielded row id; a check that concludes or builds its own row
+    # writes its row id a second time
+    assert {where for where, _owner in calls_to("conclude")} \
+        == {"src/jetverify/verify/suite.py"}
+    assert calls_to("CheckResult") \
+        == [("src/jetverify/verify/base.py", "conclude"),
+            ("src/jetverify/verify/suite.py", "_aborted_row")]

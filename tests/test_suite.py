@@ -15,8 +15,8 @@ import pytest
 from jetverify import catalog
 from jetverify.opcalc import MatrixOp, PseudoOp
 from jetverify.verify import (
-    CheckContext, CheckResult, ERRATUM, FAIL, NORMAL_FORM, OrderCapExceeded,
-    PASS, UNDECIDABLE, suite, theorem,
+    Claim, ERRATUM, ErratumEntry, FAIL, NORMAL_FORM, OrderCapExceeded, PASS,
+    UNDECIDABLE, suite, theorem,
 )
 from jetverify.verify.base import MAX_ORDER, conclude
 from jetverify.verify.errata import load_ledger
@@ -178,14 +178,71 @@ def test_errata_ledger_references_what_its_row_reads():
 
 def test_conclude_enforces_the_order_cap():
     # the one derivative-order cap: a compared expression past
-    # MAX_ORDER aborts the row instead of being decided
+    # MAX_ORDER aborts the row instead of being decided, in the
+    # displayed and in the corrected reading
     jet = catalog.RING_Y.coord
-    row = conclude(CheckContext(), "probe", "",
-                   [("at the cap", jet("u", MAX_ORDER))], NORMAL_FORM)
-    assert row.status == FAIL
+    at_cap = [("at the cap", jet("u", MAX_ORDER))]
+    past_cap = [("past the cap", jet("u", MAX_ORDER + 1))]
+    assert conclude("probe", Claim("", at_cap, NORMAL_FORM), 0, {}).status \
+        == FAIL
     with pytest.raises(OrderCapExceeded):
-        conclude(CheckContext(), "probe", "",
-                 [("past the cap", jet("u", MAX_ORDER + 1))], NORMAL_FORM)
+        conclude("probe", Claim("", past_cap, NORMAL_FORM), 0, {})
+    with pytest.raises(OrderCapExceeded):
+        conclude("probe", Claim("", at_cap, NORMAL_FORM,
+                                corrected=past_cap), 0, {})
+
+
+def _ledger_for(rid):
+    return {"E9": ErratumEntry("E9", rid, "", ("E", None), ("E", None), "")}
+
+
+_ZERO = catalog.RING_Y.zero()
+_U = catalog.RING_Y.coord("u")
+_CONFIRMS = ("numeric oracle confirms a nonzero residual at a random "
+             "rational point")
+
+# (displayed pairs, corrected pairs, errata) -> (status, erratum id,
+# residual summary, notes after the claim's own)
+CONCLUDE_OUTCOMES = {
+    "plain_pass": (
+        [("shown", _ZERO)], None, {},
+        (PASS, None, (), ())),
+    "plain_fail": (
+        [("shown", _ZERO), ("other", _U)], None, {},
+        (FAIL, None, ("other: u_0",), (_CONFIRMS,))),
+    "erratum": (
+        [("shown", _U)], [("fixed", _ZERO)], _ledger_for("probe"),
+        (ERRATUM, "E9", ("shown: u_0",),
+         (_CONFIRMS, "as displayed the claim fails; corrected per "
+          "erratum E9 it passes exactly"))),
+    "no_ledger_entry": (
+        [("shown", _U)], [("fixed", _ZERO)], _ledger_for("another.row"),
+        (FAIL, None, ("shown: u_0",),
+         (_CONFIRMS, "a corrected reading passes, but no erratum entry "
+          "for this check was applied"))),
+    "corrected_fails": (
+        [("shown", _U)], [("fixed", _ZERO), ("fixed too", 2 * _U)],
+        _ledger_for("probe"),
+        (FAIL, None, ("fixed too: (* 2 u_0)",),
+         ("the corrected reading fails as well", _CONFIRMS))),
+    "displayed_passes": (
+        [("shown", _ZERO)], [("fixed", _ZERO)], _ledger_for("probe"),
+        (PASS, None, (),
+         ("the reading as displayed already passes; no ledger entry is "
+          "needed",))),
+}
+
+
+@pytest.mark.parametrize("outcome", tuple(CONCLUDE_OUTCOMES))
+def test_conclude_decides_each_outcome(outcome):
+    # every branch of the one function that turns a claim into a row
+    pairs, corrected, errata, want = CONCLUDE_OUTCOMES[outcome]
+    row = conclude("probe", Claim("cited", pairs, NORMAL_FORM, ("given",),
+                                  corrected), 0, errata)
+    assert (row.id, row.citation, row.decided_by) \
+        == ("probe", "cited", NORMAL_FORM)
+    assert (row.status, row.erratum_id, row.residual_summary, row.notes) \
+        == want[:3] + (("given",) + want[3],)
 
 
 @pytest.mark.parametrize("slot", (0, 1))
@@ -243,9 +300,8 @@ def _yielded_before_abort(check, view):
     spec = next(spec for spec in suite.CHECKS if spec.name == check)
     rows = []
     with pytest.raises(Exception):
-        for _rid, build in spec.runner(CheckContext(catalog=view,
-                                                    errata=load_ledger())):
-            rows.append(build())
+        for rid, build in spec.runner(view):
+            rows.append(conclude(rid, build(), 0, load_ledger()))
     return rows
 
 
@@ -300,18 +356,16 @@ def test_a_row_records_the_setup_it_triggers():
     assert "ymap" in _recorded_reads("theorem1")["theorem1.t2"]
 
 
-def _toy_runner(ctx, fetch_between=False):
-    C = ctx.catalog
-
-    def build(rid, *idents):
+def _toy_runner(C, fetch_between=False):
+    def build(*idents):
         for ident in idents:
             C.get(ident)
-        return CheckResult(rid, PASS, NORMAL_FORM, (), C.citation("E"))
+        return Claim(C.citation("E"), (), NORMAL_FORM)
 
-    yield "toy.a", lambda: build("toy.a", "J1", "E")
+    yield "toy.a", lambda: build("J1", "E")
     if fetch_between:
         C.get("J2")
-    yield "toy.b", lambda: build("toy.b", "J2")
+    yield "toy.b", lambda: build("J2")
 
 
 def test_rows_record_their_reads_in_first_fetch_order(monkeypatch):
@@ -321,26 +375,11 @@ def test_rows_record_their_reads_in_first_fetch_order(monkeypatch):
         == {"toy.a": ("J1", "E"), "toy.b": ("J2", "E")}
 
 
-def test_a_row_built_under_another_id_raises(monkeypatch):
-    # reuse and read recording key on the yielded id, the records on the
-    # row's own, so the two must agree
-    def runner(ctx):
-        yield "toy.a", lambda: CheckResult("toy.b", PASS, NORMAL_FORM, (),
-                                           ctx.catalog.citation("E"))
-
-    spec = suite.CheckSpec("toy_misnamed", runner, "E", "", "", ())
-    monkeypatch.setitem(suite._BY_NAME, "toy_misnamed", spec)
-    with pytest.raises(suite.RowIdMismatch, match="'toy.a' was built as"):
-        suite._unmutated_rows("toy_misnamed", 0)
-    with pytest.raises(suite.RowIdMismatch):
-        suite._run_check(CheckContext(), spec, stop_off_green=False)
-
-
 def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
     # only a reading whose variational derivative does not vanish is
     # ill-formed; any other error leaves the row undecided
-    def t2_only(ctx):
-        for rid, build in theorem.theorem1(ctx):
+    def t2_only(C):
+        for rid, build in theorem.theorem1(C):
             if rid == "theorem1.t2":
                 yield rid, build
 
@@ -349,7 +388,7 @@ def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
 
     monkeypatch.setattr(PseudoOp, "adjoint", broken)
     spec = suite.CheckSpec("theorem1", t2_only, "Jt2", "", "", ())
-    rows = suite._run_check(CheckContext(errata=load_ledger()), spec,
+    rows = suite._run_check(catalog.CATALOG, spec, 0, load_ledger(),
                             stop_off_green=False)
     assert [(r.id, r.status) for r in rows] == [("theorem1", UNDECIDABLE)]
     assert rows[0].notes == ("ZeroDivisionError: probe",)
@@ -357,7 +396,7 @@ def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
 
 def test_a_fetch_outside_a_build_raises(monkeypatch):
     monkeypatch.setitem(suite._BY_NAME, "toy_between", suite.CheckSpec(
-        "toy_between", lambda ctx: _toy_runner(ctx, fetch_between=True),
+        "toy_between", lambda C: _toy_runner(C, fetch_between=True),
         "E", "", "", ()))
     with pytest.raises(RuntimeError, match="'J2' fetched outside a row"):
         suite._unmutated_rows("toy_between", 0)
