@@ -611,20 +611,6 @@ def evolutionary_derivative(e, sys):
     return out
 
 
-def euler_derivative(e, dep):
-    """Variational derivative: sum over k of (-D)^k of de/du_k."""
-    out = e.ring.zero()
-    top = max_order(e, dep)
-    for k in range(top + 1):
-        pd = partial_derivative(e, dep, k)
-        if pd.is_zero:
-            continue
-        for _ in range(k):
-            pd = total_derivative(pd)
-        out = out + pd if k % 2 == 0 else out - pd
-    return out
-
-
 def frechet_coeffs(e, dep):
     """Coefficients {k: de/du_k} of the linearization row operator."""
     out = {}
@@ -635,13 +621,19 @@ def frechet_coeffs(e, dep):
     return out
 
 
+def euler_derivative(e, dep):
+    """Variational derivative: sum over k of (-D)^k of de/du_k."""
+    out = e.ring.zero()
+    for k, pd in frechet_coeffs(e, dep).items():
+        for _ in range(k):
+            pd = total_derivative(pd)
+        out = out + pd if k % 2 == 0 else out - pd
+    return out
+
+
 def _euler_vanishes(e):
-    seen = set()
-    for (vk, _pk) in e.nums:
-        for g, _ex in vk:
-            seen.add(g // STRIDE)
-    for d in sorted(seen):
-        if not euler_derivative(e, e.ring.dependents[d]).is_zero:
+    for dep in dict.fromkeys(name for name, _k in coords_of(e)):
+        if not euler_derivative(e, dep).is_zero:
             return False
     return True
 

@@ -19,6 +19,9 @@ rules:
   cores into the local part,
 * inverses never expand; they are resolved at application time
   through auxiliary dependents.
+
+No record quotes an operator, so there is no text form: ``repr`` shows
+an operator's parts, for reading test failures.
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ from math import comb
 from .jetalg import (
     STRIDE, ContextMismatch, JetExpr, NotIntegrable, RelationSet,
     antiderivative, coords_of, euler_derivative, frechet_coeffs,
-    integrate_by_parts, promote, rational, to_text, total_derivative,
+    integrate_by_parts, promote, rational, total_derivative,
 )
 
 __all__ = [
     "NonClosedComposition", "UnknownOperator", "LocalOp", "PseudoOp",
     "MatrixOp", "OperatorRegistry", "NonlocalStore",
     "frechet_row", "scaled_derivative_power", "transport_local",
-    "solve_e_image", "serialize_pseudo", "serialize_matrix", "Echelon",
+    "solve_e_image", "Echelon",
 ]
 
 
@@ -155,7 +158,7 @@ class LocalOp:
     __hash__ = None
 
     def __repr__(self):
-        return serialize_pseudo(PseudoOp.from_local(self))
+        return "LocalOp(%r)" % (self.coeffs,)
 
 
 def frechet_row(e, dep):
@@ -431,7 +434,7 @@ class PseudoOp:
     __hash__ = None
 
     def __repr__(self):
-        return serialize_pseudo(self)
+        return "PseudoOp(%r, %r, %r)" % (self.local, self.tail, self.words)
 
 
 class MatrixOp:
@@ -511,9 +514,6 @@ class MatrixOp:
             out.append(acc)
         return out
 
-    def promote(self, ring):
-        return MatrixOp([[e.promote(ring) for e in row] for row in self.grid])
-
     def __eq__(self, other):
         return (isinstance(other, MatrixOp) and self.shape == other.shape
                 and all(a == b for ra, rb in zip(self.grid, other.grid)
@@ -522,7 +522,7 @@ class MatrixOp:
     __hash__ = None
 
     def __repr__(self):
-        return serialize_matrix(self)
+        return "MatrixOp(%r)" % (self.grid,)
 
 
 class OperatorRegistry:
@@ -834,24 +834,3 @@ class Echelon:
         if rest:
             return None
         return [combo.get(i, Fraction(0)) for i in range(self.size)]
-
-
-# -- serialization -------------------------------------------------------
-
-def serialize_pseudo(op):
-    parts = []
-    for k in sorted(op.local.coeffs):
-        parts.append("(%s)*d^%d" % (to_text(op.local.coeffs[k]), k))
-    for p, q in op.tail:
-        parts.append("(%s)*dinv*(%s)" % (to_text(p), to_text(q)))
-    for c, left, name, right in op.words:
-        parts.append("(%s)*{%s}*inv[%s]*{%s}" % (
-            c, serialize_pseudo(PseudoOp.from_local(left)), name,
-            serialize_pseudo(PseudoOp.from_local(right))))
-    return " + ".join(parts) if parts else "0"
-
-
-def serialize_matrix(mat):
-    return "[%s]" % ", ".join(
-        "[%s]" % "; ".join(serialize_pseudo(e) for e in row)
-        for row in mat.grid)

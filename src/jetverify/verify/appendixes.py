@@ -25,7 +25,7 @@ from .flows import (
     check_conservation, check_reciprocal_system_map, check_zero_curvature,
     curvature_entry,
 )
-from .theorem import apply_sandwich
+from .theorem import _basis_vectors, apply_sandwich
 
 F = Fraction
 
@@ -410,7 +410,7 @@ def _scan_row(C):
     # images do not depend on the target
     store = NonlocalStore(Y, relations=mn)
     omA = omega.adjoint()
-    vecs = [(Y.coord("phi"), Y.zero()), (Y.zero(), Y.coord("psi"))]
+    vecs = _basis_vectors(Y)
     lam, middle = C.get("Lambda"), C.get("Jt1.middle")
     lam_adjoint = lam.adjoint()
     images = [omega.apply(apply_sandwich(
@@ -465,12 +465,10 @@ def appendix_a(C):
 
 def appendix_b(C):
     yield "appendix_b.zc", lambda: check_zero_curvature(
-        C.get("lax.appb"), C.get("sys.appb"), C.citation("lax.appb"))
+        C, "lax.appb", "sys.appb")
     yield "appendix_b.zc_trans", lambda: check_zero_curvature(
-        C.get("lax.appb.trans"), C.get("sys.appb.trans"),
-        C.citation("lax.appb.trans"))
+        C, "lax.appb.trans", "sys.appb.trans")
     yield "appendix_b.conservation", lambda: check_conservation(
-        C.get("recip.appb"), C.get("sys.appb"), C.citation("recip.appb"))
+        C, "recip.appb", "sys.appb")
     yield "appendix_b.reciprocal", lambda: check_reciprocal_system_map(
-        C, C.get("sys.appb"), C.get("recip.appb"), C.get("sys.appb.trans"),
-        C.citation("sys.appb.trans"))
+        C, "sys.appb", "recip.appb", "sys.appb.trans")

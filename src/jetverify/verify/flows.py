@@ -26,88 +26,77 @@ def curvature_entry(U, V, sysdef, a, b):
     return e
 
 
-def zero_curvature_pairs(pair, sysdef):
-    """Labelled residual components of the flatness identity.
-
-    Returns (pairs, reduced_entries, powers): one pair per nonvanishing
-    spectral-parameter power of each matrix entry, the entries whose
-    reduction used the constraints, and every power entering the
-    comparison before reduction."""
+def check_zero_curvature(C, pair_ident, sys_ident):
+    """Flatness of the spectral pair pair_ident on the flow sys_ident:
+    one residual per nonvanishing spectral-parameter power of each
+    matrix entry, reduced modulo the constraints."""
+    pair = C.get(pair_ident)
+    sysdef = C.get(sys_ident)
     U, V = pair.space, pair.time
     n = len(U)
-    cons = sysdef.constraints
     pairs = []
-    reduced_entries = []
+    reduced = []
     powers = set()
     for a in range(n):
         for b in range(n):
             e = curvature_entry(U, V, sysdef, a, b)
             powers.update(split_param(e, "lam"))
-            red = cons.reduce(e) if cons is not None else e
+            red = sysdef.constraints.reduce(e)
             if red != e:
-                reduced_entries.append("(%d,%d)" % (a + 1, b + 1))
+                reduced.append("(%d,%d)" % (a + 1, b + 1))
             for power, coeff in sorted(split_param(red, "lam").items()):
                 pairs.append(("entry (%d,%d) at parameter power %d"
                               % (a + 1, b + 1, power), coeff))
-    return pairs, reduced_entries, sorted(powers)
-
-
-def check_zero_curvature(pair, sysdef, citation):
-    pairs, reduced, powers = zero_curvature_pairs(pair, sysdef)
     notes = ["parameter powers entering the comparison: %s"
-             % (", ".join(str(p) for p in powers) or "none")]
+             % (", ".join(str(p) for p in sorted(powers)) or "none")]
     if reduced:
         notes.append("constraint reduction acted on entries: %s"
                      % ", ".join(reduced))
     else:
         notes.append("no entry needed the constraints")
-    return Claim(citation, pairs, NORMAL_FORM, notes)
+    return Claim(C.citation(pair_ident), pairs, NORMAL_FORM, notes)
 
 
 def zc_main(C):
-    yield "zc_main", lambda: check_zero_curvature(
-        C.get("lax.main"), C.get("sys.main"), C.citation("lax.main"))
+    yield "zc_main", lambda: check_zero_curvature(C, "lax.main", "sys.main")
 
 
 def zc_trans(C):
     yield "zc_trans", lambda: check_zero_curvature(
-        C.get("lax.trans"), C.get("sys.mdflow"), C.citation("lax.trans"))
+        C, "lax.trans", "sys.mdflow")
 
 
 # -- conservation ---------------------------------------------------------
 
-def conservation_pairs(map_, sysdef):
-    """Cleared conservation identity for the quarter-power density.
+def check_conservation(C, map_ident, sys_ident):
+    """Cleared conservation identity for the quarter-power density of
+    the reciprocal map map_ident under the flow sys_ident.
 
     With density**4 equal to the momentum product, the conserved-form
     evolution of the density is equivalent to D_t(v*w) = ratio*D_x(v*w)
     + 4*D(ratio)*(v*w) where ratio is flux/density; both the identity
-    and the clearing bookkeeping are returned."""
+    and the clearing bookkeeping are compared."""
+    map_ = C.get(map_ident)
+    sysdef = C.get(sys_ident)
     ring = map_.ring
-    v = ring.coord("v")
-    w = ring.coord("w")
-    momentum = v * w
+    momentum = ring.coord("v") * ring.coord("w")
     ratio = map_.flux / map_.density
     e = (evolutionary_derivative(momentum, sysdef)
          - ratio * total_derivative(momentum)
          - 4 * total_derivative(ratio) * momentum)
-    cons = sysdef.constraints
-    red = cons.reduce(e) if cons is not None else e
-    subs = map_.substitutions
-    clearing = map_.density ** 4 - substitute(momentum, subs)
-    return [("cleared conservation identity", red),
-            ("quarter-power clearing of the density", clearing)]
-
-
-def check_conservation(map_, sysdef, citation):
-    return Claim(citation, conservation_pairs(map_, sysdef), NORMAL_FORM)
+    return Claim(
+        C.citation(map_ident),
+        [("cleared conservation identity", sysdef.constraints.reduce(e)),
+         ("quarter-power clearing of the density",
+          map_.density ** 4 - substitute(momentum, map_.substitutions))],
+        NORMAL_FORM)
 
 
 def conservation(C):
     yield "conservation.main", lambda: check_conservation(
-        C.get("recip.main"), C.get("sys.main"), C.citation("recip.main"))
+        C, "recip.main", "sys.main")
     yield "conservation.appb", lambda: check_conservation(
-        C.get("recip.appb"), C.get("sys.appb"), C.citation("recip.appb"))
+        C, "recip.appb", "sys.appb")
 
 
 # -- reciprocal transformation --------------------------------------------
@@ -152,10 +141,6 @@ def _orient_constraints(sysdef, map_):
     return rules
 
 
-def _tau_derivative(e, usys, ratio):
-    return evolutionary_derivative(e, usys) - ratio * total_derivative(e)
-
-
 def transported_tau(sysdef, map_, xdef):
     """The reciprocal time derivative of one transported coefficient,
     reduced modulo the oriented constraints and rewritten over the new
@@ -163,15 +148,19 @@ def transported_tau(sysdef, map_, xdef):
     usys = _parametrized_time_rules(sysdef, map_)
     ratio = map_.flux / map_.density
     xrules = _orient_constraints(sysdef, map_)
-    return to_y(xrules.reduce(_tau_derivative(xdef, usys, ratio)))
+    return to_y(xrules.reduce(evolutionary_derivative(xdef, usys)
+                              - ratio * total_derivative(xdef)))
 
 
-def check_reciprocal_system_map(C, src, map_, dst, citation):
-    """Compare the transported flow of the coefficient definitions with
-    the destination system's right-hand sides.
+def check_reciprocal_system_map(C, src_ident, map_ident, dst_ident):
+    """Compare the coefficient definitions' flow, transported from
+    src_ident through map_ident, with the system dst_ident.
 
     Residuals are reduced modulo the coefficient definitions, since the
     destination displays keep the transported coefficients symbolic."""
+    src = C.get(src_ident)
+    map_ = C.get(map_ident)
+    dst = C.get(dst_ident)
     named = C.get("ymap")
     defs = {"i": named["Q1"], "j": named["Q2"]}
     rules = usdef_rules(C)
@@ -180,7 +169,7 @@ def check_reciprocal_system_map(C, src, map_, dst, citation):
         got = transported_tau(src, map_, defs[dep])
         pairs.append(("transported time derivative of %s minus the stated "
                       "flow" % dep, rules.reduce(got - dst.evolution[dep])))
-    return Claim(citation, pairs, NORMAL_FORM)
+    return Claim(C.citation(dst_ident), pairs, NORMAL_FORM)
 
 
 def reciprocal(C):
@@ -256,5 +245,4 @@ def reciprocal(C):
     yield "reciprocal.main.kernels", kernels
     yield "reciprocal.main.flowlink", flowlink
     yield "reciprocal.appb", lambda: check_reciprocal_system_map(
-        C, C.get("sys.appb"), C.get("recip.appb"), C.get("sys.appb.trans"),
-        C.citation("sys.appb.trans"))
+        C, "sys.appb", "recip.appb", "sys.appb.trans")

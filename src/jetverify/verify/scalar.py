@@ -139,6 +139,13 @@ def _local_part(op):
     return op.local
 
 
+def _ij_from_factor_data(a1, b1):
+    """The coefficient pair (i, j) the linear-factor data (a1, b1)
+    determines: (-2 b1, D a1 + a1^2 - D b1 - b1^2)."""
+    return (-2 * b1, total_derivative(a1) + a1 ** 2
+            - total_derivative(b1) - b1 ** 2)
+
+
 def factorizations(C):
     Y = _catalog.RING_Y
 
@@ -152,12 +159,9 @@ def factorizations(C):
             NORMAL_FORM)
 
     def linear():
-        a1 = Y.coord("a1")
-        b1 = Y.coord("b1")
-        ij_rules = (mn_rules(C)
-                    .with_rule("i", 0, -2 * b1)
-                    .with_rule("j", 0, total_derivative(a1) + a1 ** 2
-                               - total_derivative(b1) - b1 ** 2))
+        i_rhs, j_rhs = _ij_from_factor_data(Y.coord("a1"), Y.coord("b1"))
+        ij_rules = mn_rules(C).with_rule("i", 0, i_rhs).with_rule(
+            "j", 0, j_rhs)
         product = C.get("factor1.1")
         for k in ("2", "3", "4"):
             product = product.compose(C.get("factor1." + k))
@@ -172,9 +176,7 @@ def factorizations(C):
         ab = C.get("ab1")
         usdefs = C.get("usdefs")
         hmap = C.get("hmap")
-        i_from_ab = -2 * ab["b1"]
-        j_from_ab = (total_derivative(ab["a1"]) + ab["a1"] ** 2
-                     - total_derivative(ab["b1"]) - ab["b1"] ** 2)
+        i_from_ab, j_from_ab = _ij_from_factor_data(ab["a1"], ab["b1"])
         return Claim(
             C.citation("ab1"),
             [("first coefficient from the linear-factor data minus its "

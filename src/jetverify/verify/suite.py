@@ -25,12 +25,15 @@ including through the setup it triggered.  The converse invariant, that
 a row reading nothing a mutant touches keeps a byte-identical record,
 then holds by construction: over the mutated catalog a row's build runs
 exactly as over the packaged one until it first fetches the mutated
-entry, so a row whose recording never fetched it keeps its record.  The
-premise is that rows share no state that can change a record; the only
-shared setup is built from the catalog on first use and kept per call
-of a runner (closures in the runner, the theorem checks' Transport
-parts).  Either way, an exception part-way through a check discards the
-rows before it and reports one undecidable row.
+entry, so a row whose recording never fetched it keeps its record.  In
+either run, an exception part-way through a check discards the rows
+before it and reports one undecidable row.
+
+The reuse premise, on which that converse rests: rows share no state
+that can change a record.  The only shared setup is built from the
+catalog on first use and kept per call of a runner (closures in the
+runner, the theorem checks' Transport parts), so a row's record does
+not depend on which rows were built before it.
 """
 
 import copy
@@ -74,8 +77,8 @@ class CheckSpec:
     The runner takes a catalog view and yields (row id, build) in
     report order, where build() derives that row's Claim, which the
     harness concludes into the row; it fetches no catalog entry outside
-    a build (the harness raises if it does), and shared setup is built
-    the first time a build needs it, so each row can be built alone and
+    a build (the harness raises if it does), and it keeps the reuse
+    premise of the module docstring, so each row can be built alone and
     the entries it reads recorded."""
 
     __slots__ = ("name", "runner", "citation_ident", "claim", "strategy",
@@ -407,7 +410,8 @@ def _unmutated_rows(name, seed):
     that row's build called and concluded.  So reads is every entry
     that build fetched, including through the setup it triggered, in
     first-fetch order, and a fetch outside a build raises
-    RuntimeError."""
+    RuntimeError.  Under the reuse premise of the module docstring,
+    these rows stand for the same rows of any later run."""
     spec = _BY_NAME[name]
     errata = load_ledger()
     rows = {}
@@ -432,22 +436,19 @@ def run_mutated(name, ident, slot, seed=0):
     a later row cannot turn it green again, so the check stops there.
     Only the rows whose recorded reads contain the mutated entry are
     built over the mutated catalog; every other row is a copy of the
-    same row from the unmutated run of the check at the same seed.
-    That reuse is the converse of the sensitivity invariant, and it
-    holds by construction: a row's recorded reads are every entry its
-    build fetched when built alone, and until that build first fetches
-    the mutated entry it runs exactly as over the packaged catalog, so
-    a row that never fetched it keeps a byte-identical record.  The
-    premise is that rows share no state that can change a record.
+    same row from the unmutated run of the check at the same seed: the
+    converse invariant of the module docstring, which rests on its
+    reuse premise.
 
     Prefix contract: the rows are the rows run_suite reports for the
     same catalog, through the first one that is neither a pass nor an
     erratum; the harness seeds each row's numeric oracle from the row
-    id, and each build makes its own store, so a row reads the same
-    whether or not other rows run.  An exception before that row gives
-    the single undecidable row run_suite reports too.  An exception after it is never reached
-    here, while run_suite reports the single undecidable row; all_clear
-    is false either way, so it agrees with run_suite on every mutant."""
+    id, and under the reuse premise a row reads the same whether or
+    not other rows run.  An exception before that row gives
+    the single undecidable row run_suite reports too.  An exception
+    after it is never reached here, while run_suite reports the single
+    undecidable row; all_clear is false either way, so it agrees with
+    run_suite on every mutant."""
     spec = _BY_NAME[name]
     view = _catalog.CATALOG.with_mutation(ident, slot)
     reused = {rid: row

@@ -67,6 +67,14 @@ def test_describe_lists_each_row_and_its_reads(capsys):
     # usdefs, which the check's mutation surface leaves out
     assert suite.describe("theorem1")["rows"][0] \
         == {"id": "theorem1.t1", "reads": ["ymap", "T1", "usdefs"]}
+    # the flow drivers fetch their own inputs, in argument order
+    reads = {row["id"]: row["reads"] for check in suite.check_ids()
+             for row in suite.describe(check)["rows"]}
+    assert reads["zc_main"] == ["lax.main", "sys.main"]
+    assert reads["conservation.appb"] == ["recip.appb", "sys.appb"]
+    for rid in ("reciprocal.appb", "appendix_b.reciprocal"):
+        assert reads[rid] == ["sys.appb", "recip.appb", "sys.appb.trans",
+                              "ymap", "usdefs"]
 
 
 def test_describe_rejects_an_unknown_check(capsys):

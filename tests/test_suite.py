@@ -8,6 +8,7 @@ benchmark's pins in perfbench/expected.py."""
 import hashlib
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -428,3 +429,63 @@ def test_rows_outside_a_mutant_keep_their_records(check, rows):
                 compared += 1
     if len(row_reads) > 1:
         assert compared
+
+
+@pytest.mark.parametrize("check", tuple(SLOTS))
+def test_row_records_do_not_depend_on_build_order(check, rows):
+    # the reuse premise of verify.suite: rows share no state that can
+    # change a record, so the builds of one runner call, made in
+    # reversed and then in shuffled order, give the run_suite records
+    plain = {r.id: r.to_record() for r in rows}
+    builds = list(_spec(check).runner(catalog.CATALOG))
+    shuffled = list(builds)
+    random.Random(check).shuffle(shuffled)
+    for order in (builds[::-1], shuffled):
+        for rid, build in order:
+            row = conclude(rid, build(), 0, load_ledger())
+            assert row.to_record() == plain[rid], rid
+
+
+def _unit_lower_gauge(ring):
+    """G = I + N with N strictly lower triangular and integral, and
+    its inverse I - N + N^2 - N^3, since N^4 = 0."""
+    n = ((0, 0, 0, 0), (1, 0, 0, 0), (2, -1, 0, 0), (0, 3, 1, 0))
+    eye = tuple(tuple(ring.const(int(i == j)) for j in range(4))
+                for i in range(4))
+    nil = tuple(tuple(ring.const(c) for c in row) for row in n)
+    nil2 = catalog.emat_mul(nil, nil)
+    nil3 = catalog.emat_mul(nil2, nil)
+    inverse = catalog.emat_sub(catalog.emat_add(catalog.emat_sub(eye, nil),
+                                                nil2), nil3)
+    return catalog.emat_add(eye, nil), inverse
+
+
+def _lambda_gauge(ring):
+    """G = diag(lam, lam, 1, 1) and its inverse."""
+    lam = ring.param("lam")
+    diag = (lam, lam, ring.one(), ring.one())
+    return tuple(tuple(tuple(d ** sign if i == j else ring.zero()
+                             for j in range(4)) for i, d in enumerate(diag))
+                 for sign in (1, -1))
+
+
+@pytest.mark.parametrize("gauge", (_unit_lower_gauge, _lambda_gauge))
+def test_a_constant_gauge_keeps_zero_curvature(gauge):
+    # a metamorphic relation: G U G^-1, G V G^-1 is flat exactly when
+    # U, V is, for G constant along both flows
+    overrides = {}
+    for ident in ("lax.main", "lax.trans", "lax.appb", "lax.appb.trans"):
+        ent = catalog.CATALOG.entry(ident)
+        pair = ent.value
+        g, g_inv = gauge(pair.ring)
+        space, time = (catalog.emat_mul(catalog.emat_mul(g, half), g_inv)
+                       for half in (pair.space, pair.time))
+        assert space != pair.space
+        overrides[ident] = ent._replace(
+            value=catalog.LaxPair(pair.ring, space, time))
+    got = suite.run_suite(selection=("zc_main", "zc_trans", "appendix_b"),
+                          catalog=catalog.CatalogView(overrides))
+    assert [(r.id, r.status) for r in got] == [
+        ("zc_main", PASS), ("zc_trans", PASS), ("appendix_b.zc", PASS),
+        ("appendix_b.zc_trans", PASS), ("appendix_b.conservation", PASS),
+        ("appendix_b.reciprocal", PASS)]
