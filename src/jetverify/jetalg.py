@@ -60,7 +60,12 @@ vector, which is built from ``coeff_items`` in term order.  A shortcut
 must therefore reproduce the order as well as the values, and the hot
 paths do so by leaving alone what an operation preserves: a rational
 constant factor keeps every key, a derivative splices its new key from
-slices of the sorted old one, and power tuples merge linearly.
+slices of the sorted old one, and power tuples merge linearly.  The one
+exception is ``euler_derivative``: its Horner form walks the orders
+from the top down, so an Euler image does not keep the order of the
+definitional sum.  Its readers use only values: the store's signature
+solve (``Echelon.solve``, whose results do not depend on the pivots),
+``is_zero``, and comparisons and text that sort.
 
 A monomial key is a pair (variable part, parameter part) of sorted
 power tuples.  The variable part holds (g, exponent) pairs, where the
@@ -622,12 +627,15 @@ def frechet_coeffs(e, dep):
 
 
 def euler_derivative(e, dep):
-    """Variational derivative: sum over k of (-D)^k of de/du_k."""
+    """Variational derivative: sum over k of (-D)^k of de/du_k, in
+    Horner form c_0 - D(c_1 - D(c_2 - ...)) with c_k = de/du_k.  Every
+    order from the top down to 0 takes its derivative step; an order
+    absent from e adds nothing but still steps."""
+    coeffs = frechet_coeffs(e, dep)
     out = e.ring.zero()
-    for k, pd in frechet_coeffs(e, dep).items():
-        for _ in range(k):
-            pd = total_derivative(pd)
-        out = out + pd if k % 2 == 0 else out - pd
+    for k in range(max(coeffs, default=-1), -1, -1):
+        step = total_derivative(out)
+        out = coeffs[k] - step if k in coeffs else -step
     return out
 
 

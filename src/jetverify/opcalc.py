@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from .jetalg import (
     STRIDE, ContextMismatch, JetExpr, NotIntegrable, RelationSet,
@@ -52,7 +53,10 @@ class UnknownOperator(KeyError):
 
 
 class LocalOp:
-    """A purely local operator: sum over k of coeffs[k] * d^k."""
+    """A purely local operator: sum over k of coeffs[k] * d^k.
+
+    coeffs is a read-only mapping: one process shares the catalog's
+    operators across every row and mutant."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -68,7 +72,7 @@ class LocalOp:
             if not c.is_zero:
                 clean[k] = c
         self.ring = ring
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
 
     @classmethod
     def mult(cls, expr):
@@ -158,7 +162,7 @@ class LocalOp:
     __hash__ = None
 
     def __repr__(self):
-        return "LocalOp(%r)" % (self.coeffs,)
+        return "LocalOp(%r)" % (dict(self.coeffs),)
 
 
 def frechet_row(e, dep):

@@ -417,13 +417,15 @@ def _scan_row(C):
                   lam, lam_adjoint, middle, omA.apply(vec, store), store),
                   store)
               for vec in vecs]
+    # reduction is linear, so each image is reduced once and a
+    # candidate c matches when every reduced target is c times it
+    images = [store.reduce(e) for img in images for e in img]
 
     def applied_matches(target):
-        targets = [target.apply(vec, store) for vec in vecs]
+        targets = [store.reduce(t) for vec in vecs
+                   for t in target.apply(vec, store)]
         return [c for c in cands
-                if all(store.reduce(t - c * e).is_zero
-                       for img, tgt in zip(images, targets)
-                       for e, t in zip(img, tgt))]
+                if all(t == c * e for e, t in zip(images, targets))]
 
     found1 = applied_matches(p1)
     # the transformed labels cross under the main-theorem erratum, so

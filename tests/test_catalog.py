@@ -92,6 +92,14 @@ def test_systems_and_relation_sets_reject_assignment():
         del CAT.get("krel.rules").rules["Y11"]
 
 
+def test_operator_coefficients_reject_assignment():
+    local = CAT.get("E").local
+    with pytest.raises(TypeError):
+        local.coeffs[3] = C.RING_X.one()
+    with pytest.raises(TypeError):
+        del local.coeffs[1]
+
+
 def test_leaves_of_an_entry_share_one_ring():
     for ident in CAT.idents():
         leaves = all_leaves(ident)

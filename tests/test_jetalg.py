@@ -451,6 +451,25 @@ def test_euler_kills_exact_property():
             assert euler_derivative(exact, dep).is_zero
 
 
+@settings(max_examples=60, deadline=None)
+@given(exprs(deps=("v",)), exprs(deps=("v",)).filter(bool),
+       st.integers(2, 3), st.sampled_from((1, 2, -1)))
+def test_euler_matches_the_definitional_sum_across_an_order_gap(
+        low, high, top, power):
+    # u enters at order 0 and at order top >= 2 but never at order 1,
+    # so the Horner form must step through an absent order
+    u = RING.coord("u")
+    e = low * u + high * RING.coord("u", top) ** power
+    assert 1 not in frechet_coeffs(e, "u")
+    expected = RING.zero()
+    for k in range(top + 1):
+        term = partial_derivative(e, "u", k)
+        for _ in range(k):
+            term = -total_derivative(term)
+        expected = expected + term
+    assert euler_derivative(e, "u") == expected
+
+
 def test_euler_detects_nonexact_constrained_density():
     rules = constraint_rules()
     e = RX.coord("w") * RX.coord("r") - RX.coord("v") * RX.coord("q")

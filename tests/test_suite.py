@@ -56,8 +56,12 @@ def test_verdict_table(rows):
         == PINS.SUITE_ROWS
 
 
-def test_record_digest(rows):
-    text = json.dumps(records(rows), sort_keys=True, separators=(",", ":"))
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_record_digest(rows, seed):
+    # the seed reaches only the numeric note, which reads the same at
+    # each of these seeds
+    got = rows if seed == 0 else suite.run_suite(seed=seed)
+    text = json.dumps(records(got), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
         == PINS.SUITE_DIGEST
 
@@ -393,6 +397,79 @@ def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
                             stop_off_green=False)
     assert [(r.id, r.status) for r in rows] == [("theorem1", UNDECIDABLE)]
     assert rows[0].notes == ("ZeroDivisionError: probe",)
+
+
+def _applied_corrected_reading(monkeypatch):
+    """Force theorem1.jt1 to build the corrected images by application,
+    as it does when a premise of the identity fails."""
+    monkeypatch.setattr(theorem, "_corrected_identity_holds",
+                        lambda _tr: False)
+
+
+def _jt1_claim_and_store(monkeypatch):
+    stores = []
+
+    class Recording(theorem.NonlocalStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stores.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(theorem, "NonlocalStore", Recording)
+        claim = theorem._jt1_check(catalog.CATALOG,
+                                   theorem.Transport(catalog.CATALOG))
+    (store,) = stores
+    return claim, store
+
+
+def test_the_corrected_jt1_reading_needs_no_images(monkeypatch):
+    # the identity holds on the catalog, and the applied corrected
+    # reading agrees with it: every residual vanishes and its images
+    # allocate no auxiliary, so the displayed residuals, which name
+    # the store's auxiliaries, cannot move
+    assert theorem._corrected_identity_holds(
+        theorem.Transport(catalog.CATALOG))
+    short, short_store = _jt1_claim_and_store(monkeypatch)
+    _applied_corrected_reading(monkeypatch)
+    applied, applied_store = _jt1_claim_and_store(monkeypatch)
+    assert len(applied.corrected) == 4
+    assert all(e.is_zero for _label, e in applied.corrected)
+    assert [label for label, _e in short.corrected] \
+        == [label for label, _e in applied.corrected]
+    assert all(e.is_zero for _label, e in short.corrected)
+    assert short_store.allocated == applied_store.allocated
+    assert short.pairs == applied.pairs
+
+
+@pytest.mark.parametrize("prop", ("t1", "t2", "j2"))
+def test_each_premise_of_the_corrected_jt1_identity_is_checked(prop):
+    # doubling one factor breaks exactly one of the three premises
+    tr = theorem.Transport(catalog.CATALOG)
+    setattr(tr, prop, getattr(tr, prop).scaled(2))
+    assert not theorem._corrected_identity_holds(tr)
+
+
+def _jt1_record(cat):
+    (row,) = [r for r in suite.run_suite(catalog=cat, selection="theorem1")
+              if r.id == "theorem1.jt1"]
+    return row.to_record()
+
+
+@pytest.mark.parametrize("ident, slot", (
+    ("J2", 0), ("Jt1.middle", 13), ("T1", 0), ("T2", 2)))
+def test_a_mutant_breaking_a_premise_gets_the_applied_jt1_record(
+        ident, slot, monkeypatch):
+    # J2 slot 0 and Jt1.middle slot 13 are the heavy benchmark's jt1
+    # mutants; under each mutant the corrected reading fails by
+    # application, so a premise that let it through would change the
+    # record
+    cat = catalog.CATALOG.with_mutation(ident, slot)
+    assert not theorem._corrected_identity_holds(theorem.Transport(cat))
+    got = _jt1_record(cat)
+    _applied_corrected_reading(monkeypatch)
+    applied = _jt1_record(cat)
+    assert "the corrected reading fails as well" in applied["notes"]
+    assert got == applied
 
 
 def test_a_fetch_outside_a_build_raises(monkeypatch):
