@@ -18,8 +18,9 @@ and integrals of the variational calculus:
 * ``euler_derivative``: the variational derivative; it annihilates
   total derivatives.
 * ``frechet_coeffs``: coefficients of the linearization operator.
-* ``antiderivative``: exact integration by parts, peeling the top jet
-  one round at a time, with a verified round trip.
+* ``antiderivative``: the one exact integrator: an Euler pre-check
+  rejects an inexact argument, then integration by parts peels the top
+  jet one round at a time, with a verified round trip.
 * ``RelationSet``: terminating rewriting by solved differential
   relations.
 * ``substitute``: ring homomorphisms on dependents, with an optional
@@ -94,8 +95,8 @@ __all__ = [
     "MissingEvolutionRule",
     "total_derivative", "partial_derivative", "evolutionary_derivative",
     "euler_derivative", "frechet_coeffs", "is_total_derivative", "antiderivative",
-    "integrate_by_parts", "substitute", "promote", "solve_for", "split_param",
-    "coords_of", "params_of", "max_order", "random_eval", "random_assignment",
+    "substitute", "promote", "solve_for", "split_param", "coords_of",
+    "params_of", "max_order", "random_eval", "random_assignment",
     "perturb_term", "to_text", "rational", "STRIDE",
 ]
 
@@ -661,29 +662,21 @@ def antiderivative(e):
     """An exact F with total_derivative(F) = e and no constant term.
 
     An e whose variational derivative does not vanish is rejected up
-    front; any other goes to integrate_by_parts."""
-    if e.is_zero:
-        return e.ring.zero()
-    if not _euler_vanishes(e):
-        raise NotIntegrable("variational derivative does not vanish")
-    return integrate_by_parts(e)
-
-
-def integrate_by_parts(e):
-    """The F of antiderivative, without its Euler pre-check, for a
-    caller that already knows every Euler image of e vanishes.
-
-    One round per top jet: if F exists, the part of e linear in the
-    top jet z_top of the last dependent that reaches the top order is
-    dF/dz_(top-1), which never carries a z_(top-1)^-1, so raising the
-    exponent of z_(top-1) integrates it and removes z_top from the
-    remainder.  Any exact expression is linear in its top-order
-    coordinates, which keeps each round well defined; a bounded round
-    count guards against drift on malformed input.  The round trip is
-    verified before returning; failures raise NotIntegrable."""
+    front; any other is integrated by parts, one round per top jet.
+    The round trip is verified before returning; failures raise
+    NotIntegrable."""
     ring = e.ring
     if e.is_zero:
         return ring.zero()
+    if not _euler_vanishes(e):
+        raise NotIntegrable("variational derivative does not vanish")
+    # if F exists, the part of e linear in the top jet z_top of the last
+    # dependent that reaches the top order is dF/dz_(top-1), which never
+    # carries a z_(top-1)^-1, so raising the exponent of z_(top-1)
+    # integrates it and removes z_top from the remainder.  Any exact
+    # expression is linear in its top-order coordinates, which keeps
+    # each round well defined; a bounded round count guards against
+    # drift on malformed input.
     out = ring.zero()
     rest = e
     for _round in range(200):

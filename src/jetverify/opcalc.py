@@ -4,12 +4,13 @@ An operator is kept in weakly nonlocal normal form: a local part (a
 polynomial in the derivation with jet-expression coefficients), a tail
 (a finite sum of rank-one nonlocal pieces p dinv q, where dinv is the
 formal antiderivative), and words c * L o inv[name] o R, with L and R
-local and inv[name] the formal inverse of a registered operator.  Words
-are only applied; composing or adjoining one raises
-NonClosedComposition, and so does composing two operators that both
-carry tails, so whether a product closes depends on the operands'
-shape, not on their coefficients.  Applying with a nonlocal store works
-over the store's ring: operator and argument are promoted to it.
+local and inv[name] the formal inverse of the skew-adjoint LocalOp
+that a nonlocal store maps name to.  Words are only applied; composing
+or adjoining one raises NonClosedComposition, and so does composing two
+operators that both carry tails, so whether a product closes depends on
+the operands' shape, not on their coefficients.  Applying with a
+nonlocal store works over the store's ring: operator and argument are
+promoted to it.
 Composition, adjoint and application implement the standard closure
 rules:
 
@@ -32,13 +33,13 @@ from types import MappingProxyType
 
 from .jetalg import (
     STRIDE, ContextMismatch, JetExpr, NotIntegrable, RelationSet,
-    antiderivative, coords_of, euler_derivative, frechet_coeffs,
-    integrate_by_parts, promote, rational, total_derivative,
+    antiderivative, coords_of, euler_derivative, frechet_coeffs, promote,
+    rational, total_derivative,
 )
 
 __all__ = [
     "NonClosedComposition", "UnknownOperator", "LocalOp", "PseudoOp",
-    "MatrixOp", "OperatorRegistry", "NonlocalStore",
+    "MatrixOp", "NonlocalStore",
     "frechet_row", "scaled_derivative_power", "transport_local",
     "solve_e_image", "Echelon",
 ]
@@ -49,7 +50,7 @@ class NonClosedComposition(ValueError):
 
 
 class UnknownOperator(KeyError):
-    """Reference to an operator name absent from the registry."""
+    """Reference to an inverse the applying store does not hold."""
 
 
 class LocalOp:
@@ -135,12 +136,8 @@ class LocalOp:
                 LocalOp.mult(c))
         return acc
 
-    def apply(self, e, jets=None):
-        """The image of e.  jets, when given, is e's derivative ladder
-        [e, D e, D^2 e, ...], extended here as far as this operator's
-        order, so callers applying several operators to e share it."""
-        if jets is None:
-            jets = [e]
+    def apply(self, e):
+        jets = [e]
         while len(jets) <= self.order:
             jets.append(total_derivative(jets[-1]))
         out = self.ring.zero()
@@ -222,16 +219,18 @@ def _merge_side(pairs, side):
 
 
 def _canon_tails(pairs):
-    """ Canonical tail form: drop zero factors, merge proportional
+    """Canonical tail form: drop zero factors, merge proportional
     right factors, then proportional left factors, until a round gives
     back its input."""
     pairs = [(p, q) for p, q in pairs if not p.is_zero and not q.is_zero]
-    for _ in range(6):
+    # this terminates: a round that merges nothing gives back its input
+    # after one normalization, and every other round removes a pair
+    while True:
         nxt = _merge_side(_merge_side(pairs, 1), 0)
         if nxt == pairs:
-            break
+            return tuple(sorted(pairs, key=lambda t: (t[1].key(),
+                                                      t[0].key())))
         pairs = nxt
-    return tuple(sorted(pairs, key=lambda t: (t[1].key(), t[0].key())))
 
 
 def _canon_words(words):
@@ -253,8 +252,9 @@ class PseudoOp:
 
     A word is a tuple (c, left, name, right): the rational c times
     left o inv[name] o right, with left and right local operators and
-    inv[name] the formal inverse of a registered operator.  Words are
-    built by the constructor and only ever applied."""
+    inv[name] the formal inverse of the operator the applying store
+    holds under name.  Words are built by the constructor and only ever
+    applied."""
 
     __slots__ = ("ring", "local", "tail", "words")
 
@@ -361,20 +361,16 @@ class PseudoOp:
 
     # -- application -----------------------------------------------------
 
-    def apply(self, e, store=None, jets=None):
+    def apply(self, e, store=None):
         """The image of e.  With a store, this operator and e are first
         promoted to the store's ring, and tails and words resolve
         through it; without one, the operator is promoted to e's ring,
-        tails must be exact and words raise UnknownOperator.  jets is
-        the derivative ladder of e over that ring, as in LocalOp.apply;
-        the local part and the words' right sides share it."""
+        tails must be exact and words raise UnknownOperator."""
         if store is not None:
             e = promote(e, store.ring)
         ring = e.ring
         me = self.promote(ring)
-        if jets is None:
-            jets = [e]
-        out = me.local.apply(e, jets)
+        out = me.local.apply(e)
         for p, q in me.tail:
             arg = q * e
             if store is None:
@@ -384,7 +380,7 @@ class PseudoOp:
         for c, left, name, right in me.words:
             if store is None:
                 raise UnknownOperator("inv[%s] needs a nonlocal store" % name)
-            cur = store.resolve_inv(name, right.apply(e, jets))
+            cur = store.resolve_inv(name, right.apply(e))
             out = out + ring.const(c) * left.apply(cur)
         return out
 
@@ -500,21 +496,17 @@ class MatrixOp:
 
     def apply(self, vector, store=None):
         """The image of vector, entry by entry as PseudoOp.apply; with
-        a store, the vector is promoted to the store's ring once.  Each
-        component's derivative ladder is built once, as far as the
-        highest order any entry of its column needs, and shared by
-        every row."""
+        a store, the vector is promoted to the store's ring once."""
         if len(vector) != self.shape[1]:
             raise ValueError("vector length mismatch")
         if store is not None:
             vector = [promote(x, store.ring) for x in vector]
-        ladders = [[x] for x in vector]
         out = []
         for row in self.grid:
             acc = vector[0].ring.zero()
-            for op, x, jets in zip(row, vector, ladders):
+            for op, x in zip(row, vector):
                 if not op.is_zero:
-                    acc = acc + op.apply(x, store, jets)
+                    acc = acc + op.apply(x, store)
             out.append(acc)
         return out
 
@@ -527,27 +519,6 @@ class MatrixOp:
 
     def __repr__(self):
         return "MatrixOp(%r)" % (self.grid,)
-
-
-class OperatorRegistry:
-    """Registered invertible operators, each skew-adjoint.
-
-    Registration records the operator, whose inverse the store resolves
-    through auxiliary relations."""
-
-    def __init__(self):
-        self._inverses = {}
-
-    def register_invertible(self, name, op):
-        if op.adjoint() != op.scaled(-1):
-            raise ValueError("operator %s is not skew-adjoint" % (name,))
-        self._inverses[name] = op
-
-    def invertible(self, name):
-        try:
-            return self._inverses[name]
-        except KeyError:
-            raise UnknownOperator(name) from None
 
 
 def solve_e_image(arg):
@@ -594,27 +565,35 @@ def solve_e_image(arg):
 
 
 class NonlocalStore:
-    """Resolution of formal antiderivatives and registered inverses.
+    """Resolution of formal antiderivatives and of the inverses of
+    named skew-adjoint operators.
 
     Auxiliary dependents come from a fixed pre-extended pool so the
     ring never changes mid-check.  A dinv argument is reduced, then
     matched as a parameter-monomial multiple of one prior core, then
     as a rational combination of prior cores with an exact remainder,
     found by solving its signature in an ``Echelon`` of the prior
-    cores' signatures (each kept from its allocation).  An exact
-    argument is the zero combination: it is integrated outright.
+    cores' signatures (each kept from its allocation), and the
+    remainder integrated by ``antiderivative``.  An exact argument is
+    the zero combination: it is integrated outright.
     Only genuinely new kernels allocate a fresh dependent, with its
     defining relation appended to the relation set.  Both sides of an
     identity therefore see identical nonlocal symbols.
 
-    A registered inverse is resolved by linearity over its earlier
-    arguments first; any registered operator equal to d^3 - d, whatever
-    its name, is then tried through the exact ``solve_e_image``."""
+    inverses maps each name a word may cite to a LocalOp, which must be
+    skew-adjoint; the constructor raises ValueError otherwise.  An
+    inverse is resolved by linearity over its earlier arguments first;
+    any operator equal to d^3 - d, whatever its name, is then tried
+    through the exact ``solve_e_image``."""
 
     DINV_POOL = 16
     INV_POOL = 6
 
-    def __init__(self, base_ring, relations=None, registry=None):
+    def __init__(self, base_ring, relations=None, inverses=None):
+        inverses = dict(inverses or {})
+        for name, op in inverses.items():
+            if op.adjoint() != op.scaled(-1):
+                raise ValueError("operator %s is not skew-adjoint" % (name,))
         pool = tuple("rho%d" % i for i in range(1, self.DINV_POOL + 1))
         pool += tuple("chi%d" % i for i in range(1, self.INV_POOL + 1))
         self.ring = base_ring.extend(pool)
@@ -622,7 +601,7 @@ class NonlocalStore:
             self.relations = RelationSet(self.ring)
         else:
             self.relations = _promote_relations(relations, self.ring)
-        self.registry = registry
+        self.inverses = inverses
         self._dinv_names = ["rho%d" % i for i in range(1, self.DINV_POOL + 1)]
         self._inv_names = ["chi%d" % i for i in range(1, self.INV_POOL + 1)]
         self.allocated = []
@@ -684,23 +663,24 @@ class NonlocalStore:
         remainder = _combine(core, [-alpha for alpha in sol],
                              [cj for _name, cj, _lead in self._dinv_cores])
         # the solve matched every Euler image, so the remainder's
-        # vanish and need no second check
+        # vanish and antiderivative's pre-check passes
         try:
-            extra = integrate_by_parts(remainder)
+            extra = antiderivative(remainder)
         except NotIntegrable:
             return None
         return _combine(extra, sol, [self.ring.coord(name)
                                      for name, _cj, _lead in self._dinv_cores])
 
     def resolve_inv(self, name, arg):
-        """The image of a registered inverse on arg: a rational
-        combination of earlier images when arg lies in the span of
-        their arguments, else the exact solve when the registered
-        operator is d^3 - d and arg lies in its image, otherwise an
-        auxiliary dependent constrained by the forward operator."""
-        if self.registry is None:
-            raise UnknownOperator("no registry attached to the store")
-        op = self.registry.invertible(name)
+        """The image of inv[name] on arg: a rational combination of
+        earlier images when arg lies in the span of their arguments,
+        else the exact solve when the operator is d^3 - d and arg lies
+        in its image, otherwise an auxiliary dependent constrained by
+        the forward operator."""
+        try:
+            op = self.inverses[name]
+        except KeyError:
+            raise UnknownOperator(name) from None
         core = self.relations.reduce(promote(arg, self.ring))
         if core.is_zero:
             return self.ring.zero()
@@ -737,8 +717,8 @@ class NonlocalStore:
         images.append(image)
 
     def _inv_affine(self, name, unit):
-        """Linearity of a registered inverse: match the argument as an
-        exact rational combination of previously resolved ones."""
+        """Linearity of an inverse: match the argument as an exact
+        rational combination of previously resolved ones."""
         span, images = self._inv_prior.get(name, (Echelon(), []))
         sol = span.solve(dict(unit.coeff_items()))
         if sol is None:

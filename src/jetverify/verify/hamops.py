@@ -6,8 +6,7 @@ from ..jetalg import (
     NotIntegrable, euler_derivative, promote, substitute, to_text,
 )
 from ..opcalc import (
-    LocalOp, NonlocalStore, OperatorRegistry, solve_e_image,
-    transport_local,
+    LocalOp, NonlocalStore, solve_e_image, transport_local,
 )
 from .. import catalog as _catalog
 from .base import (
@@ -25,16 +24,14 @@ def transported_kernel(C):
     """The kernel operator in the new variable, split as the density
     times a skew remainder.
 
-    Returns a registry holding the skew remainder ehat under "EHY"; the
-    full transported kernel is mult(u) o ehat."""
+    Returns the store inverses {"EHY": ehat}, ehat the skew remainder;
+    the full transported kernel is mult(u) o ehat.  A store built on
+    them raises unless ehat is exactly skew, which pins the density
+    split."""
     Y = _catalog.RING_Y
     u = Y.coord("u")
     full = transport_local(C.get("E").local, carry_coeff, u)
-    ehat = LocalOp.mult(u ** -1).compose(full)
-    registry = OperatorRegistry()
-    # raises unless ehat is exactly skew, which pins the density split
-    registry.register_invertible("EHY", ehat)
-    return registry
+    return {"EHY": LocalOp.mult(u ** -1).compose(full)}
 
 
 def _conjugation_residual(C, left_x, right_x, result_local):
@@ -150,9 +147,7 @@ def _bihamiltonian_nonlocal(C):
 
     h1 = C.get("H1")
     g1 = gradient(h1)
-    registry = OperatorRegistry()
-    registry.register_invertible("E", kernel)
-    store = NonlocalStore(X, relations=cons, registry=registry)
+    store = NonlocalStore(X, relations=cons, inverses={"E": kernel})
     # each row combines two inverse-kernel words whose arguments are
     # only jointly in the image; seeding the first row's combined
     # argument, built from the catalog's word sides, lets the store

@@ -286,7 +286,7 @@ def _aborted_row(spec, exc):
         notes=("%s: %s" % (type(exc).__name__, exc),))
 
 
-def _run_check(C, spec, seed, errata, stop_off_green, reused=None):
+def _run_check(C, spec, seed, errata, reused=None):
     """The rows one check yields over the catalog view C, each build's
     claim concluded with seed and errata; abnormal termination becomes
     a row.
@@ -294,22 +294,23 @@ def _run_check(C, spec, seed, errata, stop_off_green, reused=None):
     Reductions over a corrupted catalog may legitimately throw (a
     perturbed relation can stop being solvable), so the harness maps
     any exception to a single undecidable row instead of propagating,
-    discarding the rows yielded before it.  With stop_off_green the
-    check stops after the first row that is neither a pass nor an
-    erratum.  A row id found in reused takes a copy of that row in place
-    of building it.  Each row's elapsed_ms is the time from the check's
-    start or its previous row to that row."""
+    discarding the rows yielded before it.  A reused dict, even an
+    empty one, marks a mutated run: a row id found in it takes a copy
+    of that row in place of building it, and the check stops after the
+    first row that is neither a pass nor an erratum.  Each row's
+    elapsed_ms is the time from the check's start or its previous row
+    to that row."""
     rows = []
     started = time.perf_counter()
     try:
         for rid, build in spec.runner(C):
-            if reused and rid in reused:
+            if reused is not None and rid in reused:
                 row = copy.copy(reused[rid])
             else:
                 row = conclude(rid, build(), seed, errata)
             row.elapsed_ms = (time.perf_counter() - started) * 1000
             rows.append(row)
-            if stop_off_green and not all_clear((row,)):
+            if reused is not None and not all_clear((row,)):
                 break
             started = time.perf_counter()
     except Exception as exc:
@@ -333,8 +334,7 @@ def run_suite(selection=None, seed=0, errata=None, catalog=None):
         catalog = _catalog.CATALOG
     rows = []
     for name in names:
-        rows.extend(_run_check(catalog, _BY_NAME[name], seed, errata,
-                               stop_off_green=False))
+        rows.extend(_run_check(catalog, _BY_NAME[name], seed, errata))
     seen = set()
     for row in rows:
         if row.id in seen:
@@ -454,5 +454,4 @@ def run_mutated(name, ident, slot, seed=0):
     reused = {rid: row
               for rid, (row, reads) in _unmutated_rows(name, seed).items()
               if ident not in reads}
-    return _run_check(view, spec, seed, load_ledger(), stop_off_green=True,
-                      reused=reused)
+    return _run_check(view, spec, seed, load_ledger(), reused)

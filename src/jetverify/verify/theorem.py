@@ -48,9 +48,9 @@ def transport_pseudo(op, jac, inverse_map):
 class Transport:
     """Shared scaffolding for the theorem checks, each part built the
     first time a row asks for it, so a row builds only what it reads:
-    the derived Jacobian data, the registered transported kernel, both
-    Hamiltonian operators in the new variable, and the stated matrices
-    with coefficients reduced to the density pair."""
+    the derived Jacobian data, the transported kernel's skew remainder,
+    both Hamiltonian operators in the new variable, and the stated
+    matrices with coefficients reduced to the density pair."""
 
     def __init__(self, C):
         self.C = C
@@ -60,7 +60,7 @@ class Transport:
         return _derived_jacobians(self.C)
 
     @cached_property
-    def registry(self):
+    def inverses(self):
         return transported_kernel(self.C)
 
     @cached_property
@@ -307,7 +307,7 @@ def _jt2_check(C, tr):
     the stated composed normal form identifies which momentum-side
     operator produces it."""
     pairs = []
-    store = NonlocalStore(_catalog.RING_Y, registry=tr.registry)
+    store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
     for tag, vec in zip(("first", "second"),
                         _basis_vectors(_catalog.RING_Y)):
         lhs, _inner = _sandwich_residuals(tr, tr.j1, vec, store)
@@ -350,7 +350,7 @@ def _jt1_check(C, tr):
     original = []
     corrected = []
     by_identity = None
-    store = NonlocalStore(Y, registry=tr.registry)
+    store = NonlocalStore(Y, inverses=tr.inverses)
     for tag, vec in zip(("first", "second"), _basis_vectors(Y)):
         rhs = apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle, vec,
                              store)

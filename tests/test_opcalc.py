@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jet_strategies import canonical, random_expr
-from jetverify import jetalg, opcalc
+from jetverify import opcalc
 from jetverify.catalog import CATALOG
 from jetverify.jetalg import (
     ContextMismatch, NotIntegrable, RingContext, coords_of, frechet_coeffs,
@@ -17,7 +17,7 @@ from jetverify.jetalg import (
 )
 from jetverify.opcalc import (
     Echelon, LocalOp, MatrixOp, NonClosedComposition, NonlocalStore,
-    OperatorRegistry, PseudoOp, UnknownOperator, frechet_row,
+    PseudoOp, UnknownOperator, frechet_row,
     scaled_derivative_power, solve_e_image, transport_local,
 )
 
@@ -29,11 +29,13 @@ def D(e):
     return total_derivative(e)
 
 
-def make_registry():
-    reg = OperatorRegistry()
-    e_op = LocalOp(R, {3: R.one(), 1: -R.one()})
-    reg.register_invertible("E", e_op)
-    return reg, e_op
+# d^3 - d, the inverse the words below cite as "E"
+E_OP = LocalOp(R, {3: R.one(), 1: -R.one()})
+
+
+def e_store(**inverses):
+    """A store over R holding inv[E] and any further inverses."""
+    return NonlocalStore(R, inverses={"E": E_OP, **inverses})
 
 
 def word(left=None, right=None, coeff=1):
@@ -225,6 +227,24 @@ def test_tail_canonicalization_stops_at_a_fixed_round(monkeypatch):
     assert t.tail == ((R.coord("u"), 6 * R.coord("s")),)
 
 
+def test_tail_merges_cascade_to_the_fixed_point():
+    # round k merges the pairs whose right factor is s_0 + ... + s_(k-1);
+    # only their summed left factor u_0 + ... + u_k matches the left
+    # factor of the pair with right factor s_k, and that merge makes the
+    # right factor of round k + 1: eight rounds down to one pair
+    steps = 8
+    us = [R.coord("u", k) for k in range(steps + 1)]
+    ss = [R.coord("s", k) for k in range(steps + 1)]
+    pairs = [(us[0], ss[0]), (us[1], ss[0]), (us[0] + us[1], ss[1])]
+    for k in range(2, steps + 1):
+        pairs.append((us[k], sum(ss[:k], R.zero())))
+        pairs.append((sum(us[:k + 1], R.zero()), ss[k]))
+    merged = PseudoOp.from_tail(sum(us, R.zero()), sum(ss, R.zero()))
+    got = PseudoOp(R, None, pairs)
+    assert len(got.tail) == 1
+    assert got == merged
+
+
 def test_mixed_associativity_with_single_tail():
     rng = random.Random(7)
     for _ in range(N_CASES):
@@ -256,7 +276,7 @@ def test_pseudo_adjoint_involution_and_contravariance():
         assert b.compose(a).adjoint() == a.adjoint().compose(b.adjoint())
 
 
-# -- words and the registry ------------------------------------------------
+# -- words and their inverses ----------------------------------------------
 
 
 def test_compose_and_adjoint_of_a_word_raise():
@@ -299,17 +319,19 @@ def test_word_scaled_by_zero_expression_is_zero():
     assert got == PseudoOp.zero(R)
 
 
-def test_register_invertible_rejects_wrong_sign():
-    reg = OperatorRegistry()
+def test_store_rejects_an_inverse_that_is_not_skew():
     # d^3 + d^2 - d is not skew: its adjoint is -d^3 + d^2 + d
     e_op = LocalOp(R, {3: R.one(), 2: R.one(), 1: -R.one()})
-    with pytest.raises(ValueError):
-        reg.register_invertible("E", e_op)
-    with pytest.raises(UnknownOperator):
-        reg.invertible("E")
-    skew = LocalOp(R, {3: R.one(), 1: -R.one()})
-    reg.register_invertible("E", skew)
-    assert reg.invertible("E") == skew
+    with pytest.raises(ValueError, match="operator E is not skew-adjoint"):
+        NonlocalStore(R, inverses={"E": e_op})
+    # a name the store does not hold is unknown
+    arg = R.coord("u") ** 2
+    for store in (NonlocalStore(R), e_store()):
+        with pytest.raises(UnknownOperator):
+            store.resolve_inv("K", arg)
+    store = e_store()
+    assert store.inverses["E"] == E_OP
+    assert store.resolve_inv("E", arg) == store.ring.coord("chi1")
 
 
 def test_coefficient_walk_order_and_map():
@@ -340,8 +362,7 @@ def test_coefficient_walk_order_and_map():
 
 
 def test_apply_exact_antiderivative_keeps_store_clean():
-    reg, _ = make_registry()
-    store = NonlocalStore(R, registry=reg)
+    store = e_store()
     u = store.ring.coord("u")
     t = PseudoOp.from_tail(store.ring.one(), store.ring.one())
     assert t.apply(u * D(u), store) == u * u / 2
@@ -407,28 +428,17 @@ def test_store_affine_match_avoids_fresh_auxiliary():
     assert len(store.allocated) == 2
 
 
-def test_store_match_derives_each_euler_image_once(monkeypatch):
-    # the signature solve already matched every Euler image of the
-    # argument, so the matched remainder is integrated without
-    # recomputing the remainder's images
+def test_store_match_integrates_the_matched_remainder():
+    # the signature solve matches the argument's Euler images against
+    # the allocated cores; the exact remainder is integrated outright
     store = NonlocalStore(R)
     ring = store.ring
     u, u1, s1 = ring.coord("u"), ring.coord("u", 1), ring.coord("s", 1)
     rho_a = store.resolve_dinv(u1 ** 2)
     rho_b = store.resolve_dinv(s1 ** 2)
-    calls = []
-    original = jetalg.euler_derivative
-
-    def counted(e, dep):
-        calls.append(dep)
-        return original(e, dep)
-
-    monkeypatch.setattr(jetalg, "euler_derivative", counted)
-    monkeypatch.setattr(opcalc, "euler_derivative", counted)
     got = store.resolve_dinv(u1 ** 2 + 2 * s1 ** 2 + D(u ** 3))
     assert got == rho_a + 2 * rho_b + u ** 3
-    # one image per dependent of the argument, for its signature
-    assert sorted(calls) == ["s", "u"]
+    assert len(store.allocated) == 2
 
 
 def test_store_reduces_argument_before_resolving():
@@ -442,20 +452,17 @@ def test_store_reduces_argument_before_resolving():
 
 def test_resolve_inv_exact_image():
     # the exact solve goes by the operator, d^3 - d, not by its name
-    reg, e_op = make_registry()
-    reg.register_invertible("K", e_op)
     for name in ("E", "K"):
-        store = NonlocalStore(R, registry=reg)
+        store = e_store(K=E_OP)
         ring = store.ring
         p = ring.coord("u") * ring.coord("u", 1)
-        arg = e_op.promote(ring).apply(p)
+        arg = E_OP.promote(ring).apply(p)
         assert store.resolve_inv(name, arg) == p
         assert store.allocated == []
 
 
 def test_resolve_inv_falls_back_to_constrained_auxiliary():
-    reg, e_op = make_registry()
-    store = NonlocalStore(R, registry=reg)
+    store = e_store()
     ring = store.ring
     arg = ring.coord("u") ** 2
     got = store.resolve_inv("E", arg)
@@ -464,7 +471,7 @@ def test_resolve_inv_falls_back_to_constrained_auxiliary():
     assert rule.order == 3
     # the defining relation inverts the forward operator
     chi = ring.coord("chi1")
-    forward = e_op.promote(ring).apply(chi)
+    forward = E_OP.promote(ring).apply(chi)
     assert store.reduce(forward - arg).is_zero
     # repeats and rational multiples share the auxiliary
     assert store.resolve_inv("E", 5 * arg) == 5 * got
@@ -552,8 +559,7 @@ def test_apply_compose_coherence():
 
 
 def test_word_apply_coherence_with_inverse():
-    reg, e_op = make_registry()
-    store = NonlocalStore(R, registry=reg)
+    store = e_store()
     ring = store.ring
     u = ring.coord("u")
     op = word(LocalOp.mult(R.coord("u")))
@@ -564,7 +570,6 @@ def test_word_apply_coherence_with_inverse():
 def test_store_apply_promotes_operator_and_argument():
     # applied with a store, base-ring operators and vectors give the
     # image of the explicitly promoted call, on the store's ring
-    reg, _ = make_registry()
     u, s, i = R.coord("u"), R.coord("s"), R.coord("i")
     op = (PseudoOp.from_local(LocalOp(R, {1: u, 0: s}))
           + PseudoOp.from_tail(u, D(s) * i)
@@ -572,8 +577,8 @@ def test_store_apply_promotes_operator_and_argument():
     mat = MatrixOp([[op, PseudoOp.from_expr(i)],
                     [PseudoOp.zero(R), op.scaled(u)]])
     vec = [s * D(i), u]
-    implicit = NonlocalStore(R, registry=reg)
-    explicit = NonlocalStore(R, registry=reg)
+    implicit = e_store()
+    explicit = e_store()
     ring = explicit.ring
     assert promote(vec[0], vec[0].ring) is vec[0]
     assert op.promote(R) is op
@@ -652,11 +657,9 @@ def test_matrix_compose_against_entrywise_application():
         assert all((x - y).is_zero for x, y in zip(via_compose, via_apply))
 
 
-def test_matrix_apply_builds_each_derivative_ladder_once(monkeypatch):
-    # every row shares each component's ladder, through local parts and
-    # word right sides alike, and the image is the entrywise one
-    reg = OperatorRegistry()
-    reg.register_invertible("K", LocalOp.derivative(R))
+def test_matrix_apply_is_the_entrywise_image():
+    # local parts and word right sides alike give, row by row, the sum
+    # of the entries' images
     one = LocalOp.identity(R)
     d = LocalOp.derivative
     m = MatrixOp([
@@ -665,21 +668,11 @@ def test_matrix_apply_builds_each_derivative_ladder_once(monkeypatch):
         [PseudoOp(R, None, (), [(Fraction(1), one, "K", d(R, 2))]),
          PseudoOp.from_local(d(R, 2))]])
     vec = [R.coord("i"), R.coord("j")]
-    plain = NonlocalStore(R, registry=reg)
+    inverses = {"K": LocalOp.derivative(R)}
+    plain = NonlocalStore(R, inverses=inverses)
     want = [sum((op.apply(x, plain) for op, x in zip(row, vec)),
                 plain.ring.zero()) for row in m.grid]
-    calls = []
-    original = opcalc.total_derivative
-
-    def counted(e):
-        calls.append(e)
-        return original(e)
-
-    monkeypatch.setattr(opcalc, "total_derivative", counted)
-    got = m.apply(vec, NonlocalStore(R, registry=reg))
-    assert got == want
-    # orders 3 and 2 in the first column, 1 and 2 in the second
-    assert len(calls) == 3 + 2
+    assert m.apply(vec, NonlocalStore(R, inverses=inverses)) == want
 
 
 def test_matrix_adjoint_transposes():
@@ -735,12 +728,11 @@ def test_split_tails_already_merge_at_rung_one():
 
 
 def test_ladder_rung_two_uses_inverse_linearity():
-    reg, _ = make_registry()
     a = LocalOp.mult(R.coord("s"))
     b = LocalOp.mult(R.coord("u"))
     lhs = word(right=a) + word(right=b)
     rhs = word(right=a + b)
-    store = NonlocalStore(R, registry=reg)
+    store = e_store()
     f = store.ring.coord("i")
     left = lhs.apply(f, store)
     assert len(store.allocated) == 2
@@ -751,21 +743,19 @@ def test_ladder_rung_two_uses_inverse_linearity():
 
 
 def test_ladder_rung_two_decides_words():
-    reg, _ = make_registry()
     u = R.coord("u")
     lhs = word(LocalOp.mult(u)) + word(LocalOp.mult(R.one() - u))
-    store = NonlocalStore(R, registry=reg)
+    store = e_store()
     f = store.ring.coord("i")
     assert store.reduce(lhs.apply(f, store)
                         - word().apply(f, store)).is_zero
 
 
 def test_ladder_reports_nonzero_residual_with_witness():
-    reg, _ = make_registry()
     u = LocalOp.mult(R.coord("u"))
     lhs = word(left=u)
     rhs = word(right=u)
-    store = NonlocalStore(R, registry=reg)
+    store = e_store()
     f = store.ring.coord("i")
     diff = store.reduce(lhs.apply(f, store) - rhs.apply(f, store))
     assert not diff.is_zero

@@ -9,6 +9,7 @@ import hashlib
 import importlib.util
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -393,8 +394,7 @@ def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
 
     monkeypatch.setattr(PseudoOp, "adjoint", broken)
     spec = suite.CheckSpec("theorem1", t2_only, "Jt2", "", "", ())
-    rows = suite._run_check(catalog.CATALOG, spec, 0, load_ledger(),
-                            stop_off_green=False)
+    rows = suite._run_check(catalog.CATALOG, spec, 0, load_ledger())
     assert [(r.id, r.status) for r in rows] == [("theorem1", UNDECIDABLE)]
     assert rows[0].notes == ("ZeroDivisionError: probe",)
 
@@ -447,6 +447,25 @@ def test_each_premise_of_the_corrected_jt1_identity_is_checked(prop):
     tr = theorem.Transport(catalog.CATALOG)
     setattr(tr, prop, getattr(tr, prop).scaled(2))
     assert not theorem._corrected_identity_holds(tr)
+
+
+def _u_diagonal(ring):
+    u = ring.coord("u")
+    zero = PseudoOp.zero(ring)
+    return MatrixOp(((PseudoOp.from_expr(u), zero),
+                     (zero, PseudoOp.from_expr(u))))
+
+
+def test_t2_is_minus_u_times_the_adjoint_of_t1():
+    # T2 = -u T1*, entrywise u q* - u p* w_k = -u (p w_k - q)*: the
+    # identity a theorem1.t2 claim can state in place of its search over
+    # adjoint readings, on the raw entries and on the mapped ones
+    t1, t2 = catalog.CATALOG.get("T1"), catalog.CATALOG.get("T2")
+    diag = _u_diagonal(t1.ring)
+    assert diag.compose(t1.adjoint()).scaled(-1) == t2
+    assert diag.compose(t1.adjoint()) != t2
+    tr = theorem.Transport(catalog.CATALOG)
+    assert tr.mapped(diag).compose(tr.t1.adjoint()).scaled(-1) == tr.t2
 
 
 def _jt1_record(cat):
@@ -566,3 +585,17 @@ def test_a_constant_gauge_keeps_zero_curvature(gauge):
         ("zc_main", PASS), ("zc_trans", PASS), ("appendix_b.zc", PASS),
         ("appendix_b.zc_trans", PASS), ("appendix_b.conservation", PASS),
         ("appendix_b.reciprocal", PASS)]
+
+
+@pytest.mark.parametrize("c", (Fraction(2), Fraction(-3, 5)), ids=str)
+def test_scaling_j1_against_h1_keeps_the_bihamiltonian_rows(c):
+    # a metamorphic relation: J1 -> c J1 with H1 -> H1 / c keeps the
+    # flow J1 grad H1, so both rows keep their pass
+    j1, h1 = (catalog.CATALOG.entry(ident) for ident in ("J1", "H1"))
+    scaled = j1.value.scaled(c)
+    assert scaled != j1.value
+    view = catalog.CatalogView({"J1": j1._replace(value=scaled),
+                                "H1": h1._replace(value=h1.value / c)})
+    rows = suite.run_suite(selection=("bihamiltonian_x",), catalog=view)
+    assert [(r.id, r.status) for r in rows] == [
+        ("bihamiltonian_x.local", PASS), ("bihamiltonian_x.nonlocal", PASS)]
