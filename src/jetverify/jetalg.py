@@ -30,7 +30,8 @@ and integrals of the variational calculus:
   re-tag of indices that never multiplies; a ring extended by
   appending keeps every index, so the promoted value shares its
   numerators.
-* ``random_eval``: an exact rational point-evaluation oracle.
+* ``random_eval``: exact rational evaluation at a point, a mapping
+  from each jet (name, order) and parameter name to a rational.
 
 All values are immutable after construction.  Equality of expressions
 is structural equality of canonical normal forms; ``random_eval`` is a
@@ -90,8 +91,8 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 __all__ = [
-    "RingContext", "JetExpr", "Rule", "RelationSet", "SystemDef", "Assignment",
-    "ContextMismatch", "NotIntegrable", "NotReducible", "EvalDivisionByZero",
+    "RingContext", "JetExpr", "Rule", "RelationSet", "SystemDef",
+    "ContextMismatch", "NotIntegrable", "NotReducible",
     "MissingEvolutionRule",
     "total_derivative", "partial_derivative", "evolutionary_derivative",
     "euler_derivative", "frechet_coeffs", "is_total_derivative", "antiderivative",
@@ -114,10 +115,6 @@ class NotIntegrable(ValueError):
 
 class NotReducible(ValueError):
     """No normal form exists under the requested rewriting."""
-
-
-class EvalDivisionByZero(ZeroDivisionError):
-    """A numeric assignment hit a zero base at a negative exponent."""
 
 
 class MissingEvolutionRule(KeyError):
@@ -980,66 +977,34 @@ def promote(e, ring):
 
 # -- numeric oracle ------------------------------------------------------
 
-class Assignment:
-    """Exact rational values for jet coordinates and parameters.
-
-    Values are held as Fractions even when integral, unlike expression
-    coefficients: ``random_eval`` raises them to negative powers, and
-    an int base would give a float."""
-
-    __slots__ = ("values", "params")
-
-    def __init__(self, values, params=None):
-        self.values = {k: Fraction(rational(v)) for k, v in values.items()}
-        self.params = {k: Fraction(rational(v))
-                       for k, v in (params or {}).items()}
-
-    def value(self, dep, order):
-        try:
-            return self.values[(dep, order)]
-        except KeyError:
-            raise KeyError("assignment missing %s_%d" % (dep, order)) from None
-
-    def param(self, name):
-        try:
-            return self.params[name]
-        except KeyError:
-            raise KeyError("assignment missing parameter %s" % (name,)) from None
-
-
-def random_eval(e, assignment):
-    """Exact rational value of e at the assignment."""
+def random_eval(e, point):
+    """Exact rational value of e at point, which maps each jet
+    (name, order) and parameter name of e to an exact rational.  The
+    values become Fractions, so an int base at a negative power stays
+    exact, and a zero base there raises ZeroDivisionError."""
+    point = {k: Fraction(rational(v)) for k, v in point.items()}
     ring = e.ring
     total = Fraction(0)
     for (vk, pk), c in e.coeff_items():
         val = c
         for g, ex in vk:
-            name, k = ring.dependents[g // STRIDE], g % STRIDE
-            base = assignment.value(name, k)
-            if base == 0 and ex < 0:
-                raise EvalDivisionByZero("%s_%d = 0 raised to %d"
-                                         % (name, k, ex))
-            val *= base ** ex
+            val *= point[ring.dependents[g // STRIDE], g % STRIDE] ** ex
         for pidx, ex in pk:
-            base = assignment.param(ring.parameters[pidx])
-            if base == 0 and ex < 0:
-                raise EvalDivisionByZero("parameter %s = 0 raised to %d"
-                                         % (ring.parameters[pidx], ex))
-            val *= base ** ex
+            val *= point[ring.parameters[pidx]] ** ex
         total += val
     return total
 
 
 def random_assignment(rng, coords, params=()):
-    """Nonzero rational test point: numerators in -9..9, denominators
-    up to 7, drawn from the supplied random generator."""
+    """Nonzero rational test point for ``random_eval``: numerators in
+    -9..9, denominators up to 7, drawn from the supplied random
+    generator for the coordinates, then for the parameters."""
     def draw():
         num = rng.choice([n for n in range(-9, 10) if n])
         den = rng.randint(1, 7)
         return Fraction(num, den)
 
-    return Assignment({c: draw() for c in coords},
-                      {p: draw() for p in params})
+    return {key: draw() for key in (*coords, *params)}
 
 
 def perturb_term(e, index):

@@ -325,22 +325,18 @@ class PseudoOp:
         ring = self.ring
         local = self.local.compose(other.local)
         tails = []
-        # local o tail: pass the derivation through, then scale
+        # local o tail: d (p dinv q) = p q + p_x dinv q, so each pass
+        # of the derivation releases p q and differentiates p
         for p, q in other.tail:
             for k, c in self.local.coeffs.items():
                 loc = LocalOp(ring, {})
-                cur = [(p, q)]
+                pk = p
                 for _ in range(k):
-                    loc = LocalOp.derivative(ring).compose(loc)
-                    released = ring.zero()
-                    nxt = []
-                    for pp, qq in cur:
-                        released = released + pp * qq
-                        nxt.append((total_derivative(pp), qq))
-                    loc = loc + LocalOp.mult(released)
-                    cur = nxt
+                    loc = (LocalOp.derivative(ring).compose(loc)
+                           + LocalOp.mult(pk * q))
+                    pk = total_derivative(pk)
                 local = local + LocalOp.mult(c).compose(loc)
-                tails.extend((c * pp, qq) for pp, qq in cur)
+                tails.append((c * pk, q))
         # tail o local: integrate by parts down to a pure tail
         for p, q in self.tail:
             for k, c in other.local.coeffs.items():
@@ -594,16 +590,14 @@ class NonlocalStore:
         for name, op in inverses.items():
             if op.adjoint() != op.scaled(-1):
                 raise ValueError("operator %s is not skew-adjoint" % (name,))
-        pool = tuple("rho%d" % i for i in range(1, self.DINV_POOL + 1))
-        pool += tuple("chi%d" % i for i in range(1, self.INV_POOL + 1))
-        self.ring = base_ring.extend(pool)
+        self._dinv_names = ["rho%d" % i for i in range(1, self.DINV_POOL + 1)]
+        self._inv_names = ["chi%d" % i for i in range(1, self.INV_POOL + 1)]
+        self.ring = base_ring.extend(self._dinv_names + self._inv_names)
         if relations is None:
             self.relations = RelationSet(self.ring)
         else:
             self.relations = _promote_relations(relations, self.ring)
         self.inverses = inverses
-        self._dinv_names = ["rho%d" % i for i in range(1, self.DINV_POOL + 1)]
-        self._inv_names = ["chi%d" % i for i in range(1, self.INV_POOL + 1)]
         self.allocated = []
         self._dinv_cores = []       # (name, core, leading term)
         self._dinv_span = Echelon()  # the cores' signatures

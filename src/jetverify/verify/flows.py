@@ -116,10 +116,11 @@ def _parametrized_time_rules(sysdef, map_):
 
 
 def _constraint_equations(sysdef, map_):
-    """The momentum constraints confronted with the parametrization."""
+    """The momentum constraints confronted with the parametrization,
+    keyed by the constrained momentum."""
     subs = map_.substitutions
-    cons = sysdef.constraints
-    return [cons.rules[dep].rhs - subs[dep] for dep in cons.rules]
+    return {dep: rule.rhs - subs[dep]
+            for dep, rule in sysdef.constraints.rules.items()}
 
 
 def _orient_constraints(sysdef, map_):
@@ -128,7 +129,7 @@ def _orient_constraints(sysdef, map_):
     Each equation in turn, reduced by the rules so far, is solved for
     its top potential jet (q on a tie); the original equations must then
     reduce to zero."""
-    eqs = _constraint_equations(sysdef, map_)
+    eqs = _constraint_equations(sysdef, map_).values()
     rules = RelationSet(sysdef.ring)
     for eq in eqs:
         eq = rules.reduce(eq)
@@ -213,15 +214,14 @@ def reciprocal(C):
         # momentum constraints factor through the third-order kernel
         # expressions with a single density prefactor
         flows = C.get("flow.intermediate")
-        eq_r, eq_q = _constraint_equations(C.get("sys.main"),
-                                           C.get("recip.main"))
+        eqs = _constraint_equations(C.get("sys.main"), C.get("recip.main"))
         u = Y.coord("u")
         return Claim(
             C.citation("flow.intermediate"),
             [("first transported constraint minus density times its "
-              "kernel reading", to_y(eq_r) - u * flows["kernelr"]),
+              "kernel reading", to_y(eqs["v"]) - u * flows["kernelr"]),
              ("second transported constraint minus density times its "
-              "kernel reading", to_y(eq_q) - u * flows["kernelq"])],
+              "kernel reading", to_y(eqs["w"]) - u * flows["kernelq"])],
             NORMAL_FORM)
 
     def flowlink():

@@ -6,7 +6,7 @@ from ..jetalg import (
     NotIntegrable, euler_derivative, promote, substitute, to_text,
 )
 from ..opcalc import (
-    LocalOp, NonlocalStore, solve_e_image, transport_local,
+    LocalOp, NonlocalStore, PseudoOp, solve_e_image, transport_local,
 )
 from .. import catalog as _catalog
 from .base import (
@@ -32,6 +32,25 @@ def transported_kernel(C):
     u = Y.coord("u")
     full = transport_local(C.get("E").local, carry_coeff, u)
     return {"EHY": LocalOp.mult(u ** -1).compose(full)}
+
+
+def transport_pseudo(op, jac):
+    """A pseudo-differential operator carried through the variable
+    change: coefficients through the momentum parametrization, the
+    derivation rescaled by the density, and integral tails reweighted.
+    A word citing inv[E] cites inv[EHY] of ``transported_kernel``
+    instead, the density 1/jac folded into its right side; a word
+    citing any other name raises KeyError."""
+    local = transport_local(op.local, carry_coeff, jac)
+    tail = [(carry_coeff(p), carry_coeff(q) / jac) for p, q in op.tail]
+    words = []
+    for scalar, left, name, right in op.words:
+        if name != "E":
+            raise KeyError("no transported inverse for %s" % (name,))
+        right = transport_local(right, carry_coeff, jac).scaled(jac ** -1)
+        words.append((scalar, transport_local(left, carry_coeff, jac),
+                      "EHY", right))
+    return PseudoOp(jac.ring, local, tail, words)
 
 
 def _conjugation_residual(C, left_x, right_x, result_local):

@@ -24,25 +24,7 @@ from ..opcalc import (
 )
 from .. import catalog as _catalog
 from .base import NORMAL_FORM, TEST_VECTOR, Claim, usdef_rules
-from .hamops import carry_coeff, transported_kernel
-
-
-def transport_pseudo(op, jac, inverse_map):
-    """A pseudo-differential operator carried through the variable
-    change: coefficients through the momentum parametrization, the
-    derivation rescaled by the density, integral tails reweighted, and
-    each named inverse replaced per inverse_map, its compensating
-    factor folded into the word's right side."""
-    ring = jac.ring
-    local = transport_local(op.local, carry_coeff, jac)
-    tail = [(carry_coeff(p), carry_coeff(q) / jac) for p, q in op.tail]
-    words = []
-    for scalar, left, name, right in op.words:
-        new_name, compensator = inverse_map[name]
-        right = transport_local(right, carry_coeff, jac).scaled(compensator)
-        words.append((scalar, transport_local(left, carry_coeff, jac),
-                      new_name, right))
-    return PseudoOp(ring, local, tail, words)
+from .hamops import carry_coeff, transport_pseudo, transported_kernel
 
 
 class Transport:
@@ -65,12 +47,11 @@ class Transport:
 
     @cached_property
     def j1(self):
-        u = _catalog.RING_Y.coord("u")
-        return self._transported("J1", {"E": ("EHY", u ** -1)})
+        return self._transported("J1")
 
     @cached_property
     def j2(self):
-        return self._transported("J2", {})
+        return self._transported("J2")
 
     @cached_property
     def smap(self):
@@ -106,10 +87,10 @@ class Transport:
     def middle(self):
         return self._mapped("Jt1.middle")
 
-    def _transported(self, ident, inverse_map):
+    def _transported(self, ident):
         u = _catalog.RING_Y.coord("u")
         return MatrixOp(tuple(
-            tuple(transport_pseudo(e, u, inverse_map) for e in row)
+            tuple(transport_pseudo(e, u) for e in row)
             for row in self.C.get(ident).grid))
 
     def _mapped(self, ident):

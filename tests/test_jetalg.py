@@ -16,7 +16,7 @@ from jet_strategies import (
     COEFFS, RING, canonical, exprs, monomials, random_expr,
 )
 from jetverify.jetalg import (
-    STRIDE, Assignment, ContextMismatch, EvalDivisionByZero, JetExpr,
+    STRIDE, ContextMismatch, JetExpr,
     MissingEvolutionRule, NotIntegrable, NotReducible, RelationSet,
     RingContext, SystemDef,
     antiderivative, coords_of, euler_derivative, evolutionary_derivative,
@@ -742,10 +742,13 @@ def test_promote_is_the_identity_substitution(e):
 
 def test_random_eval_fixed_cases():
     u = RX.coord("u")
-    a = Assignment({("u", 0): Fraction(3, 2)})
-    assert random_eval(u ** 2, a) == Fraction(9, 4)
-    b = Assignment({("u", 0): 2, ("u", 1): 6})
+    assert random_eval(u ** 2, {("u", 0): Fraction(3, 2)}) == Fraction(9, 4)
+    b = {("u", 0): 2, ("u", 1): 6}
     assert random_eval(u ** -1 * RX.coord("u", 1), b) == 3
+    ilam = RX.param("lam", -1)
+    assert random_eval(ilam * u, {("u", 0): 3, "lam": 6}) == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        random_eval(u, {("u", 0): 0.5})
 
 
 def test_random_eval_stays_exact_at_integral_points():
@@ -754,9 +757,7 @@ def test_random_eval_stays_exact_at_integral_points():
     u, s = RX.coord("u"), RX.coord("s")
     e = 3 * u ** -2 * s - 2 * s ** -1 + 5
     assert [type(c) for _key, c in e.coeff_items()] == [int] * 3
-    pt = Assignment({("u", 0): 2, ("s", 0): 1})
-    assert [type(v) for v in pt.values.values()] == [Fraction] * 2
-    got = random_eval(e, pt)
+    got = random_eval(e, {("u", 0): 2, ("s", 0): 1})
     assert type(got) is Fraction and got == Fraction(15, 4)
 
 
@@ -766,13 +767,15 @@ def test_random_assignment_draws_no_zero(e, seed):
     # so random_eval at its points never meets a zero base
     point = random_assignment(random.Random(seed), coords_of(e),
                               params_of(e))
-    assert all(point.values.values()) and all(point.params.values())
+    assert list(point) == list(coords_of(e)) + list(params_of(e))
+    assert all(point.values())
     random_eval(e, point)
 
 
 def test_random_eval_zero_base_sentinel():
-    a = Assignment({("u", 0): 0})
-    with pytest.raises(EvalDivisionByZero):
+    # Fraction's own ZeroDivisionError, not a float infinity
+    a = {("u", 0): 0}
+    with pytest.raises(ZeroDivisionError):
         random_eval(RX.coord("u") ** -1, a)
     assert random_eval(RX.coord("u") ** 2, a) == 0
 

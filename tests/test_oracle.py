@@ -4,17 +4,22 @@ Each derivation is recomputed by sympy on generated expressions, with
 jet coordinates as derivatives of undefined functions of the
 independent variable and parameters as symbols, and the two results
 must agree after expansion.  sympy shares no code with the kernel, so
-agreement is an independent confirmation of the derivation rules."""
+agreement is an independent confirmation of the derivation rules.  The
+zero curvature of the main spectral pair is re-derived the same way
+from the catalog leaves, and its verdict compared with the suite's."""
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from sympy.calculus.euler import euler_equations
 
 from jet_strategies import RING, exprs, monomials
+from jetverify import catalog
 from jetverify.jetalg import (
     STRIDE, RingContext, euler_derivative, substitute, total_derivative,
 )
 from jetverify.opcalc import LocalOp
+from jetverify.verify import PASS, suite
 
 TARGET = RingContext("y", ("u", "v"), ("lam",))
 
@@ -118,3 +123,41 @@ def test_substitute_matches_sympy(e, image_u, image_v, jacobian):
                  sympy_image(e, rules, TARGET.one()))
     assert agree(substitute(e, rules, target_ring=TARGET, jacobian=jacobian),
                  sympy_image(e, rules, jacobian))
+
+
+def zc_main_curvature(C):
+    """The 16 entries of U_t - V_x + [U, V] for lax.main on the flow
+    sys.main, re-derived in sympy from the leaves of the catalog view C.
+
+    The time derivative is the derivative in eps at 0 of U with each
+    evolved dependent f replaced by f + eps f_t, and each constrained
+    momentum is then replaced by its constraint."""
+    pair, sysdef = C.get("lax.main"), C.get("sys.main")
+    ring, x, eps = pair.ring, SYMBOLS["x"], sympy.Symbol("eps")
+    U, V = ([[to_sympy(e) for e in row] for row in half]
+            for half in (pair.space, pair.time))
+    flow = {function(ring, dep): function(ring, dep) + eps * to_sympy(rhs)
+            for dep, rhs in sysdef.evolution.items()}
+    constraints = {function(ring, dep): to_sympy(rule.rhs)
+                   for dep, rule in sysdef.constraints.rules.items()}
+    out = []
+    for a in range(4):
+        for b in range(4):
+            ut = sympy.diff(U[a][b].subs(flow).doit(), eps).subs(eps, 0)
+            e = ut - sympy.diff(V[a][b], x) + sum(
+                U[a][k] * V[k][b] - V[a][k] * U[k][b] for k in range(4))
+            out.append(sympy.expand(e.subs(constraints).doit()))
+    return out
+
+
+def test_zc_main_is_flat_in_sympy():
+    assert zc_main_curvature(catalog.CATALOG) == [0] * 16
+    assert [r.status for r in suite.run_suite(selection="zc_main")] == [PASS]
+
+
+@pytest.mark.parametrize("ident,slot", suite.sample_mutations("zc_main", 3))
+def test_zc_main_verdict_on_a_mutant_matches_sympy(ident, slot):
+    flat = zc_main_curvature(catalog.CATALOG.with_mutation(ident, slot)) \
+        == [0] * 16
+    rows = suite.run_mutated("zc_main", ident, slot)
+    assert flat == ([r.status for r in rows] == [PASS])

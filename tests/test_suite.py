@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 from jetverify import catalog
+from jetverify.jetalg import RelationSet, SystemDef
 from jetverify.opcalc import MatrixOp, PseudoOp
 from jetverify.verify import (
     Claim, ERRATUM, ErratumEntry, FAIL, NORMAL_FORM, OrderCapExceeded, PASS,
-    UNDECIDABLE, suite, theorem,
+    UNDECIDABLE, hamops, suite, theorem,
 )
 from jetverify.verify.base import MAX_ORDER, conclude
 from jetverify.verify.errata import load_ledger
@@ -125,6 +126,8 @@ def test_a_bare_check_id_selects_that_check():
         == records(suite.run_suite(selection=("prop2",)))
     with pytest.raises(KeyError):
         suite.resolve_selection("prop3")
+    with pytest.raises(KeyError):
+        suite.resolve_selection("all")
 
 
 def test_mutation_surface_sizes():
@@ -292,7 +295,7 @@ def test_sampled_mutants_turn_the_check_off_green(check):
     # the sensitivity invariant: corrupting any coefficient a check
     # reads must leave it not all clear
     survivors = [(ident, slot)
-                 for ident, slot in suite.sample_mutations(check, 10, seed=0)
+                 for ident, slot in suite.sample_mutations(check, 10)
                  if suite.all_clear(suite.run_mutated(check, ident, slot))]
     assert survivors == []
 
@@ -315,7 +318,7 @@ def _yielded_before_abort(check, view):
 # raises after its first row has already failed
 PREFIX_MUTANTS = tuple(
     (check, ident, slot) for check in SLOTS
-    for ident, slot in suite.sample_mutations(check, 3, seed=0)) \
+    for ident, slot in suite.sample_mutations(check, 3)) \
     + (("bihamiltonian_x", "sys.main", 12),)
 
 
@@ -468,6 +471,18 @@ def test_t2_is_minus_u_times_the_adjoint_of_t1():
     assert tr.mapped(diag).compose(tr.t1.adjoint()).scaled(-1) == tr.t2
 
 
+def test_transport_carries_only_inverse_words_of_the_kernel():
+    # inv[E] becomes inv[EHY], the skew remainder of the transported
+    # kernel; no other inverse has a transported counterpart
+    u = catalog.RING_Y.coord("u")
+    op = catalog.CATALOG.get("J1").grid[0][0]
+    assert [w[2] for w in hamops.transport_pseudo(op, u).words] == ["EHY"]
+    other = PseudoOp(op.ring, op.local, op.tail,
+                     [(c, left, "F", right) for c, left, _n, right in op.words])
+    with pytest.raises(KeyError):
+        hamops.transport_pseudo(other, u)
+
+
 def _jt1_record(cat):
     (row,) = [r for r in suite.run_suite(catalog=cat, selection="theorem1")
               if r.id == "theorem1.jt1"]
@@ -515,7 +530,7 @@ def test_rows_outside_a_mutant_keep_their_records(check, rows):
     plain = {r.id: r.to_record() for r in rows}
     row_reads = _recorded_reads(check)
     compared = 0
-    for ident, slot in suite.sample_mutations(check, 3, seed=0):
+    for ident, slot in suite.sample_mutations(check, 3):
         view = catalog.CATALOG.with_mutation(ident, slot)
         full = {r.id: r.to_record()
                 for r in suite.run_suite(selection=check, catalog=view)}
@@ -542,18 +557,30 @@ def test_row_records_do_not_depend_on_build_order(check, rows):
             assert row.to_record() == plain[rid], rid
 
 
-def _unit_lower_gauge(ring):
-    """G = I + N with N strictly lower triangular and integral, and
-    its inverse I - N + N^2 - N^3, since N^4 = 0."""
+def _lower_gauge(scale):
+    """G = I + scale N with N strictly lower triangular and integral,
+    and its inverse I - scale N + scale^2 N^2 - scale^3 N^3, since
+    N^4 = 0."""
     n = ((0, 0, 0, 0), (1, 0, 0, 0), (2, -1, 0, 0), (0, 3, 1, 0))
+    ring = scale.ring
     eye = tuple(tuple(ring.const(int(i == j)) for j in range(4))
                 for i in range(4))
-    nil = tuple(tuple(ring.const(c) for c in row) for row in n)
+    nil = tuple(tuple(c * scale for c in row) for row in n)
     nil2 = catalog.emat_mul(nil, nil)
     nil3 = catalog.emat_mul(nil2, nil)
     inverse = catalog.emat_sub(catalog.emat_add(catalog.emat_sub(eye, nil),
                                                 nil2), nil3)
     return catalog.emat_add(eye, nil), inverse
+
+
+def _unit_lower_gauge(ring):
+    """G = I + N."""
+    return _lower_gauge(ring.one())
+
+
+def _lambda_lower_gauge(ring):
+    """G = I + lam N, constant along both flows though not in lam."""
+    return _lower_gauge(ring.param("lam"))
 
 
 def _lambda_gauge(ring):
@@ -565,7 +592,8 @@ def _lambda_gauge(ring):
                  for sign in (1, -1))
 
 
-@pytest.mark.parametrize("gauge", (_unit_lower_gauge, _lambda_gauge))
+@pytest.mark.parametrize(
+    "gauge", (_unit_lower_gauge, _lambda_gauge, _lambda_lower_gauge))
 def test_a_constant_gauge_keeps_zero_curvature(gauge):
     # a metamorphic relation: G U G^-1, G V G^-1 is flat exactly when
     # U, V is, for G constant along both flows
@@ -585,6 +613,27 @@ def test_a_constant_gauge_keeps_zero_curvature(gauge):
         ("zc_main", PASS), ("zc_trans", PASS), ("appendix_b.zc", PASS),
         ("appendix_b.zc_trans", PASS), ("appendix_b.conservation", PASS),
         ("appendix_b.reciprocal", PASS)]
+
+
+def test_reversed_constraint_rules_keep_every_record(rows):
+    # a metamorphic relation: a RelationSet is a map from dependent to
+    # rule, so inserting the same rules in reverse order presents the
+    # same systems, and every row must read them by dependent
+    overrides = {}
+    for ident in catalog.CATALOG.idents():
+        ent = catalog.CATALOG.entry(ident)
+        if not isinstance(ent.value, SystemDef):
+            continue
+        sysdef = ent.value
+        cons = RelationSet(sysdef.ring)
+        for rule in reversed(list(sysdef.constraints.rules.values())):
+            cons = cons.with_rule(rule.dep, rule.order, rule.rhs)
+        assert list(cons.rules) == list(sysdef.constraints.rules)[::-1]
+        overrides[ident] = ent._replace(
+            value=SystemDef(sysdef.ring, sysdef.evolution, cons))
+    assert len(overrides) == 4
+    got = suite.run_suite(catalog=catalog.CatalogView(overrides))
+    assert records(got) == records(rows)
 
 
 @pytest.mark.parametrize("c", (Fraction(2), Fraction(-3, 5)), ids=str)
