@@ -28,7 +28,7 @@ an operator's parts, for reading test failures.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from types import MappingProxyType
 
 from .jetalg import (
@@ -706,14 +706,18 @@ class NonlocalStore:
         return lead * got
 
     def _record_inv(self, name, unit, image):
-        span, images = self._inv_prior.setdefault(name, (Echelon(), []))
+        if name not in self._inv_prior:
+            self._inv_prior[name] = (Echelon(), [])
+        span, images = self._inv_prior[name]
         span.insert(dict(unit.coeff_items()))
         images.append(image)
 
     def _inv_affine(self, name, unit):
         """Linearity of an inverse: match the argument as an exact
         rational combination of previously resolved ones."""
-        span, images = self._inv_prior.get(name, (Echelon(), []))
+        if name not in self._inv_prior:
+            return None
+        span, images = self._inv_prior[name]
         sol = span.solve(dict(unit.coeff_items()))
         if sol is None:
             return None
@@ -767,23 +771,43 @@ class Echelon:
     vectors.  A vector dependent on earlier ones adds no row, so
     ``solve`` reproduces Gaussian elimination with the inserted vectors
     as columns: the independent prefix are the pivots and each
-    dependent column gets coefficient zero."""
+    dependent column gets coefficient zero.
+
+    Rows hold integers, as in fraction-free elimination (Bareiss, Math.
+    Comp. 22, 1968): an incoming vector is scaled once by the lcm of its
+    denominators, a row is never normalized, eliminating it takes
+    a * rest - f * row with a the row's pivot entry, and the result is
+    divided by its content.  Only the short combinations, which start
+    from that scale, stay rational.  Each row still pivots on the first
+    key of its reduced vector, and the solve's exact coefficients do not
+    depend on the pivots."""
 
     __slots__ = ("size", "_rows")
 
     def __init__(self, vectors=()):
         self.size = 0
-        self._rows = []     # (pivot key, unit-pivot vector, combination)
+        self._rows = []     # (pivot key, integer vector, combination)
         for vec in vectors:
             self.insert(vec)
 
     def _reduce(self, vec):
-        rest = {k: v for k, v in vec.items() if v}
-        combo = {}
+        """(rest, combo) with the integer vector rest equal to the sum of
+        combo[i] times the i-th inserted vector, vec counted as the next
+        one, at index size."""
+        den = lcm(*(v.denominator for v in vec.values()))
+        rest = {k: v.numerator * (den // v.denominator)
+                for k, v in vec.items() if v}
+        combo = {self.size: Fraction(den)}
         for pivot, row, rcombo in self._rows:
             f = rest.get(pivot)
             if not f:
                 continue
+            a = row[pivot]
+            g = gcd(a, f)
+            a, f = a // g, f // g
+            if a != 1:
+                rest = {k: a * v for k, v in rest.items()}
+                combo = {i: a * v for i, v in combo.items()}
             for k, v in row.items():
                 x = rest.get(k, 0) - f * v
                 if x:
@@ -791,18 +815,19 @@ class Echelon:
                 else:
                     del rest[k]
             for i, v in rcombo.items():
-                combo[i] = combo.get(i, 0) + f * v
+                combo[i] = combo.get(i, 0) - f * v
+            if not rest:
+                break
+            g = gcd(*rest.values())
+            if g != 1:
+                rest = {k: v // g for k, v in rest.items()}
+                combo = {i: v / g for i, v in combo.items()}
         return rest, combo
 
     def insert(self, vec):
         rest, combo = self._reduce(vec)
         if rest:
-            pivot = next(iter(rest))
-            inv = Fraction(1) / rest[pivot]
-            combo = {i: -v * inv for i, v in combo.items()}
-            combo[self.size] = inv
-            self._rows.append((pivot, {k: v * inv for k, v in rest.items()},
-                               combo))
+            self._rows.append((next(iter(rest)), rest, combo))
         self.size += 1
 
     def solve(self, vec):
@@ -811,4 +836,5 @@ class Echelon:
         rest, combo = self._reduce(vec)
         if rest:
             return None
-        return [combo.get(i, Fraction(0)) for i in range(self.size)]
+        scale = -combo[self.size]
+        return [combo.get(i, 0) / scale for i in range(self.size)]

@@ -30,11 +30,11 @@ from .theorem import _basis_vectors, apply_sandwich
 F = Fraction
 
 
-def _combination(target, basis):
-    """Exact rational combination of basis expressions reproducing the
-    target; returns (coefficients, remainder) or (None, target)."""
-    sol = Echelon(dict(b.coeff_items()) for b in basis).solve(
-        dict(target.coeff_items()))
+def _combination(target, span, basis):
+    """Exact rational combination of basis expressions, solved in their
+    span, reproducing the target; returns (coefficients, remainder) or
+    (None, target)."""
+    sol = span.solve(dict(target.coeff_items()))
     if sol is None:
         return None, target
     rem = target
@@ -147,21 +147,24 @@ def _relations_row(fc, C):
     """Each displayed scalar consequence must be an exact rational
     combination of the surviving curvature entries and their total
     derivatives; one consequence needs an integration (constant zero)
-    and the unorientable one a shared normal form instead."""
+    and the unorientable one a shared normal form instead.  Every
+    consequence, and every derivative of one, is solved in the one
+    span of those twelve expressions."""
     disp = C.get("krel.display")
     basis = fc.entries + [total_derivative(e) for e in fc.entries]
+    span = Echelon(dict(b.coeff_items()) for b in basis)
     labels = fc.entry_labels + ["D %s" % l for l in fc.entry_labels]
     merged = fc.flow_rules.merged(C.get("krel.rules"))
     pairs = []
     notes = []
     for name in ("rel1", "rel2", "rel3", "rel4", "rel5", "rel6"):
         rel = fc.flow_rules.reduce(disp[name])
-        sol, rem = _combination(rel, basis)
+        sol, rem = _combination(rel, span, basis)
         if sol is not None:
             pairs.append(("%s minus its curvature combination" % name, rem))
             notes.append("%s = %s" % (name, _combination_text(sol, labels)))
             continue
-        sol, rem = _combination(total_derivative(rel), basis)
+        sol, rem = _combination(total_derivative(rel), span, basis)
         if sol is not None:
             pairs.append(("derivative of %s minus its curvature "
                           "combination" % name, rem))
@@ -205,7 +208,9 @@ def _flow_row(fc, C):
     # the second component closes only together with the unoriented
     # sixth consequence; match the multiple exactly
     sixth = store.reduce(promote(merged.reduce(fc.entries[2]), SR))
-    sol, rem = _combination(resid[1], [sixth, total_derivative(sixth)])
+    basis = [sixth, total_derivative(sixth)]
+    sol, rem = _combination(
+        resid[1], Echelon(dict(b.coeff_items()) for b in basis), basis)
     if sol is not None:
         pairs.append(("second flow component minus its display and the "
                       "matched multiple of the sixth consequence", rem))

@@ -187,7 +187,11 @@ def _t1_row(C, tr):
 
 def _t2_row(C, tr):
     """The backward block matrix: four candidate readings of the
-    adjoint recipe; exactly one must reproduce the stated matrix."""
+    adjoint recipe; exactly one must reproduce the stated matrix.  Each
+    of the six derived operators (four coefficient rows, two density
+    rows) is starred once per adjoint kind, and both ways of applying
+    the recipe assemble their candidate from those; neither starring
+    nor composing raises NotIntegrable, only applying does."""
     Y = _catalog.RING_Y
     uy = Y.coord("u")
     p_rows, q_rows, weights = tr.jacobians
@@ -201,6 +205,8 @@ def _t2_row(C, tr):
     t2_notes = []
     for adj_label, star in (("plain adjoint", lambda o: o.adjoint()),
                             ("density-weighted adjoint", xstar)):
+        q_stars = [[star(op) for op in row] for row in q_rows]
+        p_stars = [star(op) for op in p_rows]
         for arg_label, assemble in (
                 ("composed with multiplication",
                  lambda a, b, arg1, arg2: a.compose(
@@ -211,8 +217,7 @@ def _t2_row(C, tr):
                      a.apply(arg1) - b.apply(arg2)))):
             try:
                 cand = MatrixOp(tuple(
-                    tuple(assemble(star(q_rows[k][col]),
-                                   star(p_rows[col]),
+                    tuple(assemble(q_stars[k][col], p_stars[col],
                                    uy, dxq[k])
                           for k in range(2))
                     for col in range(2)))

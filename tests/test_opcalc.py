@@ -851,32 +851,38 @@ def combine(coeffs, vectors):
 
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-SPARSE = st.dictionaries(st.integers(0, 4), RATIONALS, max_size=4)
+# the store's signatures hold ints; a reduced rational can carry a large
+# denominator
+WIDE = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                 st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                              max_denominator=10 ** 6))
 
 
 @st.composite
-def span_problems(draw):
+def span_problems(draw, values=RATIONALS):
     """Vectors that include zeros, repeats and dependent combinations,
-    and a target that is either in their span or arbitrary."""
+    and a target that is either in their span or arbitrary; entries and
+    combination coefficients are drawn from values."""
+    sparse = st.dictionaries(st.integers(0, 4), values, max_size=4)
     vectors = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combo")))
         if kind == "zero":
             vectors.append({})
         elif kind == "fresh" or not vectors:
-            vectors.append(draw(SPARSE))
+            vectors.append(draw(sparse))
         elif kind == "repeat":
             vectors.append(dict(draw(st.sampled_from(vectors))))
         else:
-            coeffs = draw(st.lists(RATIONALS, min_size=len(vectors),
+            coeffs = draw(st.lists(values, min_size=len(vectors),
                                    max_size=len(vectors)))
             vectors.append(combine(coeffs, vectors))
     if draw(st.booleans()):
-        coeffs = draw(st.lists(RATIONALS, min_size=len(vectors),
+        coeffs = draw(st.lists(values, min_size=len(vectors),
                                max_size=len(vectors)))
         target = combine(coeffs, vectors)
     else:
-        target = draw(SPARSE)
+        target = draw(sparse)
     return vectors, target
 
 
@@ -891,5 +897,21 @@ def test_echelon_solve_matches_dense_elimination(problem):
     got = Echelon(vectors).solve(target)
     assert got == want
     if got is not None:
+        rebuilt = combine(got, vectors)
+        assert all(rebuilt.get(k, 0) == target.get(k, 0) for k in keys)
+
+
+@settings(deadline=None)
+@given(span_problems(WIDE))
+def test_echelon_integer_rows_match_dense_elimination(problem):
+    vectors, target = problem
+    keys = sorted(set(target) | {k for vec in vectors for k in vec})
+    matrix = [[vec.get(k, 0) for vec in vectors] + [target.get(k, 0)]
+              for k in keys]
+    want = dense_solve(matrix, len(vectors))
+    got = Echelon(vectors).solve(target)
+    assert got == want
+    if got is not None:
+        assert all(type(c) is Fraction for c in got)
         rebuilt = combine(got, vectors)
         assert all(rebuilt.get(k, 0) == target.get(k, 0) for k in keys)

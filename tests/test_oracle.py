@@ -5,13 +5,15 @@ jet coordinates as derivatives of undefined functions of the
 independent variable and parameters as symbols, and the two results
 must agree after expansion.  sympy shares no code with the kernel, so
 agreement is an independent confirmation of the derivation rules.  The
-zero curvature of the main spectral pair is re-derived the same way
-from the catalog leaves, and its verdict compared with the suite's."""
+zero curvature of the main and the transported spectral pair is
+re-derived the same way from the catalog leaves, and each verdict
+compared with the suite's."""
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from sympy.calculus.euler import euler_equations
+from sympy.core.function import AppliedUndef
 
 from jet_strategies import RING, exprs, monomials
 from jetverify import catalog
@@ -125,29 +127,55 @@ def test_substitute_matches_sympy(e, image_u, image_v, jacobian):
                  sympy_image(e, rules, jacobian))
 
 
-def zc_main_curvature(C):
-    """The 16 entries of U_t - V_x + [U, V] for lax.main on the flow
-    sys.main, re-derived in sympy from the leaves of the catalog view C.
+def constrained(e, ring, sysdef):
+    """e with each jet of a constrained dependent at or above its rule's
+    order k0 replaced by the derivative of the rule of order k - k0,
+    repeated until no such jet is left."""
+    x = SYMBOLS[ring.independent]
+    rules = {function(ring, dep): (rule.order, to_sympy(rule.rhs))
+             for dep, rule in sysdef.constraints.rules.items()}
+    while True:
+        swap = {}
+        for atom in e.atoms(sympy.Derivative, AppliedUndef):
+            f, k = ((atom.expr, atom.derivative_count)
+                    if isinstance(atom, sympy.Derivative) else (atom, 0))
+            if f in rules and k >= rules[f][0]:
+                order, rhs = rules[f]
+                swap[atom] = sympy.diff(rhs, x, k - order)
+        if not swap:
+            return e
+        # xreplace matches from the top, so a derivative is swapped
+        # whole before the function inside it
+        e = sympy.expand(e.xreplace(swap))
+
+
+def curvature(C, pair_ident, sys_ident):
+    """The 16 entries of U_t - V_x + [U, V] for the pair pair_ident on
+    the flow sys_ident, re-derived in sympy from the leaves of the
+    catalog view C.
 
     The time derivative is the derivative in eps at 0 of U with each
-    evolved dependent f replaced by f + eps f_t, and each constrained
-    momentum is then replaced by its constraint."""
-    pair, sysdef = C.get("lax.main"), C.get("sys.main")
-    ring, x, eps = pair.ring, SYMBOLS["x"], sympy.Symbol("eps")
+    evolved dependent f replaced by f + eps f_t, and the constraints
+    are then applied by ``constrained``."""
+    pair, sysdef = C.get(pair_ident), C.get(sys_ident)
+    ring, eps = pair.ring, sympy.Symbol("eps")
+    x = SYMBOLS[ring.independent]
     U, V = ([[to_sympy(e) for e in row] for row in half]
             for half in (pair.space, pair.time))
     flow = {function(ring, dep): function(ring, dep) + eps * to_sympy(rhs)
             for dep, rhs in sysdef.evolution.items()}
-    constraints = {function(ring, dep): to_sympy(rule.rhs)
-                   for dep, rule in sysdef.constraints.rules.items()}
     out = []
     for a in range(4):
         for b in range(4):
             ut = sympy.diff(U[a][b].subs(flow).doit(), eps).subs(eps, 0)
             e = ut - sympy.diff(V[a][b], x) + sum(
                 U[a][k] * V[k][b] - V[a][k] * U[k][b] for k in range(4))
-            out.append(sympy.expand(e.subs(constraints).doit()))
+            out.append(constrained(sympy.expand(e), ring, sysdef))
     return out
+
+
+def zc_main_curvature(C):
+    return curvature(C, "lax.main", "sys.main")
 
 
 def test_zc_main_is_flat_in_sympy():
@@ -160,4 +188,19 @@ def test_zc_main_verdict_on_a_mutant_matches_sympy(ident, slot):
     flat = zc_main_curvature(catalog.CATALOG.with_mutation(ident, slot)) \
         == [0] * 16
     rows = suite.run_mutated("zc_main", ident, slot)
+    assert flat == ([r.status for r in rows] == [PASS])
+
+
+def test_zc_trans_is_flat_in_sympy():
+    assert curvature(catalog.CATALOG, "lax.trans", "sys.mdflow") \
+        == [0] * 16
+    assert [r.status for r in suite.run_suite(selection="zc_trans")] \
+        == [PASS]
+
+
+@pytest.mark.parametrize("ident,slot", suite.sample_mutations("zc_trans", 3))
+def test_zc_trans_verdict_on_a_mutant_matches_sympy(ident, slot):
+    flat = curvature(catalog.CATALOG.with_mutation(ident, slot),
+                     "lax.trans", "sys.mdflow") == [0] * 16
+    rows = suite.run_mutated("zc_trans", ident, slot)
     assert flat == ([r.status for r in rows] == [PASS])

@@ -16,7 +16,7 @@ import pytest
 
 from jetverify import catalog
 from jetverify.jetalg import RelationSet, SystemDef
-from jetverify.opcalc import MatrixOp, PseudoOp
+from jetverify.opcalc import Echelon, MatrixOp, PseudoOp
 from jetverify.verify import (
     Claim, ERRATUM, ErratumEntry, FAIL, NORMAL_FORM, OrderCapExceeded, PASS,
     UNDECIDABLE, hamops, suite, theorem,
@@ -400,6 +400,52 @@ def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
     rows = suite._run_check(catalog.CATALOG, spec, 0, load_ledger())
     assert [(r.id, r.status) for r in rows] == [("theorem1", UNDECIDABLE)]
     assert rows[0].notes == ("ZeroDivisionError: probe",)
+
+
+def _built_alone(check, rid):
+    """Row rid of check, built alone over the catalog and concluded as
+    the suite concludes it."""
+    for got, build in _spec(check).runner(catalog.CATALOG):
+        if got == rid:
+            return conclude(rid, build(), 0, load_ledger())
+    raise KeyError(rid)
+
+
+def _suite_record(rows, rid):
+    return next(r for r in rows if r.id == rid).to_record()
+
+
+def test_the_relations_row_solves_in_one_span(rows, monkeypatch):
+    # every consequence, and every derivative of one, is solved in the
+    # one Echelon of the twelve curvature expressions
+    built = []
+    init = Echelon.__init__
+
+    def counted(self, vectors=()):
+        built.append(self)
+        init(self, vectors)
+
+    monkeypatch.setattr(Echelon, "__init__", counted)
+    row = _built_alone("appendix_a", "appendix_a.relations")
+    assert len(built) == 1
+    assert row.to_record() == _suite_record(rows, "appendix_a.relations")
+
+
+def test_t2_stars_each_derived_operator_once_per_adjoint_kind(
+        rows, monkeypatch):
+    # six derived operators, two adjoint kinds; the four readings share
+    # the starred operators
+    calls = []
+    adjoint = PseudoOp.adjoint
+
+    def counted(op):
+        calls.append(op)
+        return adjoint(op)
+
+    monkeypatch.setattr(PseudoOp, "adjoint", counted)
+    row = _built_alone("theorem1", "theorem1.t2")
+    assert len(calls) == 12
+    assert row.to_record() == _suite_record(rows, "theorem1.t2")
 
 
 def _applied_corrected_reading(monkeypatch):
