@@ -938,6 +938,12 @@ class CatalogView:
     def idents(self):
         return tuple(_REGISTRY)
 
+    def derive(self, key, build):
+        """The derived part named key: here always build(), its value
+        computed from this view's entries.  The mutation harness's
+        views record or serve parts by key instead."""
+        return build()
+
     def with_mutation(self, ident, slot):
         return CatalogView({**self._overrides,
                             ident: mutated(self.entry(ident), slot)})

@@ -16,8 +16,9 @@ reads as JSON, with each row's id and every entry that row's build
 fetched when built alone, including through the setup it triggered.
 These reads are recorded, not declared.  The sweep rebuilds a row for a
 mutant exactly when the mutated entry is among them; every other row
-keeps its unmutated record, under the reuse premise stated in
-``verify.suite``.
+keeps its unmutated record, and a rebuilt row likewise rebuilds only
+the derived parts whose reads hold that entry, under the reuse premise
+stated in ``verify.suite``.
 ``sweep`` corrupts, one at a time, every coefficient slot a check
 reads (or a seeded sample of N of them) and prints, per check, the
 number of mutants, how many turned the check off green and the seconds

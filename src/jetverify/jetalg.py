@@ -87,7 +87,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from types import MappingProxyType
 
 __all__ = [
@@ -98,7 +98,7 @@ __all__ = [
     "euler_derivative", "frechet_coeffs", "is_total_derivative", "antiderivative",
     "substitute", "promote", "solve_for", "split_param", "coords_of",
     "params_of", "max_order", "random_eval", "random_assignment",
-    "perturb_term", "to_text", "rational", "STRIDE",
+    "perturb_term", "to_text", "text_prefix", "rational", "STRIDE",
 ]
 
 # the generator of the jet (d, k) is d * STRIDE + k
@@ -1048,12 +1048,30 @@ def _fold(op, parts):
 def to_text(e):
     """Fully parenthesized prefix form; the canonical term order makes
     it unique."""
+    return text_prefix(e, inf)
+
+
+def text_prefix(e, width):
+    """to_text(e) when it has at most width characters, else a prefix
+    of it longer than width.  The sum (+ t1 (+ t2 ... tn)) of the terms
+    in canonical (sorted key) order is written left to right, as
+    "(+ t1 ", "(+ t2 ", ..., tn and the closing parentheses, and terms
+    are formatted only until the text passes width."""
     if e.is_zero:
         return "0"
-    terms = []
-    for (vk, pk), c in sorted(e.coeff_items()):
-        factors = _factor_text(e.ring, vk, pk)
+    den = e.den
+    last = len(e.nums) - 1
+    parts = []
+    size = 0
+    for k, key in enumerate(sorted(e.nums)):
+        # the coefficient in the form coeff_items gives
+        c = e.nums[key] if den == 1 else rational(Fraction(e.nums[key], den))
+        factors = _factor_text(e.ring, *key)
         if c != 1 or not factors:
             factors = [str(c)] + factors
-        terms.append(_fold("*", factors))
-    return _fold("+", terms)
+        term = _fold("*", factors)
+        parts.append(term + ")" * last if k == last else "(+ %s " % term)
+        size += len(parts[-1])
+        if size > width:
+            break
+    return "".join(parts)

@@ -459,7 +459,12 @@ def _scan_row(C):
 
 
 def appendix_a(C):
-    formal = cache(lambda: _FormalCurvature(C))
+    built = cache(lambda: _FormalCurvature(C))
+
+    def formal():
+        # derived through the view on every use, built once per runner
+        return C.derive("formal", built)
+
     yield "appendix_a.blocks", lambda: _blocks_row(formal(), C)
     yield "appendix_a.relations", lambda: _relations_row(formal(), C)
     yield "appendix_a.flow", lambda: _flow_row(formal(), C)

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from ..jetalg import (
     RelationSet, coords_of, max_order, params_of, random_assignment,
-    random_eval, substitute, to_text,
+    random_eval, substitute, text_prefix,
 )
 from .. import catalog as _catalog
 
@@ -86,9 +86,12 @@ class CheckResult:
 
 
 def summarize(pairs):
+    """One line per residual pair: its label and to_text of the
+    residual, cut after SUMMARY_WIDTH characters with the term count
+    when longer.  Terms are formatted only as far as the cut."""
     lines = []
     for label, e in pairs:
-        text = to_text(e)
+        text = text_prefix(e, SUMMARY_WIDTH)
         if len(text) > SUMMARY_WIDTH:
             text = "%s... <%d terms>" % (text[:SUMMARY_WIDTH], len(e.nums))
         lines.append("%s: %s" % (label, text))

@@ -29,11 +29,24 @@ entry, so a row whose recording never fetched it keeps its record.  In
 either run, an exception part-way through a check discards the rows
 before it and reports one undecidable row.
 
-The reuse premise, on which that converse rests: rows share no state
-that can change a record.  The only shared setup is built from the
-catalog on first use and kept per call of a runner (closures in the
-runner, the theorem checks' Transport parts), so a row's record does
-not depend on which rows were built before it.
+Derived parts get the same reuse.  The setup a runner shares between
+its rows (the theorem checks' Transport parts, appendix_a's formal
+curvature) is derived through the view, C.derive(key, build), which
+over a plain view only builds.  The unmutated run records each part's
+reads as it records a row's, nested parts included, and run_mutated
+hands a mutant every part whose reads lack the mutated entry: a part
+whose recording never fetched that entry has the same value over the
+mutated catalog, by the argument above.
+
+The reuse premise, on which both rest: rows and parts share no state
+that can change a record.  Setup is built from the catalog on first
+use and kept per call of a runner, so a row's record does not depend
+on which rows were built before it; and a part handed from the
+unmutated run to many mutants shares with them only values that no
+reader changes, plus the Rule._jets derivative memos of the relation
+sets it holds (the usdefs rules behind smap, the formal curvature's
+flow rules), which grow but only cache total derivatives of fixed
+rules.
 """
 
 import copy
@@ -385,11 +398,18 @@ def sample_mutations(name, count=10):
 
 class _RecordingView(_catalog.CatalogView):
     """The packaged catalog, recording in first-fetch order every entry
-    fetched while reads is a dict; a fetch while it is None raises."""
+    fetched while reads is a dict; a fetch while it is None raises.
+
+    Every derived part is built, never served.  The entries a part
+    fetched, the reads of the parts nested in it included, are its
+    reads, which also join the reads of the part or row around it, in
+    first-fetch order; parts keeps {key: (value, reads)} of each key's
+    first build."""
 
     def __init__(self):
         super().__init__()
         self.reads = None
+        self.parts = {}
 
     def entry(self, ident):
         if self.reads is None:
@@ -398,25 +418,60 @@ class _RecordingView(_catalog.CatalogView):
         self.reads[ident] = None
         return super().entry(ident)
 
+    def derive(self, key, build):
+        outer = self.reads
+        if outer is None:
+            raise RuntimeError("part %r derived outside a row build"
+                               % (key,))
+        self.reads = {}
+        value = build()
+        fetched, self.reads = self.reads, outer
+        # a part the runner already built fetches nothing; its reads
+        # are those of its first build, the same by the reuse premise
+        _first, reads = self.parts.setdefault(key, (value, tuple(fetched)))
+        outer.update(dict.fromkeys(reads))
+        return value
+
+
+class _ServingView(_catalog.CatalogView):
+    """A catalog view that reads its entries from base, serves the
+    derived parts in parts by key and builds any other."""
+
+    def __init__(self, base, parts):
+        super().__init__()
+        self.base = base
+        self.parts = parts
+
+    def entry(self, ident):
+        return self.base.entry(ident)
+
+    def derive(self, key, build):
+        if key in self.parts:
+            return self.parts[key]
+        return build()
+
 
 @functools.lru_cache(maxsize=None)
-def _unmutated_rows(name, seed):
-    """{row id: (row, reads)} of one check over the packaged catalog and
-    ledger, in report order, built once per check and seed, the first
-    time a mutant or describe needs it.
+def _unmutated(name, seed):
+    """({row id: (row, reads)}, {part key: (value, reads)}) of one check
+    over the packaged catalog and ledger, rows in report order, built
+    once per check and seed, the first time a mutant or describe needs
+    it.
 
     Each row is built alone, the way run_mutated builds it: the runner
     called afresh over a recording view, iterated to its end and only
-    that row's build called and concluded.  So reads is every entry
-    that build fetched, including through the setup it triggered, in
-    first-fetch order, and a fetch outside a build raises
-    RuntimeError.  Under the reuse premise of the module docstring,
-    these rows stand for the same rows of any later run."""
+    that row's build called and concluded.  So a row's reads are every
+    entry its build fetched, including through the setup and parts it
+    triggered, in first-fetch order, and a fetch outside a build raises
+    RuntimeError.  A part's reads are the entries its build fetched,
+    nested parts included.  Under the reuse premise of the module
+    docstring, these rows and parts stand for the same rows and parts
+    of any later run."""
     spec = _BY_NAME[name]
     errata = load_ledger()
+    view = _RecordingView()
     rows = {}
     while True:
-        view = _RecordingView()
         target = len(rows)
         for k, (rid, build) in enumerate(spec.runner(view)):
             if k == target:
@@ -425,7 +480,12 @@ def _unmutated_rows(name, seed):
                 rows[rid] = (row, tuple(view.reads))
                 view.reads = None
         if len(rows) == target:
-            return rows
+            return rows, view.parts
+
+
+def _unmutated_rows(name, seed):
+    """{row id: (row, reads)} of _unmutated."""
+    return _unmutated(name, seed)[0]
 
 
 def run_mutated(name, ident, slot, seed=0):
@@ -436,9 +496,11 @@ def run_mutated(name, ident, slot, seed=0):
     a later row cannot turn it green again, so the check stops there.
     Only the rows whose recorded reads contain the mutated entry are
     built over the mutated catalog; every other row is a copy of the
-    same row from the unmutated run of the check at the same seed: the
-    converse invariant of the module docstring, which rests on its
-    reuse premise.
+    same row from the unmutated run of the check at the same seed.
+    Likewise a row built here is handed every derived part of that run
+    whose reads lack the mutated entry, and builds the others.  Both
+    are the converse invariant of the module docstring, which rests on
+    its reuse premise.
 
     Prefix contract: the rows are the rows run_suite reports for the
     same catalog, through the first one that is neither a pass nor an
@@ -450,8 +512,10 @@ def run_mutated(name, ident, slot, seed=0):
     undecidable row; all_clear is false either way, so it agrees with
     run_suite on every mutant."""
     spec = _BY_NAME[name]
-    view = _catalog.CATALOG.with_mutation(ident, slot)
-    reused = {rid: row
-              for rid, (row, reads) in _unmutated_rows(name, seed).items()
+    rows, parts = _unmutated(name, seed)
+    reused = {rid: row for rid, (row, reads) in rows.items()
               if ident not in reads}
+    served = {key: value for key, (value, reads) in parts.items()
+              if ident not in reads}
+    view = _ServingView(_catalog.CATALOG.with_mutation(ident, slot), served)
     return _run_check(view, spec, seed, load_ledger(), reused)

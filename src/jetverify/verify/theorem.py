@@ -13,7 +13,6 @@ corrected reading applied as well, since a nonzero operator difference
 does not show that its sandwich by Lambda is nonzero."""
 
 from fractions import Fraction as F
-from functools import cached_property
 
 from ..jetalg import (
     NotIntegrable, partial_derivative, substitute, total_derivative,
@@ -27,33 +26,67 @@ from .base import NORMAL_FORM, TEST_VECTOR, Claim, usdef_rules
 from .hamops import carry_coeff, transport_pseudo, transported_kernel
 
 
+class _part:
+    """A Transport part: built once per Transport, the first time a row
+    asks for it, and fetched through the catalog view on every access.
+    So a view that records parts sees each use, a nested use of a part
+    already built included, and a view that serves parts can hand out
+    its own value.  A value set on the instance shadows the part."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, tr, owner=None):
+        if tr is None:
+            return self
+        built = tr.built
+
+        def once():
+            if self.name not in built:
+                built[self.name] = self.build(tr)
+            return built[self.name]
+
+        return tr.C.derive(self.name, once)
+
+
 class Transport:
     """Shared scaffolding for the theorem checks, each part built the
     first time a row asks for it, so a row builds only what it reads:
     the derived Jacobian data, the transported kernel's skew remainder,
     both Hamiltonian operators in the new variable, and the stated
-    matrices with coefficients reduced to the density pair."""
+    matrices with coefficients reduced to the density pair.
+
+    Every part is derived through the catalog view under its attribute
+    name.  Over the plain catalog that only builds it; the mutation
+    harness records the entries each part fetches, nested parts
+    included, and hands a mutant every part of the unmutated run whose
+    reads lack the mutated entry.  So a part's value is shared across
+    mutants and must not be changed by its readers."""
 
     def __init__(self, C):
         self.C = C
+        self.built = {}
 
-    @cached_property
+    @_part
     def jacobians(self):
         return _derived_jacobians(self.C)
 
-    @cached_property
+    @_part
     def inverses(self):
         return transported_kernel(self.C)
 
-    @cached_property
+    @_part
     def j1(self):
         return self._transported("J1")
 
-    @cached_property
+    @_part
     def j2(self):
         return self._transported("J2")
 
-    @cached_property
+    @_part
     def smap(self):
         rules = usdef_rules(self.C)
         vsub = _catalog.parametrization(_catalog.RING_Y)
@@ -63,27 +96,27 @@ class Transport:
 
         return smap
 
-    @cached_property
+    @_part
     def t1(self):
         return self._mapped("T1")
 
-    @cached_property
+    @_part
     def t2(self):
         return self._mapped("T2")
 
-    @cached_property
+    @_part
     def jt2(self):
         return self._mapped("Jt2")
 
-    @cached_property
+    @_part
     def lam(self):
         return self._mapped("Lambda")
 
-    @cached_property
+    @_part
     def lam_adjoint(self):
         return self.lam.adjoint()
 
-    @cached_property
+    @_part
     def middle(self):
         return self._mapped("Jt1.middle")
 
@@ -118,10 +151,10 @@ def _derived_jacobians(C):
     """Re-derivation of the forward Jacobian data from the variable
     change itself.
 
-    Returns (p_rows, q_rows, weights): the linearization of the new
-    independent variable and of each transported coefficient function
-    in the two momentum directions, as operators over the new ring,
-    plus the first derivatives of the coefficient functions."""
+    Returns the tuples (p_rows, q_rows, weights): the linearization of
+    the new independent variable and of each transported coefficient
+    function in the two momentum directions, as operators over the new
+    ring, plus the first derivatives of the coefficient functions."""
     Y = _catalog.RING_Y
     uy = Y.coord("u")
 
@@ -151,7 +184,7 @@ def _derived_jacobians(C):
                          LocalOp.mult(ginv[1][col])))
             q_rows[knum].append(PseudoOp.from_local(
                 transport_local(row_x, carry_coeff, uy)))
-    return p_rows, q_rows, weights
+    return tuple(p_rows), tuple(map(tuple, q_rows)), tuple(weights)
 
 
 def theorem1(C):
@@ -189,24 +222,27 @@ def _t2_row(C, tr):
     """The backward block matrix: four candidate readings of the
     adjoint recipe; exactly one must reproduce the stated matrix.  Each
     of the six derived operators (four coefficient rows, two density
-    rows) is starred once per adjoint kind, and both ways of applying
-    the recipe assemble their candidate from those; neither starring
-    nor composing raises NotIntegrable, only applying does."""
+    rows) is starred once; its density-weighted adjoint u o op* o 1/u
+    conjugates that plain one, and both ways of applying the recipe
+    assemble their candidate from those; neither starring nor
+    composing raises NotIntegrable, only applying does."""
     Y = _catalog.RING_Y
     uy = Y.coord("u")
     p_rows, q_rows, weights = tr.jacobians
     dxq = [uy * w for w in weights]
+    q_plain = [[op.adjoint() for op in row] for row in q_rows]
+    p_plain = [op.adjoint() for op in p_rows]
 
-    def xstar(op):
-        return (PseudoOp.from_expr(uy).compose(op.adjoint())
+    def weighted(op):
+        return (PseudoOp.from_expr(uy).compose(op)
                 .compose(PseudoOp.from_expr(uy ** -1)))
 
     survivors = []
     t2_notes = []
-    for adj_label, star in (("plain adjoint", lambda o: o.adjoint()),
-                            ("density-weighted adjoint", xstar)):
-        q_stars = [[star(op) for op in row] for row in q_rows]
-        p_stars = [star(op) for op in p_rows]
+    for adj_label, star in (("plain adjoint", lambda o: o),
+                            ("density-weighted adjoint", weighted)):
+        q_stars = [[star(op) for op in row] for row in q_plain]
+        p_stars = [star(op) for op in p_plain]
         for arg_label, assemble in (
                 ("composed with multiplication",
                  lambda a, b, arg1, arg2: a.compose(

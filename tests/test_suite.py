@@ -1,9 +1,9 @@
 """The reproduction itself: the verdict table, the exact row records,
 both errata in both directions and their ties to the catalog,
 determinism, the mutation surface every check declares, the reads each
-row records, and a sampled run of the sensitivity invariant.  The
-table, the record digest and the light checks' slot counts are the
-benchmark's pins in perfbench/expected.py."""
+row and derived part records, and a sampled run of the sensitivity
+invariant.  The table, the record digest and the light checks' slot
+counts are the benchmark's pins in perfbench/expected.py."""
 
 import hashlib
 import importlib.util
@@ -14,14 +14,17 @@ from pathlib import Path
 
 import pytest
 
+from jet_strategies import random_expr
 from jetverify import catalog
-from jetverify.jetalg import RelationSet, SystemDef
+from jetverify.jetalg import RelationSet, SystemDef, to_text
 from jetverify.opcalc import Echelon, MatrixOp, PseudoOp
 from jetverify.verify import (
     Claim, ERRATUM, ErratumEntry, FAIL, NORMAL_FORM, OrderCapExceeded, PASS,
     UNDECIDABLE, hamops, suite, theorem,
 )
-from jetverify.verify.base import MAX_ORDER, conclude
+from jetverify.verify.base import (
+    MAX_ORDER, SUMMARY_WIDTH, conclude, summarize,
+)
 from jetverify.verify.errata import load_ledger
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -254,6 +257,25 @@ def test_conclude_decides_each_outcome(outcome):
         == want[:3] + (("given",) + want[3],)
 
 
+def test_a_summary_is_the_full_text_cut():
+    # summarize formats terms only as far as its cut, yet reads as the
+    # whole to_text cut after SUMMARY_WIDTH characters, on residuals
+    # from one term to theorem1.jt1's displayed ones
+    rng = random.Random(27)
+    residuals = [random_expr(rng, catalog.RING_Y, n_terms=n,
+                             allow_negative=True) for n in range(1, 40)]
+    claim = theorem._jt1_check(catalog.CATALOG,
+                               theorem.Transport(catalog.CATALOG))
+    residuals.extend(e for _label, e in claim.pairs)
+    lengths = [len(to_text(e)) for e in residuals]
+    assert min(lengths) <= SUMMARY_WIDTH < 20 * SUMMARY_WIDTH < max(lengths)
+    for e in residuals:
+        text = to_text(e)
+        if len(text) > SUMMARY_WIDTH:
+            text = "%s... <%d terms>" % (text[:SUMMARY_WIDTH], len(e.nums))
+        assert summarize([("r", e)]) == ("r: " + text,)
+
+
 @pytest.mark.parametrize("slot", (0, 1))
 def test_mutated_kernel_is_not_inverted_as_the_original(slot):
     # slots 0 and 1 turn E into d^3 and 2d^3 - d; the store must invert
@@ -431,9 +453,9 @@ def test_the_relations_row_solves_in_one_span(rows, monkeypatch):
     assert row.to_record() == _suite_record(rows, "appendix_a.relations")
 
 
-def test_t2_stars_each_derived_operator_once_per_adjoint_kind(
-        rows, monkeypatch):
-    # six derived operators, two adjoint kinds; the four readings share
+def test_t2_stars_each_derived_operator_once(rows, monkeypatch):
+    # six derived operators, each starred once: the density-weighted
+    # kind conjugates the plain adjoint, and the four readings share
     # the starred operators
     calls = []
     adjoint = PseudoOp.adjoint
@@ -444,7 +466,7 @@ def test_t2_stars_each_derived_operator_once_per_adjoint_kind(
 
     monkeypatch.setattr(PseudoOp, "adjoint", counted)
     row = _built_alone("theorem1", "theorem1.t2")
-    assert len(calls) == 12
+    assert len(calls) == 6
     assert row.to_record() == _suite_record(rows, "theorem1.t2")
 
 
@@ -558,6 +580,78 @@ def test_a_fetch_outside_a_build_raises(monkeypatch):
         "E", "", "", ()))
     with pytest.raises(RuntimeError, match="'J2' fetched outside a row"):
         suite._unmutated_rows("toy_between", 0)
+
+
+def _counting_jacobians(monkeypatch):
+    """The calls of theorem._derived_jacobians from now on, once the
+    unmutated run of theorem1 is recorded."""
+    suite._unmutated("theorem1", 0)
+    calls = []
+    original = theorem._derived_jacobians
+
+    def counted(C):
+        calls.append(C)
+        return original(C)
+
+    monkeypatch.setattr(theorem, "_derived_jacobians", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ident, builds", (("T2", 0), ("ymap", 1)))
+def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
+        ident, builds, monkeypatch):
+    # the Jacobian data reads ymap alone, so a T2 mutant is handed the
+    # unmutated run's, and a ymap mutant derives its own
+    calls = _counting_jacobians(monkeypatch)
+    slot = next(slot for got, slot in suite.mutation_slots("theorem1")
+                if got == ident)
+    assert not suite.all_clear(suite.run_mutated("theorem1", ident, slot))
+    assert len(calls) == builds
+
+
+def test_run_suite_builds_every_part_it_uses(monkeypatch):
+    # a plain catalog view serves no part, recorded or not: theorem1.t1
+    # derives the Jacobian data and theorem1.t2 reuses the runner's
+    calls = _counting_jacobians(monkeypatch)
+    suite.run_suite(selection="theorem1")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("check", ("theorem1", "appendix_a"))
+def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
+        check, monkeypatch):
+    # so a row that reads nothing a mutant touches derives only parts
+    # the mutant is handed
+    rows, parts = suite._unmutated(check, 0)
+    derived = []
+    plain = catalog.CatalogView.derive
+
+    def logged(view, key, build):
+        derived.append(key)
+        return plain(view, key, build)
+
+    monkeypatch.setattr(catalog.CatalogView, "derive", logged)
+    seen = set()
+    for rid, (_row, reads) in rows.items():
+        derived.clear()
+        _built_alone(check, rid)
+        for key in derived:
+            assert set(parts[key][1]) <= set(reads), (rid, key)
+        seen.update(derived)
+    assert seen == set(parts)
+
+
+def test_part_reads_include_the_nested_parts():
+    # lam_adjoint is built from lam, and every mapped matrix from smap,
+    # which the row has often built already; those reads count anyway,
+    # and each part records what it reads when built alone
+    _rows, parts = suite._unmutated("theorem1", 0)
+    for key, (_value, reads) in parts.items():
+        view = suite._RecordingView()
+        view.reads = {}
+        getattr(theorem.Transport(view), key)
+        assert reads == tuple(view.reads), key
+    assert parts["lam_adjoint"][1] == ("Lambda", "usdefs")
 
 
 @pytest.mark.parametrize("check", tuple(SLOTS))
