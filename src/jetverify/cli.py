@@ -21,8 +21,9 @@ the derived parts whose reads hold that entry, under the reuse premise
 stated in ``verify.suite``.
 ``sweep`` corrupts, one at a time, every coefficient slot a check
 reads (or a seeded sample of N of them) and prints, per check, the
-number of mutants, how many turned the check off green and the seconds
-taken, then names every survivor; its last line is the sha256 of every
+number of mutants, how many turned the check off green, the seconds
+taken (the check's unmutated run included) and the slowest mutant with
+its seconds, then names every survivor; its last line is the sha256 of every
 mutant's row records, in sweep order, so two versions of the code can be
 shown to decide every mutant identically.  It exits 1 when a mutant
 survives.
@@ -115,17 +116,27 @@ def _sweep(args):
         else:
             slots = suite.sample_mutations(check, args.sample)
         started = time.perf_counter()
+        # describe builds the check's unmutated run, which every mutant
+        # reuses, so the first mutant's time does not include it
+        suite.describe(check)
         flipped = 0
+        slowest = (-1.0, "", 0)
         for ident, slot in slots:
+            begun = time.perf_counter()
             rows = suite.run_mutated(check, ident, slot)
+            slowest = max(slowest, (time.perf_counter() - begun, ident, slot))
             records.update(_records_line(rows).encode("utf-8"))
             if suite.all_clear(rows):
                 survivors.append((check, ident, slot))
             else:
                 flipped += 1
-        print("%-20s %4d mutants %4d off green %8.2f s"
-              % (check, len(slots), flipped, time.perf_counter() - started),
-              flush=True)
+        line = ("%-20s %4d mutants %4d off green %8.2f s"
+                % (check, len(slots), flipped,
+                   time.perf_counter() - started))
+        if slots:
+            line += " slowest %s[%d] %.3f s" % (slowest[1], slowest[2],
+                                                 slowest[0])
+        print(line, flush=True)
         mutants += len(slots)
         off_green += flipped
     print("%-20s %4d mutants %4d off green %d survivors"

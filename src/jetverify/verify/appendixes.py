@@ -340,11 +340,13 @@ def _omega_row(C):
     return Claim(C.citation("OmegaPrime"), pairs, NORMAL_FORM)
 
 
-def _link_row(C):
-    """Inverse-free recursion link on a generic vector: with Y solved
-    from the triangular first operator against the linearized image,
-    the skew rows of the constraint map land on minus the second
-    operator's image of Y."""
+def _link_part(C):
+    """Everything of the recursion link that comes before the second
+    operator: the two triangular-solve certificate pairs, the solved
+    vector Y, the reduced linearized skew images, the store's final
+    relations and the auxiliary names it allocated, in that order.  It
+    never reads P2, and holds no store, so a mutant of P2 is handed the
+    unmutated run's value."""
     Y = _catalog.RING_Y
     store = NonlocalStore(Y, relations=mn_rules(C))
     xvec = (Y.coord("phi"), Y.coord("psi"))
@@ -358,31 +360,70 @@ def _link_row(C):
                             * F(1, 4))
     yvec = (y1, y2)
     p1img = p1.apply(yvec, store)
-    pairs = [("triangular-solve certificate, row %d" % (idx + 1),
-              store.reduce(p1img[idx] - w[idx])) for idx in (0, 1)]
+    pairs = tuple(("triangular-solve certificate, row %d" % (idx + 1),
+                   store.reduce(p1img[idx] - w[idx])) for idx in (0, 1))
     jtx = C.get("Jop").apply(C.get("Thetamat").apply(xvec, store), store)
-    lhs = omega.apply(jtx, store)
-    p2img = C.get("P2").apply(yvec, store)
-    left = []
-    right = []
+    left = tuple(store.reduce(e) for e in omega.apply(jtx, store))
+    aux = tuple(name for name, _kind, _core in store.allocated)
+    return pairs, yvec, left, store.relations, aux
+
+
+def _link_row(C, link):
+    """Inverse-free recursion link on a generic vector: with Y solved
+    from the triangular first operator against the linearized image,
+    the skew rows of the constraint map land on minus the second
+    operator's image of Y.
+
+    link is _link_part's value.  P2 is local, with no tail and no word,
+    so its image of Y needs no store and is reduced under the served
+    relations, exactly as the store that solved Y would reduce it."""
+    pairs, yvec, left, relations, aux = link
+    pairs = list(pairs)
+    p2img = C.get("P2").apply(yvec)
+    right = [relations.reduce(-e) for e in p2img]
     for idx in (0, 1):
-        lred = store.reduce(lhs[idx])
-        rred = store.reduce(-p2img[idx])
-        left.append(lred)
-        right.append(rred)
         pairs.append(("linearized skew image minus the negated second "
-                      "operator image, row %d" % (idx + 1), lred - rred))
+                      "operator image, row %d" % (idx + 1),
+                      left[idx] - right[idx]))
     notes = ["second solved component is exact; the first needs one "
              "auxiliary antiderivative"]
-    notes.extend(aux_hygiene_notes(store, left, right))
+    notes.extend(aux_hygiene_notes(aux, left, right))
     return Claim(C.citation("P2"), pairs, TEST_VECTOR, notes)
+
+
+def _constants_on_vectors(cands, vecs, image, targets):
+    """For each target, the constants c with target(vec) = c * image(vec)
+    entry by entry on every vector.  The vectors are taken in order and
+    every list is pruned on each, so once no constant is left for any
+    target no further image is built."""
+    found = [list(cands) for _target in targets]
+    for vec in vecs:
+        if not any(found):
+            break
+        img = image(vec)
+        for k, target in enumerate(targets):
+            if found[k]:
+                got = target(vec)
+                found[k] = [c for c in found[k]
+                            if all(t == c * e for e, t in zip(img, got))]
+    return found
 
 
 def _scan_row(C):
     """Exploratory: conjugating the transformed operators by the
     linearization, scan rational constants against the stated pair.
     Findings are reported as information; absence of a match is not a
-    failure of any displayed claim."""
+    failure of any displayed claim.
+
+    The integral form is tested by application, one basis vector at a
+    time, and the scan stops once no constant is left for either
+    operator.  On the catalog that is after the first vector: its
+    reduced images name auxiliaries, which the images of the two local
+    operators cannot, so the second vector's larger images are never
+    built.  Each image is reduced under the relations as they stand
+    after it, not after both vectors: a later rule rewrites only the
+    jets of an auxiliary allocated later, which the image cannot
+    contain."""
     Y = _catalog.RING_Y
     mn = mn_rules(C)
     omega = C.get("OmegaPrime")
@@ -415,28 +456,25 @@ def _scan_row(C):
     # images do not depend on the target
     store = NonlocalStore(Y, relations=mn)
     omA = omega.adjoint()
-    vecs = _basis_vectors(Y)
     lam, middle = C.get("Lambda"), C.get("Jt1.middle")
     lam_adjoint = lam.adjoint()
-    images = [omega.apply(apply_sandwich(
-                  lam, lam_adjoint, middle, omA.apply(vec, store), store),
-                  store)
-              for vec in vecs]
-    # reduction is linear, so each image is reduced once and a
-    # candidate c matches when every reduced target is c times it
-    images = [store.reduce(e) for img in images for e in img]
 
-    def applied_matches(target):
-        targets = [store.reduce(t) for vec in vecs
-                   for t in target.apply(vec, store)]
-        return [c for c in cands
-                if all(t == c * e for e, t in zip(images, targets))]
+    def image(vec):
+        # reduction is linear, so each image is reduced once and a
+        # candidate c matches when every reduced target is c times it
+        sandwich = apply_sandwich(lam, lam_adjoint, middle,
+                                  omA.apply(vec, store), store)
+        return [store.reduce(e) for e in omega.apply(sandwich, store)]
 
-    found1 = applied_matches(p1)
+    def applied(target):
+        return lambda vec: [store.reduce(t)
+                            for t in target.apply(vec, store)]
+
     # the transformed labels cross under the main-theorem erratum, so
     # record the crossed assignment as well
+    found1, crossed_applied = _constants_on_vectors(
+        cands, _basis_vectors(Y), image, (applied(p1), applied(p2)))
     crossed_local = local_matches(p1, sandwich2)
-    crossed_applied = applied_matches(p2)
 
     def report(label, found):
         if found:
@@ -471,7 +509,8 @@ def appendix_a(C):
     yield "appendix_a.subflow", lambda: _subflow_row(C)
     yield "appendix_a.balance", lambda: _balance_row(C)
     yield "appendix_a.omega", lambda: _omega_row(C)
-    yield "appendix_a.link", lambda: _link_row(C)
+    yield "appendix_a.link", lambda: _link_row(
+        C, C.derive("link", lambda: _link_part(C)))
     yield "appendix_a.scan", lambda: _scan_row(C)
 
 

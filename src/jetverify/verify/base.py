@@ -222,11 +222,14 @@ def mn_rules(C):
             .with_rule("n", 0, C.get("miura.n")))
 
 
-def aux_hygiene_notes(store, left_exprs, right_exprs):
-    """Report auxiliary dependents referenced by only one side."""
-    left = set(store.used_names(list(left_exprs)))
-    right = set(store.used_names(list(right_exprs)))
-    orphans = sorted(left ^ right)
+def aux_hygiene_notes(names, left_exprs, right_exprs):
+    """Report auxiliary dependents, of the allocated names, referenced
+    by only one side."""
+    def used(exprs):
+        deps = {d for e in exprs for d, _k in coords_of(e)}
+        return {name for name in names if name in deps}
+
+    orphans = sorted(used(left_exprs) ^ used(right_exprs))
     if orphans:
         return ["orphan auxiliaries referenced by one side only: %s"
                 % ", ".join(orphans)]

@@ -208,7 +208,8 @@ def connecting_identity(C):
         right = C.get("Jop").apply((f1e, f2e), store)
         pairs = [("recipe row %d minus matrix row %d" % (k + 1, k + 1),
                   store.reduce(left[k] - right[k])) for k in range(2)]
-        notes = aux_hygiene_notes(store, left, right)
+        notes = aux_hygiene_notes(
+            [name for name, _kind, _core in store.allocated], left, right)
         try:
             antiderivative(f1e - f2e)
             verdict = "exact"

@@ -38,15 +38,26 @@ hands a mutant every part whose reads lack the mutated entry: a part
 whose recording never fetched that entry has the same value over the
 mutated catalog, by the argument above.
 
+A part may also hold the half of a row that comes before its final
+comparison and does not read the entry compared there: theorem1.t2's
+adjoint readings, theorem1.jt2's sandwich images and appendix_a.link's
+solved vector and left images.  A mutant of that entry is handed the
+half and only compares, so it builds no reading and no store.
+
 The reuse premise, on which both rest: rows and parts share no state
 that can change a record.  Setup is built from the catalog on first
 use and kept per call of a runner, so a row's record does not depend
-on which rows were built before it; and a part handed from the
-unmutated run to many mutants shares with them only values that no
-reader changes, plus the Rule._jets derivative memos of the relation
-sets it holds (the usdefs rules behind smap, the formal curvature's
-flow rules), which grow but only cache total derivatives of fixed
-rules.
+on which rows were built before it.  A part handed from the unmutated
+run to many mutants is immutable to them: it holds only tuples, jet
+expressions, operators, relation sets, names and functions of those,
+and no reader changes it.  The one state that does change is the
+Rule._jets derivative memos of the relation sets it holds (the usdefs
+rules behind smap, the formal curvature's flow rules, the relations a
+store ended with), which grow but only cache total derivatives of fixed
+rules.  A NonlocalStore never crosses a mutant: a part holds the
+relations and auxiliary names its store ended with, never the store,
+since a reader resolving through a shared store would allocate
+auxiliaries that the next mutant would see.
 """
 
 import copy

@@ -15,7 +15,8 @@ does not show that its sandwich by Lambda is nonzero."""
 from fractions import Fraction as F
 
 from ..jetalg import (
-    NotIntegrable, partial_derivative, substitute, total_derivative,
+    NotIntegrable, partial_derivative, promote, substitute,
+    total_derivative,
 )
 from ..opcalc import (
     LocalOp, MatrixOp, NonlocalStore, PseudoOp, frechet_row,
@@ -64,7 +65,14 @@ class Transport:
     harness records the entries each part fetches, nested parts
     included, and hands a mutant every part of the unmutated run whose
     reads lack the mutated entry.  So a part's value is shared across
-    mutants and must not be changed by its readers."""
+    mutants and must not be changed by its readers, and it holds no
+    NonlocalStore: a reader resolving through a shared store would
+    leave its auxiliaries to the next mutant.  Besides the setup, two
+    parts hold the half of a row that comes before its stated matrix:
+    t2_readings, every adjoint reading of the backward matrix, and
+    jt2_images, the transported sandwich images of both basis vectors
+    with the relations of the store that built them.  A mutant of T2 or
+    Jt2 is handed those and only compares."""
 
     def __init__(self, C):
         self.C = C
@@ -95,6 +103,14 @@ class Transport:
             return rules.reduce(substitute(c, vsub))
 
         return smap
+
+    @_part
+    def t2_readings(self):
+        return _t2_readings(self.jacobians)
+
+    @_part
+    def jt2_images(self):
+        return _jt2_images(self)
 
     @_part
     def t1(self):
@@ -218,17 +234,18 @@ def _t1_row(C, tr):
                  NORMAL_FORM, notes)
 
 
-def _t2_row(C, tr):
-    """The backward block matrix: four candidate readings of the
-    adjoint recipe; exactly one must reproduce the stated matrix.  Each
-    of the six derived operators (four coefficient rows, two density
-    rows) is starred once; its density-weighted adjoint u o op* o 1/u
-    conjugates that plain one, and both ways of applying the recipe
-    assemble their candidate from those; neither starring nor
-    composing raises NotIntegrable, only applying does."""
-    Y = _catalog.RING_Y
-    uy = Y.coord("u")
-    p_rows, q_rows, weights = tr.jacobians
+def _t2_readings(jacobians):
+    """The four candidate readings of the backward block matrix's
+    adjoint recipe, each as (adjoint label, argument label, candidate),
+    the candidate a MatrixOp, or for a reading that is ill-formed the
+    text of its NotIntegrable.  Each of the six derived operators (four
+    coefficient rows, two density rows) is starred once; its
+    density-weighted adjoint u o op* o 1/u conjugates that plain one,
+    and both ways of applying the recipe assemble their candidate from
+    those; neither starring nor composing raises NotIntegrable, only
+    applying does."""
+    uy = _catalog.RING_Y.coord("u")
+    p_rows, q_rows, weights = jacobians
     dxq = [uy * w for w in weights]
     q_plain = [[op.adjoint() for op in row] for row in q_rows]
     p_plain = [op.adjoint() for op in p_rows]
@@ -237,8 +254,7 @@ def _t2_row(C, tr):
         return (PseudoOp.from_expr(uy).compose(op)
                 .compose(PseudoOp.from_expr(uy ** -1)))
 
-    survivors = []
-    t2_notes = []
+    readings = []
     for adj_label, star in (("plain adjoint", lambda o: o),
                             ("density-weighted adjoint", weighted)):
         q_stars = [[star(op) for op in row] for row in q_plain]
@@ -258,15 +274,30 @@ def _t2_row(C, tr):
                           for k in range(2))
                     for col in range(2)))
             except NotIntegrable as ex:
-                t2_notes.append("reading (%s, %s) is ill-formed: %s"
-                                % (adj_label, arg_label, ex))
-                continue
-            if cand == tr.t2:
-                survivors.append((adj_label, arg_label))
-            else:
-                t2_notes.append("reading (%s, %s) does not reproduce "
-                                "the stated matrix"
-                                % (adj_label, arg_label))
+                cand = str(ex)
+            readings.append((adj_label, arg_label, cand))
+    return tuple(readings)
+
+
+def _t2_row(C, tr):
+    """The backward block matrix: of the four candidate readings of the
+    adjoint recipe (Transport.t2_readings, which reads only ymap),
+    exactly one must reproduce the stated matrix.  The row itself only
+    compares each candidate with the stated matrix, so a mutant of T2
+    is handed the readings of the unmutated run."""
+    Y = _catalog.RING_Y
+    survivors = []
+    t2_notes = []
+    for adj_label, arg_label, cand in tr.t2_readings:
+        if isinstance(cand, str):
+            t2_notes.append("reading (%s, %s) is ill-formed: %s"
+                            % (adj_label, arg_label, cand))
+        elif cand == tr.t2:
+            survivors.append((adj_label, arg_label))
+        else:
+            t2_notes.append("reading (%s, %s) does not reproduce "
+                            "the stated matrix"
+                            % (adj_label, arg_label))
     if len(survivors) == 1:
         t2_notes.append("unique surviving reading: %s, %s"
                         % survivors[0])
@@ -324,19 +355,37 @@ def _sandwich_residuals(tr, middle, vec, store, inner=None):
     return [-e for e in lhs], inner
 
 
+def _jt2_images(tr):
+    """(images, relations): -T1 J1 T2 applied to each basis vector
+    through one fresh store, and that store's final relation set."""
+    store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
+    images = tuple(tuple(_sandwich_residuals(tr, tr.j1, vec, store)[0])
+                   for vec in _basis_vectors(_catalog.RING_Y))
+    return images, store.relations
+
+
 def _jt2_check(C, tr):
     """The local Hamiltonian operator transported: matching it against
     the stated composed normal form identifies which momentum-side
-    operator produces it."""
+    operator produces it.
+
+    The sandwich images come from Transport.jt2_images, which never
+    reads Jt2, so a mutant of Jt2 is handed them and only compares.
+    Jt2 is local: applying it needs no store.  Each difference is
+    reduced under the store's final relations, also the first vector's,
+    which the store reduced under the rules as they stood after that
+    vector.  The normal form is the same: a rule added later rewrites
+    only the jets of an auxiliary allocated later, which the first
+    vector's images and the stated image cannot contain."""
+    images, relations = tr.jt2_images
     pairs = []
-    store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
-    for tag, vec in zip(("first", "second"),
-                        _basis_vectors(_catalog.RING_Y)):
-        lhs, _inner = _sandwich_residuals(tr, tr.j1, vec, store)
-        rhs = tr.jt2.apply(vec, store)
+    for tag, vec, lhs in zip(("first", "second"),
+                             _basis_vectors(_catalog.RING_Y), images):
+        rhs = tr.jt2.apply(vec)
         for k in range(2):
             pairs.append(("%s basis vector, row %d" % (tag, k + 1),
-                          store.reduce(lhs[k] - rhs[k])))
+                          relations.reduce(
+                              lhs[k] - promote(rhs[k], relations.ring))))
     notes = ["the stated composed normal form is reproduced by the "
              "nonlocal momentum-side operator; the sandwich row "
              "carries the display's crossed pairing"]

@@ -99,11 +99,17 @@ def test_sweep_reports_mutants_and_survivors(capsys):
     assert main(["sweep", "--check", "prop2", "--sample", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
-    assert lines[0].split()[:5] == ["prop2", "3", "mutants", "3", "off"]
-    assert lines[0].endswith(" s")
+    fields = lines[0].split()
+    assert fields[:5] == ["prop2", "3", "mutants", "3", "off"]
     assert lines[1].split() == ["total", "3", "mutants", "3", "off",
                                 "green", "0", "survivors"]
     mutants = [("prop2",) + m for m in suite.sample_mutations("prop2", 3)]
+    # the check's seconds, then its slowest mutant and that mutant's
+    # seconds
+    assert len(fields) == 12
+    assert (fields[7], fields[8], fields[11]) == ("s", "slowest", "s")
+    assert fields[9] in ["%s[%d]" % m[1:] for m in mutants]
+    assert float(fields[10]) >= 0
     assert lines[2] == "records sha256 " + records_digest(mutants)
 
 

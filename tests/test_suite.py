@@ -11,19 +11,20 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import FunctionType, MappingProxyType
 
 import pytest
 
 from jet_strategies import random_expr
 from jetverify import catalog
 from jetverify.jetalg import RelationSet, SystemDef, to_text
-from jetverify.opcalc import Echelon, MatrixOp, PseudoOp
+from jetverify.opcalc import Echelon, MatrixOp, NonlocalStore, PseudoOp
 from jetverify.verify import (
     Claim, ERRATUM, ErratumEntry, FAIL, NORMAL_FORM, OrderCapExceeded, PASS,
-    UNDECIDABLE, hamops, suite, theorem,
+    UNDECIDABLE, appendixes, hamops, suite, theorem,
 )
 from jetverify.verify.base import (
-    MAX_ORDER, SUMMARY_WIDTH, conclude, summarize,
+    MAX_ORDER, SUMMARY_WIDTH, conclude, mn_rules, summarize,
 )
 from jetverify.verify.errata import load_ledger
 
@@ -582,39 +583,123 @@ def test_a_fetch_outside_a_build_raises(monkeypatch):
         suite._unmutated_rows("toy_between", 0)
 
 
-def _counting_jacobians(monkeypatch):
-    """The calls of theorem._derived_jacobians from now on, once the
-    unmutated run of theorem1 is recorded."""
-    suite._unmutated("theorem1", 0)
-    calls = []
-    original = theorem._derived_jacobians
+def _counting_builds(monkeypatch, check):
+    """The calls, from now on and once the unmutated run of check is
+    recorded, of theorem._derived_jacobians, of theorem._t2_readings
+    and of the NonlocalStore constructor in theorem and appendixes."""
+    suite._unmutated(check, 0)
+    calls = {"jacobians": 0, "readings": 0, "stores": 0}
 
-    def counted(C):
-        calls.append(C)
-        return original(C)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(theorem, "_derived_jacobians", counted)
+    monkeypatch.setattr(theorem, "_derived_jacobians", counting(
+        "jacobians", theorem._derived_jacobians))
+    monkeypatch.setattr(theorem, "_t2_readings", counting(
+        "readings", theorem._t2_readings))
+    for module in (theorem, appendixes):
+        monkeypatch.setattr(module, "NonlocalStore", counting(
+            "stores", module.NonlocalStore))
     return calls
 
 
-@pytest.mark.parametrize("ident, builds", (("T2", 0), ("ymap", 1)))
+def _slots_of(check, ident):
+    return [slot for got, slot in suite.mutation_slots(check)
+            if got == ident]
+
+
+# each case's id is the mutated entry and the number of builds
+@pytest.mark.parametrize("check, ident, builds", [
+    pytest.param(check, ident, builds, id="%s-%d" % (ident, sum(builds)))
+    for check, ident, builds in (
+        ("theorem1", "T2", (0, 0, 0)), ("theorem1", "ymap", (1, 0, 0)),
+        ("theorem1", "Jt2", (0, 0, 0)), ("theorem1", "J1", (0, 0, 1)),
+        ("appendix_a", "P2", (0, 0, 0)), ("appendix_a", "P1", (0, 0, 1)))])
 def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
-        ident, builds, monkeypatch):
-    # the Jacobian data reads ymap alone, so a T2 mutant is handed the
-    # unmutated run's, and a ymap mutant derives its own
-    calls = _counting_jacobians(monkeypatch)
-    slot = next(slot for got, slot in suite.mutation_slots("theorem1")
-                if got == ident)
-    assert not suite.all_clear(suite.run_mutated("theorem1", ident, slot))
-    assert len(calls) == builds
+        check, ident, builds, monkeypatch):
+    # the Jacobian data and the t2 readings read ymap alone, the jt2
+    # images read neither Jt2 nor ymap, and the link part all of the
+    # link but P2, so a T2, Jt2 or P2 mutant is handed them and only
+    # compares, while a ymap, J1 or P1 mutant derives its own
+    calls = _counting_builds(monkeypatch, check)
+    slot = _slots_of(check, ident)[0]
+    assert not suite.all_clear(suite.run_mutated(check, ident, slot))
+    assert (calls["jacobians"], calls["readings"], calls["stores"]) \
+        == builds
+
+
+# the three entries a row reads only in its final comparison, and the
+# number of their slots
+@pytest.mark.parametrize("check, ident, count", (
+    ("theorem1", "T2", 20), ("theorem1", "Jt2", 13),
+    ("appendix_a", "P2", 31)))
+def test_served_parts_give_the_records_of_a_run_serving_none(
+        check, ident, count, monkeypatch):
+    # the rows a mutant rebuilds, built once handed the unmutated run's
+    # parts and once over the plain mutated catalog, which serves none;
+    # the served run derives no t2 reading and builds no store
+    rows, _parts = suite._unmutated(check, 0)
+    reused = {rid: row for rid, (row, reads) in rows.items()
+              if ident not in reads}
+    calls = _counting_builds(monkeypatch, check)
+    slots = _slots_of(check, ident)
+    assert len(slots) == count
+    for slot in slots:
+        calls.update(dict.fromkeys(calls, 0))
+        got = suite.run_mutated(check, ident, slot)
+        assert calls == {"jacobians": 0, "readings": 0, "stores": 0}, slot
+        unserved = suite._run_check(
+            catalog.CATALOG.with_mutation(ident, slot), _spec(check), 0,
+            load_ledger(), reused)
+        assert records(got) == records(unserved), slot
+
+
+def _reachable(value):
+    """Every object reachable from value through containers, instance
+    attributes and closures."""
+    seen = {}
+    stack = [value]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (int, str, Fraction)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, (dict, MappingProxyType)):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, FunctionType):
+            stack.extend(cell.cell_contents
+                         for cell in obj.__closure__ or ())
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            stack.extend(getattr(obj, name)
+                         for cls in type(obj).__mro__
+                         for name in cls.__dict__.get("__slots__", ())
+                         if hasattr(obj, name))
+    return seen.values()
+
+
+@pytest.mark.parametrize("check", ("theorem1", "appendix_a"))
+def test_no_served_part_holds_a_store(check):
+    # a reader resolving through a shared store would leave its
+    # auxiliaries to the next mutant
+    _rows, parts = suite._unmutated(check, 0)
+    for key, (value, _reads) in parts.items():
+        assert not any(isinstance(obj, NonlocalStore)
+                       for obj in _reachable(value)), key
 
 
 def test_run_suite_builds_every_part_it_uses(monkeypatch):
     # a plain catalog view serves no part, recorded or not: theorem1.t1
     # derives the Jacobian data and theorem1.t2 reuses the runner's
-    calls = _counting_jacobians(monkeypatch)
+    calls = _counting_builds(monkeypatch, "theorem1")
     suite.run_suite(selection="theorem1")
-    assert len(calls) == 1
+    assert calls["jacobians"] == 1
 
 
 @pytest.mark.parametrize("check", ("theorem1", "appendix_a"))
@@ -641,19 +726,118 @@ def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
     assert seen == set(parts)
 
 
+# each part of a check built alone over a view
+PART_BUILDERS = {
+    "theorem1": lambda view, key: getattr(theorem.Transport(view), key),
+    "appendix_a": lambda view, key: {
+        "formal": appendixes._FormalCurvature,
+        "link": appendixes._link_part}[key](view),
+}
+
+
 def test_part_reads_include_the_nested_parts():
     # lam_adjoint is built from lam, and every mapped matrix from smap,
     # which the row has often built already; those reads count anyway,
     # and each part records what it reads when built alone
-    _rows, parts = suite._unmutated("theorem1", 0)
-    for key, (_value, reads) in parts.items():
-        view = suite._RecordingView()
-        view.reads = {}
-        getattr(theorem.Transport(view), key)
-        assert reads == tuple(view.reads), key
-    assert parts["lam_adjoint"][1] == ("Lambda", "usdefs")
+    parts = {}
+    for check, build in PART_BUILDERS.items():
+        _rows, parts[check] = suite._unmutated(check, 0)
+        for key, (_value, reads) in parts[check].items():
+            view = suite._RecordingView()
+            view.reads = {}
+            build(view, key)
+            assert reads == tuple(view.reads), (check, key)
+    transport, appendix = parts["theorem1"], parts["appendix_a"]
+    assert transport["lam_adjoint"][1] == ("Lambda", "usdefs")
+    assert transport["t2_readings"][1] == ("ymap",)
+    assert transport["jt2_images"][1] \
+        == ("E", "J1", "T1", "usdefs", "T2")
+    assert appendix["link"][1] == ("miura.m", "miura.n", "OmegaPrime",
+                                   "Kmat", "P1", "Jop", "Thetamat")
 
 
+def _scan_constants(monkeypatch, view):
+    """What appendix_a.scan's row, built over view, finds for the
+    integral form, and the basis vectors it built images of."""
+    found = []
+    imaged = []
+    prune = appendixes._constants_on_vectors
+
+    def recorded(cands, vecs, image, targets):
+        def counted(vec):
+            imaged.append(vec)
+            return image(vec)
+
+        found.append(prune(cands, vecs, counted, targets))
+        return found[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(appendixes, "_constants_on_vectors", recorded)
+        for rid, build in appendixes.appendix_a(view):
+            if rid == "appendix_a.scan":
+                build()
+    (got,) = found
+    return got, imaged
+
+
+def _exhaustive_scan(C):
+    """The constants of the integral half of appendix_a.scan, from the
+    images of both basis vectors and both targets on each."""
+    Y = catalog.RING_Y
+    omega = C.get("OmegaPrime")
+    store = NonlocalStore(Y, relations=mn_rules(C))
+    lam, middle = C.get("Lambda"), C.get("Jt1.middle")
+    vecs = theorem._basis_vectors(Y)
+    images = [store.reduce(e) for vec in vecs
+              for e in omega.apply(theorem.apply_sandwich(
+                  lam, lam.adjoint(), middle,
+                  omega.adjoint().apply(vec, store), store), store)]
+    cands = [Fraction(c) for c in (1, -1, 2, -2, 4, -4, 8, -8, 16, -16)]
+    out = []
+    for target in (C.get("P1"), C.get("P2")):
+        targets = [store.reduce(t) for vec in vecs
+                   for t in target.apply(vec, store)]
+        out.append([c for c in cands
+                    if all(t == c * e for e, t in zip(images, targets))])
+    return out
+
+
+def test_the_scan_stops_after_the_first_vector(rows, monkeypatch):
+    # the first vector's reduced images name auxiliaries, so no constant
+    # survives it and the second vector's images are never built; the
+    # exhaustive scan over both vectors finds the same
+    got, imaged = _scan_constants(monkeypatch, catalog.CATALOG)
+    assert got == _exhaustive_scan(catalog.CATALOG) == [[], []]
+    assert len(imaged) == 1
+    row = _built_alone("appendix_a", "appendix_a.scan")
+    assert row.to_record() == _suite_record(rows, "appendix_a.scan")
+
+
+def test_a_constant_surviving_the_first_vector_can_die_on_the_second():
+    images = {0: [1, 2], 1: [1, 1]}
+    targets = ({0: [2, 4], 1: [2, 3]},     # 2 on the first vector only
+               {0: [-2, -4], 1: [-2, -2]},  # -2 on both
+               {0: [3, 5], 1: [2, 2]})      # none on the first vector
+    evaluated = []
+
+    def target(k):
+        def apply(vec):
+            evaluated.append((k, vec))
+            return targets[k][vec]
+        return apply
+
+    found = appendixes._constants_on_vectors(
+        [1, 2, -2], (0, 1), images.__getitem__,
+        [target(k) for k in range(3)])
+    assert found == [[], [-2], []]
+    # a target left with no constant is not applied again
+    assert evaluated == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+    # once no target has a constant left, no further image is built
+    built = []
+    assert appendixes._constants_on_vectors(
+        [1], (0, 1), lambda vec: built.append(vec) or images[vec],
+        [target(2)]) == [[]]
+    assert built == [0]
 @pytest.mark.parametrize("check", tuple(SLOTS))
 def test_row_reads_cover_the_read_surface(check):
     surface = {ident for ident, _parts in _spec(check).reads}
