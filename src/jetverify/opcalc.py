@@ -569,7 +569,7 @@ class NonlocalStore:
     matched as a parameter-monomial multiple of one prior core, then
     as a rational combination of prior cores with an exact remainder,
     found by solving its signature in an ``Echelon`` of the prior
-    cores' signatures (each kept from its allocation), and the
+    cores' signatures (a new one inserted by that same solve), and the
     remainder integrated by ``antiderivative``.  An exact argument is
     the zero combination: it is integrated outright.
     Only genuinely new kernels allocate a fresh dependent, with its
@@ -615,16 +615,24 @@ class NonlocalStore:
         if combo is not None:
             return combo
         signature = _signature(core)
-        combo = self._affine_match(core, signature)
-        if combo is not None:
-            return combo
+        # a signature outside the span is inserted by the solve that
+        # reduced it, whenever a name is left to allocate for its core
+        sol = self._dinv_span.solve(signature,
+                                    insert=bool(self._dinv_names))
+        if sol is not None:
+            combo = self._affine_match(core, sol)
+            if combo is not None:
+                return combo
         if not self._dinv_names:
             raise NonClosedComposition("auxiliary pool exhausted")
         name = self._dinv_names.pop(0)
         self.relations = self.relations.with_rule(name, 1, core)
         self.allocated.append((name, "dinv", core))
         self._dinv_cores.append((name, core, lead))
-        self._dinv_span.insert(signature)
+        if sol is not None:
+            # a signature in the span whose core was still not matched
+            # adds no row, but takes its column
+            self._dinv_span.insert(signature)
         return self.ring.coord(name)
 
     def _param_shift_match(self, core, lead):
@@ -645,15 +653,12 @@ class NonlocalStore:
                 return mu * self.ring.coord(name)
         return None
 
-    def _affine_match(self, core, signature):
+    def _affine_match(self, core, sol):
         """The core as a rational combination of prior cores plus an
-        exact derivative, found by matching signatures.  An exact core
-        has an empty signature, which solves to all zeros (or to no
-        coefficient at all before the first allocation), so the core
-        itself is integrated."""
-        sol = self._dinv_span.solve(signature)
-        if sol is None:
-            return None
+        exact derivative, sol the prior cores' coefficients that match
+        its signature.  An exact core has an empty signature, which
+        solves to all zeros (or to no coefficient at all before the
+        first allocation), so the core itself is integrated."""
         remainder = _combine(core, [-alpha for alpha in sol],
                              [cj for _name, cj, _lead in self._dinv_cores])
         # the solve matched every Euler image, so the remainder's
@@ -825,16 +830,21 @@ class Echelon:
         return rest, combo
 
     def insert(self, vec):
-        rest, combo = self._reduce(vec)
+        self._insert(*self._reduce(vec))
+
+    def _insert(self, rest, combo):
         if rest:
             self._rows.append((next(iter(rest)), rest, combo))
         self.size += 1
 
-    def solve(self, vec):
+    def solve(self, vec, insert=False):
         """Coefficients of the inserted vectors reproducing vec, or None
-        when vec is outside their span."""
+        when vec is outside their span; then, with insert, vec is also
+        inserted, from the same reduction."""
         rest, combo = self._reduce(vec)
         if rest:
+            if insert:
+                self._insert(rest, combo)
             return None
         scale = -combo[self.size]
         return [combo.get(i, 0) / scale for i in range(self.size)]

@@ -153,23 +153,52 @@ def transported_tau(sysdef, map_, xdef):
                               - ratio * total_derivative(xdef)))
 
 
+def _reduced_tau(C, src_ident, map_ident, coefficient):
+    """transported_tau of the definition ymap[coefficient] from the
+    flow src_ident through the map map_ident, reduced modulo the
+    coefficient definitions: a derived part keyed by the three
+    arguments.  It reads no flow it is compared with, so a mutant of
+    that flow is handed the unmutated run's value and only compares."""
+    def build():
+        got = transported_tau(C.get(src_ident), C.get(map_ident),
+                              C.get("ymap")[coefficient])
+        return usdef_rules(C).reduce(got)
+
+    return C.derive(("transported_tau", src_ident, map_ident, coefficient),
+                    build)
+
+
+def _transported_constraints(C):
+    """The momentum constraints of sys.main confronted with the
+    parametrization of recip.main, v then w, over the new variable: a
+    derived part, the half of reciprocal.main.kernels that does not
+    read the kernel readings it is compared with."""
+    def build():
+        eqs = _constraint_equations(C.get("sys.main"), C.get("recip.main"))
+        return to_y(eqs["v"]), to_y(eqs["w"])
+
+    return C.derive("transported_constraints", build)
+
+
 def check_reciprocal_system_map(C, src_ident, map_ident, dst_ident):
     """Compare the coefficient definitions' flow, transported from
     src_ident through map_ident, with the system dst_ident.
 
     Residuals are reduced modulo the coefficient definitions, since the
-    destination displays keep the transported coefficients symbolic."""
-    src = C.get(src_ident)
-    map_ = C.get(map_ident)
+    destination displays keep the transported coefficients symbolic;
+    reduction is linear, so the transported half and the stated flow
+    are reduced apart."""
+    # the stated system is fetched after the two sources and before
+    # the transported halves, which read ymap and usdefs next
+    C.get(src_ident)
+    C.get(map_ident)
     dst = C.get(dst_ident)
-    named = C.get("ymap")
-    defs = {"i": named["Q1"], "j": named["Q2"]}
-    rules = usdef_rules(C)
     pairs = []
-    for dep in ("i", "j"):
-        got = transported_tau(src, map_, defs[dep])
+    for dep, coefficient in (("i", "Q1"), ("j", "Q2")):
+        got = _reduced_tau(C, src_ident, map_ident, coefficient)
         pairs.append(("transported time derivative of %s minus the stated "
-                      "flow" % dep, rules.reduce(got - dst.evolution[dep])))
+                      "flow" % dep,
+                      got - usdef_rules(C).reduce(dst.evolution[dep])))
     return Claim(C.citation(dst_ident), pairs, NORMAL_FORM)
 
 
@@ -198,15 +227,19 @@ def reciprocal(C):
                         "overall power, minus the direct definition",
                         to_y(named["Q2"]) - usdefs["j"])])
 
+    # a row with a part fetches the entries it compares before deriving
+    # it, since the part fetches the entries the row reads after them
+
     def tau(dep, coefficient):
-        xdef = C.get("ymap")[coefficient]
+        # the row's reads lead with ymap, then the flows it compares
+        C.get("ymap")
         flows = C.get("flow.intermediate")
-        got = transported_tau(C.get("sys.main"), C.get("recip.main"), xdef)
+        got = _reduced_tau(C, "sys.main", "recip.main", coefficient)
         return Claim(
             C.citation("flow.intermediate"),
             [("transported time derivative of %s minus the stated mixed "
               "flow" % dep,
-              usdef_rules(C).reduce(got - flows[dep + "_tau"]))],
+              got - usdef_rules(C).reduce(flows[dep + "_tau"]))],
             NORMAL_FORM)
 
     def kernels():
@@ -214,14 +247,14 @@ def reciprocal(C):
         # momentum constraints factor through the third-order kernel
         # expressions with a single density prefactor
         flows = C.get("flow.intermediate")
-        eqs = _constraint_equations(C.get("sys.main"), C.get("recip.main"))
+        eq_v, eq_w = _transported_constraints(C)
         u = Y.coord("u")
         return Claim(
             C.citation("flow.intermediate"),
             [("first transported constraint minus density times its "
-              "kernel reading", to_y(eqs["v"]) - u * flows["kernelr"]),
+              "kernel reading", eq_v - u * flows["kernelr"]),
              ("second transported constraint minus density times its "
-              "kernel reading", to_y(eqs["w"]) - u * flows["kernelq"])],
+              "kernel reading", eq_w - u * flows["kernelq"])],
             NORMAL_FORM)
 
     def flowlink():

@@ -53,17 +53,40 @@ def transport_pseudo(op, jac):
     return PseudoOp(jac.ring, local, tail, words)
 
 
-def _conjugation_residual(C, left_x, right_x, result_local):
-    """mult(left) o kernel o mult(right) minus result after transport,
-    with the result coefficients reduced through the derivative-ratio
+def _conjugation(C, display):
+    """mult(left) o kernel o mult(right) after transport, with the
+    weights (left, right) of the conjugation compared with display: a
+    derived part keyed by ("conjugation", display).  It reads the
+    kernel alone, so a mutant of the display is handed the unmutated
+    run's conjugation and only compares."""
+    X = _catalog.RING_X
+    u = X.coord("u")
+    s = X.coord("s")
+    left, right = {
+        "Theta1": (s * u ** -3, s ** -1),
+        # reversed weights give the negative adjoint, i.e. the
+        # conjugate display itself
+        "Theta1.conj": (u ** -1 * s ** -1, s * u ** -2),
+        "Theta2": (u ** -2, u ** -1),
+    }[display]
+
+    def build():
+        composed = (LocalOp.mult(left).compose(C.get("E").local)
+                    .compose(LocalOp.mult(right)))
+        return transport_local(composed, carry_coeff,
+                               _catalog.RING_Y.coord("u"))
+
+    return C.derive(("conjugation", display), build)
+
+
+def _conjugation_residual(C, display, result_local):
+    """The weighted conjugation of display minus result_local, with the
+    result coefficients reduced through the derivative-ratio
     definitions; jets of phi tag the orders so one expression carries
     every coefficient."""
     Y = _catalog.RING_Y
     rules = usdef_rules(C)
-    kernel = C.get("E").local
-    composed = (LocalOp.mult(left_x).compose(kernel)
-                .compose(LocalOp.mult(right_x)))
-    got = transport_local(composed, carry_coeff, Y.coord("u"))
+    got = _conjugation(C, display)
     residual = Y.zero()
     for k in sorted(set(got.coeffs) | set(result_local.coeffs)):
         g = got.coeffs.get(k, Y.zero())
@@ -77,21 +100,15 @@ def prop1(C):
 
 
 def _prop1_row(C):
-    X = _catalog.RING_X
-    u = X.coord("u")
-    s = X.coord("s")
     th1 = C.get("Theta1").local
     th1c = C.get("Theta1.conj").local
     pairs = [("transported weighted conjugation minus the displayed "
               "operator, orders tagged by jets of phi",
-              _conjugation_residual(C, s * u ** -3, s ** -1, th1))]
+              _conjugation_residual(C, "Theta1", th1))]
     pairs += op_coeff_pairs("adjoint display", th1.adjoint() + th1c)
-    # reversed weights give the negative adjoint, i.e. the conjugate
-    # display itself
     pairs.append(("reversed-weight conjugation minus the conjugate "
                   "display",
-                  _conjugation_residual(C, u ** -1 * s ** -1,
-                                        s * u ** -2, th1c)))
+                  _conjugation_residual(C, "Theta1.conj", th1c)))
     return Claim(C.citation("Theta1"), pairs, NORMAL_FORM)
 
 
@@ -100,12 +117,10 @@ def prop2(C):
 
 
 def _prop2_row(C):
-    X = _catalog.RING_X
-    u = X.coord("u")
     th2 = C.get("Theta2").local
     pairs = [("transported weighted conjugation minus the displayed "
               "operator, orders tagged by jets of phi",
-              _conjugation_residual(C, u ** -2, u ** -1, th2))]
+              _conjugation_residual(C, "Theta2", th2))]
     pairs += op_coeff_pairs("skewness", th2.adjoint() + th2)
     return Claim(C.citation("Theta2"), pairs, NORMAL_FORM)
 

@@ -82,9 +82,23 @@ def _gauged_relations(C):
     return promote(eq_phi, Y), promote(eq_psi, Y)
 
 
-def scalar_reduction(C):
+def _fourth_order(eq_phi, eq_psi, hmap):
+    """The fourth-order relation at squared spectral parameter that the
+    gauged pair closes, reduced through hmap: the first relation solves
+    for the second component, and the second relation, with it
+    eliminated, closes."""
     Y = _catalog.RING_Y
-    relations = cache(lambda: _gauged_relations(C))
+    lam = Y.param("lam")
+    psi_expr = (eq_phi + lam * Y.coord("psi")) / lam
+    return hmap.reduce(lam * substitute(eq_psi, {"psi": psi_expr}))
+
+
+def scalar_reduction(C):
+    built = cache(lambda: _gauged_relations(C))
+
+    def relations():
+        # derived through the view on every use, built once per runner
+        return C.derive("relations", built)
 
     def pair():
         eq_phi, eq_psi = relations()
@@ -98,19 +112,18 @@ def scalar_reduction(C):
             NORMAL_FORM)
 
     def fourth():
-        # eliminate the second component: the first relation solves for
-        # it, the second then closes a fourth-order equation at squared
-        # spectral parameter
-        eq_phi, eq_psi = relations()
-        lam = Y.param("lam")
-        psi_expr = (eq_phi + lam * Y.coord("psi")) / lam
-        derived = lam * substitute(eq_psi, {"psi": psi_expr})
+        # the derived side is a part, which reads no displayed entry; the
+        # relations come first and hmap last in the row's reads, so the
+        # displayed problem is fetched between the two
+        relations()
         mn = C.get("scalar.mn")
         claim4 = substitute(C.get("scalar4"), mn)
+        derived = C.derive("derived_fourth", lambda: _fourth_order(
+            *relations(), C.get("hmap")))
         return Claim(
             C.citation("scalar4"),
             [("derived fourth-order relation minus the displayed scalar "
-              "problem", C.get("hmap").reduce(derived) - claim4)],
+              "problem", derived - claim4)],
             NORMAL_FORM)
 
     def mn_pair():

@@ -31,18 +31,33 @@ before it and reports one undecidable row.
 
 Derived parts get the same reuse.  The setup a runner shares between
 its rows (the theorem checks' Transport parts, appendix_a's formal
-curvature) is derived through the view, C.derive(key, build), which
-over a plain view only builds.  The unmutated run records each part's
-reads as it records a row's, nested parts included, and run_mutated
-hands a mutant every part whose reads lack the mutated entry: a part
-whose recording never fetched that entry has the same value over the
-mutated catalog, by the argument above.
+curvature, scalar_reduction's gauged relations) is derived through the
+view, C.derive(key, build), which over a plain view only builds.  The
+unmutated run records each part's reads as it records a row's, nested
+parts included, and run_mutated hands a mutant every part whose reads
+lack the mutated entry: a part whose recording never fetched that
+entry has the same value over the mutated catalog, by the argument
+above.
 
 A part may also hold the half of a row that comes before its final
 comparison and does not read the entry compared there: theorem1.t2's
-adjoint readings, theorem1.jt2's sandwich images and appendix_a.link's
-solved vector and left images.  A mutant of that entry is handed the
-half and only compares, so it builds no reading and no store.
+adjoint readings, theorem1.jt2's sandwich images, appendix_a.link's
+solved vector and left images, the transported time derivatives of
+reciprocal.main.itau/jtau, reciprocal.appb and appendix_b.reciprocal,
+the transported constraints of reciprocal.main.kernels, the reduced
+fourth-order relation of scalar_reduction.fourth and the transported
+weighted conjugations of prop1 and prop2.  A mutant of that entry is
+handed the half and only compares, so it builds no reading, no store
+and no transport.  Where the comparison is reduced, the half and the
+compared entry are reduced apart, which gives the same normal form,
+since reduction is linear; only a term that reduction rejects (a
+negative power of a dependent whose rule is not a monomial) and that
+the difference cancels could raise apart, and no mutant of the full
+sweep meets one.  Such a row fetches its entries in the
+order of a build that derives both halves in place: where the half
+fetches an entry that comes after a compared one, the row fetches the
+compared entries first, so its recorded reads, which describe lists,
+do not depend on which half is a part.
 
 The reuse premise, on which both rest: rows and parts share no state
 that can change a record.  Setup is built from the catalog on first

@@ -75,6 +75,22 @@ def test_describe_lists_each_row_and_its_reads(capsys):
     for rid in ("reciprocal.appb", "appendix_b.reciprocal"):
         assert reads[rid] == ["sys.appb", "recip.appb", "sys.appb.trans",
                               "ymap", "usdefs"]
+    # a row whose first half is a derived part fetches the entries it
+    # compares before deriving it, so its order is the one it had when
+    # it built both halves itself
+    for rid in ("reciprocal.main.itau", "reciprocal.main.jtau"):
+        assert reads[rid] == ["ymap", "flow.intermediate", "sys.main",
+                              "recip.main", "usdefs"]
+    assert reads["reciprocal.main.kernels"] \
+        == ["flow.intermediate", "sys.main", "recip.main"]
+    assert reads["reciprocal.main.flowlink"] \
+        == ["flow.intermediate", "fg", "sys.mdflow", "usdefs"]
+    assert reads["scalar_reduction.pair"] \
+        == ["lax.main", "recip.main", "reduction2"]
+    assert reads["scalar_reduction.fourth"] \
+        == ["lax.main", "recip.main", "scalar.mn", "scalar4", "hmap"]
+    assert reads["prop1"] == ["Theta1", "Theta1.conj", "usdefs", "E"]
+    assert reads["prop2"] == ["Theta2", "usdefs", "E"]
 
 
 def test_describe_rejects_an_unknown_check(capsys):

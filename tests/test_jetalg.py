@@ -599,16 +599,21 @@ def test_reduce_solved_constraint_and_its_derivative():
 
 
 def test_reduce_idempotent_and_order_independent():
+    # and linear, so the verify checks may reduce a derived half and
+    # the entry it is compared with apart
     rules_a = constraint_rules()
     rules_b = (RelationSet(RX)
                .with_rule("w", 0, RX.coord("q", 3) - RX.coord("q", 1))
                .with_rule("v", 0, RX.coord("r", 3) - RX.coord("r", 1)))
     rng = random.Random(606)
+    prev = RX.zero()
     for _ in range(60):
         e = random_expr(rng, RX, deps=("v", "w", "q", "r"), max_jet_order=2)
         red = rules_a.reduce(e)
         assert rules_a.reduce(red) == red
         assert rules_b.reduce(e) == red
+        assert rules_a.reduce(e - 3 * prev) == red - 3 * rules_a.reduce(prev)
+        prev = e
 
 
 def test_reduce_handles_inverse_powers_of_solved_monomial():

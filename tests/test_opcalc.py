@@ -529,6 +529,35 @@ def test_store_keeps_dependent_cores_out_of_matches():
     assert len(store.allocated) == 5
 
 
+def test_a_new_core_reduces_its_signature_once(monkeypatch):
+    # the solve that finds a signature outside the span inserts it from
+    # the same reduction; a core allocated though its signature is in
+    # the span (here the zero one) takes a column and no row
+    reductions = []
+    reduce_ = Echelon._reduce
+
+    def counted(span, vec):
+        reductions.append(vec)
+        return reduce_(span, vec)
+
+    monkeypatch.setattr(Echelon, "_reduce", counted)
+    store = NonlocalStore(R)
+    ring = store.ring
+    u, u1, s1 = ring.coord("u"), ring.coord("u", 1), ring.coord("s", 1)
+    cores = (u1 ** 2, s1 ** 2, u ** -1 * u1, u1 ** 4 + s1 ** 2)
+    for k, core in enumerate(cores):
+        reductions.clear()
+        assert store.resolve_dinv(core) == ring.coord("rho%d" % (k + 1))
+        assert len(reductions) == (2 if k == 2 else 1), k
+    monkeypatch.undo()
+    # the span is the one inserting every allocated core's signature
+    span = Echelon([opcalc._signature(store.reduce(core))
+                    for core in cores])
+    assert store._dinv_span.size == span.size == 4
+    assert store._dinv_span._rows == span._rows
+    assert len(span._rows) == 3
+
+
 def test_apply_without_store_requires_exact_tails():
     t = PseudoOp.from_tail(R.one(), R.one())
     u = R.coord("u")

@@ -21,7 +21,7 @@ from jetverify.jetalg import RelationSet, SystemDef, to_text
 from jetverify.opcalc import Echelon, MatrixOp, NonlocalStore, PseudoOp
 from jetverify.verify import (
     Claim, ERRATUM, ErratumEntry, FAIL, NORMAL_FORM, OrderCapExceeded, PASS,
-    UNDECIDABLE, appendixes, hamops, suite, theorem,
+    UNDECIDABLE, appendixes, flows, hamops, scalar, suite, theorem,
 )
 from jetverify.verify.base import (
     MAX_ORDER, SUMMARY_WIDTH, conclude, mn_rules, summarize,
@@ -585,10 +585,15 @@ def test_a_fetch_outside_a_build_raises(monkeypatch):
 
 def _counting_builds(monkeypatch, check):
     """The calls, from now on and once the unmutated run of check is
-    recorded, of theorem._derived_jacobians, of theorem._t2_readings
-    and of the NonlocalStore constructor in theorem and appendixes."""
+    recorded, of theorem._derived_jacobians, of theorem._t2_readings,
+    of the NonlocalStore constructor in theorem and appendixes, and of
+    the builders of the light checks' served halves: flows'
+    transported_tau and _constraint_equations, scalar's
+    _gauged_relations and _fourth_order, and hamops' transport_local."""
     suite._unmutated(check, 0)
-    calls = {"jacobians": 0, "readings": 0, "stores": 0}
+    calls = dict.fromkeys(("jacobians", "readings", "stores", "taus",
+                           "constraints", "relations", "fourths",
+                           "conjugations"), 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -603,6 +608,14 @@ def _counting_builds(monkeypatch, check):
     for module in (theorem, appendixes):
         monkeypatch.setattr(module, "NonlocalStore", counting(
             "stores", module.NonlocalStore))
+    for module, name, key in (
+            (flows, "transported_tau", "taus"),
+            (flows, "_constraint_equations", "constraints"),
+            (scalar, "_gauged_relations", "relations"),
+            (scalar, "_fourth_order", "fourths"),
+            (hamops, "transport_local", "conjugations")):
+        monkeypatch.setattr(module, name, counting(
+            key, getattr(module, name)))
     return calls
 
 
@@ -631,16 +644,26 @@ def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
         == builds
 
 
-# the three entries a row reads only in its final comparison, and the
-# number of their slots
+# the entries a row reads only in its final comparison, and the number
+# of their slots
 @pytest.mark.parametrize("check, ident, count", (
     ("theorem1", "T2", 20), ("theorem1", "Jt2", 13),
-    ("appendix_a", "P2", 31)))
+    ("appendix_a", "P2", 31),
+    ("reciprocal", "flow.intermediate", 19),
+    ("reciprocal", "sys.appb.trans", 5),
+    ("scalar_reduction", "reduction2", 18),
+    ("scalar_reduction", "scalar.mn", 24),
+    ("scalar_reduction", "scalar4", 5),
+    ("prop1", "Theta1", 7), ("prop1", "Theta1.conj", 9),
+    ("prop2", "Theta2", 7)))
 def test_served_parts_give_the_records_of_a_run_serving_none(
         check, ident, count, monkeypatch):
     # the rows a mutant rebuilds, built once handed the unmutated run's
     # parts and once over the plain mutated catalog, which serves none;
-    # the served run derives no t2 reading and builds no store
+    # the served run rebuilds no served half: it derives no t2 reading,
+    # builds no store, transports no time derivative or constraint,
+    # gauges no relation, closes no fourth-order relation and
+    # transports no conjugation
     rows, _parts = suite._unmutated(check, 0)
     reused = {rid: row for rid, (row, reads) in rows.items()
               if ident not in reads}
@@ -650,7 +673,7 @@ def test_served_parts_give_the_records_of_a_run_serving_none(
     for slot in slots:
         calls.update(dict.fromkeys(calls, 0))
         got = suite.run_mutated(check, ident, slot)
-        assert calls == {"jacobians": 0, "readings": 0, "stores": 0}, slot
+        assert not any(calls.values()), (slot, calls)
         unserved = suite._run_check(
             catalog.CATALOG.with_mutation(ident, slot), _spec(check), 0,
             load_ledger(), reused)
@@ -684,7 +707,17 @@ def _reachable(value):
     return seen.values()
 
 
-@pytest.mark.parametrize("check", ("theorem1", "appendix_a"))
+# every check that derives a part
+PART_CHECKS = ("reciprocal", "scalar_reduction", "prop1", "prop2",
+               "theorem1", "appendix_a", "appendix_b")
+
+
+def test_the_part_checks_are_the_checks_deriving_a_part():
+    assert {check for check in suite.check_ids()
+            if suite._unmutated(check, 0)[1]} == set(PART_CHECKS)
+
+
+@pytest.mark.parametrize("check", PART_CHECKS)
 def test_no_served_part_holds_a_store(check):
     # a reader resolving through a shared store would leave its
     # auxiliaries to the next mutant
@@ -702,7 +735,7 @@ def test_run_suite_builds_every_part_it_uses(monkeypatch):
     assert calls["jacobians"] == 1
 
 
-@pytest.mark.parametrize("check", ("theorem1", "appendix_a"))
+@pytest.mark.parametrize("check", PART_CHECKS)
 def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
         check, monkeypatch):
     # so a row that reads nothing a mutant touches derives only parts
@@ -726,8 +759,30 @@ def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
     assert seen == set(parts)
 
 
+def _tau_or(view, key, named):
+    """The transported_tau part under a tuple key, else the part named
+    key in named, built over view."""
+    if isinstance(key, tuple):
+        _name, src, map_, coefficient = key
+        return flows._reduced_tau(view, src, map_, coefficient)
+    return named[key](view)
+
+
+def _scalar_relations(view):
+    return view.derive("relations", lambda: scalar._gauged_relations(view))
+
+
 # each part of a check built alone over a view
 PART_BUILDERS = {
+    "reciprocal": lambda view, key: _tau_or(view, key, {
+        "transported_constraints": flows._transported_constraints}),
+    "appendix_b": lambda view, key: _tau_or(view, key, {}),
+    "scalar_reduction": lambda view, key: {
+        "relations": _scalar_relations,
+        "derived_fourth": lambda v: scalar._fourth_order(
+            *_scalar_relations(v), v.get("hmap"))}[key](view),
+    "prop1": lambda view, key: hamops._conjugation(view, key[1]),
+    "prop2": lambda view, key: hamops._conjugation(view, key[1]),
     "theorem1": lambda view, key: getattr(theorem.Transport(view), key),
     "appendix_a": lambda view, key: {
         "formal": appendixes._FormalCurvature,
@@ -736,9 +791,10 @@ PART_BUILDERS = {
 
 
 def test_part_reads_include_the_nested_parts():
-    # lam_adjoint is built from lam, and every mapped matrix from smap,
-    # which the row has often built already; those reads count anyway,
-    # and each part records what it reads when built alone
+    # each part records what it reads when built alone, including the
+    # reads of the parts nested in it, which the row has often built
+    # already: lam_adjoint is built from lam, every mapped matrix from
+    # smap, and the fourth-order half from the gauged relations
     parts = {}
     for check, build in PART_BUILDERS.items():
         _rows, parts[check] = suite._unmutated(check, 0)
@@ -747,6 +803,7 @@ def test_part_reads_include_the_nested_parts():
             view.reads = {}
             build(view, key)
             assert reads == tuple(view.reads), (check, key)
+    assert set(PART_BUILDERS) == set(PART_CHECKS)
     transport, appendix = parts["theorem1"], parts["appendix_a"]
     assert transport["lam_adjoint"][1] == ("Lambda", "usdefs")
     assert transport["t2_readings"][1] == ("ymap",)
@@ -754,6 +811,21 @@ def test_part_reads_include_the_nested_parts():
         == ("E", "J1", "T1", "usdefs", "T2")
     assert appendix["link"][1] == ("miura.m", "miura.n", "OmegaPrime",
                                    "Kmat", "P1", "Jop", "Thetamat")
+    # the light checks' halves read nothing they are compared with
+    recip = parts["reciprocal"]
+    for coefficient in ("Q1", "Q2"):
+        assert recip[("transported_tau", "sys.main", "recip.main",
+                      coefficient)][1] \
+            == ("sys.main", "recip.main", "ymap", "usdefs")
+        assert parts["appendix_b"][("transported_tau", "sys.appb",
+                                    "recip.appb", coefficient)][1] \
+            == ("sys.appb", "recip.appb", "ymap", "usdefs")
+    assert recip["transported_constraints"][1] == ("sys.main", "recip.main")
+    assert parts["scalar_reduction"]["derived_fourth"][1] \
+        == ("lax.main", "recip.main", "hmap")
+    for check, key in (("prop1", "Theta1"), ("prop1", "Theta1.conj"),
+                       ("prop2", "Theta2")):
+        assert parts[check][("conjugation", key)][1] == ("E",)
 
 
 def _scan_constants(monkeypatch, view):
