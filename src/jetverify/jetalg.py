@@ -62,12 +62,20 @@ vector, which is built from ``coeff_items`` in term order.  A shortcut
 must therefore reproduce the order as well as the values, and the hot
 paths do so by leaving alone what an operation preserves: a rational
 constant factor keeps every key, a derivative splices its new key from
-slices of the sorted old one, and power tuples merge linearly.  The one
-exception is ``euler_derivative``: its Horner form walks the orders
-from the top down, so an Euler image does not keep the order of the
-definitional sum.  Its readers use only values: the store's signature
-solve (``Echelon.solve``, whose results do not depend on the pivots),
-``is_zero``, and comparisons and text that sort.
+slices of the sorted old one, and power tuples merge linearly.  The
+small-operand fast paths of the arithmetic keep it for the same
+reasons: a difference subtracts each of the right operand's numerators
+in the one walk a sum makes, the order adding its negation (which keeps
+every key) would give; an int or Fraction factor scales the numerators
+in place of coercing to a constant expression, which keeps every key as
+well; a product with a zero operand is the zero expression, which has
+no order; and ``verify.flows.curvature_entry`` skips a commutator
+product with a zero factor, since adding zero returns the sum itself.
+The one exception is ``euler_derivative``: its Horner form walks the
+orders from the top down, so an Euler image does not keep the order of
+the definitional sum.  Its readers use only values: the store's
+signature solve (``Echelon.solve``, whose results do not depend on the
+pivots), ``is_zero``, and comparisons and text that sort.
 
 A monomial key is a pair (variable part, parameter part) of sorted
 power tuples.  The variable part holds (g, exponent) pairs, where the
@@ -367,33 +375,36 @@ class JetExpr:
 
     def _coerce(self, other):
         if isinstance(other, JetExpr):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ContextMismatch("mixed ring contexts: %r vs %r"
                                       % (self.ring, other.ring))
             return other
         return self.ring.const(other)
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign * other for a sign of 1 or -1: a difference is
+        taken in the one pass a sum makes, which walks the terms as
+        adding the negated operand would."""
         other = self._coerce(other)
         if not other.nums:
             return self
         if not self.nums:
-            return other
+            return other if sign == 1 else -other
         den, dother = self.den, other.den
         if den == dother:
             acc = dict(self.nums)
-            items = other.nums.items()
+            oscale = sign
         else:
             g = gcd(den, dother)
-            scale, oscale = dother // g, den // g
+            scale, oscale = dother // g, den // g * sign
             den *= scale
             acc = {k: v * scale for k, v in self.nums.items()}
-            items = [(k, v * oscale) for k, v in other.nums.items()]
         # other's keys are distinct, so a cancelled key never returns:
         # deleting it at once leaves the survivors in the order that
         # accumulating first and dropping zeros afterwards would give
         get = acc.get
-        for key, val in items:
+        for key, val in other.nums.items():
+            val *= oscale
             cur = get(key)
             if cur is None:
                 acc[key] = val
@@ -412,14 +423,26 @@ class JetExpr:
                        self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + self._coerce(other)
 
     def __mul__(self, other):
+        a = self.nums
+        cls = other.__class__
+        if cls is int or cls is Fraction:
+            # a rational factor keeps every key, as the constant
+            # expression it coerces to would
+            num = other.numerator
+            if not num or not a:
+                return JetExpr(self.ring, {})
+            return _reduced(self.ring, {k: num * c for k, c in a.items()},
+                            self.den * other.denominator)
         other = self._coerce(other)
-        a, b = self.nums, other.nums
+        b = other.nums
+        if not a or not b:
+            return JetExpr(self.ring, {})
         den = self.den * other.den
         if len(b) == 1:
             a, b = b, a
@@ -754,11 +777,15 @@ class RelationSet:
     mention graph stays acyclic.  ``rules`` is read-only; with_rule and
     merged return new sets."""
 
-    __slots__ = ("ring", "rules")
+    __slots__ = ("ring", "rules", "_by_index")
 
     def __init__(self, ring, rules=None):
         self.ring = ring
         self.rules = MappingProxyType(dict(rules) if rules else {})
+        # the rule of each ruled dependent index, which reduce looks up
+        # for every jet; the set never changes, so it is built once
+        self._by_index = {ring.index(dep): rule
+                          for dep, rule in self.rules.items()}
 
     def __iter__(self):
         return iter(sorted(self.rules.values(),
@@ -817,7 +844,7 @@ class RelationSet:
         if not self.rules:
             return e
         ring = self.ring
-        by_index = {ring.index(dep): rule for dep, rule in self.rules.items()}
+        by_index = self._by_index
         for _round in range(10000):
             acc = {}
             extra = []

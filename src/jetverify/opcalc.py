@@ -534,10 +534,11 @@ def solve_e_image(arg):
             if check != arg:
                 raise NotIntegrable("third-order solve failed verification")
             return p
-        items = sorted(residual.coeff_items(),
-                       key=lambda kv: (max((g % STRIDE for g, _e in kv[0][0]),
-                                           default=-1), kv[0]))
-        (vk, pk), coeff = items[-1]
+        # the keys are distinct, so max picks the term a sort would put last
+        (vk, pk), coeff = max(residual.coeff_items(),
+                              key=lambda kv: (max((g % STRIDE
+                                                   for g, _e in kv[0][0]),
+                                                  default=-1), kv[0]))
         order = max((g % STRIDE for g, _e in vk), default=-1)
         if order < 2:
             raise NotIntegrable("no second-order jet left to peel")

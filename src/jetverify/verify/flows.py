@@ -19,10 +19,14 @@ from .base import NORMAL_FORM, Claim, to_y, usdef_rules
 
 def curvature_entry(U, V, sysdef, a, b):
     """Entry (a, b) of U_t - V_x + [U, V], the time derivative taken
-    through the evolution rules of sysdef."""
+    through the evolution rules of sysdef.  A commutator product with a
+    zero factor is skipped: adding zero returns e itself."""
     e = evolutionary_derivative(U[a][b], sysdef) - total_derivative(V[a][b])
     for k in range(len(U)):
-        e = e + U[a][k] * V[k][b] - V[a][k] * U[k][b]
+        if U[a][k] and V[k][b]:
+            e = e + U[a][k] * V[k][b]
+        if V[a][k] and U[k][b]:
+            e = e - V[a][k] * U[k][b]
     return e
 
 

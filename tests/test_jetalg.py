@@ -88,6 +88,59 @@ def test_coefficients_share_one_denominator():
     assert (64 * e).den == 1 and (e - u / 64).den == 16
 
 
+# -- fast paths keep the generic path's value and term order ------------
+
+def form(e):
+    """The representation itself: denominator and numerators in term
+    order."""
+    return e.den, list(e.nums.items())
+
+
+@settings(deadline=None)
+@given(exprs(), exprs())
+def test_subtraction_is_adding_the_negation(a, b):
+    assert form(a - b) == form(a + (-b))
+    assert form(b - a) == form(b + (-a))
+    assert form(a - a) == form(RING.zero())
+
+
+def test_a_difference_is_taken_by_add(monkeypatch):
+    # perfbench's trace wraps __add__, so its jetalg.expr_add span
+    # counts subtractions as well
+    add = JetExpr.__add__
+    signs = []
+
+    def counted(self, other, sign=1):
+        signs.append(sign)
+        return add(self, other, sign)
+
+    monkeypatch.setattr(JetExpr, "__add__", counted)
+    assert RX.coord("u") - RX.coord("s") == add(RX.coord("u"), -RX.coord("s"))
+    assert signs == [-1]
+
+
+@settings(deadline=None)
+@given(exprs(), st.integers(-5, 5), COEFFS)
+def test_scaling_by_a_rational_is_multiplying_by_its_constant(e, n, r):
+    for c in (n, r):
+        want = form(RING.const(c) * e)
+        assert form(c * e) == want
+        assert form(e * c) == want
+
+
+@settings(deadline=None)
+@given(exprs())
+def test_a_product_with_a_zero_factor_is_zero(e):
+    zero = RING.zero()
+    for p in (zero * e, e * zero, 0 * e, e * 0):
+        assert form(p) == form(zero)
+    # the zero shortcut still rejects what coercion rejects
+    with pytest.raises(ContextMismatch):
+        zero * RX.coord("u")
+    with pytest.raises(TypeError):
+        zero * 0.5
+
+
 @settings(deadline=None)
 @given(exprs(), exprs(), monomials(), st.integers(-3, 3), COEFFS)
 def test_arithmetic_keeps_coefficients_canonical(a, b, m, n, r):

@@ -17,7 +17,9 @@ import pytest
 
 from jet_strategies import random_expr
 from jetverify import catalog
-from jetverify.jetalg import RelationSet, SystemDef, to_text
+from jetverify.jetalg import (
+    RelationSet, SystemDef, evolutionary_derivative, to_text, total_derivative,
+)
 from jetverify.opcalc import Echelon, MatrixOp, NonlocalStore, PseudoOp
 from jetverify.verify import (
     Claim, ERRATUM, ErratumEntry, FAIL, NORMAL_FORM, OrderCapExceeded, PASS,
@@ -1009,6 +1011,26 @@ def test_a_constant_gauge_keeps_zero_curvature(gauge):
         ("zc_main", PASS), ("zc_trans", PASS), ("appendix_b.zc", PASS),
         ("appendix_b.zc_trans", PASS), ("appendix_b.conservation", PASS),
         ("appendix_b.reciprocal", PASS)]
+
+
+@pytest.mark.parametrize("pair, flow", (
+    ("lax.main", "sys.main"), ("lax.trans", "sys.mdflow"),
+    ("lax.appb", "sys.appb"), ("lax.appb.trans", "sys.appb.trans")))
+def test_skipping_zero_commutator_products_keeps_each_entry(pair, flow):
+    # the full sum, every product taken, gives the same numerators in the
+    # same term order; each pair has zero entries, so products are skipped
+    U, V = catalog.CATALOG.get(pair).space, catalog.CATALOG.get(pair).time
+    sysdef = catalog.CATALOG.get(flow)
+    assert not all(x for row in U for x in row)
+    for a in range(4):
+        for b in range(4):
+            e = (evolutionary_derivative(U[a][b], sysdef)
+                 - total_derivative(V[a][b]))
+            for k in range(4):
+                e = e + U[a][k] * V[k][b] - V[a][k] * U[k][b]
+            got = flows.curvature_entry(U, V, sysdef, a, b)
+            assert (got.den, list(got.nums.items())) == (
+                e.den, list(e.nums.items()))
 
 
 def test_reversed_constraint_rules_keep_every_record(rows):
