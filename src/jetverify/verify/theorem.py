@@ -10,7 +10,9 @@ with D1 = diag(1/v, 1/w) and D2 = diag(u/v, u/w), the premises
 T1 = 1/4 Lambda D1, T2 = -1/4 D2 Lambda* and D1 J2 D2 = -M give
 T1 J2 T2 = 1/16 Lambda M Lambda*.  Only when a premise fails is the
 corrected reading applied as well, since a nonzero operator difference
-does not show that its sandwich by Lambda is nonzero."""
+does not show that its sandwich by Lambda is nonzero.  Then the first
+basis vector with a nonzero corrected residual refutes the corrected
+reading, and no further vector is derived."""
 
 from fractions import Fraction as F
 
@@ -230,7 +232,7 @@ def _t1_row(C, tr):
         verdict = Y.one()
     return Claim(C.citation("T1"),
                  [("derived forward block matrix fails to match the "
-                   "stated one in either orientation", verdict)],
+                   "stated one", verdict)],
                  NORMAL_FORM, notes)
 
 
@@ -416,7 +418,10 @@ def _jt1_check(C, tr):
     reading.  When its three premises hold, the corrected residuals are
     zero and no corrected image is built.  Otherwise T1 J2 is applied
     to each vector's T2 image too, because a nonzero operator
-    difference does not show that its sandwich by Lambda is nonzero."""
+    difference does not show that its sandwich by Lambda is nonzero.
+    The first basis vector with a nonzero corrected residual refutes
+    the corrected reading, and no further vector is derived: the claim
+    then holds that vector's pairs and those before it."""
     Y = _catalog.RING_Y
     original = []
     corrected = []
@@ -436,5 +441,7 @@ def _jt1_check(C, tr):
             original.append((label, store.reduce(lhs_orig[k] - rhs[k])))
             corrected.append((label, store.ring.zero() if by_identity
                               else store.reduce(lhs_corr[k] - rhs[k])))
+        if any(not e.is_zero for _label, e in corrected[-2:]):
+            break
     return Claim(C.citation("Jt1.middle"), original, TEST_VECTOR,
                  corrected=corrected)

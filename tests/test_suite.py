@@ -388,6 +388,11 @@ def test_a_row_records_the_setup_it_triggers():
     # in a sequential run theorem1.t1 builds the Jacobian data that
     # theorem1.t2 then reuses, so only t2 built alone fetches ymap
     assert "ymap" in _recorded_reads("theorem1")["theorem1.t2"]
+    # a failing t1 names the one orientation it compares
+    cat = catalog.CATALOG.with_mutation("T1", 0)
+    assert [label for label, _e in
+            theorem._t1_row(cat, theorem.Transport(cat)).pairs] \
+        == ["derived forward block matrix fails to match the stated one"]
 
 
 def _toy_runner(C, fetch_between=False):
@@ -508,6 +513,9 @@ def test_the_corrected_jt1_reading_needs_no_images(monkeypatch):
     applied, applied_store = _jt1_claim_and_store(monkeypatch)
     assert len(applied.corrected) == 4
     assert all(e.is_zero for _label, e in applied.corrected)
+    # no corrected residual refutes the reading, so both basis vectors
+    # are derived, whichever way it is decided
+    assert len(short.pairs) == len(short.corrected) == 4
     assert [label for label, _e in short.corrected] \
         == [label for label, _e in applied.corrected]
     assert all(e.is_zero for _label, e in short.corrected)
@@ -575,6 +583,44 @@ def test_a_mutant_breaking_a_premise_gets_the_applied_jt1_record(
     applied = _jt1_record(cat)
     assert "the corrected reading fails as well" in applied["notes"]
     assert got == applied
+
+
+def _jt1_both_vectors(cat):
+    """theorem1.jt1's displayed and corrected residuals with the
+    corrected reading applied to both basis vectors through one store,
+    in the row's order, with no stop after a refuting vector."""
+    Y = catalog.RING_Y
+    tr = theorem.Transport(cat)
+    store = NonlocalStore(Y, inverses=tr.inverses)
+    original, corrected = [], []
+    for vec in theorem._basis_vectors(Y):
+        rhs = theorem.apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle, vec,
+                                     store)
+        lhs_orig, inner = theorem._sandwich_residuals(tr, tr.j1, vec, store)
+        lhs_corr, _inner = theorem._sandwich_residuals(tr, tr.j2, vec, store,
+                                                       inner)
+        for k in range(2):
+            original.append(store.reduce(lhs_orig[k] - rhs[k]))
+            corrected.append(store.reduce(lhs_corr[k] - rhs[k]))
+    return original, corrected
+
+
+@pytest.mark.parametrize("ident, slot", (("J2", 0), ("Jt1.middle", 13)))
+def test_a_refuted_corrected_jt1_reading_stops_after_its_first_vector(
+        ident, slot):
+    # the first vector's corrected residuals refute the reading, so the
+    # second vector is never derived; the pairs kept are those of the
+    # derivation through both, whose second vector refutes it as well
+    cat = catalog.CATALOG.with_mutation(ident, slot)
+    claim = theorem._jt1_check(cat, theorem.Transport(cat))
+    original, corrected = _jt1_both_vectors(cat)
+    for pairs, both in ((claim.pairs, original),
+                        (claim.corrected, corrected)):
+        assert [label for label, _e in pairs] \
+            == ["first basis vector, row 1", "first basis vector, row 2"]
+        assert [e for _label, e in pairs] == both[:2]
+    assert not all(e.is_zero for e in corrected[:2])
+    assert not all(e.is_zero for e in corrected[2:])
 
 
 def test_a_fetch_outside_a_build_raises(monkeypatch):
