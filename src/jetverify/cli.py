@@ -12,13 +12,15 @@ check's yields) followed by the row's residual lines, or with ``--json``
 the rows' records, which hold no timing, so the two flags exclude each
 other; it exits 1 unless every row is a pass or a ledgered erratum.
 ``describe`` prints one check's claim, citation, strategy and catalog
-reads as JSON, with each row's id and every entry that row's build
-fetched when built alone, including through the setup it triggered.
+reads as JSON, with each row's id, every entry that row's build fetched
+when built alone, including through the setup it triggered, and of
+those the entries its derived half did not fetch (``compares``).
 These reads are recorded, not declared.  The sweep rebuilds a row for a
 mutant exactly when the mutated entry is among them; every other row
 keeps its unmutated record, and a rebuilt row likewise rebuilds only
 the derived parts whose reads hold that entry, under the reuse premise
-stated in ``verify.suite``.
+stated in ``verify.suite``: a mutant of an entry the row only compares
+with is handed the row's derived half and only compares.
 ``sweep`` corrupts, one at a time, every coefficient slot a check
 reads (or a seeded sample of N of them) and prints, per check, the
 number of mutants, how many turned the check off green, the seconds

@@ -19,7 +19,7 @@ from ..jetalg import (
 )
 from ..opcalc import Echelon, NonlocalStore, frechet_row
 from .base import (
-    NORMAL_FORM, TEST_VECTOR, Claim, aux_hygiene_notes, mn_rules,
+    NORMAL_FORM, TEST_VECTOR, Claim, aux_hygiene_notes, mn_rules, whole,
 )
 from .flows import (
     check_conservation, check_reciprocal_system_map, check_zero_curvature,
@@ -341,12 +341,11 @@ def _omega_row(C):
 
 
 def _link_part(C):
-    """Everything of the recursion link that comes before the second
-    operator: the two triangular-solve certificate pairs, the solved
-    vector Y, the reduced linearized skew images, the store's final
-    relations and the auxiliary names it allocated, in that order.  It
-    never reads P2, and holds no store, so a mutant of P2 is handed the
-    unmutated run's value."""
+    """The derived half of the recursion link, everything before the
+    second operator: the two triangular-solve certificate pairs, the
+    solved vector Y, the reduced linearized skew images, the store's
+    final relations and the auxiliary names it allocated, in that
+    order."""
     Y = _catalog.RING_Y
     store = NonlocalStore(Y, relations=mn_rules(C))
     xvec = (Y.coord("phi"), Y.coord("psi"))
@@ -375,8 +374,9 @@ def _link_row(C, link):
     operator's image of Y.
 
     link is _link_part's value.  P2 is local, with no tail and no word,
-    so its image of Y needs no store and is reduced under the served
-    relations, exactly as the store that solved Y would reduce it."""
+    so its image of Y needs no store and is reduced under the store's
+    final relations, exactly as the store that solved Y would reduce
+    it."""
     pairs, yvec, left, relations, aux = link
     pairs = list(pairs)
     p2img = C.get("P2").apply(yvec)
@@ -503,23 +503,23 @@ def appendix_a(C):
         # derived through the view on every use, built once per runner
         return C.derive("formal", built)
 
-    yield "appendix_a.blocks", lambda: _blocks_row(formal(), C)
-    yield "appendix_a.relations", lambda: _relations_row(formal(), C)
-    yield "appendix_a.flow", lambda: _flow_row(formal(), C)
-    yield "appendix_a.subflow", lambda: _subflow_row(C)
-    yield "appendix_a.balance", lambda: _balance_row(C)
-    yield "appendix_a.omega", lambda: _omega_row(C)
-    yield "appendix_a.link", lambda: _link_row(
-        C, C.derive("link", lambda: _link_part(C)))
-    yield "appendix_a.scan", lambda: _scan_row(C)
+    yield "appendix_a.blocks", lambda: _blocks_row(formal(), C), whole
+    yield "appendix_a.relations", lambda: _relations_row(formal(), C), whole
+    yield "appendix_a.flow", lambda: _flow_row(formal(), C), whole
+    yield "appendix_a.subflow", lambda: _subflow_row(C), whole
+    yield "appendix_a.balance", lambda: _balance_row(C), whole
+    yield "appendix_a.omega", lambda: _omega_row(C), whole
+    yield ("appendix_a.link", lambda: _link_part(C),
+           lambda link: _link_row(C, link))
+    yield "appendix_a.scan", lambda: _scan_row(C), whole
 
 
 def appendix_b(C):
     yield "appendix_b.zc", lambda: check_zero_curvature(
-        C, "lax.appb", "sys.appb")
+        C, "lax.appb", "sys.appb"), whole
     yield "appendix_b.zc_trans", lambda: check_zero_curvature(
-        C, "lax.appb.trans", "sys.appb.trans")
+        C, "lax.appb.trans", "sys.appb.trans"), whole
     yield "appendix_b.conservation", lambda: check_conservation(
-        C, "recip.appb", "sys.appb")
-    yield "appendix_b.reciprocal", lambda: check_reciprocal_system_map(
-        C, "sys.appb", "recip.appb", "sys.appb.trans")
+        C, "recip.appb", "sys.appb"), whole
+    yield ("appendix_b.reciprocal", *check_reciprocal_system_map(
+        C, "sys.appb", "recip.appb", "sys.appb.trans"))

@@ -1,7 +1,7 @@
 """Plumbing shared by the verification checks.
 
-Each row's build re-derives one catalogued claim and returns it as a
-Claim: residual pairs that must vanish, with no verdict.  conclude,
+Each row re-derives one catalogued claim, and its compare returns it as
+a Claim: residual pairs that must vanish, with no verdict.  conclude,
 which only the suite harness calls, turns a claim into the row's
 CheckResult, so every verdict, erratum and numeric note is made in one
 place.  The other helpers keep residual bookkeeping,
@@ -32,11 +32,17 @@ SUMMARY_WIDTH = 320
 MAX_ORDER = 12
 
 
-# what a row's build derives: residual pairs (label, expression) that
+# what a row's compare returns: residual pairs (label, expression) that
 # must all vanish, and for a claim that carries a correction the pairs
 # of the corrected reading, which conclude turns into the row
 Claim = namedtuple("Claim", ("citation", "pairs", "decided_by", "notes",
                              "corrected"), defaults=((), None))
+
+
+def whole(claim):
+    """The compare of a row with nothing to split: its derived half is
+    its whole Claim."""
+    return claim
 
 
 class OrderCapExceeded(Exception):

@@ -12,7 +12,7 @@ from ..jetalg import (
     split_param, substitute, total_derivative,
 )
 from .. import catalog as _catalog
-from .base import NORMAL_FORM, Claim, to_y, usdef_rules
+from .base import NORMAL_FORM, Claim, to_y, usdef_rules, whole
 
 
 # -- zero curvature -------------------------------------------------------
@@ -62,12 +62,13 @@ def check_zero_curvature(C, pair_ident, sys_ident):
 
 
 def zc_main(C):
-    yield "zc_main", lambda: check_zero_curvature(C, "lax.main", "sys.main")
+    yield "zc_main", lambda: check_zero_curvature(
+        C, "lax.main", "sys.main"), whole
 
 
 def zc_trans(C):
     yield "zc_trans", lambda: check_zero_curvature(
-        C, "lax.trans", "sys.mdflow")
+        C, "lax.trans", "sys.mdflow"), whole
 
 
 # -- conservation ---------------------------------------------------------
@@ -98,9 +99,9 @@ def check_conservation(C, map_ident, sys_ident):
 
 def conservation(C):
     yield "conservation.main", lambda: check_conservation(
-        C, "recip.main", "sys.main")
+        C, "recip.main", "sys.main"), whole
     yield "conservation.appb", lambda: check_conservation(
-        C, "recip.appb", "sys.appb")
+        C, "recip.appb", "sys.appb"), whole
 
 
 # -- reciprocal transformation --------------------------------------------
@@ -146,64 +147,46 @@ def _orient_constraints(sysdef, map_):
     return rules
 
 
-def transported_tau(sysdef, map_, xdef):
-    """The reciprocal time derivative of one transported coefficient,
-    reduced modulo the oriented constraints and rewritten over the new
-    independent variable."""
+def transported_taus(C, src_ident, map_ident, coefficients):
+    """The reciprocal time derivatives of the definitions
+    ymap[coefficient], transported from the flow src_ident through the
+    map map_ident: each reduced modulo the oriented constraints,
+    rewritten over the new independent variable and reduced modulo the
+    coefficient definitions.  The constraints are oriented and the
+    parametrized time rules built once for all of them."""
+    sysdef, map_ = C.get(src_ident), C.get(map_ident)
+    named = C.get("ymap")
     usys = _parametrized_time_rules(sysdef, map_)
     ratio = map_.flux / map_.density
     xrules = _orient_constraints(sysdef, map_)
-    return to_y(xrules.reduce(evolutionary_derivative(xdef, usys)
-                              - ratio * total_derivative(xdef)))
-
-
-def _reduced_tau(C, src_ident, map_ident, coefficient):
-    """transported_tau of the definition ymap[coefficient] from the
-    flow src_ident through the map map_ident, reduced modulo the
-    coefficient definitions: a derived part keyed by the three
-    arguments.  It reads no flow it is compared with, so a mutant of
-    that flow is handed the unmutated run's value and only compares."""
-    def build():
-        got = transported_tau(C.get(src_ident), C.get(map_ident),
-                              C.get("ymap")[coefficient])
-        return usdef_rules(C).reduce(got)
-
-    return C.derive(("transported_tau", src_ident, map_ident, coefficient),
-                    build)
-
-
-def _transported_constraints(C):
-    """The momentum constraints of sys.main confronted with the
-    parametrization of recip.main, v then w, over the new variable: a
-    derived part, the half of reciprocal.main.kernels that does not
-    read the kernel readings it is compared with."""
-    def build():
-        eqs = _constraint_equations(C.get("sys.main"), C.get("recip.main"))
-        return to_y(eqs["v"]), to_y(eqs["w"])
-
-    return C.derive("transported_constraints", build)
+    rules = usdef_rules(C)
+    return tuple(
+        rules.reduce(to_y(xrules.reduce(
+            evolutionary_derivative(named[c], usys)
+            - ratio * total_derivative(named[c]))))
+        for c in coefficients)
 
 
 def check_reciprocal_system_map(C, src_ident, map_ident, dst_ident):
-    """Compare the coefficient definitions' flow, transported from
-    src_ident through map_ident, with the system dst_ident.
+    """(derive, compare) of the row comparing the coefficient
+    definitions' flow, transported from src_ident through map_ident,
+    with the system dst_ident.
 
     Residuals are reduced modulo the coefficient definitions, since the
     destination displays keep the transported coefficients symbolic;
     reduction is linear, so the transported half and the stated flow
     are reduced apart."""
-    # the stated system is fetched after the two sources and before
-    # the transported halves, which read ymap and usdefs next
-    C.get(src_ident)
-    C.get(map_ident)
-    dst = C.get(dst_ident)
-    pairs = []
-    for dep, coefficient in (("i", "Q1"), ("j", "Q2")):
-        got = _reduced_tau(C, src_ident, map_ident, coefficient)
-        pairs.append(("transported time derivative of %s minus the stated "
-                      "flow" % dep,
-                      got - usdef_rules(C).reduce(dst.evolution[dep])))
-    return Claim(C.citation(dst_ident), pairs, NORMAL_FORM)
+    def compare(got):
+        dst = C.get(dst_ident)
+        return Claim(
+            C.citation(dst_ident),
+            [("transported time derivative of %s minus the stated flow"
+              % dep, tau - usdef_rules(C).reduce(dst.evolution[dep]))
+             for dep, tau in zip(("i", "j"), got)],
+            NORMAL_FORM)
+
+    return (lambda: transported_taus(C, src_ident, map_ident, ("Q1", "Q2")),
+            compare)
 
 
 def reciprocal(C):
@@ -231,27 +214,32 @@ def reciprocal(C):
                         "overall power, minus the direct definition",
                         to_y(named["Q2"]) - usdefs["j"])])
 
-    # a row with a part fetches the entries it compares before deriving
-    # it, since the part fetches the entries the row reads after them
-
     def tau(dep, coefficient):
-        # the row's reads lead with ymap, then the flows it compares
-        C.get("ymap")
-        flows = C.get("flow.intermediate")
-        got = _reduced_tau(C, "sys.main", "recip.main", coefficient)
-        return Claim(
-            C.citation("flow.intermediate"),
-            [("transported time derivative of %s minus the stated mixed "
-              "flow" % dep,
-              got - usdef_rules(C).reduce(flows[dep + "_tau"]))],
-            NORMAL_FORM)
+        def compare(got):
+            flows = C.get("flow.intermediate")
+            return Claim(
+                C.citation("flow.intermediate"),
+                [("transported time derivative of %s minus the stated "
+                  "mixed flow" % dep,
+                  got[0] - usdef_rules(C).reduce(flows[dep + "_tau"]))],
+                NORMAL_FORM)
 
-    def kernels():
+        return (lambda: transported_taus(C, "sys.main", "recip.main",
+                                         (coefficient,)),
+                compare)
+
+    def constraints():
+        # the momentum constraints confronted with the parametrization,
+        # v then w, over the new variable
+        eqs = _constraint_equations(C.get("sys.main"), C.get("recip.main"))
+        return to_y(eqs["v"]), to_y(eqs["w"])
+
+    def kernels(eqs):
         # forced reading of the constraint notation: the transported
         # momentum constraints factor through the third-order kernel
         # expressions with a single density prefactor
+        eq_v, eq_w = eqs
         flows = C.get("flow.intermediate")
-        eq_v, eq_w = _transported_constraints(C)
         u = Y.coord("u")
         return Claim(
             C.citation("flow.intermediate"),
@@ -275,11 +263,11 @@ def reciprocal(C):
              for dep in ("i", "j")],
             NORMAL_FORM)
 
-    yield "reciprocal.main.idef", idef
-    yield "reciprocal.main.jdef", jdef
-    yield "reciprocal.main.itau", lambda: tau("i", "Q1")
-    yield "reciprocal.main.jtau", lambda: tau("j", "Q2")
-    yield "reciprocal.main.kernels", kernels
-    yield "reciprocal.main.flowlink", flowlink
-    yield "reciprocal.appb", lambda: check_reciprocal_system_map(
-        C, "sys.appb", "recip.appb", "sys.appb.trans")
+    yield "reciprocal.main.idef", idef, whole
+    yield "reciprocal.main.jdef", jdef, whole
+    yield ("reciprocal.main.itau", *tau("i", "Q1"))
+    yield ("reciprocal.main.jtau", *tau("j", "Q2"))
+    yield "reciprocal.main.kernels", constraints, kernels
+    yield "reciprocal.main.flowlink", flowlink, whole
+    yield ("reciprocal.appb", *check_reciprocal_system_map(
+        C, "sys.appb", "recip.appb", "sys.appb.trans"))

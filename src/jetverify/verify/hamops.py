@@ -10,7 +10,7 @@ from ..opcalc import (
 )
 from .. import catalog as _catalog
 from .base import (
-    NORMAL_FORM, Claim, op_coeff_pairs, to_y, usdef_rules,
+    NORMAL_FORM, Claim, op_coeff_pairs, to_y, usdef_rules, whole,
 )
 
 
@@ -53,40 +53,35 @@ def transport_pseudo(op, jac):
     return PseudoOp(jac.ring, local, tail, words)
 
 
-def _conjugation(C, display):
-    """mult(left) o kernel o mult(right) after transport, with the
-    weights (left, right) of the conjugation compared with display: a
-    derived part keyed by ("conjugation", display).  It reads the
-    kernel alone, so a mutant of the display is handed the unmutated
-    run's conjugation and only compares."""
+def _conjugations(C, *displays):
+    """For each display, mult(left) o kernel o mult(right) after
+    transport, with the weights (left, right) of the conjugation
+    compared with that display."""
     X = _catalog.RING_X
     u = X.coord("u")
     s = X.coord("s")
-    left, right = {
+    weights = {
         "Theta1": (s * u ** -3, s ** -1),
         # reversed weights give the negative adjoint, i.e. the
         # conjugate display itself
         "Theta1.conj": (u ** -1 * s ** -1, s * u ** -2),
         "Theta2": (u ** -2, u ** -1),
-    }[display]
-
-    def build():
-        composed = (LocalOp.mult(left).compose(C.get("E").local)
-                    .compose(LocalOp.mult(right)))
-        return transport_local(composed, carry_coeff,
-                               _catalog.RING_Y.coord("u"))
-
-    return C.derive(("conjugation", display), build)
+    }
+    kernel = C.get("E").local
+    return tuple(
+        transport_local(LocalOp.mult(left).compose(kernel)
+                        .compose(LocalOp.mult(right)),
+                        carry_coeff, _catalog.RING_Y.coord("u"))
+        for left, right in (weights[d] for d in displays))
 
 
-def _conjugation_residual(C, display, result_local):
-    """The weighted conjugation of display minus result_local, with the
-    result coefficients reduced through the derivative-ratio
-    definitions; jets of phi tag the orders so one expression carries
-    every coefficient."""
+def _conjugation_residual(C, got, result_local):
+    """The weighted conjugation got minus result_local, with the result
+    coefficients reduced through the derivative-ratio definitions; jets
+    of phi tag the orders so one expression carries every
+    coefficient."""
     Y = _catalog.RING_Y
     rules = usdef_rules(C)
-    got = _conjugation(C, display)
     residual = Y.zero()
     for k in sorted(set(got.coeffs) | set(result_local.coeffs)):
         g = got.coeffs.get(k, Y.zero())
@@ -96,38 +91,41 @@ def _conjugation_residual(C, display, result_local):
 
 
 def prop1(C):
-    yield "prop1", lambda: _prop1_row(C)
+    yield ("prop1", lambda: _conjugations(C, "Theta1", "Theta1.conj"),
+           lambda got: _prop1_row(C, *got))
 
 
-def _prop1_row(C):
+def _prop1_row(C, conj, conj_reversed):
     th1 = C.get("Theta1").local
     th1c = C.get("Theta1.conj").local
     pairs = [("transported weighted conjugation minus the displayed "
               "operator, orders tagged by jets of phi",
-              _conjugation_residual(C, "Theta1", th1))]
+              _conjugation_residual(C, conj, th1))]
     pairs += op_coeff_pairs("adjoint display", th1.adjoint() + th1c)
     pairs.append(("reversed-weight conjugation minus the conjugate "
                   "display",
-                  _conjugation_residual(C, "Theta1.conj", th1c)))
+                  _conjugation_residual(C, conj_reversed, th1c)))
     return Claim(C.citation("Theta1"), pairs, NORMAL_FORM)
 
 
 def prop2(C):
-    yield "prop2", lambda: _prop2_row(C)
+    yield ("prop2", lambda: _conjugations(C, "Theta2"),
+           lambda got: _prop2_row(C, *got))
 
 
-def _prop2_row(C):
+def _prop2_row(C, conj):
     th2 = C.get("Theta2").local
     pairs = [("transported weighted conjugation minus the displayed "
               "operator, orders tagged by jets of phi",
-              _conjugation_residual(C, "Theta2", th2))]
+              _conjugation_residual(C, conj, th2))]
     pairs += op_coeff_pairs("skewness", th2.adjoint() + th2)
     return Claim(C.citation("Theta2"), pairs, NORMAL_FORM)
 
 
 def bihamiltonian_x(C):
-    yield "bihamiltonian_x.local", lambda: _bihamiltonian_local(C)
-    yield "bihamiltonian_x.nonlocal", lambda: _bihamiltonian_nonlocal(C)
+    yield "bihamiltonian_x.local", lambda: _bihamiltonian_local(C), whole
+    yield ("bihamiltonian_x.nonlocal", lambda: _bihamiltonian_nonlocal(C),
+           whole)
 
 
 def _bihamiltonian_local(C):

@@ -12,7 +12,7 @@ from ..opcalc import NonlocalStore
 from .. import catalog as _catalog
 from .base import (
     NORMAL_FORM, TEST_VECTOR, Claim, aux_hygiene_notes, mn_rules,
-    op_coeff_pairs, to_y,
+    op_coeff_pairs, to_y, whole,
 )
 
 
@@ -94,14 +94,10 @@ def _fourth_order(eq_phi, eq_psi, hmap):
 
 
 def scalar_reduction(C):
-    built = cache(lambda: _gauged_relations(C))
+    relations = cache(lambda: _gauged_relations(C))
 
-    def relations():
-        # derived through the view on every use, built once per runner
-        return C.derive("relations", built)
-
-    def pair():
-        eq_phi, eq_psi = relations()
+    def pair(derived):
+        eq_phi, eq_psi = derived
         claims = C.get("reduction2")
         return Claim(
             C.citation("reduction2"),
@@ -111,15 +107,9 @@ def scalar_reduction(C):
               "minus the displayed one", eq_psi - claims["psi.eq"])],
             NORMAL_FORM)
 
-    def fourth():
-        # the derived side is a part, which reads no displayed entry; the
-        # relations come first and hmap last in the row's reads, so the
-        # displayed problem is fetched between the two
-        relations()
+    def fourth(derived):
         mn = C.get("scalar.mn")
         claim4 = substitute(C.get("scalar4"), mn)
-        derived = C.derive("derived_fourth", lambda: _fourth_order(
-            *relations(), C.get("hmap")))
         return Claim(
             C.citation("scalar4"),
             [("derived fourth-order relation minus the displayed scalar "
@@ -139,9 +129,10 @@ def scalar_reduction(C):
                           through_s - mn[name]))
         return Claim(C.citation("scalar.mn"), pairs, NORMAL_FORM)
 
-    yield "scalar_reduction.pair", pair
-    yield "scalar_reduction.fourth", fourth
-    yield "scalar_reduction.mn", mn_pair
+    yield "scalar_reduction.pair", relations, pair
+    yield "scalar_reduction.fourth", lambda: _fourth_order(
+        *relations(), C.get("hmap")), fourth
+    yield "scalar_reduction.mn", mn_pair, whole
 
 
 # -- factorizations -------------------------------------------------------
@@ -200,9 +191,9 @@ def factorizations(C):
               j_from_ab - hmap.reduce(usdefs["j"]))],
             NORMAL_FORM)
 
-    yield "factorizations.quadratic", quadratic
-    yield "factorizations.linear", linear
-    yield "factorizations.firstorder", firstorder
+    yield "factorizations.quadratic", quadratic, whole
+    yield "factorizations.linear", linear, whole
+    yield "factorizations.firstorder", firstorder, whole
 
 
 # -- connecting identity --------------------------------------------------
@@ -246,5 +237,5 @@ def connecting_identity(C):
               store.reduce(image[k])) for k in range(2)],
             TEST_VECTOR)
 
-    yield "connecting_identity.expand", expand
-    yield "connecting_identity.constants", constants
+    yield "connecting_identity.expand", expand, whole
+    yield "connecting_identity.constants", constants, whole

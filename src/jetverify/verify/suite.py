@@ -9,16 +9,20 @@ declares the catalog entries it reads, optionally restricted to named
 structural parts, and corrupting any single coefficient slot inside
 that read surface must flip the check off green.
 
-Each check yields its rows in report order, each as a row id and a
-build, and fetches no catalog entry outside a build.  A build returns a
-Claim, never a verdict: the harness concludes it into the row under the
-id the runner yielded, with the run's seed and errata, so a row id is
-written once and every verdict is made by base.conclude.  run_suite
-builds every row; run_mutated stops a check after its first row that is
-neither a pass nor an erratum, so its rows are a prefix of the
-run_suite rows (see run_mutated for the one exception).  It builds only
-the rows whose reads contain the mutated entry and reuses every other
-row from the check's unmutated run.  The reads are recorded, not
+Each check yields its rows in report order, each as (row id, derive,
+compare), and fetches no catalog entry outside them.  derive() builds
+the row's derived half and fetches only what the row derives;
+compare(half) fetches what the row compares that half with and returns
+a Claim, never a verdict.  The harness builds every row one way: it
+concludes compare(C.derive(row id, derive)) into the row under the id
+the runner yielded, with the run's seed and errata, so a row id is
+written once and every verdict is made by base.conclude.  A row with
+nothing to split derives its whole Claim and compares with base.whole.
+run_suite builds every row; run_mutated stops a check after its first
+row that is neither a pass nor an erratum, so its rows are a prefix of
+the run_suite rows (see run_mutated for the one exception).  It builds
+only the rows whose reads contain the mutated entry and reuses every
+other row from the check's unmutated run.  The reads are recorded, not
 declared: the unmutated run builds each row alone over a recording
 catalog view, so a row's reads are every entry its build fetched,
 including through the setup it triggered.  The converse invariant, that
@@ -29,43 +33,31 @@ entry, so a row whose recording never fetched it keeps its record.  In
 either run, an exception part-way through a check discards the rows
 before it and reports one undecidable row.
 
-Derived parts get the same reuse.  The setup a runner shares between
-its rows (the theorem checks' Transport parts, appendix_a's formal
-curvature, scalar_reduction's gauged relations) is derived through the
-view, C.derive(key, build), which over a plain view only builds.  The
+Derived parts get the same reuse.  C.derive(key, build) over a plain
+view only builds.  Each row's half is the part keyed by its row id, and
+the setup a runner shares between rows with different reads (the
+theorem checks' Transport parts, appendix_a's formal curvature) is a
+part under its own key, nested in the halves that use it.  The
 unmutated run records each part's reads as it records a row's, nested
 parts included, and run_mutated hands a mutant every part whose reads
 lack the mutated entry: a part whose recording never fetched that
 entry has the same value over the mutated catalog, by the argument
-above.
-
-A part may also hold the half of a row that comes before its final
-comparison and does not read the entry compared there: theorem1.t2's
-adjoint readings, theorem1.jt2's sandwich images, appendix_a.link's
-solved vector and left images, the transported time derivatives of
-reciprocal.main.itau/jtau, reciprocal.appb and appendix_b.reciprocal,
-the transported constraints of reciprocal.main.kernels, the reduced
-fourth-order relation of scalar_reduction.fourth and the transported
-weighted conjugations of prop1 and prop2.  A mutant of that entry is
-handed the half and only compares, so it builds no reading, no store
-and no transport.  Where the comparison is reduced, the half and the
+above.  So a mutant of an entry that a row only compares with is
+handed the row's half and only compares; describe lists those entries
+as the row's compares.  Where a comparison is reduced, the half and the
 compared entry are reduced apart, which gives the same normal form,
 since reduction is linear; only a term that reduction rejects (a
 negative power of a dependent whose rule is not a monomial) and that
 the difference cancels could raise apart, and no mutant of the full
-sweep meets one.  Such a row fetches its entries in the
-order of a build that derives both halves in place: where the half
-fetches an entry that comes after a compared one, the row fetches the
-compared entries first, so its recorded reads, which describe lists,
-do not depend on which half is a part.
+sweep meets one.
 
 The reuse premise, on which both rest: rows and parts share no state
 that can change a record.  Setup is built from the catalog on first
 use and kept per call of a runner, so a row's record does not depend
 on which rows were built before it.  A part handed from the unmutated
 run to many mutants is immutable to them: it holds only tuples, jet
-expressions, operators, relation sets, names and functions of those,
-and no reader changes it.  The one state that does change is the
+expressions, operators, relation sets, names, Claims and functions of
+those, and no reader changes it.  The one state that does change is the
 Rule._jets derivative memos of the relation sets it holds (the usdefs
 rules behind smap, the formal curvature's flow rules, the relations a
 store ended with), which grow but only cache total derivatives of fixed
@@ -113,10 +105,11 @@ __all__ = [
 class CheckSpec:
     """Registry record for one published check.
 
-    The runner takes a catalog view and yields (row id, build) in
-    report order, where build() derives that row's Claim, which the
-    harness concludes into the row; it fetches no catalog entry outside
-    a build (the harness raises if it does), and it keeps the reuse
+    The runner takes a catalog view and yields (row id, derive,
+    compare) in report order: derive() builds the row's derived half
+    and compare(half) returns its Claim, which the harness concludes
+    into the row.  It fetches no catalog entry outside derive and
+    compare (the harness raises if it does), and it keeps the reuse
     premise of the module docstring, so each row can be built alone and
     the entries it reads recorded."""
 
@@ -287,17 +280,21 @@ def check_ids():
 
 def describe(name):
     """Claim, citation, strategy and catalog reads of one published
-    check, with each row's id and every entry its build fetched when
-    built alone, the reads run_mutated decides reuse by."""
+    check, with each row's id, every entry its build fetched when built
+    alone, the reads run_mutated decides reuse by, and of those the
+    entries its derived half did not fetch, whose mutants only
+    compare."""
     spec = _BY_NAME[name]
+    rows, parts = _unmutated(name, 0)
     return {
         "id": spec.name,
         "claim": spec.claim,
         "citation": _catalog.CATALOG.citation(spec.citation_ident),
         "strategy": spec.strategy,
         "reads": [ident for ident, _parts in spec.reads],
-        "rows": [{"id": rid, "reads": list(reads)}
-                 for rid, (_row, reads) in _unmutated_rows(name, 0).items()],
+        "rows": [{"id": rid, "reads": list(reads),
+                  "compares": [i for i in reads if i not in parts[rid][1]]}
+                 for rid, (_row, reads) in rows.items()],
     }
 
 
@@ -325,10 +322,17 @@ def _aborted_row(spec, exc):
         notes=("%s: %s" % (type(exc).__name__, exc),))
 
 
+def _concluded(C, rid, derive, compare, seed, errata):
+    """The row (rid, derive, compare) a runner yielded, concluded over
+    the catalog view C with seed and errata: its derived half is the
+    part of C keyed by the row id, and compare makes the Claim."""
+    return conclude(rid, compare(C.derive(rid, derive)), seed, errata)
+
+
 def _run_check(C, spec, seed, errata, reused=None):
-    """The rows one check yields over the catalog view C, each build's
-    claim concluded with seed and errata; abnormal termination becomes
-    a row.
+    """The rows one check yields over the catalog view C, each
+    concluded with seed and errata; abnormal termination becomes a
+    row.
 
     Reductions over a corrupted catalog may legitimately throw (a
     perturbed relation can stop being solvable), so the harness maps
@@ -342,11 +346,11 @@ def _run_check(C, spec, seed, errata, reused=None):
     rows = []
     started = time.perf_counter()
     try:
-        for rid, build in spec.runner(C):
+        for rid, derive, compare in spec.runner(C):
             if reused is not None and rid in reused:
                 row = copy.copy(reused[rid])
             else:
-                row = conclude(rid, build(), seed, errata)
+                row = _concluded(C, rid, derive, compare, seed, errata)
             row.elapsed_ms = (time.perf_counter() - started) * 1000
             rows.append(row)
             if reused is not None and not all_clear((row,)):
@@ -486,11 +490,12 @@ def _unmutated(name, seed):
 
     Each row is built alone, the way run_mutated builds it: the runner
     called afresh over a recording view, iterated to its end and only
-    that row's build called and concluded.  So a row's reads are every
-    entry its build fetched, including through the setup and parts it
-    triggered, in first-fetch order, and a fetch outside a build raises
-    RuntimeError.  A part's reads are the entries its build fetched,
-    nested parts included.  Under the reuse premise of the module
+    that row concluded.  So a row's reads are every entry its build
+    fetched, its half's first, including through the setup and parts
+    it triggered, in first-fetch order, and a fetch outside a build
+    raises RuntimeError.  A part's reads are the entries its build
+    fetched, nested parts included; each row's half is the part under
+    its row id.  Under the reuse premise of the module
     docstring, these rows and parts stand for the same rows and parts
     of any later run."""
     spec = _BY_NAME[name]
@@ -499,19 +504,14 @@ def _unmutated(name, seed):
     rows = {}
     while True:
         target = len(rows)
-        for k, (rid, build) in enumerate(spec.runner(view)):
+        for k, (rid, derive, compare) in enumerate(spec.runner(view)):
             if k == target:
                 view.reads = {}
-                row = conclude(rid, build(), seed, errata)
+                row = _concluded(view, rid, derive, compare, seed, errata)
                 rows[rid] = (row, tuple(view.reads))
                 view.reads = None
         if len(rows) == target:
             return rows, view.parts
-
-
-def _unmutated_rows(name, seed):
-    """{row id: (row, reads)} of _unmutated."""
-    return _unmutated(name, seed)[0]
 
 
 def run_mutated(name, ident, slot, seed=0):

@@ -25,7 +25,7 @@ from ..opcalc import (
     transport_local,
 )
 from .. import catalog as _catalog
-from .base import NORMAL_FORM, TEST_VECTOR, Claim, usdef_rules
+from .base import NORMAL_FORM, TEST_VECTOR, Claim, usdef_rules, whole
 from .hamops import carry_coeff, transport_pseudo, transported_kernel
 
 
@@ -69,12 +69,7 @@ class Transport:
     reads lack the mutated entry.  So a part's value is shared across
     mutants and must not be changed by its readers, and it holds no
     NonlocalStore: a reader resolving through a shared store would
-    leave its auxiliaries to the next mutant.  Besides the setup, two
-    parts hold the half of a row that comes before its stated matrix:
-    t2_readings, every adjoint reading of the backward matrix, and
-    jt2_images, the transported sandwich images of both basis vectors
-    with the relations of the store that built them.  A mutant of T2 or
-    Jt2 is handed those and only compares."""
+    leave its auxiliaries to the next mutant."""
 
     def __init__(self, C):
         self.C = C
@@ -105,14 +100,6 @@ class Transport:
             return rules.reduce(substitute(c, vsub))
 
         return smap
-
-    @_part
-    def t2_readings(self):
-        return _t2_readings(self.jacobians)
-
-    @_part
-    def jt2_images(self):
-        return _jt2_images(self)
 
     @_part
     def t1(self):
@@ -207,11 +194,13 @@ def _derived_jacobians(C):
 
 def theorem1(C):
     tr = Transport(C)
-    yield "theorem1.t1", lambda: _t1_row(C, tr)
-    yield "theorem1.t2", lambda: _t2_row(C, tr)
-    yield "theorem1.factored", lambda: _factored_row(C)
-    yield "theorem1.jt2", lambda: _jt2_check(C, tr)
-    yield "theorem1.jt1", lambda: _jt1_check(C, tr)
+    yield "theorem1.t1", lambda: _t1_row(C, tr), whole
+    yield ("theorem1.t2", lambda: _t2_readings(tr.jacobians),
+           lambda readings: _t2_row(C, tr, readings))
+    yield "theorem1.factored", lambda: _factored_row(C), whole
+    yield ("theorem1.jt2", lambda: _jt2_images(tr),
+           lambda sandwich: _jt2_check(C, tr, *sandwich))
+    yield "theorem1.jt1", lambda: _jt1_check(C, tr), whole
 
 
 def _t1_row(C, tr):
@@ -281,16 +270,14 @@ def _t2_readings(jacobians):
     return tuple(readings)
 
 
-def _t2_row(C, tr):
+def _t2_row(C, tr, readings):
     """The backward block matrix: of the four candidate readings of the
-    adjoint recipe (Transport.t2_readings, which reads only ymap),
-    exactly one must reproduce the stated matrix.  The row itself only
-    compares each candidate with the stated matrix, so a mutant of T2
-    is handed the readings of the unmutated run."""
+    adjoint recipe, _t2_readings, exactly one must reproduce the stated
+    matrix."""
     Y = _catalog.RING_Y
     survivors = []
     t2_notes = []
-    for adj_label, arg_label, cand in tr.t2_readings:
+    for adj_label, arg_label, cand in readings:
         if isinstance(cand, str):
             t2_notes.append("reading (%s, %s) is ill-formed: %s"
                             % (adj_label, arg_label, cand))
@@ -366,20 +353,19 @@ def _jt2_images(tr):
     return images, store.relations
 
 
-def _jt2_check(C, tr):
+def _jt2_check(C, tr, images, relations):
     """The local Hamiltonian operator transported: matching it against
     the stated composed normal form identifies which momentum-side
     operator produces it.
 
-    The sandwich images come from Transport.jt2_images, which never
-    reads Jt2, so a mutant of Jt2 is handed them and only compares.
-    Jt2 is local: applying it needs no store.  Each difference is
-    reduced under the store's final relations, also the first vector's,
-    which the store reduced under the rules as they stood after that
-    vector.  The normal form is the same: a rule added later rewrites
-    only the jets of an auxiliary allocated later, which the first
-    vector's images and the stated image cannot contain."""
-    images, relations = tr.jt2_images
+    (images, relations) is _jt2_images(tr): the images of both basis
+    vectors and the relations of the store that built them.  Jt2 is
+    local: applying it needs no store.  Each difference is reduced
+    under the store's final relations, also the first vector's, which
+    the store reduced under the rules as they stood after that vector.
+    The normal form is the same: a rule added later rewrites only the
+    jets of an auxiliary allocated later, which the first vector's
+    images and the stated image cannot contain."""
     pairs = []
     for tag, vec, lhs in zip(("first", "second"),
                              _basis_vectors(_catalog.RING_Y), images):

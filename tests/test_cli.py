@@ -54,43 +54,64 @@ def test_describe_prints_the_check(capsys):
 
 def test_describe_lists_each_row_and_its_reads(capsys):
     # the recorded reads run_mutated decides which rows to build from,
-    # for every check, each row in report order
+    # for every check, each row in report order, and of them the reads
+    # the row's derived half did not fetch
     for check in suite.check_ids():
         assert main(["describe", check]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
+        got, parts = suite._unmutated(check, 0)
         assert rows == [
-            {"id": rid, "reads": list(reads)}
-            for rid, (_row, reads) in suite._unmutated_rows(check, 0).items()]
+            {"id": rid, "reads": list(reads),
+             "compares": [ident for ident in reads
+                          if ident not in parts[rid][1]]}
+            for rid, (_row, reads) in got.items()]
         assert [row["id"] for row in rows] \
             == [r.id for r in suite.run_suite(selection=check)]
     # every entry the build fetches, in first-fetch order, including
     # usdefs, which the check's mutation surface leaves out
     assert suite.describe("theorem1")["rows"][0] \
-        == {"id": "theorem1.t1", "reads": ["ymap", "T1", "usdefs"]}
+        == {"id": "theorem1.t1", "reads": ["ymap", "T1", "usdefs"],
+            "compares": []}
     # the flow drivers fetch their own inputs, in argument order
-    reads = {row["id"]: row["reads"] for check in suite.check_ids()
-             for row in suite.describe(check)["rows"]}
+    rows = {row["id"]: row for check in suite.check_ids()
+            for row in suite.describe(check)["rows"]}
+    reads = {rid: row["reads"] for rid, row in rows.items()}
     assert reads["zc_main"] == ["lax.main", "sys.main"]
     assert reads["conservation.appb"] == ["recip.appb", "sys.appb"]
+    # a row's derived half fetches first, then its compare fetches what
+    # the half is compared with
     for rid in ("reciprocal.appb", "appendix_b.reciprocal"):
-        assert reads[rid] == ["sys.appb", "recip.appb", "sys.appb.trans",
-                              "ymap", "usdefs"]
-    # a row whose first half is a derived part fetches the entries it
-    # compares before deriving it, so its order is the one it had when
-    # it built both halves itself
+        assert reads[rid] == ["sys.appb", "recip.appb", "ymap", "usdefs",
+                              "sys.appb.trans"]
     for rid in ("reciprocal.main.itau", "reciprocal.main.jtau"):
-        assert reads[rid] == ["ymap", "flow.intermediate", "sys.main",
-                              "recip.main", "usdefs"]
+        assert reads[rid] == ["sys.main", "recip.main", "ymap", "usdefs",
+                              "flow.intermediate"]
     assert reads["reciprocal.main.kernels"] \
-        == ["flow.intermediate", "sys.main", "recip.main"]
+        == ["sys.main", "recip.main", "flow.intermediate"]
     assert reads["reciprocal.main.flowlink"] \
         == ["flow.intermediate", "fg", "sys.mdflow", "usdefs"]
     assert reads["scalar_reduction.pair"] \
         == ["lax.main", "recip.main", "reduction2"]
     assert reads["scalar_reduction.fourth"] \
-        == ["lax.main", "recip.main", "scalar.mn", "scalar4", "hmap"]
-    assert reads["prop1"] == ["Theta1", "Theta1.conj", "usdefs", "E"]
-    assert reads["prop2"] == ["Theta2", "usdefs", "E"]
+        == ["lax.main", "recip.main", "hmap", "scalar.mn", "scalar4"]
+    assert reads["prop1"] == ["E", "Theta1", "Theta1.conj", "usdefs"]
+    assert reads["prop2"] == ["E", "Theta2", "usdefs"]
+    # the twelve rows with a half of their own; every other row derives
+    # its whole claim and compares nothing more
+    assert {rid: row["compares"] for rid, row in rows.items()
+            if row["compares"]} == {
+        "reciprocal.main.itau": ["flow.intermediate"],
+        "reciprocal.main.jtau": ["flow.intermediate"],
+        "reciprocal.main.kernels": ["flow.intermediate"],
+        "reciprocal.appb": ["sys.appb.trans"],
+        "scalar_reduction.pair": ["reduction2"],
+        "scalar_reduction.fourth": ["scalar.mn", "scalar4"],
+        "prop1": ["Theta1", "Theta1.conj", "usdefs"],
+        "prop2": ["Theta2", "usdefs"],
+        "theorem1.t2": ["T2", "usdefs"],
+        "theorem1.jt2": ["Jt2"],
+        "appendix_a.link": ["P2"],
+        "appendix_b.reciprocal": ["sys.appb.trans"]}
 
 
 def test_describe_rejects_an_unknown_check(capsys):

@@ -1,9 +1,10 @@
 """The reproduction itself: the verdict table, the exact row records,
 both errata in both directions and their ties to the catalog,
 determinism, the mutation surface every check declares, the reads each
-row and derived part records, and a sampled run of the sensitivity
-invariant.  The table, the record digest and the light checks' slot
-counts are the benchmark's pins in perfbench/expected.py."""
+row and derived part records, the derived halves a mutant is handed,
+and a sampled run of the sensitivity invariant.  The table, the record
+digest and the light checks' slot counts are the benchmark's pins in
+perfbench/expected.py."""
 
 import hashlib
 import importlib.util
@@ -26,7 +27,7 @@ from jetverify.verify import (
     UNDECIDABLE, appendixes, flows, hamops, scalar, suite, theorem,
 )
 from jetverify.verify.base import (
-    MAX_ORDER, SUMMARY_WIDTH, conclude, mn_rules, summarize,
+    MAX_ORDER, SUMMARY_WIDTH, conclude, mn_rules, summarize, whole,
 )
 from jetverify.verify.errata import load_ledger
 
@@ -183,7 +184,7 @@ def test_errata_ledger_references_what_its_row_reads():
     # CheckSpec.reads, that the erratum row fetches when built alone
     for ent in load_ledger().values():
         check = ent.check_id.partition(".")[0]
-        _row, reads = suite._unmutated_rows(check, 0)[ent.check_id]
+        _row, reads = suite._unmutated(check, 0)[0][ent.check_id]
         for ident, part in (ent.original, ent.corrected):
             assert ident in reads, (ent.ident, ident)
             labels = {label for label, _s, _e in
@@ -330,13 +331,18 @@ def _check_rows(check, rows):
 
 
 def _yielded_before_abort(check, view):
-    """The rows a check yields over view before it raises."""
+    """The rows a check yields over view before a row raises.  Each
+    yield is unpacked outside the try, so one of the wrong shape fails
+    here instead of reading as the abort."""
     spec = next(spec for spec in suite.CHECKS if spec.name == check)
     rows = []
-    with pytest.raises(Exception):
-        for rid, build in spec.runner(view):
-            rows.append(conclude(rid, build(), 0, load_ledger()))
-    return rows
+    for rid, derive, compare in spec.runner(view):
+        try:
+            rows.append(suite._concluded(view, rid, derive, compare, 0,
+                                         load_ledger()))
+        except Exception:
+            return rows
+    pytest.fail("no row of %s raised" % (check,))
 
 
 # one sampled mutant set per check, plus a mutant whose full check
@@ -372,13 +378,13 @@ def _spec(check):
 def _recorded_reads(check):
     """{row id: the entries that row's build fetched}, in report order."""
     return {rid: reads
-            for rid, (_row, reads) in suite._unmutated_rows(check, 0).items()}
+            for rid, (_row, reads) in suite._unmutated(check, 0)[0].items()}
 
 
 def test_rows_built_alone_have_the_suite_digest():
     # each row built alone, as run_mutated builds it, keeps its record
     alone = [row for spec in suite.CHECKS
-             for row, _reads in suite._unmutated_rows(spec.name, 0).values()]
+             for row, _reads in suite._unmutated(spec.name, 0)[0].values()]
     text = json.dumps(records(alone), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
         == PINS.SUITE_DIGEST
@@ -401,10 +407,10 @@ def _toy_runner(C, fetch_between=False):
             C.get(ident)
         return Claim(C.citation("E"), (), NORMAL_FORM)
 
-    yield "toy.a", lambda: build("J1", "E")
+    yield "toy.a", lambda: build("J1", "E"), whole
     if fetch_between:
         C.get("J2")
-    yield "toy.b", lambda: build("J2")
+    yield "toy.b", lambda: build("J2"), whole
 
 
 def test_rows_record_their_reads_in_first_fetch_order(monkeypatch):
@@ -418,9 +424,9 @@ def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
     # only a reading whose variational derivative does not vanish is
     # ill-formed; any other error leaves the row undecided
     def t2_only(C):
-        for rid, build in theorem.theorem1(C):
-            if rid == "theorem1.t2":
-                yield rid, build
+        for row in theorem.theorem1(C):
+            if row[0] == "theorem1.t2":
+                yield row
 
     def broken(_op):
         raise ZeroDivisionError("probe")
@@ -435,9 +441,9 @@ def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
 def _built_alone(check, rid):
     """Row rid of check, built alone over the catalog and concluded as
     the suite concludes it."""
-    for got, build in _spec(check).runner(catalog.CATALOG):
-        if got == rid:
-            return conclude(rid, build(), 0, load_ledger())
+    for row in _spec(check).runner(catalog.CATALOG):
+        if row[0] == rid:
+            return suite._concluded(catalog.CATALOG, *row, 0, load_ledger())
     raise KeyError(rid)
 
 
@@ -628,7 +634,7 @@ def test_a_fetch_outside_a_build_raises(monkeypatch):
         "toy_between", lambda C: _toy_runner(C, fetch_between=True),
         "E", "", "", ()))
     with pytest.raises(RuntimeError, match="'J2' fetched outside a row"):
-        suite._unmutated_rows("toy_between", 0)
+        suite._unmutated("toy_between", 0)
 
 
 def _counting_builds(monkeypatch, check):
@@ -636,7 +642,7 @@ def _counting_builds(monkeypatch, check):
     recorded, of theorem._derived_jacobians, of theorem._t2_readings,
     of the NonlocalStore constructor in theorem and appendixes, and of
     the builders of the light checks' served halves: flows'
-    transported_tau and _constraint_equations, scalar's
+    transported_taus and _constraint_equations, scalar's
     _gauged_relations and _fourth_order, and hamops' transport_local."""
     suite._unmutated(check, 0)
     calls = dict.fromkeys(("jacobians", "readings", "stores", "taus",
@@ -657,7 +663,7 @@ def _counting_builds(monkeypatch, check):
         monkeypatch.setattr(module, "NonlocalStore", counting(
             "stores", module.NonlocalStore))
     for module, name, key in (
-            (flows, "transported_tau", "taus"),
+            (flows, "transported_taus", "taus"),
             (flows, "_constraint_equations", "constraints"),
             (scalar, "_gauged_relations", "relations"),
             (scalar, "_fourth_order", "fourths"),
@@ -681,10 +687,10 @@ def _slots_of(check, ident):
         ("appendix_a", "P2", (0, 0, 0)), ("appendix_a", "P1", (0, 0, 1)))])
 def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
         check, ident, builds, monkeypatch):
-    # the Jacobian data and the t2 readings read ymap alone, the jt2
-    # images read neither Jt2 nor ymap, and the link part all of the
-    # link but P2, so a T2, Jt2 or P2 mutant is handed them and only
-    # compares, while a ymap, J1 or P1 mutant derives its own
+    # the Jacobian data and the t2 half read ymap alone, the jt2 half
+    # neither Jt2 nor ymap, and the link half all of the link but P2,
+    # so a T2, Jt2 or P2 mutant is handed them and only compares, while
+    # a ymap, J1 or P1 mutant derives its own
     calls = _counting_builds(monkeypatch, check)
     slot = _slots_of(check, ident)[0]
     assert not suite.all_clear(suite.run_mutated(check, ident, slot))
@@ -692,20 +698,27 @@ def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
         == builds
 
 
-# the entries a row reads only in its final comparison, and the number
-# of their slots
-@pytest.mark.parametrize("check, ident, count", (
-    ("theorem1", "T2", 20), ("theorem1", "Jt2", 13),
-    ("appendix_a", "P2", 31),
-    ("reciprocal", "flow.intermediate", 19),
-    ("reciprocal", "sys.appb.trans", 5),
-    ("scalar_reduction", "reduction2", 18),
-    ("scalar_reduction", "scalar.mn", 24),
-    ("scalar_reduction", "scalar4", 5),
-    ("prop1", "Theta1", 7), ("prop1", "Theta1.conj", 9),
-    ("prop2", "Theta2", 7)))
+def _compared_only():
+    """Every (check, entry) where the entry is on the check's read
+    surface, and some row reads it but its derived half does not, with
+    the entry's slot count in the id."""
+    out = []
+    for check in suite.check_ids():
+        rows, parts = suite._unmutated(check, 0)
+        compared = dict.fromkeys(
+            ident for rid, (_row, reads) in rows.items()
+            for ident in reads if ident not in parts[rid][1])
+        for ident in compared:
+            count = len(_slots_of(check, ident))
+            if count:
+                out.append(pytest.param(
+                    check, ident, id="%s-%s-%d" % (check, ident, count)))
+    return out
+
+
+@pytest.mark.parametrize("check, ident", _compared_only())
 def test_served_parts_give_the_records_of_a_run_serving_none(
-        check, ident, count, monkeypatch):
+        check, ident, monkeypatch):
     # the rows a mutant rebuilds, built once handed the unmutated run's
     # parts and once over the plain mutated catalog, which serves none;
     # the served run rebuilds no served half: it derives no t2 reading,
@@ -716,9 +729,7 @@ def test_served_parts_give_the_records_of_a_run_serving_none(
     reused = {rid: row for rid, (row, reads) in rows.items()
               if ident not in reads}
     calls = _counting_builds(monkeypatch, check)
-    slots = _slots_of(check, ident)
-    assert len(slots) == count
-    for slot in slots:
+    for slot in _slots_of(check, ident):
         calls.update(dict.fromkeys(calls, 0))
         got = suite.run_mutated(check, ident, slot)
         assert not any(calls.values()), (slot, calls)
@@ -755,17 +766,19 @@ def _reachable(value):
     return seen.values()
 
 
-# every check that derives a part
-PART_CHECKS = ("reciprocal", "scalar_reduction", "prop1", "prop2",
-               "theorem1", "appendix_a", "appendix_b")
+def test_every_part_key_is_a_row_a_transport_part_or_formal():
+    # each row's derived half is the part under its row id; the only
+    # other parts are the setup that rows with different reads share
+    transport = {name for name, attr in vars(theorem.Transport).items()
+                 if isinstance(attr, theorem._part)}
+    assert len(transport) == 11
+    for check in suite.check_ids():
+        rows, parts = suite._unmutated(check, 0)
+        assert set(rows) <= set(parts), check
+        assert set(parts) - set(rows) <= transport | {"formal"}, check
 
 
-def test_the_part_checks_are_the_checks_deriving_a_part():
-    assert {check for check in suite.check_ids()
-            if suite._unmutated(check, 0)[1]} == set(PART_CHECKS)
-
-
-@pytest.mark.parametrize("check", PART_CHECKS)
+@pytest.mark.parametrize("check", tuple(SLOTS))
 def test_no_served_part_holds_a_store(check):
     # a reader resolving through a shared store would leave its
     # auxiliaries to the next mutant
@@ -783,7 +796,7 @@ def test_run_suite_builds_every_part_it_uses(monkeypatch):
     assert calls["jacobians"] == 1
 
 
-@pytest.mark.parametrize("check", PART_CHECKS)
+@pytest.mark.parametrize("check", tuple(SLOTS))
 def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
         check, monkeypatch):
     # so a row that reads nothing a mutant touches derives only parts
@@ -807,73 +820,54 @@ def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
     assert seen == set(parts)
 
 
-def _tau_or(view, key, named):
-    """The transported_tau part under a tuple key, else the part named
-    key in named, built over view."""
-    if isinstance(key, tuple):
-        _name, src, map_, coefficient = key
-        return flows._reduced_tau(view, src, map_, coefficient)
-    return named[key](view)
-
-
-def _scalar_relations(view):
-    return view.derive("relations", lambda: scalar._gauged_relations(view))
-
-
-# each part of a check built alone over a view
-PART_BUILDERS = {
-    "reciprocal": lambda view, key: _tau_or(view, key, {
-        "transported_constraints": flows._transported_constraints}),
-    "appendix_b": lambda view, key: _tau_or(view, key, {}),
-    "scalar_reduction": lambda view, key: {
-        "relations": _scalar_relations,
-        "derived_fourth": lambda v: scalar._fourth_order(
-            *_scalar_relations(v), v.get("hmap"))}[key](view),
-    "prop1": lambda view, key: hamops._conjugation(view, key[1]),
-    "prop2": lambda view, key: hamops._conjugation(view, key[1]),
-    "theorem1": lambda view, key: getattr(theorem.Transport(view), key),
-    "appendix_a": lambda view, key: {
-        "formal": appendixes._FormalCurvature,
-        "link": appendixes._link_part}[key](view),
-}
+def _part_alone(check, key, view):
+    """Part key of check built alone over view: a row's derived half,
+    appendix_a's formal curvature or a Transport part."""
+    for rid, derive, _compare in _spec(check).runner(view):
+        if rid == key:
+            return derive()
+    if key == "formal":
+        return appendixes._FormalCurvature(view)
+    return getattr(theorem.Transport(view), key)
 
 
 def test_part_reads_include_the_nested_parts():
     # each part records what it reads when built alone, including the
     # reads of the parts nested in it, which the row has often built
     # already: lam_adjoint is built from lam, every mapped matrix from
-    # smap, and the fourth-order half from the gauged relations
+    # smap, and the t2 half from the Jacobian data
     parts = {}
-    for check, build in PART_BUILDERS.items():
+    for check in suite.check_ids():
         _rows, parts[check] = suite._unmutated(check, 0)
         for key, (_value, reads) in parts[check].items():
             view = suite._RecordingView()
             view.reads = {}
-            build(view, key)
+            _part_alone(check, key, view)
             assert reads == tuple(view.reads), (check, key)
-    assert set(PART_BUILDERS) == set(PART_CHECKS)
     transport, appendix = parts["theorem1"], parts["appendix_a"]
     assert transport["lam_adjoint"][1] == ("Lambda", "usdefs")
-    assert transport["t2_readings"][1] == ("ymap",)
-    assert transport["jt2_images"][1] \
+    # the split halves read nothing they are compared with
+    assert transport["theorem1.t2"][1] == ("ymap",)
+    assert transport["theorem1.jt2"][1] \
         == ("E", "J1", "T1", "usdefs", "T2")
-    assert appendix["link"][1] == ("miura.m", "miura.n", "OmegaPrime",
-                                   "Kmat", "P1", "Jop", "Thetamat")
-    # the light checks' halves read nothing they are compared with
+    assert appendix["appendix_a.link"][1] \
+        == ("miura.m", "miura.n", "OmegaPrime", "Kmat", "P1", "Jop",
+            "Thetamat")
     recip = parts["reciprocal"]
-    for coefficient in ("Q1", "Q2"):
-        assert recip[("transported_tau", "sys.main", "recip.main",
-                      coefficient)][1] \
-            == ("sys.main", "recip.main", "ymap", "usdefs")
-        assert parts["appendix_b"][("transported_tau", "sys.appb",
-                                    "recip.appb", coefficient)][1] \
+    for rid in ("reciprocal.main.itau", "reciprocal.main.jtau"):
+        assert recip[rid][1] == ("sys.main", "recip.main", "ymap", "usdefs")
+    for check, rid in (("reciprocal", "reciprocal.appb"),
+                       ("appendix_b", "appendix_b.reciprocal")):
+        assert parts[check][rid][1] \
             == ("sys.appb", "recip.appb", "ymap", "usdefs")
-    assert recip["transported_constraints"][1] == ("sys.main", "recip.main")
-    assert parts["scalar_reduction"]["derived_fourth"][1] \
+    assert recip["reciprocal.main.kernels"][1] == ("sys.main", "recip.main")
+    reduction = parts["scalar_reduction"]
+    assert reduction["scalar_reduction.pair"][1] \
+        == ("lax.main", "recip.main")
+    assert reduction["scalar_reduction.fourth"][1] \
         == ("lax.main", "recip.main", "hmap")
-    for check, key in (("prop1", "Theta1"), ("prop1", "Theta1.conj"),
-                       ("prop2", "Theta2")):
-        assert parts[check][("conjugation", key)][1] == ("E",)
+    assert parts["prop1"]["prop1"][1] == parts["prop2"]["prop2"][1] \
+        == ("E",)
 
 
 def _scan_constants(monkeypatch, view):
@@ -893,9 +887,9 @@ def _scan_constants(monkeypatch, view):
 
     with monkeypatch.context() as m:
         m.setattr(appendixes, "_constants_on_vectors", recorded)
-        for rid, build in appendixes.appendix_a(view):
+        for rid, derive, _compare in appendixes.appendix_a(view):
             if rid == "appendix_a.scan":
-                build()
+                derive()
     (got,) = found
     return got, imaged
 
@@ -996,9 +990,10 @@ def test_row_records_do_not_depend_on_build_order(check, rows):
     shuffled = list(builds)
     random.Random(check).shuffle(shuffled)
     for order in (builds[::-1], shuffled):
-        for rid, build in order:
-            row = conclude(rid, build(), 0, load_ledger())
-            assert row.to_record() == plain[rid], rid
+        for yielded in order:
+            row = suite._concluded(catalog.CATALOG, *yielded, 0,
+                                   load_ledger())
+            assert row.to_record() == plain[row.id], row.id
 
 
 def _lower_gauge(scale):
