@@ -56,15 +56,18 @@ that can change a record.  Setup is built from the catalog on first
 use and kept per call of a runner, so a row's record does not depend
 on which rows were built before it.  A part handed from the unmutated
 run to many mutants is immutable to them: it holds only tuples, jet
-expressions, operators, relation sets, names, Claims and functions of
-those, and no reader changes it.  The one state that does change is the
-Rule._jets derivative memos of the relation sets it holds (the usdefs
-rules behind smap, the formal curvature's flow rules, the relations a
-store ended with), which grow but only cache total derivatives of fixed
-rules.  A NonlocalStore never crosses a mutant: a part holds the
-relations and auxiliary names its store ended with, never the store,
-since a reader resolving through a shared store would allocate
-auxiliaries that the next mutant would see.
+expressions, operators, relation sets, names, Claims, nonlocal stores
+and functions of those, and no reader changes it.  The one state that
+does change is the Rule._jets derivative memos of the relation sets it
+holds (the usdefs rules behind smap, the formal curvature's flow rules,
+the relations of a store), which grow but only cache total derivatives
+of fixed rules.  A part may hold a NonlocalStore (theorem1.jt1's half
+holds the store its first basis vector was applied through), but no
+reader resolves through it, since that would allocate auxiliaries that
+the next mutant would see: a compare that continues the derivation
+continues on store.fork(), an independent store with the same
+allocation history, which allocates the names and returns the
+expressions the store itself would have.
 """
 
 import copy
@@ -293,7 +296,8 @@ def describe(name):
         "strategy": spec.strategy,
         "reads": [ident for ident, _parts in spec.reads],
         "rows": [{"id": rid, "reads": list(reads),
-                  "compares": [i for i in reads if i not in parts[rid][1]]}
+                  "compares": [i for i in reads
+                               if rid in parts and i not in parts[rid][1]]}
                  for rid, (_row, reads) in rows.items()],
     }
 
@@ -495,9 +499,11 @@ def _unmutated(name, seed):
     it triggered, in first-fetch order, and a fetch outside a build
     raises RuntimeError.  A part's reads are the entries its build
     fetched, nested parts included; each row's half is the part under
-    its row id.  Under the reuse premise of the module
-    docstring, these rows and parts stand for the same rows and parts
-    of any later run."""
+    its row id, kept only when the row reads more than its half: a half
+    that reads all its row reads is never served, since a mutant of any
+    of its reads rebuilds the row, and one of none reuses the row.
+    Under the reuse premise of the module docstring, these rows and
+    parts stand for the same rows and parts of any later run."""
     spec = _BY_NAME[name]
     errata = load_ledger()
     view = _RecordingView()
@@ -510,6 +516,8 @@ def _unmutated(name, seed):
                 row = _concluded(view, rid, derive, compare, seed, errata)
                 rows[rid] = (row, tuple(view.reads))
                 view.reads = None
+                if view.parts[rid][1] == rows[rid][1]:
+                    del view.parts[rid]
         if len(rows) == target:
             return rows, view.parts
 

@@ -7,12 +7,16 @@ Its displayed reading is decided by applying both sides to the basis
 vectors through a nonlocal store, and those residuals are its record.
 Its corrected reading is decided first by an exact operator identity:
 with D1 = diag(1/v, 1/w) and D2 = diag(u/v, u/w), the premises
-T1 = 1/4 Lambda D1, T2 = -1/4 D2 Lambda* and D1 J2 D2 = -M give
+D1 J2 D2 = -M, T1 = 1/4 Lambda D1 and T2 = -1/4 D2 Lambda* give
 T1 J2 T2 = 1/16 Lambda M Lambda*.  Only when a premise fails is the
 corrected reading applied as well, since a nonzero operator difference
 does not show that its sandwich by Lambda is nonzero.  Then the first
 basis vector with a nonzero corrected residual refutes the corrected
-reading, and no further vector is derived."""
+reading, and no further vector is derived.  The row's derived half is
+the first basis vector's displayed reading with the store it was
+applied through, which reads every entry of the row but J2; the rest
+of the row, the premises first, continues on a fork of that store, so
+a J2 mutant is handed the half and never resolves through its store."""
 
 from fractions import Fraction as F
 
@@ -200,7 +204,8 @@ def theorem1(C):
     yield "theorem1.factored", lambda: _factored_row(C), whole
     yield ("theorem1.jt2", lambda: _jt2_images(tr),
            lambda sandwich: _jt2_check(C, tr, *sandwich))
-    yield "theorem1.jt1", lambda: _jt1_check(C, tr), whole
+    yield ("theorem1.jt1", lambda: _jt1_first(tr),
+           lambda first: _jt1_check(C, tr, first))
 
 
 def _t1_row(C, tr):
@@ -381,50 +386,72 @@ def _jt2_check(C, tr, images, relations):
 
 
 def _corrected_identity_holds(tr):
-    """Whether T1 = 1/4 Lambda D1, T2 = -1/4 D2 Lambda* and
-    D1 J2 D2 = -M hold in normal form over the mapped values.  Together
-    they give T1 J2 T2 = 1/16 Lambda M Lambda* exactly, so every
-    residual of the corrected sandwich reading vanishes."""
+    """Whether D1 J2 D2 = -M, T1 = 1/4 Lambda D1 and
+    T2 = -1/4 D2 Lambda* hold in normal form over the mapped values.
+    Together they give T1 J2 T2 = 1/16 Lambda M Lambda* exactly, so every
+    residual of the corrected sandwich reading vanishes.  The cheapest
+    premise, the only one that reads J2, is tested first."""
     diag1, diag2 = (tr.mapped(d) for d in _diagonals())
-    return (tr.t1 == tr.lam.compose(diag1).scaled(F(1, 4))
-            and tr.t2 == diag2.compose(tr.lam_adjoint).scaled(F(-1, 4))
-            and diag1.compose(tr.j2).compose(diag2)
-            == tr.middle.scaled(-1))
+    return (diag1.compose(tr.j2).compose(diag2) == tr.middle.scaled(-1)
+            and tr.t1 == tr.lam.compose(diag1).scaled(F(1, 4))
+            and tr.t2 == diag2.compose(tr.lam_adjoint).scaled(F(-1, 4)))
 
 
-def _jt1_check(C, tr):
+def _displayed(tr, vec, store):
+    """(sandwich image, T2 image, displayed residuals) of vec: the
+    sandwich -1/16 Lambda M Lambda* applied to vec, then T2 once, then
+    T1 J1 to that T2 image, each residual reduced under the store as it
+    then stands."""
+    rhs = apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle, vec, store)
+    lhs, inner = _sandwich_residuals(tr, tr.j1, vec, store)
+    return rhs, inner, tuple(store.reduce(lhs[k] - rhs[k])
+                             for k in range(2))
+
+
+def _jt1_first(tr):
+    """The derived half of theorem1.jt1: (store, sandwich image, T2
+    image, displayed residuals) of the first basis vector, through a
+    fresh store.  It reads every entry of the row but J2, so a J2
+    mutant is handed it with its store; _jt1_check continues on a fork
+    of that store and never resolves through the store itself."""
+    store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
+    return (store,) + _displayed(tr, _basis_vectors(_catalog.RING_Y)[0],
+                                 store)
+
+
+def _jt1_check(C, tr, first):
     """The sandwich form of the transformed operator: displayed with
     the nonlocal momentum-side operator, reproduced by the local one.
 
-    The decision order, per basis vector: the sandwich
-    -1/16 Lambda M Lambda* is applied, then T2 once, then T1 J1 to that
-    T2 image; these displayed residuals are the row's record.  After
-    the first vector's displayed reading, so that J2 is fetched after
-    J1, T1 and T2, _corrected_identity_holds decides the corrected
-    reading.  When its three premises hold, the corrected residuals are
-    zero and no corrected image is built.  Otherwise T1 J2 is applied
-    to each vector's T2 image too, because a nonzero operator
-    difference does not show that its sandwich by Lambda is nonzero.
-    The first basis vector with a nonzero corrected residual refutes
-    the corrected reading, and no further vector is derived: the claim
-    then holds that vector's pairs and those before it."""
+    first is _jt1_first(tr), the first basis vector's displayed reading;
+    the rest runs on a fork of its store, the second vector's displayed
+    reading derived as the first's.  The displayed residuals are the
+    row's record; reducing the first vector's before later auxiliaries
+    are allocated gives the same normal form by _jt2_check's argument.
+    Then, so that J2 is fetched after J1, T1 and T2,
+    _corrected_identity_holds decides the corrected reading.  When its
+    three premises hold, the corrected residuals are zero and no
+    corrected image is built.  Otherwise T1 J2 is applied to each
+    vector's T2 image too, because a nonzero operator difference does
+    not show that its sandwich by Lambda is nonzero.  The first basis
+    vector with a nonzero corrected residual refutes the corrected
+    reading, and no further vector is derived: the claim then holds
+    that vector's pairs and those before it."""
     Y = _catalog.RING_Y
+    store, *shown = first
+    store = store.fork()
     original = []
     corrected = []
-    by_identity = None
-    store = NonlocalStore(Y, inverses=tr.inverses)
+    by_identity = _corrected_identity_holds(tr)
     for tag, vec in zip(("first", "second"), _basis_vectors(Y)):
-        rhs = apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle, vec,
-                             store)
-        lhs_orig, inner = _sandwich_residuals(tr, tr.j1, vec, store)
-        if by_identity is None:
-            by_identity = _corrected_identity_holds(tr)
+        rhs, inner, displayed = (shown if tag == "first"
+                                 else _displayed(tr, vec, store))
         if not by_identity:
             lhs_corr, _inner = _sandwich_residuals(tr, tr.j2, vec, store,
                                                    inner)
         for k in range(2):
             label = "%s basis vector, row %d" % (tag, k + 1)
-            original.append((label, store.reduce(lhs_orig[k] - rhs[k])))
+            original.append((label, displayed[k]))
             corrected.append((label, store.ring.zero() if by_identity
                               else store.reduce(lhs_corr[k] - rhs[k])))
         if any(not e.is_zero for _label, e in corrected[-2:]):

@@ -55,15 +55,16 @@ def test_describe_prints_the_check(capsys):
 def test_describe_lists_each_row_and_its_reads(capsys):
     # the recorded reads run_mutated decides which rows to build from,
     # for every check, each row in report order, and of them the reads
-    # the row's derived half did not fetch
+    # the row's derived half did not fetch; a row without a kept half
+    # compares nothing, since its half read all the row reads
     for check in suite.check_ids():
         assert main(["describe", check]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         got, parts = suite._unmutated(check, 0)
         assert rows == [
             {"id": rid, "reads": list(reads),
-             "compares": [ident for ident in reads
-                          if ident not in parts[rid][1]]}
+             "compares": [ident for ident in reads if rid in parts
+                          and ident not in parts[rid][1]]}
             for rid, (_row, reads) in got.items()]
         assert [row["id"] for row in rows] \
             == [r.id for r in suite.run_suite(selection=check)]
@@ -96,8 +97,8 @@ def test_describe_lists_each_row_and_its_reads(capsys):
         == ["lax.main", "recip.main", "hmap", "scalar.mn", "scalar4"]
     assert reads["prop1"] == ["E", "Theta1", "Theta1.conj", "usdefs"]
     assert reads["prop2"] == ["E", "Theta2", "usdefs"]
-    # the twelve rows with a half of their own; every other row derives
-    # its whole claim and compares nothing more
+    # the thirteen rows with a half of their own; every other row
+    # derives its whole claim and compares nothing more
     assert {rid: row["compares"] for rid, row in rows.items()
             if row["compares"]} == {
         "reciprocal.main.itau": ["flow.intermediate"],
@@ -110,6 +111,7 @@ def test_describe_lists_each_row_and_its_reads(capsys):
         "prop2": ["Theta2", "usdefs"],
         "theorem1.t2": ["T2", "usdefs"],
         "theorem1.jt2": ["Jt2"],
+        "theorem1.jt1": ["J2"],
         "appendix_a.link": ["P2"],
         "appendix_b.reciprocal": ["sys.appb.trans"]}
 

@@ -261,6 +261,15 @@ def test_conclude_decides_each_outcome(outcome):
         == want[:3] + (("given",) + want[3],)
 
 
+def _jt1_claim(cat):
+    """theorem1.jt1's Claim over cat, made as the harness makes it: the
+    runner's compare applied to its derive."""
+    for rid, derive, compare in theorem.theorem1(cat):
+        if rid == "theorem1.jt1":
+            return compare(derive())
+    raise KeyError("theorem1.jt1")
+
+
 def test_a_summary_is_the_full_text_cut():
     # summarize formats terms only as far as its cut, yet reads as the
     # whole to_text cut after SUMMARY_WIDTH characters, on residuals
@@ -268,8 +277,7 @@ def test_a_summary_is_the_full_text_cut():
     rng = random.Random(27)
     residuals = [random_expr(rng, catalog.RING_Y, n_terms=n,
                              allow_negative=True) for n in range(1, 40)]
-    claim = theorem._jt1_check(catalog.CATALOG,
-                               theorem.Transport(catalog.CATALOG))
+    claim = _jt1_claim(catalog.CATALOG)
     residuals.extend(e for _label, e in claim.pairs)
     lengths = [len(to_text(e)) for e in residuals]
     assert min(lengths) <= SUMMARY_WIDTH < 20 * SUMMARY_WIDTH < max(lengths)
@@ -492,6 +500,8 @@ def _applied_corrected_reading(monkeypatch):
 
 
 def _jt1_claim_and_store(monkeypatch):
+    """theorem1.jt1's Claim on the catalog and the store it ended in:
+    the fork its compare continued on."""
     stores = []
 
     class Recording(theorem.NonlocalStore):
@@ -499,12 +509,15 @@ def _jt1_claim_and_store(monkeypatch):
             super().__init__(*args, **kwargs)
             stores.append(self)
 
+        def fork(self):
+            stores.append(super().fork())
+            return stores[-1]
+
     with monkeypatch.context() as m:
         m.setattr(theorem, "NonlocalStore", Recording)
-        claim = theorem._jt1_check(catalog.CATALOG,
-                                   theorem.Transport(catalog.CATALOG))
-    (store,) = stores
-    return claim, store
+        claim = _jt1_claim(catalog.CATALOG)
+    (_store, fork) = stores
+    return claim, fork
 
 
 def test_the_corrected_jt1_reading_needs_no_images(monkeypatch):
@@ -535,6 +548,26 @@ def test_each_premise_of_the_corrected_jt1_identity_is_checked(prop):
     tr = theorem.Transport(catalog.CATALOG)
     setattr(tr, prop, getattr(tr, prop).scaled(2))
     assert not theorem._corrected_identity_holds(tr)
+
+
+@pytest.mark.parametrize("ident, slot", (("J2", 0), ("Jt1.middle", 13)))
+def test_the_j2_premise_is_tested_first(ident, slot, monkeypatch):
+    # D1 J2 D2 = -M costs two compositions and is the premise these
+    # mutants break, so the two Lambda compositions are never built
+    cat = catalog.CATALOG.with_mutation(ident, slot)
+    tr = theorem.Transport(cat)
+    for name in ("t1", "t2", "lam", "lam_adjoint", "j2", "middle"):
+        getattr(tr, name)
+    calls = []
+    compose = MatrixOp.compose
+
+    def counted(op, other):
+        calls.append(other)
+        return compose(op, other)
+
+    monkeypatch.setattr(MatrixOp, "compose", counted)
+    assert not theorem._corrected_identity_holds(tr)
+    assert len(calls) == 2
 
 
 def _u_diagonal(ring):
@@ -618,7 +651,7 @@ def test_a_refuted_corrected_jt1_reading_stops_after_its_first_vector(
     # second vector is never derived; the pairs kept are those of the
     # derivation through both, whose second vector refutes it as well
     cat = catalog.CATALOG.with_mutation(ident, slot)
-    claim = theorem._jt1_check(cat, theorem.Transport(cat))
+    claim = _jt1_claim(cat)
     original, corrected = _jt1_both_vectors(cat)
     for pairs, both in ((claim.pairs, original),
                         (claim.corrected, corrected)):
@@ -643,7 +676,7 @@ def _counting_builds(monkeypatch, check):
     of the NonlocalStore constructor in theorem and appendixes, and of
     the builders of the light checks' served halves: flows'
     transported_taus and _constraint_equations, scalar's
-    _gauged_relations and _fourth_order, and hamops' transport_local."""
+    _gauged_relations and _fourth_order, and hamops' _conjugations."""
     suite._unmutated(check, 0)
     calls = dict.fromkeys(("jacobians", "readings", "stores", "taus",
                            "constraints", "relations", "fourths",
@@ -667,7 +700,7 @@ def _counting_builds(monkeypatch, check):
             (flows, "_constraint_equations", "constraints"),
             (scalar, "_gauged_relations", "relations"),
             (scalar, "_fourth_order", "fourths"),
-            (hamops, "transport_local", "conjugations")):
+            (hamops, "_conjugations", "conjugations")):
         monkeypatch.setattr(module, name, counting(
             key, getattr(module, name)))
     return calls
@@ -684,13 +717,16 @@ def _slots_of(check, ident):
     for check, ident, builds in (
         ("theorem1", "T2", (0, 0, 0)), ("theorem1", "ymap", (1, 0, 0)),
         ("theorem1", "Jt2", (0, 0, 0)), ("theorem1", "J1", (0, 0, 1)),
+        ("theorem1", "J2", (0, 0, 0)),
         ("appendix_a", "P2", (0, 0, 0)), ("appendix_a", "P1", (0, 0, 1)))])
 def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
         check, ident, builds, monkeypatch):
     # the Jacobian data and the t2 half read ymap alone, the jt2 half
-    # neither Jt2 nor ymap, and the link half all of the link but P2,
-    # so a T2, Jt2 or P2 mutant is handed them and only compares, while
-    # a ymap, J1 or P1 mutant derives its own
+    # neither Jt2 nor ymap, the jt1 half all of jt1 but J2, and the link
+    # half all of the link but P2, so a T2, Jt2, J2 or P2 mutant is
+    # handed them and only compares (a J2 mutant on a fork of the jt1
+    # half's store, which builds no store), while a ymap, J1 or P1
+    # mutant derives its own
     calls = _counting_builds(monkeypatch, check)
     slot = _slots_of(check, ident)[0]
     assert not suite.all_clear(suite.run_mutated(check, ident, slot))
@@ -701,12 +737,13 @@ def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
 def _compared_only():
     """Every (check, entry) where the entry is on the check's read
     surface, and some row reads it but its derived half does not, with
-    the entry's slot count in the id."""
+    the entry's slot count in the id.  A row without a kept half
+    compares nothing: its half read all the row reads."""
     out = []
     for check in suite.check_ids():
         rows, parts = suite._unmutated(check, 0)
         compared = dict.fromkeys(
-            ident for rid, (_row, reads) in rows.items()
+            ident for rid, (_row, reads) in rows.items() if rid in parts
             for ident in reads if ident not in parts[rid][1])
         for ident in compared:
             count = len(_slots_of(check, ident))
@@ -722,9 +759,9 @@ def test_served_parts_give_the_records_of_a_run_serving_none(
     # the rows a mutant rebuilds, built once handed the unmutated run's
     # parts and once over the plain mutated catalog, which serves none;
     # the served run rebuilds no served half: it derives no t2 reading,
-    # builds no store, transports no time derivative or constraint,
-    # gauges no relation, closes no fourth-order relation and
-    # transports no conjugation
+    # builds no store (the jt1 compare forks the one it is handed),
+    # transports no time derivative or constraint, gauges no relation,
+    # closes no fourth-order relation and builds no conjugation
     rows, _parts = suite._unmutated(check, 0)
     reused = {rid: row for rid, (row, reads) in rows.items()
               if ident not in reads}
@@ -774,18 +811,50 @@ def test_every_part_key_is_a_row_a_transport_part_or_formal():
     assert len(transport) == 11
     for check in suite.check_ids():
         rows, parts = suite._unmutated(check, 0)
-        assert set(rows) <= set(parts), check
         assert set(parts) - set(rows) <= transport | {"formal"}, check
+        # a row's half is kept only when the row reads more than it
+        for rid, (_row, reads) in rows.items():
+            if rid in parts:
+                assert set(parts[rid][1]) < set(reads), rid
+
+
+def _stores(value):
+    return [obj for obj in _reachable(value)
+            if isinstance(obj, NonlocalStore)]
+
+
+def _store_state(store):
+    """What resolving through store would change: its allocation record,
+    its relation set's rules and its name pools."""
+    return (list(store.allocated),
+            [(rule.dep, rule.order, rule.rhs) for rule in store.relations],
+            list(store._dinv_names), list(store._inv_names))
 
 
 @pytest.mark.parametrize("check", tuple(SLOTS))
 def test_no_served_part_holds_a_store(check):
     # a reader resolving through a shared store would leave its
-    # auxiliaries to the next mutant
+    # auxiliaries to the next mutant: every store a part holds is as
+    # the part's build left it, after the unmutated run's compare and
+    # after each mutant that is handed the part
     _rows, parts = suite._unmutated(check, 0)
-    for key, (value, _reads) in parts.items():
-        assert not any(isinstance(obj, NonlocalStore)
-                       for obj in _reachable(value)), key
+    for key, (value, reads) in parts.items():
+        stores = _stores(value)
+        if not stores:
+            continue
+        built = [_store_state(store) for store in
+                 _stores(_part_alone(check, key, catalog.CATALOG))]
+        assert [_store_state(store) for store in stores] == built, key
+        relations = [store.relations for store in stores]
+        for ident, slot in suite.mutation_slots(check):
+            if ident in reads:
+                continue
+            suite.run_mutated(check, ident, slot)
+            assert [_store_state(store) for store in stores] == built, \
+                (key, ident, slot)
+            assert all(store.relations is rel
+                       for store, rel in zip(stores, relations)), \
+                (key, ident, slot)
 
 
 def test_run_suite_builds_every_part_it_uses(monkeypatch):
@@ -815,9 +884,12 @@ def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
         derived.clear()
         _built_alone(check, rid)
         for key in derived:
-            assert set(parts[key][1]) <= set(reads), (rid, key)
+            # a half that is not kept read all its row reads
+            assert key in parts or key == rid, (rid, key)
+            if key in parts:
+                assert set(parts[key][1]) <= set(reads), (rid, key)
         seen.update(derived)
-    assert seen == set(parts)
+    assert seen >= set(parts)
 
 
 def _part_alone(check, key, view):
@@ -850,6 +922,8 @@ def test_part_reads_include_the_nested_parts():
     assert transport["theorem1.t2"][1] == ("ymap",)
     assert transport["theorem1.jt2"][1] \
         == ("E", "J1", "T1", "usdefs", "T2")
+    assert transport["theorem1.jt1"][1] \
+        == ("E", "Lambda", "usdefs", "Jt1.middle", "J1", "T1", "T2")
     assert appendix["appendix_a.link"][1] \
         == ("miura.m", "miura.n", "OmegaPrime", "Kmat", "P1", "Jop",
             "Thetamat")
