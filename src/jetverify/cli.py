@@ -12,8 +12,8 @@ check's yields) followed by the row's residual lines, or with ``--json``
 the rows' records, which hold no timing, so the two flags exclude each
 other; it exits 1 unless every row is a pass or a ledgered erratum.
 ``describe`` prints one check's claim, citation, strategy and catalog
-reads as JSON, with each row's id, every entry that row's build fetched
-when built alone, including through the setup it triggered, and of
+reads as JSON, with each row's id, every entry that row's build fetched,
+including through the shared parts it built or was served, and of
 those the entries its derived half did not fetch (``compares``).
 These reads are recorded, not declared.  The sweep rebuilds a row for a
 mutant exactly when the mutated entry is among them; every other row

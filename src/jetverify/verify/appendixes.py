@@ -10,7 +10,6 @@ its own catalog entries.
 """
 
 from fractions import Fraction
-from functools import cache
 
 from .. import catalog as _catalog
 from ..jetalg import (
@@ -497,11 +496,8 @@ def _scan_row(C):
 
 
 def appendix_a(C):
-    built = cache(lambda: _FormalCurvature(C))
-
     def formal():
-        # derived through the view on every use, built once per runner
-        return C.derive("formal", built)
+        return C.derive("formal", lambda: _FormalCurvature(C))
 
     yield "appendix_a.blocks", lambda: _blocks_row(formal(), C), whole
     yield "appendix_a.relations", lambda: _relations_row(formal(), C), whole

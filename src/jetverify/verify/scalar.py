@@ -2,8 +2,6 @@
 spectral problem, the factorization chains, and the recipe identity
 connecting the constraint pair to the negative flow."""
 
-from functools import cache
-
 from ..jetalg import (
     NotIntegrable, RelationSet, antiderivative, euler_derivative, max_order,
     promote, substitute, total_derivative,
@@ -94,7 +92,8 @@ def _fourth_order(eq_phi, eq_psi, hmap):
 
 
 def scalar_reduction(C):
-    relations = cache(lambda: _gauged_relations(C))
+    def relations():
+        return _gauged_relations(C)
 
     def pair(derived):
         eq_phi, eq_psi = derived
@@ -130,8 +129,9 @@ def scalar_reduction(C):
         return Claim(C.citation("scalar.mn"), pairs, NORMAL_FORM)
 
     yield "scalar_reduction.pair", relations, pair
+    # the fourth row's half nests the pair row's
     yield "scalar_reduction.fourth", lambda: _fourth_order(
-        *relations(), C.get("hmap")), fourth
+        *C.derive("scalar_reduction.pair", relations), C.get("hmap")), fourth
     yield "scalar_reduction.mn", mn_pair, whole
 
 

@@ -23,52 +23,54 @@ row that is neither a pass nor an erratum, so its rows are a prefix of
 the run_suite rows (see run_mutated for the one exception).  It builds
 only the rows whose reads contain the mutated entry and reuses every
 other row from the check's unmutated run.  The reads are recorded, not
-declared: the unmutated run builds each row alone over a recording
-catalog view, so a row's reads are every entry its build fetched,
-including through the setup it triggered.  The converse invariant, that
-a row reading nothing a mutant touches keeps a byte-identical record,
-then holds by construction: over the mutated catalog a row's build runs
-exactly as over the packaged one until it first fetches the mutated
-entry, so a row whose recording never fetched it keeps its record.  In
-either run, an exception part-way through a check discards the rows
-before it and reports one undecidable row.
+declared: the unmutated run builds every row in one pass over a
+recording catalog view, so a row's reads are every entry its build
+fetched, including through the parts it built or was served.  The
+converse invariant, that a row reading nothing a mutant touches keeps a
+byte-identical record, then holds by construction: over the mutated
+catalog a row's build runs exactly as over the packaged one until it
+first fetches the mutated entry, so a row whose reads lack it keeps its
+record.  In either run, an exception part-way through a check discards
+the rows before it and reports one undecidable row.
 
-Derived parts get the same reuse.  C.derive(key, build) over a plain
-view only builds.  Each row's half is the part keyed by its row id, and
-the setup a runner shares between rows with different reads (the
-theorem checks' Transport parts, appendix_a's formal curvature) is a
-part under its own key, nested in the halves that use it.  The
-unmutated run records each part's reads as it records a row's, nested
-parts included, and run_mutated hands a mutant every part whose reads
-lack the mutated entry: a part whose recording never fetched that
-entry has the same value over the mutated catalog, by the argument
-above.  So a mutant of an entry that a row only compares with is
-handed the row's half and only compares; describe lists those entries
-as the row's compares.  Where a comparison is reduced, the half and the
-compared entry are reduced apart, which gives the same normal form,
-since reduction is linear; only a term that reduction rejects (a
-negative power of a dependent whose rule is not a monomial) and that
-the difference cancels could raise apart, and no mutant of the full
-sweep meets one.
+Derived parts get the same reuse.  C.derive(key, build) is the one place
+a value is kept: the plain catalog view keeps nothing and only builds,
+and the harness's views build each key once per check run and serve it
+after that.  Each row's half is the part keyed by its row id, and the
+setup a runner shares between rows with different reads (the theorem
+checks' Transport parts, appendix_a's formal curvature) is a part under
+its own key, nested in the halves that use it, as the pair row's half is
+in scalar_reduction.fourth's.  The unmutated run records each part's
+reads as it records a row's, nested parts included, and run_mutated
+hands a mutant every part whose reads lack the mutated entry: a part
+whose recording never fetched that entry has the same value over the
+mutated catalog, by the argument above.  So a mutant of an entry that a
+row only compares with is handed the row's half and only compares;
+describe lists those entries as the row's compares.  Where a comparison
+is reduced, the half and the compared entry are reduced apart, which
+gives the same normal form, since reduction is linear; only a term that
+reduction rejects (a negative power of a dependent whose rule is not a
+monomial) and that the difference cancels could raise apart, and no
+mutant of the full sweep meets one.
 
-The reuse premise, on which both rest: rows and parts share no state
-that can change a record.  Setup is built from the catalog on first
-use and kept per call of a runner, so a row's record does not depend
-on which rows were built before it.  A part handed from the unmutated
-run to many mutants is immutable to them: it holds only tuples, jet
-expressions, operators, relation sets, names, Claims, nonlocal stores
-and functions of those, and no reader changes it.  The one state that
-does change is the Rule._jets derivative memos of the relation sets it
-holds (the usdefs rules behind smap, the formal curvature's flow rules,
-the relations of a store), which grow but only cache total derivatives
-of fixed rules.  A part may hold a NonlocalStore (theorem1.jt1's half
-holds the store its first basis vector was applied through), but no
-reader resolves through it, since that would allocate auxiliaries that
-the next mutant would see: a compare that continues the derivation
-continues on store.fork(), an independent store with the same
-allocation history, which allocates the names and returns the
-expressions the store itself would have.
-"""
+The reuse premise, on which both rest: shared values are C.derive parts,
+built once per check run by the harness's view.  A runner keeps no other
+state across rows, so a part is the same value whichever row builds it,
+and a row's record does not depend on which rows were built before it.
+A part served to later rows and handed from the unmutated run to many
+mutants is immutable to them: it holds only tuples, jet expressions,
+operators, relation sets, names, Claims, nonlocal stores and functions
+of those, and no reader changes it.  The one state that does change is
+the Rule._jets derivative memos of the relation sets it holds (the
+usdefs rules behind smap, the formal curvature's flow rules, the
+relations of a store), which grow but only cache total derivatives of
+fixed rules.  A part may hold a NonlocalStore (theorem1.jt1's half holds
+the store its first basis vector was applied through), but no reader
+resolves through it, since that would allocate auxiliaries that the next
+mutant would see: a compare that continues the derivation continues on
+store.fork(), an independent store with the same allocation history,
+which allocates the names and returns the expressions the store itself
+would have."""
 
 import copy
 import functools
@@ -113,8 +115,9 @@ class CheckSpec:
     and compare(half) returns its Claim, which the harness concludes
     into the row.  It fetches no catalog entry outside derive and
     compare (the harness raises if it does), and it keeps the reuse
-    premise of the module docstring, so each row can be built alone and
-    the entries it reads recorded."""
+    premise of the module docstring: every value it shares between rows
+    is a C.derive part, which the harness builds once per check run, so
+    one pass of the runner records the entries each row reads."""
 
     __slots__ = ("name", "runner", "citation_ident", "claim", "strategy",
                  "reads")
@@ -283,10 +286,10 @@ def check_ids():
 
 def describe(name):
     """Claim, citation, strategy and catalog reads of one published
-    check, with each row's id, every entry its build fetched when built
-    alone, the reads run_mutated decides reuse by, and of those the
-    entries its derived half did not fetch, whose mutants only
-    compare."""
+    check, with each row's id, every entry its build fetched, through
+    served parts included, the reads run_mutated decides reuse by, and
+    of those the entries its derived half did not fetch, whose mutants
+    only compare."""
     spec = _BY_NAME[name]
     rows, parts = _unmutated(name, 0)
     return {
@@ -381,7 +384,8 @@ def run_suite(selection=None, seed=0, errata=None, catalog=None):
         catalog = _catalog.CATALOG
     rows = []
     for name in names:
-        rows.extend(_run_check(catalog, _BY_NAME[name], seed, errata))
+        rows.extend(_run_check(_ServingView(catalog, {}), _BY_NAME[name],
+                               seed, errata))
     seen = set()
     for row in rows:
         if row.id in seen:
@@ -434,11 +438,11 @@ class _RecordingView(_catalog.CatalogView):
     """The packaged catalog, recording in first-fetch order every entry
     fetched while reads is a dict; a fetch while it is None raises.
 
-    Every derived part is built, never served.  The entries a part
-    fetched, the reads of the parts nested in it included, are its
-    reads, which also join the reads of the part or row around it, in
-    first-fetch order; parts keeps {key: (value, reads)} of each key's
-    first build."""
+    Each part key is built once and served after that; parts keeps
+    {key: (value, reads)} of that build.  The entries a build fetched,
+    the reads of the parts nested in it included, are the part's reads,
+    and each time the part is derived, built or served, they join the
+    reads of the part or row around it, in first-fetch order."""
 
     def __init__(self):
         super().__init__()
@@ -457,19 +461,19 @@ class _RecordingView(_catalog.CatalogView):
         if outer is None:
             raise RuntimeError("part %r derived outside a row build"
                                % (key,))
-        self.reads = {}
-        value = build()
-        fetched, self.reads = self.reads, outer
-        # a part the runner already built fetches nothing; its reads
-        # are those of its first build, the same by the reuse premise
-        _first, reads = self.parts.setdefault(key, (value, tuple(fetched)))
+        if key not in self.parts:
+            self.reads = {}
+            value = build()
+            self.parts[key] = (value, tuple(self.reads))
+            self.reads = outer
+        value, reads = self.parts[key]
         outer.update(dict.fromkeys(reads))
         return value
 
 
 class _ServingView(_catalog.CatalogView):
-    """A catalog view that reads its entries from base, serves the
-    derived parts in parts by key and builds any other."""
+    """A catalog view that reads its entries from base and serves the
+    derived parts in parts by key, building and keeping any other."""
 
     def __init__(self, base, parts):
         super().__init__()
@@ -480,9 +484,9 @@ class _ServingView(_catalog.CatalogView):
         return self.base.entry(ident)
 
     def derive(self, key, build):
-        if key in self.parts:
-            return self.parts[key]
-        return build()
+        if key not in self.parts:
+            self.parts[key] = build()
+        return self.parts[key]
 
 
 @functools.lru_cache(maxsize=None)
@@ -492,34 +496,28 @@ def _unmutated(name, seed):
     once per check and seed, the first time a mutant or describe needs
     it.
 
-    Each row is built alone, the way run_mutated builds it: the runner
-    called afresh over a recording view, iterated to its end and only
-    that row concluded.  So a row's reads are every entry its build
-    fetched, its half's first, including through the setup and parts
-    it triggered, in first-fetch order, and a fetch outside a build
-    raises RuntimeError.  A part's reads are the entries its build
-    fetched, nested parts included; each row's half is the part under
-    its row id, kept only when the row reads more than its half: a half
-    that reads all its row reads is never served, since a mutant of any
-    of its reads rebuilds the row, and one of none reuses the row.
-    Under the reuse premise of the module docstring, these rows and
-    parts stand for the same rows and parts of any later run."""
+    One run of the runner over a recording view builds every row, so a
+    row's reads are every entry its build fetched, its half's first,
+    including through the parts it built or was served, in first-fetch
+    order, and a fetch outside a build raises RuntimeError.  A part's
+    reads are the entries its build fetched, nested parts included;
+    each row's half is the part under its row id, kept only when the
+    row reads more than its half: a half that reads all its row reads
+    is never served, since a mutant of any of its reads rebuilds the
+    row, and one of none reuses the row.  Under the reuse premise of the
+    module docstring, these rows and parts stand for the same rows and
+    parts of any later run, a row built alone included."""
     spec = _BY_NAME[name]
     errata = load_ledger()
     view = _RecordingView()
     rows = {}
-    while True:
-        target = len(rows)
-        for k, (rid, derive, compare) in enumerate(spec.runner(view)):
-            if k == target:
-                view.reads = {}
-                row = _concluded(view, rid, derive, compare, seed, errata)
-                rows[rid] = (row, tuple(view.reads))
-                view.reads = None
-                if view.parts[rid][1] == rows[rid][1]:
-                    del view.parts[rid]
-        if len(rows) == target:
-            return rows, view.parts
+    for rid, derive, compare in spec.runner(view):
+        view.reads = {}
+        row = _concluded(view, rid, derive, compare, seed, errata)
+        rows[rid] = (row, tuple(view.reads))
+        view.reads = None
+    return rows, {key: part for key, part in view.parts.items()
+                  if key not in rows or part[1] != rows[key][1]}
 
 
 def run_mutated(name, ident, slot, seed=0):
@@ -532,9 +530,9 @@ def run_mutated(name, ident, slot, seed=0):
     built over the mutated catalog; every other row is a copy of the
     same row from the unmutated run of the check at the same seed.
     Likewise a row built here is handed every derived part of that run
-    whose reads lack the mutated entry, and builds the others.  Both
-    are the converse invariant of the module docstring, which rests on
-    its reuse premise.
+    whose reads lack the mutated entry, and builds each other part once
+    for the mutant's run.  Both are the converse invariant of the module
+    docstring, which rests on its reuse premise.
 
     Prefix contract: the rows are the rows run_suite reports for the
     same catalog, through the first one that is neither a pass nor an

@@ -33,30 +33,11 @@ from .base import NORMAL_FORM, TEST_VECTOR, Claim, usdef_rules, whole
 from .hamops import carry_coeff, transport_pseudo, transported_kernel
 
 
-class _part:
-    """A Transport part: built once per Transport, the first time a row
-    asks for it, and fetched through the catalog view on every access.
-    So a view that records parts sees each use, a nested use of a part
-    already built included, and a view that serves parts can hand out
-    its own value.  A value set on the instance shadows the part."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, tr, owner=None):
-        if tr is None:
-            return self
-        built = tr.built
-
-        def once():
-            if self.name not in built:
-                built[self.name] = self.build(tr)
-            return built[self.name]
-
-        return tr.C.derive(self.name, once)
+def _part(build):
+    """A Transport part: a property deriving build's value through the
+    catalog view under build's name on every access."""
+    name = build.__name__
+    return property(lambda tr: tr.C.derive(name, lambda: build(tr)))
 
 
 class Transport:
@@ -66,18 +47,19 @@ class Transport:
     both Hamiltonian operators in the new variable, and the stated
     matrices with coefficients reduced to the density pair.
 
-    Every part is derived through the catalog view under its attribute
-    name.  Over the plain catalog that only builds it; the mutation
-    harness records the entries each part fetches, nested parts
-    included, and hands a mutant every part of the unmutated run whose
-    reads lack the mutated entry.  So a part's value is shared across
+    Every part is a C.derive part under its attribute name, like any
+    shared value of a check: the harness's view builds it once per
+    check run and serves it after that, and over the plain catalog,
+    which keeps nothing, each access builds it.  The mutation harness
+    also records the entries each part fetches, nested parts included,
+    and hands a mutant every part of the unmutated run whose reads lack
+    the mutated entry.  So a part's value is shared across rows and
     mutants and must not be changed by its readers, and it holds no
     NonlocalStore: a reader resolving through a shared store would
     leave its auxiliaries to the next mutant."""
 
     def __init__(self, C):
         self.C = C
-        self.built = {}
 
     @_part
     def jacobians(self):

@@ -6,6 +6,7 @@ and a sampled run of the sensitivity invariant.  The table, the record
 digest and the light checks' slot counts are the benchmark's pins in
 perfbench/expected.py."""
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -181,7 +182,7 @@ def test_every_catalog_entry_is_read_by_a_check():
 
 def test_errata_ledger_references_what_its_row_reads():
     # each term of a correction is a catalog reference, in the shape of
-    # CheckSpec.reads, that the erratum row fetches when built alone
+    # CheckSpec.reads, that the erratum row's build fetches
     for ent in load_ledger().values():
         check = ent.check_id.partition(".")[0]
         _row, reads = suite._unmutated(check, 0)[0][ent.check_id]
@@ -389,18 +390,58 @@ def _recorded_reads(check):
             for rid, (_row, reads) in suite._unmutated(check, 0)[0].items()}
 
 
+@functools.cache
+def _row_at_a_time(check):
+    """({row id: (row, reads)}, {part key: (value, reads)}) of check at
+    seed 0, recorded with no part built by one row served to another:
+    each row built alone, in a fresh runner over a fresh recording view,
+    the first build of each part key kept, and a row's half kept only
+    when the row reads more than it, as _unmutated keeps it."""
+    spec = _spec(check)
+    rows, parts = {}, {}
+    while True:
+        view = suite._RecordingView()
+        target = len(rows)
+        for k, (rid, derive, compare) in enumerate(spec.runner(view)):
+            if k == target:
+                view.reads = {}
+                row = suite._concluded(view, rid, derive, compare, 0,
+                                       load_ledger())
+                rows[rid] = (row, tuple(view.reads))
+                view.reads = None
+        if len(rows) == target:
+            return rows, {key: part for key, part in parts.items()
+                          if key not in rows or part[1] != rows[key][1]}
+        for key, part in view.parts.items():
+            parts.setdefault(key, part)
+
+
+@pytest.mark.parametrize("check", suite.check_ids())
+def test_one_pass_recording_equals_row_at_a_time_recording(check):
+    # serving a part to the rows after the one that built it changes no
+    # row record, no row's reads or their order, and no part key or read
+    rows, parts = suite._unmutated(check, 0)
+    ref_rows, ref_parts = _row_at_a_time(check)
+    assert [(rid, row.to_record(), reads)
+            for rid, (row, reads) in rows.items()] \
+        == [(rid, row.to_record(), reads)
+            for rid, (row, reads) in ref_rows.items()]
+    assert [(key, reads) for key, (_value, reads) in parts.items()] \
+        == [(key, reads) for key, (_value, reads) in ref_parts.items()]
+
+
 def test_rows_built_alone_have_the_suite_digest():
     # each row built alone, as run_mutated builds it, keeps its record
     alone = [row for spec in suite.CHECKS
-             for row, _reads in suite._unmutated(spec.name, 0)[0].values()]
+             for row, _reads in _row_at_a_time(spec.name)[0].values()]
     text = json.dumps(records(alone), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
         == PINS.SUITE_DIGEST
 
 
 def test_a_row_records_the_setup_it_triggers():
-    # in a sequential run theorem1.t1 builds the Jacobian data that
-    # theorem1.t2 then reuses, so only t2 built alone fetches ymap
+    # theorem1.t1 builds the Jacobian data that theorem1.t2 is then
+    # served, and the served part's reads join t2's: t2 records ymap
     assert "ymap" in _recorded_reads("theorem1")["theorem1.t2"]
     # a failing t1 names the one orientation it compares
     cat = catalog.CATALOG.with_mutation("T1", 0)
@@ -544,18 +585,20 @@ def test_the_corrected_jt1_reading_needs_no_images(monkeypatch):
 
 @pytest.mark.parametrize("prop", ("t1", "t2", "j2"))
 def test_each_premise_of_the_corrected_jt1_identity_is_checked(prop):
-    # doubling one factor breaks exactly one of the three premises
-    tr = theorem.Transport(catalog.CATALOG)
-    setattr(tr, prop, getattr(tr, prop).scaled(2))
-    assert not theorem._corrected_identity_holds(tr)
+    # doubling one factor breaks exactly one of the three premises; a
+    # view seeded with the doubled factor serves it in place of the part
+    doubled = getattr(theorem.Transport(catalog.CATALOG), prop).scaled(2)
+    view = suite._ServingView(catalog.CATALOG, {prop: doubled})
+    assert not theorem._corrected_identity_holds(theorem.Transport(view))
 
 
 @pytest.mark.parametrize("ident, slot", (("J2", 0), ("Jt1.middle", 13)))
 def test_the_j2_premise_is_tested_first(ident, slot, monkeypatch):
     # D1 J2 D2 = -M costs two compositions and is the premise these
     # mutants break, so the two Lambda compositions are never built
+    # the parts are built ahead through a view that keeps them
     cat = catalog.CATALOG.with_mutation(ident, slot)
-    tr = theorem.Transport(cat)
+    tr = theorem.Transport(suite._ServingView(cat, {}))
     for name in ("t1", "t2", "lam", "lam_adjoint", "j2", "middle"):
         getattr(tr, name)
     calls = []
@@ -807,7 +850,7 @@ def test_every_part_key_is_a_row_a_transport_part_or_formal():
     # each row's derived half is the part under its row id; the only
     # other parts are the setup that rows with different reads share
     transport = {name for name, attr in vars(theorem.Transport).items()
-                 if isinstance(attr, theorem._part)}
+                 if isinstance(attr, property)}
     assert len(transport) == 11
     for check in suite.check_ids():
         rows, parts = suite._unmutated(check, 0)
@@ -857,12 +900,55 @@ def test_no_served_part_holds_a_store(check):
                 (key, ident, slot)
 
 
+def _counting_setup(monkeypatch):
+    """Calls, from now on, of the builders of the setup that rows of
+    theorem1, appendix_a and scalar_reduction share: the Jacobian data,
+    the formal curvature and the gauged relations."""
+    calls = {}
+    for module, name in ((theorem, "_derived_jacobians"),
+                         (appendixes, "_FormalCurvature"),
+                         (scalar, "_gauged_relations")):
+        def counted(*args, _build=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _build(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+_SETUP_CHECKS = ("theorem1", "appendix_a", "scalar_reduction")
+_SETUP_ONCE = dict.fromkeys(
+    ("_derived_jacobians", "_FormalCurvature", "_gauged_relations"), 1)
+
+
+def test_recording_a_check_builds_each_setup_part_once(monkeypatch):
+    # one pass of each runner records every row, and the recording view
+    # serves each part after its first build
+    runs = []
+    for check in _SETUP_CHECKS:
+        spec = _spec(check)
+
+        def runner(C, _runner=spec.runner):
+            runs.append(None)
+            return _runner(C)
+
+        monkeypatch.setitem(suite._BY_NAME, check, suite.CheckSpec(
+            check, runner, spec.citation_ident, spec.claim, spec.strategy,
+            spec.reads))
+    calls = _counting_setup(monkeypatch)
+    for check in _SETUP_CHECKS:
+        suite._unmutated.__wrapped__(check, 0)
+    assert calls == _SETUP_ONCE
+    assert len(runs) == 3
+
+
 def test_run_suite_builds_every_part_it_uses(monkeypatch):
-    # a plain catalog view serves no part, recorded or not: theorem1.t1
-    # derives the Jacobian data and theorem1.t2 reuses the runner's
-    calls = _counting_builds(monkeypatch, "theorem1")
-    suite.run_suite(selection="theorem1")
-    assert calls["jacobians"] == 1
+    # run_suite's view builds each part once per check run and keeps
+    # it: theorem1.t1 derives the Jacobian data and theorem1.t2 is
+    # served it, and the formal curvature and the gauged relations are
+    # likewise built by their first row and served to the rows after it
+    calls = _counting_setup(monkeypatch)
+    suite.run_suite(selection=_SETUP_CHECKS)
+    assert calls == _SETUP_ONCE
 
 
 @pytest.mark.parametrize("check", tuple(SLOTS))
