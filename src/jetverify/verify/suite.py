@@ -70,7 +70,8 @@ resolves through it, since that would allocate auxiliaries that the next
 mutant would see: a compare that continues the derivation continues on
 store.fork(), an independent store with the same allocation history,
 which allocates the names and returns the expressions the store itself
-would have."""
+would have.  theorem1.jt1's compare derives its second basis vector and
+any corrected image there."""
 
 import copy
 import functools
@@ -473,7 +474,9 @@ class _RecordingView(_catalog.CatalogView):
 
 class _ServingView(_catalog.CatalogView):
     """A catalog view that reads its entries from base and serves the
-    derived parts in parts by key, building and keeping any other."""
+    derived parts in parts by key, building and keeping any other.  Its
+    with_mutation mutates base and serves no part, since a kept part may
+    have read the mutated entry."""
 
     def __init__(self, base, parts):
         super().__init__()
@@ -487,6 +490,9 @@ class _ServingView(_catalog.CatalogView):
         if key not in self.parts:
             self.parts[key] = build()
         return self.parts[key]
+
+    def with_mutation(self, ident, slot):
+        return self.base.with_mutation(ident, slot)
 
 
 @functools.lru_cache(maxsize=None)

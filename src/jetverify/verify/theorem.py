@@ -5,18 +5,19 @@ identities carrying both Hamiltonian operators to the new variable.
 The sandwich row theorem1.jt1 asserts erratum E2 in both directions.
 Its displayed reading is decided by applying both sides to the basis
 vectors through a nonlocal store, and those residuals are its record.
-Its corrected reading is decided first by an exact operator identity:
-with D1 = diag(1/v, 1/w) and D2 = diag(u/v, u/w), the premises
-D1 J2 D2 = -M, T1 = 1/4 Lambda D1 and T2 = -1/4 D2 Lambda* give
-T1 J2 T2 = 1/16 Lambda M Lambda*.  Only when a premise fails is the
-corrected reading applied as well, since a nonzero operator difference
-does not show that its sandwich by Lambda is nonzero.  Then the first
-basis vector with a nonzero corrected residual refutes the corrected
-reading, and no further vector is derived.  The row's derived half is
-the first basis vector's displayed reading with the store it was
-applied through, which reads every entry of the row but J2; the rest
-of the row, the premises first, continues on a fork of that store, so
-a J2 mutant is handed the half and never resolves through its store."""
+With D1 = diag(1/v, 1/w) and D2 = diag(u/v, u/w), the factorization
+premises T1 = 1/4 Lambda D1 and T2 = -1/4 D2 Lambda* make the corrected
+residual -T1 J2 T2 v + 1/16 Lambda M Lambda* v of a vector v equal to
+1/16 Lambda Delta Lambda* v, with Delta = D1 J2 D2 + M.  So when they
+hold, a zero Delta decides the corrected reading with no image built,
+and a nonzero one (one local entry under a J2 or Jt1.middle mutant) by
+applying that short sandwich; when one fails, T1 J2 is applied to the
+T2 image.  The first basis vector with a nonzero corrected residual
+refutes the corrected reading, and no further vector is derived.  The
+row's derived half is the first basis vector's displayed reading with
+the store it was applied through, which reads every entry of the row
+but J2; the rest of the row continues on a fork of that store, so a J2
+mutant is handed the half and never resolves through its store."""
 
 from fractions import Fraction as F
 
@@ -110,6 +111,14 @@ class Transport:
     @_part
     def middle(self):
         return self._mapped("Jt1.middle")
+
+    @_part
+    def lam_factors(self):
+        """Whether T1 = 1/4 Lambda D1 and T2 = -1/4 D2 Lambda* hold."""
+        diag1, diag2 = (self.mapped(d) for d in _diagonals())
+        return (self.t1 == self.lam.compose(diag1).scaled(F(1, 4))
+                and self.t2 == diag2.compose(self.lam_adjoint).scaled(
+                    F(-1, 4)))
 
     def _transported(self, ident):
         u = _catalog.RING_Y.coord("u")
@@ -367,16 +376,13 @@ def _jt2_check(C, tr, images, relations):
     return Claim(C.citation("Jt2"), pairs, TEST_VECTOR, notes)
 
 
-def _corrected_identity_holds(tr):
-    """Whether D1 J2 D2 = -M, T1 = 1/4 Lambda D1 and
-    T2 = -1/4 D2 Lambda* hold in normal form over the mapped values.
-    Together they give T1 J2 T2 = 1/16 Lambda M Lambda* exactly, so every
-    residual of the corrected sandwich reading vanishes.  The cheapest
-    premise, the only one that reads J2, is tested first."""
+def _middle_difference(tr):
+    """Delta = D1 J2 D2 + M, or None when it is the zero operator."""
     diag1, diag2 = (tr.mapped(d) for d in _diagonals())
-    return (diag1.compose(tr.j2).compose(diag2) == tr.middle.scaled(-1)
-            and tr.t1 == tr.lam.compose(diag1).scaled(F(1, 4))
-            and tr.t2 == diag2.compose(tr.lam_adjoint).scaled(F(-1, 4)))
+    grid = [[a + b for a, b in zip(row, mid)] for row, mid in zip(
+        diag1.compose(tr.j2).compose(diag2).grid, tr.middle.grid)]
+    return (None if all(e.is_zero for row in grid for e in row)
+            else MatrixOp(grid))
 
 
 def _displayed(tr, vec, store):
@@ -410,12 +416,8 @@ def _jt1_check(C, tr, first):
     reading derived as the first's.  The displayed residuals are the
     row's record; reducing the first vector's before later auxiliaries
     are allocated gives the same normal form by _jt2_check's argument.
-    Then, so that J2 is fetched after J1, T1 and T2,
-    _corrected_identity_holds decides the corrected reading.  When its
-    three premises hold, the corrected residuals are zero and no
-    corrected image is built.  Otherwise T1 J2 is applied to each
-    vector's T2 image too, because a nonzero operator difference does
-    not show that its sandwich by Lambda is nonzero.  The first basis
+    The corrected reading is decided three ways, as the module docstring
+    derives, J2 fetched after J1, T1 and T2 each way.  The first basis
     vector with a nonzero corrected residual refutes the corrected
     reading, and no further vector is derived: the claim then holds
     that vector's pairs and those before it."""
@@ -424,18 +426,23 @@ def _jt1_check(C, tr, first):
     store = store.fork()
     original = []
     corrected = []
-    by_identity = _corrected_identity_holds(tr)
+    factored = tr.lam_factors
+    delta = _middle_difference(tr) if factored else None
     for tag, vec in zip(("first", "second"), _basis_vectors(Y)):
         rhs, inner, displayed = (shown if tag == "first"
                                  else _displayed(tr, vec, store))
-        if not by_identity:
-            lhs_corr, _inner = _sandwich_residuals(tr, tr.j2, vec, store,
-                                                   inner)
+        if not factored:
+            lhs, _inner = _sandwich_residuals(tr, tr.j2, vec, store, inner)
+            corr = [store.reduce(lhs[k] - rhs[k]) for k in range(2)]
+        elif delta is None:
+            corr = [store.ring.zero()] * 2
+        else:
+            corr = [store.reduce(-e) for e in apply_sandwich(
+                tr.lam, tr.lam_adjoint, delta, vec, store)]
         for k in range(2):
             label = "%s basis vector, row %d" % (tag, k + 1)
             original.append((label, displayed[k]))
-            corrected.append((label, store.ring.zero() if by_identity
-                              else store.reduce(lhs_corr[k] - rhs[k])))
+            corrected.append((label, corr[k]))
         if any(not e.is_zero for _label, e in corrected[-2:]):
             break
     return Claim(C.citation("Jt1.middle"), original, TEST_VECTOR,

@@ -264,8 +264,9 @@ def test_conclude_decides_each_outcome(outcome):
 
 def _jt1_claim(cat):
     """theorem1.jt1's Claim over cat, made as the harness makes it: the
-    runner's compare applied to its derive."""
-    for rid, derive, compare in theorem.theorem1(cat):
+    runner's compare applied to its derive, over a view that keeps the
+    parts it builds."""
+    for rid, derive, compare in theorem.theorem1(suite._ServingView(cat, {})):
         if rid == "theorem1.jt1":
             return compare(derive())
     raise KeyError("theorem1.jt1")
@@ -489,10 +490,11 @@ def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
 
 def _built_alone(check, rid):
     """Row rid of check, built alone over the catalog and concluded as
-    the suite concludes it."""
-    for row in _spec(check).runner(catalog.CATALOG):
+    the suite concludes it, over a view that keeps the parts it builds."""
+    view = suite._ServingView(catalog.CATALOG, {})
+    for row in _spec(check).runner(view):
         if row[0] == rid:
-            return suite._concluded(catalog.CATALOG, *row, 0, load_ledger())
+            return suite._concluded(view, *row, 0, load_ledger())
     raise KeyError(rid)
 
 
@@ -535,9 +537,9 @@ def test_t2_stars_each_derived_operator_once(rows, monkeypatch):
 
 def _applied_corrected_reading(monkeypatch):
     """Force theorem1.jt1 to build the corrected images by application,
-    as it does when a premise of the identity fails."""
-    monkeypatch.setattr(theorem, "_corrected_identity_holds",
-                        lambda _tr: False)
+    as it does when a factorization premise fails."""
+    monkeypatch.setattr(theorem.Transport, "lam_factors",
+                        property(lambda _tr: False))
 
 
 def _jt1_claim_and_store(monkeypatch):
@@ -562,12 +564,13 @@ def _jt1_claim_and_store(monkeypatch):
 
 
 def test_the_corrected_jt1_reading_needs_no_images(monkeypatch):
-    # the identity holds on the catalog, and the applied corrected
-    # reading agrees with it: every residual vanishes and its images
-    # allocate no auxiliary, so the displayed residuals, which name
-    # the store's auxiliaries, cannot move
-    assert theorem._corrected_identity_holds(
-        theorem.Transport(catalog.CATALOG))
+    # the factorization premises hold on the catalog and Delta is zero,
+    # and the applied corrected reading agrees: every residual vanishes
+    # and its images allocate no auxiliary, so the displayed residuals,
+    # which name the store's auxiliaries, cannot move
+    tr = theorem.Transport(suite._ServingView(catalog.CATALOG, {}))
+    assert tr.lam_factors
+    assert theorem._middle_difference(tr) is None
     short, short_store = _jt1_claim_and_store(monkeypatch)
     _applied_corrected_reading(monkeypatch)
     applied, applied_store = _jt1_claim_and_store(monkeypatch)
@@ -585,32 +588,55 @@ def test_the_corrected_jt1_reading_needs_no_images(monkeypatch):
 
 @pytest.mark.parametrize("prop", ("t1", "t2", "j2"))
 def test_each_premise_of_the_corrected_jt1_identity_is_checked(prop):
-    # doubling one factor breaks exactly one of the three premises; a
+    # doubling T1 or T2 breaks a factorization premise and leaves Delta
+    # zero, doubling J2 keeps both premises and makes Delta nonzero; a
     # view seeded with the doubled factor serves it in place of the part
     doubled = getattr(theorem.Transport(catalog.CATALOG), prop).scaled(2)
-    view = suite._ServingView(catalog.CATALOG, {prop: doubled})
-    assert not theorem._corrected_identity_holds(theorem.Transport(view))
+    tr = theorem.Transport(
+        suite._ServingView(catalog.CATALOG, {prop: doubled}))
+    assert tr.lam_factors == (prop == "j2")
+    assert (theorem._middle_difference(tr) is None) == (prop != "j2")
+
+
+def test_a_serving_view_mutates_its_base_and_serves_no_part():
+    # the mutated view keeps the base's own mutant, and drops the parts
+    # the serving view keeps, which may have read the perturbed entry
+    base = catalog.CATALOG.with_mutation("J2", 0)
+    mutated = suite._ServingView(base, {"j2": "kept"}).with_mutation("J1", 0)
+    assert mutated.get("J2") == base.get("J2") != catalog.CATALOG.get("J2")
+    assert mutated.get("J1") \
+        == catalog.CATALOG.with_mutation("J1", 0).get("J1") \
+        != catalog.CATALOG.get("J1")
+    assert mutated.derive("j2", lambda: "built") == "built"
 
 
 @pytest.mark.parametrize("ident, slot", (("J2", 0), ("Jt1.middle", 13)))
 def test_the_j2_premise_is_tested_first(ident, slot, monkeypatch):
-    # D1 J2 D2 = -M costs two compositions and is the premise these
-    # mutants break, so the two Lambda compositions are never built
-    # the parts are built ahead through a view that keeps them
-    cat = catalog.CATALOG.with_mutation(ident, slot)
-    tr = theorem.Transport(suite._ServingView(cat, {}))
-    for name in ("t1", "t2", "lam", "lam_adjoint", "j2", "middle"):
-        getattr(tr, name)
-    calls = []
-    compose = MatrixOp.compose
+    # Delta = D1 J2 D2 + M = 0 is the premise these mutants break; they
+    # are handed the factorization premises, a part that reads neither
+    # J2 nor Jt1.middle, so no Lambda composition is built: the mutant's two
+    # compositions are Delta's, its corrected reading is one sandwich of
+    # Delta, and T1 J2 is never applied; a J2 mutant is handed the jt1
+    # half too, where a Jt1.middle mutant derives the displayed reading
+    suite._unmutated("theorem1", 0)
+    calls = dict.fromkeys(("compose", "sandwich", "residuals"), 0)
 
-    def counted(op, other):
-        calls.append(other)
-        return compose(op, other)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(MatrixOp, "compose", counted)
-    assert not theorem._corrected_identity_holds(tr)
-    assert len(calls) == 2
+    monkeypatch.setattr(MatrixOp, "compose",
+                        counting("compose", MatrixOp.compose))
+    monkeypatch.setattr(theorem, "apply_sandwich",
+                        counting("sandwich", theorem.apply_sandwich))
+    monkeypatch.setattr(theorem, "_sandwich_residuals",
+                        counting("residuals", theorem._sandwich_residuals))
+    assert not suite.all_clear(suite.run_mutated("theorem1", ident, slot))
+    derives = int(ident != "J2")
+    assert calls == {"compose": 2, "sandwich": 1 + derives,
+                     "residuals": derives}
 
 
 def _u_diagonal(ring):
@@ -650,40 +676,73 @@ def _jt1_record(cat):
     return row.to_record()
 
 
-@pytest.mark.parametrize("ident, slot", (
-    ("J2", 0), ("Jt1.middle", 13), ("T1", 0), ("T2", 2)))
+def _jt1_decided_and_applied(cat, monkeypatch):
+    """(tr, decided, applied): a Transport over the view the row was
+    built over, which keeps its parts, and theorem1.jt1's Claim over
+    cat as the row decides it and with the corrected reading applied,
+    both compares continuing from one derived half."""
+    view = suite._ServingView(cat, {})
+    for rid, derive, compare in theorem.theorem1(view):
+        if rid == "theorem1.jt1":
+            half = derive()
+            decided = compare(half)
+            with monkeypatch.context() as m:
+                _applied_corrected_reading(m)
+                return theorem.Transport(view), decided, compare(half)
+    raise KeyError("theorem1.jt1")
+
+
+# every J2 and Jt1.middle slot, and a T1 and a T2 slot
+_PREMISE_MUTANTS = tuple(
+    (ident, slot) for ident, slot in suite.mutation_slots("theorem1")
+    if ident in ("J2", "Jt1.middle")) + (("T1", 0), ("T2", 2))
+
+
+@pytest.mark.parametrize("ident, slot", _PREMISE_MUTANTS)
 def test_a_mutant_breaking_a_premise_gets_the_applied_jt1_record(
         ident, slot, monkeypatch):
-    # J2 slot 0 and Jt1.middle slot 13 are the heavy benchmark's jt1
-    # mutants; under each mutant the corrected reading fails by
-    # application, so a premise that let it through would change the
-    # record
+    # a T1 or T2 mutant breaks a factorization premise and takes the
+    # full application, so its record is the applied one byte for byte;
+    # a J2 or Jt1.middle mutant keeps those premises and makes Delta
+    # nonzero, and the sandwich of Delta names other auxiliaries than
+    # the application, but finds the same corrected residuals zero,
+    # pair by pair, so the row keeps its status and notes
     cat = catalog.CATALOG.with_mutation(ident, slot)
-    assert not theorem._corrected_identity_holds(theorem.Transport(cat))
-    got = _jt1_record(cat)
-    _applied_corrected_reading(monkeypatch)
-    applied = _jt1_record(cat)
-    assert "the corrected reading fails as well" in applied["notes"]
-    assert got == applied
+    tr, decided, applied = _jt1_decided_and_applied(cat, monkeypatch)
+    factored = ident not in ("T1", "T2")
+    assert tr.lam_factors == factored
+    assert (theorem._middle_difference(tr) is None) != factored
+    assert decided.pairs == applied.pairs
+    assert [(label, e.is_zero) for label, e in decided.corrected] \
+        == [(label, e.is_zero) for label, e in applied.corrected]
+    got, want = (conclude("theorem1.jt1", claim, 0, load_ledger())
+                 .to_record() for claim in (decided, applied))
+    assert "the corrected reading fails as well" in want["notes"]
+    assert (got["status"], got["notes"]) == (want["status"], want["notes"])
+    if not factored:
+        got = _jt1_record(cat)
+        _applied_corrected_reading(monkeypatch)
+        assert got == _jt1_record(cat)
 
 
 def _jt1_both_vectors(cat):
-    """theorem1.jt1's displayed and corrected residuals with the
-    corrected reading applied to both basis vectors through one store,
-    in the row's order, with no stop after a refuting vector."""
+    """theorem1.jt1's displayed and corrected residuals with both basis
+    vectors derived through one store, in the row's order, with no stop
+    after a refuting vector; the factorization premises must hold, and
+    the corrected residuals are the sandwich of a nonzero Delta."""
     Y = catalog.RING_Y
-    tr = theorem.Transport(cat)
+    tr = theorem.Transport(suite._ServingView(cat, {}))
+    delta = theorem._middle_difference(tr)
+    assert tr.lam_factors and delta is not None
     store = NonlocalStore(Y, inverses=tr.inverses)
     original, corrected = [], []
     for vec in theorem._basis_vectors(Y):
         rhs = theorem.apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle, vec,
                                      store)
-        lhs_orig, inner = theorem._sandwich_residuals(tr, tr.j1, vec, store)
-        lhs_corr, _inner = theorem._sandwich_residuals(tr, tr.j2, vec, store,
-                                                       inner)
-        for k in range(2):
-            original.append(store.reduce(lhs_orig[k] - rhs[k]))
-            corrected.append(store.reduce(lhs_corr[k] - rhs[k]))
+        lhs, _inner = theorem._sandwich_residuals(tr, tr.j1, vec, store)
+        original.extend(store.reduce(lhs[k] - rhs[k]) for k in range(2))
+        corrected.extend(store.reduce(-e) for e in theorem.apply_sandwich(
+            tr.lam, tr.lam_adjoint, delta, vec, store))
     return original, corrected
 
 
@@ -851,7 +910,7 @@ def test_every_part_key_is_a_row_a_transport_part_or_formal():
     # other parts are the setup that rows with different reads share
     transport = {name for name, attr in vars(theorem.Transport).items()
                  if isinstance(attr, property)}
-    assert len(transport) == 11
+    assert len(transport) == 12
     for check in suite.check_ids():
         rows, parts = suite._unmutated(check, 0)
         assert set(parts) - set(rows) <= transport | {"formal"}, check
@@ -958,13 +1017,13 @@ def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
     # the mutant is handed
     rows, parts = suite._unmutated(check, 0)
     derived = []
-    plain = catalog.CatalogView.derive
+    serve = suite._ServingView.derive
 
     def logged(view, key, build):
         derived.append(key)
-        return plain(view, key, build)
+        return serve(view, key, build)
 
-    monkeypatch.setattr(catalog.CatalogView, "derive", logged)
+    monkeypatch.setattr(suite._ServingView, "derive", logged)
     seen = set()
     for rid, (_row, reads) in rows.items():
         derived.clear()
@@ -980,7 +1039,9 @@ def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
 
 def _part_alone(check, key, view):
     """Part key of check built alone over view: a row's derived half,
-    appendix_a's formal curvature or a Transport part."""
+    appendix_a's formal curvature or a Transport part, built through a
+    view that keeps the parts nested in it."""
+    view = suite._ServingView(view, {})
     for rid, derive, _compare in _spec(check).runner(view):
         if rid == key:
             return derive()
