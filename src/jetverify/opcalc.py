@@ -27,7 +27,6 @@ an operator's parts, for reading test failures.
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from math import comb, gcd, lcm
 from types import MappingProxyType
@@ -605,25 +604,6 @@ class NonlocalStore:
         self._dinv_span = Echelon()  # the cores' signatures
         self._inv_prior = {}         # name -> (Echelon of units, images)
 
-    def fork(self):
-        """An independent store that continues from this one's state:
-        given the same further calls, the fork and this store allocate
-        the same names and return equal expressions, and resolving
-        through either leaves the other as it was.  The allocation
-        record, both name pools, the cores and the spans and images that
-        matching grows are copied; the ring, the inverses, the relation
-        sets and each core are shared, since nothing mutates them."""
-        new = copy.copy(self)
-        new.allocated = list(self.allocated)
-        new._dinv_names = list(self._dinv_names)
-        new._inv_names = list(self._inv_names)
-        new._dinv_cores = list(self._dinv_cores)
-        new._dinv_span = self._dinv_span.copy()
-        new._inv_prior = {name: (span.copy(), list(images))
-                          for name, (span, images)
-                          in self._inv_prior.items()}
-        return new
-
     def resolve_dinv(self, arg):
         """A jet expression F with D(F) = arg modulo the relation set,
         possibly through auxiliary dependents."""
@@ -849,15 +829,6 @@ class Echelon:
                 rest = {k: v // g for k, v in rest.items()}
                 combo = {i: v / g for i, v in combo.items()}
         return rest, combo
-
-    def copy(self):
-        """An Echelon that continues from this one's rows; inserting into
-        either leaves the other as it was, since a row never changes once
-        it is inserted."""
-        new = Echelon()
-        new.size = self.size
-        new._rows = list(self._rows)
-        return new
 
     def insert(self, vec):
         self._insert(*self._reduce(vec))

@@ -59,19 +59,13 @@ state across rows, so a part is the same value whichever row builds it,
 and a row's record does not depend on which rows were built before it.
 A part served to later rows and handed from the unmutated run to many
 mutants is immutable to them: it holds only tuples, jet expressions,
-operators, relation sets, names, Claims, nonlocal stores and functions
-of those, and no reader changes it.  The one state that does change is
-the Rule._jets derivative memos of the relation sets it holds (the
-usdefs rules behind smap, the formal curvature's flow rules, the
-relations of a store), which grow but only cache total derivatives of
-fixed rules.  A part may hold a NonlocalStore (theorem1.jt1's half holds
-the store its first basis vector was applied through), but no reader
-resolves through it, since that would allocate auxiliaries that the next
-mutant would see: a compare that continues the derivation continues on
-store.fork(), an independent store with the same allocation history,
-which allocates the names and returns the expressions the store itself
-would have.  theorem1.jt1's compare derives its second basis vector and
-any corrected image there."""
+operators, relation sets, names, Claims and functions of those, and no
+reader changes it.  The one state that does change is the Rule._jets
+derivative memos of the relation sets it holds (the usdefs rules behind
+smap, the formal curvature's flow rules, the relations of a store),
+which grow but only cache total derivatives of fixed rules.  No part
+holds a NonlocalStore: a reader resolving through a shared store would
+allocate auxiliaries that the next mutant would see."""
 
 import copy
 import functools

@@ -2,22 +2,21 @@
 Jacobian block matrices, their factored forms, and the sandwich
 identities carrying both Hamiltonian operators to the new variable.
 
-The sandwich row theorem1.jt1 asserts erratum E2 in both directions.
-Its displayed reading is decided by applying both sides to the basis
-vectors through a nonlocal store, and those residuals are its record.
-With D1 = diag(1/v, 1/w) and D2 = diag(u/v, u/w), the factorization
-premises T1 = 1/4 Lambda D1 and T2 = -1/4 D2 Lambda* make the corrected
-residual -T1 J2 T2 v + 1/16 Lambda M Lambda* v of a vector v equal to
+The sandwich row theorem1.jt1 asserts erratum E2 in both directions,
+each reading decided by applying both sides to the basis vectors
+through a fresh nonlocal store.  With D1 = diag(1/v, 1/w) and
+D2 = diag(u/v, u/w), the factorization premises T1 = 1/4 Lambda D1 and
+T2 = -1/4 D2 Lambda* make the corrected residual
+-T1 J2 T2 v + 1/16 Lambda M Lambda* v of a vector v equal to
 1/16 Lambda Delta Lambda* v, with Delta = D1 J2 D2 + M.  So when they
 hold, a zero Delta decides the corrected reading with no image built,
 and a nonzero one (one local entry under a J2 or Jt1.middle mutant) by
 applying that short sandwich; when one fails, T1 J2 is applied to the
 T2 image.  The first basis vector with a nonzero corrected residual
 refutes the corrected reading, and no further vector is derived.  The
-row's derived half is the first basis vector's displayed reading with
-the store it was applied through, which reads every entry of the row
-but J2; the rest of the row continues on a fork of that store, so a J2
-mutant is handed the half and never resolves through its store."""
+corrected residuals are the row's derived half; the displayed reading
+is derived only when they all vanish, since a failing corrected
+reading alone makes the row's record."""
 
 from fractions import Fraction as F
 
@@ -55,9 +54,7 @@ class Transport:
     also records the entries each part fetches, nested parts included,
     and hands a mutant every part of the unmutated run whose reads lack
     the mutated entry.  So a part's value is shared across rows and
-    mutants and must not be changed by its readers, and it holds no
-    NonlocalStore: a reader resolving through a shared store would
-    leave its auxiliaries to the next mutant."""
+    mutants and must not be changed by its readers."""
 
     def __init__(self, C):
         self.C = C
@@ -114,10 +111,13 @@ class Transport:
 
     @_part
     def lam_factors(self):
-        """Whether T1 = 1/4 Lambda D1 and T2 = -1/4 D2 Lambda* hold."""
-        diag1, diag2 = (self.mapped(d) for d in _diagonals())
-        return (self.t1 == self.lam.compose(diag1).scaled(F(1, 4))
-                and self.t2 == diag2.compose(self.lam_adjoint).scaled(
+        """Whether T1 = 1/4 Lambda D1 and whether T2 = -1/4 D2 Lambda*
+        hold on the raw entries; mapping is a homomorphism, so then they
+        hold on the mapped matrices too."""
+        diag1, diag2 = _diagonals()
+        lam = self.C.get("Lambda")
+        return (self.C.get("T1") == lam.compose(diag1).scaled(F(1, 4)),
+                self.C.get("T2") == diag2.compose(lam.adjoint()).scaled(
                     F(-1, 4)))
 
     def _transported(self, ident):
@@ -192,11 +192,11 @@ def theorem1(C):
     yield "theorem1.t1", lambda: _t1_row(C, tr), whole
     yield ("theorem1.t2", lambda: _t2_readings(tr.jacobians),
            lambda readings: _t2_row(C, tr, readings))
-    yield "theorem1.factored", lambda: _factored_row(C), whole
+    yield "theorem1.factored", lambda: _factored_row(C, tr), whole
     yield ("theorem1.jt2", lambda: _jt2_images(tr),
            lambda sandwich: _jt2_check(C, tr, *sandwich))
-    yield ("theorem1.jt1", lambda: _jt1_first(tr),
-           lambda first: _jt1_check(C, tr, first))
+    yield ("theorem1.jt1", lambda: _jt1_corrected(tr),
+           lambda corrected: _jt1_check(C, tr, corrected))
 
 
 def _t1_row(C, tr):
@@ -308,19 +308,13 @@ def _diagonals():
     return diag(v ** -1, w ** -1), diag(u * v ** -1, u * w ** -1)
 
 
-def _factored_row(C):
+def _factored_row(C, tr):
     """The factored forms through the common left factor."""
     Y = _catalog.RING_Y
-    diag1, diag2 = _diagonals()
-    lam = C.get("Lambda")
-    left = lam.compose(diag1).scaled(F(1, 4))
-    right = diag2.compose(lam.adjoint()).scaled(F(-1, 4))
-    return Claim(
-        C.citation("Lambda"),
-        [("common-factor form of the forward matrix",
-          Y.zero() if left == C.get("T1") else Y.one()),
-         ("common-factor form of the backward matrix",
-          Y.zero() if right == C.get("T2") else Y.one())],
+    return Claim(C.citation("Lambda"), [
+        ("common-factor form of the %s matrix" % side,
+         Y.zero() if holds else Y.one())
+        for side, holds in zip(("forward", "backward"), tr.lam_factors)],
         NORMAL_FORM)
 
 
@@ -329,22 +323,22 @@ def _basis_vectors(ring):
             [ring.zero(), ring.coord("psi")])
 
 
-def _sandwich_residuals(tr, middle, vec, store, inner=None):
-    """Minus T1 o middle o T2 applied to vec, and the T2 image of vec.
-    A given inner is that image, already built, so a second middle
-    reuses it."""
-    t1 = tr.t1
-    if inner is None:
-        inner = tr.t2.apply(vec, store)
-    lhs = t1.apply(middle.apply(inner, store), store)
-    return [-e for e in lhs], inner
+def _sandwich_residuals(tr, middle, vec, store):
+    """Minus T1 o middle o T2 applied to vec."""
+    lhs = tr.t1.apply(middle.apply(tr.t2.apply(vec, store), store), store)
+    return [-e for e in lhs]
+
+
+# the labels of the two residual rows of each basis vector, in order
+_LABELS = tuple(tuple("%s basis vector, row %d" % (tag, k) for k in (1, 2))
+                for tag in ("first", "second"))
 
 
 def _jt2_images(tr):
     """(images, relations): -T1 J1 T2 applied to each basis vector
     through one fresh store, and that store's final relation set."""
     store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
-    images = tuple(tuple(_sandwich_residuals(tr, tr.j1, vec, store)[0])
+    images = tuple(tuple(_sandwich_residuals(tr, tr.j1, vec, store))
                    for vec in _basis_vectors(_catalog.RING_Y))
     return images, store.relations
 
@@ -363,13 +357,11 @@ def _jt2_check(C, tr, images, relations):
     jets of an auxiliary allocated later, which the first vector's
     images and the stated image cannot contain."""
     pairs = []
-    for tag, vec, lhs in zip(("first", "second"),
-                             _basis_vectors(_catalog.RING_Y), images):
-        rhs = tr.jt2.apply(vec)
-        for k in range(2):
-            pairs.append(("%s basis vector, row %d" % (tag, k + 1),
-                          relations.reduce(
-                              lhs[k] - promote(rhs[k], relations.ring))))
+    for labels, vec, lhs in zip(_LABELS, _basis_vectors(_catalog.RING_Y),
+                                images):
+        pairs.extend(zip(labels, (
+            relations.reduce(a - promote(b, relations.ring))
+            for a, b in zip(lhs, tr.jt2.apply(vec)))))
     notes = ["the stated composed normal form is reproduced by the "
              "nonlocal momentum-side operator; the sandwich row "
              "carries the display's crossed pairing"]
@@ -385,65 +377,52 @@ def _middle_difference(tr):
             else MatrixOp(grid))
 
 
-def _displayed(tr, vec, store):
-    """(sandwich image, T2 image, displayed residuals) of vec: the
-    sandwich -1/16 Lambda M Lambda* applied to vec, then T2 once, then
-    T1 J1 to that T2 image, each residual reduced under the store as it
-    then stands."""
+def _jt1_residuals(tr, middle, vec, store):
+    """The residuals on vec of -T1 middle T2 = -1/16 Lambda M Lambda*,
+    middle J1 as displayed or J2 as corrected: the sandwich applied
+    first, each residual reduced under the store as it then stands."""
     rhs = apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle, vec, store)
-    lhs, inner = _sandwich_residuals(tr, tr.j1, vec, store)
-    return rhs, inner, tuple(store.reduce(lhs[k] - rhs[k])
-                             for k in range(2))
+    lhs = _sandwich_residuals(tr, middle, vec, store)
+    return [store.reduce(a - b) for a, b in zip(lhs, rhs)]
 
 
-def _jt1_first(tr):
-    """The derived half of theorem1.jt1: (store, sandwich image, T2
-    image, displayed residuals) of the first basis vector, through a
-    fresh store.  It reads every entry of the row but J2, so a J2
-    mutant is handed it with its store; _jt1_check continues on a fork
-    of that store and never resolves through the store itself."""
+def _jt1_corrected(tr):
+    """The derived half of theorem1.jt1: the corrected reading's
+    residual pairs through a fresh store, decided three ways, as the
+    module docstring derives, up to and including the first basis
+    vector with a nonzero one."""
     store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
-    return (store,) + _displayed(tr, _basis_vectors(_catalog.RING_Y)[0],
-                                 store)
-
-
-def _jt1_check(C, tr, first):
-    """The sandwich form of the transformed operator: displayed with
-    the nonlocal momentum-side operator, reproduced by the local one.
-
-    first is _jt1_first(tr), the first basis vector's displayed reading;
-    the rest runs on a fork of its store, the second vector's displayed
-    reading derived as the first's.  The displayed residuals are the
-    row's record; reducing the first vector's before later auxiliaries
-    are allocated gives the same normal form by _jt2_check's argument.
-    The corrected reading is decided three ways, as the module docstring
-    derives, J2 fetched after J1, T1 and T2 each way.  The first basis
-    vector with a nonzero corrected residual refutes the corrected
-    reading, and no further vector is derived: the claim then holds
-    that vector's pairs and those before it."""
-    Y = _catalog.RING_Y
-    store, *shown = first
-    store = store.fork()
-    original = []
-    corrected = []
-    factored = tr.lam_factors
+    factored = all(tr.lam_factors)
     delta = _middle_difference(tr) if factored else None
-    for tag, vec in zip(("first", "second"), _basis_vectors(Y)):
-        rhs, inner, displayed = (shown if tag == "first"
-                                 else _displayed(tr, vec, store))
+    corrected = []
+    for labels, vec in zip(_LABELS, _basis_vectors(_catalog.RING_Y)):
         if not factored:
-            lhs, _inner = _sandwich_residuals(tr, tr.j2, vec, store, inner)
-            corr = [store.reduce(lhs[k] - rhs[k]) for k in range(2)]
+            corr = _jt1_residuals(tr, tr.j2, vec, store)
         elif delta is None:
             corr = [store.ring.zero()] * 2
         else:
             corr = [store.reduce(-e) for e in apply_sandwich(
                 tr.lam, tr.lam_adjoint, delta, vec, store)]
-        for k in range(2):
-            label = "%s basis vector, row %d" % (tag, k + 1)
-            original.append((label, displayed[k]))
-            corrected.append((label, corr[k]))
-        if any(not e.is_zero for _label, e in corrected[-2:]):
+        corrected.extend(zip(labels, corr))
+        if any(not e.is_zero for e in corr):
             break
-    return Claim(C.citation("Jt1.middle"), original, TEST_VECTOR,
+    return tuple(corrected)
+
+
+def _jt1_check(C, tr, corrected):
+    """The sandwich form of the transformed operator: displayed with
+    the nonlocal momentum-side operator, reproduced by the local one.
+
+    corrected is _jt1_corrected(tr).  Only when it all vanishes is the
+    displayed reading derived, both basis vectors through one fresh
+    store; reducing the first vector's residuals before later
+    auxiliaries are allocated gives the same normal form by
+    _jt2_check's argument."""
+    displayed = []
+    if all(e.is_zero for _label, e in corrected):
+        store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
+        for labels, vec in zip(_LABELS, _basis_vectors(_catalog.RING_Y)):
+            displayed.extend(zip(labels, _jt1_residuals(tr, tr.j1, vec,
+                                                        store)))
+    return Claim(C.citation("Jt1.middle"), displayed, TEST_VECTOR,
                  corrected=corrected)

@@ -111,7 +111,7 @@ def test_describe_lists_each_row_and_its_reads(capsys):
         "prop2": ["Theta2", "usdefs"],
         "theorem1.t2": ["T2", "usdefs"],
         "theorem1.jt2": ["Jt2"],
-        "theorem1.jt1": ["J2"],
+        "theorem1.jt1": ["J1"],
         "appendix_a.link": ["P2"],
         "appendix_b.reciprocal": ["sys.appb.trans"]}
 

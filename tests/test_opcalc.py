@@ -529,64 +529,6 @@ def test_store_keeps_dependent_cores_out_of_matches():
     assert len(store.allocated) == 5
 
 
-def _resolved(store, calls):
-    """store's result for each call, ("dinv", arg) or ("inv", name,
-    arg), made in order."""
-    return [store.resolve_dinv(call[1]) if call[0] == "dinv"
-            else store.resolve_inv(*call[1:]) for call in calls]
-
-
-def _store_state(store):
-    return (list(store.allocated), store.relations,
-            list(store._dinv_names), list(store._inv_names),
-            store._dinv_span.size,
-            {name: (span.size, list(images))
-             for name, (span, images) in store._inv_prior.items()})
-
-
-def test_a_fork_continues_from_the_store_and_leaves_it_unchanged():
-    store = e_store()
-    ring = store.ring
-    u, u1, s1 = ring.coord("u"), ring.coord("u", 1), ring.coord("s", 1)
-    lam = ring.param("lam")
-    _resolved(store, (
-        ("dinv", u1 ** 2), ("dinv", u ** -1 * u1), ("inv", "E", u ** 2),
-        ("inv", "E", E_OP.promote(ring).apply(u * u1))))
-    # every way a call resolves: an affine match over the span, a fresh
-    # core, a parameter shift, inverse linearity, a fresh inverse
-    # auxiliary and a jet-free core
-    further = (
-        ("dinv", 2 * u1 ** 2 + D(u ** 3)),
-        ("dinv", s1 ** 2), ("dinv", 3 * lam * u1 ** 2),
-        ("inv", "E", 3 * u ** 2 + 2 * E_OP.promote(ring).apply(u * u1)),
-        ("inv", "E", s1 ** 2), ("dinv", lam))
-    fork = store.fork()
-    before = _store_state(store)
-    got = _resolved(fork, further)
-    # the fork's relations, pools, spans and images grew; the store's
-    # did not, and the fork has allocated what the store would have
-    assert _store_state(store) == before
-    forked = _store_state(fork)
-    assert len(fork.allocated) == len(store.allocated) + 3
-    assert _resolved(store, further) == got
-    assert _store_state(fork) == forked
-    assert fork.allocated == store.allocated
-    assert fork._dinv_names == store._dinv_names
-    assert fork._inv_names == store._inv_names
-    assert [(r.dep, r.order, r.rhs) for r in fork.relations] \
-        == [(r.dep, r.order, r.rhs) for r in store.relations]
-
-
-def test_an_echelon_copy_grows_alone():
-    span = Echelon([{"a": 1}, {"b": 2}])
-    twin = span.copy()
-    twin.insert({"c": 1})
-    assert (span.size, twin.size) == (2, 3)
-    assert span.solve({"c": 1}) is None
-    assert twin.solve({"a": 1, "c": 2}) == [1, 0, 2]
-    assert span.solve({"a": 1, "b": 4}) == [1, 2]
-
-
 def test_a_new_core_reduces_its_signature_once(monkeypatch):
     # the solve that finds a signature outside the span inserts it from
     # the same reduction; a core allocated though its signature is in

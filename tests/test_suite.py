@@ -242,6 +242,10 @@ CONCLUDE_OUTCOMES = {
         _ledger_for("probe"),
         (FAIL, None, ("fixed too: (* 2 u_0)",),
          ("the corrected reading fails as well", _CONFIRMS))),
+    "corrected_fails_undisplayed": (
+        [], [("fixed", _ZERO), ("fixed too", 2 * _U)], _ledger_for("probe"),
+        (FAIL, None, ("fixed too: (* 2 u_0)",),
+         ("the corrected reading fails as well", _CONFIRMS))),
     "displayed_passes": (
         [("shown", _ZERO)], [("fixed", _ZERO)], _ledger_for("probe"),
         (PASS, None, (),
@@ -539,12 +543,12 @@ def _applied_corrected_reading(monkeypatch):
     """Force theorem1.jt1 to build the corrected images by application,
     as it does when a factorization premise fails."""
     monkeypatch.setattr(theorem.Transport, "lam_factors",
-                        property(lambda _tr: False))
+                        property(lambda _tr: (False, False)))
 
 
-def _jt1_claim_and_store(monkeypatch):
-    """theorem1.jt1's Claim on the catalog and the store it ended in:
-    the fork its compare continued on."""
+def _jt1_claim_and_stores(monkeypatch):
+    """theorem1.jt1's Claim on the catalog and the stores it built, in
+    order: its half's, then its compare's."""
     stores = []
 
     class Recording(theorem.NonlocalStore):
@@ -552,28 +556,25 @@ def _jt1_claim_and_store(monkeypatch):
             super().__init__(*args, **kwargs)
             stores.append(self)
 
-        def fork(self):
-            stores.append(super().fork())
-            return stores[-1]
-
     with monkeypatch.context() as m:
         m.setattr(theorem, "NonlocalStore", Recording)
         claim = _jt1_claim(catalog.CATALOG)
-    (_store, fork) = stores
-    return claim, fork
+    return claim, stores
 
 
 def test_the_corrected_jt1_reading_needs_no_images(monkeypatch):
     # the factorization premises hold on the catalog and Delta is zero,
-    # and the applied corrected reading agrees: every residual vanishes
-    # and its images allocate no auxiliary, so the displayed residuals,
-    # which name the store's auxiliaries, cannot move
+    # so the half applies nothing through its store, and the applied
+    # corrected reading agrees: every residual vanishes, and the
+    # displayed residuals, which name the compare's store's auxiliaries,
+    # are the same either way
     tr = theorem.Transport(suite._ServingView(catalog.CATALOG, {}))
-    assert tr.lam_factors
+    assert tr.lam_factors == (True, True)
     assert theorem._middle_difference(tr) is None
-    short, short_store = _jt1_claim_and_store(monkeypatch)
+    short, (short_half, short_store) = _jt1_claim_and_stores(monkeypatch)
     _applied_corrected_reading(monkeypatch)
-    applied, applied_store = _jt1_claim_and_store(monkeypatch)
+    applied, (_half, applied_store) = _jt1_claim_and_stores(monkeypatch)
+    assert short_half.allocated == []
     assert len(applied.corrected) == 4
     assert all(e.is_zero for _label, e in applied.corrected)
     # no corrected residual refutes the reading, so both basis vectors
@@ -588,13 +589,15 @@ def test_the_corrected_jt1_reading_needs_no_images(monkeypatch):
 
 @pytest.mark.parametrize("prop", ("t1", "t2", "j2"))
 def test_each_premise_of_the_corrected_jt1_identity_is_checked(prop):
-    # doubling T1 or T2 breaks a factorization premise and leaves Delta
-    # zero, doubling J2 keeps both premises and makes Delta nonzero; a
-    # view seeded with the doubled factor serves it in place of the part
-    doubled = getattr(theorem.Transport(catalog.CATALOG), prop).scaled(2)
-    tr = theorem.Transport(
-        suite._ServingView(catalog.CATALOG, {prop: doubled}))
-    assert tr.lam_factors == (prop == "j2")
+    # doubling T1 or T2 breaks its factorization premise and leaves
+    # Delta zero, doubling J2 keeps both premises and makes Delta
+    # nonzero; the premises are checked on the raw entries
+    ident = prop.upper()
+    ent = catalog.CATALOG.entry(ident)
+    view = catalog.CatalogView({ident: ent._replace(
+        value=ent.value.scaled(2))})
+    tr = theorem.Transport(suite._ServingView(view, {}))
+    assert tr.lam_factors == (prop != "t1", prop != "t2")
     assert (theorem._middle_difference(tr) is None) == (prop != "j2")
 
 
@@ -614,10 +617,10 @@ def test_a_serving_view_mutates_its_base_and_serves_no_part():
 def test_the_j2_premise_is_tested_first(ident, slot, monkeypatch):
     # Delta = D1 J2 D2 + M = 0 is the premise these mutants break; they
     # are handed the factorization premises, a part that reads neither
-    # J2 nor Jt1.middle, so no Lambda composition is built: the mutant's two
-    # compositions are Delta's, its corrected reading is one sandwich of
-    # Delta, and T1 J2 is never applied; a J2 mutant is handed the jt1
-    # half too, where a Jt1.middle mutant derives the displayed reading
+    # J2 nor Jt1.middle, so no Lambda composition is built: the mutant's
+    # two compositions are Delta's, its corrected reading is one
+    # sandwich of Delta, which refutes it, so T1 J2 is never applied
+    # and the displayed reading is never derived
     suite._unmutated("theorem1", 0)
     calls = dict.fromkeys(("compose", "sandwich", "residuals"), 0)
 
@@ -634,9 +637,7 @@ def test_the_j2_premise_is_tested_first(ident, slot, monkeypatch):
     monkeypatch.setattr(theorem, "_sandwich_residuals",
                         counting("residuals", theorem._sandwich_residuals))
     assert not suite.all_clear(suite.run_mutated("theorem1", ident, slot))
-    derives = int(ident != "J2")
-    assert calls == {"compose": 2, "sandwich": 1 + derives,
-                     "residuals": derives}
+    assert calls == {"compose": 2, "sandwich": 1, "residuals": 0}
 
 
 def _u_diagonal(ring):
@@ -677,19 +678,14 @@ def _jt1_record(cat):
 
 
 def _jt1_decided_and_applied(cat, monkeypatch):
-    """(tr, decided, applied): a Transport over the view the row was
-    built over, which keeps its parts, and theorem1.jt1's Claim over
-    cat as the row decides it and with the corrected reading applied,
-    both compares continuing from one derived half."""
-    view = suite._ServingView(cat, {})
-    for rid, derive, compare in theorem.theorem1(view):
-        if rid == "theorem1.jt1":
-            half = derive()
-            decided = compare(half)
-            with monkeypatch.context() as m:
-                _applied_corrected_reading(m)
-                return theorem.Transport(view), decided, compare(half)
-    raise KeyError("theorem1.jt1")
+    """(tr, decided, applied): a Transport over cat, and theorem1.jt1's
+    Claim over cat as the row decides it and with the corrected reading
+    applied."""
+    decided = _jt1_claim(cat)
+    with monkeypatch.context() as m:
+        _applied_corrected_reading(m)
+        applied = _jt1_claim(cat)
+    return theorem.Transport(cat), decided, applied
 
 
 # every J2 and Jt1.middle slot, and a T1 and a T2 slot
@@ -710,7 +706,7 @@ def test_a_mutant_breaking_a_premise_gets_the_applied_jt1_record(
     cat = catalog.CATALOG.with_mutation(ident, slot)
     tr, decided, applied = _jt1_decided_and_applied(cat, monkeypatch)
     factored = ident not in ("T1", "T2")
-    assert tr.lam_factors == factored
+    assert tr.lam_factors == (ident != "T1", ident != "T2")
     assert (theorem._middle_difference(tr) is None) != factored
     assert decided.pairs == applied.pairs
     assert [(label, e.is_zero) for label, e in decided.corrected] \
@@ -726,40 +722,34 @@ def test_a_mutant_breaking_a_premise_gets_the_applied_jt1_record(
 
 
 def _jt1_both_vectors(cat):
-    """theorem1.jt1's displayed and corrected residuals with both basis
-    vectors derived through one store, in the row's order, with no stop
+    """theorem1.jt1's corrected residuals with both basis vectors
+    derived through one fresh store, in the row's order, with no stop
     after a refuting vector; the factorization premises must hold, and
     the corrected residuals are the sandwich of a nonzero Delta."""
     Y = catalog.RING_Y
     tr = theorem.Transport(suite._ServingView(cat, {}))
     delta = theorem._middle_difference(tr)
-    assert tr.lam_factors and delta is not None
+    assert all(tr.lam_factors) and delta is not None
     store = NonlocalStore(Y, inverses=tr.inverses)
-    original, corrected = [], []
-    for vec in theorem._basis_vectors(Y):
-        rhs = theorem.apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle, vec,
-                                     store)
-        lhs, _inner = theorem._sandwich_residuals(tr, tr.j1, vec, store)
-        original.extend(store.reduce(lhs[k] - rhs[k]) for k in range(2))
-        corrected.extend(store.reduce(-e) for e in theorem.apply_sandwich(
-            tr.lam, tr.lam_adjoint, delta, vec, store))
-    return original, corrected
+    return [store.reduce(-e) for vec in theorem._basis_vectors(Y)
+            for e in theorem.apply_sandwich(tr.lam, tr.lam_adjoint, delta,
+                                            vec, store)]
 
 
 @pytest.mark.parametrize("ident, slot", (("J2", 0), ("Jt1.middle", 13)))
 def test_a_refuted_corrected_jt1_reading_stops_after_its_first_vector(
         ident, slot):
     # the first vector's corrected residuals refute the reading, so the
-    # second vector is never derived; the pairs kept are those of the
-    # derivation through both, whose second vector refutes it as well
+    # second vector is never derived, nor is the displayed reading; the
+    # pairs kept are those of the derivation through both, whose second
+    # vector refutes it as well
     cat = catalog.CATALOG.with_mutation(ident, slot)
     claim = _jt1_claim(cat)
-    original, corrected = _jt1_both_vectors(cat)
-    for pairs, both in ((claim.pairs, original),
-                        (claim.corrected, corrected)):
-        assert [label for label, _e in pairs] \
-            == ["first basis vector, row 1", "first basis vector, row 2"]
-        assert [e for _label, e in pairs] == both[:2]
+    corrected = _jt1_both_vectors(cat)
+    assert claim.pairs == []
+    assert [label for label, _e in claim.corrected] \
+        == ["first basis vector, row 1", "first basis vector, row 2"]
+    assert [e for _label, e in claim.corrected] == corrected[:2]
     assert not all(e.is_zero for e in corrected[:2])
     assert not all(e.is_zero for e in corrected[2:])
 
@@ -819,16 +809,16 @@ def _slots_of(check, ident):
     for check, ident, builds in (
         ("theorem1", "T2", (0, 0, 0)), ("theorem1", "ymap", (1, 0, 0)),
         ("theorem1", "Jt2", (0, 0, 0)), ("theorem1", "J1", (0, 0, 1)),
-        ("theorem1", "J2", (0, 0, 0)),
+        ("theorem1", "J2", (0, 0, 1)),
         ("appendix_a", "P2", (0, 0, 0)), ("appendix_a", "P1", (0, 0, 1)))])
 def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
         check, ident, builds, monkeypatch):
     # the Jacobian data and the t2 half read ymap alone, the jt2 half
-    # neither Jt2 nor ymap, the jt1 half all of jt1 but J2, and the link
-    # half all of the link but P2, so a T2, Jt2, J2 or P2 mutant is
-    # handed them and only compares (a J2 mutant on a fork of the jt1
-    # half's store, which builds no store), while a ymap, J1 or P1
-    # mutant derives its own
+    # neither Jt2 nor ymap, and the link half all of the link but P2, so
+    # a T2, Jt2 or P2 mutant is handed them and only compares, while a
+    # ymap, J1 or P1 mutant derives its own; a J2 mutant is handed the
+    # factorization premises and derives the jt1 half through its one
+    # store, whose refuted corrected reading needs no displayed one
     calls = _counting_builds(monkeypatch, check)
     slot = _slots_of(check, ident)[0]
     assert not suite.all_clear(suite.run_mutated(check, ident, slot))
@@ -860,18 +850,22 @@ def test_served_parts_give_the_records_of_a_run_serving_none(
         check, ident, monkeypatch):
     # the rows a mutant rebuilds, built once handed the unmutated run's
     # parts and once over the plain mutated catalog, which serves none;
+    # unless some row's half reads the entry (J1 in theorem1.jt2's),
     # the served run rebuilds no served half: it derives no t2 reading,
-    # builds no store (the jt1 compare forks the one it is handed),
-    # transports no time derivative or constraint, gauges no relation,
-    # closes no fourth-order relation and builds no conjugation
-    rows, _parts = suite._unmutated(check, 0)
+    # builds no store, transports no time derivative or constraint,
+    # gauges no relation, closes no fourth-order relation and builds no
+    # conjugation
+    rows, parts = suite._unmutated(check, 0)
     reused = {rid: row for rid, (row, reads) in rows.items()
               if ident not in reads}
+    derived = any(ident in reads and (rid not in parts
+                                      or ident in parts[rid][1])
+                  for rid, (_row, reads) in rows.items())
     calls = _counting_builds(monkeypatch, check)
     for slot in _slots_of(check, ident):
         calls.update(dict.fromkeys(calls, 0))
         got = suite.run_mutated(check, ident, slot)
-        assert not any(calls.values()), (slot, calls)
+        assert derived or not any(calls.values()), (slot, calls)
         unserved = suite._run_check(
             catalog.CATALOG.with_mutation(ident, slot), _spec(check), 0,
             load_ledger(), reused)
@@ -925,38 +919,18 @@ def _stores(value):
             if isinstance(obj, NonlocalStore)]
 
 
-def _store_state(store):
-    """What resolving through store would change: its allocation record,
-    its relation set's rules and its name pools."""
-    return (list(store.allocated),
-            [(rule.dep, rule.order, rule.rhs) for rule in store.relations],
-            list(store._dinv_names), list(store._inv_names))
-
-
 @pytest.mark.parametrize("check", tuple(SLOTS))
 def test_no_served_part_holds_a_store(check):
     # a reader resolving through a shared store would leave its
-    # auxiliaries to the next mutant: every store a part holds is as
-    # the part's build left it, after the unmutated run's compare and
-    # after each mutant that is handed the part
-    _rows, parts = suite._unmutated(check, 0)
-    for key, (value, reads) in parts.items():
-        stores = _stores(value)
-        if not stores:
-            continue
-        built = [_store_state(store) for store in
-                 _stores(_part_alone(check, key, catalog.CATALOG))]
-        assert [_store_state(store) for store in stores] == built, key
-        relations = [store.relations for store in stores]
-        for ident, slot in suite.mutation_slots(check):
-            if ident in reads:
-                continue
-            suite.run_mutated(check, ident, slot)
-            assert [_store_state(store) for store in stores] == built, \
-                (key, ident, slot)
-            assert all(store.relations is rel
-                       for store, rel in zip(stores, relations)), \
-                (key, ident, slot)
+    # auxiliaries to the next mutant: no part of the check's unmutated
+    # run reaches one, a row's half included, kept or not
+    parts = {}
+    view = suite._ServingView(catalog.CATALOG, parts)
+    for row in _spec(check).runner(view):
+        suite._concluded(view, *row, 0, load_ledger())
+    assert set(parts) >= set(suite._unmutated(check, 0)[1])
+    for key, value in parts.items():
+        assert not _stores(value), key
 
 
 def _counting_setup(monkeypatch):
@@ -1070,7 +1044,7 @@ def test_part_reads_include_the_nested_parts():
     assert transport["theorem1.jt2"][1] \
         == ("E", "J1", "T1", "usdefs", "T2")
     assert transport["theorem1.jt1"][1] \
-        == ("E", "Lambda", "usdefs", "Jt1.middle", "J1", "T1", "T2")
+        == ("E", "Lambda", "T1", "T2", "usdefs", "J2", "Jt1.middle")
     assert appendix["appendix_a.link"][1] \
         == ("miura.m", "miura.n", "OmegaPrime", "Kmat", "P1", "Jop",
             "Thetamat")
