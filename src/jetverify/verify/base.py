@@ -167,6 +167,9 @@ def conclude(rid, claim, seed, errata):
         corrected_fails = bool(corr)
         if corrected_fails:
             notes.append("the corrected reading fails as well")
+            # the displayed residuals are not quoted here, so
+            # theorem1.jt1 derives none once its corrected reading
+            # fails; a change to this rule changes that row
             shown = corr
         elif not shown:
             notes.append("the reading as displayed already passes; no "

@@ -357,11 +357,13 @@ def _jt2_check(C, tr, images, relations):
     jets of an auxiliary allocated later, which the first vector's
     images and the stated image cannot contain."""
     pairs = []
-    for labels, vec, lhs in zip(_LABELS, _basis_vectors(_catalog.RING_Y),
-                                images):
-        pairs.extend(zip(labels, (
-            relations.reduce(a - promote(b, relations.ring))
-            for a, b in zip(lhs, tr.jt2.apply(vec)))))
+    for tag, vec, lhs in zip(("first", "second"),
+                             _basis_vectors(_catalog.RING_Y), images):
+        rhs = tr.jt2.apply(vec)
+        for k in range(2):
+            pairs.append(("%s basis vector, row %d" % (tag, k + 1),
+                          relations.reduce(
+                              lhs[k] - promote(rhs[k], relations.ring))))
     notes = ["the stated composed normal form is reproduced by the "
              "nonlocal momentum-side operator; the sandwich row "
              "carries the display's crossed pairing"]

@@ -850,21 +850,20 @@ def test_served_parts_give_the_records_of_a_run_serving_none(
         check, ident, monkeypatch):
     # the rows a mutant rebuilds, built once handed the unmutated run's
     # parts and once over the plain mutated catalog, which serves none;
-    # unless some row's half reads the entry (J1 in theorem1.jt2's),
-    # the served run rebuilds no served half: it derives no t2 reading,
-    # builds no store, transports no time derivative or constraint,
-    # gauges no relation, closes no fourth-order relation and builds no
-    # conjugation
+    # unless the run reaches a row whose kept half reads the entry (J1
+    # in theorem1.jt2's), it rebuilds no served half: it derives no t2
+    # reading, builds no store, transports no time derivative or
+    # constraint, gauges no relation, closes no fourth-order relation
+    # and builds no conjugation
     rows, parts = suite._unmutated(check, 0)
     reused = {rid: row for rid, (row, reads) in rows.items()
               if ident not in reads}
-    derived = any(ident in reads and (rid not in parts
-                                      or ident in parts[rid][1])
-                  for rid, (_row, reads) in rows.items())
     calls = _counting_builds(monkeypatch, check)
     for slot in _slots_of(check, ident):
         calls.update(dict.fromkeys(calls, 0))
         got = suite.run_mutated(check, ident, slot)
+        derived = any(row.id in parts and ident in parts[row.id][1]
+                      for row in got)
         assert derived or not any(calls.values()), (slot, calls)
         unserved = suite._run_check(
             catalog.CATALOG.with_mutation(ident, slot), _spec(check), 0,
