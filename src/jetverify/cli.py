@@ -13,9 +13,10 @@ the rows' records, which hold no timing, so the two flags exclude each
 other; it exits 1 unless every row is a pass or a ledgered erratum.
 ``describe`` prints one check's claim, citation, strategy and catalog
 reads as JSON, with each row's id, every entry that row's build fetched,
-including through the shared parts it built or was served, and of
-those the entries its derived half did not fetch (``compares``).
-These reads are recorded, not declared.  The sweep rebuilds a row for a
+including through the shared parts it built or was served, of those
+the entries its derived half did not fetch (``compares``), and the
+shared parts it derived, each with its reads (``parts``).  These reads
+are recorded, not declared.  The sweep rebuilds a row for a
 mutant exactly when the mutated entry is among them; every other row
 keeps its unmutated record, and a rebuilt row likewise rebuilds only
 the derived parts whose reads hold that entry, under the reuse premise

@@ -1006,20 +1006,41 @@ def promote(e, ring):
 
 def random_eval(e, point):
     """Exact rational value of e at point, which maps each jet
-    (name, order) and parameter name of e to an exact rational.  The
-    values become Fractions, so an int base at a negative power stays
-    exact, and a zero base there raises ZeroDivisionError."""
-    point = {k: Fraction(rational(v)) for k, v in point.items()}
-    ring = e.ring
-    total = Fraction(0)
-    for (vk, pk), c in e.coeff_items():
-        val = c
+    (name, order) and parameter name of e to an exact rational.  Each
+    term is an integer over an integer, from integer powers of the
+    values' numerators and denominators, and one Fraction is built from
+    the terms over their least common denominator.  A zero base at a
+    negative power raises ZeroDivisionError."""
+    split = {}
+    for key, v in point.items():
+        v = Fraction(rational(v))
+        split[key] = v.numerator, v.denominator
+    deps, params = e.ring.dependents, e.ring.parameters
+    terms = []
+    common = 1
+    for (vk, pk), top in e.nums.items():
+        bottom = 1
         for g, ex in vk:
-            val *= point[ring.dependents[g // STRIDE], g % STRIDE] ** ex
+            num, den = split[deps[g // STRIDE], g % STRIDE]
+            if ex < 0:
+                num, den, ex = den, num, -ex
+            top *= num ** ex
+            bottom *= den ** ex
         for pidx, ex in pk:
-            val *= point[ring.parameters[pidx]] ** ex
-        total += val
-    return total
+            num, den = split[params[pidx]]
+            if ex < 0:
+                num, den, ex = den, num, -ex
+            top *= num ** ex
+            bottom *= den ** ex
+        common = lcm(common, bottom)
+        terms.append((top, bottom))
+    return Fraction(sum(top * (common // bottom) for top, bottom in terms),
+                    e.den * common)
+
+
+# the numerators random_assignment draws from; rng.choice reads only the
+# length and an index, so a constant draws what a fresh list drew
+_NUMERATORS = tuple(n for n in range(-9, 10) if n)
 
 
 def random_assignment(rng, coords, params=()):
@@ -1027,7 +1048,7 @@ def random_assignment(rng, coords, params=()):
     -9..9, denominators up to 7, drawn from the supplied random
     generator for the coordinates, then for the parameters."""
     def draw():
-        num = rng.choice([n for n in range(-9, 10) if n])
+        num = rng.choice(_NUMERATORS)
         den = rng.randint(1, 7)
         return Fraction(num, den)
 

@@ -17,11 +17,13 @@ from .base import NORMAL_FORM, Claim, to_y, usdef_rules, whole
 
 # -- zero curvature -------------------------------------------------------
 
-def curvature_entry(U, V, sysdef, a, b):
-    """Entry (a, b) of U_t - V_x + [U, V], the time derivative taken
-    through the evolution rules of sysdef.  A commutator product with a
-    zero factor is skipped: adding zero returns e itself."""
-    e = evolutionary_derivative(U[a][b], sysdef) - total_derivative(V[a][b])
+def _plus_flat(e, U, V, a, b):
+    """e plus entry (a, b) of the flat part -V_x + [U, V] of the
+    curvature, which reads the pair alone, summed onto e so that
+    curvature_entry keeps the term order of the full sum.  A commutator
+    product with a zero factor is skipped: adding zero returns e
+    itself."""
+    e = e - total_derivative(V[a][b])
     for k in range(len(U)):
         if U[a][k] and V[k][b]:
             e = e + U[a][k] * V[k][b]
@@ -30,20 +32,37 @@ def curvature_entry(U, V, sysdef, a, b):
     return e
 
 
+def curvature_entry(U, V, sysdef, a, b):
+    """Entry (a, b) of U_t - V_x + [U, V], the time derivative taken
+    through the evolution rules of sysdef."""
+    return _plus_flat(evolutionary_derivative(U[a][b], sysdef), U, V, a, b)
+
+
+def _flat_part(pair):
+    """Every entry of the flat part of pair's curvature, row by row."""
+    U, V = pair.space, pair.time
+    zero = pair.ring.zero()
+    return tuple(tuple(_plus_flat(zero, U, V, a, b) for b in range(len(U)))
+                 for a in range(len(U)))
+
+
 def check_zero_curvature(C, pair_ident, sys_ident):
     """Flatness of the spectral pair pair_ident on the flow sys_ident:
     one residual per nonvanishing spectral-parameter power of each
-    matrix entry, reduced modulo the constraints."""
-    pair = C.get(pair_ident)
+    matrix entry, reduced modulo the constraints.  The flat part reads
+    the pair alone, so it is a part of its own, which a mutant of the
+    flow is handed."""
+    U = C.get(pair_ident).space
     sysdef = C.get(sys_ident)
-    U, V = pair.space, pair.time
+    flat = C.derive(pair_ident + ".flat",
+                    lambda: _flat_part(C.get(pair_ident)))
     n = len(U)
     pairs = []
     reduced = []
     powers = set()
     for a in range(n):
         for b in range(n):
-            e = curvature_entry(U, V, sysdef, a, b)
+            e = evolutionary_derivative(U[a][b], sysdef) + flat[a][b]
             powers.update(split_param(e, "lam"))
             red = sysdef.constraints.reduce(e)
             if red != e:

@@ -159,26 +159,27 @@ def _bihamiltonian_local(C):
     return Claim(C.citation("H0"), pairs, NORMAL_FORM, notes0)
 
 
+def _h1_gradient(C):
+    """The constrained functional gradient of H1 in the momenta, and
+    the q-derivative of the constrained density, which witnesses that
+    the gradient is not vacuous.  The potentials vary through the
+    inverse kernel, whose adjoint is its negative."""
+    cons = C.get("sys.main").constraints
+    h1 = C.get("H1")
+    gradient = tuple(
+        euler_derivative(h1, mom)
+        - solve_e_image(cons.reduce(euler_derivative(h1, pot)))
+        for mom, pot in (("v", "r"), ("w", "q")))
+    return gradient, euler_derivative(cons.reduce(h1), "q")
+
+
 def _bihamiltonian_nonlocal(C):
     X = _catalog.RING_X
     sysdef = C.get("sys.main")
     cons = sysdef.constraints
     kernel = C.get("E").local
-
-    def gradient(density):
-        """Constrained functional gradient in the momenta: the
-        potentials vary through the inverse kernel, whose adjoint is
-        its negative."""
-        out = []
-        for mom, pot in (("v", "r"), ("w", "q")):
-            direct = euler_derivative(density, mom)
-            through = solve_e_image(cons.reduce(
-                euler_derivative(density, pot)))
-            out.append(direct - through)
-        return out
-
-    h1 = C.get("H1")
-    g1 = gradient(h1)
+    # the gradient reads neither E nor J1, so their mutants are handed it
+    g1, witness = C.derive("H1.gradient", lambda: _h1_gradient(C))
     store = NonlocalStore(X, relations=cons, inverses={"E": kernel})
     # each row combines two inverse-kernel words whose arguments are
     # only jointly in the image; seeding the first row's combined
@@ -207,7 +208,6 @@ def _bihamiltonian_nonlocal(C):
                      "assembled flow"
                      % (", ".join(n for n, _k, _c in store.allocated)
                         or "none"))
-    witness = euler_derivative(cons.reduce(h1), "q")
     pairs.append(("constrained quadratic density must have a "
                   "nonvanishing variational derivative",
                   X.one() if witness.is_zero else X.zero()))

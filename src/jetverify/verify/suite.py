@@ -36,11 +36,16 @@ the rows before it and reports one undecidable row.
 Derived parts get the same reuse.  C.derive(key, build) is the one place
 a value is kept: the plain catalog view keeps nothing and only builds,
 and the harness's views build each key once per check run and serve it
-after that.  Each row's half is the part keyed by its row id, and the
-setup a runner shares between rows with different reads (the theorem
-checks' Transport parts, appendix_a's formal curvature) is a part under
-its own key, nested in the halves that use it, as the pair row's half is
-in scalar_reduction.fourth's.  The unmutated run records each part's
+after that.  Each row's half is the part keyed by its row id.  Setup
+that reads fewer entries than a row deriving it is a part under its own
+key, nested in the halves that use it: theorem1's Transport parts,
+shared by rows with different reads; appendix_a's formal curvature
+("formal"); the flat part -V_x + [U, V] of each zero-curvature row's
+pair, keyed by the pair ident and ".flat", which reads the pair but not
+the flow; bihamiltonian_x.nonlocal's constrained gradient of H1
+("H1.gradient"), which reads neither E nor J1; and the pair row's half,
+nested in scalar_reduction.fourth's.  describe lists the parts each row
+derived, with their reads.  The unmutated run records each part's
 reads as it records a row's, nested parts included, and run_mutated
 hands a mutant every part whose reads lack the mutated entry: a part
 whose recording never fetched that entry has the same value over the
@@ -284,9 +289,10 @@ def describe(name):
     check, with each row's id, every entry its build fetched, through
     served parts included, the reads run_mutated decides reuse by, and
     of those the entries its derived half did not fetch, whose mutants
-    only compare."""
+    only compare, and the shared parts the row derived, each with its
+    reads, which a mutant of an entry outside them is handed."""
     spec = _BY_NAME[name]
-    rows, parts = _unmutated(name, 0)
+    rows, parts, derived = _unmutated(name, 0)
     return {
         "id": spec.name,
         "claim": spec.claim,
@@ -295,7 +301,9 @@ def describe(name):
         "reads": [ident for ident, _parts in spec.reads],
         "rows": [{"id": rid, "reads": list(reads),
                   "compares": [i for i in reads
-                               if rid in parts and i not in parts[rid][1]]}
+                               if rid in parts and i not in parts[rid][1]],
+                  "parts": {key: list(parts[key][1]) for key in derived[rid]
+                            if key != rid and key in parts}}
                  for rid, (_row, reads) in rows.items()],
     }
 
@@ -437,12 +445,16 @@ class _RecordingView(_catalog.CatalogView):
     {key: (value, reads)} of that build.  The entries a build fetched,
     the reads of the parts nested in it included, are the part's reads,
     and each time the part is derived, built or served, they join the
-    reads of the part or row around it, in first-fetch order."""
+    reads of the part or row around it, in first-fetch order.  The part
+    keys join derived the same way: a part's key, then the keys nested
+    in its build, which nested keeps."""
 
     def __init__(self):
         super().__init__()
         self.reads = None
+        self.derived = {}
         self.parts = {}
+        self.nested = {}
 
     def entry(self, ident):
         if self.reads is None:
@@ -452,17 +464,20 @@ class _RecordingView(_catalog.CatalogView):
         return super().entry(ident)
 
     def derive(self, key, build):
-        outer = self.reads
+        outer, derived = self.reads, self.derived
         if outer is None:
             raise RuntimeError("part %r derived outside a row build"
                                % (key,))
         if key not in self.parts:
-            self.reads = {}
+            self.reads, self.derived = {}, {}
             value = build()
             self.parts[key] = (value, tuple(self.reads))
-            self.reads = outer
+            self.nested[key] = tuple(self.derived)
+            self.reads, self.derived = outer, derived
         value, reads = self.parts[key]
         outer.update(dict.fromkeys(reads))
+        derived[key] = None
+        derived.update(dict.fromkeys(self.nested[key]))
         return value
 
 
@@ -491,10 +506,10 @@ class _ServingView(_catalog.CatalogView):
 
 @functools.lru_cache(maxsize=None)
 def _unmutated(name, seed):
-    """({row id: (row, reads)}, {part key: (value, reads)}) of one check
-    over the packaged catalog and ledger, rows in report order, built
-    once per check and seed, the first time a mutant or describe needs
-    it.
+    """({row id: (row, reads)}, {part key: (value, reads)}, {row id:
+    part keys}) of one check over the packaged catalog and ledger, rows
+    in report order, built once per check and seed, the first time a
+    mutant or describe needs it.
 
     One run of the runner over a recording view builds every row, so a
     row's reads are every entry its build fetched, its half's first,
@@ -504,20 +519,24 @@ def _unmutated(name, seed):
     each row's half is the part under its row id, kept only when the
     row reads more than its half: a half that reads all its row reads
     is never served, since a mutant of any of its reads rebuilds the
-    row, and one of none reuses the row.  Under the reuse premise of the
-    module docstring, these rows and parts stand for the same rows and
-    parts of any later run, a row built alone included."""
+    row, and one of none reuses the row.  A row's part keys are those
+    of every part it derived, its own half and the nested parts
+    included, kept or not, in first-derive order.  Under the reuse
+    premise of the module docstring, these rows and parts stand for the
+    same rows and parts of any later run, a row built alone included."""
     spec = _BY_NAME[name]
     errata = load_ledger()
     view = _RecordingView()
     rows = {}
+    derived = {}
     for rid, derive, compare in spec.runner(view):
-        view.reads = {}
+        view.reads, view.derived = {}, {}
         row = _concluded(view, rid, derive, compare, seed, errata)
         rows[rid] = (row, tuple(view.reads))
+        derived[rid] = tuple(view.derived)
         view.reads = None
     return rows, {key: part for key, part in view.parts.items()
-                  if key not in rows or part[1] != rows[key][1]}
+                  if key not in rows or part[1] != rows[key][1]}, derived
 
 
 def run_mutated(name, ident, slot, seed=0):
@@ -544,7 +563,7 @@ def run_mutated(name, ident, slot, seed=0):
     undecidable row; all_clear is false either way, so it agrees with
     run_suite on every mutant."""
     spec = _BY_NAME[name]
-    rows, parts = _unmutated(name, seed)
+    rows, parts, _derived = _unmutated(name, seed)
     reused = {rid: row for rid, (row, reads) in rows.items()
               if ident not in reads}
     served = {key: value for key, (value, reads) in parts.items()

@@ -54,25 +54,31 @@ def test_describe_prints_the_check(capsys):
 
 def test_describe_lists_each_row_and_its_reads(capsys):
     # the recorded reads run_mutated decides which rows to build from,
-    # for every check, each row in report order, and of them the reads
-    # the row's derived half did not fetch; a row without a kept half
-    # compares nothing, since its half read all the row reads
+    # for every check, each row in report order, of them the reads the
+    # row's derived half did not fetch, and the kept parts other than
+    # its half that the row derived, each with its reads; a row without
+    # a kept half compares nothing, since its half read all the row reads
     for check in suite.check_ids():
         assert main(["describe", check]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
-        got, parts = suite._unmutated(check, 0)
+        got, parts, derived = suite._unmutated(check, 0)
         assert rows == [
             {"id": rid, "reads": list(reads),
              "compares": [ident for ident in reads if rid in parts
-                          and ident not in parts[rid][1]]}
+                          and ident not in parts[rid][1]],
+             "parts": {key: list(parts[key][1]) for key in derived[rid]
+                       if key in parts and key != rid}}
             for rid, (_row, reads) in got.items()]
         assert [row["id"] for row in rows] \
             == [r.id for r in suite.run_suite(selection=check)]
     # every entry the build fetches, in first-fetch order, including
-    # usdefs, which the check's mutation surface leaves out
+    # usdefs, which the check's mutation surface leaves out, and the
+    # Transport parts the row derived, nested ones included
     assert suite.describe("theorem1")["rows"][0] \
         == {"id": "theorem1.t1", "reads": ["ymap", "T1", "usdefs"],
-            "compares": []}
+            "compares": [],
+            "parts": {"jacobians": ["ymap"], "t1": ["T1", "usdefs"],
+                      "smap": ["usdefs"]}}
     # the flow drivers fetch their own inputs, in argument order
     rows = {row["id"]: row for check in suite.check_ids()
             for row in suite.describe(check)["rows"]}
@@ -97,6 +103,13 @@ def test_describe_lists_each_row_and_its_reads(capsys):
         == ["lax.main", "recip.main", "hmap", "scalar.mn", "scalar4"]
     assert reads["prop1"] == ["E", "Theta1", "Theta1.conj", "usdefs"]
     assert reads["prop2"] == ["E", "Theta2", "usdefs"]
+    # a zero-curvature row is handed its pair's flat part, and the
+    # nonlocal bihamiltonian row the gradient of H1, by a mutant of an
+    # entry outside their reads
+    parts = {rid: row["parts"] for rid, row in rows.items()}
+    assert parts["zc_main"] == {"lax.main.flat": ["lax.main"]}
+    assert parts["bihamiltonian_x.nonlocal"] \
+        == {"H1.gradient": ["sys.main", "H1"]}
     # the thirteen rows with a half of their own; every other row
     # derives its whole claim and compares nothing more
     assert {rid: row["compares"] for rid, row in rows.items()

@@ -830,8 +830,35 @@ def test_random_assignment_draws_no_zero(e, seed):
     random_eval(e, point)
 
 
+def _fraction_eval(e, point):
+    """random_eval as a Fraction product per term and a Fraction sum:
+    the reference the integer evaluation is checked against."""
+    point = {k: Fraction(v) for k, v in point.items()}
+    total = Fraction(0)
+    for (vk, pk), c in e.coeff_items():
+        val = Fraction(c)
+        for g, ex in vk:
+            val *= point[e.ring.dependents[g // STRIDE], g % STRIDE] ** ex
+        for pidx, ex in pk:
+            val *= point[e.ring.parameters[pidx]] ** ex
+        total += val
+    return total
+
+
+@settings(deadline=None)
+@given(exprs(max_terms=6), st.integers(0, 2 ** 32))
+def test_random_eval_equals_the_fraction_reference(e, seed):
+    # negative exponents and parameter powers at the points the numeric
+    # note draws, exactly as a Fraction loop evaluates them
+    point = random_assignment(random.Random(seed), coords_of(e),
+                              params_of(e))
+    got = random_eval(e, point)
+    assert type(got) is Fraction
+    assert got == _fraction_eval(e, point)
+
+
 def test_random_eval_zero_base_sentinel():
-    # Fraction's own ZeroDivisionError, not a float infinity
+    # a ZeroDivisionError, not a float infinity
     a = {("u", 0): 0}
     with pytest.raises(ZeroDivisionError):
         random_eval(RX.coord("u") ** -1, a)

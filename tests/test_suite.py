@@ -397,13 +397,14 @@ def _recorded_reads(check):
 
 @functools.cache
 def _row_at_a_time(check):
-    """({row id: (row, reads)}, {part key: (value, reads)}) of check at
-    seed 0, recorded with no part built by one row served to another:
-    each row built alone, in a fresh runner over a fresh recording view,
-    the first build of each part key kept, and a row's half kept only
-    when the row reads more than it, as _unmutated keeps it."""
+    """({row id: (row, reads)}, {part key: (value, reads)}, {row id:
+    part keys}) of check at seed 0, recorded with no part built by one
+    row served to another: each row built alone, in a fresh runner over
+    a fresh recording view, the first build of each part key kept, and
+    a row's half kept only when the row reads more than it, as
+    _unmutated keeps it."""
     spec = _spec(check)
-    rows, parts = {}, {}
+    rows, parts, derived = {}, {}, {}
     while True:
         view = suite._RecordingView()
         target = len(rows)
@@ -413,10 +414,12 @@ def _row_at_a_time(check):
                 row = suite._concluded(view, rid, derive, compare, 0,
                                        load_ledger())
                 rows[rid] = (row, tuple(view.reads))
+                derived[rid] = tuple(view.derived)
                 view.reads = None
         if len(rows) == target:
             return rows, {key: part for key, part in parts.items()
-                          if key not in rows or part[1] != rows[key][1]}
+                          if key not in rows
+                          or part[1] != rows[key][1]}, derived
         for key, part in view.parts.items():
             parts.setdefault(key, part)
 
@@ -424,15 +427,17 @@ def _row_at_a_time(check):
 @pytest.mark.parametrize("check", suite.check_ids())
 def test_one_pass_recording_equals_row_at_a_time_recording(check):
     # serving a part to the rows after the one that built it changes no
-    # row record, no row's reads or their order, and no part key or read
-    rows, parts = suite._unmutated(check, 0)
-    ref_rows, ref_parts = _row_at_a_time(check)
+    # row record, no row's reads or their order, no part key or read,
+    # and no row's part keys or their order
+    rows, parts, derived = suite._unmutated(check, 0)
+    ref_rows, ref_parts, ref_derived = _row_at_a_time(check)
     assert [(rid, row.to_record(), reads)
             for rid, (row, reads) in rows.items()] \
         == [(rid, row.to_record(), reads)
             for rid, (row, reads) in ref_rows.items()]
     assert [(key, reads) for key, (_value, reads) in parts.items()] \
         == [(key, reads) for key, (_value, reads) in ref_parts.items()]
+    assert derived == ref_derived
 
 
 def test_rows_built_alone_have_the_suite_digest():
@@ -766,13 +771,14 @@ def _counting_builds(monkeypatch, check):
     """The calls, from now on and once the unmutated run of check is
     recorded, of theorem._derived_jacobians, of theorem._t2_readings,
     of the NonlocalStore constructor in theorem and appendixes, and of
-    the builders of the light checks' served halves: flows'
-    transported_taus and _constraint_equations, scalar's
-    _gauged_relations and _fourth_order, and hamops' _conjugations."""
+    the builders of the light checks' served parts: flows'
+    transported_taus, _constraint_equations and _flat_part, scalar's
+    _gauged_relations and _fourth_order, and hamops' _conjugations and
+    _h1_gradient."""
     suite._unmutated(check, 0)
     calls = dict.fromkeys(("jacobians", "readings", "stores", "taus",
-                           "constraints", "relations", "fourths",
-                           "conjugations"), 0)
+                           "constraints", "flats", "relations", "fourths",
+                           "conjugations", "gradients"), 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -790,9 +796,11 @@ def _counting_builds(monkeypatch, check):
     for module, name, key in (
             (flows, "transported_taus", "taus"),
             (flows, "_constraint_equations", "constraints"),
+            (flows, "_flat_part", "flats"),
             (scalar, "_gauged_relations", "relations"),
             (scalar, "_fourth_order", "fourths"),
-            (hamops, "_conjugations", "conjugations")):
+            (hamops, "_conjugations", "conjugations"),
+            (hamops, "_h1_gradient", "gradients")):
         monkeypatch.setattr(module, name, counting(
             key, getattr(module, name)))
     return calls
@@ -828,15 +836,16 @@ def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
 
 def _compared_only():
     """Every (check, entry) where the entry is on the check's read
-    surface, and some row reads it but its derived half does not, with
-    the entry's slot count in the id.  A row without a kept half
-    compares nothing: its half read all the row reads."""
+    surface, and some row reads it but a kept part that row derives
+    does not, its half or a shared part, with the entry's slot count in
+    the id.  A row's half is kept only when it reads less than its row."""
     out = []
     for check in suite.check_ids():
-        rows, parts = suite._unmutated(check, 0)
+        rows, parts, derived = suite._unmutated(check, 0)
         compared = dict.fromkeys(
-            ident for rid, (_row, reads) in rows.items() if rid in parts
-            for ident in reads if ident not in parts[rid][1])
+            ident for rid, (_row, reads) in rows.items()
+            for key in derived[rid] if key in parts
+            for ident in reads if ident not in parts[key][1])
         for ident in compared:
             count = len(_slots_of(check, ident))
             if count:
@@ -845,30 +854,74 @@ def _compared_only():
     return out
 
 
+def _rows_reading(check, ident, view):
+    """The record of every row of check whose recorded reads contain
+    ident, built over view in report order with no stop after a row
+    that is off green, or the text of the exception a row raised."""
+    rows = suite._unmutated(check, 0)[0]
+    out = []
+    for rid, derive, compare in _spec(check).runner(view):
+        if ident in rows[rid][1]:
+            try:
+                out.append(suite._concluded(view, rid, derive, compare, 0,
+                                            load_ledger()).to_record())
+            except Exception as exc:
+                out.append("%s: %s" % (type(exc).__name__, exc))
+    return out
+
+
+def _first_slot_of_each_part(check, ident):
+    """The first slot of each structural part of ident on the check's
+    read surface: a part value that depends on one of them unrecorded
+    is stale for a mutant of it."""
+    slots = set(_slots_of(check, ident))
+    return [start for _label, start, _stop
+            in catalog.part_windows(catalog.CATALOG.entry(ident))
+            if start in slots]
+
+
 @pytest.mark.parametrize("check, ident", _compared_only())
 def test_served_parts_give_the_records_of_a_run_serving_none(
         check, ident, monkeypatch):
     # the rows a mutant rebuilds, built once handed the unmutated run's
     # parts and once over the plain mutated catalog, which serves none;
-    # unless the run reaches a row whose kept half reads the entry (J1
-    # in theorem1.jt2's), it rebuilds no served half: it derives no t2
-    # reading, builds no store, transports no time derivative or
-    # constraint, gauges no relation, closes no fourth-order relation
-    # and builds no conjugation
-    rows, parts = suite._unmutated(check, 0)
+    # unless the run reaches a row deriving a kept part that reads the
+    # entry (J1 in theorem1.jt2's half), it rebuilds no served part: it
+    # derives no t2 reading, builds no store, transports no time
+    # derivative or constraint, takes no flat curvature part, gauges no
+    # relation, closes no fourth-order relation, builds no conjugation
+    # and takes no gradient; a row that derives its whole claim and
+    # reads the entry builds its own stores, as appendix_a.flow does
+    rows, parts, derived = suite._unmutated(check, 0)
     reused = {rid: row for rid, (row, reads) in rows.items()
               if ident not in reads}
     calls = _counting_builds(monkeypatch, check)
     for slot in _slots_of(check, ident):
         calls.update(dict.fromkeys(calls, 0))
         got = suite.run_mutated(check, ident, slot)
-        derived = any(row.id in parts and ident in parts[row.id][1]
-                      for row in got)
-        assert derived or not any(calls.values()), (slot, calls)
+        rebuilt = any(key in parts and ident in parts[key][1]
+                      for row in got for key in derived.get(row.id, ()))
+        whole = any(row.id in rows and row.id not in parts
+                    and ident in rows[row.id][1] for row in got)
+        assert rebuilt or not any(
+            count for name, count in calls.items()
+            if name != "stores" or not whole), (slot, calls)
         unserved = suite._run_check(
             catalog.CATALOG.with_mutation(ident, slot), _spec(check), 0,
             load_ledger(), reused)
         assert records(got) == records(unserved), slot
+    # past the row where run_mutated stops, too: every row that reads
+    # the entry, handed the parts whose reads lack it, has its record
+    # over the plain mutated catalog; a part whose recorded reads miss an
+    # entry its value depends on fails here even when every mutant of
+    # that entry stops before a row the part is served to
+    served = {key: value for key, (value, reads) in parts.items()
+              if ident not in reads}
+    for slot in _first_slot_of_each_part(check, ident):
+        mutated = catalog.CATALOG.with_mutation(ident, slot)
+        assert _rows_reading(check, ident, suite._ServingView(
+            mutated, dict(served))) == _rows_reading(check, ident,
+                                                     mutated), slot
 
 
 def _reachable(value):
@@ -898,15 +951,40 @@ def _reachable(value):
     return seen.values()
 
 
-def test_every_part_key_is_a_row_a_transport_part_or_formal():
+def _flat(pair_ident):
+    return lambda view: flows._flat_part(view.get(pair_ident))
+
+
+# every part key that is neither a row's half nor a Transport part: the
+# check whose rows share it, and its build over a catalog view
+SETUP_PARTS = {
+    # appendix_a.blocks, .relations and .flow read the curvature
+    # expansion of the formal pair, and compare it with other entries
+    "formal": ("appendix_a", appendixes._FormalCurvature),
+    # each zero-curvature row's flat part -V_x + [U, V] reads its pair
+    # alone, so a mutant of the flow is handed it
+    "lax.main.flat": ("zc_main", _flat("lax.main")),
+    "lax.trans.flat": ("zc_trans", _flat("lax.trans")),
+    "lax.appb.flat": ("appendix_b", _flat("lax.appb")),
+    "lax.appb.trans.flat": ("appendix_b", _flat("lax.appb.trans")),
+    # bihamiltonian_x.nonlocal's constrained gradient of H1 reads
+    # neither E nor J1, so their mutants are handed it
+    "H1.gradient": ("bihamiltonian_x", hamops._h1_gradient),
+}
+
+
+def test_every_part_key_is_a_row_a_transport_part_or_a_named_setup_part():
     # each row's derived half is the part under its row id; the only
     # other parts are the setup that rows with different reads share
     transport = {name for name, attr in vars(theorem.Transport).items()
                  if isinstance(attr, property)}
     assert len(transport) == 12
+    setup = {}
     for check in suite.check_ids():
-        rows, parts = suite._unmutated(check, 0)
-        assert set(parts) - set(rows) <= transport | {"formal"}, check
+        rows, parts, _derived = suite._unmutated(check, 0)
+        named = {key for key, (owner, _build) in SETUP_PARTS.items()
+                 if owner == check}
+        assert set(parts) - set(rows) - transport == named, check
         # a row's half is kept only when the row reads more than it
         for rid, (_row, reads) in rows.items():
             if rid in parts:
@@ -988,7 +1066,7 @@ def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
         check, monkeypatch):
     # so a row that reads nothing a mutant touches derives only parts
     # the mutant is handed
-    rows, parts = suite._unmutated(check, 0)
+    rows, parts, _derived = suite._unmutated(check, 0)
     derived = []
     serve = suite._ServingView.derive
 
@@ -1011,15 +1089,15 @@ def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
 
 
 def _part_alone(check, key, view):
-    """Part key of check built alone over view: a row's derived half,
-    appendix_a's formal curvature or a Transport part, built through a
-    view that keeps the parts nested in it."""
+    """Part key of check built alone over view: a row's derived half, a
+    setup part of SETUP_PARTS or a Transport part, built through a view
+    that keeps the parts nested in it."""
     view = suite._ServingView(view, {})
     for rid, derive, _compare in _spec(check).runner(view):
         if rid == key:
             return derive()
-    if key == "formal":
-        return appendixes._FormalCurvature(view)
+    if key in SETUP_PARTS:
+        return SETUP_PARTS[key][1](view)
     return getattr(theorem.Transport(view), key)
 
 
@@ -1030,7 +1108,7 @@ def test_part_reads_include_the_nested_parts():
     # smap, and the t2 half from the Jacobian data
     parts = {}
     for check in suite.check_ids():
-        _rows, parts[check] = suite._unmutated(check, 0)
+        _rows, parts[check], _derived = suite._unmutated(check, 0)
         for key, (_value, reads) in parts[check].items():
             view = suite._RecordingView()
             view.reads = {}
@@ -1062,6 +1140,14 @@ def test_part_reads_include_the_nested_parts():
         == ("lax.main", "recip.main", "hmap")
     assert parts["prop1"]["prop1"][1] == parts["prop2"]["prop2"][1] \
         == ("E",)
+    # the flat curvature parts read their pair alone, and the gradient
+    # of H1 fetches the constraints itself
+    for check, pair_ident in (("zc_main", "lax.main"),
+                              ("zc_trans", "lax.trans"),
+                              ("appendix_b", "lax.appb"),
+                              ("appendix_b", "lax.appb.trans")):
+        assert parts[check][pair_ident + ".flat"][1] == (pair_ident,)
+    assert parts["bihamiltonian_x"]["H1.gradient"][1] == ("sys.main", "H1")
 
 
 def _scan_constants(monkeypatch, view):
