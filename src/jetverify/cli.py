@@ -16,12 +16,11 @@ reads as JSON, with each row's id, every entry that row's build fetched,
 including through the shared parts it built or was served, of those
 the entries its derived half did not fetch (``compares``), and the
 shared parts it derived, each with its reads (``parts``).  These reads
-are recorded, not declared.  The sweep rebuilds a row for a
-mutant exactly when the mutated entry is among them; every other row
-keeps its unmutated record, and a rebuilt row likewise rebuilds only
-the derived parts whose reads hold that entry, under the reuse premise
-stated in ``verify.suite``: a mutant of an entry the row only compares
-with is handed the row's derived half and only compares.
+are recorded, not declared.  The sweep follows one rule, under the
+reuse premise stated in ``verify.suite``: a mutant is handed every row
+and every derived part of the unmutated run whose reads lack the
+mutated entry, and rebuilds the rest, so a mutant of an entry a row
+only compares with is handed the row's derived half and only compares.
 ``sweep`` corrupts, one at a time, every coefficient slot a check
 reads (or a seeded sample of N of them) and prints, per check, the
 number of mutants, how many turned the check off green, the seconds

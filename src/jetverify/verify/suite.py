@@ -20,52 +20,52 @@ written once and every verdict is made by base.conclude.  A row with
 nothing to split derives its whole Claim and compares with base.whole.
 run_suite builds every row; run_mutated stops a check after its first
 row that is neither a pass nor an erratum, so its rows are a prefix of
-the run_suite rows (see run_mutated for the one exception).  It builds
-only the rows whose reads contain the mutated entry and reuses every
-other row from the check's unmutated run.  The reads are recorded, not
-declared: the unmutated run builds every row in one pass over a
-recording catalog view, so a row's reads are every entry its build
-fetched, including through the parts it built or was served.  The
-converse invariant, that a row reading nothing a mutant touches keeps a
-byte-identical record, then holds by construction: over the mutated
-catalog a row's build runs exactly as over the packaged one until it
-first fetches the mutated entry, so a row whose reads lack it keeps its
-record.  In either run, an exception part-way through a check discards
-the rows before it and reports one undecidable row.
+the run_suite rows (see run_mutated for the one exception).  In either
+run, an exception part-way through a check discards the rows before it
+and reports one undecidable row.
 
-Derived parts get the same reuse.  C.derive(key, build) is the one place
-a value is kept: the plain catalog view keeps nothing and only builds,
-and the harness's views build each key once per check run and serve it
-after that.  Each row's half is the part keyed by its row id.  Setup
-that reads fewer entries than a row deriving it is a part under its own
-key, nested in the halves that use it: theorem1's Transport parts,
-shared by rows with different reads; appendix_a's formal curvature
-("formal"); the flat part -V_x + [U, V] of each zero-curvature row's
-pair, keyed by the pair ident and ".flat", which reads the pair but not
-the flow; bihamiltonian_x.nonlocal's constrained gradient of H1
-("H1.gradient"), which reads neither E nor J1; and the pair row's half,
-nested in scalar_reduction.fourth's.  describe lists the parts each row
-derived, with their reads.  The unmutated run records each part's
-reads as it records a row's, nested parts included, and run_mutated
-hands a mutant every part whose reads lack the mutated entry: a part
-whose recording never fetched that entry has the same value over the
-mutated catalog, by the argument above.  So a mutant of an entry that a
-row only compares with is handed the row's half and only compares;
-describe lists those entries as the row's compares.  Where a comparison
-is reduced, the half and the compared entry are reduced apart, which
-gives the same normal form, since reduction is linear; only a term that
-reduction rejects (a negative power of a dependent whose rule is not a
-monomial) and that the difference cancels could raise apart, and no
-mutant of the full sweep meets one.
+C.derive(key, build) is the one place a value is kept: the plain
+catalog view keeps nothing and only builds, and every harness run goes
+through one harness view, which builds each key once per check run,
+serves it after that, and records as its reads every entry the build
+fetched, the reads of the parts nested in it included.  The reads are
+recorded, not declared.  Each concluded row is a part, keyed (row id,),
+and its half is the part keyed by its row id.  Setup that reads fewer
+entries than a row deriving it is a part under its own key, nested in
+the halves that use it: theorem1's Transport parts, shared by rows with
+different reads; appendix_a's formal curvature ("formal"); the flat
+part -V_x + [U, V] of each zero-curvature row's pair, keyed by the pair
+ident and ".flat", which reads the pair but not the flow;
+bihamiltonian_x.nonlocal's constrained gradient of H1 ("H1.gradient"),
+which reads neither E nor J1; and the pair row's half, nested in
+scalar_reduction.fourth's.  describe lists the parts each row derived,
+with their reads.
 
-The reuse premise, on which both rest: shared values are C.derive parts,
-built once per check run by the harness's view.  A runner keeps no other
-state across rows, so a part is the same value whichever row builds it,
-and a row's record does not depend on which rows were built before it.
-A part served to later rows and handed from the unmutated run to many
-mutants is immutable to them: it holds only tuples, jet expressions,
-operators, relation sets, names, Claims and functions of those, and no
-reader changes it.  The one state that does change is the Rule._jets
+One reuse rule: run_mutated hands a mutant every part of the check's
+unmutated run whose reads lack the mutated entry, rows included.  It
+holds by construction: over the mutated catalog a build runs exactly as
+over the packaged one until it first fetches the mutated entry, so a
+part whose recorded build never fetched it has the same value.  So a
+row that reads nothing a mutant touches keeps its byte-identical
+record, and a mutant of an entry that a row only compares with is
+handed the row's half and only compares; describe lists those entries
+as the row's compares.  A half that reads everything its row reads is
+never served: a mutant of one of its reads rebuilds the row.  Where a
+comparison is reduced, the half and the compared entry are reduced
+apart, which gives the same normal form, since reduction is linear;
+only a term that reduction rejects (a negative power of a dependent
+whose rule is not a monomial) and that the difference cancels could
+raise apart, and no mutant of the full sweep meets one.
+
+The reuse premise, on which the rule rests: shared values are C.derive
+parts, built once per check run by the harness view.  A runner keeps no
+other state across rows, so a part is the same value whichever row
+builds it, and a row's record does not depend on which rows were built
+before it.  A part served to later rows and handed from the unmutated
+run to many mutants is immutable to them: it holds only tuples, jet
+expressions, operators, relation sets, names, Claims, rows and
+functions of those, and no reader changes it; the harness times a copy
+of each row.  The one state that does change is the Rule._jets
 derivative memos of the relation sets it holds (the usdefs rules behind
 smap, the formal curvature's flow rules, the relations of a store),
 which grow but only cache total derivatives of fixed rules.  No part
@@ -114,10 +114,11 @@ class CheckSpec:
     compare) in report order: derive() builds the row's derived half
     and compare(half) returns its Claim, which the harness concludes
     into the row.  It fetches no catalog entry outside derive and
-    compare (the harness raises if it does), and it keeps the reuse
-    premise of the module docstring: every value it shares between rows
-    is a C.derive part, which the harness builds once per check run, so
-    one pass of the runner records the entries each row reads."""
+    compare (every harness run raises if it does), and it keeps the
+    reuse premise of the module docstring: every value it shares between
+    rows is a C.derive part, which the harness builds once per check run
+    and records with its reads, so one pass of the runner records every
+    part a mutant may be handed, each row included."""
 
     __slots__ = ("name", "runner", "citation_ident", "claim", "strategy",
                  "reads")
@@ -287,12 +288,13 @@ def check_ids():
 def describe(name):
     """Claim, citation, strategy and catalog reads of one published
     check, with each row's id, every entry its build fetched, through
-    served parts included, the reads run_mutated decides reuse by, and
-    of those the entries its derived half did not fetch, whose mutants
-    only compare, and the shared parts the row derived, each with its
-    reads, which a mutant of an entry outside them is handed."""
+    served parts included, the reads by which run_mutated serves the
+    row, and of those the entries its derived half did not fetch, whose
+    mutants only compare, and the shared parts the row derived, each
+    with its reads, which a mutant of an entry outside them is handed."""
     spec = _BY_NAME[name]
-    rows, parts, derived = _unmutated(name, 0)
+    view = _unmutated(name, 0)
+    parts = view.parts
     return {
         "id": spec.name,
         "claim": spec.claim,
@@ -300,11 +302,10 @@ def describe(name):
         "strategy": spec.strategy,
         "reads": [ident for ident, _parts in spec.reads],
         "rows": [{"id": rid, "reads": list(reads),
-                  "compares": [i for i in reads
-                               if rid in parts and i not in parts[rid][1]],
-                  "parts": {key: list(parts[key][1]) for key in derived[rid]
-                            if key != rid and key in parts}}
-                 for rid, (_row, reads) in rows.items()],
+                  "compares": [i for i in reads if i not in parts[rid][1]],
+                  "parts": {key: list(parts[key][1]) for key in nested
+                            if key != rid}}
+                 for rid, (_row, reads, nested) in view.rows().items()],
     }
 
 
@@ -334,12 +335,14 @@ def _aborted_row(spec, exc):
 
 def _concluded(C, rid, derive, compare, seed, errata):
     """The row (rid, derive, compare) a runner yielded, concluded over
-    the catalog view C with seed and errata: its derived half is the
-    part of C keyed by the row id, and compare makes the Claim."""
-    return conclude(rid, compare(C.derive(rid, derive)), seed, errata)
+    the catalog view C with seed and errata: the row is the part of C
+    keyed (rid,), its derived half the part keyed by the row id, and
+    compare makes the Claim."""
+    return C.derive((rid,), lambda: conclude(
+        rid, compare(C.derive(rid, derive)), seed, errata))
 
 
-def _run_check(C, spec, seed, errata, reused=None):
+def _run_check(C, spec, seed, errata, stop=False):
     """The rows one check yields over the catalog view C, each
     concluded with seed and errata; abnormal termination becomes a
     row.
@@ -347,23 +350,19 @@ def _run_check(C, spec, seed, errata, reused=None):
     Reductions over a corrupted catalog may legitimately throw (a
     perturbed relation can stop being solvable), so the harness maps
     any exception to a single undecidable row instead of propagating,
-    discarding the rows yielded before it.  A reused dict, even an
-    empty one, marks a mutated run: a row id found in it takes a copy
-    of that row in place of building it, and the check stops after the
-    first row that is neither a pass nor an erratum.  Each row's
-    elapsed_ms is the time from the check's start or its previous row
-    to that row."""
+    discarding the rows yielded before it.  With stop, the check stops
+    after the first row that is neither a pass nor an erratum.  Each
+    row is a copy of the concluded one, which a served row shares with
+    every run handed it, and its elapsed_ms is the time from the check's
+    start or its previous row to that row."""
     rows = []
     started = time.perf_counter()
     try:
         for rid, derive, compare in spec.runner(C):
-            if reused is not None and rid in reused:
-                row = copy.copy(reused[rid])
-            else:
-                row = _concluded(C, rid, derive, compare, seed, errata)
+            row = copy.copy(_concluded(C, rid, derive, compare, seed, errata))
             row.elapsed_ms = (time.perf_counter() - started) * 1000
             rows.append(row)
-            if reused is not None and not all_clear((row,)):
+            if stop and not all_clear((row,)):
                 break
             started = time.perf_counter()
     except Exception as exc:
@@ -387,8 +386,8 @@ def run_suite(selection=None, seed=0, errata=None, catalog=None):
         catalog = _catalog.CATALOG
     rows = []
     for name in names:
-        rows.extend(_run_check(_ServingView(catalog, {}), _BY_NAME[name],
-                               seed, errata))
+        rows.extend(_run_check(_HarnessView(catalog), _BY_NAME[name], seed,
+                               errata))
     seen = set()
     for row in rows:
         if row.id in seen:
@@ -437,106 +436,73 @@ def sample_mutations(name, count=10):
     return tuple(rng.sample(slots, count))
 
 
-class _RecordingView(_catalog.CatalogView):
-    """The packaged catalog, recording in first-fetch order every entry
-    fetched while reads is a dict; a fetch while it is None raises.
+class _HarnessView(_catalog.CatalogView):
+    """The catalog view of every harness run: it reads its entries from
+    base, recording in first-fetch order every entry fetched while reads
+    is a dict, and a fetch while it is None, outside a row build, raises.
 
-    Each part key is built once and served after that; parts keeps
-    {key: (value, reads)} of that build.  The entries a build fetched,
-    the reads of the parts nested in it included, are the part's reads,
-    and each time the part is derived, built or served, they join the
-    reads of the part or row around it, in first-fetch order.  The part
-    keys join derived the same way: a part's key, then the keys nested
-    in its build, which nested keeps."""
+    parts maps each part key to (value, reads, nested): it serves the
+    parts it was handed, and builds every other part once and keeps it.
+    The entries a build fetched, the reads of the parts nested in it
+    included, are the part's reads, and each time the part is derived,
+    built or served, they join the reads of the part around it, in
+    first-fetch order; its key, then the keys nested in its build, join
+    derived the same way.  A concluded row is the part keyed (row id,),
+    the one part derived outside a build."""
 
-    def __init__(self):
+    def __init__(self, base, parts=None):
         super().__init__()
-        self.reads = None
-        self.derived = {}
-        self.parts = {}
-        self.nested = {}
+        self.base = base
+        self.parts = {} if parts is None else parts
+        self.reads = self.derived = None
 
     def entry(self, ident):
         if self.reads is None:
             raise RuntimeError("catalog entry %r fetched outside a row build"
                                % (ident,))
         self.reads[ident] = None
-        return super().entry(ident)
+        return self.base.entry(ident)
 
     def derive(self, key, build):
         outer, derived = self.reads, self.derived
-        if outer is None:
+        if outer is None and not isinstance(key, tuple):
             raise RuntimeError("part %r derived outside a row build"
                                % (key,))
         if key not in self.parts:
             self.reads, self.derived = {}, {}
             value = build()
-            self.parts[key] = (value, tuple(self.reads))
-            self.nested[key] = tuple(self.derived)
+            self.parts[key] = (value, tuple(self.reads), tuple(self.derived))
             self.reads, self.derived = outer, derived
-        value, reads = self.parts[key]
-        outer.update(dict.fromkeys(reads))
-        derived[key] = None
-        derived.update(dict.fromkeys(self.nested[key]))
+        value, reads, nested = self.parts[key]
+        if outer is not None:
+            outer.update(dict.fromkeys(reads))
+            derived[key] = None
+            derived.update(dict.fromkeys(nested))
         return value
 
-
-class _ServingView(_catalog.CatalogView):
-    """A catalog view that reads its entries from base and serves the
-    derived parts in parts by key, building and keeping any other.  Its
-    with_mutation mutates base and serves no part, since a kept part may
-    have read the mutated entry."""
-
-    def __init__(self, base, parts):
-        super().__init__()
-        self.base = base
-        self.parts = parts
-
-    def entry(self, ident):
-        return self.base.entry(ident)
-
-    def derive(self, key, build):
-        if key not in self.parts:
-            self.parts[key] = build()
-        return self.parts[key]
-
-    def with_mutation(self, ident, slot):
-        return self.base.with_mutation(ident, slot)
+    def rows(self):
+        """{row id: (row, reads, nested)} of every concluded row, in the
+        order they were concluded."""
+        return {key[0]: part for key, part in self.parts.items()
+                if isinstance(key, tuple)}
 
 
 @functools.lru_cache(maxsize=None)
 def _unmutated(name, seed):
-    """({row id: (row, reads)}, {part key: (value, reads)}, {row id:
-    part keys}) of one check over the packaged catalog and ledger, rows
-    in report order, built once per check and seed, the first time a
-    mutant or describe needs it.
+    """The harness view of one check's run over the packaged catalog and
+    ledger, built once per check and seed, the first time a mutant or
+    describe needs it.
 
-    One run of the runner over a recording view builds every row, so a
-    row's reads are every entry its build fetched, its half's first,
-    including through the parts it built or was served, in first-fetch
-    order, and a fetch outside a build raises RuntimeError.  A part's
-    reads are the entries its build fetched, nested parts included;
-    each row's half is the part under its row id, kept only when the
-    row reads more than its half: a half that reads all its row reads
-    is never served, since a mutant of any of its reads rebuilds the
-    row, and one of none reuses the row.  A row's part keys are those
-    of every part it derived, its own half and the nested parts
-    included, kept or not, in first-derive order.  Under the reuse
-    premise of the module docstring, these rows and parts stand for the
-    same rows and parts of any later run, a row built alone included."""
-    spec = _BY_NAME[name]
-    errata = load_ledger()
-    view = _RecordingView()
-    rows = {}
-    derived = {}
-    for rid, derive, compare in spec.runner(view):
-        view.reads, view.derived = {}, {}
-        row = _concluded(view, rid, derive, compare, seed, errata)
-        rows[rid] = (row, tuple(view.reads))
-        derived[rid] = tuple(view.derived)
-        view.reads = None
-    return rows, {key: part for key, part in view.parts.items()
-                  if key not in rows or part[1] != rows[key][1]}, derived
+    One pass of the runner concludes every row, so the view holds each
+    row and every part its build derived, its half first, with their
+    reads and nested keys.  Under the reuse premise of the module
+    docstring, these parts stand for the same parts of any later run, a
+    row built alone included.  An exception part-way through the pass
+    leaves the parts built before it; run_suite reports it as the
+    check's one undecidable row, a fault on the packaged catalog."""
+    view = _HarnessView(_catalog.CATALOG)
+    _run_check(view, _BY_NAME[name], seed, load_ledger())
+    return view
 
 
 def run_mutated(name, ident, slot, seed=0):
@@ -545,13 +511,12 @@ def run_mutated(name, ident, slot, seed=0):
 
     The mutation sweep only asks whether the check goes off green, and
     a later row cannot turn it green again, so the check stops there.
-    Only the rows whose recorded reads contain the mutated entry are
-    built over the mutated catalog; every other row is a copy of the
-    same row from the unmutated run of the check at the same seed.
-    Likewise a row built here is handed every derived part of that run
-    whose reads lack the mutated entry, and builds each other part once
-    for the mutant's run.  Both are the converse invariant of the module
-    docstring, which rests on its reuse premise.
+    The run is handed every part of the check's unmutated run at the
+    same seed whose reads lack the mutated entry, its rows included,
+    and builds each other part once over the mutated catalog: the one
+    reuse rule of the module docstring.  A check whose unmutated run
+    raised hands only the parts built before the fault, so its mutant's
+    run meets the same fault unless the mutation avoids it.
 
     Prefix contract: the rows are the rows run_suite reports for the
     same catalog, through the first one that is neither a pass nor an
@@ -562,11 +527,8 @@ def run_mutated(name, ident, slot, seed=0):
     after it is never reached here, while run_suite reports the single
     undecidable row; all_clear is false either way, so it agrees with
     run_suite on every mutant."""
-    spec = _BY_NAME[name]
-    rows, parts, _derived = _unmutated(name, seed)
-    reused = {rid: row for rid, (row, reads) in rows.items()
-              if ident not in reads}
-    served = {key: value for key, (value, reads) in parts.items()
-              if ident not in reads}
-    view = _ServingView(_catalog.CATALOG.with_mutation(ident, slot), served)
-    return _run_check(view, spec, seed, load_ledger(), reused)
+    parts = _unmutated(name, seed).parts
+    view = _HarnessView(_catalog.CATALOG.with_mutation(ident, slot),
+                        {key: part for key, part in parts.items()
+                         if ident not in part[1]})
+    return _run_check(view, _BY_NAME[name], seed, load_ledger(), stop=True)

@@ -53,22 +53,23 @@ def test_describe_prints_the_check(capsys):
 
 
 def test_describe_lists_each_row_and_its_reads(capsys):
-    # the recorded reads run_mutated decides which rows to build from,
-    # for every check, each row in report order, of them the reads the
-    # row's derived half did not fetch, and the kept parts other than
-    # its half that the row derived, each with its reads; a row without
-    # a kept half compares nothing, since its half read all the row reads
+    # the recorded reads by which run_mutated serves each row, for every
+    # check, each row in report order, of them the reads the row's
+    # derived half did not fetch, and the parts other than its half that
+    # the row derived, each with its reads; a row whose half read all
+    # the row reads compares nothing
     for check in suite.check_ids():
         assert main(["describe", check]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
-        got, parts, derived = suite._unmutated(check, 0)
+        view = suite._unmutated(check, 0)
+        parts = view.parts
         assert rows == [
             {"id": rid, "reads": list(reads),
-             "compares": [ident for ident in reads if rid in parts
-                          and ident not in parts[rid][1]],
-             "parts": {key: list(parts[key][1]) for key in derived[rid]
-                       if key in parts and key != rid}}
-            for rid, (_row, reads) in got.items()]
+             "compares": [ident for ident in reads
+                          if ident not in parts[rid][1]],
+             "parts": {key: list(parts[key][1]) for key in nested
+                       if key != rid}}
+            for rid, (_row, reads, nested) in view.rows().items()]
         assert [row["id"] for row in rows] \
             == [r.id for r in suite.run_suite(selection=check)]
     # every entry the build fetches, in first-fetch order, including

@@ -185,7 +185,8 @@ def test_errata_ledger_references_what_its_row_reads():
     # CheckSpec.reads, that the erratum row's build fetches
     for ent in load_ledger().values():
         check = ent.check_id.partition(".")[0]
-        _row, reads = suite._unmutated(check, 0)[0][ent.check_id]
+        rows = suite._unmutated(check, 0).rows()
+        _row, reads, _nested = rows[ent.check_id]
         for ident, part in (ent.original, ent.corrected):
             assert ident in reads, (ent.ident, ident)
             labels = {label for label, _s, _e in
@@ -266,11 +267,19 @@ def test_conclude_decides_each_outcome(outcome):
         == want[:3] + (("given",) + want[3],)
 
 
+def _open_view(cat):
+    """A harness view over cat that is inside a build: it keeps the parts
+    it builds and serves them after that, and no fetch raises."""
+    view = suite._HarnessView(cat)
+    view.reads, view.derived = {}, {}
+    return view
+
+
 def _jt1_claim(cat):
     """theorem1.jt1's Claim over cat, made as the harness makes it: the
     runner's compare applied to its derive, over a view that keeps the
     parts it builds."""
-    for rid, derive, compare in theorem.theorem1(suite._ServingView(cat, {})):
+    for rid, derive, compare in theorem.theorem1(_open_view(cat)):
         if rid == "theorem1.jt1":
             return compare(derive())
     raise KeyError("theorem1.jt1")
@@ -383,6 +392,9 @@ def test_mutated_rows_are_a_prefix_of_the_suite_rows(check, ident, slot):
     assert records(got) == records(full[:len(got)])
     if not off:
         assert len(got) == len(full)
+    # a served row is timed as a copy, so the unmutated run's stays bare
+    assert all(row.elapsed_ms is None for row, _reads, _nested
+               in suite._unmutated(check, 0).rows().values())
 
 
 def _spec(check):
@@ -391,59 +403,52 @@ def _spec(check):
 
 def _recorded_reads(check):
     """{row id: the entries that row's build fetched}, in report order."""
-    return {rid: reads
-            for rid, (_row, reads) in suite._unmutated(check, 0)[0].items()}
+    return {rid: reads for rid, (_row, reads, _nested)
+            in suite._unmutated(check, 0).rows().items()}
 
 
 @functools.cache
 def _row_at_a_time(check):
-    """({row id: (row, reads)}, {part key: (value, reads)}, {row id:
-    part keys}) of check at seed 0, recorded with no part built by one
-    row served to another: each row built alone, in a fresh runner over
-    a fresh recording view, the first build of each part key kept, and
-    a row's half kept only when the row reads more than it, as
-    _unmutated keeps it."""
+    """A harness view holding the parts of check at seed 0, as
+    _unmutated's does, recorded with no part built by one row served to
+    another: each row built alone, in a fresh runner over a fresh
+    harness view, and the first build of each part key kept."""
     spec = _spec(check)
-    rows, parts, derived = {}, {}, {}
+    recorded = suite._HarnessView(catalog.CATALOG)
     while True:
-        view = suite._RecordingView()
-        target = len(rows)
+        view = suite._HarnessView(catalog.CATALOG)
+        target = len(recorded.rows())
         for k, (rid, derive, compare) in enumerate(spec.runner(view)):
             if k == target:
-                view.reads = {}
-                row = suite._concluded(view, rid, derive, compare, 0,
-                                       load_ledger())
-                rows[rid] = (row, tuple(view.reads))
-                derived[rid] = tuple(view.derived)
-                view.reads = None
-        if len(rows) == target:
-            return rows, {key: part for key, part in parts.items()
-                          if key not in rows
-                          or part[1] != rows[key][1]}, derived
+                suite._concluded(view, rid, derive, compare, 0,
+                                 load_ledger())
+        if not view.parts:
+            return recorded
         for key, part in view.parts.items():
-            parts.setdefault(key, part)
+            recorded.parts.setdefault(key, part)
+
+
+def _recording(view):
+    """Each part's key, reads and nested keys, and a row's record."""
+    return [(key, reads, nested,
+             value.to_record() if isinstance(key, tuple) else None)
+            for key, (value, reads, nested) in view.parts.items()]
 
 
 @pytest.mark.parametrize("check", suite.check_ids())
 def test_one_pass_recording_equals_row_at_a_time_recording(check):
     # serving a part to the rows after the one that built it changes no
     # row record, no row's reads or their order, no part key or read,
-    # and no row's part keys or their order
-    rows, parts, derived = suite._unmutated(check, 0)
-    ref_rows, ref_parts, ref_derived = _row_at_a_time(check)
-    assert [(rid, row.to_record(), reads)
-            for rid, (row, reads) in rows.items()] \
-        == [(rid, row.to_record(), reads)
-            for rid, (row, reads) in ref_rows.items()]
-    assert [(key, reads) for key, (_value, reads) in parts.items()] \
-        == [(key, reads) for key, (_value, reads) in ref_parts.items()]
-    assert derived == ref_derived
+    # no row's part keys or their order, and no part's nested keys
+    assert _recording(suite._unmutated(check, 0)) \
+        == _recording(_row_at_a_time(check))
 
 
 def test_rows_built_alone_have_the_suite_digest():
     # each row built alone, as run_mutated builds it, keeps its record
     alone = [row for spec in suite.CHECKS
-             for row, _reads in _row_at_a_time(spec.name)[0].values()]
+             for row, _reads, _nested
+             in _row_at_a_time(spec.name).rows().values()]
     text = json.dumps(records(alone), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
         == PINS.SUITE_DIGEST
@@ -500,7 +505,7 @@ def test_an_unforeseen_error_in_a_t2_reading_aborts_the_row(monkeypatch):
 def _built_alone(check, rid):
     """Row rid of check, built alone over the catalog and concluded as
     the suite concludes it, over a view that keeps the parts it builds."""
-    view = suite._ServingView(catalog.CATALOG, {})
+    view = suite._HarnessView(catalog.CATALOG)
     for row in _spec(check).runner(view):
         if row[0] == rid:
             return suite._concluded(view, *row, 0, load_ledger())
@@ -573,7 +578,7 @@ def test_the_corrected_jt1_reading_needs_no_images(monkeypatch):
     # corrected reading agrees: every residual vanishes, and the
     # displayed residuals, which name the compare's store's auxiliaries,
     # are the same either way
-    tr = theorem.Transport(suite._ServingView(catalog.CATALOG, {}))
+    tr = theorem.Transport(_open_view(catalog.CATALOG))
     assert tr.lam_factors == (True, True)
     assert theorem._middle_difference(tr) is None
     short, (short_half, short_store) = _jt1_claim_and_stores(monkeypatch)
@@ -601,21 +606,9 @@ def test_each_premise_of_the_corrected_jt1_identity_is_checked(prop):
     ent = catalog.CATALOG.entry(ident)
     view = catalog.CatalogView({ident: ent._replace(
         value=ent.value.scaled(2))})
-    tr = theorem.Transport(suite._ServingView(view, {}))
+    tr = theorem.Transport(_open_view(view))
     assert tr.lam_factors == (prop != "t1", prop != "t2")
     assert (theorem._middle_difference(tr) is None) == (prop != "j2")
-
-
-def test_a_serving_view_mutates_its_base_and_serves_no_part():
-    # the mutated view keeps the base's own mutant, and drops the parts
-    # the serving view keeps, which may have read the perturbed entry
-    base = catalog.CATALOG.with_mutation("J2", 0)
-    mutated = suite._ServingView(base, {"j2": "kept"}).with_mutation("J1", 0)
-    assert mutated.get("J2") == base.get("J2") != catalog.CATALOG.get("J2")
-    assert mutated.get("J1") \
-        == catalog.CATALOG.with_mutation("J1", 0).get("J1") \
-        != catalog.CATALOG.get("J1")
-    assert mutated.derive("j2", lambda: "built") == "built"
 
 
 @pytest.mark.parametrize("ident, slot", (("J2", 0), ("Jt1.middle", 13)))
@@ -732,7 +725,7 @@ def _jt1_both_vectors(cat):
     after a refuting vector; the factorization premises must hold, and
     the corrected residuals are the sandwich of a nonzero Delta."""
     Y = catalog.RING_Y
-    tr = theorem.Transport(suite._ServingView(cat, {}))
+    tr = theorem.Transport(_open_view(cat))
     delta = theorem._middle_difference(tr)
     assert all(tr.lam_factors) and delta is not None
     store = NonlocalStore(Y, inverses=tr.inverses)
@@ -759,26 +752,39 @@ def test_a_refuted_corrected_jt1_reading_stops_after_its_first_vector(
     assert not all(e.is_zero for e in corrected[2:])
 
 
-def test_a_fetch_outside_a_build_raises(monkeypatch):
-    monkeypatch.setitem(suite._BY_NAME, "toy_between", suite.CheckSpec(
+@pytest.mark.parametrize("run", ("_unmutated", "run_suite", "run_mutated"))
+def test_a_fetch_outside_a_build_raises(run, monkeypatch):
+    # in every harness run: the recording one stops there, keeping the
+    # row before it, and run_suite and run_mutated report the check as
+    # one undecidable row
+    spec = suite.CheckSpec(
         "toy_between", lambda C: _toy_runner(C, fetch_between=True),
-        "E", "", "", ()))
-    with pytest.raises(RuntimeError, match="'J2' fetched outside a row"):
-        suite._unmutated("toy_between", 0)
+        "E", "", "", ())
+    monkeypatch.setitem(suite._BY_NAME, "toy_between", spec)
+    monkeypatch.setattr(suite, "CHECKS", suite.CHECKS + (spec,))
+    if run == "_unmutated":
+        assert list(suite._unmutated("toy_between", 0).rows()) == ["toy.a"]
+        return
+    rows = (suite.run_suite("toy_between") if run == "run_suite"
+            else suite.run_mutated("toy_between", "E", 0))
+    assert [(r.id, r.status) for r in rows] \
+        == [("toy_between", UNDECIDABLE)]
+    assert rows[0].notes == (
+        "RuntimeError: catalog entry 'J2' fetched outside a row build",)
 
 
 def _counting_builds(monkeypatch, check):
     """The calls, from now on and once the unmutated run of check is
     recorded, of theorem._derived_jacobians, of theorem._t2_readings,
-    of the NonlocalStore constructor in theorem and appendixes, and of
-    the builders of the light checks' served parts: flows'
-    transported_taus, _constraint_equations and _flat_part, scalar's
-    _gauged_relations and _fourth_order, and hamops' _conjugations and
-    _h1_gradient."""
+    of the NonlocalStore constructor in theorem, of appendixes._link_part,
+    the one appendix_a half split from its compare, and of the builders
+    of the light checks' served parts: flows' transported_taus,
+    _constraint_equations and _flat_part, scalar's _gauged_relations and
+    _fourth_order, and hamops' _conjugations and _h1_gradient."""
     suite._unmutated(check, 0)
-    calls = dict.fromkeys(("jacobians", "readings", "stores", "taus",
-                           "constraints", "flats", "relations", "fourths",
-                           "conjugations", "gradients"), 0)
+    calls = dict.fromkeys(("jacobians", "readings", "stores", "links",
+                           "taus", "constraints", "flats", "relations",
+                           "fourths", "conjugations", "gradients"), 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -790,10 +796,9 @@ def _counting_builds(monkeypatch, check):
         "jacobians", theorem._derived_jacobians))
     monkeypatch.setattr(theorem, "_t2_readings", counting(
         "readings", theorem._t2_readings))
-    for module in (theorem, appendixes):
-        monkeypatch.setattr(module, "NonlocalStore", counting(
-            "stores", module.NonlocalStore))
     for module, name, key in (
+            (theorem, "NonlocalStore", "stores"),
+            (appendixes, "_link_part", "links"),
             (flows, "transported_taus", "taus"),
             (flows, "_constraint_equations", "constraints"),
             (flows, "_flat_part", "flats"),
@@ -826,26 +831,27 @@ def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
     # a T2, Jt2 or P2 mutant is handed them and only compares, while a
     # ymap, J1 or P1 mutant derives its own; a J2 mutant is handed the
     # factorization premises and derives the jt1 half through its one
-    # store, whose refuted corrected reading needs no displayed one
+    # store, whose refuted corrected reading needs no displayed one; the
+    # last count is theorem1's stores and appendix_a's link halves
     calls = _counting_builds(monkeypatch, check)
     slot = _slots_of(check, ident)[0]
     assert not suite.all_clear(suite.run_mutated(check, ident, slot))
-    assert (calls["jacobians"], calls["readings"], calls["stores"]) \
-        == builds
+    assert (calls["jacobians"], calls["readings"],
+            calls["stores"] + calls["links"]) == builds
 
 
 def _compared_only():
     """Every (check, entry) where the entry is on the check's read
-    surface, and some row reads it but a kept part that row derives
-    does not, its half or a shared part, with the entry's slot count in
-    the id.  A row's half is kept only when it reads less than its row."""
+    surface, and some row reads it but a part that row derives does
+    not, its half or a shared part, with the entry's slot count in the
+    id."""
     out = []
     for check in suite.check_ids():
-        rows, parts, derived = suite._unmutated(check, 0)
+        view = suite._unmutated(check, 0)
         compared = dict.fromkeys(
-            ident for rid, (_row, reads) in rows.items()
-            for key in derived[rid] if key in parts
-            for ident in reads if ident not in parts[key][1])
+            ident for _row, reads, nested in view.rows().values()
+            for key in nested
+            for ident in reads if ident not in view.parts[key][1])
         for ident in compared:
             count = len(_slots_of(check, ident))
             if count:
@@ -858,7 +864,7 @@ def _rows_reading(check, ident, view):
     """The record of every row of check whose recorded reads contain
     ident, built over view in report order with no stop after a row
     that is off green, or the text of the exception a row raised."""
-    rows = suite._unmutated(check, 0)[0]
+    rows = suite._unmutated(check, 0).rows()
     out = []
     for rid, derive, compare in _spec(check).runner(view):
         if ident in rows[rid][1]:
@@ -883,43 +889,40 @@ def _first_slot_of_each_part(check, ident):
 @pytest.mark.parametrize("check, ident", _compared_only())
 def test_served_parts_give_the_records_of_a_run_serving_none(
         check, ident, monkeypatch):
-    # the rows a mutant rebuilds, built once handed the unmutated run's
-    # parts and once over the plain mutated catalog, which serves none;
-    # unless the run reaches a row deriving a kept part that reads the
-    # entry (J1 in theorem1.jt2's half), it rebuilds no served part: it
-    # derives no t2 reading, builds no store, transports no time
-    # derivative or constraint, takes no flat curvature part, gauges no
-    # relation, closes no fourth-order relation, builds no conjugation
-    # and takes no gradient; a row that derives its whole claim and
-    # reads the entry builds its own stores, as appendix_a.flow does
-    rows, parts, derived = suite._unmutated(check, 0)
-    reused = {rid: row for rid, (row, reads) in rows.items()
-              if ident not in reads}
+    # the rows of a mutant's run, handed the unmutated run's parts, and
+    # of a run over the mutated catalog that is handed nothing; unless
+    # the run reaches a row deriving a part that reads the entry, other
+    # than a half that reads all its row reads, which is the row's whole
+    # claim (J1 in theorem1.jt2's half is one), it rebuilds no served
+    # part: it derives no t2 reading, builds no theorem1 store and no
+    # link half, transports no time derivative or constraint, takes no
+    # flat curvature part, gauges no relation, closes no fourth-order
+    # relation, builds no conjugation and takes no gradient
+    view = suite._unmutated(check, 0)
+    parts, rows = view.parts, view.rows()
     calls = _counting_builds(monkeypatch, check)
     for slot in _slots_of(check, ident):
         calls.update(dict.fromkeys(calls, 0))
         got = suite.run_mutated(check, ident, slot)
-        rebuilt = any(key in parts and ident in parts[key][1]
-                      for row in got for key in derived.get(row.id, ()))
-        whole = any(row.id in rows and row.id not in parts
-                    and ident in rows[row.id][1] for row in got)
-        assert rebuilt or not any(
-            count for name, count in calls.items()
-            if name != "stores" or not whole), (slot, calls)
+        rebuilt = any(ident in parts[key][1]
+                      for row in got if row.id in rows
+                      for key in rows[row.id][2]
+                      if key != row.id or parts[key][1] != rows[row.id][1])
+        assert rebuilt or not any(calls.values()), (slot, calls)
         unserved = suite._run_check(
-            catalog.CATALOG.with_mutation(ident, slot), _spec(check), 0,
-            load_ledger(), reused)
+            suite._HarnessView(catalog.CATALOG.with_mutation(ident, slot)),
+            _spec(check), 0, load_ledger(), stop=True)
         assert records(got) == records(unserved), slot
     # past the row where run_mutated stops, too: every row that reads
     # the entry, handed the parts whose reads lack it, has its record
     # over the plain mutated catalog; a part whose recorded reads miss an
     # entry its value depends on fails here even when every mutant of
     # that entry stops before a row the part is served to
-    served = {key: value for key, (value, reads) in parts.items()
-              if ident not in reads}
+    served = {key: part for key, part in parts.items()
+              if ident not in part[1]}
     for slot in _first_slot_of_each_part(check, ident):
         mutated = catalog.CATALOG.with_mutation(ident, slot)
-        assert _rows_reading(check, ident, suite._ServingView(
+        assert _rows_reading(check, ident, suite._HarnessView(
             mutated, dict(served))) == _rows_reading(check, ident,
                                                      mutated), slot
 
@@ -974,21 +977,22 @@ SETUP_PARTS = {
 
 
 def test_every_part_key_is_a_row_a_transport_part_or_a_named_setup_part():
-    # each row's derived half is the part under its row id; the only
-    # other parts are the setup that rows with different reads share
+    # each row is the part under (row id,) and its derived half the
+    # part under its row id; the only other parts are the setup that
+    # rows with different reads share
     transport = {name for name, attr in vars(theorem.Transport).items()
                  if isinstance(attr, property)}
     assert len(transport) == 12
-    setup = {}
     for check in suite.check_ids():
-        rows, parts, _derived = suite._unmutated(check, 0)
+        view = suite._unmutated(check, 0)
+        rows = view.rows()
         named = {key for key, (owner, _build) in SETUP_PARTS.items()
                  if owner == check}
-        assert set(parts) - set(rows) - transport == named, check
-        # a row's half is kept only when the row reads more than it
-        for rid, (_row, reads) in rows.items():
-            if rid in parts:
-                assert set(parts[rid][1]) < set(reads), rid
+        assert set(view.parts) - {(rid,) for rid in rows} - set(rows) \
+            - transport == named, check
+        # a row's half reads no entry its row does not
+        for rid, (_row, reads, _nested) in rows.items():
+            assert set(view.parts[rid][1]) <= set(reads), rid
 
 
 def _stores(value):
@@ -1000,13 +1004,9 @@ def _stores(value):
 def test_no_served_part_holds_a_store(check):
     # a reader resolving through a shared store would leave its
     # auxiliaries to the next mutant: no part of the check's unmutated
-    # run reaches one, a row's half included, kept or not
-    parts = {}
-    view = suite._ServingView(catalog.CATALOG, parts)
-    for row in _spec(check).runner(view):
-        suite._concluded(view, *row, 0, load_ledger())
-    assert set(parts) >= set(suite._unmutated(check, 0)[1])
-    for key, value in parts.items():
+    # run reaches one, each row and each row's half included
+    for key, (value, _reads, _nested) in \
+            suite._unmutated(check, 0).parts.items():
         assert not _stores(value), key
 
 
@@ -1066,35 +1066,35 @@ def test_part_reads_are_among_the_reads_of_every_row_deriving_it(
         check, monkeypatch):
     # so a row that reads nothing a mutant touches derives only parts
     # the mutant is handed
-    rows, parts, _derived = suite._unmutated(check, 0)
+    view = suite._unmutated(check, 0)
+    parts = view.parts
     derived = []
-    serve = suite._ServingView.derive
+    serve = suite._HarnessView.derive
 
     def logged(view, key, build):
         derived.append(key)
         return serve(view, key, build)
 
-    monkeypatch.setattr(suite._ServingView, "derive", logged)
+    monkeypatch.setattr(suite._HarnessView, "derive", logged)
     seen = set()
-    for rid, (_row, reads) in rows.items():
+    for rid, (_row, reads, _nested) in view.rows().items():
         derived.clear()
         _built_alone(check, rid)
         for key in derived:
-            # a half that is not kept read all its row reads
-            assert key in parts or key == rid, (rid, key)
-            if key in parts:
-                assert set(parts[key][1]) <= set(reads), (rid, key)
+            assert key in parts, (rid, key)
+            assert set(parts[key][1]) <= set(reads), (rid, key)
         seen.update(derived)
     assert seen >= set(parts)
 
 
 def _part_alone(check, key, view):
-    """Part key of check built alone over view: a row's derived half, a
-    setup part of SETUP_PARTS or a Transport part, built through a view
-    that keeps the parts nested in it."""
-    view = suite._ServingView(view, {})
-    for rid, derive, _compare in _spec(check).runner(view):
-        if rid == key:
+    """Part key of check built alone over view, a harness view inside a
+    build, which keeps the parts nested in it: a row, a row's derived
+    half, a setup part of SETUP_PARTS or a Transport part."""
+    for rid, derive, compare in _spec(check).runner(view):
+        if key == (rid,):
+            return compare(derive())
+        if key == rid:
             return derive()
     if key in SETUP_PARTS:
         return SETUP_PARTS[key][1](view)
@@ -1108,10 +1108,9 @@ def test_part_reads_include_the_nested_parts():
     # smap, and the t2 half from the Jacobian data
     parts = {}
     for check in suite.check_ids():
-        _rows, parts[check], _derived = suite._unmutated(check, 0)
-        for key, (_value, reads) in parts[check].items():
-            view = suite._RecordingView()
-            view.reads = {}
+        parts[check] = suite._unmutated(check, 0).parts
+        for key, (_value, reads, _nested) in parts[check].items():
+            view = _open_view(catalog.CATALOG)
             _part_alone(check, key, view)
             assert reads == tuple(view.reads), (check, key)
     transport, appendix = parts["theorem1"], parts["appendix_a"]
