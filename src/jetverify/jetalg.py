@@ -69,8 +69,8 @@ in the one walk a sum makes, the order adding its negation (which keeps
 every key) would give; an int or Fraction factor scales the numerators
 in place of coercing to a constant expression, which keeps every key as
 well; a product with a zero operand is the zero expression, which has
-no order; and ``verify.flows.curvature_entry`` skips a commutator
-product with a zero factor, since adding zero returns the sum itself.
+no order; and ``verify.flows.flat_part`` skips a commutator product
+with a zero factor, since adding zero returns the sum itself.
 The one exception is ``euler_derivative``: its Horner form walks the
 orders from the top down, so an Euler image does not keep the order of
 the definitional sum.  Its readers use only values: the store's

@@ -380,16 +380,15 @@ class PseudoOp:
             out = out + ring.const(c) * left.apply(cur)
         return out
 
-    def map_coefficients(self, fn, ring=None):
-        """A copy over ring (default: this ring) with every coefficient
-        passed through fn; inverse names are kept.
+    def map_coefficients(self, fn):
+        """A copy with every coefficient passed through fn, over this
+        ring; inverse names are kept.
 
         This is the one walk of an operator's coefficients, and its order
         numbers the catalog's mutation slots: local orders ascending, then
         the tail pairs p, q, then each word's left and right side, each by
         ascending order."""
-        ring = ring if ring is not None else self.ring
-        return PseudoOp(ring, *self._mapped_parts(fn, ring))
+        return PseudoOp(self.ring, *self._mapped_parts(fn, self.ring))
 
     def _mapped_parts(self, fn, ring):
         """The local part, tails and words of map_coefficients, before

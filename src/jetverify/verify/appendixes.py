@@ -22,7 +22,7 @@ from .base import (
 )
 from .flows import (
     check_conservation, check_reciprocal_system_map, check_zero_curvature,
-    curvature_entry,
+    curvature, flat_part,
 )
 from .theorem import _basis_vectors, apply_sandwich
 
@@ -88,9 +88,8 @@ class _FormalCurvature:
         # the formal flow placeholders close the time derivative
         self.system = SystemDef(K, {"i": K.coord("it"),
                                     "j": K.coord("jt")})
-        self.zc = tuple(tuple(curvature_entry(self.u4, self.v4,
-                                              self.system, a, b)
-                              for b in range(4)) for a in range(4))
+        self.zc = curvature(self.u4, self.system,
+                            flat_part(self.u4, self.v4))
         self.eqs = {
             ("a", p, q): -self.zc[2 + p][q]
             for p in range(2) for q in range(2)}
@@ -461,7 +460,7 @@ def _scan_row(C):
     def image(vec):
         # reduction is linear, so each image is reduced once and a
         # candidate c matches when every reduced target is c times it
-        sandwich = apply_sandwich(lam, lam_adjoint, middle,
+        sandwich = apply_sandwich(F(-1, 16), lam, middle, lam_adjoint,
                                   omA.apply(vec, store), store)
         return [store.reduce(e) for e in omega.apply(sandwich, store)]
 

@@ -17,33 +17,32 @@ from .base import NORMAL_FORM, Claim, to_y, usdef_rules, whole
 
 # -- zero curvature -------------------------------------------------------
 
-def _plus_flat(e, U, V, a, b):
-    """e plus entry (a, b) of the flat part -V_x + [U, V] of the
-    curvature, which reads the pair alone, summed onto e so that
-    curvature_entry keeps the term order of the full sum.  A commutator
-    product with a zero factor is skipped: adding zero returns e
-    itself."""
-    e = e - total_derivative(V[a][b])
-    for k in range(len(U)):
-        if U[a][k] and V[k][b]:
-            e = e + U[a][k] * V[k][b]
-        if V[a][k] and U[k][b]:
-            e = e - V[a][k] * U[k][b]
-    return e
+def flat_part(U, V):
+    """Every entry of the flat part -V_x + [U, V] of the curvature of the
+    pair (U, V), row by row, which reads the pair alone.  A commutator
+    product with a zero factor is skipped: adding zero returns the sum
+    itself, so the term order is that of the full sum."""
+    n = len(U)
+
+    def entry(a, b):
+        e = -total_derivative(V[a][b])
+        for k in range(n):
+            if U[a][k] and V[k][b]:
+                e = e + U[a][k] * V[k][b]
+            if V[a][k] and U[k][b]:
+                e = e - V[a][k] * U[k][b]
+        return e
+
+    return tuple(tuple(entry(a, b) for b in range(n)) for a in range(n))
 
 
-def curvature_entry(U, V, sysdef, a, b):
-    """Entry (a, b) of U_t - V_x + [U, V], the time derivative taken
-    through the evolution rules of sysdef."""
-    return _plus_flat(evolutionary_derivative(U[a][b], sysdef), U, V, a, b)
-
-
-def _flat_part(pair):
-    """Every entry of the flat part of pair's curvature, row by row."""
-    U, V = pair.space, pair.time
-    zero = pair.ring.zero()
-    return tuple(tuple(_plus_flat(zero, U, V, a, b) for b in range(len(U)))
-                 for a in range(len(U)))
+def curvature(U, sysdef, flat):
+    """Every entry of U_t - V_x + [U, V], row by row: the time
+    derivative of U taken through the evolution rules of sysdef, plus
+    flat, the flat part of the pair."""
+    return tuple(tuple(evolutionary_derivative(u, sysdef) + f
+                       for u, f in zip(urow, frow))
+                 for urow, frow in zip(U, flat))
 
 
 def check_zero_curvature(C, pair_ident, sys_ident):
@@ -54,15 +53,13 @@ def check_zero_curvature(C, pair_ident, sys_ident):
     flow is handed."""
     U = C.get(pair_ident).space
     sysdef = C.get(sys_ident)
-    flat = C.derive(pair_ident + ".flat",
-                    lambda: _flat_part(C.get(pair_ident)))
-    n = len(U)
+    flat = C.derive(pair_ident + ".flat", lambda: flat_part(
+        C.get(pair_ident).space, C.get(pair_ident).time))
     pairs = []
     reduced = []
     powers = set()
-    for a in range(n):
-        for b in range(n):
-            e = evolutionary_derivative(U[a][b], sysdef) + flat[a][b]
+    for a, row in enumerate(curvature(U, sysdef, flat)):
+        for b, e in enumerate(row):
             powers.update(split_param(e, "lam"))
             red = sysdef.constraints.reduce(e)
             if red != e:

@@ -436,10 +436,11 @@ def sample_mutations(name, count=10):
     return tuple(rng.sample(slots, count))
 
 
-class _HarnessView(_catalog.CatalogView):
+class _HarnessView:
     """The catalog view of every harness run: it reads its entries from
     base, recording in first-fetch order every entry fetched while reads
     is a dict, and a fetch while it is None, outside a row build, raises.
+    It offers only get, citation and derive, so no view reads past it.
 
     parts maps each part key to (value, reads, nested): it serves the
     parts it was handed, and builds every other part once and keeps it.
@@ -451,7 +452,6 @@ class _HarnessView(_catalog.CatalogView):
     the one part derived outside a build."""
 
     def __init__(self, base, parts=None):
-        super().__init__()
         self.base = base
         self.parts = {} if parts is None else parts
         self.reads = self.derived = None
@@ -462,6 +462,12 @@ class _HarnessView(_catalog.CatalogView):
                                % (ident,))
         self.reads[ident] = None
         return self.base.entry(ident)
+
+    def get(self, ident):
+        return self.entry(ident).value
+
+    def citation(self, ident):
+        return self.entry(ident).citation
 
     def derive(self, key, build):
         outer, derived = self.reads, self.derived

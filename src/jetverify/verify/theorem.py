@@ -14,9 +14,9 @@ and a nonzero one (one local entry under a J2 or Jt1.middle mutant) by
 applying that short sandwich; when one fails, T1 J2 is applied to the
 T2 image.  The first basis vector with a nonzero corrected residual
 refutes the corrected reading, and no further vector is derived.  The
-corrected residuals are the row's derived half; the displayed reading
-is derived only when they all vanish, since a failing corrected
-reading alone makes the row's record."""
+displayed reading is derived, on a fresh store of its own, only when
+every corrected residual vanishes, since a failing corrected reading
+alone makes the row's record."""
 
 from fractions import Fraction as F
 
@@ -137,14 +137,14 @@ class Transport:
                               for row in op.grid))
 
 
-def apply_sandwich(lam, lam_adjoint, middle, vec, store):
-    """-1/16 lam o middle o lam* applied to vec, one factor at a time:
-    lam and its adjoint both carry integral tails, which are applied,
-    never composed, so the sandwich is only testable by application."""
-    step = lam_adjoint.apply(vec, store)
+def apply_sandwich(scale, left, middle, right, vec, store):
+    """scale * left o middle o right applied to vec, the right factor
+    first: the outer factors carry integral tails, which are applied,
+    never composed, so a sandwich is only testable by application."""
+    step = right.apply(vec, store)
     step = middle.apply(step, store)
-    step = lam.apply(step, store)
-    return [F(-1, 16) * e for e in step]
+    step = left.apply(step, store)
+    return [scale * e for e in step]
 
 
 def _derived_jacobians(C):
@@ -195,8 +195,7 @@ def theorem1(C):
     yield "theorem1.factored", lambda: _factored_row(C, tr), whole
     yield ("theorem1.jt2", lambda: _jt2_images(tr),
            lambda sandwich: _jt2_check(C, tr, *sandwich))
-    yield ("theorem1.jt1", lambda: _jt1_corrected(tr),
-           lambda corrected: _jt1_check(C, tr, corrected))
+    yield "theorem1.jt1", lambda: _jt1_row(C, tr), whole
 
 
 def _t1_row(C, tr):
@@ -323,12 +322,6 @@ def _basis_vectors(ring):
             [ring.zero(), ring.coord("psi")])
 
 
-def _sandwich_residuals(tr, middle, vec, store):
-    """Minus T1 o middle o T2 applied to vec."""
-    lhs = tr.t1.apply(middle.apply(tr.t2.apply(vec, store), store), store)
-    return [-e for e in lhs]
-
-
 # the labels of the two residual rows of each basis vector, in order
 _LABELS = tuple(tuple("%s basis vector, row %d" % (tag, k) for k in (1, 2))
                 for tag in ("first", "second"))
@@ -338,7 +331,8 @@ def _jt2_images(tr):
     """(images, relations): -T1 J1 T2 applied to each basis vector
     through one fresh store, and that store's final relation set."""
     store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
-    images = tuple(tuple(_sandwich_residuals(tr, tr.j1, vec, store))
+    j1 = tr.j1  # before T1, so the row's reads keep their order
+    images = tuple(tuple(apply_sandwich(-1, tr.t1, j1, tr.t2, vec, store))
                    for vec in _basis_vectors(_catalog.RING_Y))
     return images, store.relations
 
@@ -357,13 +351,11 @@ def _jt2_check(C, tr, images, relations):
     jets of an auxiliary allocated later, which the first vector's
     images and the stated image cannot contain."""
     pairs = []
-    for tag, vec, lhs in zip(("first", "second"),
-                             _basis_vectors(_catalog.RING_Y), images):
+    for labels, vec, lhs in zip(_LABELS, _basis_vectors(_catalog.RING_Y),
+                                images):
         rhs = tr.jt2.apply(vec)
-        for k in range(2):
-            pairs.append(("%s basis vector, row %d" % (tag, k + 1),
-                          relations.reduce(
-                              lhs[k] - promote(rhs[k], relations.ring))))
+        pairs.extend((label, relations.reduce(a - promote(b, relations.ring)))
+                     for label, a, b in zip(labels, lhs, rhs))
     notes = ["the stated composed normal form is reproduced by the "
              "nonlocal momentum-side operator; the sandwich row "
              "carries the display's crossed pairing"]
@@ -383,16 +375,23 @@ def _jt1_residuals(tr, middle, vec, store):
     """The residuals on vec of -T1 middle T2 = -1/16 Lambda M Lambda*,
     middle J1 as displayed or J2 as corrected: the sandwich applied
     first, each residual reduced under the store as it then stands."""
-    rhs = apply_sandwich(tr.lam, tr.lam_adjoint, tr.middle, vec, store)
-    lhs = _sandwich_residuals(tr, middle, vec, store)
+    rhs = apply_sandwich(F(-1, 16), tr.lam, tr.middle, tr.lam_adjoint,
+                         vec, store)
+    lhs = apply_sandwich(-1, tr.t1, middle, tr.t2, vec, store)
     return [store.reduce(a - b) for a, b in zip(lhs, rhs)]
 
 
-def _jt1_corrected(tr):
-    """The derived half of theorem1.jt1: the corrected reading's
-    residual pairs through a fresh store, decided three ways, as the
-    module docstring derives, up to and including the first basis
-    vector with a nonzero one."""
+def _jt1_row(C, tr):
+    """The sandwich form of the transformed operator: displayed with
+    the nonlocal momentum-side operator, reproduced by the local one.
+
+    The corrected reading comes first: its residual pairs through a
+    fresh store, decided three ways, as the module docstring derives, up
+    to and including the first basis vector with a nonzero one.  Only
+    when they all vanish is the displayed reading derived, both basis
+    vectors through a fresh store of its own; reducing the first
+    vector's residuals before later auxiliaries are allocated gives the
+    same normal form by _jt2_check's argument."""
     store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
     factored = all(tr.lam_factors)
     delta = _middle_difference(tr) if factored else None
@@ -403,23 +402,11 @@ def _jt1_corrected(tr):
         elif delta is None:
             corr = [store.ring.zero()] * 2
         else:
-            corr = [store.reduce(-e) for e in apply_sandwich(
-                tr.lam, tr.lam_adjoint, delta, vec, store)]
+            corr = [store.reduce(e) for e in apply_sandwich(
+                F(1, 16), tr.lam, delta, tr.lam_adjoint, vec, store)]
         corrected.extend(zip(labels, corr))
         if any(not e.is_zero for e in corr):
             break
-    return tuple(corrected)
-
-
-def _jt1_check(C, tr, corrected):
-    """The sandwich form of the transformed operator: displayed with
-    the nonlocal momentum-side operator, reproduced by the local one.
-
-    corrected is _jt1_corrected(tr).  Only when it all vanishes is the
-    displayed reading derived, both basis vectors through one fresh
-    store; reducing the first vector's residuals before later
-    auxiliaries are allocated gives the same normal form by
-    _jt2_check's argument."""
     displayed = []
     if all(e.is_zero for _label, e in corrected):
         store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
@@ -427,4 +414,4 @@ def _jt1_check(C, tr, corrected):
             displayed.extend(zip(labels, _jt1_residuals(tr, tr.j1, vec,
                                                         store)))
     return Claim(C.citation("Jt1.middle"), displayed, TEST_VECTOR,
-                 corrected=corrected)
+                 corrected=tuple(corrected))

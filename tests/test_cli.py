@@ -111,7 +111,7 @@ def test_describe_lists_each_row_and_its_reads(capsys):
     assert parts["zc_main"] == {"lax.main.flat": ["lax.main"]}
     assert parts["bihamiltonian_x.nonlocal"] \
         == {"H1.gradient": ["sys.main", "H1"]}
-    # the thirteen rows with a half of their own; every other row
+    # the twelve rows with a half of their own; every other row
     # derives its whole claim and compares nothing more
     assert {rid: row["compares"] for rid, row in rows.items()
             if row["compares"]} == {
@@ -125,7 +125,6 @@ def test_describe_lists_each_row_and_its_reads(capsys):
         "prop2": ["Theta2", "usdefs"],
         "theorem1.t2": ["T2", "usdefs"],
         "theorem1.jt2": ["Jt2"],
-        "theorem1.jt1": ["J1"],
         "appendix_a.link": ["P2"],
         "appendix_b.reciprocal": ["sys.appb.trans"]}
 

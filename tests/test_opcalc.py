@@ -630,7 +630,8 @@ def test_store_apply_promotes_operator_and_argument():
 def _walked(op, ring):
     """op promoted through the coefficient walk, which canonicalizes
     its tails and words again."""
-    return op.map_coefficients(lambda c: promote(c, ring), ring)
+    return PseudoOp(ring, *op._mapped_parts(lambda c: promote(c, ring),
+                                            ring))
 
 
 @pytest.mark.parametrize("ident", ("J1", "T1", "Lambda"))

@@ -558,7 +558,7 @@ def _applied_corrected_reading(monkeypatch):
 
 def _jt1_claim_and_stores(monkeypatch):
     """theorem1.jt1's Claim on the catalog and the stores it built, in
-    order: its half's, then its compare's."""
+    order: the corrected reading's, then the displayed reading's."""
     stores = []
 
     class Recording(theorem.NonlocalStore):
@@ -574,17 +574,19 @@ def _jt1_claim_and_stores(monkeypatch):
 
 def test_the_corrected_jt1_reading_needs_no_images(monkeypatch):
     # the factorization premises hold on the catalog and Delta is zero,
-    # so the half applies nothing through its store, and the applied
-    # corrected reading agrees: every residual vanishes, and the
-    # displayed residuals, which name the compare's store's auxiliaries,
-    # are the same either way
+    # so the corrected reading applies nothing through its store, and
+    # the applied one agrees: every residual vanishes, and the displayed
+    # residuals, which name their own store's auxiliaries, are the same
+    # either way
     tr = theorem.Transport(_open_view(catalog.CATALOG))
     assert tr.lam_factors == (True, True)
     assert theorem._middle_difference(tr) is None
-    short, (short_half, short_store) = _jt1_claim_and_stores(monkeypatch)
+    short, (short_corrected, short_store) = _jt1_claim_and_stores(
+        monkeypatch)
     _applied_corrected_reading(monkeypatch)
-    applied, (_half, applied_store) = _jt1_claim_and_stores(monkeypatch)
-    assert short_half.allocated == []
+    applied, (_corrected, applied_store) = _jt1_claim_and_stores(
+        monkeypatch)
+    assert short_corrected.allocated == []
     assert len(applied.corrected) == 4
     assert all(e.is_zero for _label, e in applied.corrected)
     # no corrected residual refutes the reading, so both basis vectors
@@ -620,22 +622,24 @@ def test_the_j2_premise_is_tested_first(ident, slot, monkeypatch):
     # sandwich of Delta, which refutes it, so T1 J2 is never applied
     # and the displayed reading is never derived
     suite._unmutated("theorem1", 0)
-    calls = dict.fromkeys(("compose", "sandwich", "residuals"), 0)
+    tr = theorem.Transport(catalog.CATALOG)
+    lefts = {"Lambda": tr.lam, "T1": tr.t1}
+    calls = dict.fromkeys(("compose", "Lambda", "T1"), 0)
+    compose, apply_sandwich = MatrixOp.compose, theorem.apply_sandwich
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
+    def composed(*args, **kwargs):
+        calls["compose"] += 1
+        return compose(*args, **kwargs)
 
-    monkeypatch.setattr(MatrixOp, "compose",
-                        counting("compose", MatrixOp.compose))
-    monkeypatch.setattr(theorem, "apply_sandwich",
-                        counting("sandwich", theorem.apply_sandwich))
-    monkeypatch.setattr(theorem, "_sandwich_residuals",
-                        counting("residuals", theorem._sandwich_residuals))
+    def applied(scale, left, *args):
+        for name, op in lefts.items():
+            calls[name] += left == op
+        return apply_sandwich(scale, left, *args)
+
+    monkeypatch.setattr(MatrixOp, "compose", composed)
+    monkeypatch.setattr(theorem, "apply_sandwich", applied)
     assert not suite.all_clear(suite.run_mutated("theorem1", ident, slot))
-    assert calls == {"compose": 2, "sandwich": 1, "residuals": 0}
+    assert calls == {"compose": 2, "Lambda": 1, "T1": 0}
 
 
 def _u_diagonal(ring):
@@ -729,9 +733,9 @@ def _jt1_both_vectors(cat):
     delta = theorem._middle_difference(tr)
     assert all(tr.lam_factors) and delta is not None
     store = NonlocalStore(Y, inverses=tr.inverses)
-    return [store.reduce(-e) for vec in theorem._basis_vectors(Y)
-            for e in theorem.apply_sandwich(tr.lam, tr.lam_adjoint, delta,
-                                            vec, store)]
+    return [store.reduce(e) for vec in theorem._basis_vectors(Y)
+            for e in theorem.apply_sandwich(Fraction(1, 16), tr.lam, delta,
+                                            tr.lam_adjoint, vec, store)]
 
 
 @pytest.mark.parametrize("ident, slot", (("J2", 0), ("Jt1.middle", 13)))
@@ -773,13 +777,33 @@ def test_a_fetch_outside_a_build_raises(run, monkeypatch):
         "RuntimeError: catalog entry 'J2' fetched outside a row build",)
 
 
+@pytest.mark.parametrize("run", ("run_suite", "run_mutated"))
+def test_a_runner_derives_no_view_from_the_harness_view(run, monkeypatch):
+    # a view derived inside a build would read past the harness view:
+    # its fetches unrecorded, and the mutated entry of its base dropped;
+    # the harness view has no with_mutation, so the check is one
+    # undecidable row in both runs
+    def runner(C):
+        yield "toy.a", lambda: Claim(
+            C.with_mutation("J1", 0).citation("E"), (), NORMAL_FORM), whole
+
+    spec = suite.CheckSpec("toy_derived", runner, "E", "", "", ())
+    monkeypatch.setitem(suite._BY_NAME, "toy_derived", spec)
+    monkeypatch.setattr(suite, "CHECKS", suite.CHECKS + (spec,))
+    rows = (suite.run_suite("toy_derived") if run == "run_suite"
+            else suite.run_mutated("toy_derived", "E", 0))
+    assert [(r.id, r.status) for r in rows] \
+        == [("toy_derived", UNDECIDABLE)]
+    assert rows[0].notes[0].startswith("AttributeError:")
+
+
 def _counting_builds(monkeypatch, check):
     """The calls, from now on and once the unmutated run of check is
     recorded, of theorem._derived_jacobians, of theorem._t2_readings,
     of the NonlocalStore constructor in theorem, of appendixes._link_part,
     the one appendix_a half split from its compare, and of the builders
     of the light checks' served parts: flows' transported_taus,
-    _constraint_equations and _flat_part, scalar's _gauged_relations and
+    _constraint_equations and flat_part, scalar's _gauged_relations and
     _fourth_order, and hamops' _conjugations and _h1_gradient."""
     suite._unmutated(check, 0)
     calls = dict.fromkeys(("jacobians", "readings", "stores", "links",
@@ -801,7 +825,7 @@ def _counting_builds(monkeypatch, check):
             (appendixes, "_link_part", "links"),
             (flows, "transported_taus", "taus"),
             (flows, "_constraint_equations", "constraints"),
-            (flows, "_flat_part", "flats"),
+            (flows, "flat_part", "flats"),
             (scalar, "_gauged_relations", "relations"),
             (scalar, "_fourth_order", "fourths"),
             (hamops, "_conjugations", "conjugations"),
@@ -955,7 +979,8 @@ def _reachable(value):
 
 
 def _flat(pair_ident):
-    return lambda view: flows._flat_part(view.get(pair_ident))
+    return lambda view: flows.flat_part(view.get(pair_ident).space,
+                                        view.get(pair_ident).time)
 
 
 # every part key that is neither a row's half nor a Transport part: the
@@ -1115,12 +1140,13 @@ def test_part_reads_include_the_nested_parts():
             assert reads == tuple(view.reads), (check, key)
     transport, appendix = parts["theorem1"], parts["appendix_a"]
     assert transport["lam_adjoint"][1] == ("Lambda", "usdefs")
-    # the split halves read nothing they are compared with
+    # the split halves read nothing they are compared with, and
+    # theorem1.jt1's, its whole claim, reads all its row reads
     assert transport["theorem1.t2"][1] == ("ymap",)
     assert transport["theorem1.jt2"][1] \
         == ("E", "J1", "T1", "usdefs", "T2")
     assert transport["theorem1.jt1"][1] \
-        == ("E", "Lambda", "T1", "T2", "usdefs", "J2", "Jt1.middle")
+        == ("E", "Lambda", "T1", "T2", "usdefs", "J2", "Jt1.middle", "J1")
     assert appendix["appendix_a.link"][1] \
         == ("miura.m", "miura.n", "OmegaPrime", "Kmat", "P1", "Jop",
             "Thetamat")
@@ -1183,7 +1209,7 @@ def _exhaustive_scan(C):
     vecs = theorem._basis_vectors(Y)
     images = [store.reduce(e) for vec in vecs
               for e in omega.apply(theorem.apply_sandwich(
-                  lam, lam.adjoint(), middle,
+                  Fraction(-1, 16), lam, middle, lam.adjoint(),
                   omega.adjoint().apply(vec, store), store), store)]
     cands = [Fraction(c) for c in (1, -1, 2, -2, 4, -4, 8, -8, 16, -16)]
     out = []
@@ -1337,20 +1363,23 @@ def test_a_constant_gauge_keeps_zero_curvature(gauge):
     ("lax.main", "sys.main"), ("lax.trans", "sys.mdflow"),
     ("lax.appb", "sys.appb"), ("lax.appb.trans", "sys.appb.trans")))
 def test_skipping_zero_commutator_products_keeps_each_entry(pair, flow):
-    # the full sum, every product taken, gives the same numerators in the
-    # same term order; each pair has zero entries, so products are skipped
+    # the full flat sum, every product taken, gives the same numerators
+    # in the same term order; each pair has zero entries, so products
+    # are skipped; the curvature is the full sum in value
     U, V = catalog.CATALOG.get(pair).space, catalog.CATALOG.get(pair).time
     sysdef = catalog.CATALOG.get(flow)
     assert not all(x for row in U for x in row)
+    flat = flows.flat_part(U, V)
+    zc = flows.curvature(U, sysdef, flat)
     for a in range(4):
         for b in range(4):
-            e = (evolutionary_derivative(U[a][b], sysdef)
-                 - total_derivative(V[a][b]))
+            e = -total_derivative(V[a][b])
             for k in range(4):
                 e = e + U[a][k] * V[k][b] - V[a][k] * U[k][b]
-            got = flows.curvature_entry(U, V, sysdef, a, b)
+            got = flat[a][b]
             assert (got.den, list(got.nums.items())) == (
                 e.den, list(e.nums.items()))
+            assert zc[a][b] == evolutionary_derivative(U[a][b], sysdef) + e
 
 
 def test_reversed_constraint_rules_keep_every_record(rows):
