@@ -45,6 +45,7 @@ __all__ = [
     "CATALOG",
     "mutated",
     "part_windows",
+    "cell_label",
     "emat_add",
     "emat_sub",
     "emat_mul",
@@ -103,11 +104,19 @@ Entry = namedtuple("Entry", ("ident", "citation", "value"))
 # One walk per kind defines the mutation surface, and a value's kind is
 # its type: KIND_TABLE[type(value)](value, fn) returns value rebuilt with
 # every expression leaf e replaced by fn(label, e), calling fn in slot
-# order; label names the structural part holding the leaf, "all" for
-# kinds without named parts.  Named expressions are a MappingProxyType
-# and expression grids a plain tuple of rows.  part_windows records this
-# walk and mutated perturbs one leaf of it, so the slot order is written
-# here and nowhere else.
+# order; label names the structural part holding the leaf: the cell
+# label of an operator matrix's entry, "all" for kinds without named
+# parts.  Named expressions are a MappingProxyType and expression grids
+# a plain tuple of rows.  part_windows records this walk and mutated
+# perturbs one leaf of it, so the slot order is written here and nowhere
+# else.  A cell is also the grain at which the mutation harness records
+# a read: a build that fetches one cell of a matrix entry reads that
+# (ident, cell label) pair, so a mutant of another cell is handed it.
+
+def cell_label(row, col):
+    """The part label of cell (row, col) of an operator matrix."""
+    return "%d,%d" % (row, col)
+
 
 def _walk_grid(grid, fn, label):
     return tuple(tuple(fn(label, e) for e in row) for row in grid)
@@ -120,8 +129,14 @@ def _walk_rules(relations, fn, label=None):
     return rules
 
 
-def _walk_op(op, fn):
-    return op.map_coefficients(lambda e: fn("all", e))
+def _walk_op(op, fn, label="all"):
+    return op.map_coefficients(lambda e: fn(label, e))
+
+
+def _walk_matrix(matrix, fn):
+    return MatrixOp(tuple(
+        tuple(_walk_op(e, fn, cell_label(i, j)) for j, e in enumerate(row))
+        for i, row in enumerate(matrix.grid)))
 
 
 def _walk_named(named, fn, label=None):
@@ -133,8 +148,7 @@ KIND_TABLE = {
     JetExpr: lambda v, fn: fn("all", v),
     MappingProxyType: _walk_named,
     PseudoOp: _walk_op,
-    MatrixOp: lambda v, fn: MatrixOp(tuple(tuple(_walk_op(e, fn) for e in row)
-                                           for row in v.grid)),
+    MatrixOp: _walk_matrix,
     tuple: lambda v, fn: _walk_grid(v, fn, "all"),
     SystemDef: lambda v, fn: SystemDef(
         v.ring, {dep: fn("evolution", e) for dep, e in v.evolution.items()},
@@ -934,6 +948,10 @@ class CatalogView:
 
     def citation(self, ident):
         return self.entry(ident).citation
+
+    def cell(self, ident, row, col):
+        """Cell (row, col) of the operator matrix entry ident."""
+        return self.get(ident).grid[row][col]
 
     def idents(self):
         return tuple(_REGISTRY)

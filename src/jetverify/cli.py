@@ -15,12 +15,16 @@ other; it exits 1 unless every row is a pass or a ledgered erratum.
 reads as JSON, with each row's id, every entry that row's build fetched,
 including through the shared parts it built or was served, of those
 the entries its derived half did not fetch (``compares``), and the
-shared parts it derived, each with its reads (``parts``).  These reads
-are recorded, not declared.  The sweep follows one rule, under the
-reuse premise stated in ``verify.suite``: a mutant is handed every row
-and every derived part of the unmutated run whose reads lack the
-mutated entry, and rebuilds the rest, so a mutant of an entry a row
-only compares with is handed the row's derived half and only compares.
+shared parts it derived, each with its reads (``parts``), where a part
+that fetched one cell of an operator matrix reads the pair [entry, cell
+label].  These reads are recorded, not declared.  The sweep follows one
+rule, at that grain, under the reuse premise stated in
+``verify.suite``: a mutant is handed every row and every derived part
+of the unmutated run whose reads hold neither the mutated entry nor the
+cell holding the mutated slot, and rebuilds the rest, so a mutant of an
+entry a row only compares with is handed the row's derived half and
+only compares, and a mutant of one cell rebuilds only the parts that
+read that cell or the whole entry.
 ``sweep`` corrupts, one at a time, every coefficient slot a check
 reads (or a seeded sample of N of them) and prints, per check, the
 number of mutants, how many turned the check off green, the seconds

@@ -521,12 +521,19 @@ def solve_e_image(arg):
 
     First integrates arg once, then peels (d^2 - 1) P = A from the top
     coordinate down.  The result is verified before returning; inputs
-    outside the image raise NotIntegrable."""
+    outside the image raise NotIntegrable.  Each peel is a function of
+    the residual alone, so a residual met before never reaches zero and
+    stops the solve at once."""
     ring = arg.ring
     a = antiderivative(arg)
     p = ring.zero()
     residual = a
+    seen = set()
     for _ in range(400):
+        key = residual.key()
+        if key in seen:
+            break
+        seen.add(key)
         if residual.is_zero:
             check = total_derivative(total_derivative(
                 total_derivative(p))) - total_derivative(p)

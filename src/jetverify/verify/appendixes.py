@@ -141,17 +141,27 @@ def _blocks_row(fc, C):
     return Claim(C.citation("lax.formal.space"), pairs, NORMAL_FORM, notes)
 
 
-def _relations_row(fc, C):
+def _curvature_span(fc):
+    """(basis, labels, span): the six surviving curvature entries of the
+    formal curvature fc and their total derivatives, their labels, and
+    the Echelon of those twelve expressions, which solve without insert
+    leaves as it is."""
+    basis = fc.entries + [total_derivative(e) for e in fc.entries]
+    labels = fc.entry_labels + ["D %s" % l for l in fc.entry_labels]
+    return basis, labels, Echelon(dict(b.coeff_items()) for b in basis)
+
+
+def _relations_row(fc, span, C):
     """Each displayed scalar consequence must be an exact rational
     combination of the surviving curvature entries and their total
     derivatives; one consequence needs an integration (constant zero)
     and the unorientable one a shared normal form instead.  Every
     consequence, and every derivative of one, is solved in the one
-    span of those twelve expressions."""
+    span of those twelve expressions, span(), a part that reads the
+    formal curvature but no displayed relation, so a krel.* mutant is
+    handed it."""
     disp = C.get("krel.display")
-    basis = fc.entries + [total_derivative(e) for e in fc.entries]
-    span = Echelon(dict(b.coeff_items()) for b in basis)
-    labels = fc.entry_labels + ["D %s" % l for l in fc.entry_labels]
+    basis, labels, span = span()
     merged = fc.flow_rules.merged(C.get("krel.rules"))
     pairs = []
     notes = []
@@ -498,8 +508,12 @@ def appendix_a(C):
     def formal():
         return C.derive("formal", lambda: _FormalCurvature(C))
 
+    def span():
+        return C.derive("formal.span", lambda: _curvature_span(formal()))
+
     yield "appendix_a.blocks", lambda: _blocks_row(formal(), C), whole
-    yield "appendix_a.relations", lambda: _relations_row(formal(), C), whole
+    yield ("appendix_a.relations", lambda: _relations_row(formal(), span, C),
+           whole)
     yield "appendix_a.flow", lambda: _flow_row(formal(), C), whole
     yield "appendix_a.subflow", lambda: _subflow_row(C), whole
     yield "appendix_a.balance", lambda: _balance_row(C), whole

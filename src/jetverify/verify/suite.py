@@ -29,33 +29,44 @@ catalog view keeps nothing and only builds, and every harness run goes
 through one harness view, which builds each key once per check run,
 serves it after that, and records as its reads every entry the build
 fetched, the reads of the parts nested in it included.  The reads are
-recorded, not declared.  Each concluded row is a part, keyed (row id,),
-and its half is the part keyed by its row id.  Setup that reads fewer
-entries than a row deriving it is a part under its own key, nested in
-the halves that use it: theorem1's Transport parts, shared by rows with
-different reads; appendix_a's formal curvature ("formal"); the flat
-part -V_x + [U, V] of each zero-curvature row's pair, keyed by the pair
-ident and ".flat", which reads the pair but not the flow;
-bihamiltonian_x.nonlocal's constrained gradient of H1 ("H1.gradient"),
-which reads neither E nor J1; and the pair row's half, nested in
-scalar_reduction.fourth's.  describe lists the parts each row derived,
-with their reads.
+recorded, not declared, at the grain of an entry's labelled part: a
+build that fetches the whole entry reads its ident, and one that
+fetches only cell (i, j) of an operator matrix, through C.cell, reads
+the pair (ident, "i,j"), the cell's label in the catalog's kind walk.
+Each concluded row is a part, keyed (row id,), and its half is the part
+keyed by its row id.  Setup that reads fewer entries or cells than a
+row deriving it is a part under its own key, nested in the halves that
+use it: theorem1's Transport parts, shared by rows with different
+reads, each 2x2 matrix of them built cell by cell, and among them
+D1 J2 D2 ("d1_j2_d2"), which reads J2 but not Jt1.middle; appendix_a's
+formal curvature ("formal") and the span of its twelve expressions
+that appendix_a.relations solves in ("formal.span"), which reads no
+krel.* entry; the flat part -V_x + [U, V] of each zero-curvature row's
+pair, keyed by the pair ident and ".flat", which reads the pair but not
+the flow; bihamiltonian_x.nonlocal's constrained gradient of H1
+("H1.gradient"), which reads neither E nor J1; and the pair row's half,
+nested in scalar_reduction.fourth's.  describe lists the parts each row
+derived, with their reads.
 
-One reuse rule: run_mutated hands a mutant every part of the check's
-unmutated run whose reads lack the mutated entry, rows included.  It
-holds by construction: over the mutated catalog a build runs exactly as
-over the packaged one until it first fetches the mutated entry, so a
-part whose recorded build never fetched it has the same value.  So a
-row that reads nothing a mutant touches keeps its byte-identical
-record, and a mutant of an entry that a row only compares with is
-handed the row's half and only compares; describe lists those entries
-as the row's compares.  A half that reads everything its row reads is
-never served: a mutant of one of its reads rebuilds the row.  Where a
-comparison is reduced, the half and the compared entry are reduced
-apart, which gives the same normal form, since reduction is linear;
-only a term that reduction rejects (a negative power of a dependent
-whose rule is not a monomial) and that the difference cancels could
-raise apart, and no mutant of the full sweep meets one.
+One reuse rule, at part grain: run_mutated hands a mutant every part of
+the check's unmutated run whose reads hold neither the mutated entry
+nor the pair (mutated entry, label of the cell holding the slot), rows
+included.  It holds by construction: over the mutated catalog a build
+runs exactly as over the packaged one until it first fetches the
+mutated entry or the mutated cell, since every other cell of the mutant
+is the packaged one, so a part whose recorded build fetched neither has
+the same value.  So a row that reads nothing a mutant touches keeps its
+byte-identical record, and a mutant of an entry that a row only
+compares with is handed the row's half and only compares; describe
+lists those entries as the row's compares, and a row's reads and
+compares name entries only, a cell read standing for its entry.  A half
+that reads everything its row reads is never served: a mutant of one of
+its reads rebuilds the row.  Where a comparison is reduced, the half and
+the compared entry are reduced apart, which gives the same normal form,
+since reduction is linear; only a term that reduction rejects (a
+negative power of a dependent whose rule is not a monomial) and that
+the difference cancels could raise apart, and no mutant of the full
+sweep meets one.
 
 The reuse premise, on which the rule rests: shared values are C.derive
 parts, built once per check run by the harness view.  A runner keeps no
@@ -63,9 +74,10 @@ other state across rows, so a part is the same value whichever row
 builds it, and a row's record does not depend on which rows were built
 before it.  A part served to later rows and handed from the unmutated
 run to many mutants is immutable to them: it holds only tuples, jet
-expressions, operators, relation sets, names, Claims, rows and
-functions of those, and no reader changes it; the harness times a copy
-of each row.  The one state that does change is the Rule._jets
+expressions, operators, relation sets, names, booleans, Claims, rows,
+functions of those and the Echelon of formal.span, which solve without
+insert leaves as it is, and no reader changes it; the harness times a
+copy of each row.  The one state that does change is the Rule._jets
 derivative memos of the relation sets it holds (the usdefs rules behind
 smap, the formal curvature's flow rules, the relations of a store),
 which grow but only cache total derivatives of fixed rules.  No part
@@ -288,10 +300,11 @@ def check_ids():
 def describe(name):
     """Claim, citation, strategy and catalog reads of one published
     check, with each row's id, every entry its build fetched, through
-    served parts included, the reads by which run_mutated serves the
-    row, and of those the entries its derived half did not fetch, whose
-    mutants only compare, and the shared parts the row derived, each
-    with its reads, which a mutant of an entry outside them is handed."""
+    served parts included, a cell read standing for its entry, and of
+    those the entries its derived half did not fetch, whose mutants only
+    compare, and the shared parts the row derived, each with its reads,
+    a cell read as (entry, cell label), which a mutant of an entry or a
+    cell outside them is handed."""
     spec = _BY_NAME[name]
     view = _unmutated(name, 0)
     parts = view.parts
@@ -301,8 +314,9 @@ def describe(name):
         "citation": _catalog.CATALOG.citation(spec.citation_ident),
         "strategy": spec.strategy,
         "reads": [ident for ident, _parts in spec.reads],
-        "rows": [{"id": rid, "reads": list(reads),
-                  "compares": [i for i in reads if i not in parts[rid][1]],
+        "rows": [{"id": rid, "reads": _entries(reads),
+                  "compares": [i for i in _entries(reads)
+                               if i not in _entries(parts[rid][1])],
                   "parts": {key: list(parts[key][1]) for key in nested
                             if key != rid}}
                  for rid, (_row, reads, nested) in view.rows().items()],
@@ -439,35 +453,48 @@ def sample_mutations(name, count=10):
 class _HarnessView:
     """The catalog view of every harness run: it reads its entries from
     base, recording in first-fetch order every entry fetched while reads
-    is a dict, and a fetch while it is None, outside a row build, raises.
-    It offers only get, citation and derive, so no view reads past it.
+    is a dict, as its ident, or as (ident, cell label) when cell fetched
+    one cell of it, and a fetch while reads is None, outside a row
+    build, raises.  It offers only get, citation, cell and derive, so no
+    view reads past it.
 
     parts maps each part key to (value, reads, nested): it serves the
     parts it was handed, and builds every other part once and keeps it.
-    The entries a build fetched, the reads of the parts nested in it
-    included, are the part's reads, and each time the part is derived,
-    built or served, they join the reads of the part around it, in
-    first-fetch order; its key, then the keys nested in its build, join
-    derived the same way.  A concluded row is the part keyed (row id,),
-    the one part derived outside a build."""
+    The entries and cells a build fetched, the reads of the parts nested
+    in it included, are the part's reads, and each time the part is
+    derived, built or served, they join the reads of the part around it,
+    in first-fetch order; its key, then the keys nested in its build,
+    join derived the same way.  A build that raises keeps no part and
+    leaves reads and derived as they were around it.  A concluded row is
+    the part keyed (row id,), the one part derived outside a build.
+    windows maps each entry some part reads by cell to its part_windows,
+    which served reads to find the cell of a slot."""
 
     def __init__(self, base, parts=None):
         self.base = base
         self.parts = {} if parts is None else parts
         self.reads = self.derived = None
+        self.windows = {}
 
-    def entry(self, ident):
+    def _fetch(self, ident, read):
         if self.reads is None:
             raise RuntimeError("catalog entry %r fetched outside a row build"
                                % (ident,))
-        self.reads[ident] = None
+        self.reads[read] = None
         return self.base.entry(ident)
+
+    def entry(self, ident):
+        return self._fetch(ident, ident)
 
     def get(self, ident):
         return self.entry(ident).value
 
     def citation(self, ident):
         return self.entry(ident).citation
+
+    def cell(self, ident, row, col):
+        return self._fetch(ident, (ident, _catalog.cell_label(row, col))
+                           ).value.grid[row][col]
 
     def derive(self, key, build):
         outer, derived = self.reads, self.derived
@@ -476,9 +503,12 @@ class _HarnessView:
                                % (key,))
         if key not in self.parts:
             self.reads, self.derived = {}, {}
-            value = build()
-            self.parts[key] = (value, tuple(self.reads), tuple(self.derived))
-            self.reads, self.derived = outer, derived
+            try:
+                value = build()
+                self.parts[key] = (value, tuple(self.reads),
+                                   tuple(self.derived))
+            finally:
+                self.reads, self.derived = outer, derived
         value, reads, nested = self.parts[key]
         if outer is not None:
             outer.update(dict.fromkeys(reads))
@@ -491,6 +521,24 @@ class _HarnessView:
         order they were concluded."""
         return {key[0]: part for key, part in self.parts.items()
                 if isinstance(key, tuple)}
+
+    def served(self, ident, slot):
+        """The parts whose reads hold neither the entry ident nor the
+        cell of it that holds slot, which windows names for each entry
+        some part reads by cell: the parts a mutant of that slot is
+        handed."""
+        cell = next(((ident, label) for label, start, stop
+                     in self.windows.get(ident, ()) if start <= slot < stop),
+                    None)
+        return {key: part for key, part in self.parts.items()
+                if ident not in part[1] and cell not in part[1]}
+
+
+def _entries(reads):
+    """The entries of recorded reads in first-read order, a cell read
+    standing for its entry."""
+    return list(dict.fromkeys(read if isinstance(read, str) else read[0]
+                              for read in reads))
 
 
 @functools.lru_cache(maxsize=None)
@@ -505,9 +553,14 @@ def _unmutated(name, seed):
     docstring, these parts stand for the same parts of any later run, a
     row built alone included.  An exception part-way through the pass
     leaves the parts built before it; run_suite reports it as the
-    check's one undecidable row, a fault on the packaged catalog."""
+    check's one undecidable row, a fault on the packaged catalog.  The
+    view's windows are computed here, once per entry that a part reads
+    by cell."""
     view = _HarnessView(_catalog.CATALOG)
     _run_check(view, _BY_NAME[name], seed, load_ledger())
+    for ident in {read[0] for _value, reads, _nested in view.parts.values()
+                  for read in reads if not isinstance(read, str)}:
+        view.windows[ident] = _catalog.part_windows(view.base.entry(ident))
     return view
 
 
@@ -518,11 +571,14 @@ def run_mutated(name, ident, slot, seed=0):
     The mutation sweep only asks whether the check goes off green, and
     a later row cannot turn it green again, so the check stops there.
     The run is handed every part of the check's unmutated run at the
-    same seed whose reads lack the mutated entry, its rows included,
-    and builds each other part once over the mutated catalog: the one
-    reuse rule of the module docstring.  A check whose unmutated run
-    raised hands only the parts built before the fault, so its mutant's
-    run meets the same fault unless the mutation avoids it.
+    same seed whose reads hold neither the mutated entry nor the cell
+    of it that holds the slot, its rows included, and builds each other
+    part once over the mutated catalog: the one reuse rule of the
+    module docstring, at part grain.  The slot's cell comes from the
+    windows the unmutated run keeps, so no mutant walks an entry to
+    find it.  A check whose unmutated run raised hands only the parts
+    built before the fault, so its mutant's run meets the same fault
+    unless the mutation avoids it.
 
     Prefix contract: the rows are the rows run_suite reports for the
     same catalog, through the first one that is neither a pass nor an
@@ -533,8 +589,6 @@ def run_mutated(name, ident, slot, seed=0):
     after it is never reached here, while run_suite reports the single
     undecidable row; all_clear is false either way, so it agrees with
     run_suite on every mutant."""
-    parts = _unmutated(name, seed).parts
-    view = _HarnessView(_catalog.CATALOG.with_mutation(ident, slot),
-                        {key: part for key, part in parts.items()
-                         if ident not in part[1]})
+    mutated = _catalog.CATALOG.with_mutation(ident, slot)
+    view = _HarnessView(mutated, _unmutated(name, seed).served(ident, slot))
     return _run_check(view, _BY_NAME[name], seed, load_ledger(), stop=True)

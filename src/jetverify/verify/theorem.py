@@ -40,6 +40,36 @@ def _part(build):
     return property(lambda tr: tr.C.derive(name, lambda: build(tr)))
 
 
+class _Cells:
+    """A Transport value built cell by cell: build(tr, i, j) is cell
+    (i, j), a part of its own under the key "<name> i,j", and each access
+    to tr.<name> derives the four cells and assembles them, into a
+    MatrixOp unless another assemble is given.  A cell's build fetches
+    only the cells it needs, so a mutant of one cell of an entry rebuilds
+    only the cells that read it."""
+
+    def __init__(self, build, assemble=MatrixOp):
+        self.build, self.assemble = build, assemble
+        self.name = build.__name__
+
+    def cell(self, tr, i, j):
+        return tr.C.derive("%s %s" % (self.name, _catalog.cell_label(i, j)),
+                           lambda: self.build(tr, i, j))
+
+    def __get__(self, tr, owner=None):
+        if tr is None:
+            return self
+        return self.assemble(tuple(tuple(self.cell(tr, i, j)
+                                         for j in range(2))
+                                   for i in range(2)))
+
+
+def _premise(build):
+    """A premise checked cell by cell: _Cells whose value is whether
+    build(tr, i, j) holds in all four cells."""
+    return _Cells(build, lambda grid: all(grid[0] + grid[1]))
+
+
 class Transport:
     """Shared scaffolding for the theorem checks, each part built the
     first time a row asks for it, so a row builds only what it reads:
@@ -47,13 +77,21 @@ class Transport:
     both Hamiltonian operators in the new variable, and the stated
     matrices with coefficients reduced to the density pair.
 
-    Every part is a C.derive part under its attribute name, like any
-    shared value of a check: the harness's view builds it once per
-    check run and serves it after that, and over the plain catalog,
-    which keeps nothing, each access builds it.  The mutation harness
-    also records the entries each part fetches, nested parts included,
-    and hands a mutant every part of the unmutated run whose reads lack
-    the mutated entry.  So a part's value is shared across rows and
+    Every part is a C.derive part, like any shared value of a check: the
+    harness's view builds it once per check run and serves it after
+    that, and over the plain catalog, which keeps nothing, each access
+    builds it.  A whole part is keyed by its attribute name.  Each 2x2
+    matrix is built cell by cell, each cell a part keyed by the name and
+    the cell label: the mapped stated matrices (t1, t2, jt2, lam,
+    middle), the transported operators (j1, j2), both sides of the
+    common-factor premises, which compare the stated cells with
+    (Lambda D1)ab = Lambda_ab D1_bb and (D2 Lambda*)ab = D2_aa Lambda_ba*,
+    and Delta = D1 J2 D2 + M, whose D1 J2 D2 (d1_j2_d2) reads J2 but not
+    Jt1.middle.  A cell's build fetches only cells, so it reads the pair
+    (entry, cell label).  The mutation harness records the reads of each
+    part, nested parts included, and hands a mutant every part of the
+    unmutated run whose reads lack both the mutated entry and the cell
+    its slot lies in.  So a part's value is shared across rows and
     mutants and must not be changed by its readers."""
 
     def __init__(self, C):
@@ -67,13 +105,13 @@ class Transport:
     def inverses(self):
         return transported_kernel(self.C)
 
-    @_part
-    def j1(self):
-        return self._transported("J1")
+    @_Cells
+    def j1(self, i, j):
+        return self._transported("J1", i, j)
 
-    @_part
-    def j2(self):
-        return self._transported("J2")
+    @_Cells
+    def j2(self, i, j):
+        return self._transported("J2", i, j)
 
     @_part
     def smap(self):
@@ -85,49 +123,67 @@ class Transport:
 
         return smap
 
-    @_part
-    def t1(self):
-        return self._mapped("T1")
+    @_Cells
+    def t1(self, i, j):
+        return self._mapped("T1", i, j)
 
-    @_part
-    def t2(self):
-        return self._mapped("T2")
+    @_Cells
+    def t2(self, i, j):
+        return self._mapped("T2", i, j)
 
-    @_part
-    def jt2(self):
-        return self._mapped("Jt2")
+    @_Cells
+    def jt2(self, i, j):
+        return self._mapped("Jt2", i, j)
 
-    @_part
-    def lam(self):
-        return self._mapped("Lambda")
+    @_Cells
+    def lam(self, i, j):
+        return self._mapped("Lambda", i, j)
 
     @_part
     def lam_adjoint(self):
         return self.lam.adjoint()
 
+    @_Cells
+    def middle(self, i, j):
+        return self._mapped("Jt1.middle", i, j)
+
     @_part
-    def middle(self):
-        return self._mapped("Jt1.middle")
+    def d1_j2_d2(self):
+        diag1, diag2 = (self.mapped(d) for d in _diagonals())
+        return diag1.compose(self.j2).compose(diag2)
+
+    @_Cells
+    def delta(self, i, j):
+        return (self.d1_j2_d2.grid[i][j]
+                + Transport.middle.cell(self, i, j))
 
     @_part
     def lam_factors(self):
         """Whether T1 = 1/4 Lambda D1 and whether T2 = -1/4 D2 Lambda*
-        hold on the raw entries; mapping is a homomorphism, so then they
-        hold on the mapped matrices too."""
-        diag1, diag2 = _diagonals()
-        lam = self.C.get("Lambda")
-        return (self.C.get("T1") == lam.compose(diag1).scaled(F(1, 4)),
-                self.C.get("T2") == diag2.compose(lam.adjoint()).scaled(
-                    F(-1, 4)))
+        hold on the raw entries, each decided cell by cell; mapping is a
+        homomorphism, so then they hold on the mapped matrices too."""
+        return self.t1_factor, self.t2_factor
 
-    def _transported(self, ident):
-        u = _catalog.RING_Y.coord("u")
-        return MatrixOp(tuple(
-            tuple(transport_pseudo(e, u) for e in row)
-            for row in self.C.get(ident).grid))
+    @_premise
+    def t1_factor(self, a, b):
+        # (Lambda D1)ab = Lambda_ab D1_bb
+        lam = self.C.cell("Lambda", a, b)
+        return self.C.cell("T1", a, b) == lam.compose(
+            _diagonals()[0].grid[b][b]).scaled(F(1, 4))
 
-    def _mapped(self, ident):
-        return self.mapped(self.C.get(ident))
+    @_premise
+    def t2_factor(self, a, b):
+        # (D2 Lambda*)ab = D2_aa Lambda_ba*
+        lam = self.C.cell("Lambda", b, a)
+        return self.C.cell("T2", a, b) == _diagonals()[1].grid[a][a].compose(
+            lam.adjoint()).scaled(F(-1, 4))
+
+    def _transported(self, ident, i, j):
+        return transport_pseudo(self.C.cell(ident, i, j),
+                                _catalog.RING_Y.coord("u"))
+
+    def _mapped(self, ident, i, j):
+        return self.C.cell(ident, i, j).map_coefficients(self.smap)
 
     def mapped(self, op):
         """A matrix operator with every coefficient reduced to the
@@ -364,11 +420,9 @@ def _jt2_check(C, tr, images, relations):
 
 def _middle_difference(tr):
     """Delta = D1 J2 D2 + M, or None when it is the zero operator."""
-    diag1, diag2 = (tr.mapped(d) for d in _diagonals())
-    grid = [[a + b for a, b in zip(row, mid)] for row, mid in zip(
-        diag1.compose(tr.j2).compose(diag2).grid, tr.middle.grid)]
-    return (None if all(e.is_zero for row in grid for e in row)
-            else MatrixOp(grid))
+    delta = tr.delta
+    return (None if all(e.is_zero for row in delta.grid for e in row)
+            else delta)
 
 
 def _jt1_residuals(tr, middle, vec, store):

@@ -53,33 +53,42 @@ def test_describe_prints_the_check(capsys):
 
 
 def test_describe_lists_each_row_and_its_reads(capsys):
-    # the recorded reads by which run_mutated serves each row, for every
-    # check, each row in report order, of them the reads the row's
-    # derived half did not fetch, and the parts other than its half that
-    # the row derived, each with its reads; a row whose half read all
-    # the row reads compares nothing
+    # the entries of the recorded reads by which run_mutated serves each
+    # row, for every check, each row in report order, of them the
+    # entries the row's derived half did not fetch, and the parts other
+    # than its half that the row derived, each with its reads, a cell
+    # read printed as the pair [entry, cell label]; a row whose half
+    # read all the row reads compares nothing
     for check in suite.check_ids():
         assert main(["describe", check]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         view = suite._unmutated(check, 0)
         parts = view.parts
         assert rows == [
-            {"id": rid, "reads": list(reads),
-             "compares": [ident for ident in reads
-                          if ident not in parts[rid][1]],
-             "parts": {key: list(parts[key][1]) for key in nested
-                       if key != rid}}
+            {"id": rid, "reads": suite._entries(reads),
+             "compares": [ident for ident in suite._entries(reads)
+                          if ident not in suite._entries(parts[rid][1])],
+             "parts": {key: json.loads(json.dumps(parts[key][1]))
+                       for key in nested if key != rid}}
             for rid, (_row, reads, nested) in view.rows().items()]
+        # no cell read stands in a row's reads or compares
+        assert all(isinstance(ident, str) for row in rows
+                   for ident in row["reads"] + row["compares"])
         assert [row["id"] for row in rows] \
             == [r.id for r in suite.run_suite(selection=check)]
     # every entry the build fetches, in first-fetch order, including
     # usdefs, which the check's mutation surface leaves out, and the
-    # Transport parts the row derived, nested ones included
+    # Transport parts the row derived, nested ones included, each cell
+    # of the mapped T1 reading its own cell of T1
     assert suite.describe("theorem1")["rows"][0] \
         == {"id": "theorem1.t1", "reads": ["ymap", "T1", "usdefs"],
             "compares": [],
-            "parts": {"jacobians": ["ymap"], "t1": ["T1", "usdefs"],
-                      "smap": ["usdefs"]}}
+            "parts": {"jacobians": ["ymap"],
+                      "t1 0,0": [("T1", "0,0"), "usdefs"],
+                      "smap": ["usdefs"],
+                      "t1 0,1": [("T1", "0,1"), "usdefs"],
+                      "t1 1,0": [("T1", "1,0"), "usdefs"],
+                      "t1 1,1": [("T1", "1,1"), "usdefs"]}}
     # the flow drivers fetch their own inputs, in argument order
     rows = {row["id"]: row for check in suite.check_ids()
             for row in suite.describe(check)["rows"]}

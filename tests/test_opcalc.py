@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jet_strategies import canonical, random_expr
+from jet_strategies import canonical, exprs, random_expr
 from jetverify import opcalc
-from jetverify.catalog import CATALOG
+from jetverify.catalog import CATALOG, RING_X
 from jetverify.jetalg import (
     ContextMismatch, NotIntegrable, RingContext, coords_of, frechet_coeffs,
     random_assignment, random_eval, params_of, promote,
@@ -836,6 +836,25 @@ def test_solve_e_image_round_trip():
 def test_solve_e_image_rejects_non_image():
     with pytest.raises(NotIntegrable):
         solve_e_image(R.coord("u"))
+
+
+def test_solve_e_image_rejects_an_argument_whose_peel_cycles():
+    # q r_2 - q r_4 + q_1 r_1 - q_1 r_3 has a peel residual that comes
+    # back, so the solve can never settle
+    q, r = (lambda k: RING_X.coord("q", k)), (lambda k: RING_X.coord("r", k))
+    arg = q(0) * r(2) - q(0) * r(4) + q(1) * r(1) - q(1) * r(3)
+    with pytest.raises(NotIntegrable, match="did not settle"):
+        solve_e_image(arg)
+
+
+@settings(deadline=None)
+@given(exprs(negative=False))
+def test_solve_e_image_inverts_d3_minus_d(p):
+    # the solve of (D^3 - D) P, which fixes P up to a constant, maps
+    # back to the same argument
+    arg = D(D(D(p))) - D(p)
+    got = solve_e_image(arg)
+    assert D(D(D(got))) - D(got) == arg
 
 
 # -- the incremental echelon basis ---------------------------------------------

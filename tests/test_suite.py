@@ -143,6 +143,44 @@ def test_mutation_surface_sizes():
         == SLOTS
 
 
+def _leaf_labels(ident):
+    """(label, term count) of each leaf of the entry, in walk order."""
+    leaves = []
+    ent = catalog.CATALOG.entry(ident)
+    catalog.KIND_TABLE[type(ent.value)](
+        ent.value, lambda label, e: leaves.append((label, len(e.nums))) or e)
+    return leaves
+
+
+@pytest.mark.parametrize("check", suite.check_ids())
+def test_cell_labels_keep_the_slot_list_and_stay_out_of_describe(check):
+    # labelling each leaf of an operator matrix by its cell keeps the
+    # walk, so a check reads every slot of each entry it reads whole,
+    # in walk order, and a part-restricted read the slots of the leaves
+    # with its labels; a matrix's windows are its nonzero cells in row
+    # order
+    slots = suite.mutation_slots(check)
+    for ident, parts in _spec(check).reads:
+        leaves = _leaf_labels(ident)
+        want, start = [], 0
+        for label, count in leaves:
+            if parts is None or label in parts:
+                want.extend(range(start, start + count))
+            start += count
+        assert [slot for got, slot in slots if got == ident] == want, ident
+        if isinstance(catalog.CATALOG.get(ident), MatrixOp):
+            grid = catalog.CATALOG.get(ident).grid
+            assert [label for label, _s, _e in catalog.part_windows(
+                catalog.CATALOG.entry(ident))] == [
+                catalog.cell_label(i, j) for i, row in enumerate(grid)
+                for j, op in enumerate(row) if not op.is_zero], ident
+    # describe names entries only: a cell read stands as its entry in
+    # every row's reads and compares
+    for row in suite.describe(check)["rows"]:
+        assert all(isinstance(ident, str) and ident in catalog.CATALOG.idents()
+                   for ident in row["reads"] + row["compares"]), row["id"]
+
+
 @pytest.mark.parametrize("slot", (0, 1))
 def test_scalar_reduction_reads_the_upper_identity_blocks(slot):
     # slots 0 and 1 of the main spectral pair are its two upper unit
@@ -188,7 +226,7 @@ def test_errata_ledger_references_what_its_row_reads():
         rows = suite._unmutated(check, 0).rows()
         _row, reads, _nested = rows[ent.check_id]
         for ident, part in (ent.original, ent.corrected):
-            assert ident in reads, (ent.ident, ident)
+            assert ident in suite._entries(reads), (ent.ident, ident)
             labels = {label for label, _s, _e in
                       catalog.part_windows(catalog.CATALOG.entry(ident))}
             assert part is None or part in labels, (ent.ident, part)
@@ -402,7 +440,8 @@ def _spec(check):
 
 
 def _recorded_reads(check):
-    """{row id: the entries that row's build fetched}, in report order."""
+    """{row id: the entries and cells that row's build fetched}, in
+    report order."""
     return {rid: reads for rid, (_row, reads, _nested)
             in suite._unmutated(check, 0).rows().items()}
 
@@ -617,10 +656,12 @@ def test_each_premise_of_the_corrected_jt1_identity_is_checked(prop):
 def test_the_j2_premise_is_tested_first(ident, slot, monkeypatch):
     # Delta = D1 J2 D2 + M = 0 is the premise these mutants break; they
     # are handed the factorization premises, a part that reads neither
-    # J2 nor Jt1.middle, so no Lambda composition is built: the mutant's
-    # two compositions are Delta's, its corrected reading is one
-    # sandwich of Delta, which refutes it, so T1 J2 is never applied
-    # and the displayed reading is never derived
+    # J2 nor Jt1.middle, so no Lambda composition is built: a J2
+    # mutant's two compositions are D1 J2 D2's, a part that reads J2 but
+    # not Jt1.middle, which a Jt1.middle mutant is handed, so it
+    # composes nothing; the corrected reading is one sandwich of Delta,
+    # which refutes it, so T1 J2 is never applied and the displayed
+    # reading is never derived
     suite._unmutated("theorem1", 0)
     tr = theorem.Transport(catalog.CATALOG)
     lefts = {"Lambda": tr.lam, "T1": tr.t1}
@@ -639,7 +680,8 @@ def test_the_j2_premise_is_tested_first(ident, slot, monkeypatch):
     monkeypatch.setattr(MatrixOp, "compose", composed)
     monkeypatch.setattr(theorem, "apply_sandwich", applied)
     assert not suite.all_clear(suite.run_mutated("theorem1", ident, slot))
-    assert calls == {"compose": 2, "Lambda": 1, "T1": 0}
+    assert calls == {"compose": 2 if ident == "J2" else 0, "Lambda": 1,
+                     "T1": 0}
 
 
 def _u_diagonal(ring):
@@ -777,6 +819,32 @@ def test_a_fetch_outside_a_build_raises(run, monkeypatch):
         "RuntimeError: catalog entry 'J2' fetched outside a row build",)
 
 
+def test_a_failed_build_leaves_the_view_as_it_was():
+    # a build that raises records no part, and the view's reads are the
+    # ones around it again: in a row build, a fetch after a failed
+    # nested build joins the row's reads, and outside any build a fetch
+    # raises again
+    view = suite._HarnessView(catalog.CATALOG)
+
+    def failing():
+        view.get("J2")
+        raise ZeroDivisionError("probe")
+
+    def row():
+        view.get("J1")
+        with pytest.raises(ZeroDivisionError):
+            view.derive("probe", failing)
+        return view.get("T1")
+
+    view.derive(("toy.a",), row)
+    assert view.parts[("toy.a",)][1:] == (("J1", "T1"), ())
+    with pytest.raises(ZeroDivisionError):
+        view.derive(("toy.b",), lambda: view.derive("probe", failing))
+    assert list(view.parts) == [("toy.a",)]
+    with pytest.raises(RuntimeError):
+        view.get("J1")
+
+
 @pytest.mark.parametrize("run", ("run_suite", "run_mutated"))
 def test_a_runner_derives_no_view_from_the_harness_view(run, monkeypatch):
     # a view derived inside a build would read past the harness view:
@@ -874,8 +942,8 @@ def _compared_only():
         view = suite._unmutated(check, 0)
         compared = dict.fromkeys(
             ident for _row, reads, nested in view.rows().values()
-            for key in nested
-            for ident in reads if ident not in view.parts[key][1])
+            for key in nested for ident in suite._entries(reads)
+            if ident not in suite._entries(view.parts[key][1]))
         for ident in compared:
             count = len(_slots_of(check, ident))
             if count:
@@ -886,12 +954,13 @@ def _compared_only():
 
 def _rows_reading(check, ident, view):
     """The record of every row of check whose recorded reads contain
-    ident, built over view in report order with no stop after a row
-    that is off green, or the text of the exception a row raised."""
+    ident or a cell of it, built over view in report order with no stop
+    after a row that is off green, or the text of the exception a row
+    raised."""
     rows = suite._unmutated(check, 0).rows()
     out = []
     for rid, derive, compare in _spec(check).runner(view):
-        if ident in rows[rid][1]:
+        if ident in suite._entries(rows[rid][1]):
             try:
                 out.append(suite._concluded(view, rid, derive, compare, 0,
                                             load_ledger()).to_record())
@@ -928,7 +997,8 @@ def test_served_parts_give_the_records_of_a_run_serving_none(
     for slot in _slots_of(check, ident):
         calls.update(dict.fromkeys(calls, 0))
         got = suite.run_mutated(check, ident, slot)
-        rebuilt = any(ident in parts[key][1]
+        served = view.served(ident, slot)
+        rebuilt = any(key not in served
                       for row in got if row.id in rows
                       for key in rows[row.id][2]
                       if key != row.id or parts[key][1] != rows[row.id][1])
@@ -938,17 +1008,16 @@ def test_served_parts_give_the_records_of_a_run_serving_none(
             _spec(check), 0, load_ledger(), stop=True)
         assert records(got) == records(unserved), slot
     # past the row where run_mutated stops, too: every row that reads
-    # the entry, handed the parts whose reads lack it, has its record
-    # over the plain mutated catalog; a part whose recorded reads miss an
-    # entry its value depends on fails here even when every mutant of
-    # that entry stops before a row the part is served to
-    served = {key: part for key, part in parts.items()
-              if ident not in part[1]}
+    # the entry, handed the parts whose reads lack both it and the cell
+    # holding the slot, has its record over the plain mutated catalog; a
+    # part whose recorded reads miss an entry or a cell its value
+    # depends on fails here even when every mutant of that entry stops
+    # before a row the part is served to
     for slot in _first_slot_of_each_part(check, ident):
         mutated = catalog.CATALOG.with_mutation(ident, slot)
         assert _rows_reading(check, ident, suite._HarnessView(
-            mutated, dict(served))) == _rows_reading(check, ident,
-                                                     mutated), slot
+            mutated, view.served(ident, slot))) \
+            == _rows_reading(check, ident, mutated), slot
 
 
 def _reachable(value):
@@ -998,16 +1067,31 @@ SETUP_PARTS = {
     # bihamiltonian_x.nonlocal's constrained gradient of H1 reads
     # neither E nor J1, so their mutants are handed it
     "H1.gradient": ("bihamiltonian_x", hamops._h1_gradient),
+    # appendix_a.relations solves in the span of the formal curvature's
+    # twelve expressions, which reads no krel.* entry
+    "formal.span": ("appendix_a", lambda view: appendixes._curvature_span(
+        appendixes._FormalCurvature(view))),
 }
+
+
+def _transport_parts():
+    """Every Transport part key: the name of each whole part, and the
+    name and cell label of each cell of a matrix built cell by cell."""
+    attrs = vars(theorem.Transport).items()
+    whole = {name for name, attr in attrs if isinstance(attr, property)}
+    cellwise = {name for name, attr in attrs
+                if isinstance(attr, theorem._Cells)}
+    return whole, cellwise, whole | {
+        "%s %s" % (name, catalog.cell_label(i, j))
+        for name in cellwise for i in range(2) for j in range(2)}
 
 
 def test_every_part_key_is_a_row_a_transport_part_or_a_named_setup_part():
     # each row is the part under (row id,) and its derived half the
     # part under its row id; the only other parts are the setup that
     # rows with different reads share
-    transport = {name for name, attr in vars(theorem.Transport).items()
-                 if isinstance(attr, property)}
-    assert len(transport) == 12
+    whole, cellwise, transport = _transport_parts()
+    assert (len(whole), len(cellwise)) == (6, 10)
     for check in suite.check_ids():
         view = suite._unmutated(check, 0)
         rows = view.rows()
@@ -1123,6 +1207,11 @@ def _part_alone(check, key, view):
             return derive()
     if key in SETUP_PARTS:
         return SETUP_PARTS[key][1](view)
+    name, _space, cell = key.partition(" ")
+    if cell:
+        i, j = map(int, cell.split(","))
+        return getattr(theorem.Transport, name).cell(
+            theorem.Transport(view), i, j)
     return getattr(theorem.Transport(view), key)
 
 
@@ -1130,7 +1219,8 @@ def test_part_reads_include_the_nested_parts():
     # each part records what it reads when built alone, including the
     # reads of the parts nested in it, which the row has often built
     # already: lam_adjoint is built from lam, every mapped matrix from
-    # smap, and the t2 half from the Jacobian data
+    # smap, and the t2 half from the Jacobian data; a matrix built cell
+    # by cell reads each cell of its entry as the pair (entry, label)
     parts = {}
     for check in suite.check_ids():
         parts[check] = suite._unmutated(check, 0).parts
@@ -1139,14 +1229,28 @@ def test_part_reads_include_the_nested_parts():
             _part_alone(check, key, view)
             assert reads == tuple(view.reads), (check, key)
     transport, appendix = parts["theorem1"], parts["appendix_a"]
-    assert transport["lam_adjoint"][1] == ("Lambda", "usdefs")
+    assert suite._entries(transport["lam_adjoint"][1]) \
+        == ["Lambda", "usdefs"]
+    assert transport["lam_adjoint"][1] \
+        == (("Lambda", "0,0"), "usdefs", ("Lambda", "0,1"),
+            ("Lambda", "1,0"), ("Lambda", "1,1"))
+    # each cell reads its own cell, the backward premise's the
+    # transposed cell of Lambda; D1 J2 D2 reads J2 but not Jt1.middle,
+    # and a cell of Delta one cell of Jt1.middle
+    assert transport["t1 0,1"][1] == (("T1", "0,1"), "usdefs")
+    assert transport["t2_factor 0,1"][1] == (("Lambda", "1,0"), ("T2", "0,1"))
+    assert suite._entries(transport["d1_j2_d2"][1]) == ["usdefs", "J2"]
+    assert transport["delta 1,0"][1] == transport["d1_j2_d2"][1] \
+        + (("Jt1.middle", "1,0"),)
     # the split halves read nothing they are compared with, and
     # theorem1.jt1's, its whole claim, reads all its row reads
     assert transport["theorem1.t2"][1] == ("ymap",)
-    assert transport["theorem1.jt2"][1] \
-        == ("E", "J1", "T1", "usdefs", "T2")
-    assert transport["theorem1.jt1"][1] \
-        == ("E", "Lambda", "T1", "T2", "usdefs", "J2", "Jt1.middle", "J1")
+    assert suite._entries(transport["theorem1.jt2"][1]) \
+        == ["E", "J1", "T1", "usdefs", "T2"]
+    assert suite._entries(transport["theorem1.jt1"][1]) \
+        == ["E", "Lambda", "T1", "T2", "usdefs", "J2", "Jt1.middle", "J1"]
+    # the span of the relations row reads the formal curvature alone
+    assert appendix["formal.span"][1] == ("lax.formal.space",)
     assert appendix["appendix_a.link"][1] \
         == ("miura.m", "miura.n", "OmegaPrime", "Kmat", "P1", "Jop",
             "Thetamat")
@@ -1261,7 +1365,7 @@ def test_a_constant_surviving_the_first_vector_can_die_on_the_second():
 def test_row_reads_cover_the_read_surface(check):
     surface = {ident for ident, _parts in _spec(check).reads}
     read = {ident for reads in _recorded_reads(check).values()
-            for ident in reads}
+            for ident in suite._entries(reads)}
     assert surface - read == set()
 
 
@@ -1269,7 +1373,7 @@ def test_row_reads_cover_the_read_surface(check):
 def test_rows_outside_a_mutant_keep_their_records(check, rows):
     # the converse of the sensitivity invariant, which lets run_mutated
     # reuse the unmutated run's row for every row whose recorded reads
-    # lack the mutated entry
+    # lack both the mutated entry and the cell holding the slot
     plain = {r.id: r.to_record() for r in rows}
     row_reads = _recorded_reads(check)
     compared = 0
@@ -1277,8 +1381,9 @@ def test_rows_outside_a_mutant_keep_their_records(check, rows):
         view = catalog.CATALOG.with_mutation(ident, slot)
         full = {r.id: r.to_record()
                 for r in suite.run_suite(selection=check, catalog=view)}
+        served = suite._unmutated(check, 0).served(ident, slot)
         for rid, reads in row_reads.items():
-            if ident not in reads and rid in full:
+            if (rid,) in served and rid in full:
                 assert full[rid] == plain[rid], (ident, slot, rid)
                 compared += 1
     if len(row_reads) > 1:
