@@ -29,10 +29,14 @@ read that cell or the whole entry.
 reads (or a seeded sample of N of them) and prints, per check, the
 number of mutants, how many turned the check off green, the seconds
 taken (the check's unmutated run included) and the slowest mutant with
-its seconds, then names every survivor; its last line is the sha256 of every
-mutant's row records, in sweep order, so two versions of the code can be
-shown to decide every mutant identically.  It exits 1 when a mutant
-survives.
+its seconds, then names every survivor; its last two lines are the
+sha256 of every mutant's [row id, status] list and of every mutant's
+row records, each mutant one canonical JSON line, in sweep order, so two
+versions of the code can be shown to decide every mutant identically:
+the first line pins the statuses alone, the second also what each row
+quotes.  A failing row quotes only its first nonzero residual, and
+theorem1.jt2 derives its second basis vector only when the first
+leaves it green.  It exits 1 when a mutant survives.
 """
 
 import argparse
@@ -105,17 +109,17 @@ def _describe(parser, args):
     return 0
 
 
-def _records_line(rows):
-    """One mutant's row records as canonical JSON, one line."""
-    return json.dumps([row.to_record() for row in rows], sort_keys=True,
-                      separators=(",", ":")) + "\n"
+def _json_line(value):
+    """value as canonical JSON, one line, encoded for a digest."""
+    return (json.dumps(value, sort_keys=True, separators=(",", ":"))
+            + "\n").encode("utf-8")
 
 
 def _sweep(args):
     checks = (args.check,) if args.check else suite.check_ids()
     mutants = off_green = 0
     survivors = []
-    records = hashlib.sha256()
+    statuses, records = hashlib.sha256(), hashlib.sha256()
     for check in checks:
         if args.sample is None:
             slots = suite.mutation_slots(check)
@@ -131,7 +135,9 @@ def _sweep(args):
             begun = time.perf_counter()
             rows = suite.run_mutated(check, ident, slot)
             slowest = max(slowest, (time.perf_counter() - begun, ident, slot))
-            records.update(_records_line(rows).encode("utf-8"))
+            statuses.update(_json_line([[row.id, row.status]
+                                        for row in rows]))
+            records.update(_json_line([row.to_record() for row in rows]))
             if suite.all_clear(rows):
                 survivors.append((check, ident, slot))
             else:
@@ -149,6 +155,7 @@ def _sweep(args):
           % ("total", mutants, off_green, len(survivors)))
     for survivor in survivors:
         print("survivor %s %s[%d]" % survivor)
+    print("statuses sha256 %s" % statuses.hexdigest())
     print("records sha256 %s" % records.hexdigest())
     return 1 if survivors else 0
 

@@ -18,7 +18,8 @@ from ..jetalg import (
 )
 from ..opcalc import Echelon, NonlocalStore, frechet_row
 from .base import (
-    NORMAL_FORM, TEST_VECTOR, Claim, aux_hygiene_notes, mn_rules, whole,
+    NORMAL_FORM, TEST_VECTOR, Claim, aux_hygiene_notes, mn_rules,
+    refuting_prefix, whole,
 )
 from .flows import (
     check_conservation, check_reciprocal_system_map, check_zero_curvature,
@@ -159,40 +160,45 @@ def _relations_row(fc, span, C):
     consequence, and every derivative of one, is solved in the one
     span of those twelve expressions, span(), a part that reads the
     formal curvature but no displayed relation, so a krel.* mutant is
-    handed it."""
+    handed it.  The consequences are derived in display order and read
+    through refuting_prefix, so a failing row derives, and notes, the
+    consequences up to the one whose residual refutes it."""
     disp = C.get("krel.display")
     basis, labels, span = span()
     merged = fc.flow_rules.merged(C.get("krel.rules"))
-    pairs = []
     notes = []
-    for name in ("rel1", "rel2", "rel3", "rel4", "rel5", "rel6"):
-        rel = fc.flow_rules.reduce(disp[name])
-        sol, rem = _combination(rel, span, basis)
-        if sol is not None:
-            pairs.append(("%s minus its curvature combination" % name, rem))
-            notes.append("%s = %s" % (name, _combination_text(sol, labels)))
-            continue
-        sol, rem = _combination(total_derivative(rel), span, basis)
-        if sol is not None:
-            pairs.append(("derivative of %s minus its curvature "
-                          "combination" % name, rem))
-            combo = sum((c * b for c, b in zip(sol, basis)),
-                        fc.ring.zero())
-            pairs.append(("%s minus the integrated combination, constant "
-                          "zero" % name, rel - antiderivative(combo)))
-            notes.append("D(%s) = %s; recovered by exact integration with "
-                         "zero constant" % (name,
-                                            _combination_text(sol, labels)))
-            continue
-        # the remaining consequence resists a terminating orientation;
-        # compare normal forms against the one unconsumed entry instead
-        rem6 = merged.reduce(disp[name]) - merged.reduce(fc.entries[2])
-        pairs.append(("%s minus the remaining curvature entry, both in "
-                      "normal form modulo the oriented consequences"
-                      % name, rem6))
-        notes.append("%s shares the normal form of %s modulo the five "
-                     "oriented consequences"
-                     % (name, fc.entry_labels[2]))
+
+    def residuals():
+        for name in ("rel1", "rel2", "rel3", "rel4", "rel5", "rel6"):
+            rel = fc.flow_rules.reduce(disp[name])
+            sol, rem = _combination(rel, span, basis)
+            if sol is not None:
+                notes.append("%s = %s"
+                             % (name, _combination_text(sol, labels)))
+                yield "%s minus its curvature combination" % name, rem
+                continue
+            sol, rem = _combination(total_derivative(rel), span, basis)
+            if sol is not None:
+                notes.append("D(%s) = %s; recovered by exact integration "
+                             "with zero constant"
+                             % (name, _combination_text(sol, labels)))
+                yield ("derivative of %s minus its curvature combination"
+                       % name, rem)
+                combo = sum((c * b for c, b in zip(sol, basis)),
+                            fc.ring.zero())
+                yield ("%s minus the integrated combination, constant zero"
+                       % name, rel - antiderivative(combo))
+                continue
+            # the remaining consequence resists a terminating orientation;
+            # compare normal forms against the one unconsumed entry instead
+            notes.append("%s shares the normal form of %s modulo the five "
+                         "oriented consequences"
+                         % (name, fc.entry_labels[2]))
+            yield ("%s minus the remaining curvature entry, both in normal "
+                   "form modulo the oriented consequences" % name,
+                   merged.reduce(disp[name]) - merged.reduce(fc.entries[2]))
+
+    pairs = refuting_prefix(residuals())
     return Claim(C.citation("krel.display"), pairs, NORMAL_FORM, notes)
 
 

@@ -4,7 +4,11 @@ Each row re-derives one catalogued claim, and its compare returns it as
 a Claim: residual pairs that must vanish, with no verdict.  conclude,
 which only the suite harness calls, turns a claim into the row's
 CheckResult, so every verdict, erratum and numeric note is made in one
-place.  The other helpers keep residual bookkeeping,
+place.  Its one record rule: a failing row quotes only its first nonzero
+residual, read through refuting_prefix, which stops after it, so a row
+that feeds its pairs lazily to refuting_prefix derives nothing past the
+residual that refutes it; only a display whose corrected reading
+passes is quoted whole.  The other helpers keep residual bookkeeping,
 independent-variable transport, and auxiliary hygiene uniform across
 the checks.
 """
@@ -147,6 +151,18 @@ def guard_orders(pairs, where):
                 % (where, max_order(e), MAX_ORDER))
 
 
+def refuting_prefix(pairs):
+    """The (label, residual) pairs read in order up to and including the
+    first nonzero residual, as a list: a row whose pairs are built
+    lazily derives nothing past the residual that refutes it."""
+    prefix = []
+    for label, e in pairs:
+        prefix.append((label, e))
+        if not e.is_zero:
+            break
+    return prefix
+
+
 def conclude(rid, claim, seed, errata):
     """The result row for one claim, the only place a verdict is made.
 
@@ -154,26 +170,28 @@ def conclude(rid, claim, seed, errata):
     carries a correction asserts both directions: the displayed reading
     must fail and the corrected reading must pass, and only an entry of
     errata for this row id upgrades that situation from fail to
-    erratum.  A failing row notes its numeric confirmation, seeded from
-    the run seed and the row id."""
+    erratum.  A failing row quotes only its first nonzero residual: a
+    plain claim's pairs and a corrected reading's pairs are read through
+    refuting_prefix, and the order cap is checked on that prefix only,
+    while a claim whose corrected reading passes quotes every nonzero
+    displayed pair.  A failing row notes its numeric confirmation,
+    seeded from the run seed and the row id."""
     citation, pairs, decided_by, notes, corrected = claim
-    guard_orders(pairs, rid)
-    guard_orders(corrected or (), rid)
     notes = list(notes)
-    shown = [(label, e) for label, e in pairs if not e.is_zero]
+    read = refuting_prefix(pairs if corrected is None else corrected)
+    guard_orders(read, rid)
     corrected_fails = False
     if corrected is not None:
-        corr = [(label, e) for label, e in corrected if not e.is_zero]
-        corrected_fails = bool(corr)
+        corrected_fails = bool(read) and not read[-1][1].is_zero
         if corrected_fails:
             notes.append("the corrected reading fails as well")
-            # the displayed residuals are not quoted here, so
-            # theorem1.jt1 derives none once its corrected reading
-            # fails; a change to this rule changes that row
-            shown = corr
-        elif not shown:
-            notes.append("the reading as displayed already passes; no "
-                         "ledger entry is needed")
+        else:
+            read = pairs
+            guard_orders(read, rid)
+    shown = [(label, e) for label, e in read if not e.is_zero]
+    if corrected is not None and not corrected_fails and not shown:
+        notes.append("the reading as displayed already passes; no "
+                     "ledger entry is needed")
     if not shown:
         return CheckResult(rid, PASS, decided_by, (), citation, notes)
     notes.append(numeric_confirmation(

@@ -20,9 +20,11 @@ written once and every verdict is made by base.conclude.  A row with
 nothing to split derives its whole Claim and compares with base.whole.
 run_suite builds every row; run_mutated stops a check after its first
 row that is neither a pass nor an erratum, so its rows are a prefix of
-the run_suite rows (see run_mutated for the one exception).  In either
-run, an exception part-way through a check discards the rows before it
-and reports one undecidable row.
+the run_suite rows (see run_mutated for the one exception).  A failing
+row quotes only its first nonzero residual, base.conclude's one record
+rule, which is the same in both runs.  In either run, an exception
+part-way through a check discards the rows before it and reports one
+undecidable row.
 
 C.derive(key, build) is the one place a value is kept: the plain
 catalog view keeps nothing and only builds, and every harness run goes
@@ -38,15 +40,18 @@ keyed by its row id.  Setup that reads fewer entries or cells than a
 row deriving it is a part under its own key, nested in the halves that
 use it: theorem1's Transport parts, shared by rows with different
 reads, each 2x2 matrix of them built cell by cell, and among them
-D1 J2 D2 ("d1_j2_d2"), which reads J2 but not Jt1.middle; appendix_a's
-formal curvature ("formal") and the span of its twelve expressions
-that appendix_a.relations solves in ("formal.span"), which reads no
-krel.* entry; the flat part -V_x + [U, V] of each zero-curvature row's
-pair, keyed by the pair ident and ".flat", which reads the pair but not
-the flow; bihamiltonian_x.nonlocal's constrained gradient of H1
-("H1.gradient"), which reads neither E nor J1; and the pair row's half,
-nested in scalar_reduction.fourth's.  describe lists the parts each row
-derived, with their reads.
+D1 J2 D2 ("d1_j2_d2"), which reads J2 but not Jt1.middle; the image
+-T1 J1 T2 v of each basis vector ("theorem1.jt2 first image" and
+"theorem1.jt2 second image"), which reads no cell of Jt2, and which
+theorem1.jt2 builds only up to its first refuting residual;
+appendix_a's formal curvature ("formal") and the span of its twelve
+expressions that appendix_a.relations solves in ("formal.span"), which
+reads no krel.* entry; the flat part -V_x + [U, V] of each
+zero-curvature row's pair, keyed by the pair ident and ".flat", which
+reads the pair but not the flow; bihamiltonian_x.nonlocal's constrained
+gradient of H1 ("H1.gradient"), which reads neither E nor J1; and the
+pair row's half, nested in scalar_reduction.fourth's.  describe lists
+the parts each row derived, with their reads.
 
 One reuse rule, at part grain: run_mutated hands a mutant every part of
 the check's unmutated run whose reads hold neither the mutated entry

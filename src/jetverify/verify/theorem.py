@@ -12,11 +12,19 @@ T2 = -1/4 D2 Lambda* make the corrected residual
 hold, a zero Delta decides the corrected reading with no image built,
 and a nonzero one (one local entry under a J2 or Jt1.middle mutant) by
 applying that short sandwich; when one fails, T1 J2 is applied to the
-T2 image.  The first basis vector with a nonzero corrected residual
-refutes the corrected reading, and no further vector is derived.  The
-displayed reading is derived, on a fresh store of its own, only when
-every corrected residual vanishes, since a failing corrected reading
-alone makes the row's record."""
+T2 image.  The first nonzero corrected residual refutes the corrected
+reading, and no further basis vector is derived.  The displayed reading
+is derived, on a fresh store of its own, only when every corrected
+residual vanishes, since a failing corrected reading alone makes the
+row's record.
+
+Both sandwich rows follow the record rule of base.conclude, which
+quotes a failing row's first nonzero residual only: each feeds its
+residual pairs lazily to refuting_prefix, one basis vector at a time.
+The row theorem1.jt2 is one whole row, as theorem1.jt1 is: each basis
+vector's image -T1 J1 T2 v is a part of its own, built through a fresh
+store and holding that store's relations, and is compared with Jt2 v
+under them, so a refuted first vector never builds the second."""
 
 from fractions import Fraction as F
 
@@ -29,7 +37,9 @@ from ..opcalc import (
     transport_local,
 )
 from .. import catalog as _catalog
-from .base import NORMAL_FORM, TEST_VECTOR, Claim, usdef_rules, whole
+from .base import (
+    NORMAL_FORM, TEST_VECTOR, Claim, refuting_prefix, usdef_rules, whole,
+)
 from .hamops import carry_coeff, transport_pseudo, transported_kernel
 
 
@@ -249,8 +259,7 @@ def theorem1(C):
     yield ("theorem1.t2", lambda: _t2_readings(tr.jacobians),
            lambda readings: _t2_row(C, tr, readings))
     yield "theorem1.factored", lambda: _factored_row(C, tr), whole
-    yield ("theorem1.jt2", lambda: _jt2_images(tr),
-           lambda sandwich: _jt2_check(C, tr, *sandwich))
+    yield "theorem1.jt2", lambda: _jt2_row(C, tr), whole
     yield "theorem1.jt1", lambda: _jt1_row(C, tr), whole
 
 
@@ -378,40 +387,45 @@ def _basis_vectors(ring):
             [ring.zero(), ring.coord("psi")])
 
 
-# the labels of the two residual rows of each basis vector, in order
+# the tags of the two basis vectors, and the labels of each vector's two
+# residual rows, in order
+_TAGS = ("first", "second")
 _LABELS = tuple(tuple("%s basis vector, row %d" % (tag, k) for k in (1, 2))
-                for tag in ("first", "second"))
+                for tag in _TAGS)
 
 
-def _jt2_images(tr):
-    """(images, relations): -T1 J1 T2 applied to each basis vector
-    through one fresh store, and that store's final relation set."""
+def _jt2_image(tr, vec):
+    """(image, relations): -T1 J1 T2 applied to vec through a fresh
+    store, and that store's relations."""
     store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
     j1 = tr.j1  # before T1, so the row's reads keep their order
-    images = tuple(tuple(apply_sandwich(-1, tr.t1, j1, tr.t2, vec, store))
-                   for vec in _basis_vectors(_catalog.RING_Y))
-    return images, store.relations
+    return (tuple(apply_sandwich(-1, tr.t1, j1, tr.t2, vec, store)),
+            store.relations)
 
 
-def _jt2_check(C, tr, images, relations):
+def _jt2_row(C, tr):
     """The local Hamiltonian operator transported: matching it against
     the stated composed normal form identifies which momentum-side
     operator produces it.
 
-    (images, relations) is _jt2_images(tr): the images of both basis
-    vectors and the relations of the store that built them.  Jt2 is
-    local: applying it needs no store.  Each difference is reduced
-    under the store's final relations, also the first vector's, which
-    the store reduced under the rules as they stood after that vector.
-    The normal form is the same: a rule added later rewrites only the
-    jets of an auxiliary allocated later, which the first vector's
-    images and the stated image cannot contain."""
-    pairs = []
-    for labels, vec, lhs in zip(_LABELS, _basis_vectors(_catalog.RING_Y),
-                                images):
-        rhs = tr.jt2.apply(vec)
-        pairs.extend((label, relations.reduce(a - promote(b, relations.ring)))
-                     for label, a, b in zip(labels, lhs, rhs))
+    Each basis vector's image is a part of its own, keyed
+    "theorem1.jt2 first image" or "theorem1.jt2 second image", built
+    through a fresh store and holding that store's relations, which
+    reads no cell of Jt2, so a Jt2 mutant is handed both and only
+    compares.  Jt2 is
+    local: applying it needs no store.  Each difference is reduced under
+    its image's relations, and the second image is built only when every
+    residual of the first vanishes."""
+    def residuals():
+        for tag, labels, vec in zip(_TAGS, _LABELS,
+                                    _basis_vectors(_catalog.RING_Y)):
+            lhs, relations = C.derive("theorem1.jt2 %s image" % tag,
+                                      lambda: _jt2_image(tr, vec))
+            rhs = tr.jt2.apply(vec)
+            for label, a, b in zip(labels, lhs, rhs):
+                yield label, relations.reduce(a - promote(b, relations.ring))
+
+    pairs = refuting_prefix(residuals())
     notes = ["the stated composed normal form is reproduced by the "
              "nonlocal momentum-side operator; the sandwich row "
              "carries the display's crossed pairing"]
@@ -440,27 +454,27 @@ def _jt1_row(C, tr):
     the nonlocal momentum-side operator, reproduced by the local one.
 
     The corrected reading comes first: its residual pairs through a
-    fresh store, decided three ways, as the module docstring derives, up
-    to and including the first basis vector with a nonzero one.  Only
-    when they all vanish is the displayed reading derived, both basis
-    vectors through a fresh store of its own; reducing the first
-    vector's residuals before later auxiliaries are allocated gives the
-    same normal form by _jt2_check's argument."""
+    fresh store, decided three ways, as the module docstring derives,
+    and read through refuting_prefix, so up to and including the first
+    nonzero one.  Only when they all vanish is the displayed reading
+    derived, both basis vectors through a fresh store of its own, each
+    vector's residuals reduced under the store as it then stands."""
     store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)
     factored = all(tr.lam_factors)
     delta = _middle_difference(tr) if factored else None
-    corrected = []
-    for labels, vec in zip(_LABELS, _basis_vectors(_catalog.RING_Y)):
-        if not factored:
-            corr = _jt1_residuals(tr, tr.j2, vec, store)
-        elif delta is None:
-            corr = [store.ring.zero()] * 2
-        else:
-            corr = [store.reduce(e) for e in apply_sandwich(
-                F(1, 16), tr.lam, delta, tr.lam_adjoint, vec, store)]
-        corrected.extend(zip(labels, corr))
-        if any(not e.is_zero for e in corr):
-            break
+
+    def residuals():
+        for labels, vec in zip(_LABELS, _basis_vectors(_catalog.RING_Y)):
+            if not factored:
+                corr = _jt1_residuals(tr, tr.j2, vec, store)
+            elif delta is None:
+                corr = [store.ring.zero()] * 2
+            else:
+                corr = [store.reduce(e) for e in apply_sandwich(
+                    F(1, 16), tr.lam, delta, tr.lam_adjoint, vec, store)]
+            yield from zip(labels, corr)
+
+    corrected = refuting_prefix(residuals())
     displayed = []
     if all(e.is_zero for _label, e in corrected):
         store = NonlocalStore(_catalog.RING_Y, inverses=tr.inverses)

@@ -120,7 +120,15 @@ def test_describe_lists_each_row_and_its_reads(capsys):
     assert parts["zc_main"] == {"lax.main.flat": ["lax.main"]}
     assert parts["bihamiltonian_x.nonlocal"] \
         == {"H1.gradient": ["sys.main", "H1"]}
-    # the twelve rows with a half of their own; every other row
+    # theorem1.jt2 is one whole row, whose image of each basis vector
+    # is a part that reads no cell of Jt2
+    images = {key: reads for key, reads in parts["theorem1.jt2"].items()
+              if key.endswith(" image")}
+    assert list(images) == ["theorem1.jt2 first image",
+                            "theorem1.jt2 second image"]
+    for reads in images.values():
+        assert suite._entries(reads) == ["E", "J1", "T1", "usdefs", "T2"]
+    # the eleven rows with a half of their own; every other row
     # derives its whole claim and compares nothing more
     assert {rid: row["compares"] for rid, row in rows.items()
             if row["compares"]} == {
@@ -133,7 +141,6 @@ def test_describe_lists_each_row_and_its_reads(capsys):
         "prop1": ["Theta1", "Theta1.conj", "usdefs"],
         "prop2": ["Theta2", "usdefs"],
         "theorem1.t2": ["T2", "usdefs"],
-        "theorem1.jt2": ["Jt2"],
         "appendix_a.link": ["P2"],
         "appendix_b.reciprocal": ["sys.appb.trans"]}
 
@@ -145,21 +152,25 @@ def test_describe_rejects_an_unknown_check(capsys):
     assert "unknown check id 'prop3'" in capsys.readouterr().err
 
 
-def records_digest(mutants):
-    """sha256 over each mutant's records, one canonical JSON line each."""
-    digest = hashlib.sha256()
+def sweep_digests(mutants):
+    """sha256 over each mutant's [row id, status] list, and over each
+    mutant's records, one canonical JSON line each."""
+    statuses, records = hashlib.sha256(), hashlib.sha256()
     for check, ident, slot in mutants:
         rows = suite.run_mutated(check, ident, slot)
-        digest.update(json.dumps([row.to_record() for row in rows],
-                                 sort_keys=True, separators=(",", ":"))
-                      .encode("utf-8") + b"\n")
-    return digest.hexdigest()
+        for digest, value in (
+                (statuses, [[row.id, row.status] for row in rows]),
+                (records, [row.to_record() for row in rows])):
+            digest.update(json.dumps(value, sort_keys=True,
+                                     separators=(",", ":"))
+                          .encode("utf-8") + b"\n")
+    return statuses.hexdigest(), records.hexdigest()
 
 
 def test_sweep_reports_mutants_and_survivors(capsys):
     assert main(["sweep", "--check", "prop2", "--sample", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     fields = lines[0].split()
     assert fields[:5] == ["prop2", "3", "mutants", "3", "off"]
     assert lines[1].split() == ["total", "3", "mutants", "3", "off",
@@ -171,7 +182,9 @@ def test_sweep_reports_mutants_and_survivors(capsys):
     assert (fields[7], fields[8], fields[11]) == ("s", "slowest", "s")
     assert fields[9] in ["%s[%d]" % m[1:] for m in mutants]
     assert float(fields[10]) >= 0
-    assert lines[2] == "records sha256 " + records_digest(mutants)
+    statuses, records = sweep_digests(mutants)
+    assert lines[2:] == ["statuses sha256 " + statuses,
+                         "records sha256 " + records]
 
 
 def test_sweep_names_a_survivor(capsys, monkeypatch):
@@ -181,6 +194,7 @@ def test_sweep_names_a_survivor(capsys, monkeypatch):
     out = capsys.readouterr().out
     names = ["survivor prop2 %s[%d]" % m
              for m in suite.sample_mutations("prop2", 2)]
-    assert out.splitlines()[-3:-1] == names
+    assert out.splitlines()[-4:-2] == names
     empty = hashlib.sha256(b"[]\n[]\n").hexdigest()
-    assert out.splitlines()[-1] == "records sha256 " + empty
+    assert out.splitlines()[-2:] == ["statuses sha256 " + empty,
+                                     "records sha256 " + empty]

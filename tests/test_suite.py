@@ -11,6 +11,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 from types import FunctionType, MappingProxyType
@@ -20,7 +21,8 @@ import pytest
 from jet_strategies import random_expr
 from jetverify import catalog
 from jetverify.jetalg import (
-    RelationSet, SystemDef, evolutionary_derivative, to_text, total_derivative,
+    RelationSet, SystemDef, evolutionary_derivative, promote, to_text,
+    total_derivative,
 )
 from jetverify.opcalc import Echelon, MatrixOp, NonlocalStore, PseudoOp
 from jetverify.verify import (
@@ -28,7 +30,8 @@ from jetverify.verify import (
     UNDECIDABLE, appendixes, flows, hamops, scalar, suite, theorem,
 )
 from jetverify.verify.base import (
-    MAX_ORDER, SUMMARY_WIDTH, conclude, mn_rules, summarize, whole,
+    MAX_ORDER, SUMMARY_WIDTH, conclude, mn_rules, refuting_prefix, summarize,
+    whole,
 )
 from jetverify.verify.errata import load_ledger
 
@@ -235,7 +238,8 @@ def test_errata_ledger_references_what_its_row_reads():
 def test_conclude_enforces_the_order_cap():
     # the one derivative-order cap: a compared expression past
     # MAX_ORDER aborts the row instead of being decided, in the
-    # displayed and in the corrected reading
+    # displayed and in the corrected reading, up to and including the
+    # first nonzero residual, which is all a failing row reads
     jet = catalog.RING_Y.coord
     at_cap = [("at the cap", jet("u", MAX_ORDER))]
     past_cap = [("past the cap", jet("u", MAX_ORDER + 1))]
@@ -246,6 +250,14 @@ def test_conclude_enforces_the_order_cap():
     with pytest.raises(OrderCapExceeded):
         conclude("probe", Claim("", at_cap, NORMAL_FORM,
                                 corrected=past_cap), 0, {})
+    with pytest.raises(OrderCapExceeded):
+        conclude("probe", Claim("", past_cap + at_cap, NORMAL_FORM), 0, {})
+    for claim in (Claim("", at_cap + past_cap, NORMAL_FORM),
+                  Claim("", past_cap, NORMAL_FORM,
+                        corrected=at_cap + past_cap)):
+        row = conclude("probe", claim, 0, {})
+        assert (row.status, row.residual_summary) \
+            == (FAIL, ("at the cap: u_%d" % MAX_ORDER,))
 
 
 def _ledger_for(rid):
@@ -290,6 +302,22 @@ CONCLUDE_OUTCOMES = {
         (PASS, None, (),
          ("the reading as displayed already passes; no ledger entry is "
           "needed",))),
+    # a failing row quotes its first nonzero residual only, but an
+    # erratum every nonzero residual of its display
+    "plain_fail_quotes_its_first": (
+        [("shown", _ZERO), ("other", _U), ("later", 2 * _U)], None, {},
+        (FAIL, None, ("other: u_0",), (_CONFIRMS,))),
+    "corrected_fails_quotes_its_first": (
+        [("shown", _U)], [("fixed", _ZERO), ("fixed too", 2 * _U),
+                          ("fixed last", _U)], _ledger_for("probe"),
+        (FAIL, None, ("fixed too: (* 2 u_0)",),
+         ("the corrected reading fails as well", _CONFIRMS))),
+    "erratum_quotes_its_whole_display": (
+        [("shown", _U), ("zero", _ZERO), ("shown too", 2 * _U)],
+        [("fixed", _ZERO)], _ledger_for("probe"),
+        (ERRATUM, "E9", ("shown: u_0", "shown too: (* 2 u_0)"),
+         (_CONFIRMS, "as displayed the claim fails; corrected per "
+          "erratum E9 it passes exactly"))),
 }
 
 
@@ -790,12 +818,106 @@ def test_a_refuted_corrected_jt1_reading_stops_after_its_first_vector(
     cat = catalog.CATALOG.with_mutation(ident, slot)
     claim = _jt1_claim(cat)
     corrected = _jt1_both_vectors(cat)
+    labels = [label for pair in theorem._LABELS for label in pair]
     assert claim.pairs == []
-    assert [label for label, _e in claim.corrected] \
-        == ["first basis vector, row 1", "first basis vector, row 2"]
-    assert [e for _label, e in claim.corrected] == corrected[:2]
+    assert list(claim.corrected) == refuting_prefix(zip(labels, corrected))
+    assert len(claim.corrected) <= 2
     assert not all(e.is_zero for e in corrected[:2])
     assert not all(e.is_zero for e in corrected[2:])
+
+
+_JT2_IMAGES = tuple("theorem1.jt2 %s image" % tag for tag in theorem._TAGS)
+
+
+def test_a_refuted_jt2_row_never_builds_its_second_image():
+    # J1[8]'s first image refutes theorem1.jt2, so its harness run,
+    # handed the unmutated run's parts, builds that image and never the
+    # second, which the unmutated run holds; derived anyway, the second
+    # vector refutes the row as well
+    assert set(_JT2_IMAGES) <= set(suite._unmutated("theorem1", 0).parts)
+    cat = catalog.CATALOG.with_mutation("J1", 8)
+    view = suite._HarnessView(cat, suite._unmutated("theorem1", 0)
+                              .served("J1", 8))
+    rows = suite._run_check(view, _spec("theorem1"), 0, load_ledger(),
+                            stop=True)
+    assert (rows[-1].id, rows[-1].status) == ("theorem1.jt2", FAIL)
+    assert _JT2_IMAGES[0] in view.parts and _JT2_IMAGES[1] not in view.parts
+    tr = theorem.Transport(_open_view(cat))
+    vec = theorem._basis_vectors(catalog.RING_Y)[1]
+    lhs, relations = theorem._jt2_image(tr, vec)
+    assert not all(
+        relations.reduce(a - promote(b, relations.ring)).is_zero
+        for a, b in zip(lhs, tr.jt2.apply(vec)))
+
+
+# the rows that derive their residual pairs lazily through
+# refuting_prefix, and the check of each
+_LAZY_ROWS = {"theorem1.jt1": "theorem1", "theorem1.jt2": "theorem1",
+              "appendix_a.relations": "appendix_a"}
+
+
+def _lazy_and_forced(check, rid, cat, monkeypatch):
+    """Row rid's record over cat, or the text of what it raised, as the
+    row derives it and with every basis vector or relation derived, the
+    rows' refuting_prefix replaced by list; conclude's is kept."""
+    def record():
+        view = suite._HarnessView(cat)
+        for row in _spec(check).runner(view):
+            if row[0] == rid:
+                try:
+                    return suite._concluded(view, *row, 0,
+                                            load_ledger()).to_record()
+                except Exception as exc:
+                    return "%s: %s" % (type(exc).__name__, exc)
+        raise KeyError(rid)
+
+    lazy = record()
+    with monkeypatch.context() as m:
+        m.setattr(theorem, "refuting_prefix", list)
+        m.setattr(appendixes, "refuting_prefix", list)
+        forced = record()
+    return lazy, forced
+
+
+def _cut_relation_notes(record):
+    """A record of appendix_a.relations with its one note per relation
+    kept up to the relation its first summary line names, as the row
+    notes only the relations it derived."""
+    if not isinstance(record, dict) or not record["residual_summary"]:
+        return record
+    last = int(re.search(r"rel(\d)", record["residual_summary"][0]).group(1))
+    per_relation = [n for n in record["notes"]
+                    if n.startswith(("rel", "D(rel"))]
+    assert len(per_relation) == 6
+    return dict(record, notes=[n for n in record["notes"]
+                               if n not in per_relation[last:]])
+
+
+@pytest.mark.parametrize("rid", tuple(_LAZY_ROWS))
+def test_a_lazy_row_concludes_as_its_forced_derivation(rid, monkeypatch):
+    # the record a lazy row makes is the one conclude makes of the
+    # derivation of every pair, on the catalog and on the first slot of
+    # every part of each entry the row reads; the relations row notes
+    # each relation it derived, so its forced notes stop at the relation
+    # that refutes it
+    check = _LAZY_ROWS[rid]
+    mutants = [None] + [
+        (ident, start)
+        for ident in suite._entries(suite._unmutated(check, 0).rows()[rid][1])
+        for _label, start, stop
+        in catalog.part_windows(catalog.CATALOG.entry(ident))
+        if start < stop]
+    assert len(mutants) > 10
+    refuted = 0
+    for mutant in mutants:
+        cat = (catalog.CATALOG if mutant is None
+               else catalog.CATALOG.with_mutation(*mutant))
+        lazy, forced = _lazy_and_forced(check, rid, cat, monkeypatch)
+        if rid == "appendix_a.relations":
+            forced = _cut_relation_notes(forced)
+        assert lazy == forced, mutant
+        refuted += isinstance(lazy, dict) and lazy["status"] == FAIL
+    assert refuted > 1
 
 
 @pytest.mark.parametrize("run", ("_unmutated", "run_suite", "run_mutated"))
@@ -918,10 +1040,11 @@ def _slots_of(check, ident):
         ("appendix_a", "P2", (0, 0, 0)), ("appendix_a", "P1", (0, 0, 1)))])
 def test_a_mutant_rebuilds_only_the_parts_that_read_its_entry(
         check, ident, builds, monkeypatch):
-    # the Jacobian data and the t2 half read ymap alone, the jt2 half
+    # the Jacobian data and the t2 half read ymap alone, the jt2 images
     # neither Jt2 nor ymap, and the link half all of the link but P2, so
     # a T2, Jt2 or P2 mutant is handed them and only compares, while a
-    # ymap, J1 or P1 mutant derives its own; a J2 mutant is handed the
+    # ymap, J1 or P1 mutant derives its own, a J1 mutant only the first
+    # image, whose residual refutes the row; a J2 mutant is handed the
     # factorization premises and derives the jt1 half through its one
     # store, whose refuted corrected reading needs no displayed one; the
     # last count is theorem1's stores and appendix_a's link halves
@@ -986,7 +1109,7 @@ def test_served_parts_give_the_records_of_a_run_serving_none(
     # of a run over the mutated catalog that is handed nothing; unless
     # the run reaches a row deriving a part that reads the entry, other
     # than a half that reads all its row reads, which is the row's whole
-    # claim (J1 in theorem1.jt2's half is one), it rebuilds no served
+    # claim (J1 in theorem1.jt2's images is one), it rebuilds no served
     # part: it derives no t2 reading, builds no theorem1 store and no
     # link half, transports no time derivative or constraint, takes no
     # flat curvature part, gauges no relation, closes no fourth-order
@@ -1071,6 +1194,13 @@ SETUP_PARTS = {
     # twelve expressions, which reads no krel.* entry
     "formal.span": ("appendix_a", lambda view: appendixes._curvature_span(
         appendixes._FormalCurvature(view))),
+    # theorem1.jt2's image -T1 J1 T2 v of each basis vector reads no
+    # cell of Jt2, so a Jt2 mutant is handed both
+    **{"theorem1.jt2 %s image" % tag: ("theorem1", lambda view, _v=vec:
+                                      theorem._jt2_image(
+                                          theorem.Transport(view), _v))
+       for tag, vec in zip(theorem._TAGS,
+                           theorem._basis_vectors(catalog.RING_Y))},
 }
 
 
@@ -1243,10 +1373,14 @@ def test_part_reads_include_the_nested_parts():
     assert transport["delta 1,0"][1] == transport["d1_j2_d2"][1] \
         + (("Jt1.middle", "1,0"),)
     # the split halves read nothing they are compared with, and
-    # theorem1.jt1's, its whole claim, reads all its row reads
+    # theorem1.jt2's and theorem1.jt1's, their whole claims, read all
+    # their row reads; each image of theorem1.jt2 reads no cell of Jt2
     assert transport["theorem1.t2"][1] == ("ymap",)
+    for key in _JT2_IMAGES:
+        assert suite._entries(transport[key][1]) \
+            == ["E", "J1", "T1", "usdefs", "T2"]
     assert suite._entries(transport["theorem1.jt2"][1]) \
-        == ["E", "J1", "T1", "usdefs", "T2"]
+        == ["E", "J1", "T1", "usdefs", "T2", "Jt2"]
     assert suite._entries(transport["theorem1.jt1"][1]) \
         == ["E", "Lambda", "T1", "T2", "usdefs", "J2", "Jt1.middle", "J1"]
     # the span of the relations row reads the formal curvature alone
